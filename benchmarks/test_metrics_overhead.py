@@ -26,7 +26,10 @@ def _timed_run(*, metrics_on, scale, seed):
     cfg = build_config(Design.NO_PG, scale, seed=seed)
     metrics = MetricsSpec(directory="unused").build() if metrics_on \
         else None
-    net = Network(cfg, metrics=metrics)
+    # Both arms on the kernel that serves the observer: unpinned, the
+    # metrics-off arm would run the (faster) soa kernel and the bound
+    # would measure the kernel switch, not the hooks.
+    net = Network(cfg, metrics=metrics, backend="ref")
     traffic = make_traffic(net.mesh, "blackscholes", seed=seed)
     t0 = time.perf_counter()
     net.run(traffic)

@@ -28,7 +28,9 @@ MIN_SPEEDUP = 2.0
 
 def _timed_run(design, *, skip, scale, seed):
     cfg = build_config(design, scale, seed=seed)
-    net = Network(cfg, skip_inactive=skip)
+    # The skip layer and the dense scans are both the reference
+    # kernel's (unpinned, skip=True would dispatch to soa).
+    net = Network(cfg, skip_inactive=skip, backend="ref")
     traffic = make_traffic(net.mesh, "blackscholes", seed=seed)
     t0 = time.perf_counter()
     net.run(traffic)

@@ -60,15 +60,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "cache (see REPRO_CACHE_DIR)")
     parser.add_argument("--backend", choices=network_mod.BACKENDS,
                         default=None,
-                        help="simulation kernel: the object-graph "
-                             "reference ('ref') or the struct-of-arrays "
-                             "kernel ('soa'); default: REPRO_BACKEND, "
-                             "then 'ref'")
-    parser.add_argument("--fast", action="store_true",
-                        help="relaxed-identity fast mode on the soa "
-                             "kernel: RunResult-identical, trace-digest"
-                             "-exempt (implies --backend soa; also "
-                             "REPRO_FAST=1)")
+                        help="pin the simulation kernel: the object-"
+                             "graph reference ('ref') or the struct-of-"
+                             "arrays kernel ('soa'); default: "
+                             "REPRO_BACKEND, then 'soa' unless the run "
+                             "traces, samples metrics, injects faults "
+                             "or forces dense scans ('ref')")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-run wall-clock budget in seconds "
                              "(default: unlimited)")
@@ -265,7 +262,8 @@ def _timing_line(result) -> str:
     if result.wall_clock_s <= 0:
         return "[run took 0.0s; served from cache]"
     return (f"[run took {result.wall_clock_s:.1f}s; "
-            f"{result.simulated_cycles_per_sec:,.0f} simulated cyc/s]")
+            f"{result.simulated_cycles_per_sec:,.0f} simulated cyc/s; "
+            f"kernel: {result.kernel}]")
 
 
 def _fault_plan(args: argparse.Namespace):
@@ -350,20 +348,12 @@ def _simulate(args: argparse.Namespace) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "fast", False) and args.backend == "ref":
-        parser.error("--fast requires the soa kernel; drop --backend ref")
     if getattr(args, "backend", None) is not None:
         # Propagate through the environment so worker processes and
         # every DesignPoint resolve the same kernel (and cache keys
-        # fold it in via DesignPoint.resolved_backend()).
+        # fold it in via select_kernel()).
         import os
         os.environ["REPRO_BACKEND"] = args.backend
-    if getattr(args, "fast", False):
-        # Same propagation path for fast mode; --fast implies the soa
-        # kernel when no backend was pinned.
-        import os
-        os.environ["REPRO_FAST"] = "1"
-        os.environ.setdefault("REPRO_BACKEND", "soa")
     if args.command == "list":
         for name, (_, description) in EXPERIMENTS.items():
             print(f"{name:8s} {description}")

@@ -39,6 +39,7 @@ import tempfile
 import threading
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
@@ -52,7 +53,8 @@ from ..errors import (DeadlockError, LivelockError, RunTimeout,
 from ..faults import FaultPlan
 from ..metrics.sampler import MetricsSpec, export_metrics
 from .journal import SweepJournal, completed_outcomes, load_journal
-from ..noc.network import Network, RunProgress
+from ..noc.network import (Network, RunProgress, resolve_backend,
+                           select_kernel)
 from ..power.model import EnergyReport, PowerModel
 from ..stats.collector import RunResult
 from ..trace.recorder import TraceSpec, export_trace
@@ -66,10 +68,10 @@ from ..traffic.synthetic import (bit_complement, hotspot, tornado,
 #: 3: cache keys fold in the resolved simulation backend (ref vs soa)
 #:    and ``TrafficSpec`` gained hotspot parameters.
 #: 4: entries carry a SHA-256 content checksum, verified on read.
-#: 5: cache keys fold in the resolved fast-mode flag (soa fast kernel),
-#:    so fast and plain results never share an entry even though they
-#:    are proven RunResult-identical.
-CACHE_FORMAT = 5
+#: 5: cache keys fold in the resolved fast-mode flag (soa fast kernel).
+#: 6: the fast-mode flag left the key (one soa kernel); the backend
+#:    field records :func:`repro.noc.network.select_kernel`'s choice.
+CACHE_FORMAT = 6
 
 #: ``DesignPoint.network`` value selecting the bufferless datapath
 #: (Section 6.8 discussion) instead of the standard ``Network``.
@@ -198,17 +200,13 @@ class DesignPoint:
     #: the ``trace`` policy: a pure observer, absent from
     #: :meth:`cache_key`, skips the cache read but writes back.
     metrics: Optional[MetricsSpec] = None
-    #: Simulation backend: ``"ref"``, ``"soa"`` or ``None`` (= defer to
-    #: ``REPRO_BACKEND``, then the reference kernel).  The *resolved*
-    #: backend enters :meth:`cache_key` - the two kernels are proven
+    #: Pinned simulation kernel: ``"ref"``, ``"soa"`` or ``None`` (=
+    #: defer to ``REPRO_BACKEND``, then to what the point carries - see
+    #: :func:`repro.noc.network.select_kernel`).  The selected kernel
+    #: enters :meth:`cache_key` - the two kernels are proven
     #: result-identical, but keying them separately keeps a drifting
-    #: backend from silently poisoning the shared cache.
+    #: kernel from silently poisoning the shared cache.
     backend: Optional[str] = None
-    #: Relaxed-identity fast mode for the SoA backend: ``True``/``False``
-    #: or ``None`` (= defer to ``REPRO_FAST``).  The *resolved* flag
-    #: enters :meth:`cache_key` under the same drift-containment policy
-    #: as ``backend``.
-    fast: Optional[bool] = None
     #: Optional periodic checkpointing (:mod:`repro.checkpoint`).
     #: Excluded from :meth:`cache_key` - a checkpointed run's result is
     #: byte-identical to an uncheckpointed one - and, unlike trace or
@@ -226,48 +224,20 @@ class DesignPoint:
             raise ValueError(
                 "fault injection is not supported on the bufferless network")
         if self.backend is not None:
-            from ..noc.network import resolve_backend
             resolve_backend(self.backend)  # raises on unknown names
-            if self.fast and resolve_backend(self.backend) != "soa":
-                raise ValueError(
-                    "fast mode requires the 'soa' backend; this point "
-                    f"pins backend={self.backend!r}")
 
-    def resolved_backend(self) -> str:
-        """The backend this point will actually run on (``ref``/``soa``).
-
-        The bufferless datapath has a single implementation, so it
-        always resolves to ``ref`` regardless of the environment.  A
-        fast-mode point resolves to ``soa`` (fast implies the SoA
-        backend; a conflicting explicit ``ref`` raises, mirroring
-        ``Network.__new__``)."""
+    def _kernel(self, faults, metrics=None, trace=None) -> str:
+        # The bufferless datapath has a single implementation.
         if self.network == BUFFERLESS_NETWORK:
             return "ref"
-        from ..noc.network import resolve_backend
-        backend = resolve_backend(self.backend)
-        if backend != "soa" and self.resolved_fast():
-            import os
-            if (self.backend is not None
-                    or os.environ.get("REPRO_BACKEND", "").strip()):
-                raise ValueError(
-                    f"fast mode requires the 'soa' backend, but "
-                    f"{backend!r} was requested for this design point")
-            backend = "soa"
-        return backend
+        return select_kernel(self.backend, fault_plan=faults,
+                             metrics=metrics, trace=trace)
 
-    def resolved_fast(self) -> bool:
-        """Whether this point runs the SoA fast mode.
-
-        Observer-only features that force the reference kernel (trace,
-        metrics, faults) and the bufferless datapath resolve to False -
-        the cache key must describe the kernel that actually runs."""
-        if self.network == BUFFERLESS_NETWORK:
-            return False
-        if (self.faults is not None or self.metrics is not None
-                or self.trace is not None):
-            return False
-        from ..noc.network import resolve_fast
-        return resolve_fast(self.fast)
+    def resolved_backend(self) -> str:
+        """The kernel this point will actually run on (``ref``/``soa``):
+        exactly what ``Network(...)`` dispatches to in
+        :func:`execute_point`."""
+        return self._kernel(self.faults, self.metrics, self.trace)
 
     def cache_key(self) -> str:
         """Content hash identifying this point's result on disk.
@@ -276,6 +246,10 @@ class DesignPoint:
         two are proven behaviourally identical, so they share a cache
         entry.  ``trace`` is deliberately absent: tracing does not
         change the result, so traced and untraced runs share an entry.
+        For the same reason the ``backend`` field is the kernel the
+        *keyed* content selects: observers and empty plans, which move
+        a run onto ``ref`` without changing its result, do not move its
+        entry.
         """
         faults = None
         if self.faults is not None and not self.faults.is_empty:
@@ -288,8 +262,7 @@ class DesignPoint:
             "prepare": self.prepare,
             "network": self.network,
             "faults": faults,
-            "backend": self.resolved_backend(),
-            "fast": self.resolved_fast(),
+            "backend": self._kernel(faults),
         })
 
 
@@ -342,8 +315,7 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
         if point.metrics is not None:
             metrics = point.metrics.build()
         net = Network(cfg, fault_plan=point.faults, trace=trace,
-                      metrics=metrics, backend=point.backend,
-                      fast=point.fast)
+                      metrics=metrics, backend=point.backend)
     if point.checkpoint is not None and point.network != BUFFERLESS_NETWORK:
         result, net = _run_checkpointed(point, net)
         trace, metrics = net.trace, net.metrics
@@ -741,6 +713,8 @@ class SweepStats:
     #: drain), so ``sim_cycles / sim_seconds`` is the sweep's aggregate
     #: simulation rate.
     sim_cycles: int = 0
+    #: Executed points per kernel that ran them (``RunResult.kernel``).
+    kernels: Counter = field(default_factory=Counter)
 
     def snapshot(self) -> Tuple[int, int]:
         return (self.hits, self.misses)
@@ -937,6 +911,7 @@ class SweepRunner:
                     if tag[0] == "ok":
                         outcomes[i] = tag[1]
                         run_result = tag[1][0]
+                        self.stats.kernels[run_result.kernel] += 1
                         if run_result.wall_clock_s > 0:
                             self.stats.sim_seconds += run_result.wall_clock_s
                             self.stats.sim_cycles += int(

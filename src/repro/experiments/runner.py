@@ -107,6 +107,10 @@ def run_all(scale: str = "bench", seed: int = 1, *,
     if runner.stats.sim_seconds > 0:
         sim = (f"; simulated {runner.stats.sim_cycles:,} cycles at "
                f"{runner.stats.sim_rate:,.0f} cyc/s")
+    if runner.stats.kernels:
+        # Which kernel ran the executed points, most-used first.
+        sim += "; kernels: " + ", ".join(
+            f"{k} {n}" for k, n in runner.stats.kernels.most_common())
     echo(f"\n[run-all took {time.perf_counter() - total_start:.1f}s with "
          f"jobs={runner.jobs}; cache: {hits} hits, {misses} misses"
          f"{f', {quarantined} quarantined' if quarantined else ''}"

@@ -5,20 +5,22 @@
 and peak RSS for each, and writes ``BENCH_<host>.json`` at the repo
 root with per-point medians-of-N.  ``--check --against OLD.json``
 compares throughput point-by-point and exits non-zero when any pinned
-point regressed by more than the threshold (default 15%) - the CI
-``bench-ledger`` job runs a fresh quick baseline and checks a second
-run against it, so the gate is exercised on every push without
-cross-host noise.
+point regressed by more than the threshold (default 15%); check a
+second run against a fresh baseline from the same host, cross-host
+comparisons are noise.
 
 Points run the real :class:`~repro.noc.network.Network` directly (no
-result cache, no metrics attached), so the number is the kernel's own
-throughput.  ``--backend soa`` benches the struct-of-arrays kernel
-instead and maintains a separate ``BENCH_<host>.soa.json`` ledger, so
-each kernel is regression-gated against its own history; ``--backend
-soa --fast`` benches the relaxed-identity fast mode into a third
-``BENCH_<host>.soa-fast.json`` leg.  Peak RSS comes from ``getrusage`` and is process-monotone
-(a high-water mark), so it is recorded per point but reported as
-informational only - the regression gate is on cycles/sec.
+result cache, no metrics attached) on the kernel an untagged run gets,
+so the number is that kernel's own throughput.  Peak RSS comes from
+``getrusage`` and is process-monotone (a high-water mark), so it is
+recorded per point but reported as informational only - the regression
+gate is on cycles/sec.
+
+Superseded by the repository benchmark (``python3 bench/run.py`` /
+``bench/compare.py``, see ``bench/README.md``), which measures the same
+kernel end to end with a host-speed normalisation this ledger lacks.
+The committed ``BENCH_vm.json`` predates the kernel merge (it was
+recorded on the reference kernel) and is not re-recorded.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import Design, small_config
-from ..noc.network import BACKENDS, Network, resolve_backend
+from ..noc.network import Network
 from ..experiments.parallel import TrafficSpec
 
 SCHEMA = 1
@@ -69,16 +71,9 @@ def normalize_host(name: Optional[str] = None) -> str:
     return norm or "unknown"
 
 
-def ledger_path(root=".", host: Optional[str] = None,
-                backend: str = "ref", fast: bool = False) -> Path:
-    """Per-host ledger file; the non-default backend gets its own
-    ledger (``BENCH_<host>.soa.json``, ``BENCH_<host>.soa-fast.json``
-    for fast mode) so the kernels' numbers never gate each other by
-    accident."""
-    suffix = "" if backend == "ref" else f".{backend}"
-    if fast:
-        suffix += "-fast"
-    return Path(root) / f"BENCH_{normalize_host(host)}{suffix}.json"
+def ledger_path(root=".", host: Optional[str] = None) -> Path:
+    """Per-host ledger file."""
+    return Path(root) / f"BENCH_{normalize_host(host)}.json"
 
 
 def _peak_rss_kb() -> int:
@@ -90,15 +85,14 @@ def _peak_rss_kb() -> int:
 
 
 def measure_point(design: str, traffic: str, width: int, height: int,
-                  cycles: Tuple[int, int, int] = FULL_CYCLES,
-                  backend: Optional[str] = None,
-                  fast: bool = False) -> Tuple[float, int]:
+                  cycles: Tuple[int, int, int] = FULL_CYCLES
+                  ) -> Tuple[float, int]:
     """One timed run -> (simulated cycles/sec, peak RSS in KB)."""
     warmup, measure, drain = cycles
     cfg = replace(small_config(design, width=width, height=height,
                                warmup=warmup, measure=measure),
                   drain_cycles=drain)
-    net = Network(cfg, backend=backend, fast=fast)
+    net = Network(cfg)
     gen = TrafficSpec(kind=traffic, rate=PINNED_RATE).build(net.mesh)
     t0 = time.perf_counter()
     net.run(gen)
@@ -109,11 +103,9 @@ def measure_point(design: str, traffic: str, width: int, height: int,
 
 def run_matrix(repeats: int = 5, quick: bool = False,
                only: Optional[Iterable[str]] = None,
-               backend: Optional[str] = None, fast: bool = False,
                echo=print) -> Dict[str, object]:
     """Run the pinned matrix and return the ledger dict."""
     cycles = QUICK_CYCLES if quick else FULL_CYCLES
-    resolved = resolve_backend(backend)
     wanted = set(only) if only else None
     points: Dict[str, dict] = {}
     for design in DESIGNS:
@@ -125,9 +117,7 @@ def run_matrix(repeats: int = 5, quick: bool = False,
                 samples, rss = [], 0
                 for _ in range(max(1, repeats)):
                     cps, peak = measure_point(design, traffic, w, h,
-                                              cycles=cycles,
-                                              backend=resolved,
-                                              fast=fast)
+                                              cycles=cycles)
                     samples.append(round(cps, 1))
                     rss = max(rss, peak)
                 median = statistics.median(samples)
@@ -138,7 +128,6 @@ def run_matrix(repeats: int = 5, quick: bool = False,
                      f"(n={len(samples)}, rss {rss} KB)")
     return {"schema": SCHEMA, "host": normalize_host(),
             "python": platform.python_version(),
-            "backend": resolved, "fast": fast,
             "repeats": max(1, repeats), "quick": quick,
             "cycles": list(cycles), "points": points}
 
@@ -208,24 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--only", action="append", metavar="KEY",
                         help="restrict to matrix key(s) like "
                              "NoRD/uniform/4x4 (repeatable)")
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="simulation kernel to bench (default: "
-                             "REPRO_BACKEND, then 'ref'); the soa "
-                             "kernel keeps its own ledger "
-                             "(BENCH_<host>.soa.json)")
-    parser.add_argument("--fast", action="store_true",
-                        help="bench the soa kernel's relaxed-identity "
-                             "fast mode; keeps a third ledger "
-                             "(BENCH_<host>.soa-fast.json)")
     args = parser.parse_args(argv)
-    backend = resolve_backend(args.backend)
-    if args.fast and backend != "soa":
-        import os
-        if args.backend is not None \
-                or os.environ.get("REPRO_BACKEND", "").strip():
-            parser.error("--fast requires the soa kernel; drop the "
-                         "--backend/REPRO_BACKEND override")
-        backend = "soa"  # --fast implies the soa kernel
     if args.only:
         known = set(matrix_keys())
         for key in args.only:
@@ -234,8 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              + ", ".join(sorted(known)))
     repeats = args.repeats if args.repeats != 5 or not args.quick \
         else 3
-    out = Path(args.out) if args.out \
-        else ledger_path(backend=backend, fast=args.fast)
+    out = Path(args.out) if args.out else ledger_path()
     baseline = None
     baseline_path = Path(args.against) if args.against else out
     if (args.check or args.against) and baseline_path.is_file():
@@ -244,8 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[bench] no baseline at {baseline_path}; writing a "
               f"fresh ledger instead of checking")
     ledger = run_matrix(repeats=repeats, quick=args.quick,
-                        only=args.only, backend=backend,
-                        fast=args.fast)
+                        only=args.only)
     out.write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
     print(f"[bench] ledger written to {out}")
     if baseline is None:

@@ -207,7 +207,7 @@ class BufferlessNetwork:
     def _result(self, cycles: int, start, end) -> RunResult:
         s = self.stats
         result = RunResult(
-            design="Bufferless", cycles=cycles,
+            kernel="bufferless", design="Bufferless", cycles=cycles,
             num_nodes=self.mesh.num_nodes,
             packets_created=s.packets_created,
             packets_measured=s.packets_measured,

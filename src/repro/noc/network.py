@@ -88,24 +88,25 @@ DEADLOCK_LIMIT = 5_000
 LIVELOCK_LIMIT = 20_000
 
 
-def _skip_disabled_by_env() -> bool:
-    """True when REPRO_NO_SKIP requests the dense (non-skipping) kernel."""
-    return os.environ.get("REPRO_NO_SKIP", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-#: Known simulation backends: the object-graph reference kernel and the
-#: struct-of-arrays kernel (:mod:`repro.noc.soa`), proven byte-identical
-#: by tests/test_backend_identity.py and the backend-drift CI job.
+#: The two cycle kernels: the object-graph reference (the readable
+#: specification, the differential oracle, and the one kernel with the
+#: trace / metrics / fault / dense-scan hook surface) and the
+#: struct-of-arrays kernel (:mod:`repro.noc.soa`), proven
+#: RunResult-identical by tests/test_kernel_identity.py and the
+#: kernel-drift CI job.
 BACKENDS = ("ref", "soa")
 
 
-def resolve_backend(explicit: Optional[str] = None) -> str:
-    """Canonical backend name: explicit argument > ``REPRO_BACKEND`` >
-    ``ref``.  Raises ``ValueError`` on unknown names."""
+def resolve_backend(explicit: Optional[str] = None) -> Optional[str]:
+    """The *pinned* kernel, canonically named: explicit argument >
+    ``REPRO_BACKEND`` > ``None`` (nothing pinned - :func:`select_kernel`
+    picks from what the run carries).  Raises ``ValueError`` on unknown
+    names."""
     name = explicit
     if name is None:
-        name = os.environ.get("REPRO_BACKEND", "").strip() or "ref"
+        name = os.environ.get("REPRO_BACKEND", "").strip()
+        if not name:
+            return None
     name = str(name).strip().lower()
     if name == "reference":
         name = "ref"
@@ -116,50 +117,79 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
     return name
 
 
-def resolve_fast(explicit: Optional[bool] = None) -> bool:
-    """Whether fast mode is requested: explicit argument > ``REPRO_FAST``
-    > off.  Fast mode rides on the SoA backend (see
-    :class:`repro.noc.soa.FastSoANetwork`): RunResult-identical to the
-    reference kernel but exempt from event-trace digest identity."""
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get("REPRO_FAST", "").strip().lower() in (
+def _env_flag(name: str) -> bool:
+    """Whether the ``REPRO_*`` switch ``name`` is set to a true value."""
+    return os.environ.get(name, "").strip().lower() in (
         "1", "true", "yes", "on")
 
 
-#: Fallback messages already emitted this process; the dispatch warning
-#: is one-time per (feature, target) so sweeps with thousands of points
-#: do not flood stderr.  Tests clear this set to re-arm the warning.
+def select_kernel(pinned: Optional[str] = None, *, fault_plan=None,
+                  metrics=None, trace=None,
+                  skip_inactive: Optional[bool] = None) -> str:
+    """The kernel a run executes on - the one place the rule lives
+    (``Network.__new__`` and ``DesignPoint.cache_key`` both call it).
+
+    ``pinned`` (``backend=`` / ``--backend`` / ``REPRO_BACKEND``) is
+    honoured when given.  Unpinned runs get ``soa`` unless they carry
+    something only ``ref`` can serve - a fault plan (incl.
+    ``REPRO_EMPTY_FAULTPLAN``), a metrics recorder, a trace, or dense
+    scans (``skip_inactive=False`` / ``REPRO_NO_SKIP``) - in which case
+    they run ``ref`` silently: nothing was requested, so nothing was
+    ignored.  A *pinned* ``soa`` carrying one of those also runs
+    ``ref`` (result-identical by the kernel-identity contract), with a
+    one-time ``RuntimeWarning`` naming the feature.
+    """
+    backend = resolve_backend(pinned)
+    if backend == "ref":
+        return "ref"
+    if fault_plan is not None:
+        feature = "fault injection"
+    elif metrics is not None:
+        feature = "metrics sampling"
+    elif trace is not None:
+        feature = "event tracing"
+    elif skip_inactive is False:
+        feature = "dense scans (skip_inactive=False)"
+    elif skip_inactive is None and _env_flag("REPRO_NO_SKIP"):
+        feature = "dense scans (REPRO_NO_SKIP)"
+    elif _env_flag("REPRO_EMPTY_FAULTPLAN"):
+        feature = ("the empty-FaultPlan drift harness "
+                   "(REPRO_EMPTY_FAULTPLAN)")
+    else:
+        return "soa"
+    if backend == "soa":
+        _warn_fallback(feature)
+    return "ref"
+
+
+#: Fallback messages already emitted this process; the warning is
+#: one-time per feature so sweeps with thousands of points do not flood
+#: stderr.  Tests clear this set to re-arm the warning.
 _FALLBACK_WARNED: Set[str] = set()
 
 
-def _warn_fallback(feature: str, requested: str, target: str) -> None:
-    """One-time warning naming the feature that forced a kernel fallback.
+def _warn_fallback(feature: str) -> None:
+    """One-time warning naming the feature that moved a run pinned to
+    ``soa`` onto the reference kernel.
 
-    Fallbacks are result-identical by the backend-identity contract, but
-    silently ignoring an explicit backend/mode request makes perf numbers
+    The fallback is result-identical by the kernel-identity contract,
+    but silently ignoring an explicit kernel request makes perf numbers
     confusing - so say it, once, with the reason."""
-    msg = (f"the {requested!r} kernel does not support {feature}; "
-           f"falling back to the {target!r} kernel (result-identical)")
+    msg = (f"the 'soa' kernel does not support {feature}; "
+           f"falling back to the 'ref' kernel (result-identical)")
     if msg in _FALLBACK_WARNED:
         return
     _FALLBACK_WARNED.add(msg)
     warnings.warn(msg, RuntimeWarning, stacklevel=4)
 
 
-def _empty_faultplan_env() -> bool:
-    """True when REPRO_EMPTY_FAULTPLAN requests an (inert) empty fault
-    plan - exercising every fault hook without injecting anything, to
-    prove zero behavioural drift against a plan-less run."""
-    return os.environ.get("REPRO_EMPTY_FAULTPLAN", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
 #: Snapshot wire-format version.  Bump whenever the pickled ``Network``
 #: object graph or the fields below change incompatibly; ``restore``
 #: rejects snapshots from any other version so a stale checkpoint can
 #: never silently resume against new semantics.
-SNAPSHOT_VERSION = 1
+#: 2: the two SoA kernel classes became one (class identity in the
+#:    pickled blob changed).
+SNAPSHOT_VERSION = 2
 
 
 @dataclass
@@ -216,60 +246,27 @@ class Network:
     """A complete simulated NoC for one design point."""
 
     #: Canonical name of the kernel implementing this instance
-    #: (:data:`BACKENDS`); the SoA subclasses override it.
+    #: (:data:`BACKENDS`); the SoA kernel overrides it.
     backend = "ref"
-    #: Relaxed-identity fast mode (:class:`repro.noc.soa.FastSoANetwork`
-    #: overrides to True): RunResult-identical, trace-digest-exempt.
-    fast = False
 
     def __new__(cls, cfg=None, *args, **kwargs):
-        # Backend dispatch: ``Network(cfg, backend="soa")`` (or
-        # ``REPRO_BACKEND=soa``) constructs the struct-of-arrays kernel
-        # and ``fast=True`` (or ``REPRO_FAST=1``) its relaxed-identity
-        # fast mode.  Only the base class dispatches - subclasses (and
-        # the SoA kernels themselves) construct literally.  Requests the
-        # SoA kernels cannot serve - fault injection, telemetry
-        # sampling, or an explicit dense-scan (``skip_inactive=False`` /
-        # ``REPRO_NO_SKIP``) run - fall back to the reference kernel
-        # with a one-time warning naming the feature; a traced fast-mode
-        # request falls back to the plain SoA kernel (fast mode is
-        # trace-digest-exempt).  Every fallback is result-identical by
-        # the backend-identity contract.
+        # Kernel dispatch (:func:`select_kernel`).  Only the base class
+        # dispatches - subclasses, the SoA kernel itself and unpickling
+        # (no cfg) construct literally.
         if cls is Network and cfg is not None:
-            backend = resolve_backend(kwargs.get("backend"))
-            fast = resolve_fast(kwargs.get("fast"))
-            if fast and backend != "soa":
-                if (kwargs.get("backend") is not None
-                        or os.environ.get("REPRO_BACKEND", "").strip()):
-                    raise ValueError(
-                        f"fast mode requires the 'soa' backend, but "
-                        f"{backend!r} was requested; drop fast=True/"
-                        f"REPRO_FAST or the backend override")
-                backend = "soa"  # fast implies soa when unconstrained
-            if backend == "soa":
-                requested = "soa-fast" if fast else "soa"
-                feature = None
-                if kwargs.get("fault_plan") is not None:
-                    feature = "fault injection"
-                elif kwargs.get("metrics") is not None:
-                    feature = "metrics sampling"
-                elif kwargs.get("skip_inactive") is False:
-                    feature = "dense scans (skip_inactive=False)"
-                elif _skip_disabled_by_env():
-                    feature = "dense scans (REPRO_NO_SKIP)"
-                elif _empty_faultplan_env():
-                    feature = ("the empty-FaultPlan drift harness "
-                               "(REPRO_EMPTY_FAULTPLAN)")
-                if feature is not None:
-                    _warn_fallback(feature, requested, "ref")
-                    return super().__new__(cls)
-                if fast and kwargs.get("trace") is not None:
-                    _warn_fallback("event tracing (fast mode is "
-                                   "trace-digest-exempt)", requested, "soa")
-                    fast = False
-                from .soa import FastSoANetwork, SoANetwork
-                return super().__new__(FastSoANetwork if fast
-                                       else SoANetwork)
+            if (kwargs.get("fast")
+                    and resolve_backend(kwargs.get("backend")) == "ref"):
+                raise ValueError(
+                    "fast=True names the 'soa' kernel, but 'ref' was "
+                    "requested; drop fast=True or the backend override")
+            if select_kernel(kwargs.get("backend"),
+                             fault_plan=kwargs.get("fault_plan"),
+                             metrics=kwargs.get("metrics"),
+                             trace=kwargs.get("trace"),
+                             skip_inactive=kwargs.get("skip_inactive")
+                             ) == "soa":
+                from .soa import SoANetwork
+                return super().__new__(SoANetwork)
         return super().__new__(cls)
 
     def __init__(self, cfg: SimConfig, threshold_policy=None, *,
@@ -278,11 +275,13 @@ class Network:
                  trace: Optional[EventTrace] = None,
                  metrics=None, backend: Optional[str] = None,
                  fast: Optional[bool] = None) -> None:
+        """``fast`` is accepted and ignored (the former fast mode *is*
+        the ``soa`` kernel now; ``fast=True`` with ``backend="ref"``
+        still raises).  The frozen benchmark's traced pass passes
+        ``fast=True``; the keyword goes when a later benchmark issue
+        stops passing it."""
         if backend is not None:
             resolve_backend(backend)  # raises on unknown names
-        # ``fast`` was consumed by __new__'s dispatch (the mode lives in
-        # the class identity); it is accepted here so every kernel class
-        # shares one constructor signature.
         self.cfg = cfg
         #: Event recorder (:mod:`repro.trace`), or None.  Tracing is a
         #: pure observer: every hook below is a single attribute check
@@ -313,7 +312,8 @@ class Network:
         # Activity sets must exist before components that call back into
         # the network (Router.deliver notes buffer fills immediately).
         if skip_inactive is None:
-            skip_inactive = not _skip_disabled_by_env()
+            # REPRO_NO_SKIP requests the dense (non-skipping) scans.
+            skip_inactive = not _env_flag("REPRO_NO_SKIP")
         self.skip_inactive = bool(skip_inactive)
         self._active_credit_links: ActiveSet = ActiveSet()  # (node, port)
         self._active_flit_links: ActiveSet = ActiveSet()    # (node, port)
@@ -326,10 +326,7 @@ class Network:
         self._ni_marks: Set[int] = set()
         self._profile = (activity.global_profile()
                          if activity.profiling_enabled() else None)
-        self.routers: List[Router] = [
-            Router(node, cfg, self.mesh, self)
-            for node in range(self.mesh.num_nodes)
-        ]
+        self.routers = self._build_routers()
         self.nis: List[NetworkInterface] = [
             NetworkInterface(node, cfg, self)
             for node in range(self.mesh.num_nodes)
@@ -382,7 +379,10 @@ class Network:
         #: before aborting with livelock diagnostics.
         self.livelock_limit = LIVELOCK_LIMIT
         # --- fault injection (repro.faults) ---
-        if fault_plan is None and _empty_faultplan_env():
+        if fault_plan is None and _env_flag("REPRO_EMPTY_FAULTPLAN"):
+            # An (inert) empty plan exercises every fault hook without
+            # injecting anything, to prove zero behavioural drift
+            # against a plan-less run.
             fault_plan = FaultPlan()
         self._faults: Optional[FaultState] = None
         if fault_plan is not None:
@@ -398,6 +398,10 @@ class Network:
                 ctrl.wu_delay = wf.delay
         if self.metrics is not None:
             self.metrics.attach(self)
+
+    def _build_routers(self) -> List[Router]:
+        return [Router(node, self.cfg, self.mesh, self)
+                for node in range(self.mesh.num_nodes)]
 
     def _make_controller(self, node: int,
                          policy):
@@ -730,15 +734,14 @@ class Network:
         n = self.mesh.num_nodes
         links = self._num_links
         if self.skip_inactive:
+            credit_busy, line_busy = self._in_flight_counts()
             phases = (
-                ("credit", self._phase_credits_active,
-                 len(self._active_credit_links), links),
+                ("credit", self._phase_credits_active, credit_busy, links),
                 ("ni", self._phase_nis_active, len(self._active_nis), n),
                 ("router", self._phase_routers_active,
                  len(self._active_routers), n),
-                ("link", self._phase_links_active,
-                 len(self._active_flit_links) + len(self._active_inject)
-                 + len(self._active_eject), links + 2 * n),
+                ("link", self._phase_links_active, line_busy,
+                 links + 2 * n),
                 ("pg", self._phase_pg_active, len(self._pg_active), n),
                 ("stats", self._phase_stats_active,
                  len(self._active_routers), n),
@@ -757,6 +760,14 @@ class Network:
             t0 = perf_counter()
             fn(now)
             prof.note_phase(name, perf_counter() - t0, occupied, capacity)
+
+    def _in_flight_counts(self) -> Tuple[int, int]:
+        """(credit links, flit links + inject + eject lines) with
+        deliveries in flight at cycle start - the profile's occupancy
+        numerators for the credit and link phases."""
+        return (len(self._active_credit_links),
+                len(self._active_flit_links) + len(self._active_inject)
+                + len(self._active_eject))
 
     # ------------------------------------------------------------------
     # phase 2: credit delivery
@@ -1477,6 +1488,7 @@ class Network:
                       end: Dict) -> RunResult:
         s = self.stats
         result = RunResult(
+            kernel=self.backend,
             design=self.cfg.design,
             cycles=measure_cycles,
             num_nodes=self.mesh.num_nodes,

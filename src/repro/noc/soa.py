@@ -1,81 +1,68 @@
-"""Struct-of-arrays (SoA) simulation backend.
+"""Struct-of-arrays (SoA) cycle kernel - the kernel untagged runs use.
 
-A drop-in second kernel for :class:`repro.noc.network.Network`, selected
-with ``Network(cfg, backend="soa")``, the ``--backend soa`` CLI flag or
-``REPRO_BACKEND=soa``.  The object-graph kernel remains the reference -
-exactly the ``REPRO_NO_SKIP`` precedent - and this kernel is proven
-byte-identical to it by ``tests/test_backend_identity.py``, the golden
-trace fixtures and the ``backend-drift`` CI job.
+:class:`repro.noc.network.Network` dispatches here whenever a run
+carries nothing only the reference kernel can serve (see
+:func:`repro.noc.network.select_kernel`); ``backend="soa"`` /
+``--backend soa`` / ``REPRO_BACKEND=soa`` pin it.  The object-graph
+kernel stays the readable specification and the differential oracle.
+
+Contract
+--------
+
+:class:`~repro.stats.collector.RunResult` field-identical to the
+reference kernel on every configuration, and snapshot-identical (a
+split run equals a straight one) - proven by
+``tests/test_kernel_identity.py``, ``tests/test_backend_identity.py``,
+``tests/test_fast_mode_identity.py``, ``tests/test_snapshot_restore.py``
+and the ``kernel-drift`` CI job.  This kernel never records trace
+events, samples metrics, injects faults or runs dense scans: runs that
+carry any of those execute on the reference kernel.
 
 Layout
 ------
 
-All per-VC router state lives in flat parallel arrays indexed by
+All per-VC router state lives in flat parallel lists indexed by
 ``f = (node * NUM_PORTS + port) * V + vc`` and all output-port state by
-``o = node * NUM_PORTS + port`` (credits flat at ``c = o * V + vc``):
+``o = node * NUM_PORTS + port`` (credits flat at ``c = o * V + vc``).
+Buffered flits are packed as ints, ``word = index << 2 | tail << 1 |
+head``, carried next to their ``Packet`` (the identity of a packet -
+pid, latency timestamps - stays an object; everything per-flit is a
+machine word).  Network interfaces, power-gate controllers, traffic and
+stats are reused unchanged; thin shims translate their router accesses
+(credits, VC owners, gating tags) onto the flat lists.
 
-* buffered flits are packed as ints, ``word = index << 2 | tail << 1 |
-  head``, carried next to their ``Packet`` (the identity of a packet -
-  pid, latency timestamps - stays an object; everything per-flit is a
-  machine word);
-* VC state / fifo depth / chosen route / downstream credit level are
-  mirrored in numpy arrays (``int8``/``int32``/``int64``), which turn
-  the per-cycle BW/RC/VA/SA eligibility scans into a handful of
-  vectorized mask operations over the whole mesh instead of a Python
-  loop over every (router, port, VC);
-* links stay event-driven delay lines, but carry ``(word, packet, vc)``
-  triples instead of Flit objects.
+Commit paths
+------------
 
-The scans are *discovery only*: the masks select exactly the candidate
-set the reference stages would visit (proven side-effect-free to skip
-otherwise), and every committed action - arbitration, credit flow,
-traversal, trace events - re-runs the reference logic in the reference
-visit order (node-ascending, port-ascending, VC-ascending), sharing the
-very same round-robin arbiter instances the reference router builds.
-Network interfaces, power-gate controllers, traffic, stats and routing
-functions are reused unchanged; thin shims translate their router
-accesses (credits, VC owners, gating tags) onto the flat arrays.
-
-Scope: the SoA kernel covers everything the paper figures need (all 4
-designs, speculative pipeline, aggressive bypass, tracing).  Fault
-injection and metrics sampling intentionally stay on the reference
-kernel - ``Network.__new__`` falls back automatically (with a one-time
-warning naming the feature).
-
-Fast mode
----------
-
-:class:`FastSoANetwork` (``Network(cfg, backend="soa", fast=True)``,
-``--fast``, ``REPRO_FAST=1``) relaxes the byte-identity contract one
-notch: the :class:`~repro.stats.collector.RunResult` stays
-field-identical to the reference kernel on every configuration (proven
-by tests/test_fast_mode_identity.py and the fast-drift CI job), but the
-kernel never records trace events, so event-stream digests are exempt -
-``Network.__new__`` hands traced requests to the plain SoA kernel.  The
-speedup comes from committing the uncontended common case directly on
-the flat arrays: single-candidate SA/VA rounds write the round-robin
-pointer inline instead of building request vectors, the per-flit commit
-path skips the numpy discovery mirrors entirely (they are dead state in
-fast mode - never read, never written by the fast paths), and busy
-powered-on routers take a two-assignment power-gate step.  Genuinely
-contended arbiter rounds fall back to the plain SoA methods, which
-replay the reference visit order on the very same arbiter instances.
+The router phase walks the sorted set of non-IDLE VCs (``_busy``) and
+commits the uncontended common case directly on the flat lists:
+single-candidate SA/VA rounds write exactly the round-robin pointers
+the allocators would move, busy powered-on routers take a
+two-assignment power-gate step, and route computation is replayed from
+a per-(node, dst) geometry cache.  Genuinely contended arbiter rounds
+replay the reference allocators in the reference visit order
+(node-ascending, port-ascending, VC-ascending).  Router-phase sends go
+through per-cycle mailboxes rotated at phase boundaries (see
+:meth:`SoANetwork._init_mailboxes`) instead of per-link delay queues.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from ..config import Design, SimConfig
 from ..powergate.controller import PowerState, Transition
-from ..trace.events import EventKind
+from .arbiter import AllocatorPool, RoundRobinArbiter
 from .flit import Flit, FlitType, Packet
-from .network import Network
+from .network import INJECT_DELAY, LINK_DELAY, Network
 from .router import EJECT_DEPTH, ESCAPE_PATIENCE
 from .topology import LOCAL, NUM_PORTS, OPPOSITE
+
+if (LINK_DELAY, INJECT_DELAY) != (2, 1):
+    # The mailbox rotation encodes the delays in the phase schedule.
+    raise ImportError("the SoA kernel's mailboxes assume LINK_DELAY == 2 "
+                      "and INJECT_DELAY == 1")
 
 #: VC states (mirrors :class:`repro.noc.buffer.VCState`).
 _IDLE, _ROUTING, _WAITING_VA, _ACTIVE = 0, 1, 2, 3
@@ -96,7 +83,7 @@ def _make_flit(word: int, pkt: Packet) -> Flit:
 
 
 class _CreditRef:
-    """Credit-counter view over the flat credit arrays.
+    """Credit-counter view over the flat credit lists.
 
     Implements the :class:`repro.noc.buffer.CreditCounter` protocol
     (same overflow/underflow messages) so the NI and the inherited
@@ -115,7 +102,6 @@ class _CreditRef:
     @credits.setter
     def credits(self, value: int) -> None:
         self._net._credit[self._idx] = value
-        self._net._credit_np[self._idx] = value
 
     @property
     def max_credits(self) -> int:
@@ -134,21 +120,18 @@ class _CreditRef:
         if net._credit[i] <= 0:
             raise RuntimeError("credit underflow: flow control violated")
         net._credit[i] -= 1
-        net._credit_np[i] -= 1
 
     def restore(self) -> None:
         net, i = self._net, self._idx
         if net._credit[i] >= net._maxc[i]:
             raise RuntimeError("credit overflow: flow control violated")
         net._credit[i] += 1
-        net._credit_np[i] += 1
 
     def set_limit(self, limit: int) -> None:
         net, i = self._net, self._idx
         net._maxc[i] = limit
         if net._credit[i] > limit:
             net._credit[i] = limit
-            net._credit_np[i] = limit
 
 
 class _SoAOutPort:
@@ -171,23 +154,11 @@ class _SoAOutPort:
     @gated.setter
     def gated(self, value: bool) -> None:
         self._net._gated[self._o] = value
-        self._net._gated_np[self._o] = value
-
-    @property
-    def failed(self) -> bool:
-        return self._net._failed[self._o]
-
-    @failed.setter
-    def failed(self, value: bool) -> None:
-        self._net._failed[self._o] = value
 
 
 class _SoARouter:
-    """Router facade over the flat arrays.
-
-    Serves three consumers: the NI (credits/owners on the ring port),
-    the inherited power-gating transitions, and the routing functions'
-    ``RouterView`` protocol."""
+    """Router facade over the flat lists, for the NI (credits/owners on
+    the ring port) and the inherited power-gating transitions."""
 
     __slots__ = ("_net", "node", "out_ports", "ports_used_by_ni")
 
@@ -201,6 +172,12 @@ class _SoARouter:
     @property
     def empty(self) -> bool:
         return self._net._occ_cnt[self.node] == 0
+
+    def occupancy(self) -> int:
+        """Buffered flits over all input VCs (visualisation hook)."""
+        net = self._net
+        base = self.node * net._fpn
+        return sum(len(dq) for dq in net._fifo[base:base + net._fpn])
 
     # -- counters consumed by Network._snapshot_counters ---------------
     @property
@@ -223,16 +200,6 @@ class _SoARouter:
     def n_sa_grants(self) -> int:
         return self._net._nsa[self.node]
 
-    # -- RouterView protocol (routing functions) ------------------------
-    def port_usable(self, port: int) -> bool:
-        return self._net.port_usable(self.node, port)
-
-    def neighbor_awake(self, port: int) -> bool:
-        return self._net.neighbor_awake(self.node, port)
-
-    def port_failed(self, port: int) -> bool:
-        return self._net._failed[self.node * NUM_PORTS + port]
-
     # -- services used by the inherited power-transition code ------------
     def deliver(self, in_port: int, vc_id: int, flit: Flit) -> None:
         self._net._deliver_word(self.node, in_port, vc_id, _word_of(flit),
@@ -241,12 +208,13 @@ class _SoARouter:
     def reset_vcs_routed_to(self, out_port: int) -> None:
         self._net._reset_vcs_routed_to(self.node, out_port)
 
-    def has_commitment_to(self, out_port: int, *, early: bool) -> bool:
-        return self._net._has_commitment_to(self.node, out_port, early)
-
 
 class SoANetwork(Network):
-    """The struct-of-arrays kernel (see the module docstring)."""
+    """The struct-of-arrays kernel (see the module docstring).
+
+    Snapshot/restore needs no extra machinery: the mailboxes are plain
+    attributes, so the pickled blob carries them.
+    """
 
     backend = "soa"
 
@@ -255,21 +223,32 @@ class SoANetwork(Network):
                  fault_plan=None, trace=None, metrics=None,
                  backend: Optional[str] = None,
                  fast: Optional[bool] = None) -> None:
-        if fault_plan is not None:
-            raise ValueError(
-                "the SoA backend does not support fault injection; "
-                "Network(...) dispatch falls back to the reference kernel")
-        if metrics is not None:
-            raise ValueError(
-                "the SoA backend does not support metrics sampling; "
-                "Network(...) dispatch falls back to the reference kernel")
+        for feature, unsupported in (
+                ("fault injection", fault_plan is not None),
+                ("metrics sampling", metrics is not None),
+                ("event tracing", trace is not None),
+                ("dense scans", skip_inactive is False)):
+            if unsupported:
+                raise ValueError(
+                    f"the SoA kernel does not support {feature}; "
+                    "Network(...) dispatch selects the reference kernel")
         super().__init__(cfg, threshold_policy, skip_inactive=True,
-                         trace=trace, backend=backend)
+                         backend=backend)
         if self._faults is not None:
             raise ValueError(
-                "the SoA backend does not support fault plans "
+                "the SoA kernel does not support fault plans "
                 "(REPRO_EMPTY_FAULTPLAN drift runs use the reference "
                 "kernel)")
+        #: Per-node neighbor tuples, precomputed for the mailbox tables
+        #: and the power-gating incoming-condition check.
+        self._nbrs = [tuple(self.mesh.neighbors(n))
+                      for n in range(self.mesh.num_nodes)]
+        self._init_mailboxes()
+
+    def _build_routers(self) -> List[_SoARouter]:
+        """Allocate the flat router state and return the facades the
+        shared NI / power-gating / stats code talks to."""
+        cfg = self.cfg
         mesh = self.mesh
         n = mesh.num_nodes
         v = cfg.noc.vcs_per_port
@@ -277,22 +256,15 @@ class SoANetwork(Network):
         self._fpn = NUM_PORTS * v  # flat VC slots per node
         nf = n * NUM_PORTS * v
         no = n * NUM_PORTS
-        self._nf = nf
         self._depth = cfg.noc.buffer_depth
         self._escape_vcs = cfg.escape_vcs
-        #: flat ids of non-IDLE VCs; drives the sparse discovery path
+        #: flat ids of non-IDLE VCs; the router phase walks it sorted
         self._busy: set = set()
-        # -- per-VC state (flat lists for scalar commits, numpy mirrors
-        #    for the vectorized discovery masks) -------------------------
+        # -- per-VC state -------------------------------------------------
         self._st: List[int] = [_IDLE] * nf
-        self._st_np = np.zeros(nf, dtype=np.int8)
         self._fifo: List[deque] = [deque() for _ in range(nf)]
-        self._fifo_np = np.zeros(nf, dtype=np.int32)
         self._route: List[Optional[int]] = [None] * nf
-        self._route_np = np.full(nf, -1, dtype=np.int8)
-        self._routeo_np = np.zeros(nf, dtype=np.int64)
         self._outvc: List[Optional[int]] = [None] * nf
-        self._outf_np = np.zeros(nf, dtype=np.int64)
         self._stalled: List[bool] = [False] * nf
         self._aports: List[List[int]] = [[] for _ in range(nf)]
         self._eport: List[Optional[int]] = [None] * nf
@@ -301,18 +273,14 @@ class SoANetwork(Network):
         self._fsent: List[int] = [0] * nf
         # -- per-output-port state --------------------------------------
         self._credit: List[int] = []
-        self._maxc: List[int] = []
         for o in range(no):
             depth = (EJECT_DEPTH if o % NUM_PORTS == LOCAL
                      else cfg.noc.buffer_depth)
             self._credit.extend([depth] * v)
-            self._maxc.extend([depth] * v)
-        self._credit_np = np.array(self._credit, dtype=np.int64)
+        self._maxc: List[int] = list(self._credit)
         self._owner: List[List[Optional[int]]] = [[None] * v
                                                   for _ in range(no)]
         self._gated: List[bool] = [False] * no
-        self._gated_np = np.zeros(no, dtype=bool)
-        self._failed: List[bool] = [False] * no
         # -- per-node state ---------------------------------------------
         self._occ_cnt: List[int] = [0] * n
         self._nbw = [0] * n
@@ -321,52 +289,130 @@ class SoANetwork(Network):
         self._nva = [0] * n
         self._nsa = [0] * n
         self._ports_used = [set() for _ in range(n)]
-        # Reuse the reference routers' arbiters: identical instances =
-        # identical round-robin rotation, by construction.
-        self._sa_in = [r._sa_in_arb for r in self.routers]
-        self._sa_out = [r._sa_out_arb for r in self.routers]
-        self._va_pools = [r._va_pool for r in self.routers]
+        # The reference router's allocators (VA: one arbiter per output
+        # VC; SA: input-first separable), so contended rounds rotate
+        # exactly as the reference does.
+        self._sa_in = [[RoundRobinArbiter(v) for _ in range(NUM_PORTS)]
+                       for _ in range(n)]
+        self._sa_out = [[RoundRobinArbiter(NUM_PORTS)
+                         for _ in range(NUM_PORTS)] for _ in range(n)]
+        self._va_pools = [AllocatorPool(NUM_PORTS * v, NUM_PORTS * v)
+                          for _ in range(n)]
         # upstream node per (node, in_port); -1 at mesh edges
         self._up_node = [-1] * no
         for node in range(n):
             for port, nbr in mesh.neighbors(node):
                 self._up_node[node * NUM_PORTS + port] = nbr
-        # Replace the object-graph routers with flat-state facades; the
-        # reference Router objects were only scaffolding for the shared
-        # construction path (links, controllers, NIs, stats).
-        self.routers = [_SoARouter(self, node) for node in range(n)]
+        return [_SoARouter(self, node) for node in range(n)]
+
+    def _init_mailboxes(self) -> None:
+        """The batched-commit mailboxes: the router phase appends its
+        link sends to flat per-cycle lists instead of per-link delay
+        queues, and the credit/link phases drain the list whose entries
+        fall due this cycle.  This removes the per-hop deque round-trip
+        (tuple + append + popleft + active-set add/discard + sort) that
+        dominates the per-flit cost at bench loads.
+
+        Due times are implied by the phase schedule (``LINK_DELAY == 2``
+        on both channels, checked at import): flits sent in the router
+        phase of cycle t are delivered in the link phase of t+2; credits
+        in the credit phase of t+2.
+
+        Only *router-phase* sends are batched.  NoRD's NI-phase ring
+        sends (bypass forwards and ring injections) keep the per-link
+        delay queue, and the link phase drains the mail list *before*
+        the queues, which reproduces the reference's shared-queue FIFO
+        per (link, vc) exactly: an NI send and a router send cannot
+        share a link in the same cycle (``mark_ni_port_used`` excludes
+        the port from that cycle's SA), so the queue items due at T
+        are NI sends from T-1 (the aggressive ``fast=True`` bypass,
+        enqueued after T-2's router phase) - mail first is the
+        reference order.
+
+        Credit returns are counter increments, which commute, so order
+        within the credit phase never matters.
+        """
+        n = self.mesh.num_nodes
+        v_per = self._V
+        ring = self.ring
+        #: Per out-link (flat id node*NUM_PORTS+port) delivery tables.
+        self._l_dst = [-1] * (n * NUM_PORTS)
+        self._l_base = [-1] * (n * NUM_PORTS)
+        #: Whether the link lands on its destination's Bypass Inport
+        #: (deliveries may latch into the NI instead of the router).
+        self._l_ring = [False] * (n * NUM_PORTS)
+        #: Flat credit-counter base for the upstream hop of (node, p).
+        self._cred_base = [-1] * (n * NUM_PORTS)
+        for node in range(n):
+            for port, nbr in self._nbrs[node]:
+                lid = node * NUM_PORTS + port
+                link = self.links_out[node][port]
+                self._l_dst[lid] = link.dst
+                self._l_base[lid] = (link.dst * NUM_PORTS
+                                     + link.dst_port) * v_per
+                self._l_ring[lid] = (
+                    ring is not None
+                    and link.dst_port == ring.inport[link.dst])
+                self._cred_base[lid] = (nbr * NUM_PORTS
+                                        + OPPOSITE[port]) * v_per
+        # (box, mid, due) rotate through the link phase; credits only
+        # need (box, due) because the credit phase precedes the router
+        # phase within a cycle.
+        self._flit_box: List[tuple] = []
+        self._flit_mid: List[tuple] = []
+        self._flit_due: List[tuple] = []
+        self._credit_box: List[int] = []
+        self._credit_due: List[int] = []
+        # Inject/eject lines batch the same way (delay 1 and 2): the NI
+        # is the only inject sender and the router traversal the only
+        # eject sender, and both phases visit nodes in ascending order,
+        # so the mail lists replay the reference's sorted per-node
+        # delivery order exactly (ejects feed order-sensitive latency
+        # accumulation).
+        self._inj_box: List[tuple] = []
+        self._inj_due: List[tuple] = []
+        self._ej_box: List[tuple] = []
+        self._ej_mid: List[tuple] = []
+        self._ej_due: List[tuple] = []
+        # min_idle_before_gate is a config constant per controller.
+        self._min_idle = [max(1, c.min_idle_before_gate)
+                          for c in self.controllers]
+        # Lazy per-cycle set of nodes with incoming activity, for the
+        # PG phase (delay queues and mailboxes).
+        self._inc_seen = -1
+        self._inc_nodes: set = set()
+        # Per-(node, dst) route-geometry cache: without fault injection
+        # the minimal-port set and the escape port are pure geometry,
+        # and the live inputs - the awake/usable filter and the misroute
+        # budget - are re-applied per call in _rc_node.
+        self._rc_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # datapath services (word-based overrides of the Flit-based API)
     # ------------------------------------------------------------------
     def send_flit(self, node: int, out_port: int, flit: Flit, out_vc: int,
                   now: int, *, fast: bool = False) -> None:
+        # NI-phase ring sends only (router-phase sends use the mail
+        # lists); a LOCAL "link" does not exist and raises below.
         self._last_progress = now
-        word = _word_of(flit)
-        pkt = flit.packet
-        if out_port == LOCAL:
-            self.eject_lines[node].send((word, pkt, out_vc), now)
-            self._active_eject.add(node)
-            return
         link = self.links_out[node][out_port]
         if link is None:
             raise RuntimeError(f"node {node} has no link on port {out_port}")
-        if fast:
-            link.flits.send((word, pkt, out_vc), now - 1)
-        else:
-            link.flits.send((word, pkt, out_vc), now)
+        link.flits.send((_word_of(flit), flit.packet, out_vc),
+                        now - 1 if fast else now)
         self._active_flit_links.add((node, out_port))
         self.n_link_flits += 1
-        if word & 1:
-            pkt.hops += 1
+        if flit.is_head:
+            flit.packet.hops += 1
+
+    def send_inject(self, node: int, flit, out_vc: int, now: int) -> None:
+        self._last_progress = now
+        self._inj_box.append((node, flit, out_vc))
 
     def _sink_word(self, node: int, word: int, pkt: Packet,
                    now: int) -> None:
         # sink_flit for the packed representation (router eject path);
         # the Flit-based inherited sink_flit still serves the NI bypass.
-        if self.trace is not None:
-            self.trace.record(now, EventKind.SINK, node, pid=pkt.pid,
-                              flit=word >> 2, info=0)
         self._last_progress = now
         self._livelock_ref = now
         self._outstanding -= 1
@@ -378,7 +424,8 @@ class SoANetwork(Network):
 
     def _deliver_word(self, node: int, in_port: int, v: int, word: int,
                       pkt: Packet) -> None:
-        """LT completion: write an arriving flit word into its input VC."""
+        """LT completion: write an arriving flit word into its input VC
+        (the link phase inlines this; the wake-up hand-over calls it)."""
         f = (node * NUM_PORTS + in_port) * self._V + v
         dq = self._fifo[f]
         if len(dq) >= self._depth:
@@ -386,11 +433,7 @@ class SoANetwork(Network):
                 f"VC {v} overflow (depth {self._depth}): credit "
                 "protocol violated")
         dq.append((word, pkt))
-        self._fifo_np[f] += 1
         self._nbw[node] += 1
-        if self.trace is not None:
-            self.trace.record(self.now, EventKind.BW, node, port=in_port,
-                              vc=v, pid=pkt.pid, flit=word >> 2)
         self._active_routers.add(node)
         if self._st[f] == _IDLE:
             if not (word & 1):
@@ -398,171 +441,297 @@ class SoANetwork(Network):
                     f"router {node}: body flit arrived on idle VC "
                     f"({in_port},{v}): wormhole ordering violated")
             self._st[f] = _ROUTING
-            self._st_np[f] = _ROUTING
             self._occ_cnt[node] += 1
             self._busy.add(f)
+
+    def _in_flight_counts(self) -> Tuple[int, int]:
+        """The reference's delay-line occupancy at cycle start, counting
+        the links and lines whose entries sit in the mailboxes (profiled
+        path only; ``_flit_box``/``_inj_box``/``_ej_box`` are empty
+        between cycles)."""
+        v_per = self._V
+        credit_links = {src * NUM_PORTS + port
+                        for src, port in self._active_credit_links}
+        credit_links.update(c // v_per for c in self._credit_box)
+        credit_links.update(c // v_per for c in self._credit_due)
+        flit_links = {src * NUM_PORTS + port
+                      for src, port in self._active_flit_links}
+        flit_links.update(e[0] for e in self._flit_mid)
+        flit_links.update(e[0] for e in self._flit_due)
+        inject = {e[0] for e in self._inj_due}
+        eject = {e[0] for e in self._ej_mid}
+        eject.update(e[0] for e in self._ej_due)
+        return len(credit_links), len(flit_links) + len(inject) + len(eject)
 
     # ------------------------------------------------------------------
     # phase 2: credit delivery
     # ------------------------------------------------------------------
     def _phase_credits_active(self, now: int) -> None:
+        # Credit increments to disjoint counters commute, so the links
+        # are drained in set order instead of sorted order.
         active = self._active_credit_links
         links_out = self.links_out
         credit = self._credit
-        credit_np = self._credit_np
         maxc = self._maxc
         v = self._V
-        for key in active.sorted():
+        # Batched credit returns from the router phase two cycles ago
+        # (same increments the delay queues would deliver now).
+        for c in self._credit_due:
+            if credit[c] >= maxc[c]:
+                raise RuntimeError(
+                    "credit overflow: flow control violated")
+            credit[c] += 1
+        self._credit_due = self._credit_box
+        self._credit_box = []
+        for key in list(active._members):
             node, port = key
-            link = links_out[node][port]
+            q = links_out[node][port].credits._queue
             base = (node * NUM_PORTS + port) * v
-            for vc in link.credits.receive(now):
-                c = base + vc
+            while q and q[0][0] <= now:
+                c = base + q.popleft()[1]
                 if credit[c] >= maxc[c]:
                     raise RuntimeError(
                         "credit overflow: flow control violated")
                 credit[c] += 1
-                credit_np[c] += 1
-            if link.credits.empty:
+            if not q:
                 active.discard(key)
-
-    _phase_credits_full = _phase_credits_active
 
     # ------------------------------------------------------------------
     # phase 4: router pipelines
     # ------------------------------------------------------------------
     def _phase_routers_active(self, now: int) -> None:
-        # Candidate discovery over the busy (non-IDLE) VC set.  The
-        # candidate lists are computed once at phase start, which is
-        # exact: during the router phase no node mutates another node's
-        # input-VC state or credits (cross-node effects are owner
-        # releases - read live in VA - and delay-line sends, delivered
-        # in phase 5), and a node's own mutations happen after its own
-        # scan in the reference order too.  Two equivalent discovery
-        # paths: a scalar walk of the busy set when it is small, the
-        # vectorized numpy masks when the mesh is busy enough to
-        # amortize full-array operations.  Both produce the same
-        # f-ascending candidate lists; for SA, entries failing only the
-        # credit check are dropped - exactly the reference's silent
-        # ``continue``s - while gated ports are kept (the wake-up stall
-        # path has side effects) as are LOCAL routes.
+        # Candidate discovery is one scalar walk of the busy (non-IDLE)
+        # VC set, grouped per node inline (the walk is f-ascending so
+        # nodes are contiguous).  Gathering a node's candidates before
+        # running its stages is exact: during the router phase no node
+        # mutates another node's input-VC state or credits (cross-node
+        # effects are owner releases - read live in VA - and mailbox
+        # sends, delivered in later phases).
         busy = self._busy
         if not busy:
             return
         speculative = self.cfg.noc.speculative
         fpn = self._fpn
-        if len(busy) * 8 < self._nf:
-            # Sparse: one scalar walk of the busy set, grouping per node
-            # inline (the walk is f-ascending so nodes are contiguous).
-            st_l = self._st
-            fifo = self._fifo
-            route_l = self._route
-            gated = self._gated
-            credit = self._credit
-            outvc = self._outvc
-            v_per = self._V
+        v_per = self._V
+        st_l = self._st
+        fifo = self._fifo
+        route_l = self._route
+        outvc = self._outvc
+        stalled = self._stalled
+        fsent = self._fsent
+        gated = self._gated
+        credit = self._credit
+        occ = self._occ_cnt
+        nbrd, nsa, nxb = self._nbrd, self._nsa, self._nxb
+        ports_used_all = self._ports_used
+        sa_in_all, sa_out_all = self._sa_in, self._sa_out
+        up_node = self._up_node
+        nis = self.nis
+        owner = self._owner
+        cred_base = self._cred_base
+        credit_box = self._credit_box
+        flit_box = self._flit_box
+        ej_box = self._ej_box
+        controllers = self.controllers
+        on = PowerState.ON
+        wu_now = self._wu_now
+        order = sorted(busy)
+        i, n = 0, len(order)
+        while i < n:
+            f = order[i]
+            node = f // fpn
+            hi = (node + 1) * fpn
+            j = i + 1
+            while j < n and order[j] < hi:
+                j += 1
+            if controllers[node].state != on:
+                # The reference gathers candidates for gated/waking
+                # routers too, then skips their stages; gathering is
+                # side-effect-free, so not gathering is equivalent.
+                i = j
+                continue
+            if j == i + 1 and st_l[f] == _ACTIVE:
+                # The dominant round: the node's only busy VC holds an
+                # allocated wormhole.  Inline the single-candidate SA
+                # eligibility chain and the traversal (same reads, same
+                # order as _sa_node + _traverse).
+                i = j
+                fifo_f = fifo[f]
+                if not fifo_f:
+                    continue
+                route = route_l[f]
+                base_o = node * NUM_PORTS
+                if route != LOCAL:
+                    o = base_o + route
+                    if gated[o]:
+                        stalled[f] = True
+                        pkt = fifo_f[0][1]
+                        pkt.wakeup_stall_cycles += 1
+                        # inlined wake_request: a routed non-LOCAL
+                        # port always has a live neighbor
+                        wu_now.add(up_node[o])
+                        continue
+                    if route in ports_used_all[node]:
+                        continue
+                    c = o * v_per + outvc[f]
+                    if credit[c] <= 0:
+                        continue
+                    stalled[f] = False
+                p = (f // v_per) % NUM_PORTS
+                sa_in_all[node][p]._last = f % v_per
+                sa_out_all[node][route]._last = p
+                # --- traversal (_traverse, hoisted) ---
+                word, pkt = fifo_f.popleft()
+                nbrd[node] += 1
+                nsa[node] += 1
+                nxb[node] += 1
+                if route != LOCAL:
+                    credit[c] -= 1
+                fsent[f] += 1
+                v = f % v_per
+                if p == LOCAL:
+                    nis[node].to_router.credit[v].restore()
+                else:
+                    credit_box.append(cred_base[base_o + p] + v)
+                self._last_progress = now
+                if route == LOCAL:
+                    ej_box.append((node, word, pkt, outvc[f]))
+                else:
+                    flit_box.append((base_o + route, word, pkt, outvc[f]))
+                    self.n_link_flits += 1
+                    if word & 1:
+                        pkt.hops += 1
+                if word & 2:
+                    if p == LOCAL:
+                        nis[node].to_router.vc_owner[v] = None
+                    else:
+                        owner[up_node[base_o + p] * NUM_PORTS
+                              + OPPOSITE[p]][v] = None
+                    if fifo_f:
+                        raise RuntimeError(
+                            "flits behind a tail in an allocated VC")
+                    st_l[f] = _IDLE
+                    route_l[f] = None
+                    outvc[f] = None
+                    stalled[f] = False
+                    self._aports[f] = []
+                    self._eport[f] = None
+                    self._fesc[f] = False
+                    self._vawait[f] = 0
+                    fsent[f] = 0
+                    occ[node] -= 1
+                    busy.discard(f)
+                continue
+            if j == i + 1:
+                # Single non-ACTIVE flit: dispatch straight to its
+                # stage (and the speculative ripple), skipping the
+                # list build and the _node_stages call.
+                i = j
+                if st_l[f] == _WAITING_VA:
+                    act = self._va_node(now, node, [f])
+                    if act and speculative:
+                        self._sa_node(now, node, act, None)
+                elif speculative:
+                    prom = self._rc_node(now, node, [f])
+                    if prom:
+                        act = self._va_node(now, node, prom)
+                        if act:
+                            self._sa_node(now, node, act, None)
+                else:
+                    self._rc_node(now, node, [f])
+                continue
             sa: List[int] = []
             va: List[int] = []
             rc: List[int] = []
-            cur = -1
-            for f in sorted(busy):
-                node = f // fpn
-                if node != cur:
-                    if cur >= 0:
-                        self._node_stages(now, cur, sa, va, rc, speculative)
-                        sa, va, rc = [], [], []
-                    cur = node
+            for k in range(i, j):
+                f = order[k]
                 s = st_l[f]
                 if s == _ACTIVE:
-                    if not fifo[f]:
-                        continue
-                    route = route_l[f]
-                    if route != LOCAL:
-                        o = node * NUM_PORTS + route
-                        if (not gated[o]
-                                and credit[o * v_per + outvc[f]] <= 0):
-                            continue
-                    sa.append(f)
+                    if fifo[f]:
+                        sa.append(f)
                 elif s == _WAITING_VA:
                     va.append(f)
                 else:
                     rc.append(f)
-            if cur >= 0:
-                self._node_stages(now, cur, sa, va, rc, speculative)
-            return
-        # Dense: vectorized masks over the full arrays.
-        st = self._st_np
-        sa_f: List[int] = []
-        sa_mask = (st == _ACTIVE) & (self._fifo_np > 0)
-        if sa_mask.any():
-            sa_ok = sa_mask & ((self._route_np == LOCAL)
-                               | self._gated_np[self._routeo_np]
-                               | (self._credit_np[self._outf_np] > 0))
-            sa_f = np.nonzero(sa_ok)[0].tolist()
-        va_f = np.nonzero(st == _WAITING_VA)[0].tolist()
-        rc_f = np.nonzero(st == _ROUTING)[0].tolist()
-        if not (sa_f or va_f or rc_f):
-            return
-        # Group per node in one merged pass: the three lists are each
-        # f-ascending, so every node's entries are contiguous prefixes.
-        i = j = k = 0
-        n_sa, n_va, n_rc = len(sa_f), len(va_f), len(rc_f)
-        sentinel = 1 << 60
-        while i < n_sa or j < n_va or k < n_rc:
-            node = min(sa_f[i] if i < n_sa else sentinel,
-                       va_f[j] if j < n_va else sentinel,
-                       rc_f[k] if k < n_rc else sentinel) // fpn
-            hi = (node + 1) * fpn
-            i0 = i
-            while i < n_sa and sa_f[i] < hi:
-                i += 1
-            j0 = j
-            while j < n_va and va_f[j] < hi:
-                j += 1
-            k0 = k
-            while k < n_rc and rc_f[k] < hi:
-                k += 1
-            self._node_stages(now, node, sa_f[i0:i], va_f[j0:j],
-                              rc_f[k0:k], speculative)
+            if sa or va or rc:
+                self._node_stages(now, node, sa, va, rc, speculative)
+            i = j
 
     def _node_stages(self, now: int, node: int, sa: List[int],
                      va: List[int], rc: List[int],
                      speculative: bool) -> None:
-        if self.controllers[node].state != PowerState.ON:
-            return
+        # Empty stages are pure no-ops in the reference too; skipping
+        # the calls entirely is the main per-node saving.
         if speculative:
             # RC -> VA -> SA ripple: merge same-cycle promotions into
             # the later stages' candidate lists, as the reference's
             # live occupied-VC scan would see them.
-            promoted = self._rc_node(now, node, rc)
-            if promoted:
-                va = sorted(va + promoted)
-            activated = self._va_node(now, node, va)
-            self._sa_node(now, node, sa, extra=activated)
+            if rc:
+                promoted = self._rc_node(now, node, rc)
+                if promoted:
+                    va = sorted(va + promoted) if va else promoted
+            activated = self._va_node(now, node, va) if va else None
+            if sa or activated:
+                self._sa_node(now, node, sa, activated)
         else:
-            self._sa_node(now, node, sa)
-            self._va_node(now, node, va)
-            self._rc_node(now, node, rc)
-
-    _phase_routers_full = _phase_routers_active
+            if sa:
+                self._sa_node(now, node, sa, None)
+            if va:
+                self._va_node(now, node, va)
+            if rc:
+                self._rc_node(now, node, rc)
 
     def _sa_node(self, now: int, node: int, cand: List[int],
-                 extra: Optional[List[int]] = None) -> None:
-        """Switch allocation for one node (reference stage_sa, flat)."""
+                 extra: Optional[List[int]]) -> None:
+        """Switch allocation for one node (reference ``stage_sa`` on
+        flat state) with the single-candidate arbiter commits inlined
+        (``grant_from([x])`` is exactly ``_last = x``).  Entries failing
+        only the credit check are dropped - the reference's silent
+        ``continue`` - while gated ports take the wake-up stall path."""
         if extra:
-            cand = sorted(set(cand) | set(extra))
+            # extra (freshly ACTIVE VCs) arrives in VA-grant order, so
+            # it must be re-sorted into the port visit order too.
+            if cand:
+                cand = sorted(set(cand) | set(extra))
+            else:
+                cand = extra if len(extra) == 1 else sorted(extra)
         if not cand:
             return
         v_per = self._V
+        if len(cand) == 1:
+            # The overwhelmingly common round: one flit at the node.
+            # Its port arbiter sees a single request (pointer write),
+            # it is the only output nominee (pointer write), and the
+            # eligibility chain below is the reference's, verbatim.
+            f = cand[0]
+            p = (f // v_per) % NUM_PORTS
+            route = self._route[f]
+            if route != LOCAL:
+                o = node * NUM_PORTS + route
+                if self._gated[o]:
+                    self._stalled[f] = True
+                    pkt = self._fifo[f][0][1]
+                    pkt.wakeup_stall_cycles += 1
+                    self._wu_now.add(self._up_node[o])
+                    return
+                if route in self._ports_used[node]:
+                    return
+                if self._credit[o * v_per + self._outvc[f]] <= 0:
+                    return
+                self._stalled[f] = False
+            self._sa_in[node][p]._last = f % v_per
+            self._sa_out[node][route]._last = p
+            self._traverse(f, node, p, now)
+            return
         fifo = self._fifo
         route_l = self._route
         gated = self._gated
-        failed = self._failed
         credit = self._credit
         outvc = self._outvc
         stalled = self._stalled
+        wu_now = self._wu_now
+        up_node = self._up_node
         ports_used = self._ports_used[node]
-        trace = self.trace
         base_o = node * NUM_PORTS
         base_f = node * self._fpn
         sa_in = self._sa_in[node]
@@ -585,17 +754,10 @@ class SoANetwork(Network):
                     continue
                 o = base_o + route
                 if gated[o]:
-                    if failed[o]:
-                        raise RuntimeError(
-                            "SoA backend reached a hard-failed port "
-                            "without fault injection")
                     stalled[f] = True
                     pkt = fifo[f][0][1]
                     pkt.wakeup_stall_cycles += 1
-                    if trace is not None:
-                        trace.record(now, EventKind.WU_STALL, node,
-                                     port=route, vc=v, pid=pkt.pid, flit=0)
-                    self.wake_request(node, route)
+                    wu_now.add(up_node[o])
                     continue
                 if route in ports_used:
                     continue
@@ -603,18 +765,23 @@ class SoANetwork(Network):
                     continue
                 stalled[f] = False
                 eligible.append(v)
-            choice = sa_in[p].grant_from(eligible)
-            if choice is not None:
-                if nominees is None:
-                    nominees = [None] * NUM_PORTS
-                nominees[p] = base_f + p * v_per + choice
-                n_nominated += 1
-                last_nominated = p
+            if not eligible:
+                continue
+            if len(eligible) == 1:
+                choice = eligible[0]
+                sa_in[p]._last = choice
+            else:
+                choice = sa_in[p].grant_from(eligible)
+            if nominees is None:
+                nominees = [None] * NUM_PORTS
+            nominees[p] = base_f + p * v_per + choice
+            n_nominated += 1
+            last_nominated = p
         if nominees is None:
             return
         if n_nominated == 1:
             f = nominees[last_nominated]
-            self._sa_out[node][route_l[f]].grant_from([last_nominated])
+            self._sa_out[node][route_l[f]]._last = last_nominated
             self._traverse(f, node, last_nominated, now)
             return
         by_output: List[List[int]] = [[] for _ in range(NUM_PORTS)]
@@ -627,48 +794,45 @@ class SoANetwork(Network):
             reqs = by_output[out_port]
             if not reqs:
                 continue
-            winner_port = sa_out[out_port].grant_from(reqs)
+            if len(reqs) == 1:
+                winner_port = reqs[0]
+                sa_out[out_port]._last = winner_port
+            else:
+                winner_port = sa_out[out_port].grant_from(reqs)
             self._traverse(nominees[winner_port], node, winner_port, now)
 
     def _traverse(self, f: int, node: int, in_port: int, now: int) -> None:
-        """Pop the flit word, cross the switch, launch link traversal."""
+        """Pop the flit word, cross the switch, launch link traversal
+        (into the mailboxes)."""
         fifo_f = self._fifo[f]
         word, pkt = fifo_f.popleft()
-        self._fifo_np[f] -= 1
         self._nbrd[node] += 1
         self._nsa[node] += 1
         self._nxb[node] += 1
         route = self._route[f]
         out_vc = self._outvc[f]
-        if self.trace is not None:
-            self.trace.record(now, EventKind.SA, node, port=route,
-                              vc=out_vc, pid=pkt.pid, flit=word >> 2)
         v_per = self._V
         if route != LOCAL:
             c = (node * NUM_PORTS + route) * v_per + out_vc
             if self._credit[c] <= 0:
-                raise RuntimeError("credit underflow: flow control violated")
+                raise RuntimeError(
+                    "credit underflow: flow control violated")
             self._credit[c] -= 1
-            self._credit_np[c] -= 1
         self._fsent[f] += 1
         v = f % v_per
         # credit upstream for the freed buffer slot
         if in_port == LOCAL:
             self.nis[node].to_router.credit[v].restore()
         else:
-            up = self._up_node[node * NUM_PORTS + in_port]
-            op = OPPOSITE[in_port]
-            self.links_out[up][op].credits.send(v, now)
-            self._active_credit_links.add((up, op))
+            self._credit_box.append(
+                self._cred_base[node * NUM_PORTS + in_port] + v)
         # launch ST + LT
         self._last_progress = now
         if route == LOCAL:
-            self.eject_lines[node].send((word, pkt, out_vc), now)
-            self._active_eject.add(node)
+            self._ej_box.append((node, word, pkt, out_vc))
         else:
-            link = self.links_out[node][route]
-            link.flits.send((word, pkt, out_vc), now)
-            self._active_flit_links.add((node, route))
+            self._flit_box.append((node * NUM_PORTS + route, word, pkt,
+                                   out_vc))
             self.n_link_flits += 1
             if word & 1:
                 pkt.hops += 1
@@ -681,43 +845,29 @@ class SoANetwork(Network):
                 self._owner[up * NUM_PORTS + OPPOSITE[in_port]][v] = None
             if fifo_f:
                 raise RuntimeError("flits behind a tail in an allocated VC")
-            self._clear_vc(f, node)
-
-    def _clear_vc(self, f: int, node: int) -> None:
-        """Tail left: reset the VC to IDLE (reference reset_route +
-        explicit IDLE + occupied removal)."""
-        self._st[f] = _IDLE
-        self._st_np[f] = _IDLE
-        self._route[f] = None
-        self._route_np[f] = -1
-        self._routeo_np[f] = 0
-        self._outvc[f] = None
-        self._outf_np[f] = 0
-        self._stalled[f] = False
-        self._aports[f] = []
-        self._eport[f] = None
-        self._fesc[f] = False
-        self._vawait[f] = 0
-        self._fsent[f] = 0
-        self._occ_cnt[node] -= 1
-        self._busy.discard(f)
+            self._st[f] = _IDLE
+            self._route[f] = None
+            self._outvc[f] = None
+            self._stalled[f] = False
+            self._aports[f] = []
+            self._eport[f] = None
+            self._fesc[f] = False
+            self._vawait[f] = 0
+            self._fsent[f] = 0
+            self._occ_cnt[node] -= 1
+            self._busy.discard(f)
 
     def _reset_route(self, f: int, node: int) -> None:
         """Reference VirtualChannel.reset_route on flat state."""
         if self._fifo[f]:
             self._st[f] = _ROUTING
-            self._st_np[f] = _ROUTING
         else:
             if self._st[f] != _IDLE:
                 self._occ_cnt[node] -= 1
                 self._busy.discard(f)
             self._st[f] = _IDLE
-            self._st_np[f] = _IDLE
         self._route[f] = None
-        self._route_np[f] = -1
-        self._routeo_np[f] = 0
         self._outvc[f] = None
-        self._outf_np[f] = 0
         self._stalled[f] = False
         self._aports[f] = []
         self._eport[f] = None
@@ -727,9 +877,30 @@ class SoANetwork(Network):
 
     def _va_node(self, now: int, node: int, cand: List[int]) -> List[int]:
         """VC allocation for one node; returns the flat ids that went
-        ACTIVE (merged into SA under the speculative pipeline)."""
-        if not cand:
+        ACTIVE (merged into SA under the speculative pipeline).  A lone
+        waiter wins every resource it requests (each per-resource
+        arbiter sees a single-entry request list), so its first
+        preference is committed directly, moving exactly the arbiter
+        pointers ``AllocatorPool.allocate`` would move; contended rounds
+        replay the reference allocator."""
+        if len(cand) > 1:
+            return self._va_contended(node, cand)
+        f = cand[0]
+        if self._st[f] != _WAITING_VA:
             return []
+        cands = self._va_candidates(node, f)
+        if not cands:
+            self._vawait[f] += 1
+            return []
+        rid = f - node * self._fpn
+        arbiters = self._va_pools[node].arbiters
+        for res, _, _ in cands:
+            arbiters[res]._last = rid
+        res, is_escape, port = cands[0]
+        self._commit_va(node, f, res, is_escape, port)
+        return [f]
+
+    def _va_contended(self, node: int, cand: List[int]) -> List[int]:
         requests: Optional[List[List[int]]] = None
         prefs: Dict[int, list] = {}
         waiting: Dict[int, int] = {}
@@ -805,20 +976,12 @@ class SoANetwork(Network):
         pkt = self._fifo[f][0][1]
         o = node * NUM_PORTS + port
         self._route[f] = port
-        self._route_np[f] = port
-        self._routeo_np[f] = o
         self._outvc[f] = out_vc
-        self._outf_np[f] = o * v_per + out_vc
         self._st[f] = _ACTIVE
-        self._st_np[f] = _ACTIVE
         self._vawait[f] = 0
         self._fsent[f] = 0
         self._owner[o][out_vc] = pkt.pid
         self._nva[node] += 1
-        if self.trace is not None:
-            self.trace.record(self.now, EventKind.VA, node, port=port,
-                              vc=out_vc, pid=pkt.pid, flit=0,
-                              info=1 if is_escape else 0)
         if port != LOCAL:
             routing = self.routing
             if is_escape and not pkt.on_escape:
@@ -830,905 +993,29 @@ class SoANetwork(Network):
 
     def _rc_node(self, now: int, node: int, cand: List[int]) -> List[int]:
         """Route computation; returns the flat ids promoted to
-        WAITING_VA (merged into VA under the speculative pipeline)."""
-        if not cand:
-            return []
+        WAITING_VA (merged into VA under the speculative pipeline).
+
+        Both routing functions are replayed from the per-(node, dst)
+        geometry cache.  ``AdaptiveXYEscape`` (conventional designs):
+        minimal ports and the XY escape port are pure, ``force_escape``
+        is always False, and the awake-preference filter - the only
+        live input - is re-applied here against controller state.
+        ``NoRDRouting``: the usable filter (awake neighbor, or the
+        neighbor's Bypass Inport) and the misroute budget are the live
+        inputs.  Either way the choice is exactly the reference's.  The
+        cached minimal list is shared (``_aports`` entries are only ever
+        rebound, never mutated)."""
         promoted: List[int] = []
-        routing = self.routing
-        view = self.routers[node]
-        v_per = self._V
-        for f in cand:
-            if self._st[f] != _ROUTING:
-                continue
-            word, pkt = self._fifo[f][0]
-            if not (word & 1):
-                raise RuntimeError("non-head flit at front of routing VC")
-            choice = routing.route(view, pkt)
-            self._aports[f] = list(choice.adaptive_ports)
-            self._eport[f] = choice.escape_port
-            self._fesc[f] = choice.force_escape
-            self._st[f] = _WAITING_VA
-            self._st_np[f] = _WAITING_VA
-            self._vawait[f] = 0
-            if self.trace is not None:
-                self.trace.record(now, EventKind.RC, node,
-                                  port=(f // v_per) % NUM_PORTS,
-                                  vc=f % v_per, pid=pkt.pid, flit=0)
-            if self.early_wakeup:
-                if pkt.on_escape or self._fesc[f]:
-                    targets = [self._eport[f]]
-                else:
-                    targets = self._aports[f][:1] or [self._eport[f]]
-                for port in targets:
-                    if (port is not None and port != LOCAL
-                            and self._gated[node * NUM_PORTS + port]):
-                        self.wake_request(node, port)
-            promoted.append(f)
-        return promoted
-
-    # ------------------------------------------------------------------
-    # phase 5: flit delivery
-    # ------------------------------------------------------------------
-    def _phase_links_active(self, now: int) -> None:
-        flit_links = self._active_flit_links
-        for key in flit_links.sorted():
-            link = self.links_out[key[0]][key[1]]
-            dst = link.dst
-            dst_port = link.dst_port
-            for word, pkt, vc in link.flits.receive(now):
-                self._deliver_arrival(dst, dst_port, vc, word, pkt)
-            if link.flits.empty:
-                flit_links.discard(key)
-        inject = self._active_inject
-        for node in inject.sorted():
-            line = self.inject_lines[node]
-            for flit, vc in line.receive(now):
-                self._deliver_inject(node, vc, flit)
-            if line.empty:
-                inject.discard(node)
-        eject = self._active_eject
-        for node in eject.sorted():
-            line = self.eject_lines[node]
-            for word, pkt, vc in line.receive(now):
-                self._deliver_eject_word(node, vc, word, pkt, now)
-            if line.empty:
-                eject.discard(node)
-
-    _phase_links_full = _phase_links_active
-
-    def _deliver_arrival(self, node: int, in_port: int, vc: int, word: int,
-                         pkt: Packet) -> None:
-        ni = self.nis[node]
-        ring = self.ring
-        router_on = self.controllers[node].state == PowerState.ON
-        if (ring is not None and in_port == ring.inport[node]
-                and (not router_on or vc in ni.lingering)):
-            ni.latch_write(vc, _make_flit(word, pkt))
-            return
-        if not router_on:
-            raise RuntimeError(
-                f"flit delivered to off router {node} port {in_port}: "
-                "power-gating handshake violated")
-        self._deliver_word(node, in_port, vc, word, pkt)
-
-    def _deliver_inject(self, node: int, vc: int, flit: Flit) -> None:
-        if self.controllers[node].state != PowerState.ON:
-            raise RuntimeError(
-                f"injected flit delivered to off router {node}")
-        self._deliver_word(node, LOCAL, vc, _word_of(flit), flit.packet)
-
-    def _deliver_eject_word(self, node: int, vc: int, word: int,
-                            pkt: Packet, now: int) -> None:
-        self.nis[node].n_ejected_flits += 1
-        if word & 2:
-            self._owner[node * NUM_PORTS + LOCAL][vc] = None
-        self._sink_word(node, word, pkt, now)
-
-    # ------------------------------------------------------------------
-    # power-gating support (flat implementations of the router hooks)
-    # ------------------------------------------------------------------
-    def _reset_vcs_routed_to(self, node: int, out_port: int) -> None:
-        v_per = self._V
-        base_f = node * self._fpn
-        st = self._st
-        for p in range(NUM_PORTS):
-            for v in range(v_per):
-                f = base_f + p * v_per + v
-                s = st[f]
-                if s == _WAITING_VA:
-                    if (out_port in self._aports[f]
-                            or self._eport[f] == out_port):
-                        self._reset_route(f, node)
-                elif (s == _ACTIVE and self._route[f] == out_port
-                        and self._fsent[f] == 0):
-                    self._owner[node * NUM_PORTS + out_port][
-                        self._outvc[f]] = None
-                    self._reset_route(f, node)
-
-    def _has_commitment_to(self, node: int, out_port: int,
-                           early: bool) -> bool:
-        v_per = self._V
-        base_f = node * self._fpn
-        st = self._st
-        for p in range(NUM_PORTS):
-            for v in range(v_per):
-                f = base_f + p * v_per + v
-                s = st[f]
-                if s == _ACTIVE and self._route[f] == out_port:
-                    if self._fifo[f] or self._fsent[f] > 0:
-                        return True
-                    if early:
-                        return True
-                elif early and s == _WAITING_VA:
-                    first = (self._aports[f][0] if self._aports[f]
-                             else self._eport[f])
-                    if first == out_port:
-                        return True
-        return False
-
-    def _restore_pred_credit(self, node: int, vc: int) -> None:
-        ring = self.ring
-        pred = ring.predecessor[node]
-        pred_port = ring.outport[pred]
-        c = (pred * NUM_PORTS + pred_port) * self._V + vc
-        depth = self.cfg.noc.buffer_depth
-        link = self.links_out[pred][pred_port]
-        in_flight = sum(1 for w, pk, v2 in link.flits.peek_pending()
-                        if v2 == vc)
-        credits_in_flight = sum(1 for v2 in link.credits.peek_pending()
-                                if v2 == vc)
-        buffered = len(self._fifo[(node * NUM_PORTS
-                                   + ring.inport[node]) * self._V + vc])
-        latched = len(self.nis[node].latch[vc])
-        self._maxc[c] = depth
-        value = depth - in_flight - credits_in_flight - buffered - latched
-        self._credit[c] = value
-        self._credit_np[c] = value
-        if value < 0:
-            raise RuntimeError("negative credits after power transition")
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def hang_diagnostics(self, now: int, kind: str) -> Dict:
-        routers = []
-        v_per = self._V
-        for node in range(self.mesh.num_nodes):
-            buffered = 0
-            stuck_vcs: List[List[int]] = []
-            base_f = node * self._fpn
-            for p in range(NUM_PORTS):
-                for v in range(v_per):
-                    n_flits = len(self._fifo[base_f + p * v_per + v])
-                    if n_flits:
-                        buffered += n_flits
-                        stuck_vcs.append([p, v])
-            latched = sum(len(q) for q in self.nis[node].latch)
-            queued = len(self.nis[node].inject_queue)
-            if buffered or latched or queued:
-                state = self.controllers[node].state
-                routers.append({
-                    "node": node,
-                    "state": PowerState.NAMES.get(state, str(state)),
-                    "buffered": buffered,
-                    "latched": latched,
-                    "queued": queued,
-                    "stuck_vcs": stuck_vcs,
-                })
-        limit = (self.deadlock_limit if kind == "deadlock"
-                 else self.livelock_limit)
-        return {
-            "kind": kind,
-            "design": self.cfg.design,
-            "cycle": now,
-            "outstanding_flits": self._outstanding,
-            "limit": limit,
-            "routers": routers,
-        }
-
-
-class FastSoANetwork(SoANetwork):
-    """Relaxed-identity fast mode over the SoA arrays (module docstring).
-
-    Contract: RunResult field-identical to the reference kernel on every
-    configuration; event-trace digests exempt (this kernel never traces
-    - ``Network.__new__`` routes traced requests to :class:`SoANetwork`).
-    The numpy discovery mirrors (``_st_np``/``_fifo_np``/``_credit_np``/
-    ``_route_np``/``_routeo_np``/``_outf_np``/``_gated_np``) are dead
-    state here: the fast commit paths neither read nor write them, and
-    discovery always walks the sparse busy set.  Inherited slow paths
-    (contended SA/VA rounds, power transitions) still write the mirrors,
-    which is harmless - nothing consults them.
-
-    Snapshot/restore needs no extra machinery: the mode lives in the
-    class identity, which the pickled blob preserves, so a restored
-    fast-mode run keeps its fast-mode semantics (and its RunResult
-    identity - tests/test_snapshot_restore.py).
-    """
-
-    fast = True
-
-    def __init__(self, cfg: SimConfig, threshold_policy=None, *,
-                 skip_inactive: Optional[bool] = None,
-                 fault_plan=None, trace=None, metrics=None,
-                 backend: Optional[str] = None,
-                 fast: Optional[bool] = None) -> None:
-        if trace is not None:
-            raise ValueError(
-                "fast mode is trace-digest-exempt and never records "
-                "events; Network(...) dispatch runs traced requests on "
-                "the plain SoA kernel")
-        super().__init__(cfg, threshold_policy,
-                         skip_inactive=skip_inactive,
-                         fault_plan=fault_plan, metrics=metrics,
-                         backend=backend)
-        #: Per-node neighbor tuples and the (src, port) keys of the
-        #: links pointing *into* each node, precomputed for the fast
-        #: power-gating incoming-condition check.
-        self._nbrs = [tuple(self.mesh.neighbors(n))
-                      for n in range(self.mesh.num_nodes)]
-        self._in_link_keys = [tuple((nbr, OPPOSITE[port])
-                                    for port, nbr in self._nbrs[n])
-                              for n in range(self.mesh.num_nodes)]
-        self._init_mailboxes()
-
-    def _init_mailboxes(self) -> None:
-        """The batched-commit mailboxes: the router phase appends its
-        link sends to flat per-cycle lists instead of per-link delay
-        queues, and the credit/link phases drain the list whose entries
-        fall due this cycle.  This removes the per-hop deque round-trip
-        (tuple + append + popleft + active-set add/discard + sort) that
-        dominates the per-flit cost at bench loads.
-
-        Precondition (checked here; on mismatch every link falls back
-        to the reference delay-queue path): the link delay is exactly
-        ``LINK_DELAY == 2`` on both channels, so due times are implied
-        by the phase schedule - flits sent in the router phase of
-        cycle t are delivered in the link phase of t+2; credits in the
-        credit phase of t+2.
-
-        Only *router-phase* sends are batched.  NoRD's NI-phase ring
-        sends (bypass forwards and ring injections) keep the per-link
-        delay queue, and the link phase drains the mail list *before*
-        the queues, which reproduces the reference's shared-queue FIFO
-        per (link, vc) exactly: an NI send and a router send cannot
-        share a link in the same cycle (``mark_ni_port_used`` excludes
-        the port from that cycle's SA), so the queue items due at T
-        are NI sends from T-1 (the aggressive ``fast=True`` bypass,
-        enqueued after T-2's router phase) - mail first is the
-        reference order.
-
-        Credit returns are counter increments, which commute, so order
-        within the credit phase never matters.
-        """
-        n = self.mesh.num_nodes
-        v_per = self._V
-        ring = self.ring
-        delays_ok = all(
-            link.flits.delay == 2 and link.credits.delay == 2
-            for row in self.links_out for link in row if link is not None)
-        self._mail_ok = delays_ok
-        #: Per out-link (flat id node*NUM_PORTS+port) delivery tables.
-        self._l_dst = [-1] * (n * NUM_PORTS)
-        self._l_base = [-1] * (n * NUM_PORTS)
-        #: Whether the link lands on its destination's Bypass Inport
-        #: (deliveries may latch into the NI instead of the router).
-        self._l_ring = [False] * (n * NUM_PORTS)
-        #: Flat credit-counter base for the upstream hop of (node, p).
-        self._cred_base = [-1] * (n * NUM_PORTS)
-        for node in range(n):
-            for port, nbr in self._nbrs[node]:
-                lid = node * NUM_PORTS + port
-                link = self.links_out[node][port]
-                self._l_dst[lid] = link.dst
-                self._l_base[lid] = (link.dst * NUM_PORTS
-                                     + link.dst_port) * v_per
-                self._l_ring[lid] = (
-                    ring is not None
-                    and link.dst_port == ring.inport[link.dst])
-                self._cred_base[lid] = (nbr * NUM_PORTS
-                                        + OPPOSITE[port]) * v_per
-        # (box, mid, due) rotate through the link phase; credits only
-        # need (box, due) because the credit phase precedes the router
-        # phase within a cycle.
-        self._flit_box: List[tuple] = []
-        self._flit_mid: List[tuple] = []
-        self._flit_due: List[tuple] = []
-        self._credit_box: List[int] = []
-        self._credit_due: List[int] = []
-        # Inject/eject lines batch the same way: the NI is the only
-        # inject sender and the fast traversal the only eject sender,
-        # and both phases visit nodes in ascending order, so the mail
-        # lists replay the reference's sorted per-node delivery order
-        # exactly (ejects feed order-sensitive latency accumulation).
-        self._inj_ok = all(line.delay == 1 for line in self.inject_lines)
-        # min_idle_before_gate is a config constant per controller.
-        self._min_idle = [max(1, c.min_idle_before_gate)
-                          for c in self.controllers]
-        self._ej_ok = all(line.delay == 2 for line in self.eject_lines)
-        self._inj_box: List[tuple] = []
-        self._inj_due: List[tuple] = []
-        self._ej_box: List[tuple] = []
-        self._ej_mid: List[tuple] = []
-        self._ej_due: List[tuple] = []
-        # Lazy per-cycle set of nodes with incoming activity, for the
-        # PG phase (delay queues, mailboxes, inject/eject lines).
-        self._inc_seen = -1
-        self._inc_nodes: set = set()
-        # Per-(node, dst) route-geometry cache: with no fault injection
-        # (fast mode falls back to ref otherwise) the minimal-port set
-        # and the escape port are pure geometry, and the live inputs -
-        # the awake/usable filter and the misroute budget - are
-        # re-applied per call in _rc_fast.
-        from ..routing.adaptive import AdaptiveXYEscape
-        from ..routing.ring_escape import NoRDRouting
-        self._rc_pure = (type(self.routing) is AdaptiveXYEscape
-                         and self._faults is None)
-        self._rc_ring = (type(self.routing) is NoRDRouting
-                         and self._faults is None)
-        self._rc_cache: Dict[int, tuple] = {}
-
-    def send_inject(self, node: int, flit, out_vc: int, now: int) -> None:
-        if not self._inj_ok:
-            super().send_inject(node, flit, out_vc, now)
-            return
-        self._last_progress = now
-        self._inj_box.append((node, flit, out_vc))
-
-    def _restore_pred_credit(self, node: int, vc: int) -> None:
-        """The ground-truth recount must also see in-flight *mail*:
-        batched ring-link flits and credit returns live in the
-        (box, mid, due) lists, not the link's delay queues."""
-        super()._restore_pred_credit(node, vc)
-        ring = self.ring
-        pred = ring.predecessor[node]
-        lid = pred * NUM_PORTS + ring.outport[pred]
-        c = lid * self._V + vc
-        extra = 0
-        for box in (self._flit_box, self._flit_mid, self._flit_due):
-            for e in box:
-                if e[0] == lid and e[3] == vc:
-                    extra += 1
-        for box in (self._credit_box, self._credit_due):
-            for cc in box:
-                if cc == c:
-                    extra += 1
-        if extra:
-            value = self._credit[c] - extra
-            self._credit[c] = value
-            self._credit_np[c] = value
-            if value < 0:
-                raise RuntimeError(
-                    "negative credits after power transition")
-
-    # ------------------------------------------------------------------
-    # phase 2: credit delivery (no numpy mirror writes)
-    # ------------------------------------------------------------------
-    def _phase_credits_active(self, now: int) -> None:
-        # Credit increments to disjoint counters commute, so fast mode
-        # drains the links in set order instead of sorted order.
-        active = self._active_credit_links
-        links_out = self.links_out
-        credit = self._credit
-        maxc = self._maxc
-        v = self._V
-        # Batched credit returns from the router phase two cycles ago
-        # (same increments the delay queues would deliver now).
-        due = self._credit_due
-        if due:
-            for c in due:
-                if credit[c] >= maxc[c]:
-                    raise RuntimeError(
-                        "credit overflow: flow control violated")
-                credit[c] += 1
-        self._credit_due = self._credit_box
-        self._credit_box = []
-        for key in list(active._members):
-            node, port = key
-            q = links_out[node][port].credits._queue
-            base = (node * NUM_PORTS + port) * v
-            while q and q[0][0] <= now:
-                c = base + q.popleft()[1]
-                if credit[c] >= maxc[c]:
-                    raise RuntimeError(
-                        "credit overflow: flow control violated")
-                credit[c] += 1
-            if not q:
-                active.discard(key)
-
-    _phase_credits_full = _phase_credits_active
-
-    # ------------------------------------------------------------------
-    # phase 4: router pipelines (sparse discovery only; the dense numpy
-    # branch reads the mirrors, which fast mode does not maintain)
-    # ------------------------------------------------------------------
-    def _phase_routers_active(self, now: int) -> None:
-        busy = self._busy
-        if not busy:
-            return
-        speculative = self.cfg.noc.speculative
-        fpn = self._fpn
-        v_per = self._V
-        st_l = self._st
-        fifo = self._fifo
-        route_l = self._route
-        outvc = self._outvc
-        stalled = self._stalled
-        fsent = self._fsent
-        gated = self._gated
-        failed = self._failed
-        credit = self._credit
-        occ = self._occ_cnt
-        nbrd, nsa, nxb = self._nbrd, self._nsa, self._nxb
-        ports_used_all = self._ports_used
-        sa_in_all, sa_out_all = self._sa_in, self._sa_out
-        up_node = self._up_node
-        links_out = self.links_out
-        eject_lines = self.eject_lines
-        nis = self.nis
-        owner = self._owner
-        credit_m = self._active_credit_links._members
-        flit_m = self._active_flit_links._members
-        eject_m = self._active_eject._members
-        mail_ok = self._mail_ok
-        cred_base = self._cred_base
-        credit_box = self._credit_box
-        flit_box = self._flit_box
-        ej_ok = self._ej_ok
-        ej_box = self._ej_box
+        num_nodes = self.mesh.num_nodes
+        cache = self._rc_cache
+        mesh = self.mesh
         controllers = self.controllers
         on = PowerState.ON
-        wu_now = self._wu_now
-        order = sorted(busy)
-        i, n = 0, len(order)
-        while i < n:
-            f = order[i]
-            node = f // fpn
-            hi = (node + 1) * fpn
-            j = i + 1
-            while j < n and order[j] < hi:
-                j += 1
-            if controllers[node].state != on:
-                # The reference gathers candidates for gated/waking
-                # routers too, then skips their stages; gathering is
-                # side-effect-free, so not gathering is equivalent.
-                i = j
-                continue
-            if j == i + 1 and st_l[f] == _ACTIVE:
-                # The dominant round: the node's only busy VC holds an
-                # allocated wormhole.  Inline the single-candidate SA
-                # eligibility chain and the traversal (same reads, same
-                # order as the reference's _sa_node + _traverse).
-                i = j
-                fifo_f = fifo[f]
-                if not fifo_f:
-                    continue
-                route = route_l[f]
-                base_o = node * NUM_PORTS
-                if route != LOCAL:
-                    o = base_o + route
-                    if gated[o]:
-                        if failed[o]:
-                            raise RuntimeError(
-                                "SoA backend reached a hard-failed "
-                                "port without fault injection")
-                        stalled[f] = True
-                        pkt = fifo_f[0][1]
-                        pkt.wakeup_stall_cycles += 1
-                        # inlined wake_request: a routed non-LOCAL
-                        # port always has a live neighbor
-                        wu_now.add(up_node[o])
-                        continue
-                    if route in ports_used_all[node]:
-                        continue
-                    c = o * v_per + outvc[f]
-                    if credit[c] <= 0:
-                        continue
-                    stalled[f] = False
-                p = (f // v_per) % NUM_PORTS
-                sa_in_all[node][p]._last = f % v_per
-                sa_out_all[node][route]._last = p
-                # --- traversal (reference _traverse, hoisted) ---
-                word, pkt = fifo_f.popleft()
-                nbrd[node] += 1
-                nsa[node] += 1
-                nxb[node] += 1
-                if route != LOCAL:
-                    if credit[c] <= 0:
-                        raise RuntimeError(
-                            "credit underflow: flow control violated")
-                    credit[c] -= 1
-                fsent[f] += 1
-                v = f % v_per
-                if p == LOCAL:
-                    nis[node].to_router.credit[v].restore()
-                elif mail_ok:
-                    credit_box.append(cred_base[base_o + p] + v)
-                else:
-                    up = up_node[base_o + p]
-                    op = OPPOSITE[p]
-                    line = links_out[up][op].credits
-                    line._queue.append((now + line.delay, v))
-                    credit_m.add((up, op))
-                self._last_progress = now
-                if route == LOCAL:
-                    if ej_ok:
-                        ej_box.append((node, word, pkt, outvc[f]))
-                    else:
-                        line = eject_lines[node]
-                        line._queue.append(
-                            (now + line.delay, (word, pkt, outvc[f])))
-                        eject_m.add(node)
-                else:
-                    if mail_ok:
-                        flit_box.append((base_o + route, word, pkt,
-                                         outvc[f]))
-                    else:
-                        line = links_out[node][route].flits
-                        line._queue.append(
-                            (now + line.delay, (word, pkt, outvc[f])))
-                        flit_m.add((node, route))
-                    self.n_link_flits += 1
-                    if word & 1:
-                        pkt.hops += 1
-                if word & 2:
-                    if p == LOCAL:
-                        nis[node].to_router.vc_owner[v] = None
-                    else:
-                        owner[up_node[base_o + p] * NUM_PORTS
-                              + OPPOSITE[p]][v] = None
-                    if fifo_f:
-                        raise RuntimeError(
-                            "flits behind a tail in an allocated VC")
-                    st_l[f] = _IDLE
-                    route_l[f] = None
-                    outvc[f] = None
-                    stalled[f] = False
-                    self._aports[f] = []
-                    self._eport[f] = None
-                    self._fesc[f] = False
-                    self._vawait[f] = 0
-                    fsent[f] = 0
-                    occ[node] -= 1
-                    busy.discard(f)
-                continue
-            if j == i + 1:
-                # Single non-ACTIVE flit: dispatch straight to its
-                # stage (and the speculative ripple), skipping the
-                # list build and the _fast_node_stages call.
-                i = j
-                if st_l[f] == _WAITING_VA:
-                    act = self._va_fast(now, node, [f])
-                    if act and speculative:
-                        self._sa_fast(now, node, act, None)
-                elif speculative:
-                    prom = self._rc_fast(now, node, [f])
-                    if prom:
-                        act = self._va_fast(now, node, prom)
-                        if act:
-                            self._sa_fast(now, node, act, None)
-                else:
-                    self._rc_fast(now, node, [f])
-                continue
-            sa: List[int] = []
-            va: List[int] = []
-            rc: List[int] = []
-            for k in range(i, j):
-                f = order[k]
-                s = st_l[f]
-                if s == _ACTIVE:
-                    if fifo[f]:
-                        sa.append(f)
-                elif s == _WAITING_VA:
-                    va.append(f)
-                else:
-                    rc.append(f)
-            if sa or va or rc:
-                self._fast_node_stages(now, node, sa, va, rc,
-                                       speculative)
-            i = j
-
-    _phase_routers_full = _phase_routers_active
-
-    def _fast_node_stages(self, now: int, node: int, sa: List[int],
-                          va: List[int], rc: List[int],
-                          speculative: bool) -> None:
-        # Empty stages are pure no-ops in the reference too; skipping
-        # the calls entirely is the fast kernel's main per-node saving.
-        if speculative:
-            if rc:
-                promoted = self._rc_fast(now, node, rc)
-                if promoted:
-                    va = sorted(va + promoted) if va else promoted
-            activated = self._va_fast(now, node, va) if va else None
-            if sa or activated:
-                self._sa_fast(now, node, sa, activated)
-        else:
-            if sa:
-                self._sa_fast(now, node, sa, None)
-            if va:
-                self._va_fast(now, node, va)
-            if rc:
-                self._rc_fast(now, node, rc)
-
-    def _sa_fast(self, now: int, node: int, cand: List[int],
-                 extra: Optional[List[int]]) -> None:
-        """Reference ``_sa_node`` with the single-candidate arbiter
-        commits inlined (``grant_from([x])`` is exactly ``_last = x``)
-        and no trace hooks.  The SA credit precheck the plain kernel
-        runs at discovery happens here instead - same read, same point
-        in the node visit order, so the same outcome."""
-        if extra:
-            # extra (freshly ACTIVE VCs) arrives in VA-grant order, so
-            # it must be re-sorted into the port visit order too.
-            if cand:
-                cand = sorted(set(cand) | set(extra))
-            else:
-                cand = extra if len(extra) == 1 else sorted(extra)
-        if not cand:
-            return
-        v_per = self._V
-        if len(cand) == 1:
-            # The overwhelmingly common round: one flit at the node.
-            # Its port arbiter sees a single request (pointer write),
-            # it is the only output nominee (pointer write), and the
-            # eligibility chain below is the reference's, verbatim.
-            f = cand[0]
-            p = (f // v_per) % NUM_PORTS
-            route = self._route[f]
-            if route != LOCAL:
-                o = node * NUM_PORTS + route
-                if self._gated[o]:
-                    if self._failed[o]:
-                        raise RuntimeError(
-                            "SoA backend reached a hard-failed port "
-                            "without fault injection")
-                    self._stalled[f] = True
-                    pkt = self._fifo[f][0][1]
-                    pkt.wakeup_stall_cycles += 1
-                    self._wu_now.add(self._up_node[o])
-                    return
-                if route in self._ports_used[node]:
-                    return
-                if self._credit[o * v_per + self._outvc[f]] <= 0:
-                    return
-                self._stalled[f] = False
-            self._sa_in[node][p]._last = f % v_per
-            self._sa_out[node][route]._last = p
-            self._traverse_fast(f, node, p, now)
-            return
-        fifo = self._fifo
-        route_l = self._route
-        gated = self._gated
-        failed = self._failed
-        credit = self._credit
-        outvc = self._outvc
-        stalled = self._stalled
-        wu_now = self._wu_now
         up_node = self._up_node
-        ports_used = self._ports_used[node]
         base_o = node * NUM_PORTS
-        base_f = node * self._fpn
-        sa_in = self._sa_in[node]
-        nominees: Optional[List[Optional[int]]] = None
-        n_nominated = 0
-        last_nominated = -1
-        idx, n_cand = 0, len(cand)
-        while idx < n_cand:
-            p = (cand[idx] // v_per) % NUM_PORTS
-            run_hi = base_f + (p + 1) * v_per
-            eligible = []
-            while idx < n_cand and cand[idx] < run_hi:
-                f = cand[idx]
-                idx += 1
-                v = f % v_per
-                route = route_l[f]
-                if route == LOCAL:
-                    eligible.append(v)
-                    continue
-                o = base_o + route
-                if gated[o]:
-                    if failed[o]:
-                        raise RuntimeError(
-                            "SoA backend reached a hard-failed port "
-                            "without fault injection")
-                    stalled[f] = True
-                    pkt = fifo[f][0][1]
-                    pkt.wakeup_stall_cycles += 1
-                    wu_now.add(up_node[o])
-                    continue
-                if route in ports_used:
-                    continue
-                if credit[o * v_per + outvc[f]] <= 0:
-                    continue
-                stalled[f] = False
-                eligible.append(v)
-            if not eligible:
-                continue
-            if len(eligible) == 1:
-                choice = eligible[0]
-                sa_in[p]._last = choice
-            else:
-                choice = sa_in[p].grant_from(eligible)
-            if nominees is None:
-                nominees = [None] * NUM_PORTS
-            nominees[p] = base_f + p * v_per + choice
-            n_nominated += 1
-            last_nominated = p
-        if nominees is None:
-            return
-        if n_nominated == 1:
-            f = nominees[last_nominated]
-            self._sa_out[node][route_l[f]]._last = last_nominated
-            self._traverse_fast(f, node, last_nominated, now)
-            return
-        by_output: List[List[int]] = [[] for _ in range(NUM_PORTS)]
-        for p in range(NUM_PORTS):
-            f = nominees[p]
-            if f is not None:
-                by_output[route_l[f]].append(p)
-        sa_out = self._sa_out[node]
-        for out_port in range(NUM_PORTS):
-            reqs = by_output[out_port]
-            if not reqs:
-                continue
-            if len(reqs) == 1:
-                winner_port = reqs[0]
-                sa_out[out_port]._last = winner_port
-            else:
-                winner_port = sa_out[out_port].grant_from(reqs)
-            self._traverse_fast(nominees[winner_port], node, winner_port,
-                                now)
-
-    def _traverse_fast(self, f: int, node: int, in_port: int,
-                       now: int) -> None:
-        """Reference ``_traverse`` minus trace hooks and mirror writes,
-        with the delay-line sends and activity-set adds inlined."""
-        fifo_f = self._fifo[f]
-        word, pkt = fifo_f.popleft()
-        self._nbrd[node] += 1
-        self._nsa[node] += 1
-        self._nxb[node] += 1
-        route = self._route[f]
-        out_vc = self._outvc[f]
-        v_per = self._V
-        if route != LOCAL:
-            c = (node * NUM_PORTS + route) * v_per + out_vc
-            if self._credit[c] <= 0:
-                raise RuntimeError(
-                    "credit underflow: flow control violated")
-            self._credit[c] -= 1
-        self._fsent[f] += 1
-        v = f % v_per
-        if in_port == LOCAL:
-            self.nis[node].to_router.credit[v].restore()
-        elif self._mail_ok:
-            self._credit_box.append(
-                self._cred_base[node * NUM_PORTS + in_port] + v)
-        else:
-            up = self._up_node[node * NUM_PORTS + in_port]
-            op = OPPOSITE[in_port]
-            line = self.links_out[up][op].credits
-            line._queue.append((now + line.delay, v))
-            self._active_credit_links._members.add((up, op))
-        self._last_progress = now
-        if route == LOCAL:
-            if self._ej_ok:
-                self._ej_box.append((node, word, pkt, out_vc))
-            else:
-                line = self.eject_lines[node]
-                line._queue.append((now + line.delay,
-                                    (word, pkt, out_vc)))
-                self._active_eject._members.add(node)
-        else:
-            if self._mail_ok:
-                self._flit_box.append((node * NUM_PORTS + route,
-                                       word, pkt, out_vc))
-            else:
-                line = self.links_out[node][route].flits
-                line._queue.append((now + line.delay,
-                                    (word, pkt, out_vc)))
-                self._active_flit_links._members.add((node, route))
-            self.n_link_flits += 1
-            if word & 1:
-                pkt.hops += 1
-        if word & 2:
-            if in_port == LOCAL:
-                self.nis[node].to_router.vc_owner[v] = None
-            else:
-                up = self._up_node[node * NUM_PORTS + in_port]
-                self._owner[up * NUM_PORTS + OPPOSITE[in_port]][v] = None
-            if fifo_f:
-                raise RuntimeError("flits behind a tail in an allocated VC")
-            self._st[f] = _IDLE
-            self._route[f] = None
-            self._outvc[f] = None
-            self._stalled[f] = False
-            self._aports[f] = []
-            self._eport[f] = None
-            self._fesc[f] = False
-            self._vawait[f] = 0
-            self._fsent[f] = 0
-            self._occ_cnt[node] -= 1
-            self._busy.discard(f)
-
-    def _va_fast(self, now: int, node: int, cand: List[int]) -> List[int]:
-        """VC allocation: a lone waiter wins every resource it requests
-        (each per-resource arbiter sees a single-entry request list), so
-        commit its first preference directly, moving exactly the arbiter
-        pointers ``AllocatorPool.allocate`` would move.  Contended
-        rounds run the plain kernel's allocator path."""
-        if not cand:
-            return []
-        if len(cand) > 1:
-            return self._va_node(now, node, cand)
-        f = cand[0]
-        if self._st[f] != _WAITING_VA:
-            return []
-        cands = self._va_candidates(node, f)
-        if not cands:
-            self._vawait[f] += 1
-            return []
-        rid = f - node * self._fpn
-        arbiters = self._va_pools[node].arbiters
-        for res, _, _ in cands:
-            arbiters[res]._last = rid
-        res, is_escape, port = cands[0]
-        self._commit_va_fast(node, f, res, is_escape, port)
-        return [f]
-
-    def _commit_va_fast(self, node: int, f: int, resource: int,
-                        is_escape: bool, port: int) -> None:
-        v_per = self._V
-        out_vc = resource % v_per
-        pkt = self._fifo[f][0][1]
-        o = node * NUM_PORTS + port
-        self._route[f] = port
-        self._outvc[f] = out_vc
-        self._st[f] = _ACTIVE
-        self._vawait[f] = 0
-        self._fsent[f] = 0
-        self._owner[o][out_vc] = pkt.pid
-        self._nva[node] += 1
-        if port != LOCAL:
-            routing = self.routing
-            if is_escape and not pkt.on_escape:
-                pkt.on_escape = True
-            if is_escape:
-                routing.note_escape_hop(node, pkt)
-            elif not routing.is_minimal(node, port, pkt.dst):
-                pkt.misroutes += 1
-
-    def _rc_fast(self, now: int, node: int, cand: List[int]) -> List[int]:
-        """Reference ``_rc_node`` minus trace hooks and mirror writes.
-
-        When the routing function is the conventional designs'
-        ``AdaptiveXYEscape`` (and faults are off - fast mode falls back
-        to the reference kernel otherwise), the route computation is
-        replayed from the per-(node, dst) geometry cache: minimal ports
-        and the XY escape port are pure, ``force_escape`` is always
-        False, and the awake-preference filter - the only live input -
-        is re-applied here against controller state, producing exactly
-        the reference's choice.  The cached minimal list is shared
-        (``_aports`` entries are only ever rebound, never mutated)."""
-        if not cand:
-            return []
-        promoted: List[int] = []
-        routing = self.routing
-        view = self.routers[node]
-        pure = self._rc_pure
-        ring_mode = self._rc_ring
-        if pure or ring_mode:
-            num_nodes = self.mesh.num_nodes
-            cache = self._rc_cache
-            mesh = self.mesh
-            controllers = self.controllers
-            on = PowerState.ON
-            up_node = self._up_node
-            base_o = node * NUM_PORTS
-        if ring_mode:
-            ring_succ = self.ring.successor
-            cap = routing.misroute_cap
+        ring = self.ring
+        if ring is not None:
+            cap = self.routing.misroute_cap
             hop_cap = 4 * num_nodes
         for f in cand:
             if self._st[f] != _ROUTING:
@@ -1736,12 +1023,13 @@ class FastSoANetwork(SoANetwork):
             word, pkt = self._fifo[f][0]
             if not (word & 1):
                 raise RuntimeError("non-head flit at front of routing VC")
-            if pure:
-                key = node * num_nodes + pkt.dst
+            dst = pkt.dst
+            if ring is None:
+                key = node * num_nodes + dst
                 entry = cache.get(key)
                 if entry is None:
-                    entry = (mesh.minimal_ports(node, pkt.dst),
-                             mesh.xy_port(node, pkt.dst))
+                    entry = (mesh.minimal_ports(node, dst),
+                             mesh.xy_port(node, dst))
                     cache[key] = entry
                 minimal, eport = entry
                 awake = [p for p in minimal
@@ -1750,38 +1038,28 @@ class FastSoANetwork(SoANetwork):
                 self._aports[f] = awake if awake else list(minimal)
                 self._eport[f] = eport
                 self._fesc[f] = False
-            elif ring_mode:
-                # NoRDRouting replayed from cached geometry: the usable
-                # filter (awake neighbor, or the neighbor's Bypass
-                # Inport) and the misroute budget are the live inputs.
-                dst = pkt.dst
-                if node == dst:
-                    self._aports[f] = [LOCAL]
-                    self._eport[f] = LOCAL
-                    self._fesc[f] = False
-                else:
-                    key = node * num_nodes + dst
-                    entry = cache.get(key)
-                    if entry is None:
-                        entry = (mesh.minimal_ports(node, dst),
-                                 self.ring.outport[node])
-                        cache[key] = entry
-                    minimal, ring_port = entry
-                    succ = ring_succ[node]
-                    usable = []
-                    for p in minimal:
-                        nbr = up_node[base_o + p]
-                        if controllers[nbr].state == on or succ == nbr:
-                            usable.append(p)
-                    self._aports[f] = usable if usable else [ring_port]
-                    self._eport[f] = ring_port
-                    self._fesc[f] = (pkt.misroutes >= cap
-                                     or pkt.hops >= hop_cap)
+            elif node == dst:
+                self._aports[f] = [LOCAL]
+                self._eport[f] = LOCAL
+                self._fesc[f] = False
             else:
-                choice = routing.route(view, pkt)
-                self._aports[f] = list(choice.adaptive_ports)
-                self._eport[f] = choice.escape_port
-                self._fesc[f] = choice.force_escape
+                key = node * num_nodes + dst
+                entry = cache.get(key)
+                if entry is None:
+                    entry = (mesh.minimal_ports(node, dst),
+                             ring.outport[node])
+                    cache[key] = entry
+                minimal, ring_port = entry
+                succ = ring.successor[node]
+                usable = []
+                for p in minimal:
+                    nbr = up_node[base_o + p]
+                    if controllers[nbr].state == on or succ == nbr:
+                        usable.append(p)
+                self._aports[f] = usable if usable else [ring_port]
+                self._eport[f] = ring_port
+                self._fesc[f] = (pkt.misroutes >= cap
+                                 or pkt.hops >= hop_cap)
             self._st[f] = _WAITING_VA
             self._vawait[f] = 0
             if self.early_wakeup:
@@ -1857,6 +1135,7 @@ class FastSoANetwork(SoANetwork):
         self._flit_due = self._flit_mid
         self._flit_mid = self._flit_box
         self._flit_box = []
+        # NI-phase ring sends (NoRD only): the per-link delay queues.
         flit_links = self._active_flit_links
         for key in flit_links.sorted():
             link = self.links_out[key[0]][key[1]]
@@ -1880,105 +1159,22 @@ class FastSoANetwork(SoANetwork):
                             f"flit delivered to off router {dst} port "
                             f"{dst_port}: power-gating handshake "
                             "violated")
-                    f = base + vc
-                    dq = fifo[f]
-                    if len(dq) >= depth:
-                        raise OverflowError(
-                            f"VC {vc} overflow (depth {depth}): credit "
-                            "protocol violated")
-                    dq.append((word, pkt))
-                    nbw[dst] += 1
-                    active_routers.add(dst)
-                    if st[f] == _IDLE:
-                        if not (word & 1):
-                            raise RuntimeError(
-                                f"router {dst}: body flit arrived on "
-                                f"idle VC ({dst_port},{vc}): wormhole "
-                                "ordering violated")
-                        st[f] = _ROUTING
-                        occ[dst] += 1
-                        busy.add(f)
+                    self._deliver_word(dst, dst_port, vc, word, pkt)
             if not q:
                 flit_links.discard(key)
-        inject = self._active_inject
-        for node in inject.sorted():
-            q = self.inject_lines[node]._queue
-            if q and q[0][0] <= now:
-                router_on = controllers[node].state == on
-                base = (node * NUM_PORTS + LOCAL) * v_per
-                while q and q[0][0] <= now:
-                    flit, vc = q.popleft()[1]
-                    if not router_on:
-                        raise RuntimeError(
-                            f"injected flit delivered to off router "
-                            f"{node}")
-                    f = base + vc
-                    dq = fifo[f]
-                    if len(dq) >= depth:
-                        raise OverflowError(
-                            f"VC {vc} overflow (depth {depth}): credit "
-                            "protocol violated")
-                    dq.append((_word_of(flit), flit.packet))
-                    nbw[node] += 1
-                    active_routers.add(node)
-                    if st[f] == _IDLE:
-                        if not flit.is_head:
-                            raise RuntimeError(
-                                f"router {node}: body flit arrived on "
-                                f"idle VC ({LOCAL},{vc}): wormhole "
-                                "ordering violated")
-                        st[f] = _ROUTING
-                        occ[node] += 1
-                        busy.add(f)
-            if not q:
-                inject.discard(node)
         # Batched injections: the NI is the only inject sender and it
-        # runs before the link phase, so when the mail path is on the
-        # delay queues above stay empty and the (due) list replays the
-        # NI phase's ascending-node send order - the reference's
-        # sorted per-node delivery order.
-        due_inj = self._inj_due
-        if due_inj:
-            owner = self._owner
-            for node, flit, vc in due_inj:
-                if controllers[node].state != on:
-                    raise RuntimeError(
-                        f"injected flit delivered to off router {node}")
-                f = (node * NUM_PORTS + LOCAL) * v_per + vc
-                dq = fifo[f]
-                if len(dq) >= depth:
-                    raise OverflowError(
-                        f"VC {vc} overflow (depth {depth}): credit "
-                        "protocol violated")
-                dq.append((_word_of(flit), flit.packet))
-                nbw[node] += 1
-                active_routers.add(node)
-                if st[f] == _IDLE:
-                    if not flit.is_head:
-                        raise RuntimeError(
-                            f"router {node}: body flit arrived on idle "
-                            f"VC ({LOCAL},{vc}): wormhole ordering "
-                            "violated")
-                    st[f] = _ROUTING
-                    occ[node] += 1
-                    busy.add(f)
+        # runs before the link phase, so the (due) list replays the NI
+        # phase's ascending-node send order - the reference's sorted
+        # per-node delivery order.
+        for node, flit, vc in self._inj_due:
+            if controllers[node].state != on:
+                raise RuntimeError(
+                    f"injected flit delivered to off router {node}")
+            self._deliver_word(node, LOCAL, vc, _word_of(flit),
+                               flit.packet)
         self._inj_due = self._inj_box
         self._inj_box = []
-        eject = self._active_eject
-        for node in eject.sorted():
-            q = self.eject_lines[node]._queue
-            if q and q[0][0] <= now:
-                ni = nis[node]
-                owner_local = self._owner[node * NUM_PORTS + LOCAL]
-                while q and q[0][0] <= now:
-                    word, pkt, vc = q.popleft()[1]
-                    ni.n_ejected_flits += 1
-                    if word & 2:
-                        owner_local[vc] = None
-                    self._sink_word(node, word, pkt, now)
-            if not q:
-                eject.discard(node)
-        # Batched ejections: the fast traversal is the only eject
+        # Batched ejections: the router traversal is the only eject
         # sender (the NI ring paths never target LOCAL), at most one
         # per node per cycle, appended in the scan's ascending node
         # order - so the (due) list is exactly the reference's sorted
@@ -1995,31 +1191,6 @@ class FastSoANetwork(SoANetwork):
         self._ej_due = self._ej_mid
         self._ej_mid = self._ej_box
         self._ej_box = []
-
-    _phase_links_full = _phase_links_active
-
-    # ------------------------------------------------------------------
-    # phase 5 support: buffer write without the mirror update
-    # ------------------------------------------------------------------
-    def _deliver_word(self, node: int, in_port: int, v: int, word: int,
-                      pkt: Packet) -> None:
-        f = (node * NUM_PORTS + in_port) * self._V + v
-        dq = self._fifo[f]
-        if len(dq) >= self._depth:
-            raise OverflowError(
-                f"VC {v} overflow (depth {self._depth}): credit "
-                "protocol violated")
-        dq.append((word, pkt))
-        self._nbw[node] += 1
-        self._active_routers.add(node)
-        if self._st[f] == _IDLE:
-            if not (word & 1):
-                raise RuntimeError(
-                    f"router {node}: body flit arrived on idle VC "
-                    f"({in_port},{v}): wormhole ordering violated")
-            self._st[f] = _ROUTING
-            self._occ_cnt[node] += 1
-            self._busy.add(f)
 
     # ------------------------------------------------------------------
     # phase 6: power gating - busy powered-on routers take the
@@ -2062,12 +1233,12 @@ class FastSoANetwork(SoANetwork):
         off = PowerState.OFF
         waking = PowerState.WAKING
         # The full FSM step is inlined per state below.  This relies on
-        # two facts the plain kernel already guarantees: fail-arming and
-        # the stuck-wakeup knobs need fault injection (which this kernel
-        # rejects), and NoRD's end_cycle() is a no-op while the sliding
-        # window is all zeros.  The GateInputs the reference would build
-        # are pure reads, so computing only the fields each branch
-        # consults cannot change any outcome.
+        # two facts: fail-arming and the stuck-wakeup knobs need fault
+        # injection (which this kernel rejects), and NoRD's end_cycle()
+        # is a no-op while the sliding window is all zeros.  The
+        # GateInputs the reference would build are pure reads, so
+        # computing only the fields each branch consults cannot change
+        # any outcome.
         for node in active.sorted():
             ctrl = controllers[node]
             st = ctrl.state
@@ -2146,8 +1317,6 @@ class FastSoANetwork(SoANetwork):
             quiescent.add(node)
         self._apply_pg_events(events, design)
 
-    _phase_pg_full = _phase_pg_active
-
     def _incoming_nodes(self, now: int) -> set:
         """Per-cycle set of nodes with incoming activity, for the PG
         phase: after the link phase a key is in its active set exactly
@@ -2162,9 +1331,7 @@ class FastSoANetwork(SoANetwork):
         if self._inc_seen != now:
             self._inc_seen = now
             l_dst = self._l_dst
-            nodes = set(self._active_inject._members)
-            nodes.update(self._active_eject._members)
-            nodes.update(e[0] for e in self._inj_due)
+            nodes = {e[0] for e in self._inj_due}
             nodes.update(e[0] for e in self._ej_mid)
             nodes.update(e[0] for e in self._ej_due)
             for src, port in self._active_flit_links._members:
@@ -2198,12 +1365,83 @@ class FastSoANetwork(SoANetwork):
         return False
 
     # ------------------------------------------------------------------
+    # power-gating support (flat implementations of the router hooks)
+    # ------------------------------------------------------------------
+    def _reset_vcs_routed_to(self, node: int, out_port: int) -> None:
+        v_per = self._V
+        base_f = node * self._fpn
+        st = self._st
+        for p in range(NUM_PORTS):
+            for v in range(v_per):
+                f = base_f + p * v_per + v
+                s = st[f]
+                if s == _WAITING_VA:
+                    if (out_port in self._aports[f]
+                            or self._eport[f] == out_port):
+                        self._reset_route(f, node)
+                elif (s == _ACTIVE and self._route[f] == out_port
+                        and self._fsent[f] == 0):
+                    self._owner[node * NUM_PORTS + out_port][
+                        self._outvc[f]] = None
+                    self._reset_route(f, node)
+
+    def _has_commitment_to(self, node: int, out_port: int,
+                           early: bool) -> bool:
+        v_per = self._V
+        base_f = node * self._fpn
+        st = self._st
+        for p in range(NUM_PORTS):
+            for v in range(v_per):
+                f = base_f + p * v_per + v
+                s = st[f]
+                if s == _ACTIVE and self._route[f] == out_port:
+                    if self._fifo[f] or self._fsent[f] > 0:
+                        return True
+                    if early:
+                        return True
+                elif early and s == _WAITING_VA:
+                    first = (self._aports[f][0] if self._aports[f]
+                             else self._eport[f])
+                    if first == out_port:
+                        return True
+        return False
+
+    def _restore_pred_credit(self, node: int, vc: int) -> None:
+        """The ground-truth recount sees in-flight flits and credit
+        returns both in the ring link's delay queues (NI-phase sends)
+        and in the mail (box, mid, due) lists (router-phase sends)."""
+        ring = self.ring
+        pred = ring.predecessor[node]
+        pred_port = ring.outport[pred]
+        lid = pred * NUM_PORTS + pred_port
+        c = lid * self._V + vc
+        link = self.links_out[pred][pred_port]
+        in_flight = sum(1 for w, pk, v2 in link.flits.peek_pending()
+                        if v2 == vc)
+        in_flight += sum(1 for box in (self._flit_box, self._flit_mid,
+                                       self._flit_due)
+                         for e in box if e[0] == lid and e[3] == vc)
+        credits_in_flight = sum(1 for v2 in link.credits.peek_pending()
+                                if v2 == vc)
+        credits_in_flight += (self._credit_box.count(c)
+                              + self._credit_due.count(c))
+        buffered = len(self._fifo[(node * NUM_PORTS
+                                   + ring.inport[node]) * self._V + vc])
+        latched = len(self.nis[node].latch[vc])
+        depth = self.cfg.noc.buffer_depth
+        self._maxc[c] = depth
+        value = depth - in_flight - credits_in_flight - buffered - latched
+        self._credit[c] = value
+        if value < 0:
+            raise RuntimeError("negative credits after power transition")
+
+    # ------------------------------------------------------------------
     # phase 7: statistics (read the occupancy counter directly)
     # ------------------------------------------------------------------
     def _phase_stats_active(self, now: int) -> None:
         # Per-node edge accounting commutes across nodes and the run
-        # summaries serialize dicts with sort_keys, so fast mode skips
-        # the sorted() snapshot the byte-identical kernels need.
+        # summaries serialize dicts with sort_keys, so the sorted()
+        # snapshot the reference takes is skipped.
         active = self._active_routers
         occ = self._occ_cnt
         stats = self.stats
@@ -2226,4 +1464,41 @@ class FastSoANetwork(SoANetwork):
                     state[node] = True
                     stats.note_idle(node, now)
 
-    _phase_stats_full = _phase_stats_active
+    # ------------------------------------------------------------------
+    # diagnostics
+    # ------------------------------------------------------------------
+    def hang_diagnostics(self, now: int, kind: str) -> Dict:
+        routers = []
+        v_per = self._V
+        for node in range(self.mesh.num_nodes):
+            buffered = 0
+            stuck_vcs: List[List[int]] = []
+            base_f = node * self._fpn
+            for p in range(NUM_PORTS):
+                for v in range(v_per):
+                    n_flits = len(self._fifo[base_f + p * v_per + v])
+                    if n_flits:
+                        buffered += n_flits
+                        stuck_vcs.append([p, v])
+            latched = sum(len(q) for q in self.nis[node].latch)
+            queued = len(self.nis[node].inject_queue)
+            if buffered or latched or queued:
+                state = self.controllers[node].state
+                routers.append({
+                    "node": node,
+                    "state": PowerState.NAMES.get(state, str(state)),
+                    "buffered": buffered,
+                    "latched": latched,
+                    "queued": queued,
+                    "stuck_vcs": stuck_vcs,
+                })
+        limit = (self.deadlock_limit if kind == "deadlock"
+                 else self.livelock_limit)
+        return {
+            "kind": kind,
+            "design": self.cfg.design,
+            "cycle": now,
+            "outstanding_flits": self._outstanding,
+            "limit": limit,
+            "routers": routers,
+        }

@@ -105,6 +105,12 @@ class RunResult:
     #: ``total simulated cycles / wall_clock_s`` for the producing run
     #: (same caveats as :attr:`wall_clock_s`).
     simulated_cycles_per_sec: float = field(default=0.0, compare=False)
+    #: Which cycle kernel produced this result (``"ref"``, ``"soa"``, or
+    #: ``"bufferless"`` for that datapath).  Provenance, not
+    #: outcome: the kernels are proven result-identical, so like the
+    #: host-timing fields it is excluded from equality and from
+    #: :meth:`to_dict`; ``""`` on cache hits.
+    kernel: str = field(default="", compare=False)
 
     # -- aggregate metrics -------------------------------------------------
     @property
@@ -173,10 +179,11 @@ class RunResult:
                                 for k, v in self.idle_periods.items()}
         data["censored_idle_periods"] = {
             str(k): v for k, v in self.censored_idle_periods.items()}
-        # Host-timing fields never serialize: cached results would
-        # otherwise differ byte-for-byte between producing machines.
-        data.pop("wall_clock_s", None)
-        data.pop("simulated_cycles_per_sec", None)
+        # Host-timing and provenance fields never serialize: cached
+        # results would otherwise differ byte-for-byte between
+        # producing machines (or kernels).
+        for name in _UNSERIALIZED:
+            data.pop(name, None)
         return data
 
     @classmethod
@@ -190,9 +197,13 @@ class RunResult:
         data["censored_idle_periods"] = {
             int(k): v
             for k, v in data.get("censored_idle_periods", {}).items()}
-        data.pop("wall_clock_s", None)
-        data.pop("simulated_cycles_per_sec", None)
+        for name in _UNSERIALIZED:
+            data.pop(name, None)
         return cls(**data)
+
+
+#: ``RunResult`` fields that describe the producing run, not its outcome.
+_UNSERIALIZED = ("wall_clock_s", "simulated_cycles_per_sec", "kernel")
 
 
 class StatsCollector:

@@ -1,21 +1,26 @@
 """Differential harness: the SoA kernel vs the object-graph reference.
 
-The backend-identity contract (DESIGN.md section 9): for every
-configuration the SoA kernel supports, ``Network(cfg, backend="soa")``
+The kernel-identity contract (DESIGN.md section 9): for every
+configuration the SoA kernel serves, ``Network(cfg, backend="soa")``
 must produce a :class:`RunResult` field-identical to the reference
-kernel and a bit-identical event stream.  These tests enforce the
-contract directly - same config, same traffic, same seed, run under
-both kernels, compared field by field (``RunResult.__eq__`` excludes
-only the host wall-clock fields) and by trace digest.
+kernel.  These tests enforce the contract directly - same config, same
+traffic, same seed, run under both kernels, compared field by field
+(``RunResult.__eq__`` excludes only the host wall-clock and provenance
+fields).  The SoA kernel never traces: a traced run asked to use it
+falls back to the reference kernel and yields the reference's event
+stream, which the digest tests pin.
 
-Backend *selection* (explicit argument > ``REPRO_BACKEND`` > reference,
-with automatic fallback for features the SoA kernel does not serve) is
-covered here too, as is the cache-key folding in the experiments
-runner.
+Kernel *pinning* (explicit argument > ``REPRO_BACKEND``, with the
+warned fallback for features the SoA kernel does not serve) is covered
+here too, as is the cache-key folding in the experiments runner.  The
+full selection table (unpinned runs included) lives in
+tests/test_kernel_identity.py, the home of new kernel-identity tests;
+this file and tests/test_fast_mode_identity.py keep their names only
+because the tier-1 floor tracks tests by id.
 """
 
 import dataclasses
-import json
+import warnings
 
 import pytest
 
@@ -51,7 +56,10 @@ def run_once(design, backend, kind="uniform", *, rate=0.1, seed=3,
         cfg = cfg.replace(pg=dataclasses.replace(cfg.pg,
                                                  aggressive_bypass=True))
     recorder = EventTrace() if trace else None
-    net = Network(cfg, backend=backend, trace=recorder)
+    with warnings.catch_warnings():
+        # a traced soa request warns (once) that it falls back to ref
+        warnings.simplefilter("ignore", RuntimeWarning)
+        net = Network(cfg, backend=backend, trace=recorder)
     traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
     result = net.run(traffic)
     return net, result, recorder
@@ -98,47 +106,19 @@ class TestRunResultIdentity:
 
     @pytest.mark.parametrize("design", Design.ALL)
     def test_trace_digest_identity(self, design):
-        """Bit-identical event streams, not just matching aggregates."""
+        """Whichever kernel a traced run asks for, it gets the
+        reference kernel and the reference's bit-identical event
+        stream (and the same RunResult as the untraced soa run)."""
         _, _, trace_ref = run_once(design, "ref", trace=True)
-        _, _, trace_soa = run_once(design, "soa", trace=True)
+        net_soa, res_traced, trace_soa = run_once(design, "soa",
+                                                  trace=True)
+        assert type(net_soa) is Network
         assert trace_ref.digest() == trace_soa.digest()
-
-
-class TestDiscoveryPaths:
-    """The SoA kernel picks scalar vs vectorized candidate discovery by
-    busy-set occupancy; both paths must be byte-identical."""
-
-    def _forced(self, design, force):
-        class Forced(SoANetwork):
-            def _phase_routers_active(self, now):
-                saved = self._nf
-                # sparse branch iff len(busy) * 8 < _nf
-                self._nf = (8 * len(self._busy) + 1) if force == "scalar" \
-                    else 0
-                try:
-                    return SoANetwork._phase_routers_active(self, now)
-                finally:
-                    self._nf = saved
-
-        reset_packet_ids()
-        cfg = small_config(design, warmup=100, measure=600)
-        net = Forced(cfg)
-        result = net.run(uniform_random(net.mesh, 0.2, seed=3))
-        return result
-
-    @pytest.mark.parametrize("design", (Design.NO_PG, Design.NORD))
-    def test_scalar_and_vectorized_discovery_agree(self, design):
-        _, res_ref, _ = run_once(design, "ref", rate=0.2)
-        assert_identical(res_ref, self._forced(design, "scalar"))
-        assert_identical(res_ref, self._forced(design, "numpy"))
+        _, res_soa, _ = run_once(design, "soa")
+        assert_identical(res_traced, res_soa)
 
 
 class TestBackendSelection:
-    def test_default_is_reference(self):
-        net = Network(small_config(Design.NORD))
-        assert type(net) is Network
-        assert net.backend == "ref"
-
     def test_explicit_soa(self):
         net = Network(small_config(Design.NORD), backend="soa")
         assert isinstance(net, SoANetwork)
@@ -161,7 +141,7 @@ class TestBackendSelection:
             resolve_backend("bogus")
 
     def test_resolve_backend_normalizes(self, monkeypatch):
-        assert resolve_backend() == "ref"
+        assert resolve_backend() is None  # nothing pinned
         assert resolve_backend("reference") == "ref"
         assert resolve_backend(" SOA ") == "soa"
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
@@ -213,10 +193,10 @@ class TestCacheKeys:
 
     def test_default_backend_follows_env(self, monkeypatch):
         default_key = self._point().cache_key()
-        assert default_key == self._point("ref").cache_key()
-        monkeypatch.setenv("REPRO_BACKEND", "soa")
+        assert default_key == self._point("soa").cache_key()
+        monkeypatch.setenv("REPRO_BACKEND", "ref")
         assert self._point().cache_key() == \
-            self._point("soa").cache_key()
+            self._point("ref").cache_key()
 
     def test_unknown_backend_rejected_at_point_construction(self):
         with pytest.raises(ValueError):

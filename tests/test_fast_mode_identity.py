@@ -1,29 +1,29 @@
-"""Differential harness for the relaxed-identity fast mode.
+"""Differential harness for the SoA kernel's batched commit paths.
 
-The fast-mode contract (DESIGN.md section 9): ``Network(cfg,
-backend="soa", fast=True)`` batches credit returns, link traversals and
-single-candidate allocator commits as flat passes over the SoA arrays,
-falling back to the reference visit order only for contended rounds.
-The result must stay :class:`RunResult` field-identical to both the
-reference kernel and the plain SoA kernel for every configuration fast
-mode serves; only event-trace digests are exempt (fast mode refuses
-tracing and falls back).
+The SoA kernel (DESIGN.md section 9) batches credit returns, link
+traversals and single-candidate allocator commits as flat passes over
+the SoA lists, replaying the reference visit order only for contended
+rounds.  The result must stay :class:`RunResult` field-identical to the
+reference kernel for every configuration it serves.
 
 Four layers of evidence live here:
 
-* a golden matrix (every design x every traffic kind, three kernels),
+* a golden matrix (every design x every traffic kind; three requests -
+  ``ref`` pinned, ``soa`` pinned, and the unpinned default),
 * a hypothesis differential over random (design, kind, rate, seed),
-* flit/credit conservation checked directly in the flat arrays while a
-  fast run is in flight, and
-* an oracle self-test: a deliberately broken fast commit must make the
+* flit/credit conservation checked directly in the flat lists and the
+  mailboxes while a run is in flight, and
+* an oracle self-test: a deliberately broken VA commit must make the
   differential harness fail, proving the harness has teeth.
 
-Dispatch (fast implies soa, refusal of an explicit ``ref`` request,
-trace/metrics/fault fallbacks with the one-time warning) and the
-cache-key folding in the experiments runner are covered at the end.
+The file predates the kernel merge (the "fast mode" it names *is* the
+soa kernel now) and keeps its name and test ids only because the tier-1
+floor tracks tests by id; new kernel-identity tests go to
+tests/test_kernel_identity.py.  The ``fast=`` keyword tests at the end
+cover the keyword ``Network`` still accepts (and ignores) for the
+frozen benchmark.
 """
 
-import dataclasses
 import warnings
 
 import pytest
@@ -31,11 +31,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import Design, small_config
-from repro.experiments import parallel
 from repro.noc.flit import reset_packet_ids
-from repro.noc.network import (Network, RunProgress, _FALLBACK_WARNED,
-                               resolve_fast)
-from repro.noc.soa import FastSoANetwork, SoANetwork
+from repro.noc.network import Network, RunProgress, _FALLBACK_WARNED
+from repro.noc.soa import SoANetwork
 from repro.noc.topology import NUM_PORTS, OPPOSITE, LOCAL
 from repro.traffic.synthetic import (bit_complement, tornado, transpose,
                                      uniform_random)
@@ -48,14 +46,14 @@ TRAFFIC_MAKERS = {
 }
 
 
-def run_once(design, kind, *, backend="ref", fast=False, rate=0.1,
+def run_once(design, kind, *, backend="ref", rate=0.1,
              seed=3, width=4, height=4, warmup=60, measure=300):
     """One deterministic run; resets the global packet-id counter so
     every kernel sees identical packet ids."""
     reset_packet_ids()
     cfg = small_config(design, width=width, height=height,
                        warmup=warmup, measure=measure)
-    net = Network(cfg, backend=backend, fast=fast)
+    net = Network(cfg, backend=backend)
     traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
     return net, net.run(traffic)
 
@@ -68,33 +66,33 @@ def assert_identical(res_a, res_b, label):
         a, b = getattr(res_a, fld), getattr(res_b, fld)
         if a != b:
             diffs.append(f"{fld}: {a!r} != {b!r}")
-    raise AssertionError(f"fast-mode drift ({label}):\n" + "\n".join(diffs))
+    raise AssertionError(f"kernel drift ({label}):\n" + "\n".join(diffs))
 
 
 class TestGoldenMatrix:
-    """ref == soa == soa+fast for every design x traffic kind."""
+    """ref == soa == the unpinned default, for every design x kind."""
 
     @pytest.mark.parametrize("design", Design.ALL)
     @pytest.mark.parametrize("kind", sorted(TRAFFIC_MAKERS))
     def test_three_kernels_agree(self, design, kind):
+        # Three *requests*: the third is what an untagged run gets.
         net_ref, res_ref = run_once(design, kind, backend="ref")
         net_soa, res_soa = run_once(design, kind, backend="soa")
-        net_fast, res_fast = run_once(design, kind, backend="soa",
-                                      fast=True)
+        net_dflt, res_dflt = run_once(design, kind, backend=None)
         assert type(net_ref) is Network
         assert type(net_soa) is SoANetwork
-        assert type(net_fast) is FastSoANetwork
+        assert type(net_dflt) is SoANetwork
         assert_identical(res_ref, res_soa, f"{design}/{kind} soa")
-        assert_identical(res_ref, res_fast, f"{design}/{kind} fast")
+        assert_identical(res_ref, res_dflt, f"{design}/{kind} default")
 
     def test_high_rate_nord(self):
         # Saturating NoRD exercises bypass latches, ring-link batching
         # and the wake-time credit recount (the mail-aware
         # _restore_pred_credit) far harder than the golden rate.
         _, res_ref = run_once(Design.NORD, "uniform", rate=0.25, seed=7)
-        _, res_fast = run_once(Design.NORD, "uniform", rate=0.25, seed=7,
-                               backend="soa", fast=True)
-        assert_identical(res_ref, res_fast, "NoRD saturated")
+        _, res_soa = run_once(Design.NORD, "uniform", rate=0.25, seed=7,
+                              backend="soa")
+        assert_identical(res_ref, res_soa, "NoRD saturated")
 
 
 class TestHypothesisDifferential:
@@ -107,10 +105,9 @@ class TestHypothesisDifferential:
     def test_random_point_identity(self, design, kind, rate, seed):
         _, res_ref = run_once(design, kind, rate=rate, seed=seed,
                               warmup=40, measure=200)
-        _, res_fast = run_once(design, kind, rate=rate, seed=seed,
-                               warmup=40, measure=200,
-                               backend="soa", fast=True)
-        assert_identical(res_ref, res_fast,
+        _, res_soa = run_once(design, kind, rate=rate, seed=seed,
+                              warmup=40, measure=200, backend="soa")
+        assert_identical(res_ref, res_soa,
                          f"{design}/{kind} rate={rate} seed={seed}")
 
 
@@ -120,7 +117,7 @@ class TestHypothesisDifferential:
 
 def _flits_in_flight(net):
     """Every flit between NI injection and NI ejection, including the
-    fast kernel's mailboxes."""
+    mailboxes."""
     total = sum(len(dq) for dq in net._fifo)
     for row in net.links_out:
         for link in row:
@@ -160,8 +157,6 @@ def _check_credit_books(net, design):
                           and ring.inport[down] == in_port)
             for vc in range(v_per):
                 c = o * v_per + vc
-                # (_credit_np is not checked: the numpy discovery
-                # mirrors are documented dead state in fast mode.)
                 held = net._credit[c]
                 assert 0 <= held <= net._maxc[c], (
                     f"credit counter {c} out of range: {held}")
@@ -194,8 +189,8 @@ class TestConservation:
     def test_flit_and_credit_conservation(self, design):
         reset_packet_ids()
         cfg = small_config(design, width=4, height=4)
-        net = Network(cfg, backend="soa", fast=True)
-        assert type(net) is FastSoANetwork
+        net = Network(cfg, backend="soa")
+        assert type(net) is SoANetwork
         traffic = uniform_random(net.mesh, 0.2, seed=5)
         prog = RunProgress(50, 250, 400)
         checks = 0
@@ -216,132 +211,74 @@ class TestConservation:
 
 
 # ---------------------------------------------------------------------------
-# oracle self-test: a broken fast commit must not survive the harness
+# oracle self-test: a broken VA commit must not survive the harness
 # ---------------------------------------------------------------------------
 
 class TestOracleSelfTest:
     def test_seeded_off_by_one_is_caught(self, monkeypatch):
-        """Seed a deliberate off-by-one into the fast VA commit (an
-        extra VA-grant count) and assert the differential harness
-        reports drift - if this test ever passes with the fault in
-        place, the harness is vacuous."""
-        orig = FastSoANetwork._commit_va_fast
+        """Seed a deliberate off-by-one into the VA commit (an extra
+        VA-grant count) and assert the differential harness reports
+        drift - if this test ever passes with the fault in place, the
+        harness is vacuous."""
+        orig = SoANetwork._commit_va
 
         def off_by_one(self, node, f, resource, is_escape, port):
             orig(self, node, f, resource, is_escape, port)
             self._nva[node] += 1  # the deliberate bug
 
-        monkeypatch.setattr(FastSoANetwork, "_commit_va_fast", off_by_one)
+        monkeypatch.setattr(SoANetwork, "_commit_va", off_by_one)
         _, res_ref = run_once(Design.NORD, "uniform")
-        _, res_fast = run_once(Design.NORD, "uniform", backend="soa",
-                               fast=True)
-        with pytest.raises(AssertionError, match="fast-mode drift"):
-            assert_identical(res_ref, res_fast, "seeded fault")
+        _, res_soa = run_once(Design.NORD, "uniform", backend="soa")
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, "seeded fault")
 
     def test_oracle_passes_without_fault(self):
         """Control arm: the same comparison is clean when nothing is
         seeded (so the failure above is caused by the seeded bug)."""
         _, res_ref = run_once(Design.NORD, "uniform")
-        _, res_fast = run_once(Design.NORD, "uniform", backend="soa",
-                               fast=True)
-        assert_identical(res_ref, res_fast, "control")
+        _, res_soa = run_once(Design.NORD, "uniform", backend="soa")
+        assert_identical(res_ref, res_soa, "control")
 
 
 # ---------------------------------------------------------------------------
-# dispatch, fallbacks, cache keys
+# the retained ``fast=`` keyword and the pinned-soa fallback warning
 # ---------------------------------------------------------------------------
 
 class TestDispatch:
     def test_fast_implies_soa(self):
+        # bench/kernel.py's traced pass still passes fast=True.
         net = Network(small_config(Design.NORD), fast=True)
-        assert type(net) is FastSoANetwork
-
-    def test_env_var_enables_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "1")
-        assert resolve_fast() is True
-        net = Network(small_config(Design.NORD))
-        assert type(net) is FastSoANetwork
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "1")
-        net = Network(small_config(Design.NORD), fast=False)
-        assert type(net) is Network
+        assert type(net) is SoANetwork
+        net = Network(small_config(Design.NORD), backend="soa", fast=True)
+        assert type(net) is SoANetwork
 
     def test_explicit_ref_backend_rejected(self):
-        with pytest.raises(ValueError, match="fast mode requires"):
+        with pytest.raises(ValueError, match="names the 'soa' kernel"):
             Network(small_config(Design.NORD), backend="ref", fast=True)
 
     def test_env_ref_backend_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "ref")
-        with pytest.raises(ValueError, match="fast mode requires"):
+        with pytest.raises(ValueError, match="names the 'soa' kernel"):
             Network(small_config(Design.NORD), fast=True)
-
-    def test_trace_falls_back_to_plain_soa(self):
-        from repro.trace.recorder import EventTrace
-        _FALLBACK_WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="event tracing"):
-            net = Network(small_config(Design.NORD), fast=True,
-                          trace=EventTrace())
-        assert type(net) is SoANetwork
 
     def test_dense_scan_falls_back_to_reference(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_SKIP", "1")
         _FALLBACK_WARNED.clear()
         with pytest.warns(RuntimeWarning, match="dense scans"):
-            net = Network(small_config(Design.NORD), fast=True)
+            net = Network(small_config(Design.NORD), backend="soa")
         assert type(net) is Network
 
     def test_fallback_warning_is_one_time(self):
         """The fallback warning names the forcing feature and fires
-        once per process per (feature, target) - a thousand-point sweep
-        must not emit a thousand warnings."""
+        once per process per feature - a thousand-point sweep must not
+        emit a thousand warnings."""
         from repro.trace.recorder import EventTrace
         _FALLBACK_WARNED.clear()
         with pytest.warns(RuntimeWarning,
                           match="does not support event tracing"):
-            Network(small_config(Design.NORD), fast=True,
+            Network(small_config(Design.NORD), backend="soa",
                     trace=EventTrace())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Network(small_config(Design.NORD), fast=True,
+            Network(small_config(Design.NORD), backend="soa",
                     trace=EventTrace())
-
-
-class TestCacheKeys:
-    def _point(self, fast=None, backend=None):
-        return parallel.DesignPoint(
-            cfg=small_config(Design.NORD),
-            traffic=parallel.uniform_spec(0.1),
-            backend=backend, fast=fast)
-
-    def test_fast_enters_cache_key(self):
-        assert self._point(fast=True).cache_key() != \
-            self._point(fast=False).cache_key()
-
-    def test_default_fast_follows_env(self, monkeypatch):
-        assert self._point().cache_key() == \
-            self._point(fast=False).cache_key()
-        monkeypatch.setenv("REPRO_FAST", "1")
-        assert self._point().cache_key() == \
-            self._point(fast=True).cache_key()
-
-    def test_resolved_fast(self, monkeypatch):
-        assert self._point(fast=True).resolved_fast() is True
-        assert self._point().resolved_fast() is False
-        monkeypatch.setenv("REPRO_FAST", "yes")
-        assert self._point().resolved_fast() is True
-
-    def test_fast_point_resolves_soa_backend(self):
-        assert self._point(fast=True).resolved_backend() == "soa"
-
-    def test_fast_with_ref_backend_rejected(self):
-        with pytest.raises(ValueError, match="fast mode requires"):
-            self._point(fast=True, backend="ref")
-
-    def test_execute_point_honors_fast(self):
-        reset_packet_ids()
-        res_fast, _ = parallel.execute_point(self._point(fast=True))
-        reset_packet_ids()
-        res_ref, _ = parallel.execute_point(self._point(fast=False,
-                                                        backend="ref"))
-        assert_identical(res_ref, res_fast, "execute_point")

@@ -38,7 +38,7 @@ MEASURE = 400
 DRAIN = get_scale("smoke").drain
 
 
-def run_random_config(design, rate, wh, n_vcs, depth, seed):
+def run_random_config(design, rate, wh, n_vcs, depth, seed, backend=None):
     """One warmup-free run of a randomized configuration.
 
     No warmup means the measurement window sees every created packet,
@@ -53,7 +53,7 @@ def run_random_config(design, rate, wh, n_vcs, depth, seed):
         drain_cycles=DRAIN,
         seed=seed,
     )
-    net = Network(cfg)
+    net = Network(cfg, backend=backend)
     result = net.run(uniform_random(net.mesh, rate, seed=seed))
     return net, result
 
@@ -73,7 +73,9 @@ class TestPacketConservation:
                                         depth, seed):
         """A lost flit leaves ``outstanding`` positive; a duplicated one
         drives it negative or leaves residue in a buffer or latch."""
-        net, _ = run_random_config(design, rate, wh, n_vcs, depth, seed)
+        # walks the reference router objects
+        net, _ = run_random_config(design, rate, wh, n_vcs, depth, seed,
+                                   backend="ref")
         assert net.outstanding_flits == 0
         for router in net.routers:
             for port in router.in_ports:

@@ -9,9 +9,9 @@ from repro.noc.topology import LOCAL
 from repro.traffic.base import NullTraffic, ScriptedTraffic
 
 
-def run_scripted(design, events, cycles=400, **cfg_kw):
+def run_scripted(design, events, cycles=400, backend=None, **cfg_kw):
     cfg = small_config(design, **cfg_kw)
-    net = Network(cfg)
+    net = Network(cfg, backend=backend)
     traffic = ScriptedTraffic(events, num_nodes=net.mesh.num_nodes)
     pkts = []
     orig = net.stats.on_packet_ejected
@@ -104,7 +104,9 @@ class TestDeliveryCorrectness:
     def test_all_vcs_idle_after_drain(self):
         events = [(c, (c * 3) % 16, (c * 5 + 1) % 16, 3) for c in range(10, 90)]
         events = [(c, s, d, l) for c, s, d, l in events if s != d]
-        net, _ = run_scripted(Design.NO_PG, events, cycles=300)
+        # walks the reference router objects
+        net, _ = run_scripted(Design.NO_PG, events, cycles=300,
+                              backend="ref")
         for router in net.routers:
             for port in router.in_ports:
                 for vc in port.vcs:

@@ -25,7 +25,7 @@ SIM_SETTINGS = settings(
 
 
 def run_random(design, rate, wh, seed, cycles=400, *, speculative=False,
-               aggressive=False):
+               aggressive=False, backend=None):
     cfg = SimConfig(
         design=design,
         noc=NoCConfig(width=wh[0], height=wh[1], speculative=speculative),
@@ -37,7 +37,7 @@ def run_random(design, rate, wh, seed, cycles=400, *, speculative=False,
     if aggressive:
         cfg = cfg.replace(pg=dataclasses.replace(cfg.pg,
                                                  aggressive_bypass=True))
-    net = Network(cfg)
+    net = Network(cfg, backend=backend)
     traffic = uniform_random(net.mesh, rate, seed=seed)
     result = net.run(traffic, warmup=0, measure=cycles, drain=4000)
     return net, result
@@ -56,7 +56,8 @@ class TestConservationInvariants:
     @SIM_SETTINGS
     def test_final_state_is_clean(self, design, rate, wh, seed):
         """After draining, no buffers, latches, owners or debts remain."""
-        net, _ = run_random(design, rate, wh, seed)
+        # walks the reference router objects
+        net, _ = run_random(design, rate, wh, seed, backend="ref")
         for router in net.routers:
             for port in router.in_ports:
                 for vc in port.vcs:

@@ -10,7 +10,8 @@ from repro.traffic.base import ScriptedTraffic
 
 
 def stepped_network(design=Design.NO_PG, events=(), cycles=0):
-    net = Network(small_config(design))
+    # These tests read the reference router's per-stage VC state.
+    net = Network(small_config(design), backend="ref")
     traffic = ScriptedTraffic(events, 16)
     for _ in range(cycles):
         net._inject_arrivals(traffic)
@@ -83,7 +84,8 @@ class TestSA:
 class TestWormholeIntegrity:
     def test_flits_arrive_in_order_per_packet(self):
         order = []
-        net = Network(small_config(Design.NO_PG))
+        # the spy hooks the reference kernel's Flit-based sink
+        net = Network(small_config(Design.NO_PG), backend="ref")
         orig = net.sink_flit
 
         def spy(node, flit, now, *, via_bypass):

@@ -3,8 +3,9 @@
 The contract: run N cycles straight == run k cycles, ``snapshot()``,
 ``restore()`` (in-process or in a fresh interpreter), run the remaining
 N - k.  The final :class:`RunResult` must be field-identical and a
-traced run must produce an identical event-stream digest, on both the
-reference and the struct-of-arrays backend.
+traced run must produce an identical event-stream digest (traced runs
+execute on the reference kernel), on both the reference and the
+struct-of-arrays kernel - pinned, and as the unpinned default.
 """
 
 import dataclasses
@@ -33,14 +34,14 @@ def small_cfg(design=Design.NORD):
                      drain_cycles=500)
 
 
-def run_straight(cfg, spec, backend=None, trace=None, fast=None):
+def run_straight(cfg, spec, backend=None, trace=None):
     flit_mod.reset_packet_ids()
-    net = Network(cfg, backend=backend, trace=trace, fast=fast)
+    net = Network(cfg, backend=backend, trace=trace)
     result = net.run(spec.build(net.mesh))
     return result, net
 
 
-def run_split(cfg, spec, k, backend=None, trace=None, fast=None):
+def run_split(cfg, spec, k, backend=None, trace=None):
     """Run ``k`` cycles, snapshot, restore from pickled bytes, finish.
 
     Between snapshot and restore the process-global packet-id counter
@@ -48,7 +49,7 @@ def run_split(cfg, spec, k, backend=None, trace=None, fast=None):
     fresh interpreter would lack.
     """
     flit_mod.reset_packet_ids()
-    net = Network(cfg, backend=backend, trace=trace, fast=fast)
+    net = Network(cfg, backend=backend, trace=trace)
     traffic = spec.build(net.mesh)
     progress = RunProgress(cfg.warmup_cycles, cfg.measure_cycles,
                            cfg.drain_cycles)
@@ -76,52 +77,58 @@ def test_split_equals_straight_all_designs(design, backend):
     assert net.backend == backend
 
 
+# The three ``*fast*`` tests below keep their pre-merge ids (the former
+# fast mode *is* the soa kernel now); they cover the *unpinned* dispatch,
+# i.e. the kernel an untagged run gets.
 @pytest.mark.parametrize("design", Design.ALL)
 def test_split_equals_straight_fast_mode(design):
-    """Fast mode's mailboxes (credit/flit/inject/eject batches) are
-    pickled state: a mid-run split must carry the in-flight mail across
-    the process boundary, and the restored network must keep its
-    fast-mode class identity."""
-    from repro.noc.soa import FastSoANetwork
+    """The mailboxes (credit/flit/inject/eject batches) are pickled
+    state: a mid-run split must carry the in-flight mail across the
+    process boundary, and the restored network must keep its class
+    identity."""
+    from repro.noc.soa import SoANetwork
     cfg = small_cfg(design)
     spec = uniform_spec(0.10, seed=3)
-    want, _ = run_straight(cfg, spec, fast=True)
-    got, net = run_split(cfg, spec, 137, fast=True)
+    want, _ = run_straight(cfg, spec)
+    got, net = run_split(cfg, spec, 137)
     assert got.to_dict() == want.to_dict()
-    assert type(net) is FastSoANetwork
+    assert type(net) is SoANetwork
 
 
 @pytest.mark.parametrize("k", [0, 1, 80, 299, 300, 301, 379, 380, 381])
 def test_split_at_phase_boundaries_fast_mode(k):
-    """Phase-boundary splits under fast mode: the warmup->measure and
+    """Phase-boundary splits on the soa kernel: the warmup->measure and
     measure->drain side effects (start/stop measurement, counter
     snapshots) must commute with snapshotting the mailbox state."""
     cfg = small_cfg(Design.NORD)
     spec = tornado_spec(0.12, seed=5)
-    want, _ = run_straight(cfg, spec, fast=True)
-    got, _ = run_split(cfg, spec, k, fast=True)
+    want, _ = run_straight(cfg, spec)
+    got, net = run_split(cfg, spec, k)
     assert got.to_dict() == want.to_dict()
+    assert net.backend == "soa"
 
 
 def test_fast_split_matches_reference_straight():
-    """The strongest cross-check: a split fast-mode run equals an
-    unsplit reference-kernel run."""
+    """The strongest cross-check: a split soa run equals an unsplit
+    reference-kernel run."""
     cfg = small_cfg(Design.NORD)
     spec = uniform_spec(0.10, seed=3)
     want, _ = run_straight(cfg, spec, backend="ref")
-    got, _ = run_split(cfg, spec, 200, fast=True)
+    got, net = run_split(cfg, spec, 200)
     assert got.to_dict() == want.to_dict()
+    assert net.backend == "soa"
 
 
 @pytest.mark.parametrize("k", [0, 1, 80, 379, 380, 381])
 def test_split_at_phase_boundaries(k):
     """Splitting exactly at (and around) the warmup->measure and
     measure->drain transitions must not disturb the boundary side
-    effects (start/stop measurement, counter snapshots)."""
+    effects (start/stop measurement, counter snapshots) - on the
+    reference kernel; the ``_fast_mode`` twin above covers soa."""
     cfg = small_cfg(Design.NORD)
     spec = tornado_spec(0.12, seed=5)
-    want, _ = run_straight(cfg, spec)
-    got, _ = run_split(cfg, spec, k)
+    want, _ = run_straight(cfg, spec, backend="ref")
+    got, _ = run_split(cfg, spec, k, backend="ref")
     assert got.to_dict() == want.to_dict()
 
 

@@ -39,8 +39,9 @@ class TestMaps:
     def test_occupancy_heatmap_max_bucket_reachable(self):
         # Normalization must use the true port count: a completely full
         # router (buffer_depth * vcs * NUM_PORTS flits) lands in the
-        # hottest bucket, not beyond it and not below it.
-        net = Network(small_config(Design.NO_PG))
+        # hottest bucket, not beyond it and not below it.  (Fills the
+        # reference router's buffers by hand.)
+        net = Network(small_config(Design.NO_PG), backend="ref")
         cfg = net.cfg.noc
         pkt = Packet(0, 1, 1, created_cycle=0)
         flit = pkt.make_flits()[0]
