@@ -393,6 +393,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # tell the user how to pick the sweep back up and exit 130 like
         # an uncaught SIGINT would.
         return _resume_hint(exc, argv)
+    finally:
+        # The worker pool outlives each sweep; it must not outlive the
+        # command (interrupted or not).
+        parallel.get_runner().close()
     if activity.profiling_enabled():
         print(activity.global_profile().summary())
     _trace_summary(trace_spec)

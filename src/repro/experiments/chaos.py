@@ -87,8 +87,8 @@ def scenario_worker_kill(workdir: Path, baseline: str) -> Optional[str]:
             killed["pid"] = record["pid"]
             os.kill(record["pid"], signal.SIGKILL)
 
-    supervisor = PoolSupervisor(2, None, on_event=on_event)
-    tagged = supervisor.run(chaos_points())
+    with PoolSupervisor(2, None, on_event=on_event) as supervisor:
+        tagged = supervisor.run(chaos_points())
     if not killed:
         return "worker-kill: chaos hook never fired"
     if supervisor.workers_lost < 1:
@@ -119,7 +119,7 @@ def _child_cmd(workdir: Path, resume: bool) -> List[str]:
 def run_child(workdir: Path, *, resume: bool) -> None:
     """Execute the sweep (child mode): journal + checkpoints on."""
     from ..checkpoint import CheckpointSpec
-    runner = SweepRunner(
+    with SweepRunner(
         jobs=2,
         use_cache=True,
         cache=ResultCache(workdir / "cache"),
@@ -127,8 +127,8 @@ def run_child(workdir: Path, *, resume: bool) -> None:
         resume=resume,
         checkpoint=CheckpointSpec(directory=str(workdir / "ckpt"),
                                   interval=500),
-    )
-    outcomes = runner.run(chaos_points())
+    ) as runner:
+        outcomes = runner.run(chaos_points())
     (workdir / "results.json").write_text(canonical_results(outcomes))
 
 

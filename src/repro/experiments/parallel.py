@@ -15,9 +15,10 @@ shared machinery:
   ``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``) keyed by a
   SHA-256 of (config, traffic spec, prepare hook, network kind, code
   version), storing JSON-serialized ``(RunResult, EnergyReport)`` pairs;
-* :class:`SweepRunner` - fans a batch of design points across worker
-  processes (``multiprocessing`` with the spawn start method), checking
-  the cache first and writing misses back.
+* :class:`SweepRunner` - fans a batch of design points across a pool
+  of spawned worker processes that lives as long as the runner
+  (:mod:`repro.experiments.supervisor`), checking the cache first and
+  writing misses back.
 
 Determinism: a design point fully determines its result.  Each worker
 builds its own ``Network`` and traffic generator from the point's seed,
@@ -59,7 +60,7 @@ from ..power.model import EnergyReport, PowerModel
 from ..stats.collector import RunResult
 from ..trace.recorder import TraceSpec, export_trace
 from ..traffic.base import NullTraffic, TrafficGenerator
-from ..traffic.parsec import make_traffic
+from ..traffic.parsec import PROFILES, make_traffic
 from ..traffic.synthetic import (bit_complement, hotspot, tornado,
                                  transpose, uniform_random)
 
@@ -232,6 +233,15 @@ class DesignPoint:
             return "ref"
         return select_kernel(self.backend, fault_plan=faults,
                              metrics=metrics, trace=trace)
+
+    @property
+    def work_estimate(self) -> float:
+        """Relative host cost: flits offered over the timed window.
+        Only the pool's dispatch order (longest first) reads it."""
+        profile = PROFILES.get(self.traffic.benchmark)  # PARSEC only
+        rate = self.traffic.rate if profile is None else profile.rate
+        return self.cfg.noc.num_nodes * rate * (
+            self.cfg.warmup_cycles + self.cfg.measure_cycles)
 
     def resolved_backend(self) -> str:
         """The kernel this point will actually run on (``ref``/``soa``):
@@ -715,6 +725,11 @@ class SweepStats:
     sim_cycles: int = 0
     #: Executed points per kernel that ran them (``RunResult.kernel``).
     kernels: Counter = field(default_factory=Counter)
+    #: Pool health: worker processes started, workers lost (killed,
+    #: crashed, frozen) and points handed out again after such a loss.
+    workers_spawned: int = 0
+    workers_lost: int = 0
+    requeued: int = 0
 
     def snapshot(self) -> Tuple[int, int]:
         return (self.hits, self.misses)
@@ -734,6 +749,12 @@ class SweepRunner:
     beyond what the cache already requires; ``jobs=N`` fans cache
     misses across ``N`` spawned worker processes.  Results always come
     back in submission order.
+
+    The worker pool belongs to the runner, not to one :meth:`run`: it is
+    spawned by the first round that has two or more points to execute
+    (a fully cached sweep never spawns one), serves every later
+    :meth:`run`, and is released by :meth:`close` - or ``with
+    SweepRunner(...) as runner:``, or when the runner is dropped.
 
     Resilience knobs:
 
@@ -811,10 +832,23 @@ class SweepRunner:
         self.stats = SweepStats()
         #: ``FailedRun`` records accumulated in partial mode.
         self.failures: List[FailedRun] = []
-        #: The supervisor of the most recent pooled round (tests and the
-        #: chaos harness inspect its lease/requeue event log).
-        self.last_supervisor = None
+        #: The worker pool, once a round needed one (tests and the chaos
+        #: harness inspect its lease/requeue event log).
+        self.supervisor = None
         self._journal = None
+
+    def close(self) -> None:
+        """Release the worker pool.  Idempotent; the runner stays usable
+        (a later pooled round spawns a fresh pool)."""
+        if self.supervisor is not None:
+            self.supervisor.close()
+            self.supervisor = None
+
+    def __enter__(self) -> "SweepRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run(self,
             points: Sequence[DesignPoint]) -> List[Optional[SweepOutcome]]:
@@ -881,10 +915,11 @@ class SweepRunner:
                 outcomes[i] = tag[1]
                 if self.use_cache and keys[i] is not None:
                     self.cache.put(keys[i], tag[1])
-                self._journal_append({
-                    "ev": "done", "key": keys[i],
-                    "result": tag[1][0].to_dict(),
-                    "energy": tag[1][1].to_dict()})
+                if self._journal is not None:  # to_dict() is not free
+                    self._journal.append({
+                        "ev": "done", "key": keys[i],
+                        "result": tag[1][0].to_dict(),
+                        "energy": tag[1][1].to_dict()})
 
         try:
             # Execute misses in rounds: round 0 is the first attempt,
@@ -1006,8 +1041,7 @@ class SweepRunner:
                  ) -> List[GuardedOutcome]:
         if not points:
             return []
-        workers = min(self.jobs, len(points))
-        if workers <= 1:
+        if min(self.jobs, len(points)) <= 1:
             tags = []
             for point, key, i in zip(points, keys, indices):
                 self._journal_append({"ev": "leased", "key": key,
@@ -1016,37 +1050,45 @@ class SweepRunner:
                 on_complete(i, tag)
                 tags.append(tag)
             return tags
-        return self._execute_pool(points, keys, indices, workers,
-                                  on_complete)
+        return self._execute_pool(points, keys, indices, on_complete)
 
     def _execute_pool(self, points: List[DesignPoint],
                       keys: List[Optional[str]], indices: List[int],
-                      workers: int,
                       on_complete: Callable[[int, GuardedOutcome], None]
                       ) -> List[GuardedOutcome]:
-        # Spawn (not fork): workers re-import repro from scratch, so the
+        # Spawn (not fork): workers import repro from scratch, so the
         # parent's in-process caches and module state cannot leak in and
         # results match a fresh serial run bit for bit.  The supervisor
-        # (lease + heartbeat per point) confines any worker death to the
-        # point it was running; see repro.experiments.supervisor.
+        # (one lease per point, heartbeats) confines any worker death to
+        # the point it was running; see repro.experiments.supervisor.
         from .supervisor import PoolSupervisor
 
         def on_event(record: Dict[str, Any]) -> None:
-            if record["ev"] == "leased":
+            ev = record["ev"]
+            if ev == "leased":
                 self._journal_append({"ev": "leased",
                                       "key": keys[record["index"]],
                                       "pid": record["pid"],
                                       "worker": record["worker"]})
-            elif record["ev"] == "requeued":
+            elif ev == "requeued":
+                self.stats.requeued += 1
                 self._journal_append({"ev": "requeued",
                                       "key": keys[record["index"]],
                                       "reason": record["reason"]})
+            elif ev == "spawned":
+                self.stats.workers_spawned += 1
+            elif ev == "worker-lost":
+                self.stats.workers_lost += 1
 
-        supervisor = PoolSupervisor(
-            workers, self.timeout, on_event=on_event,
+        if self.supervisor is not None \
+                and self.supervisor.workers != self.jobs:
+            self.close()  # configure(jobs=...) since the last round
+        if self.supervisor is None:
+            self.supervisor = PoolSupervisor(self.jobs)
+        self.supervisor.timeout = self.timeout
+        return self.supervisor.run(
+            points, on_event=on_event,
             on_done=lambda local, tag: on_complete(indices[local], tag))
-        self.last_supervisor = supervisor
-        return supervisor.run(points)
 
 
 # ---------------------------------------------------------------------------

@@ -75,30 +75,33 @@ def run_all(scale: str = "bench", seed: int = 1, *,
                                 timeout=timeout, retries=retries,
                                 partial=partial)
     total_start = time.perf_counter()
-    for name, (module, description) in EXPERIMENTS.items():
-        start = time.perf_counter()
-        hits0, misses0 = runner.stats.snapshot()
-        cyc0, secs0 = runner.stats.sim_cycles, runner.stats.sim_seconds
-        echo(f"\n### {name}: {description}")
-        try:
-            echo(run_experiment(name, scale, seed))
-        except Exception as exc:
-            # Partial mode soldiers on: a sweep that lost design points
-            # may crash its experiment's aggregation; report and move to
-            # the next experiment instead of losing the whole run-all.
-            if not runner.partial:
-                raise
+    with runner:  # one worker pool for all experiments, released here
+        for name, (module, description) in EXPERIMENTS.items():
+            start = time.perf_counter()
+            hits0, misses0 = runner.stats.snapshot()
+            cyc0, secs0 = runner.stats.sim_cycles, runner.stats.sim_seconds
+            echo(f"\n### {name}: {description}")
+            try:
+                echo(run_experiment(name, scale, seed))
+            except Exception as exc:
+                # Partial mode soldiers on: a sweep that lost design
+                # points may crash its experiment's aggregation; report
+                # and move to the next experiment instead of losing the
+                # whole run-all.
+                if not runner.partial:
+                    raise
+                elapsed = time.perf_counter() - start
+                echo(f"[{name} took {elapsed:.1f}s and failed: "
+                     f"{type(exc).__name__}: {exc}]")
+                continue
+            hits, misses = runner.stats.snapshot()
             elapsed = time.perf_counter() - start
-            echo(f"[{name} took {elapsed:.1f}s and failed: "
-                 f"{type(exc).__name__}: {exc}]")
-            continue
-        hits, misses = runner.stats.snapshot()
-        elapsed = time.perf_counter() - start
-        secs = runner.stats.sim_seconds - secs0
-        sim = "" if secs <= 0 else (
-            f"; {(runner.stats.sim_cycles - cyc0) / secs:,.0f} sim cyc/s")
-        echo(f"[{name} took {elapsed:.1f}s; cache: {hits - hits0} hits, "
-             f"{misses - misses0} misses{sim}]")
+            secs = runner.stats.sim_seconds - secs0
+            sim = "" if secs <= 0 else (
+                f"; {(runner.stats.sim_cycles - cyc0) / secs:,.0f} "
+                f"sim cyc/s")
+            echo(f"[{name} took {elapsed:.1f}s; cache: {hits - hits0} hits, "
+                 f"{misses - misses0} misses{sim}]")
     hits, misses = runner.stats.snapshot()
     quarantined = runner.cache.quarantined
     # Aggregate simulation rate over everything actually executed (a
@@ -111,6 +114,11 @@ def run_all(scale: str = "bench", seed: int = 1, *,
         # Which kernel ran the executed points, most-used first.
         sim += "; kernels: " + ", ".join(
             f"{k} {n}" for k, n in runner.stats.kernels.most_common())
+    if runner.stats.workers_spawned:
+        # What the pool went through (a cached rerun never spawns one).
+        sim += (f"; pool: {runner.stats.workers_spawned} workers spawned, "
+                f"{runner.stats.workers_lost} lost, "
+                f"{runner.stats.requeued} requeued")
     echo(f"\n[run-all took {time.perf_counter() - total_start:.1f}s with "
          f"jobs={runner.jobs}; cache: {hits} hits, {misses} misses"
          f"{f', {quarantined} quarantined' if quarantined else ''}"

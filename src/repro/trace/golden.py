@@ -78,8 +78,8 @@ def compute_digests(jobs: int = 1) -> Dict[str, Dict[str, object]]:
     """Run all scenarios and return ``name -> digest``."""
     with tempfile.TemporaryDirectory(prefix="repro-goldens-") as tmp:
         named = build_points(Path(tmp))
-        runner = SweepRunner(jobs=jobs, use_cache=False)
-        runner.run([point for _, point in named])
+        with SweepRunner(jobs=jobs, use_cache=False) as runner:
+            runner.run([point for _, point in named])
         digests = {}
         for name, _ in named:
             path = Path(tmp) / f"{name}.digest.json"

@@ -465,3 +465,109 @@ class TestResilientRunner:
             assert runner.partial is True
         finally:
             runner.timeout, runner.retries, runner.partial = old
+
+
+# ---------------------------------------------------------------------------
+# one worker pool per runner, not per sweep
+# ---------------------------------------------------------------------------
+class TestPoolLifetime:
+    def leased_pids(self, runner):
+        return {e["pid"] for e in runner.supervisor.events
+                if e["ev"] == "leased"}
+
+    def test_cached_sweep_spawns_no_pool(self, tmp_path):
+        points = smoke_points()
+        with SweepRunner(jobs=2, cache=ResultCache(tmp_path)) as runner:
+            first = runner.run(points)
+            assert runner.stats.workers_spawned == 2
+        with SweepRunner(jobs=2, cache=ResultCache(tmp_path)) as rerun:
+            assert rerun.run(points) == first
+            assert rerun.supervisor is None
+            assert rerun.stats.workers_spawned == 0
+
+    def test_timeout_change_between_sweeps_is_honoured(self, monkeypatch):
+        """The timeout travels with each task; it is not baked into the
+        workers a first sweep spawned."""
+        runner = SweepRunner(jobs=2, use_cache=False, partial=True)
+        monkeypatch.setattr(parallel, "_default_runner", runner)
+        with runner:
+            assert all(parallel.submit(smoke_points()))
+            pids = self.leased_pids(runner)
+            parallel.configure(timeout=1.0)
+            good = smoke_points(designs=(Design.NO_PG,))[0]
+            outcomes = parallel.submit([slow_point(), good])
+            assert outcomes[0] is None and outcomes[1] is not None
+            assert runner.failures[0].kind == "timeout"
+            # The same two workers served both sweeps.
+            assert self.leased_pids(runner) <= pids
+            assert runner.stats.workers_spawned == 2
+
+    def test_pool_is_recycled_when_repro_env_changes(self, monkeypatch):
+        """Workers read ``REPRO_BACKEND`` & co. from the environment they
+        were spawned under, the parent keys the cache under the current
+        one: a pool must not outlive a change."""
+        points = smoke_points()
+        with SweepRunner(jobs=2, use_cache=False) as runner:
+            assert {r.kernel for r, _ in runner.run(points)} == {"soa"}
+            monkeypatch.setenv("REPRO_BACKEND", "ref")
+            assert {r.kernel for r, _ in runner.run(points)} == {"ref"}
+            assert runner.stats.workers_spawned == 4
+            assert runner.stats.workers_lost == 0
+
+    def test_jobs_change_between_sweeps_resizes_the_pool(self):
+        with SweepRunner(jobs=2, use_cache=False) as runner:
+            runner.run(smoke_points())
+            runner.jobs = 1
+            runner.run(smoke_points())  # serial: needs no pool
+            runner.jobs = 3
+            runner.run(smoke_points(designs=Design.ALL))
+            assert runner.supervisor.workers == 3
+            assert runner.stats.workers_spawned == 2 + 3
+
+    def test_close_is_idempotent_and_runner_stays_usable(self):
+        import multiprocessing
+        runner = SweepRunner(jobs=2, use_cache=False)
+        want = runner.run(smoke_points())
+        assert len(multiprocessing.active_children()) == 2
+        runner.close()
+        runner.close()
+        assert multiprocessing.active_children() == []
+        assert runner.run(smoke_points()) == want
+        runner.close()
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_sweep_leaves_no_workers(self, tmp_path):
+        import multiprocessing
+        import os
+        import signal
+        import threading
+        from repro.errors import SweepInterrupted
+        from repro.experiments.journal import load_journal
+        journal = tmp_path / "j.jsonl"
+        runner = SweepRunner(jobs=2, use_cache=False, journal_path=journal)
+        timer = threading.Timer(
+            1.5, os.kill, (os.getpid(), signal.SIGTERM))
+        timer.start()
+        try:
+            with pytest.raises(SweepInterrupted):
+                runner.run([slow_point(), slow_point()])
+        finally:
+            timer.cancel()
+        assert load_journal(journal)[-1]["ev"] == "interrupted"
+        assert multiprocessing.active_children() == []
+
+    def test_run_all_footer_reports_the_pool(self, tmp_path, monkeypatch):
+        from repro.experiments import runner as runner_mod
+        monkeypatch.setattr(runner_mod, "EXPERIMENTS", {
+            "fig7": runner_mod.EXPERIMENTS["fig7"]})
+        for expect_pool in (True, False):  # cold, then fully cached
+            monkeypatch.setattr(parallel, "_default_runner", SweepRunner(
+                cache=ResultCache(tmp_path)))
+            lines = []
+            runner_mod.run_all("smoke", 1, jobs=2, echo=lines.append)
+            footer = lines[-1]
+            assert " took " in footer  # CI byte-diffs drop the line
+            assert ("; pool: 2 workers spawned, 0 lost, 0 requeued]"
+                    in footer) == expect_pool
+            assert ("pool:" in footer) == expect_pool
+            assert parallel.get_runner().supervisor is None  # released
