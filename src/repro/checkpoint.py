@@ -25,9 +25,10 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .noc.network import NetworkSnapshot, RunProgress
+if TYPE_CHECKING:  # pragma: no cover - CheckpointSpec rides on cached points
+    from .noc.network import NetworkSnapshot, RunProgress
 
 #: Bump on any incompatible change to :class:`SimCheckpoint` or the
 #: on-disk framing; old files then read as absent rather than wrong.

@@ -22,15 +22,15 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import metrics as metrics_mod
-from . import trace as trace_mod
-from .noc import network as network_mod
 from .config import Design, NoCConfig, SimConfig
 from .experiments import parallel
-from .noc import activity
 from .experiments.common import SCALES
 from .experiments.runner import EXPERIMENTS, run_all, run_experiment
+from .metrics.spec import DEFAULT_INTERVAL, MetricsSpec
+from .noc import activity
+from .noc.backend import BACKENDS
 from .stats.report import format_table
+from .trace.spec import DEFAULT_LIMIT, TraceSpec
 from .traffic.parsec import BENCHMARKS
 
 
@@ -58,7 +58,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not update the on-disk result "
                              "cache (see REPRO_CACHE_DIR)")
-    parser.add_argument("--backend", choices=network_mod.BACKENDS,
+    parser.add_argument("--backend", choices=BACKENDS,
                         default=None,
                         help="pin the simulation kernel: the object-"
                              "graph reference ('ref') or the struct-of-"
@@ -87,10 +87,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                        help="directory for trace artifacts "
                             "(default: ./traces)")
     trace.add_argument("--trace-limit", type=_positive_int,
-                       default=trace_mod.DEFAULT_LIMIT, metavar="N",
+                       default=DEFAULT_LIMIT, metavar="N",
                        help="ring-buffer capacity in events; oldest "
                             "events are evicted beyond it (default: "
-                            f"{trace_mod.DEFAULT_LIMIT})")
+                            f"{DEFAULT_LIMIT})")
     trace.add_argument("--trace-chrome", action="store_true",
                        help="also export Chrome-trace JSON (loadable at "
                             "https://ui.perfetto.dev)")
@@ -100,9 +100,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                               "executed run and export JSONL/CSV/"
                               "Prometheus artifacts")
     metrics.add_argument("--metrics-interval", type=_positive_int,
-                         default=metrics_mod.DEFAULT_INTERVAL, metavar="N",
+                         default=DEFAULT_INTERVAL, metavar="N",
                          help="sampling window in cycles (default: "
-                              f"{metrics_mod.DEFAULT_INTERVAL})")
+                              f"{DEFAULT_INTERVAL})")
     metrics.add_argument("--metrics-dir", default="metrics", metavar="DIR",
                          help="directory for metrics artifacts "
                               "(default: ./metrics)")
@@ -176,9 +176,8 @@ def _trace_spec(args: argparse.Namespace):
     """The TraceSpec the ``--trace*`` flags describe (None when off)."""
     if not getattr(args, "trace", False):
         return None
-    return trace_mod.TraceSpec(directory=args.trace_dir,
-                               limit=args.trace_limit,
-                               chrome=args.trace_chrome)
+    return TraceSpec(directory=args.trace_dir, limit=args.trace_limit,
+                     chrome=args.trace_chrome)
 
 
 def _trace_summary(spec) -> None:
@@ -199,8 +198,8 @@ def _metrics_spec(args: argparse.Namespace):
     if not (getattr(args, "metrics", False)
             or getattr(args, "metrics_html", False)):
         return None
-    return metrics_mod.MetricsSpec(directory=args.metrics_dir,
-                                   interval=args.metrics_interval)
+    return MetricsSpec(directory=args.metrics_dir,
+                       interval=args.metrics_interval)
 
 
 def _metrics_finish(spec, html: bool) -> None:
@@ -212,7 +211,8 @@ def _metrics_finish(spec, html: bool) -> None:
     from pathlib import Path
     directory = Path(spec.directory)
     if activity.profiling_enabled():
-        metrics_mod.export_profile(activity.global_profile(), directory)
+        from .metrics.sampler import export_profile
+        export_profile(activity.global_profile(), directory)
     runs = sorted(directory.glob("*.metrics.jsonl"))
     print(f"[metrics] {len(runs)} run(s) sampled; artifacts in "
           f"{directory}/")

@@ -1,4 +1,4 @@
-"""Performance-centric router selection via Floyd-Warshall (Section 4.4).
+"""Performance-centric router selection (Section 4.4).
 
 The paper selects which routers to classify as *performance-centric* (low
 wakeup threshold) with "a short off-line program based on the Floyd-Warshall
@@ -17,10 +17,17 @@ Reachability model (matching Section 4.2's routing rules):
 Per-hop cost: traversing an ON router takes the full pipeline (4 stages +
 LT = 5 cycles); traversing an OFF router's bypass takes 2 stages + LT = 3
 cycles (Section 6.8).
+
+The reachability graph has at most four edges per node, so the analysis
+runs one breadth-first pass per source for hop counts and one Dijkstra
+per source for latencies.  Hop counts and path latencies are integers
+either way, which is why this agrees bit for bit with the dense
+:func:`floyd_warshall`, kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -52,14 +59,21 @@ def reachability_edges(mesh: Mesh, ring: BypassRing,
     return adj
 
 
-def floyd_warshall(adj: Sequence[Sequence[int]]) -> List[List[float]]:
-    """All-pairs shortest hop counts for a directed graph."""
+def floyd_warshall(adj: Sequence[Sequence[int]],
+                   cost: Optional[Sequence[float]] = None
+                   ) -> List[List[float]]:
+    """All-pairs shortest distances for a directed graph: hop counts, or
+    with ``cost`` the cheapest paths where hop u->v costs ``cost[v]``.
+
+    The dense O(n^3) reference for :func:`bfs_hops` and
+    :func:`cheapest_paths`; the analysis itself does not call it.
+    """
     n = len(adj)
     dist = [[INF] * n for _ in range(n)]
     for u in range(n):
         dist[u][u] = 0.0
         for v in adj[u]:
-            dist[u][v] = 1.0
+            dist[u][v] = 1.0 if cost is None else float(cost[v])
     for k in range(n):
         dk = dist[k]
         for i in range(n):
@@ -74,35 +88,97 @@ def floyd_warshall(adj: Sequence[Sequence[int]]) -> List[List[float]]:
     return dist
 
 
-def _weighted_distances(adj: Sequence[Sequence[int]],
-                        node_cost: Sequence[float]) -> List[List[float]]:
-    """All-pairs shortest *latencies*, where hop u->v costs node_cost[v]."""
-    n = len(adj)
-    dist = [[INF] * n for _ in range(n)]
-    for u in range(n):
-        dist[u][u] = 0.0
+def bfs_hops(adj: Sequence[Sequence[int]], src: int) -> List[int]:
+    """Shortest hop counts from ``src``; ``-1`` where unreachable."""
+    hops = [-1] * len(adj)
+    hops[src] = 0
+    frontier = [src]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                if hops[v] < 0:
+                    hops[v] = depth
+                    reached.append(v)
+        frontier = reached
+    return hops
+
+
+def cheapest_paths(adj: Sequence[Sequence[int]], cost: Sequence[int],
+                   src: int) -> List[int]:
+    """Cheapest path costs from ``src`` (Dijkstra), where hop u->v costs
+    the positive integer ``cost[v]``; ``-1`` where unreachable."""
+    settled = [-1] * len(adj)
+    heap = [(0, src)]
+    while heap:
+        total, u = heapq.heappop(heap)
+        if settled[u] >= 0:
+            continue
+        settled[u] = total
         for v in adj[u]:
-            dist[u][v] = node_cost[v]
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == INF:
-                continue
-            di = dist[i]
-            for j in range(n):
-                alt = dik + dk[j]
-                if alt < di[j]:
-                    di[j] = alt
-    return dist
+            if settled[v] < 0:
+                heapq.heappush(heap, (total + cost[v], v))
+    return settled
 
 
 class PlacementAnalysis:
-    """Offline analysis of powered-on router sets (reproduces Figure 6)."""
+    """Offline analysis of powered-on router sets (reproduces Figure 6).
+
+    The searches order router sets by (average distance, average per-hop
+    latency), so they need the distance of every set they look at but
+    the latency only of sets whose distances tie, or that they return.
+    Both values are memoised per set on the instance (the swap search
+    revisits sets); what is compared, and so what is chosen, is exactly
+    what evaluating :meth:`metrics` on every set would give.
+    """
 
     def __init__(self, mesh: Mesh, ring: BypassRing) -> None:
         self.mesh = mesh
         self.ring = ring
+        self._everyone = frozenset(range(mesh.num_nodes))
+        self._pairs = mesh.num_nodes * (mesh.num_nodes - 1)
+        self._distances: Dict[FrozenSet[int], float] = {}
+        self._latencies: Dict[FrozenSet[int], float] = {}
+
+    def _hops(self, adj: List[List[int]]) -> List[List[int]]:
+        """Hop counts between every ordered pair of nodes."""
+        hops = [bfs_hops(adj, src) for src in range(len(adj))]
+        if any(-1 in row for row in hops):
+            raise RuntimeError("bypass ring must keep the network connected")
+        return hops
+
+    def _distance(self, on: FrozenSet[int]) -> float:
+        """All-pairs average of shortest hop counts."""
+        dist = self._distances.get(on)
+        if dist is None:
+            hops = self._hops(reachability_edges(self.mesh, self.ring, on))
+            dist = self._distances[on] = sum(map(sum, hops)) / self._pairs
+        return dist
+
+    def _latency(self, on: FrozenSet[int]) -> float:
+        """All-pairs average of (cheapest path latency / shortest path
+        hops), summed in (source, destination) order."""
+        lat = self._latencies.get(on)
+        if lat is None:
+            adj = reachability_edges(self.mesh, self.ring, on)
+            cost = [ON_HOP_COST if v in on else OFF_HOP_COST
+                    for v in range(len(adj))]
+            total = 0.0
+            for a, hops in enumerate(self._hops(adj)):
+                cycles = cheapest_paths(adj, cost, a)
+                for b, h in enumerate(hops):
+                    if a != b:
+                        total += cycles[b] / h
+            lat = self._latencies[on] = total / self._pairs
+        return lat
+
+    def _better(self, trial: FrozenSet[int], best: FrozenSet[int]) -> bool:
+        """Whether ``metrics(trial) < metrics(best)``."""
+        d, best_d = self._distance(trial), self._distance(best)
+        return d < best_d or (
+            d == best_d and self._latency(trial) < self._latency(best))
 
     def metrics(self, on_set: Iterable[int]) -> Tuple[float, float]:
         """Return (avg node-to-node distance in hops, avg per-hop latency).
@@ -111,27 +187,8 @@ class PlacementAnalysis:
         reachability graph; per-hop latency is the all-pairs average of
         (path latency / path hops) using ON/OFF per-hop costs.
         """
-        on = set(on_set)
-        adj = reachability_edges(self.mesh, self.ring, on)
-        hops = floyd_warshall(adj)
-        cost = [float(ON_HOP_COST if v in on else OFF_HOP_COST)
-                for v in range(self.mesh.num_nodes)]
-        lat = _weighted_distances(adj, cost)
-        n = self.mesh.num_nodes
-        total_hops = 0.0
-        total_per_hop = 0.0
-        pairs = 0
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                if hops[a][b] == INF:
-                    raise RuntimeError(
-                        "bypass ring must keep the network connected")
-                total_hops += hops[a][b]
-                total_per_hop += lat[a][b] / hops[a][b]
-                pairs += 1
-        return total_hops / pairs, total_per_hop / pairs
+        on = frozenset(on_set)
+        return self._distance(on), self._latency(on)
 
     def greedy_selection(self, *, refine: bool = True
                          ) -> List[Tuple[FrozenSet[int], float, float]]:
@@ -145,51 +202,32 @@ class PlacementAnalysis:
         swap-based local search, which recovers the quality of the paper's
         exhaustive offline program at a fraction of the cost.
         """
-        chosen: Set[int] = set()
-        out: List[Tuple[FrozenSet[int], float, float]] = []
-        d, l = self.metrics(chosen)
-        out.append((frozenset(chosen), d, l))
-        remaining = set(range(self.mesh.num_nodes))
-        while remaining:
-            best: Optional[Tuple[float, float, int]] = None
-            for cand in sorted(remaining):
-                d, l = self.metrics(chosen | {cand})
-                key = (d, l, cand)
-                if best is None or key < best:
-                    best = key
-                    best_cand = cand
-                    best_metrics = (d, l)
-            chosen.add(best_cand)
-            remaining.discard(best_cand)
+        chosen: FrozenSet[int] = frozenset()
+        out = [(chosen, *self.metrics(chosen))]
+        while chosen != self._everyone:
+            trials = [chosen | {cand}
+                      for cand in sorted(self._everyone - chosen)]
+            nearest = min(map(self._distance, trials))
+            # min() keeps the first of equals: the lowest node id.
+            chosen = min((t for t in trials if self._distance(t) == nearest),
+                         key=self._latency)
             if refine:
-                chosen, best_metrics = self._refine(chosen, best_metrics)
-                remaining = set(range(self.mesh.num_nodes)) - chosen
-            out.append((frozenset(chosen), *best_metrics))
+                chosen = self._refine(chosen)
+            out.append((chosen, *self.metrics(chosen)))
         return out
 
-    def _refine(self, chosen: Set[int],
-                metrics: Tuple[float, float]
-                ) -> Tuple[Set[int], Tuple[float, float]]:
+    def _refine(self, chosen: FrozenSet[int]) -> FrozenSet[int]:
         """Swap-based local search: replace one chosen router by one
         unchosen router while it improves (distance, latency)."""
-        chosen = set(chosen)
-        best = metrics
-        improved = True
-        while improved:
-            improved = False
-            others = sorted(set(range(self.mesh.num_nodes)) - chosen)
-            for out_node in sorted(chosen):
-                for in_node in others:
-                    trial = (chosen - {out_node}) | {in_node}
-                    m = self.metrics(trial)
-                    if m < best:
-                        chosen = trial
-                        best = m
-                        improved = True
-                        break
-                if improved:
-                    break
-        return chosen, best
+        while True:
+            others = sorted(self._everyone - chosen)
+            swaps = ((chosen - {out_node}) | {in_node}
+                     for out_node in sorted(chosen) for in_node in others)
+            improved = next((trial for trial in swaps
+                             if self._better(trial, chosen)), None)
+            if improved is None:
+                return chosen
+            chosen = improved
 
     def knee_set(self, size: int = 6) -> FrozenSet[int]:
         """The greedy set of ``size`` performance-centric routers."""
@@ -200,13 +238,12 @@ class PlacementAnalysis:
 
         Exponential; intended for small meshes / small sizes in tests.
         """
-        best = None
+        best: Optional[FrozenSet[int]] = None
         for combo in itertools.combinations(range(self.mesh.num_nodes), size):
-            d, l = self.metrics(combo)
-            key = (d, l, combo)
-            if best is None or key < best:
-                best = key
-        return frozenset(best[2]), best[0], best[1]
+            trial = frozenset(combo)
+            if best is None or self._better(trial, best):
+                best = trial
+        return (best, *self.metrics(best))
 
 
 def central_routers(mesh: Mesh, size: int) -> FrozenSet[int]:

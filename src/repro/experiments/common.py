@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
 
 from ..config import Design, NoCConfig, SimConfig
-from ..noc.network import Network
 from ..power.model import EnergyReport, PowerModel
 from ..stats.collector import RunResult
 from ..traffic.base import TrafficGenerator
 from ..traffic.parsec import BENCHMARKS
-from ..traffic.synthetic import bit_complement, uniform_random
 from . import parallel
+
+if TYPE_CHECKING:  # pragma: no cover - the simulator loads when a point runs
+    from ..noc.network import Network
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ def run_design(design: str, traffic_factory: Callable[[Network],
                prepare: Optional[Callable[[Network], None]] = None,
                ) -> Tuple[RunResult, EnergyReport]:
     """Run one design point and evaluate its energy."""
+    from ..noc.network import Network
     cfg = build_config(design, scale, width=width, height=height, seed=seed)
     if configure is not None:
         cfg = configure(cfg)
@@ -145,11 +147,13 @@ def clear_parsec_cache() -> None:
 
 def uniform_factory(rate: float, seed: int = 1):
     """Traffic factory for uniform-random synthetic load."""
+    from ..traffic.synthetic import uniform_random
     return lambda net: uniform_random(net.mesh, rate, seed=seed)
 
 
 def bit_complement_factory(rate: float, seed: int = 1):
     """Traffic factory for bit-complement synthetic load."""
+    from ..traffic.synthetic import bit_complement
     return lambda net: bit_complement(net.mesh, rate, seed=seed)
 
 

@@ -12,7 +12,7 @@ uses to pick its six performance-centric routers {4, 5, 6, 7, 13, 14}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..core.placement import (PAPER_PERF_CENTRIC_4X4, PlacementAnalysis)
 from ..core.ring import build_ring
@@ -24,7 +24,8 @@ from ..stats.report import format_table
 class Fig6Result:
     #: per k: (router set, avg node-to-node hops, avg per-hop latency)
     curve: List[Tuple[FrozenSet[int], float, float]]
-    paper_set_metrics: Tuple[float, float]
+    #: metrics of the paper's own six routers; None off the 4x4 mesh
+    paper_set_metrics: Optional[Tuple[float, float]]
     knee_set: FrozenSet[int]
 
     @property
@@ -39,7 +40,7 @@ def run(scale: str = "bench", seed: int = 1, *, width: int = 4,
     analysis = PlacementAnalysis(mesh, ring)
     curve = analysis.greedy_selection()
     paper_metrics = analysis.metrics(PAPER_PERF_CENTRIC_4X4) \
-        if (width, height) == (4, 4) else (float("nan"), float("nan"))
+        if (width, height) == (4, 4) else None
     return Fig6Result(curve=curve, paper_set_metrics=paper_metrics,
                       knee_set=curve[6][0] if len(curve) > 6 else curve[-1][0])
 
@@ -52,10 +53,12 @@ def report(res: Fig6Result) -> str:
     table = format_table(
         ("#on", "avg distance (hops)", "per-hop latency (cyc)", "router set"),
         rows, title="Figure 6: impact of powering-on routers")
-    extra = (f"\npaper's perf-centric set {sorted(PAPER_PERF_CENTRIC_4X4)}: "
-             f"distance={res.paper_set_metrics[0]:.2f} hops, "
-             f"per-hop={res.paper_set_metrics[1]:.2f} cycles")
-    return table + extra
+    if res.paper_set_metrics is None:
+        return table
+    return (f"{table}\n"
+            f"paper's perf-centric set {sorted(PAPER_PERF_CENTRIC_4X4)}: "
+            f"distance={res.paper_set_metrics[0]:.2f} hops, "
+            f"per-hop={res.paper_set_metrics[1]:.2f} cycles")
 
 
 def main() -> None:

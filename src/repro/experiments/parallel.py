@@ -43,7 +43,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from ..checkpoint import (CheckpointSpec, SimCheckpoint, CHECKPOINT_FORMAT,
                           checkpoint_path, discard_checkpoint,
@@ -52,17 +53,19 @@ from ..config import SimConfig, stable_hash
 from ..errors import (DeadlockError, LivelockError, RunTimeout,
                       SimulationHang, SweepInterrupted)
 from ..faults import FaultPlan
-from ..metrics.sampler import MetricsSpec, export_metrics
+from ..metrics.spec import MetricsSpec
 from .journal import SweepJournal, completed_outcomes, load_journal
-from ..noc.network import (Network, RunProgress, resolve_backend,
-                           select_kernel)
+from ..noc.backend import resolve_backend, select_kernel
 from ..power.model import EnergyReport, PowerModel
 from ..stats.collector import RunResult
-from ..trace.recorder import TraceSpec, export_trace
+from ..trace.spec import TraceSpec
 from ..traffic.base import NullTraffic, TrafficGenerator
 from ..traffic.parsec import PROFILES, make_traffic
-from ..traffic.synthetic import (bit_complement, hotspot, tornado,
-                                 transpose, uniform_random)
+
+if TYPE_CHECKING:  # pragma: no cover
+    # Describing, keying and looking up a point must not load the
+    # simulator (DESIGN.md section 2): what runs one imports it there.
+    from ..noc.network import Network
 
 #: Bump when the cache file layout changes; invalidates old entries.
 #: 2: design points gained a ``faults`` field (fault-injection plans).
@@ -104,6 +107,8 @@ class TrafficSpec:
     fraction: float = 0.2
 
     def build(self, mesh) -> TrafficGenerator:
+        from ..traffic.synthetic import (bit_complement, hotspot, tornado,
+                                         transpose, uniform_random)
         if self.kind == "uniform":
             return uniform_random(mesh, self.rate, seed=self.seed)
         if self.kind == "bitcomp":
@@ -324,6 +329,7 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
             trace = point.trace.build()
         if point.metrics is not None:
             metrics = point.metrics.build()
+        from ..noc.network import Network
         net = Network(cfg, fault_plan=point.faults, trace=trace,
                       metrics=metrics, backend=point.backend)
     if point.checkpoint is not None and point.network != BUFFERLESS_NETWORK:
@@ -341,8 +347,10 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
             result.simulated_cycles_per_sec = net.now / elapsed
     report = PowerModel(cfg).evaluate(result)
     if trace is not None:
+        from ..trace.recorder import export_trace
         export_trace(trace, point.trace, trace_basename(point))
     if metrics is not None:
+        from ..metrics.sampler import export_metrics
         export_metrics(metrics, point.metrics, metrics_basename(point),
                        net, traffic=point.traffic.to_key())
     return result, report
@@ -358,6 +366,7 @@ def _run_checkpointed(point: DesignPoint, net: Network):
     of the same point (same cache key and code fingerprint) resumes from
     it instead of restarting at cycle 0.
     """
+    from ..noc.network import Network, RunProgress
     spec = point.checkpoint
     key = point.cache_key()
     path = checkpoint_path(spec, point_basename(point))
@@ -629,14 +638,10 @@ class ResultCache:
     def get(self, key: str) -> Optional[SweepOutcome]:
         path = self.path_for(key)
         try:
-            text = path.read_text()
+            data = json.loads(path.read_text())
         except FileNotFoundError:
             return None
-        except OSError:
-            return self._quarantine(path)
-        try:
-            data = json.loads(text)
-        except ValueError:
+        except (OSError, ValueError):  # unreadable, undecodable, not JSON
             return self._quarantine(path)
         if not isinstance(data, dict):
             return self._quarantine(path)

@@ -97,8 +97,14 @@ def _worker_main(conn) -> None:
 
     threading.Thread(target=beat, daemon=True).start()
     # Imported here (not at module top) so the heavy simulator import
-    # happens once per worker, after the heartbeat is up.
+    # happens once per worker, after the heartbeat is up.  Nothing the
+    # parent-side harness imports loads the simulator (a cache hit must
+    # not), so every module a point can execute in is named: a lease
+    # pays for simulating, never for compiling a kernel.
     from .parallel import _guarded_execute
+    from ..metrics import sampler  # noqa: F401
+    from ..noc import bufferless, network, soa  # noqa: F401
+    from ..traffic import synthetic  # noqa: F401
     # What the imports left behind lives as long as the process; taking
     # it out of the collector's sight makes _between_points() cheap.
     gc.collect()

@@ -24,14 +24,12 @@ one without (asserted by ``tests/test_metrics_identity.py`` and the
 ``metrics-off-drift`` CI job).
 """
 
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .sampler import (DEFAULT_INTERVAL, MetricsRun, MetricsSpec,
-                      TimelineSampler, export_metrics, export_profile,
-                      idle_bucket_bounds, registry_from_profile)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "DEFAULT_INTERVAL", "MetricsRun", "MetricsSpec", "TimelineSampler",
-    "export_metrics", "export_profile", "idle_bucket_bounds",
-    "registry_from_profile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "spec": ("DEFAULT_INTERVAL", "MetricsSpec"),
+    "sampler": ("MetricsRun", "TimelineSampler", "export_metrics",
+                "export_profile", "idle_bucket_bounds",
+                "registry_from_profile"),
+})

@@ -28,15 +28,12 @@ Artifacts are written by :func:`export_metrics`:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..powergate.controller import PowerState
 from .registry import MetricsRegistry
-
-#: Default sampling window, in cycles.
-DEFAULT_INTERVAL = 100
+from .spec import DEFAULT_INTERVAL, MetricsSpec
 
 #: Bucket upper bounds (cycles) for the packet-latency histogram.
 LATENCY_BOUNDS = (5, 10, 20, 50, 100, 200, 500, 1000)
@@ -279,28 +276,6 @@ class MetricsRun:
         g("router_waking_duty").set(round(
             sum(c.cycles_waking for c in net.controllers) / total, 6))
         g("simulated_cycles").set(net.now)
-
-
-@dataclass(frozen=True)
-class MetricsSpec:
-    """Picklable description of a metrics request (crosses worker
-    processes with its :class:`repro.experiments.parallel.DesignPoint`).
-
-    Deliberately *not* part of the design point's cache key: metrics
-    are a pure observer, so the same point with and without them
-    produces the same ``RunResult`` (same policy as ``TraceSpec``).
-    """
-
-    #: Directory metrics artifacts are written into.
-    directory: str
-    #: Sampling window in cycles.
-    interval: int = DEFAULT_INTERVAL
-    #: Artifact basename; when ``None`` the executor derives one from
-    #: the design point (design, traffic, content hash).
-    basename: Optional[str] = None
-
-    def build(self) -> MetricsRun:
-        return MetricsRun(interval=self.interval)
 
 
 def export_metrics(run: MetricsRun, spec: MetricsSpec, basename: str,

@@ -1,10 +1,10 @@
 """Cycle-level NoC substrate: flits, buffers, links, routers, NIs, network."""
 
-from .flit import Flit, FlitType, Packet
-from .topology import EAST, LOCAL, NORTH, NUM_PORTS, OPPOSITE, SOUTH, WEST, Mesh
-from .network import Network
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Flit", "FlitType", "Packet", "Mesh", "Network",
-    "EAST", "WEST", "NORTH", "SOUTH", "LOCAL", "NUM_PORTS", "OPPOSITE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "flit": ("Flit", "FlitType", "Packet"),
+    "topology": ("EAST", "LOCAL", "NORTH", "NUM_PORTS", "OPPOSITE", "SOUTH",
+                 "WEST", "Mesh"),
+    "network": ("Network",),
+})

@@ -1,0 +1,108 @@
+"""Which cycle kernel a run executes on.
+
+The rule lives apart from the kernels (:mod:`repro.noc.network`,
+:mod:`repro.noc.soa`) because a design point's cache key folds the
+selected kernel in: a fully cached command must be able to ask "which
+kernel would this run on" without importing either.
+:mod:`repro.noc.network` re-exports every name here.
+"""
+
+from __future__ import annotations
+
+import os
+import warnings
+from typing import Optional, Set
+
+#: The two cycle kernels: the object-graph reference (the readable
+#: specification, the differential oracle, and the one kernel with the
+#: trace / metrics / fault / dense-scan hook surface) and the
+#: struct-of-arrays kernel (:mod:`repro.noc.soa`), proven
+#: RunResult-identical by tests/test_kernel_identity.py and the
+#: kernel-drift CI job.
+BACKENDS = ("ref", "soa")
+
+
+def resolve_backend(explicit: Optional[str] = None) -> Optional[str]:
+    """The *pinned* kernel, canonically named: explicit argument >
+    ``REPRO_BACKEND`` > ``None`` (nothing pinned - :func:`select_kernel`
+    picks from what the run carries).  Raises ``ValueError`` on unknown
+    names."""
+    name = explicit
+    if name is None:
+        name = os.environ.get("REPRO_BACKEND", "").strip()
+        if not name:
+            return None
+    name = str(name).strip().lower()
+    if name == "reference":
+        name = "ref"
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown simulation backend {name!r}; known: "
+            + ", ".join(BACKENDS))
+    return name
+
+
+def _env_flag(name: str) -> bool:
+    """Whether the ``REPRO_*`` switch ``name`` is set to a true value."""
+    return os.environ.get(name, "").strip().lower() in (
+        "1", "true", "yes", "on")
+
+
+def select_kernel(pinned: Optional[str] = None, *, fault_plan=None,
+                  metrics=None, trace=None,
+                  skip_inactive: Optional[bool] = None) -> str:
+    """The kernel a run executes on - the one place the rule lives
+    (``Network.__new__`` and ``DesignPoint.cache_key`` both call it).
+
+    ``pinned`` (``backend=`` / ``--backend`` / ``REPRO_BACKEND``) is
+    honoured when given.  Unpinned runs get ``soa`` unless they carry
+    something only ``ref`` can serve - a fault plan (incl.
+    ``REPRO_EMPTY_FAULTPLAN``), a metrics recorder, a trace, or dense
+    scans (``skip_inactive=False`` / ``REPRO_NO_SKIP``) - in which case
+    they run ``ref`` silently: nothing was requested, so nothing was
+    ignored.  A *pinned* ``soa`` carrying one of those also runs
+    ``ref`` (result-identical by the kernel-identity contract), with a
+    one-time ``RuntimeWarning`` naming the feature.
+    """
+    backend = resolve_backend(pinned)
+    if backend == "ref":
+        return "ref"
+    if fault_plan is not None:
+        feature = "fault injection"
+    elif metrics is not None:
+        feature = "metrics sampling"
+    elif trace is not None:
+        feature = "event tracing"
+    elif skip_inactive is False:
+        feature = "dense scans (skip_inactive=False)"
+    elif skip_inactive is None and _env_flag("REPRO_NO_SKIP"):
+        feature = "dense scans (REPRO_NO_SKIP)"
+    elif _env_flag("REPRO_EMPTY_FAULTPLAN"):
+        feature = ("the empty-FaultPlan drift harness "
+                   "(REPRO_EMPTY_FAULTPLAN)")
+    else:
+        return "soa"
+    if backend == "soa":
+        _warn_fallback(feature)
+    return "ref"
+
+
+#: Fallback messages already emitted this process; the warning is
+#: one-time per feature so sweeps with thousands of points do not flood
+#: stderr.  Tests clear this set to re-arm the warning.
+_FALLBACK_WARNED: Set[str] = set()
+
+
+def _warn_fallback(feature: str) -> None:
+    """One-time warning naming the feature that moved a run pinned to
+    ``soa`` onto the reference kernel.
+
+    The fallback is result-identical by the kernel-identity contract,
+    but silently ignoring an explicit kernel request makes perf numbers
+    confusing - so say it, once, with the reason."""
+    msg = (f"the 'soa' kernel does not support {feature}; "
+           f"falling back to the 'ref' kernel (result-identical)")
+    if msg in _FALLBACK_WARNED:
+        return
+    _FALLBACK_WARNED.add(msg)
+    warnings.warn(msg, RuntimeWarning, stacklevel=4)

@@ -44,9 +44,7 @@ or the ``REPRO_NO_SKIP=1`` environment variable force the dense scans
 
 from __future__ import annotations
 
-import os
 import pickle
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
@@ -67,6 +65,10 @@ from ..trace.events import EventKind
 from ..trace.recorder import EventTrace
 from . import activity
 from .activity import ActiveSet
+# Kernel selection lives in .backend (importable without this module);
+# every name stays importable from here.
+from .backend import (BACKENDS, _FALLBACK_WARNED, _env_flag,  # noqa: F401
+                      resolve_backend, select_kernel)
 from .flit import Flit, Packet, packet_id_state, set_packet_id_state
 from .link import DelayLine, Link
 from .ni import NetworkInterface
@@ -86,101 +88,6 @@ DEADLOCK_LIMIT = 5_000
 #: signature of a misroute-cap bug: movement looks healthy but packets
 #: circle on adaptive resources without converging on their destinations.
 LIVELOCK_LIMIT = 20_000
-
-
-#: The two cycle kernels: the object-graph reference (the readable
-#: specification, the differential oracle, and the one kernel with the
-#: trace / metrics / fault / dense-scan hook surface) and the
-#: struct-of-arrays kernel (:mod:`repro.noc.soa`), proven
-#: RunResult-identical by tests/test_kernel_identity.py and the
-#: kernel-drift CI job.
-BACKENDS = ("ref", "soa")
-
-
-def resolve_backend(explicit: Optional[str] = None) -> Optional[str]:
-    """The *pinned* kernel, canonically named: explicit argument >
-    ``REPRO_BACKEND`` > ``None`` (nothing pinned - :func:`select_kernel`
-    picks from what the run carries).  Raises ``ValueError`` on unknown
-    names."""
-    name = explicit
-    if name is None:
-        name = os.environ.get("REPRO_BACKEND", "").strip()
-        if not name:
-            return None
-    name = str(name).strip().lower()
-    if name == "reference":
-        name = "ref"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {name!r}; known: "
-            + ", ".join(BACKENDS))
-    return name
-
-
-def _env_flag(name: str) -> bool:
-    """Whether the ``REPRO_*`` switch ``name`` is set to a true value."""
-    return os.environ.get(name, "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-def select_kernel(pinned: Optional[str] = None, *, fault_plan=None,
-                  metrics=None, trace=None,
-                  skip_inactive: Optional[bool] = None) -> str:
-    """The kernel a run executes on - the one place the rule lives
-    (``Network.__new__`` and ``DesignPoint.cache_key`` both call it).
-
-    ``pinned`` (``backend=`` / ``--backend`` / ``REPRO_BACKEND``) is
-    honoured when given.  Unpinned runs get ``soa`` unless they carry
-    something only ``ref`` can serve - a fault plan (incl.
-    ``REPRO_EMPTY_FAULTPLAN``), a metrics recorder, a trace, or dense
-    scans (``skip_inactive=False`` / ``REPRO_NO_SKIP``) - in which case
-    they run ``ref`` silently: nothing was requested, so nothing was
-    ignored.  A *pinned* ``soa`` carrying one of those also runs
-    ``ref`` (result-identical by the kernel-identity contract), with a
-    one-time ``RuntimeWarning`` naming the feature.
-    """
-    backend = resolve_backend(pinned)
-    if backend == "ref":
-        return "ref"
-    if fault_plan is not None:
-        feature = "fault injection"
-    elif metrics is not None:
-        feature = "metrics sampling"
-    elif trace is not None:
-        feature = "event tracing"
-    elif skip_inactive is False:
-        feature = "dense scans (skip_inactive=False)"
-    elif skip_inactive is None and _env_flag("REPRO_NO_SKIP"):
-        feature = "dense scans (REPRO_NO_SKIP)"
-    elif _env_flag("REPRO_EMPTY_FAULTPLAN"):
-        feature = ("the empty-FaultPlan drift harness "
-                   "(REPRO_EMPTY_FAULTPLAN)")
-    else:
-        return "soa"
-    if backend == "soa":
-        _warn_fallback(feature)
-    return "ref"
-
-
-#: Fallback messages already emitted this process; the warning is
-#: one-time per feature so sweeps with thousands of points do not flood
-#: stderr.  Tests clear this set to re-arm the warning.
-_FALLBACK_WARNED: Set[str] = set()
-
-
-def _warn_fallback(feature: str) -> None:
-    """One-time warning naming the feature that moved a run pinned to
-    ``soa`` onto the reference kernel.
-
-    The fallback is result-identical by the kernel-identity contract,
-    but silently ignoring an explicit kernel request makes perf numbers
-    confusing - so say it, once, with the reason."""
-    msg = (f"the 'soa' kernel does not support {feature}; "
-           f"falling back to the 'ref' kernel (result-identical)")
-    if msg in _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED.add(msg)
-    warnings.warn(msg, RuntimeWarning, stacklevel=4)
 
 
 #: Snapshot wire-format version.  Bump whenever the pickled ``Network``

@@ -1,15 +1,11 @@
 """Orion-like power and area models calibrated to the paper's Figure 1."""
 
-from .area import AreaReport, nord_area_overhead, router_area
-from .model import (EnergyReport, PowerModel, router_power_decomposition,
-                    static_power_share)
-from .technology import (DEFAULT_TECH, TECH_32NM, TECH_45NM, TECH_65NM,
-                         TechNode, get_tech)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AreaReport", "nord_area_overhead", "router_area",
-    "EnergyReport", "PowerModel", "router_power_decomposition",
-    "static_power_share",
-    "TechNode", "get_tech", "DEFAULT_TECH",
-    "TECH_32NM", "TECH_45NM", "TECH_65NM",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "area": ("AreaReport", "nord_area_overhead", "router_area"),
+    "model": ("EnergyReport", "PowerModel", "router_power_decomposition",
+              "static_power_share"),
+    "technology": ("DEFAULT_TECH", "TECH_32NM", "TECH_45NM", "TECH_65NM",
+                   "TechNode", "get_tech"),
+})

@@ -1,11 +1,10 @@
 """Power-gating controllers for No_PG, Conv_PG, Conv_PG_OPT and NoRD."""
 
-from .controller import (GateInputs, NoPGController, PowerGateController,
-                         PowerState, Transition)
-from .conventional import ConvPGController, ConvPGOptController
-from .nord import NoRDController
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GateInputs", "PowerGateController", "NoPGController", "PowerState",
-    "Transition", "ConvPGController", "ConvPGOptController", "NoRDController",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "controller": ("GateInputs", "NoPGController", "PowerGateController",
+                   "PowerState", "Transition"),
+    "conventional": ("ConvPGController", "ConvPGOptController"),
+    "nord": ("NoRDController",),
+})

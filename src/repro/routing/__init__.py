@@ -1,11 +1,10 @@
 """Routing algorithms: XY, minimal adaptive + XY escape, NoRD ring escape."""
 
-from .base import RouteChoice, RoutingFunction
-from .adaptive import AdaptiveXYEscape
-from .ring_escape import NoRDRouting
-from .xy import XYRouting, xy_port
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RouteChoice", "RoutingFunction", "AdaptiveXYEscape", "NoRDRouting",
-    "XYRouting", "xy_port",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "base": ("RouteChoice", "RoutingFunction"),
+    "adaptive": ("AdaptiveXYEscape",),
+    "ring_escape": ("NoRDRouting",),
+    "xy": ("XYRouting", "xy_port"),
+})

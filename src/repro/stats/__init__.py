@@ -1,14 +1,11 @@
 """Measurement: run statistics, idle-period analysis, report formatting."""
 
-from .collector import RouterActivity, RunResult, StatsCollector
-from .idle import IdlePeriodStats, histogram_buckets
-from .report import format_series, format_table, normalized, percent
-from .visualize import (StateTimeline, occupancy_heatmap, power_state_map,
-                        ring_map)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RouterActivity", "RunResult", "StatsCollector",
-    "IdlePeriodStats", "histogram_buckets",
-    "format_table", "format_series", "percent", "normalized",
-    "StateTimeline", "power_state_map", "occupancy_heatmap", "ring_map",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "collector": ("RouterActivity", "RunResult", "StatsCollector"),
+    "idle": ("IdlePeriodStats", "histogram_buckets"),
+    "report": ("format_series", "format_table", "normalized", "percent"),
+    "visualize": ("StateTimeline", "occupancy_heatmap", "power_state_map",
+                  "ring_map"),
+})

@@ -23,16 +23,12 @@ untraced one (asserted by ``tests/test_trace_identity.py`` and the
 ``trace-off-drift`` CI job).
 """
 
-from .decompose import (LatencyDecomposition, decompose_packet,
-                        decompose_trace, summarize)
-from .events import EVENT_NAMES, EventKind, TraceEvent
-from .recorder import (DEFAULT_LIMIT, EventTrace, TraceSpec, export_trace,
-                       trace_digest)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EventKind", "EVENT_NAMES", "TraceEvent",
-    "DEFAULT_LIMIT", "EventTrace", "TraceSpec", "export_trace",
-    "trace_digest",
-    "LatencyDecomposition", "decompose_packet", "decompose_trace",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "decompose": ("LatencyDecomposition", "decompose_packet",
+                  "decompose_trace", "summarize"),
+    "events": ("EVENT_NAMES", "EventKind", "TraceEvent"),
+    "spec": ("DEFAULT_LIMIT", "TraceSpec"),
+    "recorder": ("EventTrace", "export_trace", "trace_digest"),
+})

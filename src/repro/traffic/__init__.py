@@ -1,22 +1,15 @@
 """Workload generation: synthetic patterns, PARSEC-like models, traces."""
 
-from .base import (LONG_PACKET_FLITS, SHORT_PACKET_FLITS, NullTraffic,
-                   ScriptedTraffic, TrafficGenerator)
-from .parsec import (BENCHMARKS, MEMORY_LATENCY, PROFILES, BenchmarkProfile,
-                     ParsecTraffic, make_traffic)
-from .synthetic import (SyntheticTraffic, bit_complement,
-                        bit_complement_pattern, hotspot_pattern, tornado,
-                        tornado_pattern, transpose_pattern, uniform_pattern,
-                        uniform_random)
-from .trace import TraceRecorder, TraceReplay, load_trace, save_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TrafficGenerator", "NullTraffic", "ScriptedTraffic",
-    "SHORT_PACKET_FLITS", "LONG_PACKET_FLITS",
-    "SyntheticTraffic", "uniform_random", "bit_complement",
-    "uniform_pattern", "bit_complement_pattern", "transpose_pattern",
-    "hotspot_pattern", "tornado", "tornado_pattern",
-    "ParsecTraffic", "BenchmarkProfile", "PROFILES", "BENCHMARKS",
-    "MEMORY_LATENCY", "make_traffic",
-    "TraceRecorder", "TraceReplay", "save_trace", "load_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "base": ("LONG_PACKET_FLITS", "SHORT_PACKET_FLITS", "NullTraffic",
+             "ScriptedTraffic", "TrafficGenerator"),
+    "parsec": ("BENCHMARKS", "MEMORY_LATENCY", "PROFILES",
+               "BenchmarkProfile", "ParsecTraffic", "make_traffic"),
+    "synthetic": ("SyntheticTraffic", "bit_complement",
+                  "bit_complement_pattern", "hotspot_pattern", "tornado",
+                  "tornado_pattern", "transpose_pattern", "uniform_pattern",
+                  "uniform_random"),
+    "trace": ("TraceRecorder", "TraceReplay", "load_trace", "save_trace"),
+})

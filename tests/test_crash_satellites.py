@@ -68,6 +68,21 @@ def test_tampered_value_is_quarantined(tmp_path):
     assert cache.get(p.cache_key()) is None
 
 
+def test_undecodable_entry_is_quarantined(tmp_path):
+    """Bit rot that is not even text: the decode error is a ValueError,
+    not an OSError, and used to escape ``get`` and abort the sweep."""
+    cache = ResultCache(tmp_path)
+    path = cache.path_for("k")
+    path.write_bytes(b'{"x": "\xff"}')
+
+    assert cache.get("k") is None
+    assert cache.quarantined == 1
+    assert not path.exists()
+    assert path.with_suffix(".corrupt").read_bytes() == b'{"x": "\xff"}'
+    assert cache.get("k") is None  # a plain miss from now on
+    assert cache.quarantined == 1
+
+
 def test_missing_checksum_is_quarantined(tmp_path):
     cache = ResultCache(tmp_path)
     p = point()

@@ -1,11 +1,19 @@
-"""Floyd-Warshall placement analysis (Figure 6, Section 4.4)."""
+"""Placement analysis (Figure 6, Section 4.4).
+
+The analysis evaluates lazily (BFS / Dijkstra per source, latency only
+on distance ties); ``reference_metrics`` / ``reference_greedy`` below are
+the search it replaced - two dense Floyd-Warshall passes for every set
+looked at - and must agree with it to the last bit.
+"""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.placement import (OFF_HOP_COST, ON_HOP_COST,
+from repro.core.placement import (INF, OFF_HOP_COST, ON_HOP_COST,
                                   PAPER_PERF_CENTRIC_4X4, PlacementAnalysis,
-                                  central_routers, default_perf_centric,
-                                  floyd_warshall, reachability_edges)
+                                  bfs_hops, central_routers, cheapest_paths,
+                                  default_perf_centric, floyd_warshall,
+                                  reachability_edges)
 from repro.core.ring import build_ring
 from repro.noc.topology import Mesh
 
@@ -60,6 +68,135 @@ class TestFloydWarshall:
         for a in range(16):
             for b in range(16):
                 assert dist[a][b] == mesh4.hop_distance(a, b)
+
+
+    def test_costed_chain(self):
+        """With ``cost`` a hop u->v is charged at v's price."""
+        dist = floyd_warshall([[1], [2], []], cost=[9, 5, 3])
+        assert dist[0][1] == 5
+        assert dist[0][2] == 8
+        assert dist[0][0] == 0
+        assert dist[2][0] == INF
+
+
+# ---------------------------------------------------------------------------
+# the full-evaluation search, kept here as the reference
+# ---------------------------------------------------------------------------
+def reference_metrics(mesh, ring, on_set):
+    on = set(on_set)
+    n = mesh.num_nodes
+    adj = reachability_edges(mesh, ring, on)
+    hops = floyd_warshall(adj)
+    lat = floyd_warshall(adj, [ON_HOP_COST if v in on else OFF_HOP_COST
+                               for v in range(n)])
+    total_hops = total_per_hop = 0.0
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            if hops[a][b] == INF:
+                raise RuntimeError("disconnected")
+            total_hops += hops[a][b]
+            total_per_hop += lat[a][b] / hops[a][b]
+    pairs = n * (n - 1)
+    return total_hops / pairs, total_per_hop / pairs
+
+
+def reference_greedy(mesh, ring, refine):
+    """Forward selection (+ first-improvement swaps) that evaluates both
+    metrics of every set it looks at."""
+    def metrics(on_set):
+        return reference_metrics(mesh, ring, on_set)
+
+    everyone = set(range(mesh.num_nodes))
+    chosen = set()
+    out = [(frozenset(), *metrics(chosen))]
+    while chosen != everyone:
+        best, cand = min((metrics(chosen | {cand}), cand)
+                         for cand in sorted(everyone - chosen))
+        chosen = chosen | {cand}
+        improved = refine
+        while improved:
+            improved = False
+            for out_node in sorted(chosen):
+                for in_node in sorted(everyone - chosen):
+                    trial = (chosen - {out_node}) | {in_node}
+                    if metrics(trial) < best:
+                        chosen, best, improved = trial, metrics(trial), True
+                        break
+                if improved:
+                    break
+        out.append((frozenset(chosen), *best))
+    return out
+
+
+MESHES = {"4x4": Mesh(4, 4), "2x4": Mesh(2, 4), "4x6": Mesh(4, 6)}
+
+
+class TestAgainstFullEvaluation:
+    @pytest.mark.parametrize("refine", [True, False],
+                             ids=["refined", "plain"])
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_curve_is_tuple_equal(self, name, refine):
+        mesh = MESHES[name]
+        ring = build_ring(mesh)
+        curve = PlacementAnalysis(mesh, ring).greedy_selection(refine=refine)
+        assert curve == reference_greedy(mesh, ring, refine)
+
+    def test_latency_is_evaluated_only_where_it_decides(self, mesh4, ring4):
+        """What makes the search cheap; the curve above is what shows it
+        changes nothing."""
+        analysis = PlacementAnalysis(mesh4, ring4)
+        curve = analysis.greedy_selection()
+        assert len(analysis._distances) > 500
+        assert len(curve) <= len(analysis._latencies) < 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(on=st.frozensets(st.integers(0, 15)))
+    @example(on=frozenset())
+    @example(on=frozenset(range(16)))
+    def test_metrics_equal_reference(self, analysis, mesh4, ring4, on):
+        assert analysis.metrics(on) == reference_metrics(mesh4, ring4, on)
+
+    @settings(max_examples=40, deadline=None)
+    @given(on=st.frozensets(st.integers(0, 15)), src=st.integers(0, 15))
+    def test_single_source_primitives_equal_floyd_warshall(self, mesh4,
+                                                           ring4, on, src):
+        adj = reachability_edges(mesh4, ring4, on)
+        cost = [ON_HOP_COST if v in on else OFF_HOP_COST for v in range(16)]
+        assert bfs_hops(adj, src) == floyd_warshall(adj)[src]
+        assert cheapest_paths(adj, cost, src) == \
+            floyd_warshall(adj, cost)[src]
+
+    def test_unreachable_nodes_are_marked(self):
+        chain = [[1], [2], []]
+        assert bfs_hops(chain, 1) == [-1, 0, 1]
+        assert cheapest_paths(chain, [9, 5, 3], 1) == [-1, 0, 3]
+
+    def test_disconnected_graph_still_raises(self, mesh4, ring4,
+                                             monkeypatch):
+        """A ring that does not close leaves nodes unreachable once
+        routers are off; both metrics must refuse, not average over
+        the pairs that happen to connect."""
+        broken = dict(ring4.successor)
+        broken[ring4.order[-1]] = ring4.order[-1]  # the ring never closes
+        monkeypatch.setattr(ring4, "successor", broken)
+        analysis = PlacementAnalysis(mesh4, ring4)
+        with pytest.raises(RuntimeError, match="connected"):
+            analysis.metrics([])
+        with pytest.raises(RuntimeError, match="connected"):
+            analysis.greedy_selection()
+        assert analysis.metrics(range(16))[0] == pytest.approx(8 / 3)
+
+    def test_instances_share_no_memo(self, mesh4, ring4):
+        first = PlacementAnalysis(mesh4, ring4)
+        second = PlacementAnalysis(mesh4, ring4)
+        first.metrics(PAPER_PERF_CENTRIC_4X4)
+        assert first._distances and first._latencies
+        assert not second._distances and not second._latencies
+        # ... so an analysis of another ring cannot be served this one's.
+        other = PlacementAnalysis(Mesh(2, 4), build_ring(Mesh(2, 4)))
+        assert other.metrics([]) != first.metrics([])
 
 
 class TestMetrics:

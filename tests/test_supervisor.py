@@ -276,6 +276,53 @@ def test_between_points_cleanup_collects_the_finished_network():
         gc.enable()
 
 
+def _worker_reporting_its_modules(conn):
+    """Child side: the real worker loop, its pipe tapped so that
+    ``ready`` is followed by what the worker has imported by then."""
+    import sys
+    from repro.experiments.supervisor import _worker_main
+
+    class Tap:
+        recv = conn.recv
+
+        @staticmethod
+        def send(msg):
+            conn.send(msg)
+            if msg == ("ready",):
+                conn.send(("modules", sorted(sys.modules)))
+
+    _worker_main(Tap())
+
+
+def test_ready_worker_has_the_simulator_loaded():
+    """The harness modules no longer import the simulator (a cache hit
+    must not), so the worker does it by name before ``ready``: the first
+    lease pays for simulating, not for compiling a kernel."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("spawn")
+    parent_conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(target=_worker_reporting_its_modules,
+                       args=(child_conn,), daemon=True)
+    proc.start()
+    try:
+        child_conn.close()
+        msg = ("hb",)
+        while msg[0] != "modules":  # heartbeats, then ready, then this
+            assert parent_conn.poll(60), "worker never reported ready"
+            msg = parent_conn.recv()
+        parent_conn.send(None)  # the supervisor's goodbye
+        proc.join(30)
+        assert not proc.is_alive()
+    finally:
+        proc.kill()
+        proc.join()
+    for name in ("repro.noc.network", "repro.noc.soa",
+                 "repro.noc.bufferless", "repro.traffic.synthetic",
+                 "repro.traffic.parsec", "repro.metrics.sampler",
+                 "repro.trace.recorder"):
+        assert name in msg[1], f"{name} not imported before ready"
+
+
 def test_workers_that_never_come_up_trip_the_breaker():
     """A broken worker environment must end the run with an error per
     point, not an endless respawn loop."""
