@@ -304,16 +304,13 @@ def _simulate(args: argparse.Namespace) -> None:
         spec = parallel.hotspot_spec(args.rate, seed=args.seed)
     else:
         spec = parallel.parsec_spec(args.traffic, seed=args.seed)
-    trace_spec = _trace_spec(args)
-    metrics_spec = _metrics_spec(args)
     runner = parallel.configure(jobs=args.jobs,
                                 use_cache=not args.no_cache,
                                 timeout=args.timeout, retries=args.retries,
                                 partial=args.partial)
     faults = _fault_plan(args)
     result, energy = runner.run_one(
-        parallel.DesignPoint(cfg=cfg, traffic=spec, faults=faults,
-                             trace=trace_spec, metrics=metrics_spec))
+        parallel.DesignPoint(cfg=cfg, traffic=spec, faults=faults))
     rows = [
         ("design", args.design),
         ("traffic", args.traffic),
@@ -341,8 +338,6 @@ def _simulate(args: argparse.Namespace) -> None:
         ]
     print(format_table(("metric", "value"), rows, title="simulation"))
     print(_timing_line(result))
-    _trace_summary(trace_spec)
-    _metrics_finish(metrics_spec, args.metrics_html)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -361,15 +356,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "profile", False):
         activity.enable_profiling()
     _configure_crash_safety(parser, args)
+    # Observers ride on the runner: every point a command submits -
+    # simulate's one included - inherits them.
     trace_spec = _trace_spec(args)
-    if trace_spec is not None:
-        parallel.configure(trace=trace_spec)
-    metrics_spec = None
-    if args.command != "simulate":
-        # simulate wires its spec through its own DesignPoint below.
-        metrics_spec = _metrics_spec(args)
-        if metrics_spec is not None:
-            parallel.configure(metrics=metrics_spec)
+    metrics_spec = _metrics_spec(args)
+    parallel.configure(trace=trace_spec, metrics=metrics_spec)
     from .errors import SweepInterrupted
     try:
         if args.command == "run-all":
@@ -381,6 +372,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
         if args.command == "simulate":
             _simulate(args)
+            _trace_summary(trace_spec)
+            _metrics_finish(metrics_spec, args.metrics_html)
             if activity.profiling_enabled():
                 print(activity.global_profile().summary())
             return 0

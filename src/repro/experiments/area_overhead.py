@@ -41,11 +41,3 @@ def report(res: AreaResult) -> str:
     extra = (f"\nNoRD area overhead vs Conv_PG_OPT: "
              f"{percent(res.nord_overhead)} (paper: 3.1%)")
     return table + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -16,17 +16,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..config import Design, NoCConfig, SimConfig
-from ..power.model import EnergyReport, PowerModel
+from ..power.model import EnergyReport
 from ..stats.collector import RunResult
-from ..traffic.base import TrafficGenerator
 from ..traffic.parsec import BENCHMARKS
 from . import parallel
-
-if TYPE_CHECKING:  # pragma: no cover - the simulator loads when a point runs
-    from ..noc.network import Network
 
 
 @dataclass(frozen=True)
@@ -78,27 +74,6 @@ def build_config(design: str, scale: str = "bench", *, width: int = 4,
     ).replace(**overrides)
 
 
-def run_design(design: str, traffic_factory: Callable[[Network],
-                                                      TrafficGenerator],
-               scale: str = "bench", *, width: int = 4, height: int = 4,
-               seed: int = 1,
-               configure: Optional[Callable[[SimConfig], SimConfig]] = None,
-               prepare: Optional[Callable[[Network], None]] = None,
-               ) -> Tuple[RunResult, EnergyReport]:
-    """Run one design point and evaluate its energy."""
-    from ..noc.network import Network
-    cfg = build_config(design, scale, width=width, height=height, seed=seed)
-    if configure is not None:
-        cfg = configure(cfg)
-    net = Network(cfg)
-    if prepare is not None:
-        prepare(net)
-    traffic = traffic_factory(net)
-    result = net.run(traffic)
-    report = PowerModel(cfg).evaluate(result)
-    return result, report
-
-
 # ---------------------------------------------------------------------------
 # cached PARSEC sweep shared by the Figure 8-12 experiments
 # ---------------------------------------------------------------------------
@@ -139,22 +114,6 @@ def parsec_sweep(scale: str = "bench", seed: int = 1, *, width: int = 4,
                                             parallel.submit(points)):
             sweep[bench][design] = outcome
     return sweep
-
-
-def clear_parsec_cache() -> None:
-    _PARSEC_CACHE.clear()
-
-
-def uniform_factory(rate: float, seed: int = 1):
-    """Traffic factory for uniform-random synthetic load."""
-    from ..traffic.synthetic import uniform_random
-    return lambda net: uniform_random(net.mesh, rate, seed=seed)
-
-
-def bit_complement_factory(rate: float, seed: int = 1):
-    """Traffic factory for bit-complement synthetic load."""
-    from ..traffic.synthetic import bit_complement
-    return lambda net: bit_complement(net.mesh, rate, seed=seed)
 
 
 def geomean(values: Iterable[float]) -> float:

@@ -85,11 +85,3 @@ def report(res: BufferlessResult) -> str:
              f" router is off - the two techniques are complementary"
              f" (Section 6.8).")
     return table + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -92,11 +92,3 @@ def report(res: DiscussionResult) -> str:
              f"{nord.wakeups / max(1, base.wakeups):.2f}x "
              f"(paper: 'no clear advantages for the baseline')")
     return table + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

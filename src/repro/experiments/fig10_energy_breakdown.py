@@ -76,11 +76,3 @@ def report(res: Fig10Result) -> str:
         f" (paper: 20.6%)"
     )
     return table + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -69,11 +69,3 @@ def report(res: Fig11Result) -> str:
         f" (paper: 26.3%)"
     )
     return table + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -66,11 +66,3 @@ def report(res: Fig12Result) -> str:
         f"(paper: 3.9%)"
     )
     return table + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

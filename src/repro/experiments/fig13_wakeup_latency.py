@@ -68,11 +68,3 @@ def report(res: Fig13Result) -> str:
         for d in DESIGNS
     )
     return table + "\n" + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

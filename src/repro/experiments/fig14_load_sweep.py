@@ -95,7 +95,9 @@ def run(scale: str = "bench", seed: int = 1,
                  pattern="uniform random", scale=scale, seed=seed)
 
 
-def report(res: LoadSweepResult) -> str:
+def sweep_table(res: LoadSweepResult, title: str) -> str:
+    """Latency and power per design against injection rate (the table
+    of Figures 14 and 15)."""
     headers = ("rate",) + tuple(f"{d} lat" for d in DESIGNS) \
         + tuple(f"{d} W" for d in DESIGNS)
     rows = []
@@ -104,14 +106,9 @@ def report(res: LoadSweepResult) -> str:
         row += [f"{res.points[rate][d].latency:.1f}" for d in DESIGNS]
         row += [f"{res.points[rate][d].power_w:.2f}" for d in DESIGNS]
         rows.append(tuple(row))
-    return format_table(headers, rows,
-                        title=f"Figure 14: {res.num_nodes}-node "
-                              f"{res.pattern} load sweep")
+    return format_table(headers, rows, title=title)
 
 
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()
+def report(res: LoadSweepResult) -> str:
+    return sweep_table(res, f"Figure 14: {res.num_nodes}-node "
+                            f"{res.pattern} load sweep")

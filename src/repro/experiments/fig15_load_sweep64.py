@@ -10,12 +10,11 @@ Conv_PG_OPT / NoRD on 8x8, vs 24 / 34 / 29 on 4x4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
-from ..config import Design
-from ..stats.report import format_table
 from .parallel import bitcomp_spec, uniform_spec
-from .fig14_load_sweep import DESIGNS, LoadSweepResult, sweep
+from .fig14_load_sweep import (DESIGNS, LoadSweepResult, sweep,
+                               sweep_table)
 
 RATES_UNIFORM = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
 RATES_BITCOMP = (0.01, 0.02, 0.05, 0.08, 0.12, 0.16)
@@ -37,28 +36,9 @@ def run(scale: str = "bench", seed: int = 1,
     return Fig15Result(uniform=uni, bit_complement=bc)
 
 
-def _table(res: LoadSweepResult, label: str) -> str:
-    headers = ("rate",) + tuple(f"{d} lat" for d in DESIGNS) \
-        + tuple(f"{d} W" for d in DESIGNS)
-    rows = []
-    for rate in sorted(res.points):
-        row = [f"{rate:.2f}"]
-        row += [f"{res.points[rate][d].latency:.1f}" for d in DESIGNS]
-        row += [f"{res.points[rate][d].power_w:.2f}" for d in DESIGNS]
-        rows.append(tuple(row))
-    return format_table(headers, rows, title=label)
-
-
 def report(res: Fig15Result) -> str:
-    return (_table(res.uniform, "Figure 15 (left): 64-node uniform random")
+    return (sweep_table(res.uniform,
+                        "Figure 15 (left): 64-node uniform random")
             + "\n\n"
-            + _table(res.bit_complement,
-                     "Figure 15 (right): 64-node bit complement"))
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()
+            + sweep_table(res.bit_complement,
+                          "Figure 15 (right): 64-node bit complement"))

@@ -60,11 +60,3 @@ def report(res: Fig1Result) -> str:
                           title="Figure 1(b): router power decomposition "
                                 "@45nm/1.0V")
     return part_a + "\n\n" + part_b
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

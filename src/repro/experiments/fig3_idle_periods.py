@@ -70,11 +70,3 @@ def report(res: Fig3Result) -> str:
          "idle cycles>BET", "mean period"),
         rows,
         title="Figure 3 / Section 3.1: idleness and fragmentation (No_PG)")
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

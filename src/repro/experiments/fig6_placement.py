@@ -59,11 +59,3 @@ def report(res: Fig6Result) -> str:
             f"paper's perf-centric set {sorted(PAPER_PERF_CENTRIC_4X4)}: "
             f"distance={res.paper_set_metrics[0]:.2f} hops, "
             f"per-hop={res.paper_set_metrics[1]:.2f} cycles")
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -86,11 +86,3 @@ def report(res: Fig7Result) -> str:
         marks.append(f"Req={req} @ rate "
                      f"{'%.3f' % rate if rate is not None else '>max'}")
     return table + "\n" + "; ".join(marks)
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -59,11 +59,3 @@ def report(res: Fig8Result) -> str:
              f"{percent(res.relative_saving(Design.NORD, Design.CONV_PG_OPT))}"
              f" (paper: 29.9%)")
     return table + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -86,11 +86,3 @@ def report(res: Fig9Result) -> str:
         f" (paper: 73.3%)"
     )
     return part_a + "\n\n" + part_b + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,8 @@ tolerates a torn final line).  Record shapes::
     {"ev": "queued",  "key": <cache key>, "point": <basename>}
     {"ev": "leased",  "key": ..., "pid": ..., "worker": ...}
     {"ev": "requeued","key": ..., "reason": ...}
-    {"ev": "done",    "key": ..., "result": {...}, "energy": {...}}
+    {"ev": "done",    "key": ..., "result": {...}, "energy": {...},
+                      "sha256": ...}
     {"ev": "failed",  "key": ..., "kind": ..., "message": ...}
     {"ev": "interrupted", "completed": n, "total": N}
 
@@ -18,10 +19,19 @@ reconstruct completed points from the journal alone - it does not
 depend on the result cache being enabled or intact.  Keys are the
 points' content-derived cache keys, so resume matches points by what
 they *are*, not by their position in a rebuilt sweep.
+
+The payload is the *outcome record* ``{"result", "energy", "sha256"}``,
+written by :func:`encode_outcome` and read back by
+:func:`decode_outcome`.  The result cache
+(:class:`repro.experiments.parallel.ResultCache`) stores the same three
+fields through the same two functions, so a finished point has one
+encoding and nothing is handed back - from either store - that does
+not verify against its checksum.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -34,6 +44,42 @@ from ..stats.collector import RunResult
 #: Bump on incompatible record-shape changes; ``--resume`` ignores
 #: journals written by other versions rather than misreading them.
 JOURNAL_FORMAT = 1
+
+SweepOutcome = Tuple[RunResult, EnergyReport]
+
+
+# ---------------------------------------------------------------------------
+# the outcome record (shared with the result cache)
+# ---------------------------------------------------------------------------
+def _content_checksum(record: Dict[str, Any]) -> str:
+    """SHA-256 over the canonical JSON of a record's ``result`` and
+    ``energy``: it commits to exactly the values a reader hands back."""
+    blob = json.dumps({"result": record["result"],
+                       "energy": record["energy"]},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def encode_outcome(outcome: SweepOutcome) -> Dict[str, Any]:
+    """The JSON-ready record of one finished point."""
+    result, energy = outcome
+    record = {"result": result.to_dict(), "energy": energy.to_dict()}
+    record["sha256"] = _content_checksum(record)
+    return record
+
+
+def decode_outcome(record: Any) -> Optional[SweepOutcome]:
+    """The outcome a stored record carries, or None when it cannot be
+    trusted: not a mapping, a field missing or of the wrong shape, or
+    values that are not the ones the checksum was taken over (bit rot,
+    truncation or an edit that still parses as JSON)."""
+    try:
+        if record["sha256"] != _content_checksum(record):
+            return None
+        return (RunResult.from_dict(record["result"]),
+                EnergyReport.from_dict(record["energy"]))
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 class SweepJournal:
@@ -91,25 +137,22 @@ def load_journal(path) -> List[Dict[str, Any]]:
 
 
 def completed_outcomes(
-        records: List[Dict[str, Any]]
-) -> Dict[str, Tuple[RunResult, EnergyReport]]:
-    """Map cache key -> outcome for every ``done`` record.
+        records: List[Dict[str, Any]]) -> Dict[str, SweepOutcome]:
+    """Map cache key -> outcome for every ``done`` record that verifies
+    (:func:`decode_outcome`); a point whose record does not is simply
+    not resumed and runs again.
 
     Later records win (a re-run of the same point after a code change
     would have a different key, so collisions only happen for genuine
     duplicates with identical results).
     """
-    out: Dict[str, Tuple[RunResult, EnergyReport]] = {}
+    out: Dict[str, SweepOutcome] = {}
     for record in records:
         if record.get("ev") != "done":
             continue
         key = record.get("key")
-        try:
-            outcome = (RunResult.from_dict(record["result"]),
-                       EnergyReport.from_dict(record["energy"]))
-        except (KeyError, TypeError, ValueError):
-            continue  # unusable payload: the point will simply re-run
-        if isinstance(key, str):
+        outcome = decode_outcome(record)
+        if outcome is not None and isinstance(key, str):
             out[key] = outcome
     return out
 

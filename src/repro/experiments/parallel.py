@@ -54,10 +54,11 @@ from ..errors import (DeadlockError, LivelockError, RunTimeout,
                       SimulationHang, SweepInterrupted)
 from ..faults import FaultPlan
 from ..metrics.spec import MetricsSpec
-from .journal import SweepJournal, completed_outcomes, load_journal
+from .journal import (SweepJournal, SweepOutcome, completed_outcomes,
+                      decode_outcome, encode_outcome, load_journal)
+from .journal import _content_checksum  # noqa: F401 - tests read it here
 from ..noc.backend import resolve_backend, select_kernel
-from ..power.model import EnergyReport, PowerModel
-from ..stats.collector import RunResult
+from ..power.model import PowerModel
 from ..trace.spec import TraceSpec
 from ..traffic.base import NullTraffic, TrafficGenerator
 from ..traffic.parsec import PROFILES, make_traffic
@@ -81,8 +82,6 @@ CACHE_FORMAT = 6
 #: (Section 6.8 discussion) instead of the standard ``Network``.
 BUFFERLESS_NETWORK = "bufferless"
 STANDARD_NETWORK = "standard"
-
-SweepOutcome = Tuple[RunResult, EnergyReport]
 
 
 # ---------------------------------------------------------------------------
@@ -315,103 +314,92 @@ def point_basename(point: DesignPoint) -> str:
 
 
 def execute_point(point: DesignPoint) -> SweepOutcome:
-    """Run one design point end to end (spawn-safe worker function)."""
+    """Run one design point end to end (spawn-safe worker function).
+
+    With ``point.checkpoint`` the run saves a checkpoint every
+    ``interval`` cycles and first looks for one an earlier attempt of
+    the same point (same cache key and code fingerprint) left behind by
+    a crash or timeout, resuming from it instead of cycle 0.  The file
+    is removed on success.
+    """
     cfg = point.cfg
-    trace = None
-    metrics = None
-    if point.network == BUFFERLESS_NETWORK:
-        # The bufferless datapath is not instrumented; runner-wide
-        # trace/metrics (and checkpoint) requests do not apply to it.
+    bufferless = point.network == BUFFERLESS_NETWORK
+    # The bufferless datapath is not instrumented; runner-wide trace /
+    # metrics / checkpoint requests do not apply to it.
+    spec = None if bufferless else point.checkpoint
+    ckpt = progress = on_cycle = None
+    prior_wall = 0.0
+    if bufferless:
         from ..noc.bufferless import BufferlessNetwork
         net = BufferlessNetwork(cfg)
     else:
-        if point.trace is not None:
-            trace = point.trace.build()
-        if point.metrics is not None:
-            metrics = point.metrics.build()
-        from ..noc.network import Network
-        net = Network(cfg, fault_plan=point.faults, trace=trace,
-                      metrics=metrics, backend=point.backend)
-    if point.checkpoint is not None and point.network != BUFFERLESS_NETWORK:
-        result, net = _run_checkpointed(point, net)
-        trace, metrics = net.trace, net.metrics
-    else:
-        if point.prepare is not None:
-            PREPARE_HOOKS[point.prepare](net)
-        traffic = point.traffic.build(net.mesh)
-        t0 = time.perf_counter()
-        result = net.run(traffic)
-        elapsed = time.perf_counter() - t0
-        result.wall_clock_s = elapsed
-        if elapsed > 0:
-            result.simulated_cycles_per_sec = net.now / elapsed
-    report = PowerModel(cfg).evaluate(result)
-    if trace is not None:
-        from ..trace.recorder import export_trace
-        export_trace(trace, point.trace, trace_basename(point))
-    if metrics is not None:
-        from ..metrics.sampler import export_metrics
-        export_metrics(metrics, point.metrics, metrics_basename(point),
-                       net, traffic=point.traffic.to_key())
-    return result, report
-
-
-def _run_checkpointed(point: DesignPoint, net: Network):
-    """Run a point with periodic checkpoints, resuming any prior one.
-
-    Returns ``(result, net)`` - ``net`` may be a *restored* network (the
-    one handed in is discarded), so the caller must export trace/metrics
-    artifacts from the returned object.  The checkpoint file is removed
-    on success; on a crash/timeout it stays behind, and the next attempt
-    of the same point (same cache key and code fingerprint) resumes from
-    it instead of restarting at cycle 0.
-    """
-    from ..noc.network import Network, RunProgress
-    spec = point.checkpoint
-    key = point.cache_key()
-    path = checkpoint_path(spec, point_basename(point))
-    cfg = point.cfg
-    progress = RunProgress(cfg.warmup_cycles, cfg.measure_cycles,
-                           cfg.drain_cycles)
-    prior_wall = 0.0
-    ckpt = load_checkpoint(path, key=key, code=code_version())
-    if ckpt is not None:
-        net = Network.restore(ckpt.snapshot)
-        traffic = pickle.loads(ckpt.traffic_blob)
-        progress = ckpt.progress
-        prior_wall = ckpt.wall_clock_s
-    else:
-        # The prepare hook mutates the fresh network; its effects live in
-        # the snapshot afterwards, so it is *not* re-applied on resume.
+        from ..noc.network import Network, RunProgress
+        if spec is not None:
+            key = point.cache_key()
+            path = checkpoint_path(spec, point_basename(point))
+            ckpt = load_checkpoint(path, key=key, code=code_version())
+        if ckpt is not None:
+            # The snapshot carries the observers and the effects of the
+            # prepare hook, so neither is built or applied again.
+            net = Network.restore(ckpt.snapshot)
+            traffic = pickle.loads(ckpt.traffic_blob)
+            progress, prior_wall = ckpt.progress, ckpt.wall_clock_s
+        else:
+            trace = metrics = None
+            if point.trace is not None:
+                trace = point.trace.build()
+            if point.metrics is not None:
+                metrics = point.metrics.build()
+            net = Network(cfg, fault_plan=point.faults, trace=trace,
+                          metrics=metrics, backend=point.backend)
+            progress = RunProgress(cfg.warmup_cycles, cfg.measure_cycles,
+                                   cfg.drain_cycles)
+    if ckpt is None:
         if point.prepare is not None:
             PREPARE_HOOKS[point.prepare](net)
         traffic = point.traffic.build(net.mesh)
     t0 = time.perf_counter()
-    last_saved = [progress.total_cycles_done]
+    if spec is not None:
+        last_saved = progress.total_cycles_done
 
-    def on_cycle(n: Network, prog: RunProgress) -> None:
-        if prog.total_cycles_done - last_saved[0] < spec.interval:
-            return
-        last_saved[0] = prog.total_cycles_done
-        save_checkpoint(path, SimCheckpoint(
-            version=CHECKPOINT_FORMAT,
-            key=key,
-            code=code_version(),
-            cycle=n.now,
-            wall_clock_s=prior_wall + (time.perf_counter() - t0),
-            snapshot=n.snapshot(),
-            progress=prog,
-            traffic_blob=pickle.dumps(traffic,
-                                      protocol=pickle.HIGHEST_PROTOCOL),
-        ))
+        def on_cycle(n: Network, prog: RunProgress) -> None:
+            nonlocal last_saved
+            if prog.total_cycles_done - last_saved < spec.interval:
+                return
+            last_saved = prog.total_cycles_done
+            save_checkpoint(path, SimCheckpoint(
+                version=CHECKPOINT_FORMAT,
+                key=key,
+                code=code_version(),
+                cycle=n.now,
+                wall_clock_s=prior_wall + (time.perf_counter() - t0),
+                snapshot=n.snapshot(),
+                progress=prog,
+                traffic_blob=pickle.dumps(traffic,
+                                          protocol=pickle.HIGHEST_PROTOCOL),
+            ))
 
-    result = net.run_segment(traffic, progress, on_cycle=on_cycle)
+    if bufferless:  # the one datapath without a resumable run_segment
+        result = net.run(traffic)
+    else:
+        result = net.run_segment(traffic, progress, on_cycle=on_cycle)
     elapsed = prior_wall + (time.perf_counter() - t0)
     result.wall_clock_s = elapsed
     if elapsed > 0:
         result.simulated_cycles_per_sec = net.now / elapsed
-    discard_checkpoint(path)
-    return result, net
+    if spec is not None:
+        discard_checkpoint(path)
+    report = PowerModel(cfg).evaluate(result)
+    if not bufferless:
+        if net.trace is not None:
+            from ..trace.recorder import export_trace
+            export_trace(net.trace, point.trace, trace_basename(point))
+        if net.metrics is not None:
+            from ..metrics.sampler import export_metrics
+            export_metrics(net.metrics, point.metrics,
+                           metrics_basename(point), net,
+                           traffic=point.traffic.to_key())
+    return result, report
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +559,6 @@ def code_version() -> str:
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
-        import hashlib
-
         import repro
         pkg = Path(repro.__file__).parent
         digest = hashlib.sha256()
@@ -598,28 +584,19 @@ def default_cache_dir() -> Path:
     return base / "repro"
 
 
-def _content_checksum(data: Dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON of an entry's result payload.
-
-    Only the simulation content (``result`` + ``energy``) is covered, so
-    the checksum commits to exactly the values ``get`` will hand back.
-    """
-    blob = json.dumps({"result": data.get("result"),
-                       "energy": data.get("energy")},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 class ResultCache:
     """Content-addressed store of ``(RunResult, EnergyReport)`` pairs.
 
-    One JSON file per design point under the cache directory.  Writes
-    are atomic (temp file + rename) so concurrent runners can share a
-    cache.  A stale-format file reads as a miss (it will simply be
-    overwritten); an *unreadable* file - truncated JSON, wrong value
-    shapes, I/O error - is quarantined: renamed to ``<key>.corrupt``
-    (preserved for post-mortem, never re-read) and counted in
-    ``self.quarantined``.
+    One JSON file per design point under the cache directory: the
+    outcome record of :func:`repro.experiments.journal.encode_outcome`
+    (``result``, ``energy``, ``sha256`` - what a journal ``done`` record
+    carries too) plus ``format`` and ``key``.  Writes are atomic (temp
+    file + rename) so concurrent runners can share a cache.  A
+    stale-format file reads as a miss (it will simply be overwritten);
+    an *unreadable* file - truncated JSON, wrong value shapes, values
+    that do not match their checksum, I/O error - is quarantined:
+    renamed to ``<key>.corrupt`` (preserved for post-mortem, never
+    re-read) and counted in ``self.quarantined``.
     """
 
     def __init__(self, directory: Optional[Path] = None) -> None:
@@ -647,15 +624,11 @@ class ResultCache:
             return self._quarantine(path)
         if data.get("format") != CACHE_FORMAT:
             return None  # stale format: an honest miss, not corruption
-        if data.get("sha256") != _content_checksum(data):
-            # Parses as JSON but the values are not what was written -
-            # silent truncation/bit-rot that unpickling alone misses.
+        outcome = decode_outcome(data)
+        if outcome is None:
+            # Parses as JSON but the values are not what was written.
             return self._quarantine(path)
-        try:
-            return (RunResult.from_dict(data["result"]),
-                    EnergyReport.from_dict(data["energy"]))
-        except (KeyError, TypeError, ValueError):
-            return self._quarantine(path)
+        return outcome
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside so it reads as a miss forever."""
@@ -667,14 +640,8 @@ class ResultCache:
         return None
 
     def put(self, key: str, outcome: SweepOutcome) -> None:
-        result, energy = outcome
-        payload = {
-            "format": CACHE_FORMAT,
-            "key": key,
-            "result": result.to_dict(),
-            "energy": energy.to_dict(),
-        }
-        payload["sha256"] = _content_checksum(payload)
+        payload = {"format": CACHE_FORMAT, "key": key,
+                   **encode_outcome(outcome)}
         directory = self.directory
         directory.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -878,7 +845,12 @@ class SweepRunner:
             for point in points]
         resumed: Dict[str, SweepOutcome] = {}
         if self.resume and journaling and self.journal_path.exists():
-            resumed = completed_outcomes(load_journal(self.journal_path))
+            # Verify and decode only what this sweep asks for: a journal
+            # holds every sweep of the command, and each one reloads it.
+            wanted = set(keys)
+            resumed = completed_outcomes(
+                [record for record in load_journal(self.journal_path)
+                 if record.get("key") in wanted])
         miss_indices: List[int] = []
         for i, point in enumerate(points):
             # A traced/instrumented point must actually execute (a
@@ -920,11 +892,9 @@ class SweepRunner:
                 outcomes[i] = tag[1]
                 if self.use_cache and keys[i] is not None:
                     self.cache.put(keys[i], tag[1])
-                if self._journal is not None:  # to_dict() is not free
-                    self._journal.append({
-                        "ev": "done", "key": keys[i],
-                        "result": tag[1][0].to_dict(),
-                        "energy": tag[1][1].to_dict()})
+                if self._journal is not None:  # encoding is not free
+                    self._journal.append({"ev": "done", "key": keys[i],
+                                          **encode_outcome(tag[1])})
 
         try:
             # Execute misses in rounds: round 0 is the first attempt,

@@ -115,11 +115,3 @@ def report(res: ResilienceResult) -> str:
         + f" packets (No_PG, Conv_PG, Conv_PG_OPT) at node {FAILED_NODE}."
     )
     return table + extra
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -58,11 +58,3 @@ def run(scale: str = "bench", seed: int = 1) -> Table1Result:
 def report(res: Table1Result) -> str:
     return format_table(("parameter", "paper", "this reproduction"),
                         res.rows, title="Table 1: key parameters")
-
-
-def main() -> None:
-    print(report(run()))
-
-
-if __name__ == "__main__":
-    main()

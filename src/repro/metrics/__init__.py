@@ -16,12 +16,11 @@ one line per snapshot + registry summary), ``<basename>.metrics.csv``
 (the network-wide timeline) and ``<basename>.prom`` (Prometheus text
 exposition).  ``python -m repro.metrics.report`` folds a directory of
 them into one self-contained HTML report (inline SVG, no external
-requests); ``python -m repro.metrics.bench`` maintains the
-``BENCH_<host>.json`` performance ledger at the repo root.
+requests).
 
 A run with metrics enabled produces a ``RunResult`` field-identical to
 one without (asserted by ``tests/test_metrics_identity.py`` and the
-``metrics-off-drift`` CI job).
+``drift`` CI job's ``--metrics`` variant).
 """
 
 from .._lazy import lazy_exports

@@ -6,7 +6,7 @@ event trace it is a *pure observer*: every hook site costs one ``is
 None`` check when disabled, and recording never mutates simulation
 state, so instrumented and plain runs produce field-identical
 ``RunResult``s (asserted by tests/test_metrics_identity.py and the
-``metrics-off-drift`` CI job).
+``drift`` CI job's ``--metrics`` variant).
 
 Two recording paths feed it:
 

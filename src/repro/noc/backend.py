@@ -18,7 +18,7 @@ from typing import Optional, Set
 #: trace / metrics / fault / dense-scan hook surface) and the
 #: struct-of-arrays kernel (:mod:`repro.noc.soa`), proven
 #: RunResult-identical by tests/test_kernel_identity.py and the
-#: kernel-drift CI job.
+#: drift CI job.
 BACKENDS = ("ref", "soa")
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..config import Design, SimConfig
 from ..core.ring import BypassRing, build_ring
@@ -1182,14 +1182,12 @@ class Network:
         """Machine-readable snapshot of where the stuck flits sit (see
         :mod:`repro.errors` for the layout)."""
         routers = []
-        for node, router in enumerate(self.routers):
+        for node in range(self.mesh.num_nodes):
             buffered = 0
             stuck_vcs: List[List[int]] = []
-            for port in router.in_ports:
-                for vc in port.vcs:
-                    if vc.fifo:
-                        buffered += len(vc.fifo)
-                        stuck_vcs.append([port.port_id, vc.vc_id])
+            for port, vc, flits in self._buffered_vcs(node):
+                buffered += flits
+                stuck_vcs.append([port, vc])
             latched = sum(len(q) for q in self.nis[node].latch)
             queued = len(self.nis[node].inject_queue)
             if buffered or latched or queued:
@@ -1212,6 +1210,15 @@ class Network:
             "limit": limit,
             "routers": routers,
         }
+
+    def _buffered_vcs(self, node: int) -> Iterator[Tuple[int, int, int]]:
+        """``(in_port, vc, flits)`` for every non-empty input VC of
+        ``node``, in port-then-VC order (per kernel: this one walks the
+        router objects)."""
+        for port in self.routers[node].in_ports:
+            for vc in port.vcs:
+                if vc.fifo:
+                    yield port.port_id, vc.vc_id, len(vc.fifo)
 
     def _hang_message(self, diag: Dict) -> str:
         """An actionable abort message: where the stuck flits sit and in

@@ -14,7 +14,7 @@ reference kernel on every configuration, and snapshot-identical (a
 split run equals a straight one) - proven by
 ``tests/test_kernel_identity.py``, ``tests/test_backend_identity.py``,
 ``tests/test_fast_mode_identity.py``, ``tests/test_snapshot_restore.py``
-and the ``kernel-drift`` CI job.  This kernel never records trace
+and the ``drift`` CI job.  This kernel never records trace
 events, samples metrics, injects faults or runs dense scans: runs that
 carry any of those execute on the reference kernel.
 
@@ -49,7 +49,7 @@ through per-cycle mailboxes rotated at phase boundaries (see
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import Design, SimConfig
 from ..powergate.controller import PowerState, Transition
@@ -1467,38 +1467,11 @@ class SoANetwork(Network):
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-    def hang_diagnostics(self, now: int, kind: str) -> Dict:
-        routers = []
+    def _buffered_vcs(self, node: int) -> Iterator[Tuple[int, int, int]]:
         v_per = self._V
-        for node in range(self.mesh.num_nodes):
-            buffered = 0
-            stuck_vcs: List[List[int]] = []
-            base_f = node * self._fpn
-            for p in range(NUM_PORTS):
-                for v in range(v_per):
-                    n_flits = len(self._fifo[base_f + p * v_per + v])
-                    if n_flits:
-                        buffered += n_flits
-                        stuck_vcs.append([p, v])
-            latched = sum(len(q) for q in self.nis[node].latch)
-            queued = len(self.nis[node].inject_queue)
-            if buffered or latched or queued:
-                state = self.controllers[node].state
-                routers.append({
-                    "node": node,
-                    "state": PowerState.NAMES.get(state, str(state)),
-                    "buffered": buffered,
-                    "latched": latched,
-                    "queued": queued,
-                    "stuck_vcs": stuck_vcs,
-                })
-        limit = (self.deadlock_limit if kind == "deadlock"
-                 else self.livelock_limit)
-        return {
-            "kind": kind,
-            "design": self.cfg.design,
-            "cycle": now,
-            "outstanding_flits": self._outstanding,
-            "limit": limit,
-            "routers": routers,
-        }
+        base_f = node * self._fpn
+        for p in range(NUM_PORTS):
+            for v in range(v_per):
+                n_flits = len(self._fifo[base_f + p * v_per + v])
+                if n_flits:
+                    yield p, v, n_flits

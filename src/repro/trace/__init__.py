@@ -20,7 +20,7 @@ Tracing is strictly an observer: with no trace attached (the default)
 every hook reduces to one attribute check, and a traced run's
 :class:`repro.stats.collector.RunResult` is byte-identical to an
 untraced one (asserted by ``tests/test_trace_identity.py`` and the
-``trace-off-drift`` CI job).
+``drift`` CI job's ``--trace`` variant).
 """
 
 from .._lazy import lazy_exports

@@ -92,3 +92,22 @@ class TestMain:
         assert main(["simulate", "--design", "NoRD", "--traffic", "uniform",
                      "--rate", "0.05", "--scale", "smoke"]) == 0
         assert "delivered fraction" not in capsys.readouterr().out
+
+    def test_simulate_inherits_the_runner_observers(self, capsys, tmp_path,
+                                                    monkeypatch):
+        """``--trace`` / ``--metrics`` reach simulate's point the way
+        they reach every experiment's: through the process-wide runner."""
+        from repro.experiments import parallel
+        monkeypatch.setattr(parallel, "_default_runner", None)
+        assert main(["simulate", "--scale", "smoke", "--no-cache",
+                     "--trace", "--trace-dir", str(tmp_path / "t"),
+                     "--metrics", "--metrics-dir", str(tmp_path / "m")]) == 0
+        runner = parallel.get_runner()
+        assert runner.trace is not None and runner.metrics is not None
+        out = capsys.readouterr().out
+        assert f"[trace] 1 run(s) traced; artifacts in {tmp_path}/t/" in out
+        assert f"[metrics] 1 run(s) sampled; artifacts in {tmp_path}/m/" \
+            in out
+        assert "kernel: ref]" in out  # an observed run, and it did run
+        assert len(list((tmp_path / "t").glob("*.digest.json"))) == 1
+        assert len(list((tmp_path / "m").glob("*.metrics.jsonl"))) == 1

@@ -17,13 +17,13 @@ from repro.noc.network import DEADLOCK_LIMIT, LIVELOCK_LIMIT, Network
 from repro.traffic.base import NullTraffic, ScriptedTraffic
 
 
-def wedged_network(limit=150):
+def wedged_network(limit=150, backend=None):
     """A network whose packet can never make progress: every mesh output
     port is marked gated (as if all neighbors were off with no bypass),
     so switch allocation starves forever."""
     cfg = SimConfig(design=Design.NO_PG, warmup_cycles=0,
                     measure_cycles=50, drain_cycles=10_000, seed=1)
-    net = Network(cfg)
+    net = Network(cfg, backend=backend)
     net.deadlock_limit = limit
     for router in net.routers:
         for port in router.out_ports:
@@ -108,6 +108,25 @@ class TestTypedErrors:
         # (in_port, vc) pairs of the non-empty FIFOs
         assert entry["stuck_vcs"] and all(len(pair) == 2
                                           for pair in entry["stuck_vcs"])
+
+    def test_both_kernels_report_the_same_diagnostics(self):
+        """One ``hang_diagnostics`` over a per-kernel buffer walk:
+        ``Network(cfg)`` is the soa kernel here, so the reference walk
+        over the router objects is only reached when pinned."""
+        errors = {}
+        for backend in ("ref", "soa"):
+            net = wedged_network(limit=150, backend=backend)
+            assert net.backend == backend
+            with pytest.raises(DeadlockError) as excinfo:
+                net.run(ScriptedTraffic([(0, 0, 5, 1), (3, 2, 9, 5)],
+                                        num_nodes=16))
+            errors[backend] = excinfo.value
+        diag = errors["ref"].diagnostics
+        assert [(e["node"], e["buffered"], e["stuck_vcs"])
+                for e in diag["routers"]] == [(0, 1, [[4, 0]]),
+                                              (2, 5, [[4, 0]])]
+        assert diag == errors["soa"].diagnostics
+        assert str(errors["ref"]) == str(errors["soa"])
 
     def test_diagnostics_survive_pickling(self):
         """Workers ship these across process boundaries."""

@@ -190,6 +190,77 @@ def test_resume_backfills_the_cache(tmp_path):
     assert cache.get(pts[0].cache_key()) is not None
 
 
+def _rewrite_done(journal, edit):
+    """Apply ``edit`` to the (single) ``done`` record of ``journal``."""
+    lines = []
+    for line in journal.read_text().splitlines():
+        record = json.loads(line)
+        if record["ev"] == "done":
+            edit(record)
+        lines.append(json.dumps(record))
+    journal.write_text("\n".join(lines) + "\n")
+
+
+def test_altered_done_record_is_rerun_not_laundered(tmp_path):
+    """A ``done`` record whose numbers were changed (still valid JSON)
+    used to be resumed as is and re-signed into the cache by the
+    backfill, after which every cached run served it as a clean hit."""
+    from repro.experiments.parallel import ResultCache
+    pts = points(1)
+    journal = tmp_path / "j.jsonl"
+    (want, _), = SweepRunner(jobs=1, use_cache=False,
+                             journal_path=journal).run(pts)
+
+    def add_latency(record):
+        record["result"]["total_latency"] += 1000
+
+    _rewrite_done(journal, add_latency)
+    cache = ResultCache(tmp_path / "cache")
+    runner = SweepRunner(jobs=1, use_cache=True, cache=cache,
+                         journal_path=journal, resume=True)
+    (got, _), = runner.run(pts)
+    assert (runner.stats.resumed, runner.stats.executed,
+            runner.stats.misses) == (0, 1, 1)
+    assert got.total_latency == want.total_latency
+    assert cache.get(pts[0].cache_key())[0].total_latency \
+        == want.total_latency
+    assert cache.quarantined == 0
+    # The re-run is journaled like any first run of the point.
+    records = load_journal(journal)
+    last_sweep = max(i for i, r in enumerate(records)
+                     if r["ev"] == "sweep")
+    assert [r["ev"] for r in records[last_sweep:]] == \
+        ["sweep", "queued", "leased", "done"]
+
+
+def test_done_record_without_checksum_is_not_resumed(tmp_path):
+    pts = points(1)
+    journal = tmp_path / "j.jsonl"
+    SweepRunner(jobs=1, use_cache=False, journal_path=journal).run(pts)
+    _rewrite_done(journal, lambda record: record.pop("sha256"))
+    assert completed_outcomes(load_journal(journal)) == {}
+    resumed = SweepRunner(jobs=1, use_cache=False, journal_path=journal,
+                          resume=True)
+    resumed.run(pts)
+    assert (resumed.stats.resumed, resumed.stats.executed) == (0, 1)
+
+
+def test_cache_entry_and_done_record_are_one_record(tmp_path):
+    """One codec, two stores: what the cache file holds for a point is
+    what the journal's ``done`` record holds for it."""
+    from repro.experiments.parallel import ResultCache
+    pts = points(1)
+    journal = tmp_path / "j.jsonl"
+    cache = ResultCache(tmp_path / "cache")
+    SweepRunner(jobs=1, use_cache=True, cache=cache,
+                journal_path=journal).run(pts)
+    entry = json.loads(cache.path_for(pts[0].cache_key()).read_text())
+    done, = [r for r in load_journal(journal) if r["ev"] == "done"]
+    for name in ("result", "energy", "sha256"):
+        assert entry[name] == done[name], name
+    assert len(done["sha256"]) == 64
+
+
 def test_failed_points_are_journaled(tmp_path):
     bad = DesignPoint(
         cfg=SimConfig(design=Design.NORD, noc=NoCConfig(width=4, height=4),

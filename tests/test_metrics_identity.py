@@ -1,6 +1,6 @@
 """Metrics are a pure observer: instrumented == plain, field for field.
 
-The zero-interference contract behind the ``metrics-off-drift`` CI job:
+The zero-interference contract behind the ``drift`` CI job's ``--metrics`` variant:
 attaching a :class:`repro.metrics.MetricsRun` to a network must not
 change a single simulation outcome - the ``RunResult`` and the energy
 report of an instrumented run are *equal* (and serialize to identical

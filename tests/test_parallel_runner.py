@@ -492,7 +492,10 @@ class TestPoolLifetime:
         monkeypatch.setattr(parallel, "_default_runner", runner)
         with runner:
             assert all(parallel.submit(smoke_points()))
-            pids = self.leased_pids(runner)
+            # Both workers, including one that came up too late to be
+            # leased anything in this short first sweep.
+            pids = {e["pid"] for e in runner.supervisor.events
+                    if e["ev"] == "spawned"}
             parallel.configure(timeout=1.0)
             good = smoke_points(designs=(Design.NO_PG,))[0]
             outcomes = parallel.submit([slow_point(), good])
