@@ -26,10 +26,9 @@ def _timed_run(*, metrics_on, scale, seed):
     cfg = build_config(Design.NO_PG, scale, seed=seed)
     metrics = MetricsSpec(directory="unused").build() if metrics_on \
         else None
-    # Both arms on the kernel that serves the observer: unpinned, the
-    # metrics-off arm would run the (faster) soa kernel and the bound
-    # would measure the kernel switch, not the hooks.
-    net = Network(cfg, metrics=metrics, backend="ref")
+    # Both arms on the kernel an untagged run gets: the sampler does
+    # not move a run to another kernel, so this measures the hooks.
+    net = Network(cfg, metrics=metrics)
     traffic = make_traffic(net.mesh, "blackscholes", seed=seed)
     t0 = time.perf_counter()
     net.run(traffic)

@@ -64,8 +64,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "graph reference ('ref') or the struct-of-"
                              "arrays kernel ('soa'); default: "
                              "REPRO_BACKEND, then 'soa' unless the run "
-                             "traces, samples metrics, injects faults "
-                             "or forces dense scans ('ref')")
+                             "traces, injects faults or forces dense "
+                             "scans ('ref')")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-run wall-clock budget in seconds "
                              "(default: unlimited)")

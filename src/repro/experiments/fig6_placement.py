@@ -28,10 +28,6 @@ class Fig6Result:
     paper_set_metrics: Optional[Tuple[float, float]]
     knee_set: FrozenSet[int]
 
-    @property
-    def knee_size(self) -> int:
-        return len(self.knee_set)
-
 
 def run(scale: str = "bench", seed: int = 1, *, width: int = 4,
         height: int = 4) -> Fig6Result:

@@ -231,13 +231,6 @@ class DesignPoint:
         if self.backend is not None:
             resolve_backend(self.backend)  # raises on unknown names
 
-    def _kernel(self, faults, metrics=None, trace=None) -> str:
-        # The bufferless datapath has a single implementation.
-        if self.network == BUFFERLESS_NETWORK:
-            return "ref"
-        return select_kernel(self.backend, fault_plan=faults,
-                             metrics=metrics, trace=trace)
-
     @property
     def work_estimate(self) -> float:
         """Relative host cost: flits offered over the timed window.
@@ -251,7 +244,11 @@ class DesignPoint:
         """The kernel this point will actually run on (``ref``/``soa``):
         exactly what ``Network(...)`` dispatches to in
         :func:`execute_point`."""
-        return self._kernel(self.faults, self.metrics, self.trace)
+        # The bufferless datapath has a single implementation.
+        if self.network == BUFFERLESS_NETWORK:
+            return "ref"
+        return select_kernel(self.backend, fault_plan=self.faults,
+                             trace=self.trace)
 
     def cache_key(self) -> str:
         """Content hash identifying this point's result on disk.
@@ -261,8 +258,8 @@ class DesignPoint:
         entry.  ``trace`` is deliberately absent: tracing does not
         change the result, so traced and untraced runs share an entry.
         For the same reason the ``backend`` field is the kernel the
-        *keyed* content selects: observers and empty plans, which move
-        a run onto ``ref`` without changing its result, do not move its
+        *keyed* content selects: a trace or an empty plan, which move a
+        run onto ``ref`` without changing its result, do not move its
         entry.
         """
         faults = None
@@ -276,7 +273,8 @@ class DesignPoint:
             "prepare": self.prepare,
             "network": self.network,
             "faults": faults,
-            "backend": self._kernel(faults),
+            "backend": ("ref" if self.network == BUFFERLESS_NETWORK
+                        else select_kernel(self.backend, fault_plan=faults)),
         })
 
 

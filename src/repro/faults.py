@@ -232,12 +232,6 @@ class FaultState:
             return default
         return None
 
-    def wakeup_fault_for(self, node: int) -> Optional[WakeupFault]:
-        for fault in self.plan.wakeup_faults:
-            if fault.node == node:
-                return fault
-        return None
-
     # ------------------------------------------------------------------
     # per-cycle driver (start of Network.step)
     # ------------------------------------------------------------------

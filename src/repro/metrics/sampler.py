@@ -31,6 +31,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..noc.topology import NUM_PORTS
 from ..powergate.controller import PowerState
 from .registry import MetricsRegistry
 from .spec import DEFAULT_INTERVAL, MetricsSpec
@@ -88,13 +89,12 @@ class TimelineSampler:
     def attach(self, net) -> None:
         """Capture the counter baseline (cycle 0) and mesh constants."""
         cfg = net.cfg
-        ports = len(net.routers[0].in_ports) if net.routers else 0
         depth = cfg.noc.buffer_depth
         esc = cfg.escape_vcs
         ada = cfg.noc.vcs_per_port - esc
         n = net.mesh.num_nodes
-        self._esc_cap = max(1, n * ports * esc * depth)
-        self._ada_cap = max(1, n * ports * ada * depth)
+        self._esc_cap = max(1, n * NUM_PORTS * esc * depth)
+        self._ada_cap = max(1, n * NUM_PORTS * ada * depth)
         self._prev = self._counters(net)
 
     @staticmethod

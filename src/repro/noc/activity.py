@@ -11,7 +11,10 @@ The contract is *exact equivalence*: a component outside its active set
 must be provably a no-op for that phase, so a run with the skip layer
 enabled is byte-identical to one with it disabled (``REPRO_NO_SKIP=1``
 or ``Network(cfg, skip_inactive=False)`` - asserted by
-``tests/test_step_kernel.py`` and the CI smoke-diff job).
+``tests/test_step_kernel.py`` and the CI smoke-diff job).  "Disabled"
+is not a second set of scans: each phase has one body, over these sets,
+and dense mode puts every component into its set at the top of every
+cycle.
 
 This module also carries the ``--profile`` instrumentation: per-phase
 wall-clock accounting plus active-set occupancy counters, aggregated
@@ -30,9 +33,9 @@ PHASES = ("credit", "ni", "router", "link", "pg", "stats")
 class ActiveSet:
     """A set of component keys (ints or tuples) with ordered iteration.
 
-    ``sorted()`` yields members in ascending key order, which matches the
-    full kernel's scan order exactly - so the active kernel performs the
-    surviving work in the *same relative order* as the dense scan and
+    ``sorted()`` yields members in ascending key order - the order a
+    scan over every component would take - so skipping performs the
+    surviving work in the *same relative order* as dense mode and
     byte-identity does not rest on commutativity arguments.
     """
 

@@ -62,6 +62,7 @@ class BufferlessNetwork:
         self.cfg = cfg
         self.mesh = Mesh(cfg.noc.width, cfg.noc.height)
         self.now = 0
+        self._next_pid = 0
         #: flit currently on the wire INTO each (node, direction).
         self._incoming: List[List[Optional[_Worm]]] = [
             [None] * NUM_PORTS for _ in range(self.mesh.num_nodes)
@@ -82,7 +83,8 @@ class BufferlessNetwork:
 
     # ------------------------------------------------------------------
     def inject_packet(self, src: int, dst: int, length: int) -> Packet:
-        pkt = Packet(src, dst, length, self.now)
+        pkt = Packet(src, dst, length, self.now, pid=self._next_pid)
+        self._next_pid += 1
         for flit in pkt.make_flits():
             self.inject_queues[src].append(_Worm(flit, self.now))
         self._missing[pkt.pid] = length

@@ -10,37 +10,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-_next_packet_id = 0
-
-
-def _take_packet_id() -> int:
-    global _next_packet_id
-    pid = _next_packet_id
-    _next_packet_id = pid + 1
-    return pid
-
-
-def reset_packet_ids() -> None:
-    """Reset the global packet id counter (used by tests for determinism)."""
-    global _next_packet_id
-    _next_packet_id = 0
-
-
-def packet_id_state() -> int:
-    """The next pid this process would assign.
-
-    Captured by :meth:`repro.noc.network.Network.snapshot` so a run
-    restored in a fresh process continues the exact pid sequence the
-    original run would have produced.
-    """
-    return _next_packet_id
-
-
-def set_packet_id_state(next_pid: int) -> None:
-    """Restore the process-global pid sequence (snapshot restore)."""
-    global _next_packet_id
-    _next_packet_id = int(next_pid)
-
 
 class FlitType:
     HEAD = 0
@@ -60,8 +29,10 @@ class Packet:
     )
 
     def __init__(self, src: int, dst: int, length: int, created_cycle: int,
-                 klass: int = 0) -> None:
-        self.pid = _take_packet_id()
+                 klass: int = 0, *, pid: int = 0) -> None:
+        #: Unique within the network that injected the packet, which
+        #: hands the ids out (``Network.inject_packet``).
+        self.pid = pid
         self.src = src
         self.dst = dst
         self.length = length

@@ -35,10 +35,14 @@ power-gating exploits - so by default each phase iterates an *activity set*
 The sets are updated on event edges (flit launch, credit return, traffic
 injection, power transitions), each skipped component is provably a no-op
 for the skipped phase, and active members are visited in ascending key
-order - the same relative order as the dense scan - so results are
-byte-identical to the full kernel.  ``Network(cfg, skip_inactive=False)``
-or the ``REPRO_NO_SKIP=1`` environment variable force the dense scans
-(the escape hatch the equivalence tests and the CI smoke-diff use), and
+order, so skipping changes nothing but the work done.  There is one scan
+body per phase.  The dense mode - ``Network(cfg, skip_inactive=False)`` or
+the ``REPRO_NO_SKIP=1`` environment variable, the oracle the equivalence
+tests and the CI smoke-diff compare against - is "every component is
+active": at the top of each cycle every node, link, line and controller is
+put into its set, whatever the event hooks did or forgot, and the router
+stages scan every VC instead of the occupied ones.  It is a check, not a
+product path, and pays for re-arming and sorting full sets every cycle.
 :mod:`repro.noc.activity` provides the ``--profile`` instrumentation.
 """
 
@@ -69,7 +73,7 @@ from .activity import ActiveSet
 # every name stays importable from here.
 from .backend import (BACKENDS, _FALLBACK_WARNED, _env_flag,  # noqa: F401
                       resolve_backend, select_kernel)
-from .flit import Flit, Packet, packet_id_state, set_packet_id_state
+from .flit import Flit, Packet
 from .link import DelayLine, Link
 from .ni import NetworkInterface
 from .router import Router
@@ -96,7 +100,9 @@ LIVELOCK_LIMIT = 20_000
 #: never silently resume against new semantics.
 #: 2: the two SoA kernel classes became one (class identity in the
 #:    pickled blob changed).
-SNAPSHOT_VERSION = 2
+#: 3: the packet-id counter moved from the process into the network
+#:    (the blob carries it; ``next_packet_id`` left the snapshot).
+SNAPSHOT_VERSION = 3
 
 
 @dataclass
@@ -136,16 +142,14 @@ class NetworkSnapshot:
 
     ``blob`` is the pickled ``Network`` object graph (routers, VC
     buffers, links and their delay lines, NIs, PG controller FSMs, stats
-    collector, activity sets, fault state, trace/metrics observers).
-    ``next_packet_id`` carries the process-global pid counter so a
-    restore in a *fresh* process continues the exact pid sequence.
-    Taking the snapshot never mutates simulation state.
+    collector, activity sets, fault state, trace/metrics observers, the
+    packet-id counter).  Taking the snapshot never mutates simulation
+    state.
     """
 
     version: int
     backend: str
     cycle: int
-    next_packet_id: int
     blob: bytes
 
 
@@ -168,7 +172,6 @@ class Network:
                     "requested; drop fast=True or the backend override")
             if select_kernel(kwargs.get("backend"),
                              fault_plan=kwargs.get("fault_plan"),
-                             metrics=kwargs.get("metrics"),
                              trace=kwargs.get("trace"),
                              skip_inactive=kwargs.get("skip_inactive")
                              ) == "soa":
@@ -204,6 +207,10 @@ class Network:
         self.metrics = metrics
         self.mesh = Mesh(cfg.noc.width, cfg.noc.height)
         self.now = 0
+        #: Next packet id: per network, so two networks stepped in one
+        #: process number their packets independently, and part of the
+        #: pickled state, so a restored run continues the sequence.
+        self._next_pid = 0
         self.ring: Optional[BypassRing] = None
         if cfg.design == Design.NORD:
             self.ring = build_ring(self.mesh)
@@ -255,8 +262,14 @@ class Network:
             for port, nbr in self.mesh.neighbors(node):
                 row[port] = Link(node, port, nbr, OPPOSITE[port], LINK_DELAY)
             self.links_out.append(row)
-        self._num_links = sum(1 for row in self.links_out
-                              for link in row if link is not None)
+        link_keys = [(node, port)
+                     for node, row in enumerate(self.links_out)
+                     for port, link in enumerate(row) if link is not None]
+        self._num_links = len(link_keys)
+        #: Dense mode only: every (node keys, link keys) an activity set
+        #: can hold, re-armed at the top of each cycle.
+        self._universe = None if self.skip_inactive else (
+            frozenset(range(self.mesh.num_nodes)), frozenset(link_keys))
         self.inject_lines: List[DelayLine] = [
             DelayLine(INJECT_DELAY) for _ in range(self.mesh.num_nodes)
         ]
@@ -553,9 +566,15 @@ class Network:
     # ------------------------------------------------------------------
     # simulation loop
     # ------------------------------------------------------------------
+    def _take_pid(self) -> int:
+        pid = self._next_pid
+        self._next_pid = pid + 1
+        return pid
+
     def inject_packet(self, src: int, dst: int, length: int,
                       klass: int = 0) -> Packet:
-        pkt = Packet(src, dst, length, self.now, klass)
+        pkt = Packet(src, dst, length, self.now, klass,
+                     pid=self._take_pid())
         if self.trace is not None:
             self.trace.record(self.now, EventKind.NEW, src, port=dst,
                               pid=pkt.pid, info=length)
@@ -587,7 +606,8 @@ class Network:
         measured latency honestly includes the recovery time, and the
         same ``seq`` so duplicate deliveries are filtered."""
         faults = self._faults
-        pkt = Packet(orig.src, orig.dst, orig.length, self.now, orig.klass)
+        pkt = Packet(orig.src, orig.dst, orig.length, self.now, orig.klass,
+                     pid=self._take_pid())
         pkt.created_cycle = orig.created_cycle
         pkt.seq = orig.seq
         pkt.retry = orig.retry + 1
@@ -614,25 +634,35 @@ class Network:
         now = self.now
         if self._faults is not None:
             self._faults.begin_cycle(self, now)
+        if not self.skip_inactive:
+            self._activate_everything()
         if self._profile is not None:
             self._step_profiled(now)
-        elif self.skip_inactive:
-            self._phase_credits_active(now)
-            self._phase_nis_active(now)
-            self._phase_routers_active(now)
-            self._phase_links_active(now)
-            self._phase_pg_active(now)
-            self._phase_stats_active(now)
         else:
-            self._phase_credits_full(now)
-            self._phase_nis_full(now)
-            self._phase_routers_full(now)
-            self._phase_links_full(now)
-            self._phase_pg_full(now)
-            self._phase_stats_full(now)
+            self._phase_credits(now)
+            self._phase_nis(now)
+            self._phase_routers(now)
+            self._phase_links(now)
+            self._phase_pg(now)
+            self._phase_stats(now)
         self._check_liveness(now)
         if self.metrics is not None:
             self.metrics.on_cycle(self)
+
+    def _activate_everything(self) -> None:
+        """Dense mode: every component is a member of its activity set
+        this cycle, so the scans below visit everything and the result
+        owes nothing to the event hooks that maintain the sets."""
+        nodes, links = self._universe
+        for link_set in (self._active_credit_links,
+                         self._active_flit_links):
+            link_set._members.update(links)
+        for node_set in (self._active_inject, self._active_eject,
+                         self._active_nis, self._active_routers,
+                         self._pg_active):
+            node_set._members.update(nodes)
+        self._ni_marks.update(nodes)
+        self._pg_quiescent.clear()
 
     def _step_profiled(self, now: int) -> None:
         """One cycle with per-phase wall-clock + occupancy accounting."""
@@ -640,29 +670,19 @@ class Network:
         prof.cycles += 1
         n = self.mesh.num_nodes
         links = self._num_links
-        if self.skip_inactive:
-            credit_busy, line_busy = self._in_flight_counts()
-            phases = (
-                ("credit", self._phase_credits_active, credit_busy, links),
-                ("ni", self._phase_nis_active, len(self._active_nis), n),
-                ("router", self._phase_routers_active,
-                 len(self._active_routers), n),
-                ("link", self._phase_links_active, line_busy,
-                 links + 2 * n),
-                ("pg", self._phase_pg_active, len(self._pg_active), n),
-                ("stats", self._phase_stats_active,
-                 len(self._active_routers), n),
-            )
-        else:
-            phases = (
-                ("credit", self._phase_credits_full, links, links),
-                ("ni", self._phase_nis_full, n, n),
-                ("router", self._phase_routers_full, n, n),
-                ("link", self._phase_links_full, links + 2 * n,
-                 links + 2 * n),
-                ("pg", self._phase_pg_full, n, n),
-                ("stats", self._phase_stats_full, n, n),
-            )
+        # Occupancy is the size of each set at cycle start.
+        credit_busy, line_busy = self._in_flight_counts()
+        ni_busy = len(self._active_nis)
+        router_busy = len(self._active_routers)
+        pg_busy = len(self._pg_active)
+        phases = (
+            ("credit", self._phase_credits, credit_busy, links),
+            ("ni", self._phase_nis, ni_busy, n),
+            ("router", self._phase_routers, router_busy, n),
+            ("link", self._phase_links, line_busy, links + 2 * n),
+            ("pg", self._phase_pg, pg_busy, n),
+            ("stats", self._phase_stats, router_busy, n),
+        )
         for name, fn, occupied, capacity in phases:
             t0 = perf_counter()
             fn(now)
@@ -679,20 +699,7 @@ class Network:
     # ------------------------------------------------------------------
     # phase 2: credit delivery
     # ------------------------------------------------------------------
-    def _phase_credits_full(self, now: int) -> None:
-        for row in self.links_out:
-            for link in row:
-                if link is None or link.credits.empty:
-                    continue
-                out = self.routers[link.src].out_ports[link.src_port]
-                vcs = link.credits.receive(now)
-                if link.fault is not None:
-                    vcs = self._faults.filter_credits(link.fault, vcs,
-                                                      self.stats)
-                for vc in vcs:
-                    out.credit[vc].restore()
-
-    def _phase_credits_active(self, now: int) -> None:
+    def _phase_credits(self, now: int) -> None:
         active = self._active_credit_links
         links_out = self.links_out
         routers = self.routers
@@ -712,14 +719,7 @@ class Network:
     # ------------------------------------------------------------------
     # phase 3: network interfaces
     # ------------------------------------------------------------------
-    def _phase_nis_full(self, now: int) -> None:
-        for router in self.routers:
-            router.ports_used_by_ni.clear()
-        self._ni_marks.clear()
-        for ni in self.nis:
-            ni.process(now)
-
-    def _phase_nis_active(self, now: int) -> None:
+    def _phase_nis(self, now: int) -> None:
         if self._ni_marks:
             for node in self._ni_marks:
                 self.routers[node].ports_used_by_ni.clear()
@@ -740,34 +740,22 @@ class Network:
     # RC -> VA -> SA within a cycle, succeeding in one router cycle when
     # arbitration does not push back.
     # ------------------------------------------------------------------
-    def _phase_routers_full(self, now: int) -> None:
-        speculative = self.cfg.noc.speculative
-        for node, router in enumerate(self.routers):
-            if self.router_on(node):
-                if speculative:
-                    router.stage_rc(now)
-                    router.stage_va(now)
-                    router.stage_sa(now)
-                else:
-                    router.stage_sa(now)
-                    router.stage_va(now)
-                    router.stage_rc(now)
-
-    def _phase_routers_active(self, now: int) -> None:
+    def _phase_routers(self, now: int) -> None:
         # Empty routers (all VCs idle) run every stage as a pure no-op,
         # so only buffer-occupied routers are visited; demotion happens
         # in the stats phase, after the cycle's deliveries landed.  The
         # stages additionally scan only the occupied VCs - IDLE VCs fail
         # every stage's eligibility test, so narrowing the scan cannot
-        # change the outcome.
+        # change the outcome (dense mode checks that: it scans all VCs).
         speculative = self.cfg.noc.speculative
         routers = self.routers
         controllers = self.controllers
         on = PowerState.ON
+        dense = not self.skip_inactive
         for node in self._active_routers.sorted():
             if controllers[node].state == on:
                 router = routers[node]
-                occ = router.occupied_vcs
+                occ = None if dense else router.occupied_vcs
                 if speculative:
                     router.stage_rc(now, occ)
                     router.stage_va(now, occ)
@@ -780,29 +768,7 @@ class Network:
     # ------------------------------------------------------------------
     # phase 5: flit delivery
     # ------------------------------------------------------------------
-    def _phase_links_full(self, now: int) -> None:
-        for row in self.links_out:
-            for link in row:
-                if link is None or link.flits.empty:
-                    continue
-                arrivals = link.flits.receive(now)
-                if link.fault is not None:
-                    self._faults.strike_flits(link.fault, arrivals,
-                                              self.stats)
-                for flit, vc in arrivals:
-                    self._deliver(link.dst, link.dst_port, vc, flit)
-        for node, line in enumerate(self.inject_lines):
-            if line.empty:
-                continue
-            for flit, vc in line.receive(now):
-                self._deliver_inject(node, vc, flit)
-        for node, line in enumerate(self.eject_lines):
-            if line.empty:
-                continue
-            for flit, vc in line.receive(now):
-                self._deliver_eject(node, vc, flit, now)
-
-    def _phase_links_active(self, now: int) -> None:
+    def _phase_links(self, now: int) -> None:
         flit_links = self._active_flit_links
         for key in flit_links.sorted():
             link = self.links_out[key[0]][key[1]]
@@ -865,33 +831,11 @@ class Network:
                 and (self._faults is None
                      or not self._faults.has_router_failures))
 
-    def _phase_pg_full(self, now: int) -> None:
+    def _phase_pg(self, now: int) -> None:
         if self._no_pg_blanket:
             for ctrl in self.controllers:
                 ctrl.cycles_on += 1
             return
-        self._power_gate_phase()
-
-    def _phase_pg_active(self, now: int) -> None:
-        if self._no_pg_blanket:
-            for ctrl in self.controllers:
-                ctrl.cycles_on += 1
-            return
-        self._power_gate_phase_active()
-
-    def _power_gate_phase(self) -> None:
-        design = self.cfg.design
-        events: List[Tuple[int, str]] = []
-        for node, ctrl in enumerate(self.controllers):
-            inputs = self._gate_inputs(node, design)
-            event = ctrl.step(inputs)
-            if event is not None:
-                events.append((node, event))
-            if isinstance(ctrl, NoRDController):
-                ctrl.end_cycle()
-        self._apply_pg_events(events, design)
-
-    def _power_gate_phase_active(self) -> None:
         design = self.cfg.design
         quiescent = self._pg_quiescent
         active = self._pg_active
@@ -1124,21 +1068,7 @@ class Network:
     # ------------------------------------------------------------------
     # phase 7: statistics / liveness
     # ------------------------------------------------------------------
-    def _phase_stats_full(self, now: int) -> None:
-        if not self.stats.measuring:
-            return
-        stats = self.stats
-        state = self._idle_state
-        for node, router in enumerate(self.routers):
-            idle = router.empty
-            if idle != state[node]:
-                state[node] = idle
-                if idle:
-                    stats.note_idle(node, now)
-                else:
-                    stats.note_busy(node, now)
-
-    def _phase_stats_active(self, now: int) -> None:
+    def _phase_stats(self, now: int) -> None:
         # A router outside the active set is empty (every buffer fill
         # re-adds it), so only active routers can show an idle-state edge.
         # This phase is also where empty routers leave the set - after
@@ -1359,25 +1289,18 @@ class Network:
             version=SNAPSHOT_VERSION,
             backend=self.backend,
             cycle=self.now,
-            next_packet_id=packet_id_state(),
             blob=pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL),
         )
 
     @staticmethod
     def restore(snap: NetworkSnapshot) -> "Network":
-        """Rebuild a network from :meth:`snapshot`.
-
-        Also restores the process-global packet-id sequence, so pids
-        assigned after the restore match the ones the original process
-        would have assigned.
-        """
+        """Rebuild a network from :meth:`snapshot`; pids assigned after
+        the restore continue the original's sequence."""
         if snap.version != SNAPSHOT_VERSION:
             raise ValueError(
                 f"snapshot version {snap.version} is incompatible with "
                 f"this build (expected {SNAPSHOT_VERSION})")
-        net = pickle.loads(snap.blob)
-        set_packet_id_state(snap.next_packet_id)
-        return net
+        return pickle.loads(snap.blob)
 
     def _inject_arrivals(self, traffic) -> None:
         for src, dst, length in traffic.arrivals(self.now):

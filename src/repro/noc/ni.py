@@ -112,11 +112,6 @@ class NetworkInterface:
     def inject_pending(self) -> bool:
         return bool(self.inject_queue)
 
-    @property
-    def mid_injection(self) -> bool:
-        """A packet is partially injected (tail not yet sent)."""
-        return self.inj_path is not None and self.inj_sent > 0
-
     # ------------------------------------------------------------------
     # per-cycle processing
     # ------------------------------------------------------------------

@@ -14,9 +14,11 @@ reference kernel on every configuration, and snapshot-identical (a
 split run equals a straight one) - proven by
 ``tests/test_kernel_identity.py``, ``tests/test_backend_identity.py``,
 ``tests/test_fast_mode_identity.py``, ``tests/test_snapshot_restore.py``
-and the ``drift`` CI job.  This kernel never records trace
-events, samples metrics, injects faults or runs dense scans: runs that
-carry any of those execute on the reference kernel.
+and the ``drift`` CI job.  The metrics sampler runs on this kernel as
+on the reference (the event hooks sit in code both share, plus the one
+in :meth:`SoANetwork._sink_word`).  This kernel never records trace
+events, injects faults or runs dense scans: runs that carry any of
+those execute on the reference kernel.
 
 Layout
 ------
@@ -179,6 +181,19 @@ class _SoARouter:
         base = self.node * net._fpn
         return sum(len(dq) for dq in net._fifo[base:base + net._fpn])
 
+    def vc_occupancy_split(self, escape_vcs: int) -> Tuple[int, int]:
+        """Buffered flits split into ``(escape, adaptive)`` VC classes
+        (telemetry sampling hook)."""
+        net = self._net
+        base = self.node * net._fpn
+        esc = ada = 0
+        for i, dq in enumerate(net._fifo[base:base + net._fpn]):
+            if i % net._V < escape_vcs:
+                esc += len(dq)
+            else:
+                ada += len(dq)
+        return esc, ada
+
     # -- counters consumed by Network._snapshot_counters ---------------
     @property
     def n_buffer_writes(self) -> int:
@@ -225,7 +240,6 @@ class SoANetwork(Network):
                  fast: Optional[bool] = None) -> None:
         for feature, unsupported in (
                 ("fault injection", fault_plan is not None),
-                ("metrics sampling", metrics is not None),
                 ("event tracing", trace is not None),
                 ("dense scans", skip_inactive is False)):
             if unsupported:
@@ -233,7 +247,7 @@ class SoANetwork(Network):
                     f"the SoA kernel does not support {feature}; "
                     "Network(...) dispatch selects the reference kernel")
         super().__init__(cfg, threshold_policy, skip_inactive=True,
-                         backend=backend)
+                         metrics=metrics, backend=backend)
         if self._faults is not None:
             raise ValueError(
                 "the SoA kernel does not support fault plans "
@@ -421,6 +435,8 @@ class SoANetwork(Network):
             return
         pkt.ejected_cycle = now
         self.stats.on_packet_ejected(pkt)
+        if self.metrics is not None:
+            self.metrics.on_packet_ejected(pkt, self.stats)
 
     def _deliver_word(self, node: int, in_port: int, v: int, word: int,
                       pkt: Packet) -> None:
@@ -466,7 +482,7 @@ class SoANetwork(Network):
     # ------------------------------------------------------------------
     # phase 2: credit delivery
     # ------------------------------------------------------------------
-    def _phase_credits_active(self, now: int) -> None:
+    def _phase_credits(self, now: int) -> None:
         # Credit increments to disjoint counters commute, so the links
         # are drained in set order instead of sorted order.
         active = self._active_credit_links
@@ -499,7 +515,7 @@ class SoANetwork(Network):
     # ------------------------------------------------------------------
     # phase 4: router pipelines
     # ------------------------------------------------------------------
-    def _phase_routers_active(self, now: int) -> None:
+    def _phase_routers(self, now: int) -> None:
         # Candidate discovery is one scalar walk of the busy (non-IDLE)
         # VC set, grouped per node inline (the walk is f-ascending so
         # nodes are contiguous).  Gathering a node's candidates before
@@ -1078,7 +1094,7 @@ class SoANetwork(Network):
     # phase 5: flit delivery with the delay-line pops and the buffer
     # writes inlined (one loop, no per-word call chain)
     # ------------------------------------------------------------------
-    def _phase_links_active(self, now: int) -> None:
+    def _phase_links(self, now: int) -> None:
         controllers = self.controllers
         on = PowerState.ON
         ring = self.ring
@@ -1196,7 +1212,7 @@ class SoANetwork(Network):
     # phase 6: power gating - busy powered-on routers take the
     # two-assignment step the full FSM provably reduces to
     # ------------------------------------------------------------------
-    def _phase_pg_active(self, now: int) -> None:
+    def _phase_pg(self, now: int) -> None:
         if self._no_pg_blanket:
             for ctrl in self.controllers:
                 ctrl.cycles_on += 1
@@ -1438,7 +1454,7 @@ class SoANetwork(Network):
     # ------------------------------------------------------------------
     # phase 7: statistics (read the occupancy counter directly)
     # ------------------------------------------------------------------
-    def _phase_stats_active(self, now: int) -> None:
+    def _phase_stats(self, now: int) -> None:
         # Per-node edge accounting commutes across nodes and the run
         # summaries serialize dicts with sort_keys, so the sorted()
         # snapshot the reference takes is skipped.

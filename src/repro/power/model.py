@@ -60,13 +60,6 @@ class EnergyReport:
         seconds = self.cycles * self.cycle_time_s
         return self.total_j / seconds if seconds else 0.0
 
-    @property
-    def static_savings_vs_nopg(self) -> float:
-        """Fractional router static-energy reduction vs. the No_PG level."""
-        if self.router_static_nopg_j == 0:
-            return 0.0
-        return 1.0 - self.router_static_j / self.router_static_nopg_j
-
     def breakdown(self) -> Dict[str, float]:
         return {
             "router_static": self.router_static_j,

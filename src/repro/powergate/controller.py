@@ -93,15 +93,6 @@ class PowerGateController:
 
     # -- state queries ----------------------------------------------------
     @property
-    def is_on(self) -> bool:
-        return self.state == PowerState.ON
-
-    @property
-    def is_off(self) -> bool:
-        """True when the router datapath is unavailable (OFF or WAKING)."""
-        return self.state != PowerState.ON
-
-    @property
     def gateable(self) -> bool:
         """Whether this controller ever gates (False only for No_PG)."""
         return False

@@ -144,10 +144,6 @@ class RunResult:
         return sum(r.wakeups for r in self.routers)
 
     @property
-    def total_gate_offs(self) -> int:
-        return sum(r.gate_offs for r in self.routers)
-
-    @property
     def avg_off_fraction(self) -> float:
         if not self.routers:
             return 0.0

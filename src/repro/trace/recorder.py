@@ -19,10 +19,9 @@ Exported artifacts:
   regression harness commits under ``tests/goldens/`` and diffs in CI.
 
 Packet ids are *normalized* at export time (dense ids in order of first
-appearance in the stream) so digests and JSONL files are bit-stable
-across process boundaries: the in-memory global packet-id counter
-differs between ``--jobs 1`` and ``--jobs N`` schedules, the normalized
-stream does not.
+appearance in the stream), so digests and JSONL files do not depend on
+how the network numbered its packets or on how many the bounded buffer
+dropped before the retained window.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ import pytest
 
 from repro.config import Design, small_config
 from repro.experiments import parallel
-from repro.noc.flit import reset_packet_ids
 from repro.noc.network import BACKENDS, Network, resolve_backend
 from repro.noc.soa import SoANetwork
 from repro.trace.recorder import EventTrace
@@ -44,9 +43,7 @@ TRAFFIC_MAKERS = {
 def run_once(design, backend, kind="uniform", *, rate=0.1, seed=3,
              width=4, height=4, warmup=100, measure=600,
              speculative=False, aggressive=False, trace=False):
-    """One deterministic run; resets the global packet-id counter so
-    both backends see identical packet ids."""
-    reset_packet_ids()
+    """One deterministic run."""
     cfg = small_config(design, width=width, height=height,
                        warmup=warmup, measure=measure)
     if speculative:
@@ -155,11 +152,17 @@ class TestBackendSelection:
                       fault_plan=FaultPlan())
         assert type(net) is Network
 
-    def test_metrics_fall_back_to_reference(self):
+    def test_metered_run_stays_on_soa(self, monkeypatch):
         from repro.metrics.sampler import MetricsRun
-        net = Network(small_config(Design.NORD), backend="soa",
-                      metrics=MetricsRun())
-        assert type(net) is Network
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing to fall back from
+            unpinned = Network(small_config(Design.NORD),
+                               metrics=MetricsRun())
+            pinned = Network(small_config(Design.NORD), backend="soa",
+                             metrics=MetricsRun())
+        assert type(unpinned) is type(pinned) is SoANetwork
+        assert unpinned.metrics is not None
 
     def test_dense_scan_falls_back_to_reference(self, monkeypatch):
         net = Network(small_config(Design.NORD), backend="soa",
@@ -211,8 +214,6 @@ class TestCacheKeys:
         assert point.resolved_backend() == "ref"
 
     def test_execute_point_honors_backend(self):
-        reset_packet_ids()
         res_soa, _ = parallel.execute_point(self._point("soa"))
-        reset_packet_ids()
         res_ref, _ = parallel.execute_point(self._point("ref"))
         assert_identical(res_ref, res_soa)

@@ -20,7 +20,6 @@ from repro.config import Design, NoCConfig, SimConfig
 from repro.experiments.parallel import (DesignPoint, _guarded_execute,
                                         code_version, execute_point,
                                         point_basename, uniform_spec)
-from repro.noc import flit as flit_mod
 from repro.noc.network import Network, RunProgress
 
 
@@ -35,7 +34,6 @@ def small_point(tmp_path, interval=200, measure=2_000, drain=2_500):
 
 
 def make_checkpoint(point, cycles=150):
-    flit_mod.reset_packet_ids()
     net = Network(point.cfg)
     traffic = point.traffic.build(net.mesh)
     progress = RunProgress(point.cfg.warmup_cycles,

@@ -31,7 +31,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import Design, small_config
-from repro.noc.flit import reset_packet_ids
 from repro.noc.network import Network, RunProgress, _FALLBACK_WARNED
 from repro.noc.soa import SoANetwork
 from repro.noc.topology import NUM_PORTS, OPPOSITE, LOCAL
@@ -48,9 +47,7 @@ TRAFFIC_MAKERS = {
 
 def run_once(design, kind, *, backend="ref", rate=0.1,
              seed=3, width=4, height=4, warmup=60, measure=300):
-    """One deterministic run; resets the global packet-id counter so
-    every kernel sees identical packet ids."""
-    reset_packet_ids()
+    """One deterministic run."""
     cfg = small_config(design, width=width, height=height,
                        warmup=warmup, measure=measure)
     net = Network(cfg, backend=backend)
@@ -187,7 +184,6 @@ def _check_credit_books(net, design):
 class TestConservation:
     @pytest.mark.parametrize("design", [Design.CONV_PG, Design.NORD])
     def test_flit_and_credit_conservation(self, design):
-        reset_packet_ids()
         cfg = small_config(design, width=4, height=4)
         net = Network(cfg, backend="soa")
         assert type(net) is SoANetwork

@@ -4,19 +4,51 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.noc.flit import Flit, FlitType, Packet, reset_packet_ids
+from repro.config import Design, small_config
+from repro.noc.bufferless import BufferlessNetwork
+from repro.noc.flit import Flit, FlitType, Packet
+from repro.noc.network import Network
+from repro.trace.recorder import EventTrace
+from repro.traffic.synthetic import uniform_random
 
 
 class TestPacket:
     def test_ids_monotonic(self):
-        reset_packet_ids()
-        a = Packet(0, 1, 1, 0)
-        b = Packet(0, 1, 1, 0)
-        assert b.pid == a.pid + 1
+        """Each network numbers its own packets from 0: a second
+        network in the process neither continues nor disturbs the
+        first one's sequence."""
+        cfg = small_config(Design.NORD)
+        for build in (lambda: Network(cfg, backend="ref"),
+                      lambda: Network(cfg), lambda: BufferlessNetwork(cfg)):
+            first, second = build(), build()
+            assert [first.inject_packet(0, 1, 1).pid
+                    for _ in range(3)] == [0, 1, 2]
+            assert second.inject_packet(0, 1, 1).pid == 0
+            assert first.inject_packet(0, 1, 1).pid == 3
+        assert Packet(0, 1, 1, 0).pid == 0  # bare packets: the default
 
-    def test_reset_packet_ids(self):
-        reset_packet_ids()
-        assert Packet(0, 1, 1, 0).pid == 0
+    def test_interleaved_networks_keep_their_own_ids(self):
+        """Two networks stepped turn by turn in one process: each one's
+        raw (un-normalised) traced pids are those of a solo run."""
+        def build():
+            net = Network(small_config(Design.NORD), trace=EventTrace())
+            return net, uniform_random(net.mesh, 0.1, seed=3)
+
+        def advance(net, gen):
+            net._inject_arrivals(gen)
+            net.step()
+
+        solo, solo_gen = build()
+        for _ in range(120):
+            advance(solo, solo_gen)
+        (a, a_gen), (b, b_gen) = build(), build()
+        for _ in range(120):
+            advance(a, a_gen)
+            advance(b, b_gen)
+        want = [e.pid for e in solo.trace.events()]
+        assert max(want) > 10
+        assert [e.pid for e in a.trace.events()] == want
+        assert [e.pid for e in b.trace.events()] == want
 
     def test_latency_requires_ejection(self):
         pkt = Packet(0, 1, 1, created_cycle=10)

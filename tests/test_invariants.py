@@ -119,13 +119,10 @@ class TestBackendInvariants:
     @SIM_SETTINGS
     def test_backends_agree_on_random_configs(self, design, rate, wh,
                                               n_vcs, depth, seed):
-        from repro.noc.flit import reset_packet_ids
 
-        reset_packet_ids()
         net_ref, res_ref = run_random_config(design, rate, wh, n_vcs,
                                              depth, seed)
         cfg = net_ref.cfg
-        reset_packet_ids()
         net_soa = Network(cfg, backend="soa")
         res_soa = net_soa.run(uniform_random(net_soa.mesh, rate,
                                              seed=seed))

@@ -3,8 +3,8 @@ does not matter for the result.
 
 ``Network(cfg)`` picks the kernel from what the run carries
 (:func:`repro.noc.network.select_kernel`): ``soa`` unless a trace, a
-metrics recorder, a fault plan or dense scans need the reference
-kernel's hook surface.  This file pins
+fault plan or dense scans need the reference kernel's hook surface (a
+metrics recorder runs on either).  This file pins
 
 * the selection table - every row, unpinned (silent) and with ``soa``
   pinned (one warning), and that ``DesignPoint`` agrees with the
@@ -36,9 +36,8 @@ from repro.config import Design, small_config
 from repro.experiments import parallel
 from repro.experiments.runner import run_all
 from repro.faults import FaultPlan
-from repro.metrics.sampler import MetricsRun, MetricsSpec
+from repro.metrics.sampler import MetricsSpec
 from repro.noc import activity
-from repro.noc.flit import reset_packet_ids
 from repro.noc.network import Network, _FALLBACK_WARNED, select_kernel
 from repro.stats.collector import RunResult
 from repro.trace.recorder import EventTrace, TraceSpec
@@ -53,9 +52,6 @@ REF_ROWS = {
     "trace": (lambda: {"trace": EventTrace()}, {},
               lambda d: {"trace": TraceSpec(directory=d)},
               "event tracing"),
-    "metrics": (lambda: {"metrics": MetricsRun()}, {},
-                lambda d: {"metrics": MetricsSpec(directory=d)},
-                "metrics sampling"),
     "fault_plan": (
         lambda: {"fault_plan": FaultPlan.single_router_failure(5, 60)}, {},
         lambda d: {"faults": FaultPlan.single_router_failure(5, 60)},
@@ -72,7 +68,7 @@ REF_ROWS = {
 }
 #: Rows whose feature is an observer (or an inert plan): by the cache
 #: policy they share the plain point's entry although they run ``ref``.
-SHARES_PLAIN_ENTRY = {"trace", "metrics", "empty_fault_plan"}
+SHARES_PLAIN_ENTRY = {"trace", "empty_fault_plan"}
 
 
 def point(**fields):
@@ -131,6 +127,19 @@ class TestDispatchTable:
             warnings.simplefilter("error")  # one-time per process
             Network(small_config(Design.NORD), backend="soa", **kwargs())
 
+    def test_metrics_are_not_a_selection_input(self, monkeypatch,
+                                               tmp_path):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        with pytest.raises(TypeError):
+            select_kernel(metrics=MetricsSpec(directory="x").build())
+        metered = point(metrics=MetricsSpec(directory=str(tmp_path)))
+        assert metered.resolved_backend() == "soa"
+        assert metered.cache_key() == point().cache_key()
+        from repro.noc.soa import SoANetwork
+        net = SoANetwork(small_config(Design.NORD),
+                         metrics=MetricsSpec(directory="x").build())
+        assert net.metrics is not None
+
     def test_pinned_ref_is_honoured(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "ref")
         assert select_kernel() == "ref"
@@ -141,7 +150,8 @@ class TestDispatchTable:
                                                               tmp_path):
         for fields in ({}, {"backend": "ref"},
                        {"faults": FaultPlan()},
-                       {"trace": TraceSpec(directory=str(tmp_path))}):
+                       {"trace": TraceSpec(directory=str(tmp_path))},
+                       {"metrics": MetricsSpec(directory=str(tmp_path))}):
             p = point(**fields)
             result, _ = parallel.execute_point(p)
             assert result.kernel == p.resolved_backend(), fields
@@ -155,7 +165,6 @@ class TestKernelProvenance:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
     def run(self, backend):
-        reset_packet_ids()
         net = Network(small_config(Design.NORD, warmup=40, measure=200),
                       backend=backend)
         return net.run(uniform_random(net.mesh, 0.1, seed=3))
@@ -199,7 +208,6 @@ class TestProfileOccupancy:
     path only).  These feed the benchmark's ``noc.occupancy.*``."""
 
     def profiled(self, design, backend):
-        reset_packet_ids()
         activity.enable_profiling(True)
         activity.reset_profile()
         try:

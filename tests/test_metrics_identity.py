@@ -40,6 +40,29 @@ def test_instrumented_equals_plain(design, tmp_path):
     assert list(tmp_path.glob("*.metrics.jsonl"))
 
 
+@pytest.mark.parametrize("design", Design.ALL)
+def test_artifacts_do_not_depend_on_the_kernel(design, tmp_path,
+                                               monkeypatch):
+    """The sampler runs on either kernel and reads the same counters
+    from both: a metered point writes the same bytes on ``ref`` and on
+    the kernel an untagged run gets."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    written = {}
+    for backend, kernel in (("ref", "ref"), (None, "soa")):
+        directory = tmp_path / kernel
+        metered = dataclasses.replace(
+            point(design, uniform_spec(0.10)), backend=backend,
+            metrics=MetricsSpec(directory=str(directory), interval=50,
+                                basename="x"))
+        result, _ = execute_point(metered)
+        assert result.kernel == kernel
+        written[kernel] = [
+            (directory / name).read_bytes()
+            for name in ("x.metrics.jsonl", "x.metrics.csv", "x.prom")]
+    assert written["ref"] == written["soa"]
+    assert all(written["soa"])
+
+
 def test_instrumented_equals_plain_parsec(tmp_path):
     traffic = parsec_spec("blackscholes")
     plain, _ = execute_point(point(Design.NORD, traffic))

@@ -163,10 +163,8 @@ class TestBackendDifferential:
     @staticmethod
     def _run_backend(backend, design, kind, rate, wh, seed, *,
                      speculative=False):
-        from repro.noc.flit import reset_packet_ids
         from repro.traffic import synthetic
 
-        reset_packet_ids()
         cfg = SimConfig(
             design=design,
             noc=NoCConfig(width=wh[0], height=wh[1],

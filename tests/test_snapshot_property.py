@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import Design, NoCConfig, SimConfig
 from repro.experiments.parallel import tornado_spec, uniform_spec
-from repro.noc import flit as flit_mod
 from repro.noc.network import Network, RunProgress
 
 WARMUP, MEASURE, DRAIN = 60, 220, 400
@@ -43,11 +42,9 @@ def test_snapshot_split_is_invisible(design, backend, kind, rate, seed,
     cfg = _cfg(design, seed)
     spec = kind(rate, seed=seed)
 
-    flit_mod.reset_packet_ids()
     net = Network(cfg, backend=backend)
     want = net.run(spec.build(net.mesh)).to_dict()
 
-    flit_mod.reset_packet_ids()
     net = Network(cfg, backend=backend)
     traffic = spec.build(net.mesh)
     progress = RunProgress(WARMUP, MEASURE, DRAIN)
@@ -55,7 +52,6 @@ def test_snapshot_split_is_invisible(design, backend, kind, rate, seed,
     if result is None:
         blob = pickle.dumps((net.snapshot(), traffic, progress),
                             protocol=pickle.HIGHEST_PROTOCOL)
-        flit_mod.reset_packet_ids()  # restore must not depend on this
         snap, traffic, progress = pickle.loads(blob)
         net = Network.restore(snap)
         result = net.run_segment(traffic, progress)

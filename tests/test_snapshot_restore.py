@@ -20,7 +20,7 @@ import pytest
 
 from repro.config import Design, NoCConfig, SimConfig
 from repro.experiments.parallel import tornado_spec, uniform_spec
-from repro.noc import flit as flit_mod
+from repro.metrics.sampler import MetricsSpec, export_metrics
 from repro.noc.network import (Network, NetworkSnapshot, RunProgress,
                                SNAPSHOT_VERSION)
 from repro.trace.recorder import EventTrace
@@ -34,22 +34,15 @@ def small_cfg(design=Design.NORD):
                      drain_cycles=500)
 
 
-def run_straight(cfg, spec, backend=None, trace=None):
-    flit_mod.reset_packet_ids()
-    net = Network(cfg, backend=backend, trace=trace)
+def run_straight(cfg, spec, backend=None, trace=None, metrics=None):
+    net = Network(cfg, backend=backend, trace=trace, metrics=metrics)
     result = net.run(spec.build(net.mesh))
     return result, net
 
 
-def run_split(cfg, spec, k, backend=None, trace=None):
-    """Run ``k`` cycles, snapshot, restore from pickled bytes, finish.
-
-    Between snapshot and restore the process-global packet-id counter
-    is deliberately clobbered: restore must bring back *all* state a
-    fresh interpreter would lack.
-    """
-    flit_mod.reset_packet_ids()
-    net = Network(cfg, backend=backend, trace=trace)
+def run_split(cfg, spec, k, backend=None, trace=None, metrics=None):
+    """Run ``k`` cycles, snapshot, restore from pickled bytes, finish."""
+    net = Network(cfg, backend=backend, trace=trace, metrics=metrics)
     traffic = spec.build(net.mesh)
     progress = RunProgress(cfg.warmup_cycles, cfg.measure_cycles,
                            cfg.drain_cycles)
@@ -58,7 +51,6 @@ def run_split(cfg, spec, k, backend=None, trace=None):
         return result, net  # run finished before the split point
     blob = pickle.dumps((net.snapshot(), traffic, progress),
                         protocol=pickle.HIGHEST_PROTOCOL)
-    flit_mod.reset_packet_ids()  # poison the global the snapshot owns
     snap2, traffic2, progress2 = pickle.loads(blob)
     net2 = Network.restore(snap2)
     result = net2.run_segment(traffic2, progress2)
@@ -142,6 +134,29 @@ def test_trace_digest_survives_snapshot():
     assert net_a.trace.digest() == net_b.trace.digest()
 
 
+def test_metered_soa_split_equals_straight(tmp_path):
+    """The sampler rides inside the snapshot on the soa kernel too: a
+    metered run split mid-measure writes the artifacts a straight one
+    writes, byte for byte."""
+    cfg = small_cfg(Design.NORD)
+    spec = uniform_spec(0.10, seed=3)
+    mspec = MetricsSpec(directory=str(tmp_path), interval=50)
+
+    def artifacts(result, net, name):
+        assert net.backend == "soa"
+        export_metrics(net.metrics, mspec, name, net)
+        return result.to_dict(), [
+            (tmp_path / (name + suffix)).read_bytes()
+            for suffix in (".metrics.jsonl", ".metrics.csv", ".prom")]
+
+    want = artifacts(*run_straight(cfg, spec, metrics=mspec.build()),
+                     "straight")
+    got = artifacts(*run_split(cfg, spec, 200, metrics=mspec.build()),
+                    "split")
+    assert got == want
+    assert want[1][0].count(b"\n") > 5  # snapshots were sampled
+
+
 def test_snapshot_is_versioned_and_restore_rejects_drift():
     cfg = small_cfg(Design.NO_PG)
     net = Network(cfg)
@@ -155,20 +170,24 @@ def test_snapshot_is_versioned_and_restore_rejects_drift():
 
 
 def test_restore_resumes_packet_id_counter():
+    """The pid counter is network state: it rides in the blob, so a
+    restored network hands out the pid the original would have - however
+    many packets other networks in the process made in between."""
     cfg = small_cfg(Design.NORD)
     spec = uniform_spec(0.10, seed=3)
-    flit_mod.reset_packet_ids()
     net = Network(cfg)
     traffic = spec.build(net.mesh)
     progress = RunProgress(cfg.warmup_cycles, cfg.measure_cycles,
                            cfg.drain_cycles)
     assert net.run_segment(traffic, progress, max_cycles=150) is None
     snap = net.snapshot()
-    before = flit_mod.packet_id_state()
-    assert snap.next_packet_id == before
-    flit_mod.reset_packet_ids()
-    Network.restore(snap)
-    assert flit_mod.packet_id_state() == before
+    assert not hasattr(snap, "next_packet_id")
+    other = Network(cfg)
+    assert other.inject_packet(0, 1, 1).pid == 0
+    restored = Network.restore(snap)
+    want = net.inject_packet(0, 1, 1).pid
+    assert want > 0
+    assert restored.inject_packet(0, 1, 1).pid == want
 
 
 def test_restore_in_fresh_process_matches():
@@ -178,7 +197,6 @@ def test_restore_in_fresh_process_matches():
     spec = uniform_spec(0.10, seed=3)
     want, _ = run_straight(cfg, spec)
 
-    flit_mod.reset_packet_ids()
     net = Network(cfg)
     traffic = spec.build(net.mesh)
     progress = RunProgress(cfg.warmup_cycles, cfg.measure_cycles,

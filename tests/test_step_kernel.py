@@ -10,6 +10,7 @@ instrumentation works.
 import pytest
 
 from repro.config import Design
+from repro.errors import SimulationHang
 from repro.experiments.common import build_config
 from repro.noc import activity
 from repro.noc.network import Network
@@ -74,6 +75,26 @@ class TestByteIdentity:
         assert fast.to_dict() == full.to_dict()
         assert (fast.packets_failed or fast.packets_retransmitted
                 or fast.flits_corrupted)  # faults actually fired
+
+
+class TestDenseOracleIndependence:
+    """Dense mode shares the scan bodies with the skip layer, so it must
+    not share the skip layer's bookkeeping: with an event hook that
+    maintains an activity set disabled, ``skip_inactive=False`` still
+    produces the reference result (it re-arms every set each cycle),
+    while the skipping run - which lives off that hook - does not."""
+
+    @pytest.mark.parametrize("hook", ["note_ni_latched",
+                                      "note_router_filled"])
+    def test_dense_mode_ignores_a_dead_hook(self, hook, monkeypatch):
+        want = run_result(Design.NORD, skip=True).to_dict()
+        monkeypatch.setattr(Network, hook, lambda self, node: None)
+        assert run_result(Design.NORD, skip=False).to_dict() == want
+        try:
+            broken = run_result(Design.NORD, skip=True).to_dict()
+        except SimulationHang:  # flits the kernel lost track of wedge it
+            return
+        assert broken != want
 
 
 class TestSkipSwitch:
@@ -171,6 +192,22 @@ class TestProfiling:
             activity.enable_profiling(False)
             activity.reset_profile()
         assert profiled.to_dict() == baseline.to_dict()
+
+    def test_dense_profile_is_fully_occupied(self):
+        """One phase table serves both modes: in dense mode every set
+        is full at cycle start, so occupancy reads 100% per phase."""
+        activity.reset_profile()
+        activity.enable_profiling()
+        try:
+            profiled = run_result(Design.NORD, skip=False)
+            prof = activity.global_profile()
+            assert prof.cycles > 0
+            assert prof.active == prof.capacity
+        finally:
+            activity.enable_profiling(False)
+            activity.reset_profile()
+        assert profiled.to_dict() == run_result(Design.NORD,
+                                                skip=True).to_dict()
 
     def test_summary_without_cycles(self):
         prof = activity.KernelProfile()
