@@ -22,6 +22,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .checkpoint import CheckpointSpec
 from .config import Design, NoCConfig, SimConfig
 from .experiments import parallel
 from .experiments.common import SCALES
@@ -172,12 +173,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trace_spec(args: argparse.Namespace):
-    """The TraceSpec the ``--trace*`` flags describe (None when off)."""
-    if not getattr(args, "trace", False):
-        return None
-    return TraceSpec(directory=args.trace_dir, limit=args.trace_limit,
-                     chrome=args.trace_chrome)
+def _runner(parser: argparse.ArgumentParser,
+            args: argparse.Namespace) -> parallel.SweepRunner:
+    """The command's settings as one fresh runner: everything the
+    ``_add_common`` flags say, and nothing any earlier command said."""
+    if args.resume and args.journal is None:
+        parser.error("--resume requires --journal")
+    trace = metrics = checkpoint = None
+    if args.trace:
+        trace = TraceSpec(directory=args.trace_dir, limit=args.trace_limit,
+                          chrome=args.trace_chrome)
+    if args.metrics or args.metrics_html:  # --metrics-html implies it
+        metrics = MetricsSpec(directory=args.metrics_dir,
+                              interval=args.metrics_interval)
+    if args.checkpoint_interval is not None:
+        checkpoint = CheckpointSpec(directory=args.checkpoint_dir,
+                                    interval=args.checkpoint_interval)
+    return parallel.SweepRunner(
+        jobs=args.jobs, use_cache=not args.no_cache, timeout=args.timeout,
+        retries=args.retries, partial=args.partial, trace=trace,
+        metrics=metrics, checkpoint=checkpoint, backend=args.backend,
+        journal_path=args.journal, resume=args.resume)
 
 
 def _trace_summary(spec) -> None:
@@ -190,16 +206,6 @@ def _trace_summary(spec) -> None:
     digests = sorted(directory.glob("*.digest.json"))
     print(f"[trace] {len(digests)} run(s) traced; artifacts in "
           f"{directory}/")
-
-
-def _metrics_spec(args: argparse.Namespace):
-    """The MetricsSpec the ``--metrics*`` flags describe (None when
-    off); ``--metrics-html`` implies ``--metrics``."""
-    if not (getattr(args, "metrics", False)
-            or getattr(args, "metrics_html", False)):
-        return None
-    return MetricsSpec(directory=args.metrics_dir,
-                       interval=args.metrics_interval)
 
 
 def _metrics_finish(spec, html: bool) -> None:
@@ -220,25 +226,6 @@ def _metrics_finish(spec, html: bool) -> None:
         from .metrics import report as report_mod
         out = report_mod.write_report(directory)
         print(f"[metrics] report: {out}")
-
-
-def _configure_crash_safety(parser: argparse.ArgumentParser,
-                            args: argparse.Namespace) -> None:
-    """Wire the ``--checkpoint-*`` / ``--journal`` / ``--resume`` flags
-    into the process-wide runner (no-ops when all are absent)."""
-    if args.resume and args.journal is None:
-        parser.error("--resume requires --journal")
-    checkpoint = None
-    if args.checkpoint_interval is not None:
-        from .checkpoint import CheckpointSpec
-        checkpoint = CheckpointSpec(directory=args.checkpoint_dir,
-                                    interval=args.checkpoint_interval)
-    if checkpoint is not None or args.journal is not None or args.resume:
-        from pathlib import Path
-        parallel.configure(
-            checkpoint=checkpoint,
-            journal_path=Path(args.journal) if args.journal else None,
-            resume=args.resume or None)
 
 
 def _resume_hint(exc, argv: Optional[List[str]]) -> int:
@@ -292,24 +279,13 @@ def _simulate(args: argparse.Namespace) -> None:
         drain_cycles=scale.drain,
         seed=args.seed,
     )
-    if args.traffic == "uniform":
-        spec = parallel.uniform_spec(args.rate, seed=args.seed)
-    elif args.traffic == "bitcomp":
-        spec = parallel.bitcomp_spec(args.rate, seed=args.seed)
-    elif args.traffic == "tornado":
-        spec = parallel.tornado_spec(args.rate, seed=args.seed)
-    elif args.traffic == "transpose":
-        spec = parallel.transpose_spec(args.rate, seed=args.seed)
-    elif args.traffic == "hotspot":
-        spec = parallel.hotspot_spec(args.rate, seed=args.seed)
-    else:
+    if args.traffic in BENCHMARKS:
         spec = parallel.parsec_spec(args.traffic, seed=args.seed)
-    runner = parallel.configure(jobs=args.jobs,
-                                use_cache=not args.no_cache,
-                                timeout=args.timeout, retries=args.retries,
-                                partial=args.partial)
+    else:
+        spec = parallel.TrafficSpec(kind=args.traffic, rate=args.rate,
+                                    seed=args.seed)
     faults = _fault_plan(args)
-    result, energy = runner.run_one(
+    result, energy = parallel.get_runner().run_one(
         parallel.DesignPoint(cfg=cfg, traffic=spec, faults=faults))
     rows = [
         ("design", args.design),
@@ -343,44 +319,24 @@ def _simulate(args: argparse.Namespace) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None) is not None:
-        # Propagate through the environment so worker processes and
-        # every DesignPoint resolve the same kernel (and cache keys
-        # fold it in via select_kernel()).
-        import os
-        os.environ["REPRO_BACKEND"] = args.backend
     if args.command == "list":
         for name, (_, description) in EXPERIMENTS.items():
             print(f"{name:8s} {description}")
         return 0
-    if getattr(args, "profile", False):
-        activity.enable_profiling()
-    _configure_crash_safety(parser, args)
-    # Observers ride on the runner: every point a command submits -
-    # simulate's one included - inherits them.
-    trace_spec = _trace_spec(args)
-    metrics_spec = _metrics_spec(args)
-    parallel.configure(trace=trace_spec, metrics=metrics_spec)
+    # Everything a command's flags set takes effect here, whole: the
+    # runner (every point the command submits - simulate's one included
+    # - inherits its observers and kernel pin) and the profile switch.
+    runner = parallel.install(_runner(parser, args))
+    activity.enable_profiling(args.profile)
+    activity.reset_profile()
     from .errors import SweepInterrupted
     try:
         if args.command == "run-all":
-            run_all(args.scale, args.seed, jobs=args.jobs,
-                    use_cache=not args.no_cache, timeout=args.timeout,
-                    retries=args.retries, partial=args.partial)
-            _trace_summary(trace_spec)
-            _metrics_finish(metrics_spec, args.metrics_html)
-            return 0
-        if args.command == "simulate":
+            run_all(args.scale, args.seed)
+        elif args.command == "simulate":
             _simulate(args)
-            _trace_summary(trace_spec)
-            _metrics_finish(metrics_spec, args.metrics_html)
-            if activity.profiling_enabled():
-                print(activity.global_profile().summary())
-            return 0
-        parallel.configure(jobs=args.jobs, use_cache=not args.no_cache,
-                           timeout=args.timeout, retries=args.retries,
-                           partial=args.partial)
-        print(run_experiment(args.command, args.scale, args.seed))
+        else:
+            print(run_experiment(args.command, args.scale, args.seed))
     except SweepInterrupted as exc:
         # The runner already flushed the journal and partial results;
         # tell the user how to pick the sweep back up and exit 130 like
@@ -389,11 +345,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         # The worker pool outlives each sweep; it must not outlive the
         # command (interrupted or not).
-        parallel.get_runner().close()
-    if activity.profiling_enabled():
+        runner.close()
+    if args.profile:
         print(activity.global_profile().summary())
-    _trace_summary(trace_spec)
-    _metrics_finish(metrics_spec, args.metrics_html)
+    _trace_summary(runner.trace)
+    _metrics_finish(runner.metrics, args.metrics_html)
     return 0
 
 

@@ -8,8 +8,9 @@ Every experiment supports three scales:
   are available as ``full``);
 * ``full``  - the paper's warmup/measurement lengths.
 
-PARSEC runs (4 designs x 10 benchmarks) are cached per (scale, seed,
-mesh) so the Figure 8-12 experiments share one sweep.
+PARSEC runs (4 designs x 10 benchmarks) are memoized per (scale, seed,
+mesh) on the installed runner, so the Figure 8-12 experiments of one
+command share one sweep.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ def build_config(design: str, scale: str = "bench", *, width: int = 4,
 # ---------------------------------------------------------------------------
 ParsecSweep = Dict[str, Dict[str, Tuple[RunResult, EnergyReport]]]
 
-_PARSEC_CACHE: Dict[Tuple[str, int, int, int], ParsecSweep] = {}
-
 
 def parsec_sweep(scale: str = "bench", seed: int = 1, *, width: int = 4,
                  height: int = 4,
@@ -93,10 +92,13 @@ def parsec_sweep(scale: str = "bench", seed: int = 1, *, width: int = 4,
     the default :class:`repro.experiments.parallel.SweepRunner`, so with
     ``--jobs N`` the whole sweep fans across worker processes and
     completed cells come back from the on-disk cache.  Results are also
-    memoized in-process: repeated calls return the same objects.
+    memoized on that runner: repeated calls return the same objects
+    until another runner - other settings: ``--trace``, ``--backend``,
+    ``--no-cache`` - is installed.
     """
-    key = (scale, seed, width, height)
-    sweep = _PARSEC_CACHE.setdefault(key, {})
+    runner = parallel.get_runner()
+    key = ("parsec", scale, seed, width, height)
+    sweep = runner.memo.setdefault(key, {})
     missing = [(bench, design)
                for bench in benchmarks
                for design in designs
@@ -110,8 +112,7 @@ def parsec_sweep(scale: str = "bench", seed: int = 1, *, width: int = 4,
             )
             for bench, design in missing
         ]
-        for (bench, design), outcome in zip(missing,
-                                            parallel.submit(points)):
+        for (bench, design), outcome in zip(missing, runner.run(points)):
             sweep[bench][design] = outcome
     return sweep
 

@@ -18,7 +18,12 @@ shared machinery:
 * :class:`SweepRunner` - fans a batch of design points across a pool
   of spawned worker processes that lives as long as the runner
   (:mod:`repro.experiments.supervisor`), checking the cache first and
-  writing misses back.
+  writing misses back.  Every setting is a constructor argument; the
+  per-point ones (:data:`INHERITED`) are filled in on submitted points;
+* :func:`install` / :func:`get_runner` / :func:`submit` - the
+  process-wide runner the experiments submit through.  A command
+  installs a fresh one built from its own flags; there is no way to
+  adjust the installed one in part.
 
 Determinism: a design point fully determines its result.  Each worker
 builds its own ``Network`` and traffic generator from the point's seed,
@@ -91,11 +96,11 @@ STANDARD_NETWORK = "standard"
 class TrafficSpec:
     """Picklable description of a traffic generator.
 
-    ``kind`` is one of ``uniform``, ``bitcomp``, ``tornado``,
-    ``transpose``, ``hotspot``, ``parsec`` or ``null``; ``rate`` applies
-    to the synthetic kinds, ``benchmark`` to ``parsec``.  ``hotspots``
-    and ``fraction`` apply only to ``hotspot`` (empty ``hotspots`` =
-    the mesh-center default).
+    ``kind`` is a key of :data:`TRAFFIC_KINDS` (checked on
+    construction, so a typo fails where it is written rather than as a
+    contained worker error); ``rate`` applies to the synthetic kinds,
+    ``benchmark`` to ``parsec``.  ``hotspots`` and ``fraction`` apply
+    only to ``hotspot`` (empty ``hotspots`` = the mesh-center default).
     """
 
     kind: str
@@ -105,30 +110,45 @@ class TrafficSpec:
     hotspots: Tuple[int, ...] = ()
     fraction: float = 0.2
 
+    def __post_init__(self) -> None:
+        if self.kind not in TRAFFIC_KINDS:
+            raise ValueError(f"unknown traffic kind {self.kind!r}; "
+                             f"known: {sorted(TRAFFIC_KINDS)}")
+
     def build(self, mesh) -> TrafficGenerator:
-        from ..traffic.synthetic import (bit_complement, hotspot, tornado,
-                                         transpose, uniform_random)
-        if self.kind == "uniform":
-            return uniform_random(mesh, self.rate, seed=self.seed)
-        if self.kind == "bitcomp":
-            return bit_complement(mesh, self.rate, seed=self.seed)
-        if self.kind == "tornado":
-            return tornado(mesh, self.rate, seed=self.seed)
-        if self.kind == "transpose":
-            return transpose(mesh, self.rate, seed=self.seed)
-        if self.kind == "hotspot":
-            return hotspot(mesh, self.rate, seed=self.seed,
-                           hotspots=self.hotspots, fraction=self.fraction)
-        if self.kind == "parsec":
-            return make_traffic(mesh, self.benchmark, seed=self.seed)
-        if self.kind == "null":
-            return NullTraffic(mesh.num_nodes)
-        raise ValueError(f"unknown traffic kind {self.kind!r}")
+        return TRAFFIC_KINDS[self.kind](self, mesh)
 
     def to_key(self) -> Dict[str, object]:
         return {"kind": self.kind, "rate": self.rate,
                 "benchmark": self.benchmark, "seed": self.seed,
                 "hotspots": list(self.hotspots), "fraction": self.fraction}
+
+
+def _synthetic(factory: str, *fields: str):
+    """Builder for a :mod:`repro.traffic.synthetic` pattern, passing the
+    named spec fields on (imported when a point runs, not when it is
+    described)."""
+    def build(spec: TrafficSpec, mesh) -> TrafficGenerator:
+        from ..traffic import synthetic
+        return getattr(synthetic, factory)(
+            mesh, spec.rate, seed=spec.seed,
+            **{name: getattr(spec, name) for name in fields})
+    return build
+
+
+#: ``TrafficSpec.kind`` -> what builds its generator on a mesh: the one
+#: table :meth:`TrafficSpec.build` dispatches on and the constructor
+#: validates against.
+TRAFFIC_KINDS = {
+    "uniform": _synthetic("uniform_random"),
+    "bitcomp": _synthetic("bit_complement"),
+    "tornado": _synthetic("tornado"),
+    "transpose": _synthetic("transpose"),
+    "hotspot": _synthetic("hotspot", "hotspots", "fraction"),
+    "parsec": lambda spec, mesh: make_traffic(mesh, spec.benchmark,
+                                              seed=spec.seed),
+    "null": lambda spec, mesh: NullTraffic(mesh.num_nodes),
+}
 
 
 def uniform_spec(rate: float, seed: int = 1) -> TrafficSpec:
@@ -141,17 +161,6 @@ def bitcomp_spec(rate: float, seed: int = 1) -> TrafficSpec:
 
 def tornado_spec(rate: float, seed: int = 1) -> TrafficSpec:
     return TrafficSpec(kind="tornado", rate=rate, seed=seed)
-
-
-def transpose_spec(rate: float, seed: int = 1) -> TrafficSpec:
-    return TrafficSpec(kind="transpose", rate=rate, seed=seed)
-
-
-def hotspot_spec(rate: float, seed: int = 1,
-                 hotspots: Sequence[int] = (),
-                 fraction: float = 0.2) -> TrafficSpec:
-    return TrafficSpec(kind="hotspot", rate=rate, seed=seed,
-                       hotspots=tuple(hotspots), fraction=fraction)
 
 
 def parsec_spec(benchmark: str, seed: int = 1) -> TrafficSpec:
@@ -195,6 +204,10 @@ class DesignPoint:
     network: str = STANDARD_NETWORK
     #: Optional fault-injection plan (see :mod:`repro.faults`).
     faults: Optional[FaultPlan] = None
+    #: The four fields below are the ones a :class:`SweepRunner` fills
+    #: in, from its own setting of the same name, on points that leave
+    #: them ``None`` (:data:`INHERITED`); a value given here wins.
+    #:
     #: Optional event-trace request (see :mod:`repro.trace`).  A pure
     #: observer: it never enters :meth:`cache_key`, and a traced run's
     #: ``RunResult`` is identical to an untraced one.  Traced points
@@ -206,7 +219,8 @@ class DesignPoint:
     #: :meth:`cache_key`, skips the cache read but writes back.
     metrics: Optional[MetricsSpec] = None
     #: Pinned simulation kernel: ``"ref"``, ``"soa"`` or ``None`` (=
-    #: defer to ``REPRO_BACKEND``, then to what the point carries - see
+    #: defer to the runner's ``backend`` (``--backend``), then to
+    #: ``REPRO_BACKEND``, then to what the point carries - see
     #: :func:`repro.noc.network.select_kernel`).  The selected kernel
     #: enters :meth:`cache_key` - the two kernels are proven
     #: result-identical, but keying them separately keeps a drifting
@@ -278,28 +292,17 @@ class DesignPoint:
         })
 
 
-def trace_basename(point: DesignPoint) -> str:
-    """Deterministic artifact basename for a traced design point.
+def point_basename(point: DesignPoint, spec=None) -> str:
+    """Deterministic basename for a point's artifacts: the one the
+    observer ``spec`` (the point's ``trace`` / ``metrics``) names, else
+    derived from the point's content.
 
     Stable across processes and ``--jobs`` settings (it hashes the
     point's content, never scheduling state), so parallel and serial
-    runs of the same sweep produce identically-named trace files.
+    runs of the same sweep produce identically-named files.
     """
-    if point.trace is not None and point.trace.basename:
-        return point.trace.basename
-    return point_basename(point)
-
-
-def metrics_basename(point: DesignPoint) -> str:
-    """Deterministic artifact basename for an instrumented point
-    (same stability contract as :func:`trace_basename`)."""
-    if point.metrics is not None and point.metrics.basename:
-        return point.metrics.basename
-    return point_basename(point)
-
-
-def point_basename(point: DesignPoint) -> str:
-    """Content-derived basename shared by every artifact exporter."""
+    if spec is not None and spec.basename:
+        return spec.basename
     t = point.traffic
     parts = [str(point.cfg.design), t.kind]
     if t.rate:
@@ -391,11 +394,12 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
     if not bufferless:
         if net.trace is not None:
             from ..trace.recorder import export_trace
-            export_trace(net.trace, point.trace, trace_basename(point))
+            export_trace(net.trace, point.trace,
+                         point_basename(point, point.trace))
         if net.metrics is not None:
             from ..metrics.sampler import export_metrics
             export_metrics(net.metrics, point.metrics,
-                           metrics_basename(point), net,
+                           point_basename(point, point.metrics), net,
                            traffic=point.traffic.to_key())
     return result, report
 
@@ -712,6 +716,11 @@ class SweepStats:
         return self.sim_cycles / self.sim_seconds
 
 
+#: The ``DesignPoint`` fields a runner fills in, from its own attribute
+#: of the same name, on points that leave them ``None``.
+INHERITED = ("trace", "metrics", "checkpoint", "backend")
+
+
 class SweepRunner:
     """Executes batches of :class:`DesignPoint` with caching + workers.
 
@@ -719,6 +728,13 @@ class SweepRunner:
     beyond what the cache already requires; ``jobs=N`` fans cache
     misses across ``N`` spawned worker processes.  Results always come
     back in submission order.
+
+    Settings are constructor arguments: a command builds one runner
+    from its flags and :func:`install` s it, so nothing survives from
+    the command before.  Those named in :data:`INHERITED` are per-point
+    fields that :meth:`run` fills in on submitted points (how ``--trace``
+    / ``--backend`` reach the experiments, and the workers: they ride
+    inside the pickled point).
 
     The worker pool belongs to the runner, not to one :meth:`run`: it is
     spawned by the first round that has two or more points to execute
@@ -746,9 +762,8 @@ class SweepRunner:
     :mod:`repro.experiments.journal`,
     :mod:`repro.experiments.supervisor`):
 
-    * ``checkpoint`` - inherited by submitted points like ``trace``;
-      long points then persist periodic mid-run checkpoints and a
-      killed/timed-out attempt resumes instead of restarting;
+    * ``checkpoint`` - long points persist periodic mid-run checkpoints
+      and a killed/timed-out attempt resumes instead of restarting;
     * ``journal_path`` - write-ahead journal of every
       queued/leased/done/failed transition, fsynced per record.  While a
       journal is active, the first SIGINT/SIGTERM stops the sweep
@@ -770,6 +785,7 @@ class SweepRunner:
                  trace: Optional[TraceSpec] = None,
                  metrics: Optional[MetricsSpec] = None,
                  checkpoint: Optional[CheckpointSpec] = None,
+                 backend: Optional[str] = None,
                  journal_path: Optional[Path] = None,
                  resume: bool = False) -> None:
         if jobs < 1:
@@ -780,6 +796,8 @@ class SweepRunner:
             raise ValueError("retries must be >= 0")
         if retry_backoff_max < 0:
             raise ValueError("retry_backoff_max must be >= 0")
+        if backend is not None:
+            resolve_backend(backend)  # raises on unknown names
         self.jobs = jobs
         self.use_cache = use_cache
         self.cache = cache if cache is not None else ResultCache()
@@ -788,14 +806,10 @@ class SweepRunner:
         self.retry_backoff = retry_backoff
         self.retry_backoff_max = retry_backoff_max
         self.partial = partial
-        #: When set, every submitted point without its own trace spec
-        #: inherits this one (how ``--trace`` reaches the experiments).
         self.trace = trace
-        #: Same inheritance for telemetry (``--metrics``).
         self.metrics = metrics
-        #: Same inheritance for periodic checkpointing
-        #: (``--checkpoint-interval``).
         self.checkpoint = checkpoint
+        self.backend = backend
         self.journal_path = Path(journal_path) \
             if journal_path is not None else None
         self.resume = resume
@@ -805,6 +819,10 @@ class SweepRunner:
         #: The worker pool, once a round needed one (tests and the chaos
         #: harness inspect its lease/requeue event log).
         self.supervisor = None
+        #: Results the experiments share in-process (the PARSEC sweep
+        #: behind Figures 8-12).  Kept here so that it lives exactly as
+        #: long as the settings it was computed under.
+        self.memo: Dict[Any, Any] = {}
         self._journal = None
 
     def close(self) -> None:
@@ -823,16 +841,12 @@ class SweepRunner:
     def run(self,
             points: Sequence[DesignPoint]) -> List[Optional[SweepOutcome]]:
         points = list(points)
-        if self.trace is not None:
-            points = [p if p.trace is not None
-                      else replace(p, trace=self.trace) for p in points]
-        if self.metrics is not None:
-            points = [p if p.metrics is not None
-                      else replace(p, metrics=self.metrics)
-                      for p in points]
-        if self.checkpoint is not None:
-            points = [p if p.checkpoint is not None
-                      else replace(p, checkpoint=self.checkpoint)
+        inherited = {name: getattr(self, name) for name in INHERITED
+                     if getattr(self, name) is not None}
+        if inherited:
+            points = [replace(p, **{name: value
+                                    for name, value in inherited.items()
+                                    if getattr(p, name) is None})
                       for p in points]
         outcomes: List[Optional[SweepOutcome]] = [None] * len(points)
         journaling = self.journal_path is not None
@@ -1055,7 +1069,7 @@ class SweepRunner:
 
         if self.supervisor is not None \
                 and self.supervisor.workers != self.jobs:
-            self.close()  # configure(jobs=...) since the last round
+            self.close()  # runner.jobs changed since the last round
         if self.supervisor is None:
             self.supervisor = PoolSupervisor(self.jobs)
         self.supervisor.timeout = self.timeout
@@ -1065,57 +1079,25 @@ class SweepRunner:
 
 
 # ---------------------------------------------------------------------------
-# process-wide default runner (configured by the CLI / run-all)
+# process-wide default runner (installed by the CLI, one per command)
 # ---------------------------------------------------------------------------
 _default_runner: Optional[SweepRunner] = None
 
 
 def get_runner() -> SweepRunner:
-    """The process-wide runner the figure experiments submit through."""
+    """The process-wide runner the figure experiments submit through
+    (one with default settings until a command installs its own)."""
+    return _default_runner or install(SweepRunner())
+
+
+def install(runner: SweepRunner) -> SweepRunner:
+    """Make ``runner`` the process-wide runner and release the worker
+    pool of the one it replaces.  How a command's settings take effect:
+    whole, so none of the previous command's survive."""
     global _default_runner
-    if _default_runner is None:
-        _default_runner = SweepRunner()
-    return _default_runner
-
-
-def configure(jobs: Optional[int] = None,
-              use_cache: Optional[bool] = None,
-              timeout: Optional[float] = None,
-              retries: Optional[int] = None,
-              partial: Optional[bool] = None,
-              trace: Optional[TraceSpec] = None,
-              metrics: Optional[MetricsSpec] = None,
-              checkpoint: Optional[CheckpointSpec] = None,
-              journal_path: Optional[Path] = None,
-              resume: Optional[bool] = None) -> SweepRunner:
-    """Adjust the default runner (e.g. from ``--jobs`` / ``--no-cache``)."""
-    runner = get_runner()
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        runner.jobs = jobs
-    if use_cache is not None:
-        runner.use_cache = use_cache
-    if timeout is not None:
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        runner.timeout = timeout
-    if retries is not None:
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        runner.retries = retries
-    if partial is not None:
-        runner.partial = partial
-    if trace is not None:
-        runner.trace = trace
-    if metrics is not None:
-        runner.metrics = metrics
-    if checkpoint is not None:
-        runner.checkpoint = checkpoint
-    if journal_path is not None:
-        runner.journal_path = Path(journal_path)
-    if resume is not None:
-        runner.resume = resume
+    if _default_runner is not None:
+        _default_runner.close()
+    _default_runner = runner
     return runner
 
 

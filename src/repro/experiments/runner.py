@@ -8,9 +8,8 @@ figure of the paper in sequence; individual experiments are available as
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
-from ..noc import activity
 from . import parallel
 from . import (area_overhead, discussion_bufferless,
                discussion_optimizations, fig1_static_power,
@@ -57,23 +56,18 @@ def run_experiment(name: str, scale: str = "bench", seed: int = 1) -> str:
 
 
 def run_all(scale: str = "bench", seed: int = 1, *,
-            jobs: Optional[int] = None, use_cache: Optional[bool] = None,
-            timeout: Optional[float] = None, retries: Optional[int] = None,
-            partial: Optional[bool] = None,
             echo: Callable[[str], None] = print) -> None:
     """Run every experiment, echoing each report with timing.
 
-    ``jobs``/``use_cache``/``timeout``/``retries``/``partial`` configure
-    the process-wide :class:`repro.experiments.parallel.SweepRunner`
-    that the figure experiments submit their design points through; each
-    experiment's footer reports its wall-clock time plus how many design
-    points were served from the on-disk result cache.  The run-all
-    footer additionally reports quarantined (corrupt) cache entries and,
-    in partial mode, runs that failed every attempt.
+    The figure experiments submit their design points through the
+    installed :class:`repro.experiments.parallel.SweepRunner` (jobs,
+    cache, timeout, retries, partial: its settings); each experiment's
+    footer reports its wall-clock time plus how many design points were
+    served from the on-disk result cache.  The run-all footer
+    additionally reports quarantined (corrupt) cache entries and, in
+    partial mode, runs that failed every attempt.
     """
-    runner = parallel.configure(jobs=jobs, use_cache=use_cache,
-                                timeout=timeout, retries=retries,
-                                partial=partial)
+    runner = parallel.get_runner()
     total_start = time.perf_counter()
     with runner:  # one worker pool for all experiments, released here
         for name, (module, description) in EXPERIMENTS.items():
@@ -133,5 +127,3 @@ def run_all(scale: str = "bench", seed: int = 1, *,
             echo(f"[  {failed.kind}: {failed.point.cfg.design} "
                  f"{failed.point.traffic.kind} - {failed.message} "
                  f"(took {failed.attempts} attempts)]")
-    if activity.profiling_enabled():
-        echo(activity.global_profile().summary())

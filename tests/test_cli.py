@@ -1,8 +1,12 @@
 """Command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import parallel
+from repro.noc import activity
 
 
 class TestParser:
@@ -111,3 +115,76 @@ class TestMain:
         assert "kernel: ref]" in out  # an observed run, and it did run
         assert len(list((tmp_path / "t").glob("*.digest.json"))) == 1
         assert len(list((tmp_path / "m").glob("*.metrics.jsonl"))) == 1
+
+
+class TestCommandsShareNothing:
+    """What a command does depends on its own flags only: two ``main()``
+    calls in one interpreter, the second must not see the first's."""
+
+    FLAGGED = ["simulate", "--scale", "smoke", "--no-cache", "--trace",
+               "--timeout", "50", "--backend", "ref", "--profile"]
+    PLAIN = ["simulate", "--scale", "smoke"]
+
+    @pytest.fixture(autouse=True)
+    def isolated(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(parallel, "_default_runner", None)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        yield
+        activity.enable_profiling(False)
+        activity.reset_profile()
+
+    def test_runner_settings_do_not_outlive_their_command(self, capsys,
+                                                          tmp_path):
+        traces = tmp_path / "t1"
+        assert main(self.FLAGGED + ["--trace-dir", str(traces)]) == 0
+        flagged = parallel.get_runner()
+        assert (flagged.timeout, flagged.backend) == (50.0, "ref")
+        assert "kernel: ref]" in capsys.readouterr().out
+        written = sorted(traces.iterdir())
+        assert written
+        assert main(self.PLAIN) == 0
+        runner = parallel.get_runner()
+        assert runner is not flagged
+        assert runner.trace is None and runner.timeout is None
+        assert runner.use_cache is True and runner.backend is None
+        out = capsys.readouterr().out
+        assert "kernel: soa]" in out and "[trace]" not in out
+        assert sorted(traces.iterdir()) == written
+
+    def test_backend_flag_never_reaches_the_environment(self, capsys):
+        assert main(self.PLAIN + ["--no-cache", "--backend", "ref"]) == 0
+        assert "kernel: ref]" in capsys.readouterr().out
+        assert "REPRO_BACKEND" not in os.environ
+
+    def test_profile_is_per_command(self, capsys, tmp_path):
+        assert main(self.FLAGGED + ["--trace-dir", str(tmp_path / "t")]) == 0
+        out = capsys.readouterr().out
+        # One epilogue order for every command: profile, trace, metrics.
+        assert out.index("[kernel profile over") < out.index("[trace] 1 ")
+        cycles = activity.global_profile().cycles
+        assert main(self.PLAIN + ["--no-cache", "--profile"]) == 0
+        assert f"[kernel profile over {cycles} cycles" \
+            in capsys.readouterr().out  # its own cycles, not the sum
+        assert main(self.PLAIN) == 0
+        assert not activity.profiling_enabled()
+        assert "kernel profile" not in capsys.readouterr().out
+
+    def test_parsec_memo_dies_with_the_settings(self, capsys, tmp_path):
+        """Figures 8-12 share one in-process sweep - per runner, so a
+        later command's ``--trace`` is not served from an untraced memo."""
+        fig8 = ["fig8", "--scale", "smoke", "--no-cache"]
+        assert main(fig8) == 0
+        report = capsys.readouterr().out
+        traces = tmp_path / "D"
+        assert main(fig8 + ["--trace", "--trace-limit", "500",
+                            "--trace-dir", str(traces)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(report)  # a pure observer
+        assert f"[trace] 40 run(s) traced; artifacts in {traces}/" in out
+        assert len(list(traces.glob("*.digest.json"))) == 40
+
+    def test_resume_requires_journal(self, capsys):
+        with pytest.raises(SystemExit):
+            main(self.PLAIN + ["--resume"])
+        assert "--resume requires --journal" in capsys.readouterr().err

@@ -190,7 +190,8 @@ class TestKernelProvenance:
             name: runner.EXPERIMENTS[name]
             for name in ("fig13", "bufferless", "resilience")})
         lines = []
-        run_all("smoke", 1, use_cache=False, echo=lines.append)
+        parallel.install(parallel.SweepRunner(use_cache=False))
+        run_all("smoke", 1, echo=lines.append)
         footer = lines[-1]
         assert footer.startswith("\n[run-all took ")
         kernels = footer.rstrip("]").split("; kernels: ")[1]

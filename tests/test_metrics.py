@@ -17,7 +17,7 @@ import pytest
 from repro.config import Design, small_config
 from repro.experiments.parallel import (DesignPoint, ResultCache,
                                         SweepRunner, execute_point,
-                                        metrics_basename, uniform_spec)
+                                        point_basename, uniform_spec)
 from repro.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                            MetricsSpec, TimelineSampler,
                            idle_bucket_bounds)
@@ -276,7 +276,7 @@ class TestExportAndCachePolicy:
     def test_execute_point_writes_all_artifacts(self, tmp_path):
         point = self.point(tmp_path)
         execute_point(point)
-        base = metrics_basename(point)
+        base = point_basename(point, point.metrics)
         jsonl = tmp_path / f"{base}.metrics.jsonl"
         assert jsonl.is_file()
         assert (tmp_path / f"{base}.metrics.csv").is_file()

@@ -7,6 +7,7 @@ round-trips, and the CLI/run-all plumbing.
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -51,6 +52,13 @@ class TestTrafficSpec:
         from repro.noc.topology import Mesh
         with pytest.raises(ValueError, match="unknown traffic kind"):
             TrafficSpec(kind="chaos").build(Mesh(4, 4))
+
+    def test_unknown_kind_fails_where_it_is_written(self):
+        """Not after a worker round trip, as a contained ``error``."""
+        with pytest.raises(ValueError, match="unknown traffic kind"):
+            TrafficSpec(kind="unifrom", rate=0.1)
+        for kind in parallel.TRAFFIC_KINDS:  # the table build() reads
+            assert TrafficSpec(kind=kind).kind == kind
 
     def test_specs_are_picklable(self):
         import pickle
@@ -211,8 +219,6 @@ class TestSweepRunner:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             SweepRunner(jobs=0)
-        with pytest.raises(ValueError):
-            parallel.configure(jobs=0)
 
     def test_no_cache_mode_skips_disk(self, tmp_path):
         runner = SweepRunner(jobs=1, use_cache=False,
@@ -223,14 +229,16 @@ class TestSweepRunner:
     def test_empty_batch(self):
         assert SweepRunner(jobs=1).run([]) == []
 
-    def test_configure_adjusts_default_runner(self):
-        runner = parallel.get_runner()
-        old_jobs, old_cache = runner.jobs, runner.use_cache
-        try:
-            assert parallel.configure(jobs=3, use_cache=False) is runner
-            assert runner.jobs == 3 and runner.use_cache is False
-        finally:
-            parallel.configure(jobs=old_jobs, use_cache=old_cache)
+    def test_install_replaces_the_runner_and_closes_its_pool(
+            self, monkeypatch):
+        old = SweepRunner(jobs=2, use_cache=False)
+        monkeypatch.setattr(parallel, "_default_runner", old)
+        assert all(parallel.submit(smoke_points()))
+        assert old.supervisor is not None  # a pooled sweep ran
+        new = SweepRunner()
+        assert parallel.install(new) is new
+        assert parallel.get_runner() is new
+        assert old.supervisor is None
 
     def test_bufferless_network_kind(self, tmp_path):
         point = DesignPoint(cfg=build_config(Design.NO_PG, "smoke"),
@@ -245,6 +253,41 @@ class TestSweepRunner:
 # ---------------------------------------------------------------------------
 # fault plans in design points
 # ---------------------------------------------------------------------------
+class TestInheritedSettings:
+    """``INHERITED``: runner settings that ride on the points."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runner_backend_is_the_point_pinned(self, tmp_path, monkeypatch,
+                                                jobs):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        points = smoke_points()
+        pinned = [dataclasses.replace(p, backend="ref") for p in points]
+        assert pinned[0].cache_key() != points[0].cache_key()
+        with SweepRunner(jobs=jobs, backend="ref",
+                         cache=ResultCache(tmp_path)) as runner:
+            outcomes = runner.run(points)
+        assert [r.kernel for r, _ in outcomes] == ["ref", "ref"]
+        assert {path.stem for path in tmp_path.glob("*.json")} \
+            == {p.cache_key() for p in pinned}
+        # ... and nothing was written to the environment to get there.
+        assert "REPRO_BACKEND" not in os.environ
+
+    def test_a_points_own_setting_wins(self, tmp_path, monkeypatch):
+        from repro.trace.spec import TraceSpec
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        own, plain = smoke_points()
+        outcomes = SweepRunner(use_cache=False, backend="ref").run(
+            [dataclasses.replace(own, backend="soa"), plain])
+        assert [r.kernel for r, _ in outcomes] == ["soa", "ref"]
+        SweepRunner(use_cache=False,
+                    trace=TraceSpec(str(tmp_path / "runner"))).run(
+            [dataclasses.replace(own, trace=TraceSpec(str(tmp_path / "own"))),
+             plain])
+        for directory in ("own", "runner"):
+            assert len(list((tmp_path / directory).glob("*.digest.json"))) \
+                == 1
+
+
 class TestFaultPoints:
     def test_fault_plan_perturbs_cache_key(self):
         from repro.faults import FaultPlan
@@ -450,21 +493,8 @@ class TestResilientRunner:
             SweepRunner(timeout=0)
         with pytest.raises(ValueError):
             SweepRunner(retries=-1)
-        with pytest.raises(ValueError):
-            parallel.configure(timeout=-1)
-        with pytest.raises(ValueError):
-            parallel.configure(retries=-2)
-
-    def test_configure_sets_resilience_knobs(self):
-        runner = parallel.get_runner()
-        old = (runner.timeout, runner.retries, runner.partial)
-        try:
-            parallel.configure(timeout=5.0, retries=2, partial=True)
-            assert runner.timeout == 5.0
-            assert runner.retries == 2
-            assert runner.partial is True
-        finally:
-            runner.timeout, runner.retries, runner.partial = old
+        with pytest.raises(ValueError, match="unknown simulation backend"):
+            SweepRunner(backend="fast")
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +526,7 @@ class TestPoolLifetime:
             # leased anything in this short first sweep.
             pids = {e["pid"] for e in runner.supervisor.events
                     if e["ev"] == "spawned"}
-            parallel.configure(timeout=1.0)
+            runner.timeout = 1.0
             good = smoke_points(designs=(Design.NO_PG,))[0]
             outcomes = parallel.submit([slow_point(), good])
             assert outcomes[0] is None and outcomes[1] is not None
@@ -565,9 +595,9 @@ class TestPoolLifetime:
             "fig7": runner_mod.EXPERIMENTS["fig7"]})
         for expect_pool in (True, False):  # cold, then fully cached
             monkeypatch.setattr(parallel, "_default_runner", SweepRunner(
-                cache=ResultCache(tmp_path)))
+                jobs=2, cache=ResultCache(tmp_path)))
             lines = []
-            runner_mod.run_all("smoke", 1, jobs=2, echo=lines.append)
+            runner_mod.run_all("smoke", 1, echo=lines.append)
             footer = lines[-1]
             assert " took " in footer  # CI byte-diffs drop the line
             assert ("; pool: 2 workers spawned, 0 lost, 0 requeued]"

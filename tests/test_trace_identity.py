@@ -15,7 +15,7 @@ import pytest
 from repro.config import Design, small_config
 from repro.experiments.parallel import (DesignPoint, ResultCache,
                                         SweepRunner, TrafficSpec,
-                                        trace_basename)
+                                        point_basename)
 from repro.noc.network import Network
 from repro.trace import EventTrace, TraceSpec
 from repro.traffic.synthetic import uniform_random
@@ -69,7 +69,7 @@ class TestCacheInterplay:
         assert runner.stats.hits == 0
         assert runner.stats.executed == 2
         # ... producing artifacts and the identical result.
-        basename = trace_basename(traced)
+        basename = point_basename(traced, traced.trace)
         assert (tmp_path / "tr" / f"{basename}.jsonl").is_file()
         assert (tmp_path / "tr" / f"{basename}.digest.json").is_file()
         cached = cache.get(plain.cache_key())
