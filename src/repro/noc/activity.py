@@ -23,57 +23,31 @@ process-wide and reported in the ``run-all`` footer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 #: The six instrumented phases of ``Network.step()`` (traffic arrival,
 #: the seventh, happens outside ``step()`` in the run driver).
 PHASES = ("credit", "ni", "router", "link", "pg", "stats")
 
 
-class ActiveSet:
+class ActiveSet(set):
     """A set of component keys (ints or tuples) with ordered iteration.
 
     ``sorted()`` yields members in ascending key order - the order a
     scan over every component would take - so skipping performs the
     surviving work in the *same relative order* as dense mode and
-    byte-identity does not rest on commutativity arguments.
+    byte-identity does not rest on commutativity arguments.  Plain
+    iteration is unordered: only for order-insensitive work.
     """
 
-    __slots__ = ("_members",)
-
-    def __init__(self) -> None:
-        self._members: set = set()
-
-    def add(self, key) -> None:
-        self._members.add(key)
-
-    def discard(self, key) -> None:
-        self._members.discard(key)
-
-    def clear(self) -> None:
-        self._members.clear()
+    __slots__ = ()
 
     def sorted(self) -> list:
         """Snapshot of the members in ascending order (safe to mutate the
         set while iterating the snapshot)."""
-        members = self._members
-        if len(members) < 2:
-            return list(members)
-        return sorted(members)
-
-    def __contains__(self, key) -> bool:
-        return key in self._members
-
-    def __iter__(self) -> Iterator:
-        """Unordered iteration - only for order-insensitive work (e.g.
-        per-cycle counter increments)."""
-        return iter(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __bool__(self) -> bool:
-        return bool(self._members)
+        if len(self) < 2:
+            return list(self)
+        return sorted(self)
 
 
 class KernelProfile:

@@ -93,22 +93,19 @@ class Packet:
 
 
 class Flit:
-    """A flow-control unit.  Flits of a packet share the Packet object."""
+    """A flow-control unit.  Flits of a packet share the Packet object.
 
-    __slots__ = ("packet", "ftype", "index")
+    ``is_head`` / ``is_tail`` are plain attributes fixed at construction
+    (the datapath reads them on every hop)."""
+
+    __slots__ = ("packet", "ftype", "index", "is_head", "is_tail")
 
     def __init__(self, packet: Packet, ftype: int, index: int) -> None:
         self.packet = packet
         self.ftype = ftype
         self.index = index
-
-    @property
-    def is_head(self) -> bool:
-        return self.ftype in (FlitType.HEAD, FlitType.HEAD_TAIL)
-
-    @property
-    def is_tail(self) -> bool:
-        return self.ftype in (FlitType.TAIL, FlitType.HEAD_TAIL)
+        self.is_head = ftype in (FlitType.HEAD, FlitType.HEAD_TAIL)
+        self.is_tail = ftype in (FlitType.TAIL, FlitType.HEAD_TAIL)
 
     @property
     def dst(self) -> int:

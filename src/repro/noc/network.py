@@ -102,7 +102,11 @@ LIVELOCK_LIMIT = 20_000
 #:    pickled blob changed).
 #: 3: the packet-id counter moved from the process into the network
 #:    (the blob carries it; ``next_packet_id`` left the snapshot).
-SNAPSHOT_VERSION = 3
+#: 4: ``ActiveSet`` became a ``set`` subclass, ``Flit`` gained
+#:    ``is_head``/``is_tail`` slots, NIs carry their latched-flit count
+#:    and ring/controller references, and the soa kernel its parked VA
+#:    waiters.
+SNAPSHOT_VERSION = 4
 
 
 @dataclass
@@ -241,10 +245,6 @@ class Network:
         self._profile = (activity.global_profile()
                          if activity.profiling_enabled() else None)
         self.routers = self._build_routers()
-        self.nis: List[NetworkInterface] = [
-            NetworkInterface(node, cfg, self)
-            for node in range(self.mesh.num_nodes)
-        ]
         if cfg.design == Design.NORD and threshold_policy is None:
             # Imported lazily: thresholds -> placement -> noc would
             # otherwise form a package import cycle.
@@ -253,6 +253,12 @@ class Network:
         self.threshold_policy = threshold_policy
         self.controllers: List[PowerGateController] = [
             self._make_controller(node, threshold_policy)
+            for node in range(self.mesh.num_nodes)
+        ]
+        # After routers and controllers: each NI keeps references to its
+        # ring output port and its controller.
+        self.nis: List[NetworkInterface] = [
+            NetworkInterface(node, cfg, self)
             for node in range(self.mesh.num_nodes)
         ]
         # Links: links_out[node][port] for the four mesh directions.
@@ -345,12 +351,6 @@ class Network:
     def router_on(self, node: int) -> bool:
         return self.controllers[node].state == PowerState.ON
 
-    def bypass_active(self, node: int) -> bool:
-        """True when the node's bypass datapath carries traffic (NoRD and
-        the router is OFF or still WAKING, Section 4.3)."""
-        return (self.cfg.design == Design.NORD
-                and self.controllers[node].state != PowerState.ON)
-
     def neighbor_awake(self, node: int, port: int) -> bool:
         nbr = self.mesh.neighbor(node, port)
         if nbr is None:
@@ -421,6 +421,12 @@ class Network:
         upstream = self.mesh.neighbor(node, in_port)
         self.routers[upstream].out_ports[OPPOSITE[in_port]].vc_owner[vc] = None
 
+    def owner_released(self, node: int, port: int) -> None:
+        """A VC owner on ``node``'s output ``port`` was cleared outside
+        the datapath (the NI's ring-allocation reset).  The reference
+        reads owners live and needs nothing; the soa kernel wakes the
+        VA waiters parked on that port."""
+
     def sink_flit(self, node: int, flit: Flit, now: int, *,
                   via_bypass: bool) -> None:
         if self.trace is not None:
@@ -457,12 +463,6 @@ class Network:
         nbr = self.mesh.neighbor(node, out_port)
         if nbr is not None:
             self._wu_now.add(nbr)
-
-    def note_ni_vc_request(self, node: int, attempted: int = 1,
-                           stalled: int = 0) -> None:
-        ctrl = self.controllers[node]
-        if isinstance(ctrl, NoRDController):
-            ctrl.note_vc_request(attempted, stalled)
 
     def note_ni_latched(self, node: int) -> None:
         """Event hook from :meth:`NetworkInterface.latch_write`: the NI
@@ -656,11 +656,11 @@ class Network:
         nodes, links = self._universe
         for link_set in (self._active_credit_links,
                          self._active_flit_links):
-            link_set._members.update(links)
+            link_set.update(links)
         for node_set in (self._active_inject, self._active_eject,
                          self._active_nis, self._active_routers,
                          self._pg_active):
-            node_set._members.update(nodes)
+            node_set.update(nodes)
         self._ni_marks.update(nodes)
         self._pg_quiescent.clear()
 
@@ -1036,7 +1036,7 @@ class Network:
             while ni.latch[vc]:
                 # Write the latched flits into the input buffer; the bypass
                 # for this VC is then disabled (Section 4.3).
-                self.routers[node].deliver(inport, vc, ni.latch[vc].popleft())
+                self.routers[node].deliver(inport, vc, ni.latch_pop(vc))
             ni.bypass_wait.pop(vc, None)
             self._restore_pred_credit(node, vc)
         for port, nbr in self.mesh.neighbors(node):

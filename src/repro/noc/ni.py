@@ -26,6 +26,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
 
 from ..config import Design, SimConfig
+from ..powergate.controller import PowerState
 from ..trace.events import EventKind
 from .arbiter import RoundRobinArbiter
 from .buffer import OutputPort
@@ -66,6 +67,19 @@ class NetworkInterface:
         #: buffer (Figure 4(b)(c) - each bypass pipeline stage holds a flit).
         self.latch: List[Deque[Flit]] = [deque() for _ in range(vcs)]
         self._latch_depth = cfg.pg.bypass_depth
+        #: Flits held over all latch VCs (``latch_write`` / ``latch_pop``
+        #: are the only ways in and out).
+        self._latched = 0
+        #: Per-node constants of the bypass datapath: the Bypass Inport
+        #: id and the router output port the Bypass Outport drives (NoRD
+        #: only), and this node's power-gate controller.
+        ring = network.ring
+        self._ring_in = self._ring_port = None
+        if ring is not None:
+            self._ring_in = ring.inport[node]
+            self._ring_port = network.router(node).out_ports[
+                ring.outport[node]]
+        self._ctrl = network.controllers[node]
         #: in_vc -> out_vc at the ring successor for mid-packet forwarding.
         self.bypass_alloc: Dict[int, Optional[int]] = {}
         self.bypass_wait: Dict[int, int] = {}
@@ -97,6 +111,7 @@ class NetworkInterface:
             raise RuntimeError(
                 f"node {self.node}: bypass latch {vc_id} overflow")
         self.latch[vc_id].append(flit)
+        self._latched += 1
         self.n_latch_writes += 1
         trace = self.network.trace
         if trace is not None:
@@ -104,9 +119,15 @@ class NetworkInterface:
                          vc=vc_id, pid=flit.packet.pid, flit=flit.index)
         self.network.note_ni_latched(self.node)
 
+    def latch_pop(self, vc_id: int) -> Flit:
+        """Take the oldest flit of latch ``vc_id``: bypass ejection,
+        forwarding and the wake-up hand-over all leave through here."""
+        self._latched -= 1
+        return self.latch[vc_id].popleft()
+
     @property
     def latches_empty(self) -> bool:
-        return all(not q for q in self.latch)
+        return not self._latched
 
     @property
     def inject_pending(self) -> bool:
@@ -118,12 +139,13 @@ class NetworkInterface:
     def process(self, now: int) -> None:
         design = self.cfg.design
         if design == Design.NORD:
-            self._process_eject_bypass(now)
+            if self._latched:  # an arbiter round with no request is a no-op
+                self._process_eject_bypass(now)
             self._process_out_path(now)
         else:
             # Conventional designs: the NI can only inject when the router
             # is powered on (the disconnection problem, Section 3.4).
-            if self.network.router_on(self.node):
+            if self._ctrl.state == PowerState.ON:
                 self._try_inject_router(now, commit=True)
             else:
                 self.inj_wait = 0
@@ -131,17 +153,17 @@ class NetworkInterface:
     # -- bypass ejection ------------------------------------------------
     def _process_eject_bypass(self, now: int) -> None:
         """Sink at most one latch flit destined to the local node."""
+        latch = self.latch
         candidates = [v for v in range(self._vcs)
-                      if self.latch[v] and self.latch[v][0].dst == self.node]
+                      if latch[v] and latch[v][0].packet.dst == self.node]
         choice = self._eject_arb.grant_from(candidates)
         if choice is None:
             return
-        flit = self.latch[choice].popleft()
-        self.network.credit_upstream(self.node, self._bypass_inport(), choice,
-                                     now)
+        flit = self.latch_pop(choice)
+        self.network.credit_upstream(self.node, self._ring_in, choice, now)
         if flit.is_tail:
-            self.network.release_upstream_owner(
-                self.node, self._bypass_inport(), choice)
+            self.network.release_upstream_owner(self.node, self._ring_in,
+                                                choice)
             self.eject_mid.discard(choice)
             if choice in self.lingering:
                 self.network.finish_lingering(self.node, choice)
@@ -152,18 +174,21 @@ class NetworkInterface:
 
     # -- shared output path (forwarding + injection) ---------------------
     def _process_out_path(self, now: int) -> None:
-        bypassing = self.network.bypass_active(self.node)
-        router_on = self.network.router_on(self.node)
+        # NoRD only: the bypass carries traffic while the router is OFF
+        # or still WAKING (Section 4.3).
+        router_on = self._ctrl.state == PowerState.ON
+        bypassing = not router_on
         # Determine movable candidates.  Index 0..V-1 = latch VCs,
         # index V = local injection.
         movable: List[int] = []
         moves: Dict[int, tuple] = {}
         wanting = 0
-        for v in range(self._vcs):
-            if not self.latch[v]:
+        latch = self.latch if self._latched else ()  # scan only if needed
+        for v, queue in enumerate(latch):
+            if not queue:
                 continue
-            flit = self.latch[v][0]
-            if flit.dst == self.node:
+            flit = queue[0]
+            if flit.packet.dst == self.node:
                 continue
             if not (bypassing or v in self.lingering):
                 continue
@@ -189,9 +214,10 @@ class NetworkInterface:
         # routers wake early on any bypass usage, power-centric routers
         # only when the bypass demonstrably lacks capacity (stalls keep
         # counting every cycle, so the metric rises with congestion).
-        stalled = wanting - (1 if movable else 0)
         if wanting > 0:
-            self._note_vc_request(wanting, stalled)
+            self.n_vc_requests += wanting
+            self._ctrl.note_vc_request(wanting,
+                                       wanting - (1 if movable else 0))
         if not movable:
             if self.inject_queue:
                 self.inj_starve += 1
@@ -218,17 +244,16 @@ class NetworkInterface:
                 self.inj_wait += 1
 
     # -- forwarding plans -------------------------------------------------
+    # Every plan, forward or injection, is one shape:
+    # ``(path, out_vc, newly_allocated, went_escape)``.
     def _plan_forward(self, vc_id: int, flit: Flit) -> Optional[tuple]:
-        """Check whether latch flit ``vc_id`` can move this cycle.
-
-        Returns ``(out_vc, newly_allocated, went_escape)`` or None.
-        """
-        ring_port = self.network.ring.outport[self.node]
-        out = self.network.router(self.node).out_ports[ring_port]
+        """Check whether latch flit ``vc_id`` can move this cycle; the
+        plan (path ``"ring"``) or None."""
+        out = self._ring_port
         alloc = self.bypass_alloc.get(vc_id)
         if alloc is not None:
             if out.credit[alloc].available:
-                return (alloc, False, False)
+                return ("ring", alloc, False, False)
             return None
         # Head flit: allocate a VC at the ring successor (stage 2).
         pkt = flit.packet
@@ -237,20 +262,20 @@ class NetworkInterface:
         if not force:
             for v in range(self._escape_vcs, self._vcs):
                 if out.vc_owner[v] is None and out.credit[v].available:
-                    return (v, True, False)
+                    return ("ring", v, True, False)
         if force or wait >= ESCAPE_PATIENCE:
             ev = self.network.routing.escape_vc_for_hop(self.node, pkt)
             if out.vc_owner[ev] is None and out.credit[ev].available:
-                return (ev, True, True)
+                return ("ring", ev, True, True)
         self.bypass_wait[vc_id] = wait + 1
         return None
 
     def _commit_forward(self, vc_id: int, plan: tuple, now: int, *,
                         fast: bool = False) -> None:
-        out_vc, newly_allocated, went_escape = plan
-        flit = self.latch[vc_id].popleft()
-        ring_port = self.network.ring.outport[self.node]
-        out = self.network.router(self.node).out_ports[ring_port]
+        _, out_vc, newly_allocated, went_escape = plan
+        flit = self.latch_pop(vc_id)
+        out = self._ring_port
+        ring_port = out.port_id
         pkt = flit.packet
         if newly_allocated:
             out.vc_owner[out_vc] = pkt.pid
@@ -268,11 +293,10 @@ class NetworkInterface:
             pkt.bypass_hops += 1
         out.credit[out_vc].consume()
         # Free the latch slot: return the credit to the ring predecessor.
-        self.network.credit_upstream(self.node, self._bypass_inport(), vc_id,
-                                     now)
+        self.network.credit_upstream(self.node, self._ring_in, vc_id, now)
         if flit.is_tail:
-            self.network.release_upstream_owner(
-                self.node, self._bypass_inport(), vc_id)
+            self.network.release_upstream_owner(self.node, self._ring_in,
+                                                vc_id)
             del self.bypass_alloc[vc_id]
             if vc_id in self.lingering:
                 self.network.finish_lingering(self.node, vc_id)
@@ -285,7 +309,7 @@ class NetworkInterface:
         metrics = self.network.metrics
         if metrics is not None:
             metrics.on_bypass_forward(self.node)
-        if self.network.router_on(self.node):
+        if self._ctrl.state == PowerState.ON:
             self.network.mark_ni_port_used(self.node, ring_port)
         self.network.send_flit(self.node, ring_port, flit, out_vc, now,
                                fast=fast)
@@ -302,7 +326,7 @@ class NetworkInterface:
             out_vc = self.inj_out_vc
             if not self.to_router.credit[out_vc].available:
                 return None
-            plan = ("router", out_vc, False)
+            plan = ("router", out_vc, False, False)
         else:
             if not flit.is_head:
                 raise RuntimeError("mid-packet flit without injection path")
@@ -315,7 +339,7 @@ class NetworkInterface:
                     break
             if out_vc is None:
                 return None
-            plan = ("router", out_vc, True)
+            plan = ("router", out_vc, True, False)
         if commit:
             self._commit_injection(plan, now)
         return plan
@@ -323,12 +347,11 @@ class NetworkInterface:
     def _plan_inject_ring(self) -> Optional[tuple]:
         """Plan injecting via the Bypass Outport (router off)."""
         flit = self.inject_queue[0]
-        ring_port = self.network.ring.outport[self.node]
-        out = self.network.router(self.node).out_ports[ring_port]
+        out = self._ring_port
         if self.inj_path == "ring":
             out_vc = self.inj_out_vc
             if out.credit[out_vc].available:
-                return ("ring", out_vc, False)
+                return ("ring", out_vc, False, False)
             return None
         if not flit.is_head:
             raise RuntimeError("mid-packet flit without injection path")
@@ -337,7 +360,7 @@ class NetworkInterface:
         if not force:
             for v in range(self._escape_vcs, self._vcs):
                 if out.vc_owner[v] is None and out.credit[v].available:
-                    return ("ring", v, True)
+                    return ("ring", v, True, False)
         if force or self.inj_wait >= ESCAPE_PATIENCE:
             ev = self.network.routing.escape_vc_for_hop(self.node, pkt)
             if out.vc_owner[ev] is None and out.credit[ev].available:
@@ -346,8 +369,7 @@ class NetworkInterface:
         return None
 
     def _commit_injection(self, plan: tuple, now: int) -> None:
-        path, out_vc, newly_allocated = plan[0], plan[1], plan[2]
-        went_escape = plan[3] if len(plan) > 3 else False
+        path, out_vc, newly_allocated, went_escape = plan
         flit = self.inject_queue.popleft()
         pkt = flit.packet
         if newly_allocated:
@@ -362,8 +384,8 @@ class NetworkInterface:
             self.to_router.credit[out_vc].consume()
             self.network.send_inject(self.node, flit, out_vc, now)
         else:
-            ring_port = self.network.ring.outport[self.node]
-            out = self.network.router(self.node).out_ports[ring_port]
+            out = self._ring_port
+            ring_port = out.port_id
             if newly_allocated:
                 out.vc_owner[out_vc] = pkt.pid
                 if went_escape:
@@ -374,14 +396,13 @@ class NetworkInterface:
                         self.node, ring_port, pkt.dst):
                     pkt.misroutes += 1
             out.credit[out_vc].consume()
-            if self.network.router_on(self.node):
+            if self._ctrl.state == PowerState.ON:
                 self.network.mark_ni_port_used(self.node, ring_port)
             self.network.send_flit(self.node, ring_port, flit, out_vc, now)
         trace = self.network.trace
         if trace is not None:
             trace.record(now, EventKind.INJ, self.node,
-                         port=-1 if path == "router" else
-                         self.network.ring.outport[self.node],
+                         port=-1 if path == "router" else ring_port,
                          vc=out_vc, pid=pkt.pid, flit=flit.index,
                          info=0 if path == "router" else 1)
         metrics = self.network.metrics
@@ -410,16 +431,9 @@ class NetworkInterface:
     def reset_pending_ring_allocation(self) -> None:
         """Symmetric reset when the router wakes before the head went out."""
         if self.inj_path == "ring" and self.inj_sent == 0:
-            ring_port = self.network.ring.outport[self.node]
-            out = self.network.router(self.node).out_ports[ring_port]
-            out.vc_owner[self.inj_out_vc] = None
+            self._ring_port.vc_owner[self.inj_out_vc] = None
+            self.network.owner_released(self.node,
+                                        self._ring_port.port_id)
             self.inj_path = None
             self.inj_out_vc = None
             self.inj_wait = 0
-
-    def _bypass_inport(self) -> int:
-        return self.network.ring.inport[self.node]
-
-    def _note_vc_request(self, attempted: int = 1, stalled: int = 0) -> None:
-        self.n_vc_requests += attempted
-        self.network.note_ni_vc_request(self.node, attempted, stalled)

@@ -285,6 +285,9 @@ class SoANetwork(Network):
         self._fesc: List[bool] = [False] * nf
         self._vawait: List[int] = [0] * nf
         self._fsent: List[int] = [0] * nf
+        #: WAITING_VA VCs that skip VA until an owner on a port they
+        #: request is released (``_no_request`` / ``_unpark``).
+        self._parked: List[bool] = [False] * nf
         # -- per-output-port state --------------------------------------
         self._credit: List[int] = []
         for o in range(no):
@@ -295,6 +298,8 @@ class SoANetwork(Network):
         self._owner: List[List[Optional[int]]] = [[None] * v
                                                   for _ in range(no)]
         self._gated: List[bool] = [False] * no
+        #: Parked VCs per output port they request (may hold stale ids).
+        self._park_on: List[List[int]] = [[] for _ in range(no)]
         # -- per-node state ---------------------------------------------
         self._occ_cnt: List[int] = [0] * n
         self._nbw = [0] * n
@@ -438,6 +443,17 @@ class SoANetwork(Network):
         if self.metrics is not None:
             self.metrics.on_packet_ejected(pkt, self.stats)
 
+    def release_upstream_owner(self, node: int, in_port: int,
+                               vc: int) -> None:
+        # NI bypass ejects and forwards (the router paths inline it).
+        super().release_upstream_owner(node, in_port, vc)
+        if in_port != LOCAL:
+            self._unpark(self._up_node[node * NUM_PORTS + in_port]
+                         * NUM_PORTS + OPPOSITE[in_port])
+
+    def owner_released(self, node: int, port: int) -> None:
+        self._unpark(node * NUM_PORTS + port)
+
     def _deliver_word(self, node: int, in_port: int, v: int, word: int,
                       pkt: Packet) -> None:
         """LT completion: write an arriving flit word into its input VC
@@ -499,7 +515,7 @@ class SoANetwork(Network):
             credit[c] += 1
         self._credit_due = self._credit_box
         self._credit_box = []
-        for key in list(active._members):
+        for key in list(active):
             node, port = key
             q = links_out[node][port].credits._queue
             base = (node * NUM_PORTS + port) * v
@@ -522,7 +538,10 @@ class SoANetwork(Network):
         # running its stages is exact: during the router phase no node
         # mutates another node's input-VC state or credits (cross-node
         # effects are owner releases - read live in VA - and mailbox
-        # sends, delivered in later phases).
+        # sends, delivered in later phases).  Parked VA waiters stay in
+        # the walk (an owner released by a later node this cycle unparks
+        # them in time, as the reference's live read would see it) but
+        # are not evaluated while parked.
         busy = self._busy
         if not busy:
             return
@@ -544,6 +563,8 @@ class SoANetwork(Network):
         up_node = self._up_node
         nis = self.nis
         owner = self._owner
+        parked = self._parked
+        park_on = self._park_on
         cred_base = self._cred_base
         credit_box = self._credit_box
         flit_box = self._flit_box
@@ -621,8 +642,10 @@ class SoANetwork(Network):
                     if p == LOCAL:
                         nis[node].to_router.vc_owner[v] = None
                     else:
-                        owner[up_node[base_o + p] * NUM_PORTS
-                              + OPPOSITE[p]][v] = None
+                        o = up_node[base_o + p] * NUM_PORTS + OPPOSITE[p]
+                        owner[o][v] = None
+                        if park_on[o]:
+                            self._unpark(o)
                     if fifo_f:
                         raise RuntimeError(
                             "flits behind a tail in an allocated VC")
@@ -644,6 +667,8 @@ class SoANetwork(Network):
                 # list build and the _node_stages call.
                 i = j
                 if st_l[f] == _WAITING_VA:
+                    if parked[f]:
+                        continue
                     act = self._va_node(now, node, [f])
                     if act and speculative:
                         self._sa_node(now, node, act, None)
@@ -666,7 +691,8 @@ class SoANetwork(Network):
                     if fifo[f]:
                         sa.append(f)
                 elif s == _WAITING_VA:
-                    va.append(f)
+                    if not parked[f]:
+                        va.append(f)
                 else:
                     rc.append(f)
             if sa or va or rc:
@@ -857,8 +883,11 @@ class SoANetwork(Network):
             if in_port == LOCAL:
                 self.nis[node].to_router.vc_owner[v] = None
             else:
-                up = self._up_node[node * NUM_PORTS + in_port]
-                self._owner[up * NUM_PORTS + OPPOSITE[in_port]][v] = None
+                o = (self._up_node[node * NUM_PORTS + in_port] * NUM_PORTS
+                     + OPPOSITE[in_port])
+                self._owner[o][v] = None
+                if self._park_on[o]:
+                    self._unpark(o)
             if fifo_f:
                 raise RuntimeError("flits behind a tail in an allocated VC")
             self._st[f] = _IDLE
@@ -890,6 +919,37 @@ class SoANetwork(Network):
         self._fesc[f] = False
         self._vawait[f] = 0
         self._fsent[f] = 0
+        self._parked[f] = False
+
+    def _no_request(self, node: int, f: int) -> None:
+        """Waiter ``f`` found no free output VC: it waits, and parks
+        once its request list can no longer grow (escape-only, or past
+        the escape patience).  Only a release of an owner on a port it
+        requests can then change the list, and ``_unpark`` brings it
+        back into VA.  A skipped evaluation would only have incremented
+        ``va_wait``, whose one reader (the patience test) is settled."""
+        wait = self._vawait[f]
+        self._vawait[f] = wait + 1
+        escape_only = self._fifo[f][0][1].on_escape or self._fesc[f]
+        if not (escape_only or wait >= ESCAPE_PATIENCE):
+            return
+        self._parked[f] = True
+        base_o = node * NUM_PORTS
+        park_on = self._park_on
+        if not escape_only:
+            for port in self._aports[f]:
+                park_on[base_o + port].append(f)
+        if self._eport[f] is not None:
+            park_on[base_o + self._eport[f]].append(f)
+
+    def _unpark(self, o: int) -> None:
+        """An owner on output port ``o`` was released: every waiter
+        parked on it runs VA again (an extra unpark costs one
+        evaluation; a missing one would change results)."""
+        parked = self._parked
+        for f in self._park_on[o]:
+            parked[f] = False
+        self._park_on[o] = []
 
     def _va_node(self, now: int, node: int, cand: List[int]) -> List[int]:
         """VC allocation for one node; returns the flat ids that went
@@ -906,7 +966,7 @@ class SoANetwork(Network):
             return []
         cands = self._va_candidates(node, f)
         if not cands:
-            self._vawait[f] += 1
+            self._no_request(node, f)
             return []
         rid = f - node * self._fpn
         arbiters = self._va_pools[node].arbiters
@@ -927,7 +987,8 @@ class SoANetwork(Network):
             rid = f - base_f
             cands = self._va_candidates(node, f)
             if not cands:
-                self._vawait[f] += 1
+                # adds no request, so the round is the same without it
+                self._no_request(node, f)
                 continue
             if requests is None:
                 requests = [[] for _ in range(self._fpn)]
@@ -1199,10 +1260,14 @@ class SoANetwork(Network):
         due_ej = self._ej_due
         if due_ej:
             owner = self._owner
+            park_on = self._park_on
             for node, word, pkt, vc in due_ej:
                 nis[node].n_ejected_flits += 1
                 if word & 2:
-                    owner[node * NUM_PORTS + LOCAL][vc] = None
+                    o = node * NUM_PORTS + LOCAL
+                    owner[o][vc] = None
+                    if park_on[o]:
+                        self._unpark(o)
                 self._sink_word(node, word, pkt, now)
         self._ej_due = self._ej_mid
         self._ej_mid = self._ej_box
@@ -1350,9 +1415,9 @@ class SoANetwork(Network):
             nodes = {e[0] for e in self._inj_due}
             nodes.update(e[0] for e in self._ej_mid)
             nodes.update(e[0] for e in self._ej_due)
-            for src, port in self._active_flit_links._members:
+            for src, port in self._active_flit_links:
                 nodes.add(l_dst[src * NUM_PORTS + port])
-            for src, port in self._active_credit_links._members:
+            for src, port in self._active_credit_links:
                 nodes.add(l_dst[src * NUM_PORTS + port])
             nodes.update(l_dst[e[0]] for e in self._flit_due)
             nodes.update(l_dst[e[0]] for e in self._flit_mid)
@@ -1397,8 +1462,9 @@ class SoANetwork(Network):
                         self._reset_route(f, node)
                 elif (s == _ACTIVE and self._route[f] == out_port
                         and self._fsent[f] == 0):
-                    self._owner[node * NUM_PORTS + out_port][
-                        self._outvc[f]] = None
+                    o = node * NUM_PORTS + out_port
+                    self._owner[o][self._outvc[f]] = None
+                    self._unpark(o)
                     self._reset_route(f, node)
 
     def _has_commitment_to(self, node: int, out_port: int,
@@ -1463,7 +1529,7 @@ class SoANetwork(Network):
         stats = self.stats
         state = self._idle_state
         if stats.measuring:
-            for node in list(active._members):
+            for node in list(active):
                 idle = not occ[node]
                 if idle != state[node]:
                     state[node] = idle
@@ -1474,7 +1540,7 @@ class SoANetwork(Network):
                 if idle:
                     active.discard(node)
         else:
-            for node in list(active._members):
+            for node in list(active):
                 if not occ[node]:
                     active.discard(node)
                     state[node] = True
