@@ -3,6 +3,11 @@
 The canonical wormhole router (Section 3.1) uses separable allocators built
 from round-robin arbiters; we model a matrix of independent round-robin
 arbiters, one per contended resource, which is how Garnet models them too.
+
+``grant`` is the dense specification; ``grant_from``, which both kernels
+and the NI call, scans only the candidates.  The kernels share these
+arbiters, so their differentials cannot see a defect here:
+``tests/test_arbiter.py`` holds ``grant_from`` to ``grant``.
 """
 
 from __future__ import annotations
@@ -42,22 +47,28 @@ class RoundRobinArbiter:
         return None
 
     def grant_from(self, candidates: Iterable[int]) -> Optional[int]:
-        """Grant among an iterable of candidate indices."""
-        if isinstance(candidates, list) and len(candidates) == 1:
-            # A lone candidate always wins and becomes the new rotation
-            # point - exactly what the dense scan would conclude.
-            idx = candidates[0]
-            if 0 <= idx < self.size:
-                self._last = idx
-                return idx
-        requests = [False] * self.size
-        any_req = False
+        """Grant among candidate indices (any order, duplicates allowed).
+
+        The dense scan's answer without its request vector: the smallest
+        candidate above the last winner, else the smallest candidate.
+        """
+        last = self._last
+        size = self.size
+        above = below = size
         for c in candidates:
-            requests[c] = True
-            any_req = True
-        if not any_req:
+            if not 0 <= c < size:
+                raise ValueError(
+                    f"candidate {c!r} outside the arbiter's 0..{size - 1}")
+            if c > last:
+                if c < above:
+                    above = c
+            elif c < below:
+                below = c
+        choice = above if above < size else below
+        if choice == size:
             return None
-        return self.grant(requests)
+        self._last = choice
+        return choice
 
 
 class AllocatorPool:

@@ -31,8 +31,8 @@ class VirtualChannel:
     """One VC FIFO plus its routing/allocation state."""
 
     __slots__ = ("vc_id", "depth", "fifo", "state", "route_port", "out_vc",
-                 "stalled_for_wakeup", "adaptive_ports", "escape_port",
-                 "force_escape", "va_wait", "flits_sent")
+                 "adaptive_ports", "escape_port", "force_escape", "va_wait",
+                 "flits_sent")
 
     def __init__(self, vc_id: int, depth: int) -> None:
         self.vc_id = vc_id
@@ -43,9 +43,6 @@ class VirtualChannel:
         self.route_port: Optional[int] = None
         #: Downstream VC granted by VC allocation (valid in ACTIVE).
         self.out_vc: Optional[int] = None
-        #: True while the packet at the head is waiting for a gated-off
-        #: downstream router to wake up (conventional power-gating).
-        self.stalled_for_wakeup = False
         #: Route-computation results (valid in WAITING_VA).
         self.adaptive_ports: list = []
         self.escape_port: Optional[int] = None
@@ -89,7 +86,6 @@ class VirtualChannel:
         self.state = VCState.ROUTING if self.fifo else VCState.IDLE
         self.route_port = None
         self.out_vc = None
-        self.stalled_for_wakeup = False
         self.adaptive_ports = []
         self.escape_port = None
         self.force_escape = False

@@ -106,7 +106,10 @@ LIVELOCK_LIMIT = 20_000
 #:    ``is_head``/``is_tail`` slots, NIs carry their latched-flit count
 #:    and ring/controller references, and the soa kernel its parked VA
 #:    waiters.
-SNAPSHOT_VERSION = 4
+#: 5: the ref ``VirtualChannel`` lost ``stalled_for_wakeup``; the soa
+#:    kernel lost ``_stalled``/``_cred_base`` and gained its per-VC
+#:    constant tables and granted output port/credit counter.
+SNAPSHOT_VERSION = 5
 
 
 @dataclass

@@ -193,7 +193,6 @@ class Router:
                         continue
                     # Conventional PG: the port is unavailable in SA; the
                     # stalled request asserts WU toward the sleeping router.
-                    vc.stalled_for_wakeup = True
                     pkt = vc.fifo[0].packet
                     pkt.wakeup_stall_cycles += 1
                     trace = self.network.trace
@@ -207,7 +206,6 @@ class Router:
                     continue  # physical port taken by lingering bypass
                 if not out.credit[vc.out_vc].available:
                     continue
-                vc.stalled_for_wakeup = False
                 eligible.append(vc.vc_id)
             choice = self._sa_in_arb[p].grant_from(eligible)
             if choice is not None:

@@ -37,15 +37,22 @@ Commit paths
 ------------
 
 The router phase walks the sorted set of non-IDLE VCs (``_busy``) and
-commits the uncontended common case directly on the flat lists:
-single-candidate SA/VA rounds write exactly the round-robin pointers
-the allocators would move, busy powered-on routers take a
-two-assignment power-gate step, and route computation is replayed from
-a per-(node, dst) geometry cache.  Genuinely contended arbiter rounds
-replay the reference allocators in the reference visit order
-(node-ascending, port-ascending, VC-ascending).  Router-phase sends go
-through per-cycle mailboxes rotated at phase boundaries (see
+commits every uncontended arbiter round on the flat lists as exactly
+the pointer writes the allocators would make: an SA input port with
+one eligible VC, an SA output one nominee wants (all of them, in a
+clash-free round), a VA round whose request lists are pairwise
+disjoint (always, for a lone waiter).  Only a contested arbiter runs
+``grant_from``, and only a clashing VA round builds the ``fpn``-long
+request table for ``AllocatorPool.allocate``, in the reference visit
+order.  Busy powered-on routers take a two-assignment power-gate step,
+route computation is replayed from a per-(node, dst) geometry cache,
+and router-phase sends go through per-cycle mailboxes (see
 :meth:`SoANetwork._init_mailboxes`) instead of per-link delay queues.
+
+A per-VC field is written by the stage entering the state that reads
+it (``_commit_va`` for ACTIVE, ``_rc_node`` for WAITING_VA), so a tail
+resets only the state, occupancy and ``_busy``; per-VC constants are
+tables built in ``_build_routers``.
 """
 
 from __future__ import annotations
@@ -199,21 +206,17 @@ class _SoARouter:
     def n_buffer_writes(self) -> int:
         return self._net._nbw[self.node]
 
+    # Every SA grant is one buffer read and one crossbar traversal
+    # (no fault drops here), so one counter serves all three.
     @property
-    def n_buffer_reads(self) -> int:
-        return self._net._nbrd[self.node]
+    def n_sa_grants(self) -> int:
+        return self._net._nsa[self.node]
 
-    @property
-    def n_xbar_traversals(self) -> int:
-        return self._net._nxb[self.node]
+    n_buffer_reads = n_xbar_traversals = n_sa_grants
 
     @property
     def n_va_grants(self) -> int:
         return self._net._nva[self.node]
-
-    @property
-    def n_sa_grants(self) -> int:
-        return self._net._nsa[self.node]
 
     # -- services used by the inherited power-transition code ------------
     def deliver(self, in_port: int, vc_id: int, flit: Flit) -> None:
@@ -279,7 +282,9 @@ class SoANetwork(Network):
         self._fifo: List[deque] = [deque() for _ in range(nf)]
         self._route: List[Optional[int]] = [None] * nf
         self._outvc: List[Optional[int]] = [None] * nf
-        self._stalled: List[bool] = [False] * nf
+        #: flat output port and credit counter granted by VA
+        self._outo: List[int] = [-1] * nf
+        self._outc: List[int] = [-1] * nf
         self._aports: List[List[int]] = [[] for _ in range(nf)]
         self._eport: List[Optional[int]] = [None] * nf
         self._fesc: List[bool] = [False] * nf
@@ -303,8 +308,6 @@ class SoANetwork(Network):
         # -- per-node state ---------------------------------------------
         self._occ_cnt: List[int] = [0] * n
         self._nbw = [0] * n
-        self._nbrd = [0] * n
-        self._nxb = [0] * n
         self._nva = [0] * n
         self._nsa = [0] * n
         self._ports_used = [set() for _ in range(n)]
@@ -317,11 +320,21 @@ class SoANetwork(Network):
                          for _ in range(NUM_PORTS)] for _ in range(n)]
         self._va_pools = [AllocatorPool(NUM_PORTS * v, NUM_PORTS * v)
                           for _ in range(n)]
-        # upstream node per (node, in_port); -1 at mesh edges
+        # upstream node and output port per (node, in_port); -1 if none
         self._up_node = [-1] * no
+        up_o = [-1] * no
         for node in range(n):
             for port, nbr in mesh.neighbors(node):
                 self._up_node[node * NUM_PORTS + port] = nbr
+                up_o[node * NUM_PORTS + port] = (nbr * NUM_PORTS
+                                                 + OPPOSITE[port])
+        # Per-VC constants: input port, VC id, and the upstream owner
+        # list and credit counter a tail or a freed slot reports to.
+        self._inport = [(f // v) % NUM_PORTS for f in range(nf)]
+        self._vcid = [f % v for f in range(nf)]
+        self._upo = [up_o[f // v] for f in range(nf)]
+        self._upc = [-1 if up < 0 else up * v + f % v
+                     for f, up in enumerate(self._upo)]
         return [_SoARouter(self, node) for node in range(n)]
 
     def _init_mailboxes(self) -> None:
@@ -360,10 +373,8 @@ class SoANetwork(Network):
         #: Whether the link lands on its destination's Bypass Inport
         #: (deliveries may latch into the NI instead of the router).
         self._l_ring = [False] * (n * NUM_PORTS)
-        #: Flat credit-counter base for the upstream hop of (node, p).
-        self._cred_base = [-1] * (n * NUM_PORTS)
         for node in range(n):
-            for port, nbr in self._nbrs[node]:
+            for port, _ in self._nbrs[node]:
                 lid = node * NUM_PORTS + port
                 link = self.links_out[node][port]
                 self._l_dst[lid] = link.dst
@@ -372,8 +383,6 @@ class SoANetwork(Network):
                 self._l_ring[lid] = (
                     ring is not None
                     and link.dst_port == ring.inport[link.dst])
-                self._cred_base[lid] = (nbr * NUM_PORTS
-                                        + OPPOSITE[port]) * v_per
         # (box, mid, due) rotate through the link phase; credits only
         # need (box, due) because the credit phase precedes the router
         # phase within a cycle.
@@ -448,8 +457,8 @@ class SoANetwork(Network):
         # NI bypass ejects and forwards (the router paths inline it).
         super().release_upstream_owner(node, in_port, vc)
         if in_port != LOCAL:
-            self._unpark(self._up_node[node * NUM_PORTS + in_port]
-                         * NUM_PORTS + OPPOSITE[in_port])
+            self._unpark(self._upo[(node * NUM_PORTS + in_port) * self._V
+                                   + vc])
 
     def owner_released(self, node: int, port: int) -> None:
         self._unpark(node * NUM_PORTS + port)
@@ -547,17 +556,18 @@ class SoANetwork(Network):
             return
         speculative = self.cfg.noc.speculative
         fpn = self._fpn
-        v_per = self._V
         st_l = self._st
         fifo = self._fifo
         route_l = self._route
         outvc = self._outvc
-        stalled = self._stalled
+        outo, outc = self._outo, self._outc
+        inport, vcid = self._inport, self._vcid
+        upo, upc = self._upo, self._upc
         fsent = self._fsent
         gated = self._gated
         credit = self._credit
         occ = self._occ_cnt
-        nbrd, nsa, nxb = self._nbrd, self._nsa, self._nxb
+        nsa = self._nsa
         ports_used_all = self._ports_used
         sa_in_all, sa_out_all = self._sa_in, self._sa_out
         up_node = self._up_node
@@ -565,7 +575,6 @@ class SoANetwork(Network):
         owner = self._owner
         parked = self._parked
         park_on = self._park_on
-        cred_base = self._cred_base
         credit_box = self._credit_box
         flit_box = self._flit_box
         ej_box = self._ej_box
@@ -597,52 +606,43 @@ class SoANetwork(Network):
                 if not fifo_f:
                     continue
                 route = route_l[f]
-                base_o = node * NUM_PORTS
                 if route != LOCAL:
-                    o = base_o + route
+                    o = outo[f]
                     if gated[o]:
-                        stalled[f] = True
-                        pkt = fifo_f[0][1]
-                        pkt.wakeup_stall_cycles += 1
+                        fifo_f[0][1].wakeup_stall_cycles += 1
                         # inlined wake_request: a routed non-LOCAL
                         # port always has a live neighbor
                         wu_now.add(up_node[o])
                         continue
                     if route in ports_used_all[node]:
                         continue
-                    c = o * v_per + outvc[f]
+                    c = outc[f]
                     if credit[c] <= 0:
                         continue
-                    stalled[f] = False
-                p = (f // v_per) % NUM_PORTS
-                sa_in_all[node][p]._last = f % v_per
+                    credit[c] -= 1
+                p = inport[f]
+                v = vcid[f]
+                sa_in_all[node][p]._last = v
                 sa_out_all[node][route]._last = p
                 # --- traversal (_traverse, hoisted) ---
                 word, pkt = fifo_f.popleft()
-                nbrd[node] += 1
                 nsa[node] += 1
-                nxb[node] += 1
-                if route != LOCAL:
-                    credit[c] -= 1
                 fsent[f] += 1
-                v = f % v_per
                 if p == LOCAL:
                     nis[node].to_router.credit[v].restore()
                 else:
-                    credit_box.append(cred_base[base_o + p] + v)
-                self._last_progress = now
+                    credit_box.append(upc[f])
                 if route == LOCAL:
                     ej_box.append((node, word, pkt, outvc[f]))
                 else:
-                    flit_box.append((base_o + route, word, pkt, outvc[f]))
-                    self.n_link_flits += 1
+                    flit_box.append((o, word, pkt, outvc[f]))
                     if word & 1:
                         pkt.hops += 1
                 if word & 2:
                     if p == LOCAL:
                         nis[node].to_router.vc_owner[v] = None
                     else:
-                        o = up_node[base_o + p] * NUM_PORTS + OPPOSITE[p]
+                        o = upo[f]
                         owner[o][v] = None
                         if park_on[o]:
                             self._unpark(o)
@@ -650,21 +650,13 @@ class SoANetwork(Network):
                         raise RuntimeError(
                             "flits behind a tail in an allocated VC")
                     st_l[f] = _IDLE
-                    route_l[f] = None
-                    outvc[f] = None
-                    stalled[f] = False
-                    self._aports[f] = []
-                    self._eport[f] = None
-                    self._fesc[f] = False
-                    self._vawait[f] = 0
-                    fsent[f] = 0
                     occ[node] -= 1
                     busy.discard(f)
                 continue
             if j == i + 1:
                 # Single non-ACTIVE flit: dispatch straight to its
                 # stage (and the speculative ripple), skipping the
-                # list build and the _node_stages call.
+                # list build.
                 i = j
                 if st_l[f] == _WAITING_VA:
                     if parked[f]:
@@ -695,187 +687,185 @@ class SoANetwork(Network):
                         va.append(f)
                 else:
                     rc.append(f)
-            if sa or va or rc:
-                self._node_stages(now, node, sa, va, rc, speculative)
             i = j
-
-    def _node_stages(self, now: int, node: int, sa: List[int],
-                     va: List[int], rc: List[int],
-                     speculative: bool) -> None:
-        # Empty stages are pure no-ops in the reference too; skipping
-        # the calls entirely is the main per-node saving.
-        if speculative:
-            # RC -> VA -> SA ripple: merge same-cycle promotions into
-            # the later stages' candidate lists, as the reference's
-            # live occupied-VC scan would see them.
-            if rc:
-                promoted = self._rc_node(now, node, rc)
-                if promoted:
-                    va = sorted(va + promoted) if va else promoted
-            activated = self._va_node(now, node, va) if va else None
-            if sa or activated:
-                self._sa_node(now, node, sa, activated)
-        else:
+            # Empty stages are pure no-ops in the reference too.
+            if speculative:
+                # RC -> VA -> SA ripple: merge same-cycle promotions into
+                # the later stages' candidate lists, as the reference's
+                # live occupied-VC scan would see them.
+                if rc:
+                    promoted = self._rc_node(now, node, rc)
+                    if promoted:
+                        va = sorted(va + promoted) if va else promoted
+                activated = self._va_node(now, node, va) if va else None
+                if sa or activated:
+                    self._sa_node(now, node, sa, activated)
+                continue
             if sa:
                 self._sa_node(now, node, sa, None)
             if va:
                 self._va_node(now, node, va)
             if rc:
                 self._rc_node(now, node, rc)
+        # Traversals only append to these mail lists (empty when the
+        # phase starts), so progress and the link-flit count settle here.
+        if flit_box or ej_box:
+            self._last_progress = now
+            self.n_link_flits += len(flit_box)
 
     def _sa_node(self, now: int, node: int, cand: List[int],
                  extra: Optional[List[int]]) -> None:
         """Switch allocation for one node (reference ``stage_sa`` on
-        flat state) with the single-candidate arbiter commits inlined
-        (``grant_from([x])`` is exactly ``_last = x``).  Entries failing
-        only the credit check are dropped - the reference's silent
-        ``continue`` - while gated ports take the wake-up stall path."""
+        flat state): the input stage here, the output stage in
+        :meth:`_sa_outputs`.  An input port with one eligible VC commits
+        as a pointer write (``grant_from([x])`` is exactly ``_last =
+        x``); only a port with several calls its arbiter.  Entries
+        failing only the credit check are dropped - the reference's
+        silent ``continue`` - while gated ports take the wake-up stall
+        path."""
         if extra:
-            # extra (freshly ACTIVE VCs) arrives in VA-grant order, so
-            # it must be re-sorted into the port visit order too.
+            # extra (freshly ACTIVE VCs, disjoint from cand) arrives in
+            # VA-grant order: re-sort it into the port visit order too.
             if cand:
-                cand = sorted(set(cand) | set(extra))
+                cand = sorted(cand + extra)
             else:
                 cand = extra if len(extra) == 1 else sorted(extra)
         if not cand:
             return
-        v_per = self._V
+        route_l = self._route
+        inport = self._inport
+        vcid = self._vcid
         if len(cand) == 1:
             # The overwhelmingly common round: one flit at the node.
             # Its port arbiter sees a single request (pointer write),
             # it is the only output nominee (pointer write), and the
             # eligibility chain below is the reference's, verbatim.
             f = cand[0]
-            p = (f // v_per) % NUM_PORTS
-            route = self._route[f]
+            route = route_l[f]
             if route != LOCAL:
-                o = node * NUM_PORTS + route
+                o = self._outo[f]
                 if self._gated[o]:
-                    self._stalled[f] = True
-                    pkt = self._fifo[f][0][1]
-                    pkt.wakeup_stall_cycles += 1
+                    self._fifo[f][0][1].wakeup_stall_cycles += 1
                     self._wu_now.add(self._up_node[o])
                     return
                 if route in self._ports_used[node]:
                     return
-                if self._credit[o * v_per + self._outvc[f]] <= 0:
+                if self._credit[self._outc[f]] <= 0:
                     return
-                self._stalled[f] = False
-            self._sa_in[node][p]._last = f % v_per
+            p = inport[f]
+            self._sa_in[node][p]._last = vcid[f]
             self._sa_out[node][route]._last = p
-            self._traverse(f, node, p, now)
+            self._traverse(f, node, now)
             return
         fifo = self._fifo
-        route_l = self._route
         gated = self._gated
         credit = self._credit
-        outvc = self._outvc
-        stalled = self._stalled
+        outo, outc = self._outo, self._outc
         wu_now = self._wu_now
         up_node = self._up_node
         ports_used = self._ports_used[node]
-        base_o = node * NUM_PORTS
+        v_per = self._V
         base_f = node * self._fpn
         sa_in = self._sa_in[node]
-        nominees: Optional[List[Optional[int]]] = None
-        n_nominated = 0
-        last_nominated = -1
+        noms: List[int] = []
         # cand is f-ascending, so input ports appear in ascending runs
         idx, n_cand = 0, len(cand)
         while idx < n_cand:
-            p = (cand[idx] // v_per) % NUM_PORTS
+            p = inport[cand[idx]]
             run_hi = base_f + (p + 1) * v_per
-            eligible = []
+            first = -1  # the port's first eligible VC
+            more: Optional[List[int]] = None  # its VC ids, once two
             while idx < n_cand and cand[idx] < run_hi:
                 f = cand[idx]
                 idx += 1
-                v = f % v_per
                 route = route_l[f]
-                if route == LOCAL:
-                    eligible.append(v)
-                    continue
-                o = base_o + route
-                if gated[o]:
-                    stalled[f] = True
-                    pkt = fifo[f][0][1]
-                    pkt.wakeup_stall_cycles += 1
-                    wu_now.add(up_node[o])
-                    continue
-                if route in ports_used:
-                    continue
-                if credit[o * v_per + outvc[f]] <= 0:
-                    continue
-                stalled[f] = False
-                eligible.append(v)
-            if not eligible:
+                if route != LOCAL:
+                    o = outo[f]
+                    if gated[o]:
+                        fifo[f][0][1].wakeup_stall_cycles += 1
+                        wu_now.add(up_node[o])
+                        continue
+                    if route in ports_used or credit[outc[f]] <= 0:
+                        continue
+                if first < 0:
+                    first = f
+                elif more is None:
+                    more = [vcid[first], vcid[f]]
+                else:
+                    more.append(vcid[f])
+            if first < 0:
                 continue
-            if len(eligible) == 1:
-                choice = eligible[0]
-                sa_in[p]._last = choice
+            if more is None:
+                sa_in[p]._last = vcid[first]
+                noms.append(first)
             else:
-                choice = sa_in[p].grant_from(eligible)
-            if nominees is None:
-                nominees = [None] * NUM_PORTS
-            nominees[p] = base_f + p * v_per + choice
-            n_nominated += 1
-            last_nominated = p
-        if nominees is None:
-            return
-        if n_nominated == 1:
-            f = nominees[last_nominated]
-            self._sa_out[node][route_l[f]]._last = last_nominated
-            self._traverse(f, node, last_nominated, now)
-            return
-        by_output: List[List[int]] = [[] for _ in range(NUM_PORTS)]
-        for p in range(NUM_PORTS):
-            f = nominees[p]
-            if f is not None:
-                by_output[route_l[f]].append(p)
-        sa_out = self._sa_out[node]
-        for out_port in range(NUM_PORTS):
-            reqs = by_output[out_port]
-            if not reqs:
-                continue
-            if len(reqs) == 1:
-                winner_port = reqs[0]
-                sa_out[out_port]._last = winner_port
-            else:
-                winner_port = sa_out[out_port].grant_from(reqs)
-            self._traverse(nominees[winner_port], node, winner_port, now)
+                noms.append(first - vcid[first]
+                            + sa_in[p].grant_from(more))
+        if len(noms) == 1:
+            f = noms[0]
+            self._sa_out[node][route_l[f]]._last = inport[f]
+            self._traverse(f, node, now)
+        elif noms:
+            self._sa_outputs(node, noms, now)
 
-    def _traverse(self, f: int, node: int, in_port: int, now: int) -> None:
+    def _sa_outputs(self, node: int, noms: List[int], now: int) -> None:
+        """SA output stage for two or more nominees (one per input
+        port, port-ascending).  Outputs are visited in ascending order,
+        as the reference does; an output one port wants - every output,
+        in a clash-free round - commits as a pointer write, and only an
+        output several ports want builds a request list and calls its
+        arbiter."""
+        route_l = self._route
+        inport = self._inport
+        sa_out = self._sa_out[node]
+        # stable, so an output's requesters stay in input-port order
+        noms.sort(key=route_l.__getitem__)
+        k, n = 0, len(noms)
+        while k < n:
+            f = noms[k]
+            route = route_l[f]
+            hi = k + 1
+            while hi < n and route_l[noms[hi]] == route:
+                hi += 1
+            if hi == k + 1:
+                sa_out[route]._last = inport[f]
+            else:
+                ports = [inport[g] for g in noms[k:hi]]
+                f = noms[k + ports.index(sa_out[route].grant_from(ports))]
+            self._traverse(f, node, now)
+            k = hi
+
+    def _traverse(self, f: int, node: int, now: int) -> None:
         """Pop the flit word, cross the switch, launch link traversal
-        (into the mailboxes)."""
+        (into the mailboxes).  A tail frees the VC through its state,
+        occupancy and busy entry alone: every other per-VC field is
+        rewritten by the stage that enters the state in which it is
+        read (``_commit_va`` for ACTIVE readers, ``_rc_node`` for
+        WAITING_VA readers)."""
         fifo_f = self._fifo[f]
         word, pkt = fifo_f.popleft()
-        self._nbrd[node] += 1
         self._nsa[node] += 1
-        self._nxb[node] += 1
         route = self._route[f]
         out_vc = self._outvc[f]
-        v_per = self._V
         if route != LOCAL:
-            c = (node * NUM_PORTS + route) * v_per + out_vc
+            c = self._outc[f]
             if self._credit[c] <= 0:
                 raise RuntimeError(
                     "credit underflow: flow control violated")
             self._credit[c] -= 1
         self._fsent[f] += 1
-        v = f % v_per
+        in_port = self._inport[f]
+        v = self._vcid[f]
         # credit upstream for the freed buffer slot
         if in_port == LOCAL:
             self.nis[node].to_router.credit[v].restore()
         else:
-            self._credit_box.append(
-                self._cred_base[node * NUM_PORTS + in_port] + v)
-        # launch ST + LT
-        self._last_progress = now
+            self._credit_box.append(self._upc[f])
+        # launch ST + LT (progress is noted at the end of the phase)
         if route == LOCAL:
             self._ej_box.append((node, word, pkt, out_vc))
         else:
-            self._flit_box.append((node * NUM_PORTS + route, word, pkt,
-                                   out_vc))
-            self.n_link_flits += 1
+            self._flit_box.append((self._outo[f], word, pkt, out_vc))
             if word & 1:
                 pkt.hops += 1
         if word & 2:
@@ -883,27 +873,20 @@ class SoANetwork(Network):
             if in_port == LOCAL:
                 self.nis[node].to_router.vc_owner[v] = None
             else:
-                o = (self._up_node[node * NUM_PORTS + in_port] * NUM_PORTS
-                     + OPPOSITE[in_port])
+                o = self._upo[f]
                 self._owner[o][v] = None
                 if self._park_on[o]:
                     self._unpark(o)
             if fifo_f:
                 raise RuntimeError("flits behind a tail in an allocated VC")
             self._st[f] = _IDLE
-            self._route[f] = None
-            self._outvc[f] = None
-            self._stalled[f] = False
-            self._aports[f] = []
-            self._eport[f] = None
-            self._fesc[f] = False
-            self._vawait[f] = 0
-            self._fsent[f] = 0
             self._occ_cnt[node] -= 1
             self._busy.discard(f)
 
     def _reset_route(self, f: int, node: int) -> None:
-        """Reference VirtualChannel.reset_route on flat state."""
+        """Reference VirtualChannel.reset_route on flat state.  As at a
+        tail, other per-VC fields need no reset but the parked flag,
+        which ``_rc_node`` does not clear."""
         if self._fifo[f]:
             self._st[f] = _ROUTING
         else:
@@ -911,14 +894,6 @@ class SoANetwork(Network):
                 self._occ_cnt[node] -= 1
                 self._busy.discard(f)
             self._st[f] = _IDLE
-        self._route[f] = None
-        self._outvc[f] = None
-        self._stalled[f] = False
-        self._aports[f] = []
-        self._eport[f] = None
-        self._fesc[f] = False
-        self._vawait[f] = 0
-        self._fsent[f] = 0
         self._parked[f] = False
 
     def _no_request(self, node: int, f: int) -> None:
@@ -953,51 +928,65 @@ class SoANetwork(Network):
 
     def _va_node(self, now: int, node: int, cand: List[int]) -> List[int]:
         """VC allocation for one node; returns the flat ids that went
-        ACTIVE (merged into SA under the speculative pipeline).  A lone
-        waiter wins every resource it requests (each per-resource
-        arbiter sees a single-entry request list), so its first
-        preference is committed directly, moving exactly the arbiter
-        pointers ``AllocatorPool.allocate`` would move; contended rounds
-        replay the reference allocator."""
-        if len(cand) > 1:
-            return self._va_contended(node, cand)
-        f = cand[0]
-        if self._st[f] != _WAITING_VA:
-            return []
-        cands = self._va_candidates(node, f)
-        if not cands:
-            self._no_request(node, f)
-            return []
-        rid = f - node * self._fpn
-        arbiters = self._va_pools[node].arbiters
-        for res, _, _ in cands:
-            arbiters[res]._last = rid
-        res, is_escape, port = cands[0]
-        self._commit_va(node, f, res, is_escape, port)
-        return [f]
-
-    def _va_contended(self, node: int, cand: List[int]) -> List[int]:
-        requests: Optional[List[List[int]]] = None
-        prefs: Dict[int, list] = {}
-        waiting: Dict[int, int] = {}
-        base_f = node * self._fpn
+        ACTIVE (merged into SA under the speculative pipeline).  Every
+        request list is built before any grant, as in the reference.
+        When the lists are pairwise disjoint - always, for a lone
+        waiter - each arbiter sees one requester, and
+        :meth:`_va_grant_all` commits the round as pointer writes; a
+        clashing round replays the reference allocator
+        (:meth:`_va_allocate`)."""
+        st = self._st
+        waiting: List[tuple] = []
         for f in cand:
-            if self._st[f] != _WAITING_VA:
+            if st[f] != _WAITING_VA:
                 continue
-            rid = f - base_f
             cands = self._va_candidates(node, f)
-            if not cands:
+            if cands:
+                waiting.append((f, cands))
+            else:
                 # adds no request, so the round is the same without it
                 self._no_request(node, f)
-                continue
-            if requests is None:
-                requests = [[] for _ in range(self._fpn)]
-            waiting[rid] = f
+        if not waiting:
+            return []
+        if len(waiting) > 1:
+            seen = 0
+            for _, cands in waiting:
+                mask = 0
+                for res, _, _ in cands:
+                    mask |= 1 << res
+                if seen & mask:
+                    return self._va_allocate(node, waiting)
+                seen |= mask
+        return self._va_grant_all(node, waiting)
+
+    def _va_grant_all(self, node: int, waiting: List[tuple]) -> List[int]:
+        """A VA round no two waiters contest: each wins every output VC
+        it requests (moving those arbiters' pointers to it, exactly as
+        ``AllocatorPool.allocate`` would) and takes its first
+        preference.  The commits write disjoint owners, so waiter order
+        is as good as the reference's grant order."""
+        base_f = node * self._fpn
+        arbiters = self._va_pools[node].arbiters
+        activated: List[int] = []
+        for f, cands in waiting:
+            rid = f - base_f
+            for res, _, _ in cands:
+                arbiters[res]._last = rid
+            res, is_escape, port = cands[0]
+            self._commit_va(node, f, res, is_escape, port)
+            activated.append(f)
+        return activated
+
+    def _va_allocate(self, node: int, waiting: List[tuple]) -> List[int]:
+        """A clashing VA round: the reference allocator, verbatim."""
+        base_f = node * self._fpn
+        requests: List[List[int]] = [[] for _ in range(self._fpn)]
+        prefs: Dict[int, list] = {}
+        for f, cands in waiting:
+            rid = f - base_f
             prefs[rid] = cands
             for res, _, _ in cands:
                 requests[res].append(rid)
-        if not waiting:
-            return []
         grants = self._va_pools[node].allocate(requests)
         won: Dict[int, List[int]] = {}
         for res, rid in enumerate(grants):
@@ -1005,13 +994,13 @@ class SoANetwork(Network):
                 won.setdefault(rid, []).append(res)
         activated: List[int] = []
         for rid, resources in won.items():
-            f = waiting[rid]
+            f = base_f + rid
             for res, is_escape, port in prefs[rid]:
                 if res in resources:
                     self._commit_va(node, f, res, is_escape, port)
                     activated.append(f)
                     break
-        for rid, f in waiting.items():
+        for f, _ in waiting:
             if self._st[f] == _WAITING_VA:
                 self._vawait[f] += 1
         return activated
@@ -1048,14 +1037,15 @@ class SoANetwork(Network):
 
     def _commit_va(self, node: int, f: int, resource: int, is_escape: bool,
                    port: int) -> None:
-        v_per = self._V
-        out_vc = resource % v_per
+        """Enter ACTIVE, writing every per-VC field ACTIVE readers use."""
+        out_vc = resource % self._V
         pkt = self._fifo[f][0][1]
         o = node * NUM_PORTS + port
         self._route[f] = port
         self._outvc[f] = out_vc
+        self._outo[f] = o
+        self._outc[f] = node * self._fpn + resource
         self._st[f] = _ACTIVE
-        self._vawait[f] = 0
         self._fsent[f] = 0
         self._owner[o][out_vc] = pkt.pid
         self._nva[node] += 1

@@ -59,6 +59,31 @@ class TestRoundRobinArbiter:
         assert arb.grant_from([3]) == 3
         assert arb.grant_from([3, 4]) == 4  # rotation after 3 won
 
+    @pytest.mark.parametrize("bad", [[-1], [4], [1, -1], [2, 4]])
+    def test_grant_from_rejects_out_of_range(self, bad):
+        arb = RoundRobinArbiter(4)
+        arb.grant_from([1])
+        with pytest.raises(ValueError, match="outside"):
+            arb.grant_from(bad)
+        assert arb._last == 1
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_grant_from_equals_dense_grant(self, data):
+        """The candidate scan against the dense specification: same
+        grant, same pointer after.  Both kernels share this arbiter, so
+        the soa-vs-ref differentials cannot see a defect in it."""
+        size = data.draw(st.integers(min_value=1, max_value=24))
+        pointer = data.draw(st.integers(min_value=0, max_value=size - 1))
+        cands = data.draw(st.lists(st.integers(0, size - 1), max_size=30))
+        scan, dense = RoundRobinArbiter(size), RoundRobinArbiter(size)
+        scan._last = dense._last = pointer
+        requests = [False] * size
+        for c in cands:
+            requests[c] = True
+        assert scan.grant_from(cands) == dense.grant(requests)
+        assert scan._last == dense._last
+
 
 class TestAllocatorPool:
     def test_each_resource_grants_independently(self):

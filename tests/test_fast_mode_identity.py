@@ -13,8 +13,10 @@ Four layers of evidence live here:
 * a hypothesis differential over random (design, kind, rate, seed),
 * flit/credit conservation checked directly in the flat lists and the
   mailboxes while a run is in flight, and
-* an oracle self-test: a deliberately broken VA commit must make the
-  differential harness fail, proving the harness has teeth.
+* oracle self-tests: a deliberately broken VA commit, a disjoint VA
+  round committing the wrong preference, and a clash-free SA round
+  skipping its output-pointer writes must each make the differential
+  harness fail, proving the harness has teeth.
 
 The file predates the kernel merge (the "fast mode" it names *is* the
 soa kernel now) and keeps its name and test ids only because the tier-1
@@ -207,7 +209,7 @@ class TestConservation:
 
 
 # ---------------------------------------------------------------------------
-# oracle self-test: a broken VA commit must not survive the harness
+# oracle self-tests: broken commits must not survive the harness
 # ---------------------------------------------------------------------------
 
 class TestOracleSelfTest:
@@ -227,6 +229,55 @@ class TestOracleSelfTest:
         _, res_soa = run_once(Design.NORD, "uniform", backend="soa")
         with pytest.raises(AssertionError, match="kernel drift"):
             assert_identical(res_ref, res_soa, "seeded fault")
+
+    def test_disjoint_va_last_preference_is_caught(self, monkeypatch):
+        """Mutant: a VA round of several waiters with disjoint request
+        lists commits each waiter's last preference instead of its
+        first (the arbiter pointers move as before)."""
+        rounds = 0
+        orig = SoANetwork._va_grant_all
+
+        def last_preference(self, node, waiting):
+            nonlocal rounds
+            if len(waiting) > 1:
+                rounds += 1
+                waiting = [(f, cands[::-1]) for f, cands in waiting]
+            return orig(self, node, waiting)
+
+        _, res_ref = run_once(Design.NORD, "uniform", rate=0.3)
+        monkeypatch.setattr(SoANetwork, "_va_grant_all", last_preference)
+        _, res_soa = run_once(Design.NORD, "uniform", rate=0.3,
+                              backend="soa")
+        assert rounds > 0, "no multi-waiter disjoint VA round ran"
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, "disjoint-VA mutant")
+
+    def test_clash_free_sa_skipped_pointer_is_caught(self, monkeypatch):
+        """Mutant: an SA round whose nominees target distinct output
+        ports traverses them all but leaves the output arbiters'
+        pointers where they were."""
+        rounds = 0
+        orig = SoANetwork._sa_outputs
+
+        def no_pointer_write(self, node, noms, now):
+            nonlocal rounds
+            routes = [self._route[f] for f in noms]
+            if len(set(routes)) < len(routes):
+                return orig(self, node, noms, now)
+            rounds += 1
+            sa_out = self._sa_out[node]
+            kept = [(r, sa_out[r]._last) for r in routes]
+            orig(self, node, noms, now)
+            for r, last in kept:
+                sa_out[r]._last = last
+
+        _, res_ref = run_once(Design.NO_PG, "uniform", rate=0.3)
+        monkeypatch.setattr(SoANetwork, "_sa_outputs", no_pointer_write)
+        _, res_soa = run_once(Design.NO_PG, "uniform", rate=0.3,
+                              backend="soa")
+        assert rounds > 0, "no clash-free multi-nominee SA round ran"
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, "clash-free SA mutant")
 
     def test_oracle_passes_without_fault(self):
         """Control arm: the same comparison is clean when nothing is
