@@ -99,6 +99,7 @@ class TimelineSampler:
 
     @staticmethod
     def _counters(net) -> tuple:
+        net.settle_duty_counters()
         return (
             net.now,
             [c.cycles_off for c in net.controllers],
@@ -270,6 +271,7 @@ class MetricsRun:
                 hist.observe(length, count)
         n = net.mesh.num_nodes
         total = max(1, n * net.now)
+        net.settle_duty_counters()
         g = self.registry.gauge
         g("router_off_duty").set(round(
             sum(c.cycles_off for c in net.controllers) / total, 6))

@@ -30,7 +30,9 @@ power-gating exploits - so by default each phase iterates an *activity set*
 * NIs with queued or latched flits,
 * PG controllers that are ON/WAKING or have a pending wake stimulus
   (OFF controllers with no WU edge and - for NoRD - a fully-drained
-  VC-request window only accrue ``cycles_off``).
+  VC-request window are not stepped; their ``cycles_off`` - like the
+  No_PG blanket's ``cycles_on`` - is settled when read, by
+  :meth:`Network.settle_duty_counters`, and when they leave quiescence).
 
 The sets are updated on event edges (flit launch, credit return, traffic
 injection, power transitions), each skipped component is provably a no-op
@@ -109,7 +111,12 @@ LIVELOCK_LIMIT = 20_000
 #: 5: the ref ``VirtualChannel`` lost ``stalled_for_wakeup``; the soa
 #:    kernel lost ``_stalled``/``_cred_base`` and gained its per-VC
 #:    constant tables and granted output port/credit counter.
-SNAPSHOT_VERSION = 5
+#: 6: quiescent controllers map to the cycle their ``cycles_off`` is
+#:    settled through (duty counters are settled on read), the network
+#:    records the NIs each NI phase ran, and the soa kernel's NI-phase
+#:    ring sends and bypass credits ride its mailboxes, not the links'
+#:    delay lines.
+SNAPSHOT_VERSION = 6
 
 
 @dataclass
@@ -243,7 +250,14 @@ class Network:
         self._active_nis: ActiveSet = ActiveSet()           # node
         self._active_routers: ActiveSet = ActiveSet()       # node
         self._pg_active: ActiveSet = ActiveSet()            # node
-        self._pg_quiescent: ActiveSet = ActiveSet()         # node
+        #: Quiescent controllers (never in ``_pg_active`` at the same
+        #: time), each mapped to the last cycle its ``cycles_off`` covers.
+        self._pg_quiescent: Dict[int, int] = {}
+        #: Last cycle the No_PG blanket's ``cycles_on`` cover.
+        self._blanket_settled = 0
+        #: The NIs the last NI phase ran, ascending: with ``_wu_now``,
+        #: every node a power-gating stimulus can reach in a cycle.
+        self._ni_ran: List[int] = []
         self._ni_marks: Set[int] = set()
         self._profile = (activity.global_profile()
                          if activity.profiling_enabled() else None)
@@ -665,7 +679,10 @@ class Network:
                          self._pg_active):
             node_set.update(nodes)
         self._ni_marks.update(nodes)
-        self._pg_quiescent.clear()
+        if self._pg_quiescent:
+            # this cycle's step accrues ``now`` for every controller
+            self.settle_duty_counters(self.now - 1)
+            self._pg_quiescent.clear()
 
     def _step_profiled(self, now: int) -> None:
         """One cycle with per-phase wall-clock + occupancy accounting."""
@@ -728,7 +745,8 @@ class Network:
                 self.routers[node].ports_used_by_ni.clear()
             self._ni_marks.clear()
         active = self._active_nis
-        for node in active.sorted():
+        self._ni_ran = ran = active.sorted()
+        for node in ran:
             ni = self.nis[node]
             ni.process(now)
             if not ni.inject_queue and ni.latches_empty:
@@ -836,9 +854,7 @@ class Network:
 
     def _phase_pg(self, now: int) -> None:
         if self._no_pg_blanket:
-            for ctrl in self.controllers:
-                ctrl.cycles_on += 1
-            return
+            return  # every controller stays ON: cycles_on settle on read
         design = self.cfg.design
         quiescent = self._pg_quiescent
         active = self._pg_active
@@ -847,15 +863,10 @@ class Network:
             # stimuli (WU edges, pending injection, the NoRD VC-request
             # window) - all are set before phase 6 runs.  This sweep also
             # self-heals after tests force controller states directly.
-            promoted = [node for node in quiescent
-                        if not self._pg_skippable(node, design)]
-            for node in promoted:
-                quiescent.discard(node)
-                active.add(node)
-            for node in quiescent:
-                # Exactly what a full step would do for a stimulus-free
-                # OFF controller: accrue one gated cycle.
-                self.controllers[node].cycles_off += 1
+            # The rest accrue their gated cycles lazily.
+            for node in [node for node in quiescent
+                         if not self._pg_skippable(node, design)]:
+                self._leave_quiescence(node, now)
         events: List[Tuple[int, str]] = []
         demoted: List[int] = []
         for node in active.sorted():
@@ -870,8 +881,37 @@ class Network:
                 demoted.append(node)
         for node in demoted:
             active.discard(node)
-            quiescent.add(node)
+            quiescent[node] = now
         self._apply_pg_events(events, design)
+
+    def settle_duty_counters(self, upto: Optional[int] = None) -> None:
+        """Credit the duty that accrued without a step - each quiescent
+        controller's gated cycles, or the No_PG blanket's powered ones -
+        through cycle ``upto`` (default: the last completed cycle).
+        Call it before reading ``cycles_on`` / ``cycles_off`` /
+        ``cycles_waking`` from outside the PG phase."""
+        if upto is None:
+            upto = self.now
+        controllers = self.controllers
+        if self._no_pg_blanket:
+            gap = upto - self._blanket_settled
+            if gap:
+                for ctrl in controllers:
+                    ctrl.cycles_on += gap
+                self._blanket_settled = upto
+            return
+        quiescent = self._pg_quiescent
+        for node, since in quiescent.items():
+            controllers[node].cycles_off += upto - since
+            quiescent[node] = upto
+
+    def _leave_quiescence(self, node: int, now: int) -> None:
+        """A stimulus reached quiescent ``node`` in cycle ``now``: settle
+        its gated cycles through ``now - 1`` (this cycle's step accrues
+        ``now``) and make it active."""
+        since = self._pg_quiescent.pop(node)
+        self.controllers[node].cycles_off += now - 1 - since
+        self._pg_active.add(node)
 
     def _pg_skippable(self, node: int, design: str) -> bool:
         """Whether stepping this controller next cycle is provably a
@@ -1310,6 +1350,7 @@ class Network:
             self.inject_packet(src, dst, length)
 
     def _snapshot_counters(self) -> Dict:
+        self.settle_duty_counters()
         snap: Dict = {"link_flits": self.n_link_flits, "routers": []}
         for node in range(self.mesh.num_nodes):
             r = self.routers[node]

@@ -45,9 +45,11 @@ disjoint (always, for a lone waiter).  Only a contested arbiter runs
 ``grant_from``, and only a clashing VA round builds the ``fpn``-long
 request table for ``AllocatorPool.allocate``, in the reference visit
 order.  Busy powered-on routers take a two-assignment power-gate step,
-route computation is replayed from a per-(node, dst) geometry cache,
-and router-phase sends go through per-cycle mailboxes (see
-:meth:`SoANetwork._init_mailboxes`) instead of per-link delay queues.
+only stimulated quiescent controllers are re-examined, route
+computation is replayed from a per-(node, dst) geometry cache, and
+every flit and credit send - router traversals and NoRD's NI bypass
+alike - goes through per-cycle mailboxes (see
+:meth:`SoANetwork._init_mailboxes`); the links' delay lines stay empty.
 
 A per-VC field is written by the stage entering the state that reads
 it (``_commit_va`` for ACTIVE, ``_rc_node`` for WAITING_VA), so a tail
@@ -338,31 +340,27 @@ class SoANetwork(Network):
         return [_SoARouter(self, node) for node in range(n)]
 
     def _init_mailboxes(self) -> None:
-        """The batched-commit mailboxes: the router phase appends its
-        link sends to flat per-cycle lists instead of per-link delay
-        queues, and the credit/link phases drain the list whose entries
-        fall due this cycle.  This removes the per-hop deque round-trip
-        (tuple + append + popleft + active-set add/discard + sort) that
-        dominates the per-flit cost at bench loads.
+        """The batched-commit mailboxes, the kernel's one channel kind:
+        every link send appends to a flat per-cycle list instead of a
+        per-link delay queue, and the credit/link phases drain the list
+        whose entries fall due this cycle.  This removes the per-hop
+        deque round-trip (tuple + append + popleft + active-set
+        add/discard + sort) that dominates the per-flit cost.
 
         Due times are implied by the phase schedule (``LINK_DELAY == 2``
-        on both channels, checked at import): flits sent in the router
-        phase of cycle t are delivered in the link phase of t+2; credits
-        in the credit phase of t+2.
-
-        Only *router-phase* sends are batched.  NoRD's NI-phase ring
-        sends (bypass forwards and ring injections) keep the per-link
-        delay queue, and the link phase drains the mail list *before*
-        the queues, which reproduces the reference's shared-queue FIFO
-        per (link, vc) exactly: an NI send and a router send cannot
-        share a link in the same cycle (``mark_ni_port_used`` excludes
-        the port from that cycle's SA), so the queue items due at T
-        are NI sends from T-1 (the aggressive ``fast=True`` bypass,
-        enqueued after T-2's router phase) - mail first is the
-        reference order.
-
-        Credit returns are counter increments, which commute, so order
-        within the credit phase never matters.
+        on both channels, checked at import): a flit sent in the NI or
+        router phase of cycle t enters ``_flit_box`` and is delivered in
+        the link phase of t+2; a credit enters ``_credit_box`` and is
+        restored in the credit phase of t+2.  An aggressive-bypass NI
+        send (``fast=True``) is due at t+1, so it enters ``_flit_mid``,
+        the list the link phase of t rotates to due.  One list per due
+        time replays the reference's per-(link, vc) FIFO: a NI send and
+        a router send cannot share a link in one cycle
+        (``mark_ni_port_used`` excludes the port from that cycle's SA),
+        and a fast send at t lands behind the t-1 sends it follows in
+        the reference's queue.  Deliveries on different links touch
+        disjoint VCs and latches, and credit returns are counter
+        increments, which commute.
         """
         n = self.mesh.num_nodes
         v_per = self._V
@@ -406,7 +404,7 @@ class SoANetwork(Network):
         self._min_idle = [max(1, c.min_idle_before_gate)
                           for c in self.controllers]
         # Lazy per-cycle set of nodes with incoming activity, for the
-        # PG phase (delay queues and mailboxes).
+        # PG phase.
         self._inc_seen = -1
         self._inc_nodes: set = set()
         # Per-(node, dst) route-geometry cache: without fault injection
@@ -420,18 +418,26 @@ class SoANetwork(Network):
     # ------------------------------------------------------------------
     def send_flit(self, node: int, out_port: int, flit: Flit, out_vc: int,
                   now: int, *, fast: bool = False) -> None:
-        # NI-phase ring sends only (router-phase sends use the mail
-        # lists); a LOCAL "link" does not exist and raises below.
-        self._last_progress = now
-        link = self.links_out[node][out_port]
-        if link is None:
+        # NI-phase ring sends (the router phase appends to the mailboxes
+        # inline): into the box, or - one cycle sooner - the mid list.
+        lid = node * NUM_PORTS + out_port
+        if self._l_dst[lid] < 0:
             raise RuntimeError(f"node {node} has no link on port {out_port}")
-        link.flits.send((_word_of(flit), flit.packet, out_vc),
-                        now - 1 if fast else now)
-        self._active_flit_links.add((node, out_port))
+        self._last_progress = now
+        (self._flit_mid if fast else self._flit_box).append(
+            (lid, _word_of(flit), flit.packet, out_vc))
         self.n_link_flits += 1
         if flit.is_head:
             flit.packet.hops += 1
+
+    def credit_upstream(self, node: int, in_port: int, vc: int,
+                        now: int) -> None:
+        # NI bypass ejects and forwards (the router paths inline it).
+        if in_port == LOCAL:
+            super().credit_upstream(node, in_port, vc, now)
+        else:
+            self._credit_box.append(
+                self._upc[(node * NUM_PORTS + in_port) * self._V + vc])
 
     def send_inject(self, node: int, flit, out_vc: int, now: int) -> None:
         self._last_progress = now
@@ -486,18 +492,14 @@ class SoANetwork(Network):
             self._busy.add(f)
 
     def _in_flight_counts(self) -> Tuple[int, int]:
-        """The reference's delay-line occupancy at cycle start, counting
-        the links and lines whose entries sit in the mailboxes (profiled
-        path only; ``_flit_box``/``_inj_box``/``_ej_box`` are empty
-        between cycles)."""
+        """The reference's delay-line occupancy at cycle start: the links
+        and lines with entries in the mailboxes (profiled path only;
+        ``_flit_box``/``_inj_box``/``_ej_box`` are empty between
+        cycles)."""
         v_per = self._V
-        credit_links = {src * NUM_PORTS + port
-                        for src, port in self._active_credit_links}
-        credit_links.update(c // v_per for c in self._credit_box)
+        credit_links = {c // v_per for c in self._credit_box}
         credit_links.update(c // v_per for c in self._credit_due)
-        flit_links = {src * NUM_PORTS + port
-                      for src, port in self._active_flit_links}
-        flit_links.update(e[0] for e in self._flit_mid)
+        flit_links = {e[0] for e in self._flit_mid}
         flit_links.update(e[0] for e in self._flit_due)
         inject = {e[0] for e in self._inj_due}
         eject = {e[0] for e in self._ej_mid}
@@ -508,15 +510,10 @@ class SoANetwork(Network):
     # phase 2: credit delivery
     # ------------------------------------------------------------------
     def _phase_credits(self, now: int) -> None:
-        # Credit increments to disjoint counters commute, so the links
-        # are drained in set order instead of sorted order.
-        active = self._active_credit_links
-        links_out = self.links_out
+        # The credit returns sent two cycles ago (same increments the
+        # reference's delay queues deliver now; increments commute).
         credit = self._credit
         maxc = self._maxc
-        v = self._V
-        # Batched credit returns from the router phase two cycles ago
-        # (same increments the delay queues would deliver now).
         for c in self._credit_due:
             if credit[c] >= maxc[c]:
                 raise RuntimeError(
@@ -524,18 +521,6 @@ class SoANetwork(Network):
             credit[c] += 1
         self._credit_due = self._credit_box
         self._credit_box = []
-        for key in list(active):
-            node, port = key
-            q = links_out[node][port].credits._queue
-            base = (node * NUM_PORTS + port) * v
-            while q and q[0][0] <= now:
-                c = base + q.popleft()[1]
-                if credit[c] >= maxc[c]:
-                    raise RuntimeError(
-                        "credit overflow: flow control violated")
-                credit[c] += 1
-            if not q:
-                active.discard(key)
 
     # ------------------------------------------------------------------
     # phase 4: router pipelines
@@ -577,6 +562,8 @@ class SoANetwork(Network):
         park_on = self._park_on
         credit_box = self._credit_box
         flit_box = self._flit_box
+        # the NI phase's ring sends, already counted by send_flit
+        ni_sent = len(flit_box)
         ej_box = self._ej_box
         controllers = self.controllers
         on = PowerState.ON
@@ -707,11 +694,13 @@ class SoANetwork(Network):
                 self._va_node(now, node, va)
             if rc:
                 self._rc_node(now, node, rc)
-        # Traversals only append to these mail lists (empty when the
-        # phase starts), so progress and the link-flit count settle here.
-        if flit_box or ej_box:
+        # Traversals only append to these mail lists (the eject box is
+        # empty when the phase starts), so progress and the link-flit
+        # count settle here.
+        sent = len(flit_box) - ni_sent
+        if sent or ej_box:
             self._last_progress = now
-            self.n_link_flits += len(flit_box)
+            self.n_link_flits += sent
 
     def _sa_node(self, now: int, node: int, cand: List[int],
                  extra: Optional[List[int]]) -> None:
@@ -1148,9 +1137,7 @@ class SoANetwork(Network):
     def _phase_links(self, now: int) -> None:
         controllers = self.controllers
         on = PowerState.ON
-        ring = self.ring
         nis = self.nis
-        v_per = self._V
         fifo = self._fifo
         depth = self._depth
         st = self._st
@@ -1158,12 +1145,8 @@ class SoANetwork(Network):
         occ = self._occ_cnt
         busy = self._busy
         active_routers = self._active_routers
-        # Batched deliveries first: flits the router phase committed
-        # two cycles ago.  On links that also carry NI-phase ring
-        # sends (delay queue below), mail-before-queue is the
-        # reference's shared-queue FIFO: queue items due now were
-        # enqueued after the mail items' router phase (see
-        # _init_mailboxes).
+        # Flits due now: router traversals and NI ring sends of two
+        # cycles ago, aggressive-bypass sends of the last cycle.
         due = self._flit_due
         if due:
             l_dst = self._l_dst
@@ -1202,33 +1185,6 @@ class SoANetwork(Network):
         self._flit_due = self._flit_mid
         self._flit_mid = self._flit_box
         self._flit_box = []
-        # NI-phase ring sends (NoRD only): the per-link delay queues.
-        flit_links = self._active_flit_links
-        for key in flit_links.sorted():
-            link = self.links_out[key[0]][key[1]]
-            q = link.flits._queue
-            if q and q[0][0] <= now:
-                dst = link.dst
-                dst_port = link.dst_port
-                ni = nis[dst]
-                router_on = controllers[dst].state == on
-                ring_port = (ring is not None
-                             and dst_port == ring.inport[dst])
-                base = (dst * NUM_PORTS + dst_port) * v_per
-                while q and q[0][0] <= now:
-                    word, pkt, vc = q.popleft()[1]
-                    if ring_port and (not router_on
-                                      or vc in ni.lingering):
-                        ni.latch_write(vc, _make_flit(word, pkt))
-                        continue
-                    if not router_on:
-                        raise RuntimeError(
-                            f"flit delivered to off router {dst} port "
-                            f"{dst_port}: power-gating handshake "
-                            "violated")
-                    self._deliver_word(dst, dst_port, vc, word, pkt)
-            if not q:
-                flit_links.discard(key)
         # Batched injections: the NI is the only inject sender and it
         # runs before the link phase, so the (due) list replays the NI
         # phase's ascending-node send order - the reference's sorted
@@ -1269,9 +1225,7 @@ class SoANetwork(Network):
     # ------------------------------------------------------------------
     def _phase_pg(self, now: int) -> None:
         if self._no_pg_blanket:
-            for ctrl in self.controllers:
-                ctrl.cycles_on += 1
-            return
+            return  # every controller stays ON: cycles_on settle on read
         design = self.cfg.design
         quiescent = self._pg_quiescent
         active = self._pg_active
@@ -1280,22 +1234,7 @@ class SoANetwork(Network):
         nis = self.nis
         wu_now = self._wu_now
         if quiescent:
-            # Inlined _pg_skippable negation.  Quiescent controllers are
-            # OFF by construction (only the PG step changes state, and
-            # demotion requires OFF), so the state check is redundant.
-            if nord:
-                promoted = [node for node in quiescent
-                            if controllers[node]._window_sum
-                            or controllers[node]._current]
-            else:
-                promoted = [node for node in quiescent
-                            if node in wu_now
-                            or nis[node].inject_pending]
-            for node in promoted:
-                quiescent.discard(node)
-                active.add(node)
-            for node in quiescent:
-                controllers[node].cycles_off += 1
+            self._promote_stimulated(now, nord)
         events: List[tuple] = []
         demoted: List[int] = []
         occ = self._occ_cnt
@@ -1385,30 +1324,48 @@ class SoANetwork(Network):
                 demoted.append(node)
         for node in demoted:
             active.discard(node)
-            quiescent.add(node)
+            quiescent[node] = now
         self._apply_pg_events(events, design)
+
+    def _promote_stimulated(self, now: int, nord: bool) -> None:
+        """The reference's ``_pg_skippable`` sweep over the quiescent
+        controllers, examining only the nodes a stimulus reached this
+        cycle.  Quiescent controllers are OFF (only the PG step changes
+        state, and demotion requires OFF).  A conventional one wakes on
+        a WU edge (``_wu_now``) or a queued injection, and a queue is
+        non-empty only at an NI the NI phase ran (``_ni_ran``); a NoRD
+        one on a non-empty VC-request window, which only its own NI's
+        phase can fill (``end_cycle`` runs only for active
+        controllers)."""
+        quiescent = self._pg_quiescent
+        if nord:
+            controllers = self.controllers
+            for node in self._ni_ran:
+                if node in quiescent and (controllers[node]._window_sum
+                                          or controllers[node]._current):
+                    self._leave_quiescence(node, now)
+            return
+        for node in self._wu_now:
+            if node in quiescent:
+                self._leave_quiescence(node, now)
+        nis = self.nis
+        for node in self._ni_ran:
+            if node in quiescent and nis[node].inject_pending:
+                self._leave_quiescence(node, now)
 
     def _incoming_nodes(self, now: int) -> set:
         """Per-cycle set of nodes with incoming activity, for the PG
-        phase: after the link phase a key is in its active set exactly
-        when the corresponding delay queue is non-empty, and batched
-        sends sit in the mail (box, mid, due) lists instead.  Every
-        entry maps to the node whose reference IC condition it
-        satisfies: a link key (src, port) - whether carrying flits
-        toward the destination or credits back toward the source - to
-        the link's destination node (the reference checks both
-        channels of a node's in-links), inject/eject entries to their
-        own node."""
+        phase: every send in flight sits in a mail (box, mid, due) list,
+        and each entry maps to the node whose reference IC condition it
+        satisfies - a flit or credit entry to the destination of its
+        link (the reference checks both channels of a node's in-links),
+        inject/eject entries to their own node."""
         if self._inc_seen != now:
             self._inc_seen = now
             l_dst = self._l_dst
             nodes = {e[0] for e in self._inj_due}
             nodes.update(e[0] for e in self._ej_mid)
             nodes.update(e[0] for e in self._ej_due)
-            for src, port in self._active_flit_links:
-                nodes.add(l_dst[src * NUM_PORTS + port])
-            for src, port in self._active_credit_links:
-                nodes.add(l_dst[src * NUM_PORTS + port])
             nodes.update(l_dst[e[0]] for e in self._flit_due)
             nodes.update(l_dst[e[0]] for e in self._flit_mid)
             v_per = self._V
@@ -1480,23 +1437,17 @@ class SoANetwork(Network):
 
     def _restore_pred_credit(self, node: int, vc: int) -> None:
         """The ground-truth recount sees in-flight flits and credit
-        returns both in the ring link's delay queues (NI-phase sends)
-        and in the mail (box, mid, due) lists (router-phase sends)."""
+        returns in the mail (box, mid, due) lists."""
         ring = self.ring
         pred = ring.predecessor[node]
         pred_port = ring.outport[pred]
         lid = pred * NUM_PORTS + pred_port
         c = lid * self._V + vc
-        link = self.links_out[pred][pred_port]
-        in_flight = sum(1 for w, pk, v2 in link.flits.peek_pending()
-                        if v2 == vc)
-        in_flight += sum(1 for box in (self._flit_box, self._flit_mid,
-                                       self._flit_due)
-                         for e in box if e[0] == lid and e[3] == vc)
-        credits_in_flight = sum(1 for v2 in link.credits.peek_pending()
-                                if v2 == vc)
-        credits_in_flight += (self._credit_box.count(c)
-                              + self._credit_due.count(c))
+        in_flight = sum(1 for box in (self._flit_box, self._flit_mid,
+                                      self._flit_due)
+                        for e in box if e[0] == lid and e[3] == vc)
+        credits_in_flight = (self._credit_box.count(c)
+                             + self._credit_due.count(c))
         buffered = len(self._fifo[(node * NUM_PORTS
                                    + ring.inport[node]) * self._V + vc])
         latched = len(self.nis[node].latch[vc])

@@ -122,6 +122,9 @@ class ParsecTraffic(TrafficGenerator):
         trickle = profile.quiet_trickle
         effective_duty = self._duty * (g + (1.0 - g) * trickle)
         self._p_on = (profile.rate / self.mean_packet_length) / effective_duty
+        # Per-cycle probabilities that a node's ON / OFF burst ends.
+        self._p_burst_end = 1.0 / profile.burst_on
+        self._p_burst_start = 1.0 / profile.burst_off
 
     @property
     def _duty(self) -> float:
@@ -141,14 +144,6 @@ class ParsecTraffic(TrafficGenerator):
         elif self.rng.random() < 1.0 / p.phase_quiet:
             self._phase_active = True
 
-    def _step_burst(self, node: int) -> None:
-        p = self.profile
-        if self._on[node]:
-            if self.rng.random() < 1.0 / p.burst_on:
-                self._on[node] = False
-        elif self.rng.random() < 1.0 / p.burst_off:
-            self._on[node] = True
-
     def arrivals(self, cycle: int) -> Iterable[Arrival]:
         out: List[Arrival] = []
         for mc, dst in self._replies.pop(cycle, ()):  # memory replies
@@ -157,20 +152,37 @@ class ParsecTraffic(TrafficGenerator):
         p_now = self._p_on
         if not self._phase_active:
             p_now *= self.profile.quiet_trickle
+        rand = self.rng.random
+        randrange = self.rng.randrange
+        on = self._on
+        p_end, p_start = self._p_burst_end, self._p_burst_start
+        mem_fraction = self.profile.mem_fraction
+        others = self.num_nodes - 1
+        # Per node, in this order: step the ON/OFF burst state, draw
+        # whether an ON node sends, then the packet's kind, destination
+        # and (node-to-node packets) its length (packet_length, inlined).
         for src in range(self.num_nodes):
-            self._step_burst(src)
-            if not self._on[src] or self.rng.random() >= p_now:
+            if on[src]:
+                if rand() < p_end:
+                    on[src] = False
+                    continue
+            elif rand() < p_start:
+                on[src] = True
+            else:
                 continue
-            if self.rng.random() < self.profile.mem_fraction:
+            if rand() >= p_now:
+                continue
+            if rand() < mem_fraction:
                 mc = self.rng.choice(self.mem_controllers)
                 if mc != src:
                     out.append((src, mc, SHORT_PACKET_FLITS))
-                    due = cycle + MEMORY_LATENCY + self.rng.randrange(16)
+                    due = cycle + MEMORY_LATENCY + randrange(16)
                     self._replies.setdefault(due, []).append((mc, src))
             else:
-                dst = self.rng.randrange(self.num_nodes - 1)
+                dst = randrange(others)
                 dst = dst if dst < src else dst + 1
-                out.append((src, dst, self.packet_length()))
+                out.append((src, dst, SHORT_PACKET_FLITS if rand() < 0.5
+                            else LONG_PACKET_FLITS))
         return out
 
 

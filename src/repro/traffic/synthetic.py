@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, List
 
 from ..noc.topology import Mesh
-from .base import Arrival, TrafficGenerator
+from .base import (LONG_PACKET_FLITS, SHORT_PACKET_FLITS, Arrival,
+                   TrafficGenerator)
 
 
 class SyntheticTraffic(TrafficGenerator):
@@ -41,7 +42,9 @@ class SyntheticTraffic(TrafficGenerator):
             if rand() < prob:
                 dst = pattern(src)
                 if dst != src:
-                    out.append((src, dst, self.packet_length()))
+                    # packet_length, inlined
+                    out.append((src, dst, SHORT_PACKET_FLITS if rand() < 0.5
+                                else LONG_PACKET_FLITS))
         return out
 
 

@@ -14,9 +14,10 @@ Four layers of evidence live here:
 * flit/credit conservation checked directly in the flat lists and the
   mailboxes while a run is in flight, and
 * oracle self-tests: a deliberately broken VA commit, a disjoint VA
-  round committing the wrong preference, and a clash-free SA round
-  skipping its output-pointer writes must each make the differential
-  harness fail, proving the harness has teeth.
+  round committing the wrong preference, a clash-free SA round
+  skipping its output-pointer writes, a power-gate promotion blind to
+  WU edges and an aggressive-bypass send booked a cycle late must each
+  make the differential harness fail, proving the harness has teeth.
 
 The file predates the kernel merge (the "fast mode" it names *is* the
 soa kernel now) and keeps its name and test ids only because the tier-1
@@ -48,13 +49,13 @@ TRAFFIC_MAKERS = {
 
 
 def run_once(design, kind, *, backend="ref", rate=0.1,
-             seed=3, width=4, height=4, warmup=60, measure=300):
+             seed=3, width=4, height=4, warmup=60, measure=300, drain=None):
     """One deterministic run."""
     cfg = small_config(design, width=width, height=height,
                        warmup=warmup, measure=measure)
     net = Network(cfg, backend=backend)
     traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
-    return net, net.run(traffic)
+    return net, net.run(traffic, drain=drain)
 
 
 def assert_identical(res_a, res_b, label):
@@ -278,6 +279,65 @@ class TestOracleSelfTest:
         assert rounds > 0, "no clash-free multi-nominee SA round ran"
         with pytest.raises(AssertionError, match="kernel drift"):
             assert_identical(res_ref, res_soa, "clash-free SA mutant")
+
+    def test_promotion_ignoring_wu_edges_is_caught(self, monkeypatch):
+        """Mutant: the PG phase wakes a quiescent controller only for a
+        queued injection and ignores the WU edges (``_wu_now``) its
+        stalled neighbours raised this cycle."""
+        ignored = 0
+        orig = SoANetwork._promote_stimulated
+
+        def no_wu_edges(self, now, nord):
+            nonlocal ignored
+            ignored += sum(1 for node in self._wu_now
+                           if node in self._pg_quiescent
+                           and not self.nis[node].inject_pending)
+            wu_now, self._wu_now = self._wu_now, set()
+            try:
+                orig(self, now, nord)
+            finally:
+                self._wu_now = wu_now
+
+        # No drain: without injections a stall on a router only a WU
+        # edge can wake never ends, and the mutant would wedge.
+        _, res_ref = run_once(Design.CONV_PG, "uniform", rate=0.03,
+                              drain=0)
+        monkeypatch.setattr(SoANetwork, "_promote_stimulated", no_wu_edges)
+        _, res_soa = run_once(Design.CONV_PG, "uniform", rate=0.03,
+                              drain=0, backend="soa")
+        assert ignored > 0, "no WU edge reached a quiescent controller"
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, "WU-blind promotion mutant")
+
+    def test_late_aggressive_bypass_send_is_caught(self, monkeypatch):
+        """Mutant: an aggressive-bypass NI send (due one cycle sooner)
+        enters the flit box like a normal send instead of the mid list,
+        on the ``discussion`` experiment's NoRD spec + aggressive
+        point."""
+        from repro.experiments import discussion_optimizations as disc
+        from repro.experiments.parallel import uniform_spec
+        fast_sends = 0
+        orig = SoANetwork.send_flit
+
+        def late(self, node, out_port, flit, out_vc, now, *, fast=False):
+            nonlocal fast_sends
+            fast_sends += fast
+            orig(self, node, out_port, flit, out_vc, now)
+
+        cfg = disc._config(Design.NORD, speculative=True, aggressive=True,
+                           scale="smoke", seed=1)
+        spec = uniform_spec(disc.RATE, seed=1)
+
+        def run(backend):
+            net = Network(cfg, backend=backend)
+            return net.run(spec.build(net.mesh))
+
+        res_ref = run("ref")
+        monkeypatch.setattr(SoANetwork, "send_flit", late)
+        res_soa = run("soa")
+        assert fast_sends > 0, "no aggressive-bypass send ran"
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, "late fast-send mutant")
 
     def test_oracle_passes_without_fault(self):
         """Control arm: the same comparison is clean when nothing is

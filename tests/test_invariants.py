@@ -12,13 +12,17 @@ preserve, for every one of the four designs:
 """
 
 import dataclasses
+import pickle
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import Design, NoCConfig, SimConfig
-from repro.experiments.common import get_scale
-from repro.noc.network import Network
+from repro.experiments.common import build_config, get_scale
+from repro.experiments.parallel import parsec_spec
+from repro.noc.network import Network, RunProgress
+from repro.traffic.parsec import make_traffic
 from repro.traffic.synthetic import uniform_random
 
 designs = st.sampled_from(Design.ALL)
@@ -108,6 +112,58 @@ class TestPowerStateAccounting:
             for activity in result.routers:
                 assert activity.cycles_off == 0
                 assert activity.wakeups == 0
+
+
+class TestSettledDutyCounters:
+    """Duty that accrues without a step - a quiescent controller's
+    ``cycles_off``, the No_PG blanket's ``cycles_on`` - is settled on
+    read, so a read through ``settle_duty_counters`` is exact at every
+    cycle: on both kernels, and in dense mode, which empties the
+    quiescent set at the top of every cycle."""
+
+    @pytest.mark.parametrize("design", Design.ALL)
+    @pytest.mark.parametrize("mode", ["soa", "ref", "dense"])
+    def test_partition_holds_every_cycle(self, design, mode, monkeypatch):
+        if mode == "dense":
+            monkeypatch.setenv("REPRO_NO_SKIP", "1")
+        cfg = build_config(design, "smoke", seed=2)
+        net = Network(cfg, backend="ref" if mode == "dense" else mode)
+        assert net.skip_inactive is (mode != "dense")
+        traffic = make_traffic(net.mesh, "blackscholes", seed=2)
+        most_quiescent = 0
+        for _ in range(600):
+            net._inject_arrivals(traffic)
+            net.step()
+            most_quiescent = max(most_quiescent, len(net._pg_quiescent))
+            net.settle_duty_counters()
+            for node, c in enumerate(net.controllers):
+                assert (c.cycles_on + c.cycles_off + c.cycles_waking
+                        == net.now), f"controller {node} at {net.now}"
+        if design in Design.GATED:
+            assert most_quiescent > 0  # the lazy path was exercised
+
+    @pytest.mark.parametrize("design", Design.GATED)
+    @pytest.mark.parametrize("backend", ["ref", "soa"])
+    def test_split_with_most_controllers_quiescent(self, design, backend):
+        """A snapshot taken while at least half the controllers are
+        quiescent (before the warmup boundary reads their counters)
+        restores to the straight run's result."""
+        cfg = dataclasses.replace(build_config(design, "smoke", seed=2),
+                                  warmup_cycles=150, measure_cycles=300,
+                                  drain_cycles=500)
+        spec = parsec_spec("blackscholes", seed=2)
+        net = Network(cfg, backend=backend)
+        want = net.run(spec.build(net.mesh))
+        net = Network(cfg, backend=backend)
+        traffic = spec.build(net.mesh)
+        progress = RunProgress(150, 300, 500)
+        while 2 * len(net._pg_quiescent) < net.mesh.num_nodes:
+            assert net.run_segment(traffic, progress, max_cycles=1) is None
+        assert progress.phase == "warmup"
+        snap, traffic, progress = pickle.loads(
+            pickle.dumps((net.snapshot(), traffic, progress)))
+        got = Network.restore(snap).run_segment(traffic, progress)
+        assert got.to_dict() == want.to_dict()
 
 
 class TestBackendInvariants:

@@ -138,10 +138,14 @@ def test_pool_is_reused_across_runs():
     want = canonical([t[1] for t in serial(pts)])
     with PoolSupervisor(2) as supervisor:
         first = supervisor.run(pts)
-        first_pids = leased_pids(supervisor)
+        pool_pids = {w.proc.pid for w in supervisor._pool.values()}
+        assert leased_pids(supervisor) <= pool_pids
         second = supervisor.run(pts)
-        assert leased_pids(supervisor) == first_pids
-        assert len(first_pids) == supervisor.spawned == supervisor.workers
+        # Which worker leases which point is a race (one fast worker
+        # may take all four); which processes serve the run is not.
+        assert {w.proc.pid for w in supervisor._pool.values()} == pool_pids
+        assert leased_pids(supervisor) <= pool_pids
+        assert len(pool_pids) == supervisor.spawned == supervisor.workers
         # The event log is per run; nothing was spawned for the second.
         assert not [e for e in supervisor.events if e["ev"] == "spawned"]
     assert canonical([t[1] for t in first]) == want
