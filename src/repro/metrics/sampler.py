@@ -134,11 +134,15 @@ class TimelineSampler:
         d_off = [b - a for a, b in zip(p_off, off)]
         d_waking = [b - a for a, b in zip(p_waking, waking)]
         node_cycles = n * window
-        esc_occ = ada_occ = 0
-        for router in net.routers:
-            e, a = router.vc_occupancy_split(net.cfg.escape_vcs)
-            esc_occ += e
-            ada_occ += a
+        escape_vcs = net.cfg.escape_vcs
+        esc_occ = 0
+        node_occ = [0] * n
+        for node in range(n):
+            for _, vc, flits in net.buffered_vcs(node):
+                node_occ[node] += flits
+                if vc < escape_vcs:
+                    esc_occ += flits
+        ada_occ = sum(node_occ) - esc_occ
         self.cycles.append(now)
         self.windows.append(window)
         rec = self.net
@@ -157,7 +161,7 @@ class TimelineSampler:
         rec["wakeup_pressure"].append(round(_wakeup_pressure(net), 6))
         self.node_off.append(d_off)
         self.node_waking.append(d_waking)
-        self.node_occupancy.append([r.occupancy() for r in net.routers])
+        self.node_occupancy.append(node_occ)
         return {
             "injected": inj - p_inj,
             "ejected": ej - p_ej,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Optional, Set
+from typing import Optional
 
 #: The two cycle kernels: the object-graph reference (the readable
 #: specification, the differential oracle, and the one kernel with the
@@ -62,7 +62,7 @@ def select_kernel(pinned: Optional[str] = None, *, fault_plan=None,
     they run ``ref`` silently: nothing was requested, so nothing was
     ignored.  A *pinned* ``soa`` carrying one of those also runs
     ``ref`` (result-identical by the kernel-identity contract), with a
-    one-time ``RuntimeWarning`` naming the feature.
+    ``RuntimeWarning`` naming the feature.
     """
     backend = resolve_backend(pinned)
     if backend == "ref":
@@ -81,26 +81,10 @@ def select_kernel(pinned: Optional[str] = None, *, fault_plan=None,
     else:
         return "soa"
     if backend == "soa":
-        _warn_fallback(feature)
+        # Result-identical by the kernel-identity contract, but an
+        # ignored explicit request makes perf numbers confusing, so say
+        # why.  Python's default filter shows it once per call site.
+        warnings.warn(f"the 'soa' kernel does not support {feature}; "
+                      f"falling back to the 'ref' kernel "
+                      f"(result-identical)", RuntimeWarning, stacklevel=3)
     return "ref"
-
-
-#: Fallback messages already emitted this process; the warning is
-#: one-time per feature so sweeps with thousands of points do not flood
-#: stderr.  Tests clear this set to re-arm the warning.
-_FALLBACK_WARNED: Set[str] = set()
-
-
-def _warn_fallback(feature: str) -> None:
-    """One-time warning naming the feature that moved a run pinned to
-    ``soa`` onto the reference kernel.
-
-    The fallback is result-identical by the kernel-identity contract,
-    but silently ignoring an explicit kernel request makes perf numbers
-    confusing - so say it, once, with the reason."""
-    msg = (f"the 'soa' kernel does not support {feature}; "
-           f"falling back to the 'ref' kernel (result-identical)")
-    if msg in _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED.add(msg)
-    warnings.warn(msg, RuntimeWarning, stacklevel=4)

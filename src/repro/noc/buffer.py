@@ -1,4 +1,4 @@
-"""Virtual-channel input buffers and credit bookkeeping.
+"""Virtual-channel input buffers of the reference router.
 
 Each router input port has ``vcs_per_port`` virtual channels; each VC is a
 FIFO of ``buffer_depth`` flits with a small state machine driving the
@@ -10,6 +10,11 @@ pipeline:
 * ``ACTIVE``    - downstream VC held; flits compete in switch allocation.
 
 Credits flow upstream: one credit per flit removed from a VC buffer.
+The output side of a port - credit counters, VC owners, the gating and
+failure tags - is not here: :class:`repro.noc.network.Network` owns it
+as flat lists both kernels index directly (``Network._build_ports``),
+and every site that takes or returns a credit raises
+:data:`CREDIT_UNDERFLOW` / :data:`CREDIT_OVERFLOW` on a violation.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from .flit import Flit
+
+CREDIT_UNDERFLOW = "credit underflow: flow control violated"
+CREDIT_OVERFLOW = "credit overflow: flow control violated"
 
 
 class VCState:
@@ -107,76 +115,3 @@ class InputPort:
     @property
     def empty(self) -> bool:
         return all(vc.empty for vc in self.vcs)
-
-    def occupancy(self) -> int:
-        return sum(len(vc) for vc in self.vcs)
-
-
-class CreditCounter:
-    """Tracks free downstream buffer slots for one (output port, VC) pair."""
-
-    __slots__ = ("credits", "max_credits")
-
-    def __init__(self, depth: int) -> None:
-        self.credits = depth
-        self.max_credits = depth
-
-    def consume(self) -> None:
-        if self.credits <= 0:
-            raise RuntimeError("credit underflow: flow control violated")
-        self.credits -= 1
-
-    def restore(self) -> None:
-        if self.credits >= self.max_credits:
-            raise RuntimeError("credit overflow: flow control violated")
-        self.credits += 1
-
-    def set_limit(self, limit: int) -> None:
-        """Clamp the counter to a new limit (NoRD bypass gives the ring-
-        upstream router a single output-buffer credit, Section 4.3)."""
-        self.max_credits = limit
-        if self.credits > limit:
-            self.credits = limit
-
-    @property
-    def available(self) -> bool:
-        return self.credits > 0
-
-
-class OutputPort:
-    """Output-side state of a router port.
-
-    Holds per-downstream-VC credit counters and the "VC busy" table that VC
-    allocation uses to guarantee at most one packet holds a downstream VC at
-    a time.
-    """
-
-    __slots__ = ("port_id", "credit", "vc_owner", "gated", "failed",
-                 "buffer_depth")
-
-    def __init__(self, port_id: int, num_vcs: int, depth: int) -> None:
-        self.port_id = port_id
-        self.buffer_depth = depth
-        self.credit: List[CreditCounter] = [
-            CreditCounter(depth) for _ in range(num_vcs)
-        ]
-        #: pid of the packet currently holding each downstream VC, or None.
-        self.vc_owner: List[Optional[int]] = [None] * num_vcs
-        #: True when the downstream router is power-gated off and this port
-        #: must not be used (conventional PG tags, Section 3.1 / 4.3).
-        self.gated = False
-        #: True when the downstream router is hard-failed: packets routed
-        #: here are dropped and recorded instead of stalling for a wakeup
-        #: that will never come.  Always implies ``gated``.
-        self.failed = False
-
-    def free_vcs(self, vc_range) -> List[int]:
-        return [v for v in vc_range if self.vc_owner[v] is None]
-
-    def reset_credits_full(self) -> None:
-        for c in self.credit:
-            c.max_credits = self.buffer_depth
-            c.credits = self.buffer_depth
-
-    def idle(self) -> bool:
-        return all(owner is None for owner in self.vc_owner)

@@ -18,6 +18,18 @@ predecessor's credits to the single bypass-latch slot, restarting upstream
 pipelines from RC, and the per-VC hand-over between bypass latches and
 input buffers when a router wakes up.
 
+Those side effects act on the routers' output-port boundary, which the
+network owns as flat lists (:meth:`Network._build_ports`) that both
+kernels, the NIs and the transition code index directly: credits and
+their limits at ``c = o * V + vc``, VC owners and the gating/failure tags
+at ``o = node * NUM_PORTS + port``, plus per-node counters.  Where
+shared code needs a router's input side - handing latched flits over on
+wake-up (:meth:`Network._deliver_flit`), restarting pipelines routed to
+a gated port (:meth:`Network._reset_vcs_routed_to`), the ring recount
+(:meth:`Network._ring_slots_held`), buffer occupancy
+(:meth:`Network.buffered_vcs`) - a ``Network`` method has one body per
+kernel.
+
 Quiescence-aware kernel
 -----------------------
 
@@ -73,8 +85,9 @@ from . import activity
 from .activity import ActiveSet
 # Kernel selection lives in .backend (importable without this module);
 # every name stays importable from here.
-from .backend import (BACKENDS, _FALLBACK_WARNED, _env_flag,  # noqa: F401
+from .backend import (BACKENDS, _env_flag,  # noqa: F401
                       resolve_backend, select_kernel)
+from .buffer import CREDIT_OVERFLOW, VCState
 from .flit import Flit, Packet
 from .link import DelayLine, Link
 from .ni import NetworkInterface
@@ -116,7 +129,12 @@ LIVELOCK_LIMIT = 20_000
 #:    records the NIs each NI phase ran, and the soa kernel's NI-phase
 #:    ring sends and bypass credits ride its mailboxes, not the links'
 #:    delay lines.
-SNAPSHOT_VERSION = 6
+#: 7: the output-port boundary (credits, VC owners, gating/failure tags,
+#:    NI-claimed ports, event counters) moved from per-router objects
+#:    into network-owned flat lists; NIs hold their LOCAL-side credits
+#:    and owners as two lists, and the soa kernel builds no router
+#:    objects.
+SNAPSHOT_VERSION = 7
 
 
 @dataclass
@@ -261,7 +279,8 @@ class Network:
         self._ni_marks: Set[int] = set()
         self._profile = (activity.global_profile()
                          if activity.profiling_enabled() else None)
-        self.routers = self._build_routers()
+        self._build_ports()
+        self._build_routers()
         if cfg.design == Design.NORD and threshold_policy is None:
             # Imported lazily: thresholds -> placement -> noc would
             # otherwise form a package import cycle.
@@ -272,8 +291,8 @@ class Network:
             self._make_controller(node, threshold_policy)
             for node in range(self.mesh.num_nodes)
         ]
-        # After routers and controllers: each NI keeps references to its
-        # ring output port and its controller.
+        # After the ports and controllers: each NI keeps references to
+        # its ring output port's lists and to its controller.
         self.nis: List[NetworkInterface] = [
             NetworkInterface(node, cfg, self)
             for node in range(self.mesh.num_nodes)
@@ -342,9 +361,41 @@ class Network:
         if self.metrics is not None:
             self.metrics.attach(self)
 
-    def _build_routers(self) -> List[Router]:
-        return [Router(node, self.cfg, self.mesh, self)
-                for node in range(self.mesh.num_nodes)]
+    def _build_ports(self) -> None:
+        """The output-port boundary both kernels index directly.
+
+        Per output port ``o = node * NUM_PORTS + port``: the owner of
+        each downstream VC (a packet id, or None - VA hands a VC to at
+        most one packet at a time), ``_gated`` (the downstream router is
+        power-gated off and the port unusable, Section 3.1 / 4.3) and
+        ``_failed`` (the downstream router is hard-failed: packets routed
+        there are dropped instead of stalling for a wakeup that never
+        comes; always implies ``_gated``).  Per ``c = o * V + vc``: free
+        downstream buffer slots and their limit (NoRD clamps the ring
+        predecessor's to the bypass latch, Section 4.3).  LOCAL (ejection)
+        entries are never credit-checked: the NI sinks at once.  Per
+        node: the output ports an NI bypass move claimed this cycle, and
+        the buffer-write, VA-grant and SA-grant counts (every SA grant is
+        one buffer read and one crossbar traversal).
+        """
+        n = self.mesh.num_nodes
+        v = self.cfg.noc.vcs_per_port
+        self._V = v
+        self._credit: List[int] = [self.cfg.noc.buffer_depth] * (
+            n * NUM_PORTS * v)
+        self._maxc: List[int] = list(self._credit)
+        self._owner: List[List[Optional[int]]] = [
+            [None] * v for _ in range(n * NUM_PORTS)]
+        self._gated: List[bool] = [False] * (n * NUM_PORTS)
+        self._failed: List[bool] = [False] * (n * NUM_PORTS)
+        self._ports_used: List[Set[int]] = [set() for _ in range(n)]
+        self._nbw: List[int] = [0] * n
+        self._nva: List[int] = [0] * n
+        self._nsa: List[int] = [0] * n
+
+    def _build_routers(self) -> None:
+        self.routers = [Router(node, self.cfg, self.mesh, self)
+                        for node in range(self.mesh.num_nodes)]
 
     def _make_controller(self, node: int,
                          policy):
@@ -362,9 +413,6 @@ class Network:
     # ------------------------------------------------------------------
     # component accessors / state queries
     # ------------------------------------------------------------------
-    def router(self, node: int) -> Router:
-        return self.routers[node]
-
     def router_on(self, node: int) -> bool:
         return self.controllers[node].state == PowerState.ON
 
@@ -421,22 +469,30 @@ class Network:
                         now: int) -> None:
         """A buffer/latch slot at (node, in_port, vc) was freed."""
         if in_port == LOCAL:
-            self.nis[node].to_router.credit[vc].restore()
+            self._local_credit_back(node, vc)
             return
         upstream = self.mesh.neighbor(node, in_port)
         link = self.links_out[upstream][OPPOSITE[in_port]]
         link.credits.send(vc, now)
         self._active_credit_links.add((upstream, OPPOSITE[in_port]))
 
+    def _local_credit_back(self, node: int, vc: int) -> None:
+        """A slot of ``node``'s LOCAL input VC ``vc`` was freed: its NI
+        may inject one more flit there."""
+        credit = self.nis[node].local_credit
+        if credit[vc] >= self.cfg.noc.buffer_depth:
+            raise RuntimeError(CREDIT_OVERFLOW)
+        credit[vc] += 1
+
     def release_upstream_owner(self, node: int, in_port: int,
                                vc: int) -> None:
         """The tail left (node, in_port, vc): the upstream hop may
         re-allocate its VC there."""
         if in_port == LOCAL:
-            self.nis[node].to_router.vc_owner[vc] = None
+            self.nis[node].local_owner[vc] = None
             return
         upstream = self.mesh.neighbor(node, in_port)
-        self.routers[upstream].out_ports[OPPOSITE[in_port]].vc_owner[vc] = None
+        self._owner[upstream * NUM_PORTS + OPPOSITE[in_port]][vc] = None
 
     def owner_released(self, node: int, port: int) -> None:
         """A VC owner on ``node``'s output ``port`` was cleared outside
@@ -495,7 +551,7 @@ class Network:
     def mark_ni_port_used(self, node: int, port: int) -> None:
         """An NI bypass move claimed a physical output port this cycle
         (SA must not double-book it; cleared at the next NI phase)."""
-        self.routers[node].ports_used_by_ni.add(port)
+        self._ports_used[node].add(port)
         self._ni_marks.add(node)
 
     def finish_lingering(self, node: int, vc: int) -> None:
@@ -546,7 +602,7 @@ class Network:
         if self.cfg.design == Design.NORD:
             return
         for port, nbr in self.mesh.neighbors(node):
-            self.routers[nbr].out_ports[OPPOSITE[port]].failed = True
+            self._failed[nbr * NUM_PORTS + OPPOSITE[port]] = True
         ni = self.nis[node]
         ni.reset_pending_router_allocation()
         while ni.inject_queue:
@@ -722,17 +778,20 @@ class Network:
     def _phase_credits(self, now: int) -> None:
         active = self._active_credit_links
         links_out = self.links_out
-        routers = self.routers
+        credit, maxc, v_per = self._credit, self._maxc, self._V
         for key in active.sorted():
             node, port = key
             link = links_out[node][port]
-            out = routers[node].out_ports[port]
+            base = (node * NUM_PORTS + port) * v_per
             vcs = link.credits.receive(now)
             if link.fault is not None:
                 vcs = self._faults.filter_credits(link.fault, vcs,
                                                   self.stats)
             for vc in vcs:
-                out.credit[vc].restore()
+                c = base + vc
+                if credit[c] >= maxc[c]:
+                    raise RuntimeError(CREDIT_OVERFLOW)
+                credit[c] += 1
             if link.credits.empty:
                 active.discard(key)
 
@@ -742,7 +801,7 @@ class Network:
     def _phase_nis(self, now: int) -> None:
         if self._ni_marks:
             for node in self._ni_marks:
-                self.routers[node].ports_used_by_ni.clear()
+                self._ports_used[node].clear()
             self._ni_marks.clear()
         active = self._active_nis
         self._ni_ran = ran = active.sorted()
@@ -825,7 +884,7 @@ class Network:
                        now: int) -> None:
         self.nis[node].n_ejected_flits += 1
         if flit.is_tail:
-            self.routers[node].out_ports[LOCAL].vc_owner[vc] = None
+            self._owner[node * NUM_PORTS + LOCAL][vc] = None
         self.sink_flit(node, flit, now, via_bypass=False)
 
     def _deliver(self, node: int, in_port: int, vc: int, flit: Flit) -> None:
@@ -1037,11 +1096,11 @@ class Network:
     # -- conventional transitions ----------------------------------------
     def _on_conv_gate_off(self, node: int) -> None:
         for port, nbr in self.mesh.neighbors(node):
-            self.routers[nbr].out_ports[OPPOSITE[port]].gated = True
+            self._gated[nbr * NUM_PORTS + OPPOSITE[port]] = True
 
     def _on_conv_wake(self, node: int) -> None:
         for port, nbr in self.mesh.neighbors(node):
-            self.routers[nbr].out_ports[OPPOSITE[port]].gated = False
+            self._gated[nbr * NUM_PORTS + OPPOSITE[port]] = False
 
     # -- NoRD transitions --------------------------------------------------
     def _on_nord_gate_off(self, node: int) -> None:
@@ -1049,21 +1108,26 @@ class Network:
         ni = self.nis[node]
         pred = ring.predecessor[node]
         pred_port = ring.outport[pred]
+        credit, maxc = self._credit, self._maxc
+        limit = self.cfg.pg.bypass_depth
         for port, nbr in self.mesh.neighbors(node):
             if nbr == pred and OPPOSITE[port] == pred_port:
                 # The ring predecessor keeps the port but sees only the
                 # single bypass-latch slot per VC (Section 4.3).
-                out = self.routers[pred].out_ports[pred_port]
-                for vc_id, counter in enumerate(out.credit):
+                base = (pred * NUM_PORTS + pred_port) * self._V
+                for vc_id in range(self._V):
                     if vc_id in ni.lingering:
                         continue  # already clamped
-                    if counter.credits != counter.max_credits:
+                    c = base + vc_id
+                    if credit[c] != maxc[c]:
                         raise RuntimeError(
                             "gating with unaccounted credits in flight")
-                    counter.set_limit(self.cfg.pg.bypass_depth)
+                    maxc[c] = limit
+                    if credit[c] > limit:
+                        credit[c] = limit
             else:
-                self.routers[nbr].out_ports[OPPOSITE[port]].gated = True
-                self.routers[nbr].reset_vcs_routed_to(OPPOSITE[port])
+                self._gated[nbr * NUM_PORTS + OPPOSITE[port]] = True
+                self._reset_vcs_routed_to(nbr, OPPOSITE[port])
         ni.reset_pending_router_allocation()
 
     def _on_nord_wake(self, node: int) -> None:
@@ -1079,34 +1143,64 @@ class Network:
             while ni.latch[vc]:
                 # Write the latched flits into the input buffer; the bypass
                 # for this VC is then disabled (Section 4.3).
-                self.routers[node].deliver(inport, vc, ni.latch_pop(vc))
+                self._deliver_flit(node, inport, vc, ni.latch_pop(vc))
             ni.bypass_wait.pop(vc, None)
             self._restore_pred_credit(node, vc)
         for port, nbr in self.mesh.neighbors(node):
             if not (nbr == ring.predecessor[node]
                     and OPPOSITE[port] == ring.outport[nbr]):
-                self.routers[nbr].out_ports[OPPOSITE[port]].gated = False
+                self._gated[nbr * NUM_PORTS + OPPOSITE[port]] = False
         ni.reset_pending_ring_allocation()
+
+    def _deliver_flit(self, node: int, in_port: int, vc: int,
+                      flit: Flit) -> None:
+        """Write ``flit`` into input VC ``(in_port, vc)`` of ``node``'s
+        powered-on router (the wake-up hand-over of latched flits)."""
+        self.routers[node].deliver(in_port, vc, flit)
+
+    def _reset_vcs_routed_to(self, node: int, out_port: int) -> None:
+        """Restart from RC every packet at ``node`` headed to
+        ``out_port`` that has not yet sent any flit (Section 4.3: such
+        flits are still entirely in the input channel, so the pipeline
+        restart is safe)."""
+        own = self._owner[node * NUM_PORTS + out_port]
+        for port in self.routers[node].in_ports:
+            for vc in port.vcs:
+                if vc.state == VCState.WAITING_VA:
+                    if (out_port in vc.adaptive_ports
+                            or vc.escape_port == out_port):
+                        vc.reset_route()
+                elif (vc.state == VCState.ACTIVE and vc.route_port == out_port
+                        and vc.flits_sent == 0):
+                    own[vc.out_vc] = None
+                    vc.reset_route()
 
     def _restore_pred_credit(self, node: int, vc: int) -> None:
         """Recompute the ring predecessor's credit counter for ``vc`` from
-        ground truth after a bypass/normal hand-over."""
+        ground truth after a bypass/normal hand-over: the buffer depth
+        less every slot still spoken for on the way into ``node``."""
+        pred = self.ring.predecessor[node]
+        c = (pred * NUM_PORTS + self.ring.outport[pred]) * self._V + vc
+        depth = self.cfg.noc.buffer_depth
+        self._maxc[c] = depth
+        value = (depth - self._ring_slots_held(node, vc)
+                 - len(self.nis[node].latch[vc]))
+        self._credit[c] = value
+        if value < 0:
+            raise RuntimeError("negative credits after power transition")
+
+    def _ring_slots_held(self, node: int, vc: int) -> int:
+        """Flits and credit returns of ``vc`` in flight on the ring link
+        into ``node``, plus its flits buffered at ``node``'s Bypass
+        Inport (per kernel: this one reads the delay lines and the
+        router objects)."""
         ring = self.ring
         pred = ring.predecessor[node]
-        pred_port = ring.outport[pred]
-        counter = self.routers[pred].out_ports[pred_port].credit[vc]
-        depth = self.cfg.noc.buffer_depth
-        link = self.links_out[pred][pred_port]
-        in_flight = sum(1 for f, v in link.flits.peek_pending() if v == vc)
-        credits_in_flight = sum(1 for v in link.credits.peek_pending()
-                                if v == vc)
-        buffered = len(self.routers[node].in_ports[ring.inport[node]]
-                       .vcs[vc].fifo)
-        latched = len(self.nis[node].latch[vc])
-        counter.max_credits = depth
-        counter.credits = depth - in_flight - credits_in_flight - buffered - latched
-        if counter.credits < 0:
-            raise RuntimeError("negative credits after power transition")
+        link = self.links_out[pred][ring.outport[pred]]
+        return (sum(1 for _, v in link.flits.peek_pending() if v == vc)
+                + sum(1 for v in link.credits.peek_pending() if v == vc)
+                + len(self.routers[node].in_ports[ring.inport[node]]
+                      .vcs[vc].fifo))
 
     # ------------------------------------------------------------------
     # phase 7: statistics / liveness
@@ -1158,7 +1252,7 @@ class Network:
         for node in range(self.mesh.num_nodes):
             buffered = 0
             stuck_vcs: List[List[int]] = []
-            for port, vc, flits in self._buffered_vcs(node):
+            for port, vc, flits in self.buffered_vcs(node):
                 buffered += flits
                 stuck_vcs.append([port, vc])
             latched = sum(len(q) for q in self.nis[node].latch)
@@ -1184,10 +1278,11 @@ class Network:
             "routers": routers,
         }
 
-    def _buffered_vcs(self, node: int) -> Iterator[Tuple[int, int, int]]:
+    def buffered_vcs(self, node: int) -> Iterator[Tuple[int, int, int]]:
         """``(in_port, vc, flits)`` for every non-empty input VC of
         ``node``, in port-then-VC order (per kernel: this one walks the
-        router objects)."""
+        router objects).  Hang diagnostics, the telemetry sampler and
+        the occupancy heatmap read buffer occupancy through it."""
         for port in self.routers[node].in_ports:
             for vc in port.vcs:
                 if vc.fifo:
@@ -1352,16 +1447,16 @@ class Network:
     def _snapshot_counters(self) -> Dict:
         self.settle_duty_counters()
         snap: Dict = {"link_flits": self.n_link_flits, "routers": []}
+        nbw, nva, nsa = self._nbw, self._nva, self._nsa
         for node in range(self.mesh.num_nodes):
-            r = self.routers[node]
             ni = self.nis[node]
             c = self.controllers[node]
+            # buffer reads and crossbar traversals are SA grants
             snap["routers"].append((
                 c.cycles_on, c.cycles_off, c.cycles_waking, c.wakeups,
-                c.gate_offs, r.n_buffer_writes, r.n_buffer_reads,
-                r.n_xbar_traversals, r.n_va_grants, r.n_sa_grants,
-                ni.n_latch_writes, ni.n_bypass_forwards, ni.n_injected_flits,
-                ni.n_ejected_flits, ni.n_vc_requests,
+                c.gate_offs, nbw[node], nsa[node], nsa[node], nva[node],
+                nsa[node], ni.n_latch_writes, ni.n_bypass_forwards,
+                ni.n_injected_flits, ni.n_ejected_flits, ni.n_vc_requests,
             ))
         return snap
 

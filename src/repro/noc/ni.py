@@ -29,9 +29,9 @@ from ..config import Design, SimConfig
 from ..powergate.controller import PowerState
 from ..trace.events import EventKind
 from .arbiter import RoundRobinArbiter
-from .buffer import OutputPort
+from .buffer import CREDIT_UNDERFLOW
 from .flit import Flit, Packet
-from .topology import LOCAL
+from .topology import NUM_PORTS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import Network
@@ -59,8 +59,10 @@ class NetworkInterface:
         self.inj_sent = 0
         self.inj_wait = 0
         self.inj_starve = 0
-        #: Credit/owner tracking for the router's LOCAL input port.
-        self.to_router = OutputPort(LOCAL, vcs, cfg.noc.buffer_depth)
+        #: Free slots and owning packet id of each VC of the router's
+        #: LOCAL input port.
+        self.local_credit: List[int] = [cfg.noc.buffer_depth] * vcs
+        self.local_owner: List[Optional[int]] = [None] * vcs
         # -- bypass (NoRD) ----------------------------------------------
         #: Per-VC bypass buffering (``bypass_depth`` flits): the NI bypass
         #: latch, the NI forwarding stage and the router's non-gated output
@@ -70,15 +72,21 @@ class NetworkInterface:
         #: Flits held over all latch VCs (``latch_write`` / ``latch_pop``
         #: are the only ways in and out).
         self._latched = 0
-        #: Per-node constants of the bypass datapath: the Bypass Inport
-        #: id and the router output port the Bypass Outport drives (NoRD
-        #: only), and this node's power-gate controller.
+        #: Per-node constants of the bypass datapath (NoRD only): the
+        #: Bypass Inport id, the router output port the Bypass Outport
+        #: drives, that port's VC owner list and the flat index of its
+        #: first credit in the network's credit list; and this node's
+        #: power-gate controller.
         ring = network.ring
-        self._ring_in = self._ring_port = None
+        self._ring_in = self._ring_out = self._ring_owner = None
+        self._credit = network._credit
+        self._ring_c = -1
         if ring is not None:
             self._ring_in = ring.inport[node]
-            self._ring_port = network.router(node).out_ports[
-                ring.outport[node]]
+            self._ring_out = ring.outport[node]
+            o = node * NUM_PORTS + self._ring_out
+            self._ring_owner = network._owner[o]
+            self._ring_c = o * vcs
         self._ctrl = network.controllers[node]
         #: in_vc -> out_vc at the ring successor for mid-packet forwarding.
         self.bypass_alloc: Dict[int, Optional[int]] = {}
@@ -249,23 +257,24 @@ class NetworkInterface:
     def _plan_forward(self, vc_id: int, flit: Flit) -> Optional[tuple]:
         """Check whether latch flit ``vc_id`` can move this cycle; the
         plan (path ``"ring"``) or None."""
-        out = self._ring_port
+        credit, c0 = self._credit, self._ring_c
         alloc = self.bypass_alloc.get(vc_id)
         if alloc is not None:
-            if out.credit[alloc].available:
+            if credit[c0 + alloc] > 0:
                 return ("ring", alloc, False, False)
             return None
         # Head flit: allocate a VC at the ring successor (stage 2).
+        owner = self._ring_owner
         pkt = flit.packet
         wait = self.bypass_wait.get(vc_id, 0)
         force = pkt.on_escape or self.network.routing.must_escape(pkt)
         if not force:
             for v in range(self._escape_vcs, self._vcs):
-                if out.vc_owner[v] is None and out.credit[v].available:
+                if owner[v] is None and credit[c0 + v] > 0:
                     return ("ring", v, True, False)
         if force or wait >= ESCAPE_PATIENCE:
             ev = self.network.routing.escape_vc_for_hop(self.node, pkt)
-            if out.vc_owner[ev] is None and out.credit[ev].available:
+            if owner[ev] is None and credit[c0 + ev] > 0:
                 return ("ring", ev, True, True)
         self.bypass_wait[vc_id] = wait + 1
         return None
@@ -274,11 +283,10 @@ class NetworkInterface:
                         fast: bool = False) -> None:
         _, out_vc, newly_allocated, went_escape = plan
         flit = self.latch_pop(vc_id)
-        out = self._ring_port
-        ring_port = out.port_id
+        ring_port = self._ring_out
         pkt = flit.packet
         if newly_allocated:
-            out.vc_owner[out_vc] = pkt.pid
+            self._ring_owner[out_vc] = pkt.pid
             self.bypass_alloc[vc_id] = out_vc
             self.bypass_wait[vc_id] = 0
             if went_escape:
@@ -291,7 +299,10 @@ class NetworkInterface:
             # (Section 4.2).  The hop cap in the routing function bounds
             # total path length instead.
             pkt.bypass_hops += 1
-        out.credit[out_vc].consume()
+        c = self._ring_c + out_vc
+        if self._credit[c] <= 0:
+            raise RuntimeError(CREDIT_UNDERFLOW)
+        self._credit[c] -= 1
         # Free the latch slot: return the credit to the ring predecessor.
         self.network.credit_upstream(self.node, self._ring_in, vc_id, now)
         if flit.is_tail:
@@ -324,7 +335,7 @@ class NetworkInterface:
         flit = self.inject_queue[0]
         if self.inj_path == "router":
             out_vc = self.inj_out_vc
-            if not self.to_router.credit[out_vc].available:
+            if self.local_credit[out_vc] <= 0:
                 return None
             plan = ("router", out_vc, False, False)
         else:
@@ -333,8 +344,8 @@ class NetworkInterface:
             self.inj_wait += 1
             out_vc = None
             for v in range(self._vcs):
-                if (self.to_router.vc_owner[v] is None
-                        and self.to_router.credit[v].available):
+                if (self.local_owner[v] is None
+                        and self.local_credit[v] > 0):
                     out_vc = v
                     break
             if out_vc is None:
@@ -347,23 +358,24 @@ class NetworkInterface:
     def _plan_inject_ring(self) -> Optional[tuple]:
         """Plan injecting via the Bypass Outport (router off)."""
         flit = self.inject_queue[0]
-        out = self._ring_port
+        credit, c0 = self._credit, self._ring_c
         if self.inj_path == "ring":
             out_vc = self.inj_out_vc
-            if out.credit[out_vc].available:
+            if credit[c0 + out_vc] > 0:
                 return ("ring", out_vc, False, False)
             return None
         if not flit.is_head:
             raise RuntimeError("mid-packet flit without injection path")
+        owner = self._ring_owner
         pkt = flit.packet
         force = pkt.on_escape or self.network.routing.must_escape(pkt)
         if not force:
             for v in range(self._escape_vcs, self._vcs):
-                if out.vc_owner[v] is None and out.credit[v].available:
+                if owner[v] is None and credit[c0 + v] > 0:
                     return ("ring", v, True, False)
         if force or self.inj_wait >= ESCAPE_PATIENCE:
             ev = self.network.routing.escape_vc_for_hop(self.node, pkt)
-            if out.vc_owner[ev] is None and out.credit[ev].available:
+            if owner[ev] is None and credit[c0 + ev] > 0:
                 return ("ring", ev, True, True)
         self.inj_wait += 1
         return None
@@ -380,14 +392,15 @@ class NetworkInterface:
             pkt.injected_cycle = now
         if path == "router":
             if newly_allocated:
-                self.to_router.vc_owner[out_vc] = pkt.pid
-            self.to_router.credit[out_vc].consume()
+                self.local_owner[out_vc] = pkt.pid
+            if self.local_credit[out_vc] <= 0:
+                raise RuntimeError(CREDIT_UNDERFLOW)
+            self.local_credit[out_vc] -= 1
             self.network.send_inject(self.node, flit, out_vc, now)
         else:
-            out = self._ring_port
-            ring_port = out.port_id
+            ring_port = self._ring_out
             if newly_allocated:
-                out.vc_owner[out_vc] = pkt.pid
+                self._ring_owner[out_vc] = pkt.pid
                 if went_escape:
                     pkt.on_escape = True
                 if went_escape or pkt.on_escape:
@@ -395,7 +408,10 @@ class NetworkInterface:
                 elif not self.network.routing.is_minimal(
                         self.node, ring_port, pkt.dst):
                     pkt.misroutes += 1
-            out.credit[out_vc].consume()
+            c = self._ring_c + out_vc
+            if self._credit[c] <= 0:
+                raise RuntimeError(CREDIT_UNDERFLOW)
+            self._credit[c] -= 1
             if self._ctrl.state == PowerState.ON:
                 self.network.mark_ni_port_used(self.node, ring_port)
             self.network.send_flit(self.node, ring_port, flit, out_vc, now)
@@ -422,7 +438,7 @@ class NetworkInterface:
         """The router gated off before the current packet sent any flit:
         release the LOCAL VC and let the head re-request via the ring."""
         if self.inj_path == "router" and self.inj_sent == 0:
-            self.to_router.vc_owner[self.inj_out_vc] = None
+            self.local_owner[self.inj_out_vc] = None
         if self.inj_sent == 0:
             self.inj_path = None
             self.inj_out_vc = None
@@ -431,9 +447,8 @@ class NetworkInterface:
     def reset_pending_ring_allocation(self) -> None:
         """Symmetric reset when the router wakes before the head went out."""
         if self.inj_path == "ring" and self.inj_sent == 0:
-            self._ring_port.vc_owner[self.inj_out_vc] = None
-            self.network.owner_released(self.node,
-                                        self._ring_port.port_id)
+            self._ring_owner[self.inj_out_vc] = None
+            self.network.owner_released(self.node, self._ring_out)
             self.inj_path = None
             self.inj_out_vc = None
             self.inj_wait = 0

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..config import SimConfig
 from ..trace.events import EventKind
 from .arbiter import AllocatorPool, RoundRobinArbiter
-from .buffer import InputPort, OutputPort, VCState, VirtualChannel
+from .buffer import CREDIT_UNDERFLOW, InputPort, VCState, VirtualChannel
 from .flit import Flit
 from .topology import LOCAL, NUM_PORTS, Mesh
 
@@ -34,13 +34,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: packets can always fall back to the escape sub-network).
 ESCAPE_PATIENCE = 8
 
-#: Effectively infinite credit pool for the ejection (LOCAL) output port:
-#: the NI sinks ejected flits immediately.
-EJECT_DEPTH = 1 << 30
-
 
 class Router:
-    """One mesh router: 5 input ports x V VCs, separable VA/SA."""
+    """One mesh router: 5 input ports x V VCs, separable VA/SA.
+
+    The input side (VC buffers and their pipeline state) is this
+    object's; the output side - credits, VC owners, gating/failure tags,
+    the ports an NI bypass move claimed this cycle - and the event
+    counters are the network's flat lists (``Network._build_ports``),
+    indexed by ``o = node * NUM_PORTS + port`` and ``c = o * V + vc``.
+    """
 
     def __init__(self, node: int, cfg: SimConfig, mesh: Mesh,
                  network: "Network") -> None:
@@ -53,25 +56,25 @@ class Router:
         self.in_ports: List[InputPort] = [
             InputPort(p, vcs, depth) for p in range(NUM_PORTS)
         ]
-        self.out_ports: List[OutputPort] = [
-            OutputPort(p, vcs, EJECT_DEPTH if p == LOCAL else depth)
-            for p in range(NUM_PORTS)
-        ]
+        self._V = vcs
+        self._o0 = node * NUM_PORTS  # flat id of this router's port 0
+        self._credit = network._credit
+        self._owner = network._owner
+        self._gated = network._gated
+        self._failed = network._failed
+        #: Output ports already used by NI bypass forwarding this cycle
+        #: (a lingering bypass VC shares the physical port with SA).
+        self._ports_used = network._ports_used[node]
+        # event counters (consumed by the power model)
+        self._nbw = network._nbw
+        self._nva = network._nva
+        self._nsa = network._nsa
         # VA: one round-robin arbiter per (output port, VC) resource.
         self._va_pool = AllocatorPool(NUM_PORTS * vcs, NUM_PORTS * vcs)
         # SA: input-first separable allocator.
         self._sa_in_arb = [RoundRobinArbiter(vcs) for _ in range(NUM_PORTS)]
         self._sa_out_arb = [RoundRobinArbiter(NUM_PORTS)
                             for _ in range(NUM_PORTS)]
-        # --- event counters (consumed by the power model) ---
-        self.n_buffer_writes = 0
-        self.n_buffer_reads = 0
-        self.n_xbar_traversals = 0
-        self.n_va_grants = 0
-        self.n_sa_grants = 0
-        #: Output ports already used by NI bypass forwarding this cycle
-        #: (a lingering bypass VC shares the physical port with SA).
-        self.ports_used_by_ni: set = set()
         #: Per input port, ascending ids of the VCs whose state is not
         #: IDLE - the only VCs a pipeline stage can affect.  The
         #: quiescence-aware kernel passes these to the stages so a busy
@@ -93,7 +96,7 @@ class Router:
 
     def port_failed(self, port: int) -> bool:
         """Whether the downstream router on ``port`` is hard-failed."""
-        return self.out_ports[port].failed
+        return self._failed[self._o0 + port]
 
     # ------------------------------------------------------------------
     # datapath state
@@ -108,22 +111,6 @@ class Router:
         """
         return not any(self.occupied_vcs)
 
-    def occupancy(self) -> int:
-        return sum(port.occupancy() for port in self.in_ports)
-
-    def vc_occupancy_split(self, escape_vcs: int) -> Tuple[int, int]:
-        """Buffered flits split into ``(escape, adaptive)`` VC classes,
-        walking only the occupied VCs (telemetry sampling hook)."""
-        esc = ada = 0
-        for port, occ in zip(self.in_ports, self.occupied_vcs):
-            for vc_id in occ:
-                n = len(port.vcs[vc_id])
-                if vc_id < escape_vcs:
-                    esc += n
-                else:
-                    ada += n
-        return esc, ada
-
     def deliver(self, in_port: int, vc_id: int, flit: Flit) -> None:
         """LT completion: write an arriving flit into its input VC."""
         if flit.packet.failed:
@@ -135,7 +122,7 @@ class Router:
             return
         vc = self.in_ports[in_port].vcs[vc_id]
         vc.push(flit)
-        self.n_buffer_writes += 1
+        self._nbw[self.node] += 1
         trace = self.network.trace
         if trace is not None:
             trace.record(self.network.now, EventKind.BW, self.node,
@@ -163,6 +150,8 @@ class Router:
         dense default scan.
         """
         occ = self._all_vcs if occupied is None else occupied
+        o0 = self._o0
+        gated, credit = self._gated, self._credit
         # Input-first: each input port nominates one eligible VC.
         nominees: Optional[List[Optional[VirtualChannel]]] = None
         drops: Optional[List[Tuple[int, VirtualChannel]]] = None
@@ -181,9 +170,9 @@ class Router:
                 if route == LOCAL:
                     eligible.append(vc.vc_id)
                     continue
-                out = self.out_ports[route]
-                if out.gated:
-                    if out.failed:
+                o = o0 + route
+                if gated[o]:
+                    if self._failed[o]:
                         # Hard-failed neighbor: this wakeup will never
                         # come.  Record the packet as failed and drop it
                         # (after the scan: dropping mutates occupied_vcs).
@@ -202,9 +191,9 @@ class Router:
                                      flit=0)
                     self.network.wake_request(self.node, route)
                     continue
-                if route in self.ports_used_by_ni:
+                if route in self._ports_used:
                     continue  # physical port taken by lingering bypass
-                if not out.credit[vc.out_vc].available:
+                if credit[o * self._V + vc.out_vc] <= 0:
                     continue
                 eligible.append(vc.vc_id)
             choice = self._sa_in_arb[p].grant_from(eligible)
@@ -253,7 +242,7 @@ class Router:
         pkt.failed = True
         # Release the downstream VC this packet was granted (no flit
         # crossed, so the downstream buffer never saw it).
-        self.out_ports[vc.route_port].vc_owner[vc.out_vc] = None
+        self._owner[self._o0 + vc.route_port][vc.out_vc] = None
         saw_tail = False
         while vc.fifo:
             flit = vc.pop()
@@ -270,9 +259,8 @@ class Router:
     def _traverse(self, vc: VirtualChannel, in_port: int, now: int) -> None:
         """Pop the flit, cross the switch, and launch link traversal."""
         flit = vc.pop()
-        self.n_buffer_reads += 1
-        self.n_sa_grants += 1
-        self.n_xbar_traversals += 1
+        # every SA grant is one buffer read and one crossbar traversal
+        self._nsa[self.node] += 1
         out_port = vc.route_port
         out_vc = vc.out_vc
         trace = self.network.trace
@@ -280,7 +268,10 @@ class Router:
             trace.record(now, EventKind.SA, self.node, port=out_port,
                          vc=out_vc, pid=flit.packet.pid, flit=flit.index)
         if out_port != LOCAL:
-            self.out_ports[out_port].credit[out_vc].consume()
+            c = (self._o0 + out_port) * self._V + out_vc
+            if self._credit[c] <= 0:
+                raise RuntimeError(CREDIT_UNDERFLOW)
+            self._credit[c] -= 1
         vc.flits_sent += 1
         # Return a credit for the freed buffer slot to the upstream hop.
         self.network.credit_upstream(self.node, in_port, vc.vc_id, now)
@@ -346,25 +337,27 @@ class Router:
         """Build the (resource, is_escape, port) request list for one VC."""
         pkt = vc.fifo[0].packet
         cands: List[Tuple[int, bool, int]] = []
+        owner, o0 = self._owner, self._o0
         use_escape_only = pkt.on_escape or vc.force_escape
         if not use_escape_only:
             for port in vc.adaptive_ports:
-                out = self.out_ports[port]
+                own = owner[o0 + port]
                 lo = 0 if port == LOCAL else escape_vcs
                 for v in range(lo, vcs_per_port):
-                    if out.vc_owner[v] is None:
+                    if own[v] is None:
                         cands.append((port * vcs_per_port + v, False, port))
         if use_escape_only or vc.va_wait >= ESCAPE_PATIENCE:
             port = vc.escape_port
             if port is not None:
+                own = owner[o0 + port]
                 if port == LOCAL:
                     for v in range(vcs_per_port):
-                        if self.out_ports[port].vc_owner[v] is None:
+                        if own[v] is None:
                             cands.append((port * vcs_per_port + v, True, port))
                             break
                 else:
                     ev = self.network.routing.escape_vc_for_hop(self.node, pkt)
-                    if self.out_ports[port].vc_owner[ev] is None:
+                    if own[ev] is None:
                         cands.append((port * vcs_per_port + ev, True, port))
         return cands
 
@@ -378,8 +371,8 @@ class Router:
         vc.state = VCState.ACTIVE
         vc.va_wait = 0
         vc.flits_sent = 0
-        self.out_ports[port].vc_owner[out_vc] = pkt.pid
-        self.n_va_grants += 1
+        self._owner[self._o0 + port][out_vc] = pkt.pid
+        self._nva[self.node] += 1
         trace = self.network.trace
         if trace is not None:
             trace.record(self.network.now, EventKind.VA, self.node,
@@ -428,27 +421,13 @@ class Router:
         else:
             targets = vc.adaptive_ports[:1] or [vc.escape_port]
         for port in targets:
-            if port is not None and port != LOCAL and self.out_ports[port].gated:
+            if (port is not None and port != LOCAL
+                    and self._gated[self._o0 + port]):
                 self.network.wake_request(self.node, port)
 
     # ------------------------------------------------------------------
     # power-gating support
     # ------------------------------------------------------------------
-    def reset_vcs_routed_to(self, out_port: int) -> None:
-        """Restart from RC every packet headed to ``out_port`` that has not
-        yet sent any flit (Section 4.3: such flits are still entirely in the
-        input channel, so the pipeline restart is safe)."""
-        for port in self.in_ports:
-            for vc in port.vcs:
-                if vc.state == VCState.WAITING_VA:
-                    if (out_port in vc.adaptive_ports
-                            or vc.escape_port == out_port):
-                        vc.reset_route()
-                elif (vc.state == VCState.ACTIVE and vc.route_port == out_port
-                        and vc.flits_sent == 0):
-                    self.out_ports[out_port].vc_owner[vc.out_vc] = None
-                    vc.reset_route()
-
     def has_commitment_to(self, out_port: int, *, early: bool) -> bool:
         """Whether any packet here is committed toward ``out_port``.
 

@@ -24,14 +24,16 @@ Layout
 ------
 
 All per-VC router state lives in flat parallel lists indexed by
-``f = (node * NUM_PORTS + port) * V + vc`` and all output-port state by
-``o = node * NUM_PORTS + port`` (credits flat at ``c = o * V + vc``).
+``f = (node * NUM_PORTS + port) * V + vc``; there are no router
+objects.  The output-port state is the network's own flat boundary
+(``o = node * NUM_PORTS + port``, credits at ``c = o * V + vc``, see
+:meth:`Network._build_ports`), which this kernel, the reference router,
+the NIs and the shared power-transition code all index directly.
 Buffered flits are packed as ints, ``word = index << 2 | tail << 1 |
 head``, carried next to their ``Packet`` (the identity of a packet -
 pid, latency timestamps - stays an object; everything per-flit is a
 machine word).  Network interfaces, power-gate controllers, traffic and
-stats are reused unchanged; thin shims translate their router accesses
-(credits, VC owners, gating tags) onto the flat lists.
+stats are reused unchanged.
 
 Commit paths
 ------------
@@ -65,9 +67,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..config import Design, SimConfig
 from ..powergate.controller import PowerState, Transition
 from .arbiter import AllocatorPool, RoundRobinArbiter
+from .buffer import CREDIT_OVERFLOW, CREDIT_UNDERFLOW
 from .flit import Flit, FlitType, Packet
 from .network import INJECT_DELAY, LINK_DELAY, Network
-from .router import EJECT_DEPTH, ESCAPE_PATIENCE
+from .router import ESCAPE_PATIENCE
 from .topology import LOCAL, NUM_PORTS, OPPOSITE
 
 if (LINK_DELAY, INJECT_DELAY) != (2, 1):
@@ -91,142 +94,6 @@ def _make_flit(word: int, pkt: Packet) -> Flit:
     else:
         ftype = FlitType.TAIL if word & 2 else FlitType.BODY
     return Flit(pkt, ftype, word >> 2)
-
-
-class _CreditRef:
-    """Credit-counter view over the flat credit lists.
-
-    Implements the :class:`repro.noc.buffer.CreditCounter` protocol
-    (same overflow/underflow messages) so the NI and the inherited
-    power-transition code mutate SoA credit state transparently."""
-
-    __slots__ = ("_net", "_idx")
-
-    def __init__(self, net: "SoANetwork", idx: int) -> None:
-        self._net = net
-        self._idx = idx
-
-    @property
-    def credits(self) -> int:
-        return self._net._credit[self._idx]
-
-    @credits.setter
-    def credits(self, value: int) -> None:
-        self._net._credit[self._idx] = value
-
-    @property
-    def max_credits(self) -> int:
-        return self._net._maxc[self._idx]
-
-    @max_credits.setter
-    def max_credits(self, value: int) -> None:
-        self._net._maxc[self._idx] = value
-
-    @property
-    def available(self) -> bool:
-        return self._net._credit[self._idx] > 0
-
-    def consume(self) -> None:
-        net, i = self._net, self._idx
-        if net._credit[i] <= 0:
-            raise RuntimeError("credit underflow: flow control violated")
-        net._credit[i] -= 1
-
-    def restore(self) -> None:
-        net, i = self._net, self._idx
-        if net._credit[i] >= net._maxc[i]:
-            raise RuntimeError("credit overflow: flow control violated")
-        net._credit[i] += 1
-
-    def set_limit(self, limit: int) -> None:
-        net, i = self._net, self._idx
-        net._maxc[i] = limit
-        if net._credit[i] > limit:
-            net._credit[i] = limit
-
-
-class _SoAOutPort:
-    """Output-port view: shared owner list + flat credit/gating state."""
-
-    __slots__ = ("_net", "_o", "port_id", "credit", "vc_owner")
-
-    def __init__(self, net: "SoANetwork", o: int, port_id: int) -> None:
-        self._net = net
-        self._o = o
-        self.port_id = port_id
-        base = o * net._V
-        self.credit = [_CreditRef(net, base + v) for v in range(net._V)]
-        self.vc_owner = net._owner[o]  # the live list, not a copy
-
-    @property
-    def gated(self) -> bool:
-        return self._net._gated[self._o]
-
-    @gated.setter
-    def gated(self, value: bool) -> None:
-        self._net._gated[self._o] = value
-
-
-class _SoARouter:
-    """Router facade over the flat lists, for the NI (credits/owners on
-    the ring port) and the inherited power-gating transitions."""
-
-    __slots__ = ("_net", "node", "out_ports", "ports_used_by_ni")
-
-    def __init__(self, net: "SoANetwork", node: int) -> None:
-        self._net = net
-        self.node = node
-        self.out_ports = [_SoAOutPort(net, node * NUM_PORTS + p, p)
-                          for p in range(NUM_PORTS)]
-        self.ports_used_by_ni = net._ports_used[node]
-
-    @property
-    def empty(self) -> bool:
-        return self._net._occ_cnt[self.node] == 0
-
-    def occupancy(self) -> int:
-        """Buffered flits over all input VCs (visualisation hook)."""
-        net = self._net
-        base = self.node * net._fpn
-        return sum(len(dq) for dq in net._fifo[base:base + net._fpn])
-
-    def vc_occupancy_split(self, escape_vcs: int) -> Tuple[int, int]:
-        """Buffered flits split into ``(escape, adaptive)`` VC classes
-        (telemetry sampling hook)."""
-        net = self._net
-        base = self.node * net._fpn
-        esc = ada = 0
-        for i, dq in enumerate(net._fifo[base:base + net._fpn]):
-            if i % net._V < escape_vcs:
-                esc += len(dq)
-            else:
-                ada += len(dq)
-        return esc, ada
-
-    # -- counters consumed by Network._snapshot_counters ---------------
-    @property
-    def n_buffer_writes(self) -> int:
-        return self._net._nbw[self.node]
-
-    # Every SA grant is one buffer read and one crossbar traversal
-    # (no fault drops here), so one counter serves all three.
-    @property
-    def n_sa_grants(self) -> int:
-        return self._net._nsa[self.node]
-
-    n_buffer_reads = n_xbar_traversals = n_sa_grants
-
-    @property
-    def n_va_grants(self) -> int:
-        return self._net._nva[self.node]
-
-    # -- services used by the inherited power-transition code ------------
-    def deliver(self, in_port: int, vc_id: int, flit: Flit) -> None:
-        self._net._deliver_word(self.node, in_port, vc_id, _word_of(flit),
-                                flit.packet)
-
-    def reset_vcs_routed_to(self, out_port: int) -> None:
-        self._net._reset_vcs_routed_to(self.node, out_port)
 
 
 class SoANetwork(Network):
@@ -264,14 +131,13 @@ class SoANetwork(Network):
                       for n in range(self.mesh.num_nodes)]
         self._init_mailboxes()
 
-    def _build_routers(self) -> List[_SoARouter]:
-        """Allocate the flat router state and return the facades the
-        shared NI / power-gating / stats code talks to."""
+    def _build_routers(self) -> None:
+        """Allocate the flat per-VC router state (the output-port state
+        is the network's, from :meth:`Network._build_ports`)."""
         cfg = self.cfg
         mesh = self.mesh
         n = mesh.num_nodes
-        v = cfg.noc.vcs_per_port
-        self._V = v
+        v = self._V
         self._fpn = NUM_PORTS * v  # flat VC slots per node
         nf = n * NUM_PORTS * v
         no = n * NUM_PORTS
@@ -295,24 +161,9 @@ class SoANetwork(Network):
         #: WAITING_VA VCs that skip VA until an owner on a port they
         #: request is released (``_no_request`` / ``_unpark``).
         self._parked: List[bool] = [False] * nf
-        # -- per-output-port state --------------------------------------
-        self._credit: List[int] = []
-        for o in range(no):
-            depth = (EJECT_DEPTH if o % NUM_PORTS == LOCAL
-                     else cfg.noc.buffer_depth)
-            self._credit.extend([depth] * v)
-        self._maxc: List[int] = list(self._credit)
-        self._owner: List[List[Optional[int]]] = [[None] * v
-                                                  for _ in range(no)]
-        self._gated: List[bool] = [False] * no
         #: Parked VCs per output port they request (may hold stale ids).
         self._park_on: List[List[int]] = [[] for _ in range(no)]
-        # -- per-node state ---------------------------------------------
         self._occ_cnt: List[int] = [0] * n
-        self._nbw = [0] * n
-        self._nva = [0] * n
-        self._nsa = [0] * n
-        self._ports_used = [set() for _ in range(n)]
         # The reference router's allocators (VA: one arbiter per output
         # VC; SA: input-first separable), so contended rounds rotate
         # exactly as the reference does.
@@ -337,7 +188,6 @@ class SoANetwork(Network):
         self._upo = [up_o[f // v] for f in range(nf)]
         self._upc = [-1 if up < 0 else up * v + f % v
                      for f, up in enumerate(self._upo)]
-        return [_SoARouter(self, node) for node in range(n)]
 
     def _init_mailboxes(self) -> None:
         """The batched-commit mailboxes, the kernel's one channel kind:
@@ -434,7 +284,7 @@ class SoANetwork(Network):
                         now: int) -> None:
         # NI bypass ejects and forwards (the router paths inline it).
         if in_port == LOCAL:
-            super().credit_upstream(node, in_port, vc, now)
+            self._local_credit_back(node, vc)
         else:
             self._credit_box.append(
                 self._upc[(node * NUM_PORTS + in_port) * self._V + vc])
@@ -469,17 +319,19 @@ class SoANetwork(Network):
     def owner_released(self, node: int, port: int) -> None:
         self._unpark(node * NUM_PORTS + port)
 
-    def _deliver_word(self, node: int, in_port: int, v: int, word: int,
-                      pkt: Packet) -> None:
-        """LT completion: write an arriving flit word into its input VC
-        (the link phase inlines this; the wake-up hand-over calls it)."""
+    def _deliver_flit(self, node: int, in_port: int, v: int,
+                      flit: Flit) -> None:
+        """Write an arriving flit into its input VC as a word (the link
+        phase inlines this for mesh links; injections and the wake-up
+        hand-over call it)."""
         f = (node * NUM_PORTS + in_port) * self._V + v
         dq = self._fifo[f]
         if len(dq) >= self._depth:
             raise OverflowError(
                 f"VC {v} overflow (depth {self._depth}): credit "
                 "protocol violated")
-        dq.append((word, pkt))
+        word = _word_of(flit)
+        dq.append((word, flit.packet))
         self._nbw[node] += 1
         self._active_routers.add(node)
         if self._st[f] == _IDLE:
@@ -516,8 +368,7 @@ class SoANetwork(Network):
         maxc = self._maxc
         for c in self._credit_due:
             if credit[c] >= maxc[c]:
-                raise RuntimeError(
-                    "credit overflow: flow control violated")
+                raise RuntimeError(CREDIT_OVERFLOW)
             credit[c] += 1
         self._credit_due = self._credit_box
         self._credit_box = []
@@ -616,7 +467,7 @@ class SoANetwork(Network):
                 nsa[node] += 1
                 fsent[f] += 1
                 if p == LOCAL:
-                    nis[node].to_router.credit[v].restore()
+                    self._local_credit_back(node, v)
                 else:
                     credit_box.append(upc[f])
                 if route == LOCAL:
@@ -627,7 +478,7 @@ class SoANetwork(Network):
                         pkt.hops += 1
                 if word & 2:
                     if p == LOCAL:
-                        nis[node].to_router.vc_owner[v] = None
+                        nis[node].local_owner[v] = None
                     else:
                         o = upo[f]
                         owner[o][v] = None
@@ -839,15 +690,14 @@ class SoANetwork(Network):
         if route != LOCAL:
             c = self._outc[f]
             if self._credit[c] <= 0:
-                raise RuntimeError(
-                    "credit underflow: flow control violated")
+                raise RuntimeError(CREDIT_UNDERFLOW)
             self._credit[c] -= 1
         self._fsent[f] += 1
         in_port = self._inport[f]
         v = self._vcid[f]
         # credit upstream for the freed buffer slot
         if in_port == LOCAL:
-            self.nis[node].to_router.credit[v].restore()
+            self._local_credit_back(node, v)
         else:
             self._credit_box.append(self._upc[f])
         # launch ST + LT (progress is noted at the end of the phase)
@@ -860,7 +710,7 @@ class SoANetwork(Network):
         if word & 2:
             # tail: free this VC and release the upstream VC allocation
             if in_port == LOCAL:
-                self.nis[node].to_router.vc_owner[v] = None
+                self.nis[node].local_owner[v] = None
             else:
                 o = self._upo[f]
                 self._owner[o][v] = None
@@ -1193,8 +1043,7 @@ class SoANetwork(Network):
             if controllers[node].state != on:
                 raise RuntimeError(
                     f"injected flit delivered to off router {node}")
-            self._deliver_word(node, LOCAL, vc, _word_of(flit),
-                               flit.packet)
+            self._deliver_flit(node, LOCAL, vc, flit)
         self._inj_due = self._inj_box
         self._inj_box = []
         # Batched ejections: the router traversal is the only eject
@@ -1435,28 +1284,19 @@ class SoANetwork(Network):
                         return True
         return False
 
-    def _restore_pred_credit(self, node: int, vc: int) -> None:
-        """The ground-truth recount sees in-flight flits and credit
-        returns in the mail (box, mid, due) lists."""
+    def _ring_slots_held(self, node: int, vc: int) -> int:
+        """In-flight flits and credit returns sit in the mail (box, mid,
+        due) lists."""
         ring = self.ring
         pred = ring.predecessor[node]
-        pred_port = ring.outport[pred]
-        lid = pred * NUM_PORTS + pred_port
+        lid = pred * NUM_PORTS + ring.outport[pred]
         c = lid * self._V + vc
-        in_flight = sum(1 for box in (self._flit_box, self._flit_mid,
-                                      self._flit_due)
-                        for e in box if e[0] == lid and e[3] == vc)
-        credits_in_flight = (self._credit_box.count(c)
-                             + self._credit_due.count(c))
-        buffered = len(self._fifo[(node * NUM_PORTS
-                                   + ring.inport[node]) * self._V + vc])
-        latched = len(self.nis[node].latch[vc])
-        depth = self.cfg.noc.buffer_depth
-        self._maxc[c] = depth
-        value = depth - in_flight - credits_in_flight - buffered - latched
-        self._credit[c] = value
-        if value < 0:
-            raise RuntimeError("negative credits after power transition")
+        return (sum(1 for box in (self._flit_box, self._flit_mid,
+                                  self._flit_due)
+                    for e in box if e[0] == lid and e[3] == vc)
+                + self._credit_box.count(c) + self._credit_due.count(c)
+                + len(self._fifo[(node * NUM_PORTS + ring.inport[node])
+                                 * self._V + vc]))
 
     # ------------------------------------------------------------------
     # phase 7: statistics (read the occupancy counter directly)
@@ -1490,7 +1330,7 @@ class SoANetwork(Network):
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-    def _buffered_vcs(self, node: int) -> Iterator[Tuple[int, int, int]]:
+    def buffered_vcs(self, node: int) -> Iterator[Tuple[int, int, int]]:
         v_per = self._V
         base_f = node * self._fpn
         for p in range(NUM_PORTS):

@@ -57,7 +57,7 @@ def occupancy_heatmap(network: "Network") -> str:
                 * NUM_PORTS)
 
     def cell(node: int) -> str:
-        fill = network.routers[node].occupancy()
+        fill = sum(n for _, _, n in network.buffered_vcs(node))
         idx = min(len(HEAT_CHARS) - 1,
                   int(len(HEAT_CHARS) * fill / max(1, max_fill)))
         return HEAT_CHARS[idx]

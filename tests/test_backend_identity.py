@@ -148,8 +148,9 @@ class TestBackendSelection:
 
     def test_fault_plan_falls_back_to_reference(self):
         from repro.faults import FaultPlan
-        net = Network(small_config(Design.NORD), backend="soa",
-                      fault_plan=FaultPlan())
+        with pytest.warns(RuntimeWarning, match="fault injection"):
+            net = Network(small_config(Design.NORD), backend="soa",
+                          fault_plan=FaultPlan())
         assert type(net) is Network
 
     def test_metered_run_stays_on_soa(self, monkeypatch):
@@ -165,16 +166,19 @@ class TestBackendSelection:
         assert unpinned.metrics is not None
 
     def test_dense_scan_falls_back_to_reference(self, monkeypatch):
-        net = Network(small_config(Design.NORD), backend="soa",
-                      skip_inactive=False)
+        with pytest.warns(RuntimeWarning, match="skip_inactive=False"):
+            net = Network(small_config(Design.NORD), backend="soa",
+                          skip_inactive=False)
         assert type(net) is Network
         monkeypatch.setenv("REPRO_NO_SKIP", "1")
-        net = Network(small_config(Design.NORD), backend="soa")
+        with pytest.warns(RuntimeWarning, match="REPRO_NO_SKIP"):
+            net = Network(small_config(Design.NORD), backend="soa")
         assert type(net) is Network
 
     def test_empty_faultplan_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_EMPTY_FAULTPLAN", "1")
-        net = Network(small_config(Design.NORD), backend="soa")
+        with pytest.warns(RuntimeWarning, match="REPRO_EMPTY_FAULTPLAN"):
+            net = Network(small_config(Design.NORD), backend="soa")
         assert type(net) is Network
 
     def test_soa_constructed_directly_rejects_faults(self):

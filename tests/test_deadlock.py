@@ -25,9 +25,7 @@ def wedged_network(limit=150, backend=None):
                     measure_cycles=50, drain_cycles=10_000, seed=1)
     net = Network(cfg, backend=backend)
     net.deadlock_limit = limit
-    for router in net.routers:
-        for port in router.out_ports:
-            port.gated = True
+    net._gated[:] = [True] * len(net._gated)
     return net
 
 

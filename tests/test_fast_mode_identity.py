@@ -34,7 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import Design, small_config
-from repro.noc.network import Network, RunProgress, _FALLBACK_WARNED
+from repro.noc.network import Network, RunProgress
 from repro.noc.soa import SoANetwork
 from repro.noc.topology import NUM_PORTS, OPPOSITE, LOCAL
 from repro.traffic.synthetic import (bit_complement, tornado, transpose,
@@ -339,6 +339,33 @@ class TestOracleSelfTest:
         with pytest.raises(AssertionError, match="kernel drift"):
             assert_identical(res_ref, res_soa, "late fast-send mutant")
 
+    def test_loose_ring_clamp_is_caught(self, monkeypatch):
+        """Mutant: NoRD's gate-off clamps the ring predecessor's credits
+        to ``bypass_depth + 1`` instead of the bypass-latch depth.  The
+        transition code is one body both kernels run, so they carry the
+        bug in step and the soa-vs-ref differential cannot see it; the
+        NI's bypass-latch overflow check (``latch_write``) must."""
+        clamps = 0
+        orig = Network._on_nord_gate_off
+
+        def loose(self, node):
+            nonlocal clamps
+            orig(self, node)
+            pred = self.ring.predecessor[node]
+            base = (pred * NUM_PORTS + self.ring.outport[pred]) * self._V
+            for vc in range(self._V):
+                if vc not in self.nis[node].lingering:
+                    clamps += 1
+                    self._maxc[base + vc] = self.cfg.pg.bypass_depth + 1
+                    self._credit[base + vc] = self._maxc[base + vc]
+
+        monkeypatch.setattr(Network, "_on_nord_gate_off", loose)
+        for backend in ("soa", "ref"):
+            with pytest.raises(RuntimeError,
+                               match=r"bypass latch \d+ overflow"):
+                run_once(Design.NORD, "uniform", backend=backend)
+        assert clamps > 0, "no NoRD gate-off clamped a ring predecessor"
+
     def test_oracle_passes_without_fault(self):
         """Control arm: the same comparison is clean when nothing is
         seeded (so the failure above is caused by the seeded bug)."""
@@ -370,22 +397,24 @@ class TestDispatch:
 
     def test_dense_scan_falls_back_to_reference(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_SKIP", "1")
-        _FALLBACK_WARNED.clear()
         with pytest.warns(RuntimeWarning, match="dense scans"):
             net = Network(small_config(Design.NORD), backend="soa")
         assert type(net) is Network
 
     def test_fallback_warning_is_one_time(self):
-        """The fallback warning names the forcing feature and fires
-        once per process per feature - a thousand-point sweep must not
-        emit a thousand warnings."""
+        """The fallback warning names the forcing feature and, under
+        Python's default filter, fires once per call site - a
+        thousand-point sweep must not emit a thousand warnings."""
         from repro.trace.recorder import EventTrace
-        _FALLBACK_WARNED.clear()
         with pytest.warns(RuntimeWarning,
                           match="does not support event tracing"):
             Network(small_config(Design.NORD), backend="soa",
                     trace=EventTrace())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            Network(small_config(Design.NORD), backend="soa",
-                    trace=EventTrace())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(100):
+                Network(small_config(Design.NORD), backend="soa",
+                        trace=EventTrace())
+        assert [str(w.message) for w in caught] == [
+            "the 'soa' kernel does not support event tracing; falling "
+            "back to the 'ref' kernel (result-identical)"]

@@ -23,6 +23,7 @@ from repro.experiments.common import build_config
 from repro.faults import (ALL_LINKS, FaultPlan, FaultState, LinkFault,
                           RouterFailure, WakeupFault)
 from repro.noc.network import Network
+from repro.noc.topology import NUM_PORTS
 from repro.powergate.controller import PowerState
 from repro.traffic.synthetic import uniform_random
 
@@ -149,10 +150,8 @@ class TestRouterFailure:
     def test_neighbor_ports_marked_failed_conventional(self):
         plan = FaultPlan.single_router_failure(FAILED_NODE, FAIL_CYCLE)
         net, _ = faulted_run(Design.CONV_PG, plan)
-        marked = [
-            (r.node, p) for r in net.routers
-            for p, out in enumerate(r.out_ports) if out.failed
-        ]
+        marked = [divmod(o, NUM_PORTS)
+                  for o, failed in enumerate(net._failed) if failed]
         assert marked  # the dead router's neighbors know
         for node, port in marked:
             assert net.mesh.neighbor(node, port) == FAILED_NODE
@@ -160,8 +159,7 @@ class TestRouterFailure:
     def test_nord_keeps_ports_unfailed(self):
         plan = FaultPlan.single_router_failure(FAILED_NODE, FAIL_CYCLE)
         net, _ = faulted_run(Design.NORD, plan)
-        assert not any(out.failed for r in net.routers
-                       for out in r.out_ports)
+        assert not any(net._failed)
 
     def test_fail_from_off_completes_immediately(self):
         """A router already gated off dies in place - no re-gating."""

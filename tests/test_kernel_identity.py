@@ -38,7 +38,7 @@ from repro.experiments.runner import run_all
 from repro.faults import FaultPlan
 from repro.metrics.sampler import MetricsSpec
 from repro.noc import activity
-from repro.noc.network import Network, _FALLBACK_WARNED, select_kernel
+from repro.noc.network import Network, select_kernel
 from repro.stats.collector import RunResult
 from repro.trace.recorder import EventTrace, TraceSpec
 from repro.traffic.synthetic import uniform_random
@@ -96,7 +96,6 @@ class TestDispatchTable:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        _FALLBACK_WARNED.clear()
         with warnings.catch_warnings():
             # nothing was requested, so nothing was ignored: no warning
             warnings.simplefilter("error")
@@ -117,15 +116,18 @@ class TestDispatchTable:
         kwargs, env, _, pattern = REF_ROWS[row]
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        _FALLBACK_WARNED.clear()
         with pytest.warns(RuntimeWarning, match=pattern) as caught:
             net = Network(small_config(Design.NORD), backend="soa",
                           **kwargs())
         assert len(caught) == 1
         assert type(net) is Network and net.backend == "ref"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # one-time per process
-            Network(small_config(Design.NORD), backend="soa", **kwargs())
+        with warnings.catch_warnings(record=True) as caught:
+            # Python's default filter: once per call site
+            warnings.simplefilter("default")
+            for _ in range(3):
+                Network(small_config(Design.NORD), backend="soa",
+                        **kwargs())
+        assert len(caught) == 1
 
     def test_metrics_are_not_a_selection_input(self, monkeypatch,
                                                tmp_path):

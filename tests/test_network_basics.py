@@ -5,7 +5,7 @@ import pytest
 from repro.config import Design, small_config
 from repro.noc.buffer import VCState
 from repro.noc.network import Network
-from repro.noc.topology import LOCAL
+from repro.noc.topology import LOCAL, NUM_PORTS
 from repro.traffic.base import NullTraffic, ScriptedTraffic
 
 
@@ -76,7 +76,7 @@ class TestDeliveryCorrectness:
         net, pkts = run_scripted(Design.NO_PG, events, cycles=200)
         assert net.outstanding_flits == 0
         for node in range(16):
-            assert net.routers[node].empty
+            assert not list(net.buffered_vcs(node))
             for row in net.links_out:
                 for link in row:
                     if link is not None:
@@ -85,21 +85,16 @@ class TestDeliveryCorrectness:
     def test_vc_owners_released_after_drain(self):
         events = [(c, c % 16, (c + 5) % 16, 5) for c in range(10, 80)]
         net, _ = run_scripted(Design.NO_PG, events, cycles=300)
-        for router in net.routers:
-            for port in router.out_ports:
-                assert all(owner is None for owner in port.vc_owner)
+        assert all(owner is None for own in net._owner for owner in own)
         for ni in net.nis:
-            assert all(owner is None for owner in ni.to_router.vc_owner)
+            assert all(owner is None for owner in ni.local_owner)
 
     def test_credits_restored_after_drain(self):
         events = [(c, c % 16, (c + 5) % 16, 5) for c in range(10, 80)]
         net, _ = run_scripted(Design.NO_PG, events, cycles=300)
-        for router in net.routers:
-            for port in router.out_ports:
-                if port.port_id == LOCAL:
-                    continue
-                for counter in port.credit:
-                    assert counter.credits == counter.max_credits
+        for c, credits in enumerate(net._credit):
+            if (c // net._V) % NUM_PORTS != LOCAL:
+                assert credits == net._maxc[c]
 
     def test_all_vcs_idle_after_drain(self):
         events = [(c, (c * 3) % 16, (c * 5 + 1) % 16, 3) for c in range(10, 90)]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import Design, small_config
 from repro.noc.network import Network
-from repro.noc.topology import OPPOSITE
+from repro.noc.topology import NUM_PORTS, OPPOSITE
 from repro.powergate.controller import PowerState
 from repro.powergate.nord import NoRDController
 from repro.traffic.base import NullTraffic, ScriptedTraffic
@@ -29,7 +29,7 @@ class TestConventionalHandshake:
         for node in range(16):
             assert net.controllers[node].state == PowerState.OFF
             for port, nbr in net.mesh.neighbors(node):
-                assert net.routers[nbr].out_ports[OPPOSITE[port]].gated
+                assert net._gated[nbr * NUM_PORTS + OPPOSITE[port]]
 
     def test_tags_cleared_after_wake(self):
         net = make_net(Design.CONV_PG)

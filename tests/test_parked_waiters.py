@@ -164,9 +164,9 @@ def test_ring_allocation_reset_reports_the_release(monkeypatch, backend):
     node = net.ring.order[3]
     ni = net.nis[node]
     ni.inj_path, ni.inj_out_vc, ni.inj_sent = "ring", 2, 0
-    ni._ring_port.vc_owner[2] = 99
+    ni._ring_owner[2] = 99
     ni.reset_pending_ring_allocation()
-    assert ni._ring_port.vc_owner[2] is None
+    assert ni._ring_owner[2] is None
     assert calls == [(node, net.ring.outport[node])]
     Network.owner_released(net, node, 0)  # the reference hook is inert
 

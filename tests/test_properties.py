@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.config import Design, NoCConfig, SimConfig
 from repro.noc.buffer import VCState
 from repro.noc.network import Network
-from repro.noc.topology import LOCAL
+from repro.noc.topology import LOCAL, NUM_PORTS
 from repro.traffic.synthetic import uniform_random
 
 designs = st.sampled_from(Design.ALL)
@@ -43,6 +43,40 @@ def run_random(design, rate, wh, seed, cycles=400, *, speculative=False,
     return net, result
 
 
+def assert_final_state_clean(net):
+    """Every input VC idle and empty (per kernel), and on the shared
+    port boundary every VC owner released."""
+    if net.backend == "soa":
+        assert all(state == VCState.IDLE for state in net._st)
+        assert not any(net._fifo)
+    else:
+        for router in net.routers:
+            for port in router.in_ports:
+                for vc in port.vcs:
+                    assert vc.state == VCState.IDLE and vc.empty
+    assert all(o is None for own in net._owner for o in own)
+    for ni in net.nis:
+        assert ni.latches_empty
+        assert not ni.inject_queue
+        assert not ni.bypass_alloc
+        assert all(o is None for o in ni.local_owner)
+
+
+def assert_credits_conserved(net):
+    """After the last credits land, every mesh-port counter is back at
+    its limit and every NI holds all its LOCAL credits."""
+    for _ in range(30):  # allow pending credits to land
+        net.step()
+    for c, credits in enumerate(net._credit):
+        o, vc = divmod(c, net._V)
+        if o % NUM_PORTS != LOCAL:
+            assert credits == net._maxc[c], (
+                f"router {o // NUM_PORTS} port {o % NUM_PORTS} vc {vc}")
+    depth = net.cfg.noc.buffer_depth
+    for ni in net.nis:
+        assert ni.local_credit == [depth] * net._V
+
+
 class TestConservationInvariants:
     @given(designs, rates, sizes, seeds)
     @SIM_SETTINGS
@@ -56,18 +90,14 @@ class TestConservationInvariants:
     @SIM_SETTINGS
     def test_final_state_is_clean(self, design, rate, wh, seed):
         """After draining, no buffers, latches, owners or debts remain."""
-        # walks the reference router objects
         net, _ = run_random(design, rate, wh, seed, backend="ref")
-        for router in net.routers:
-            for port in router.in_ports:
-                for vc in port.vcs:
-                    assert vc.state == VCState.IDLE and vc.empty
-            for port in router.out_ports:
-                assert all(o is None for o in port.vc_owner)
-        for ni in net.nis:
-            assert ni.latches_empty
-            assert not ni.inject_queue
-            assert not ni.bypass_alloc
+        assert_final_state_clean(net)
+
+    @given(designs, rates, sizes, seeds)
+    @SIM_SETTINGS
+    def test_final_state_is_clean_on_soa(self, design, rate, wh, seed):
+        net, _ = run_random(design, rate, wh, seed, backend="soa")
+        assert_final_state_clean(net)
 
     @given(designs, rates, sizes, seeds)
     @SIM_SETTINGS
@@ -75,15 +105,13 @@ class TestConservationInvariants:
         """All credit counters return to their limits after draining
         (lingering NoRD clamps restore once packets finish)."""
         net, _ = run_random(design, rate, wh, seed)
-        for _ in range(30):  # allow pending credits to land
-            net.step()
-        for node, router in enumerate(net.routers):
-            for port in router.out_ports:
-                if port.port_id == LOCAL:
-                    continue
-                for vc_id, counter in enumerate(port.credit):
-                    assert counter.credits == counter.max_credits, (
-                        f"router {node} port {port.port_id} vc {vc_id}")
+        assert_credits_conserved(net)
+
+    @given(designs, rates, sizes, seeds)
+    @SIM_SETTINGS
+    def test_credits_conserved_on_ref(self, design, rate, wh, seed):
+        net, _ = run_random(design, rate, wh, seed, backend="ref")
+        assert_credits_conserved(net)
 
     @given(designs, rates, seeds)
     @SIM_SETTINGS

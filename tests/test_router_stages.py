@@ -39,17 +39,15 @@ class TestVA:
         net = stepped_network(events=[(1, 0, 3, 1)], cycles=5)
         vc = next(vc for port in net.routers[0].in_ports
                   for vc in port.vcs if vc.state == VCState.ACTIVE)
-        out = net.routers[0].out_ports[vc.route_port]
-        assert out.vc_owner[vc.out_vc] is not None
+        assert net._owner[vc.route_port][vc.out_vc] is not None
 
     def test_two_packets_same_port_get_distinct_vcs(self):
         net = stepped_network(events=[(1, 0, 3, 5), (1, 4, 3, 5)], cycles=8)
         # both packets converge on router heading EAST eventually; at the
         # minimum their VCs never alias at any single output port
-        for router in net.routers:
-            for port in router.out_ports:
-                owners = [o for o in port.vc_owner if o is not None]
-                assert len(owners) == len(set(owners))
+        for own in net._owner:
+            owners = [o for o in own if o is not None]
+            assert len(owners) == len(set(owners))
 
 
 class TestSA:
@@ -70,7 +68,7 @@ class TestSA:
 
     def test_credit_limits_in_flight_flits(self):
         """No more than buffer_depth flits of one packet can be un-credited
-        at once (checked implicitly: CreditCounter raises on violation).
+        at once (checked implicitly: taking a missing credit raises).
         Here we just run a congested scenario to exercise the guard."""
         events = [(c, 0, 3, 5) for c in range(1, 40, 2)]
         net = stepped_network(events=events, cycles=120)
