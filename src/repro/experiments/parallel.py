@@ -14,7 +14,8 @@ shared machinery:
 * :class:`ResultCache` - a content-addressed cache under
   ``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``) keyed by a
   SHA-256 of (config, traffic spec, prepare hook, network kind, code
-  version), storing JSON-serialized ``(RunResult, EnergyReport)`` pairs;
+  version), storing JSON-serialized ``(RunResult, EnergyReport)`` pairs
+  (and Figure 6's placement curve, under a key of its own);
 * :class:`SweepRunner` - fans a batch of design points across a pool
   of spawned worker processes that lives as long as the runner
   (:mod:`repro.experiments.supervisor`), checking the cache first and
@@ -587,18 +588,22 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Content-addressed store of ``(RunResult, EnergyReport)`` pairs.
+    """Content-addressed store of checksummed JSON records.
 
-    One JSON file per design point under the cache directory: the
-    outcome record of :func:`repro.experiments.journal.encode_outcome`
-    (``result``, ``energy``, ``sha256`` - what a journal ``done`` record
-    carries too) plus ``format`` and ``key``.  Writes are atomic (temp
-    file + rename) so concurrent runners can share a cache.  A
-    stale-format file reads as a miss (it will simply be overwritten);
+    One JSON file per key under the cache directory: ``format``, ``key``
+    and the record a codec makes of the value.  By default the value is
+    a design point's ``(RunResult, EnergyReport)`` pair and the record
+    is :func:`repro.experiments.journal.encode_outcome`'s (``result``,
+    ``energy``, ``sha256`` - what a journal ``done`` record carries
+    too); an analysis that depends only on the code (Figure 6's
+    placement curve) passes its own encode/decode pair.  Writes are
+    atomic (temp file + rename) so concurrent runners can share a cache.
+    A stale-format file reads as a miss (it will simply be overwritten);
     an *unreadable* file - truncated JSON, wrong value shapes, values
-    that do not match their checksum, I/O error - is quarantined:
-    renamed to ``<key>.corrupt`` (preserved for post-mortem, never
-    re-read) and counted in ``self.quarantined``.
+    that do not match their checksum, a ``key`` that is not the one it
+    is filed under, I/O error - is quarantined: renamed to
+    ``<key>.corrupt`` (preserved for post-mortem, never re-read) and
+    counted in ``self.quarantined``.
     """
 
     def __init__(self, directory: Optional[Path] = None) -> None:
@@ -614,7 +619,11 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, key: str) -> Optional[SweepOutcome]:
+    def get(self, key: str,
+            decode: Callable[[Dict[str, Any]], Any] = decode_outcome) -> Any:
+        """The value filed under ``key``, or None.  ``decode`` turns a
+        stored record into its value, or None when the record cannot be
+        trusted (for outcome records: :func:`decode_outcome`)."""
         path = self.path_for(key)
         try:
             data = json.loads(path.read_text())
@@ -626,11 +635,15 @@ class ResultCache:
             return self._quarantine(path)
         if data.get("format") != CACHE_FORMAT:
             return None  # stale format: an honest miss, not corruption
-        outcome = decode_outcome(data)
-        if outcome is None:
+        if data.get("key") != key:
+            # A record copied or restored under another key's name: its
+            # checksum holds, but it answers a different question.
+            return self._quarantine(path)
+        value = decode(data)
+        if value is None:
             # Parses as JSON but the values are not what was written.
             return self._quarantine(path)
-        return outcome
+        return value
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside so it reads as a miss forever."""
@@ -641,9 +654,12 @@ class ResultCache:
         self.quarantined += 1
         return None
 
-    def put(self, key: str, outcome: SweepOutcome) -> None:
-        payload = {"format": CACHE_FORMAT, "key": key,
-                   **encode_outcome(outcome)}
+    def put(self, key: str, value: Any,
+            encode: Callable[[Any], Dict[str, Any]] = encode_outcome
+            ) -> None:
+        """File ``value`` under ``key`` as the record ``encode`` makes of
+        it (for outcome records: :func:`encode_outcome`)."""
+        payload = {"format": CACHE_FORMAT, "key": key, **encode(value)}
         directory = self.directory
         directory.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -171,18 +171,20 @@ class TestCommandsShareNothing:
         assert "kernel profile" not in capsys.readouterr().out
 
     def test_parsec_memo_dies_with_the_settings(self, capsys, tmp_path):
-        """Figures 8-12 share one in-process sweep - per runner, so a
-        later command's ``--trace`` is not served from an untraced memo."""
-        fig8 = ["fig8", "--scale", "smoke", "--no-cache"]
-        assert main(fig8) == 0
+        """Figures 3 and 8-12 share one in-process PARSEC sweep - per
+        runner, so a later command's ``--trace`` is not served from an
+        untraced memo.  Figure 3 goes through that memo with the fewest
+        points (No_PG only)."""
+        fig3 = ["fig3", "--scale", "smoke", "--no-cache"]
+        assert main(fig3) == 0
         report = capsys.readouterr().out
         traces = tmp_path / "D"
-        assert main(fig8 + ["--trace", "--trace-limit", "500",
+        assert main(fig3 + ["--trace", "--trace-limit", "500",
                             "--trace-dir", str(traces)]) == 0
         out = capsys.readouterr().out
         assert out.startswith(report)  # a pure observer
-        assert f"[trace] 40 run(s) traced; artifacts in {traces}/" in out
-        assert len(list(traces.glob("*.digest.json"))) == 40
+        assert f"[trace] 10 run(s) traced; artifacts in {traces}/" in out
+        assert len(list(traces.glob("*.digest.json"))) == 10
 
     def test_resume_requires_journal(self, capsys):
         with pytest.raises(SystemExit):

@@ -68,6 +68,25 @@ def test_tampered_value_is_quarantined(tmp_path):
     assert cache.get(p.cache_key()) is None
 
 
+def test_record_under_another_key_is_quarantined(tmp_path):
+    """A record copied or restored under another key's name passes its
+    checksum but answers a different point: served, it would be that
+    point's result."""
+    cache = ResultCache(tmp_path)
+    p, other = point(), point(measure=500)
+    cache.put(p.cache_key(), _guarded_execute(p, None)[1])
+    path = cache.path_for(other.cache_key())
+    path.write_bytes(cache.path_for(p.cache_key()).read_bytes())
+
+    assert cache.get(other.cache_key()) is None
+    assert cache.quarantined == 1
+    assert not path.exists()
+    assert path.with_suffix(".corrupt").exists()
+    # The record under its own name is still served.
+    assert cache.get(p.cache_key()) is not None
+    assert cache.quarantined == 1
+
+
 def test_undecodable_entry_is_quarantined(tmp_path):
     """Bit rot that is not even text: the decode error is a ValueError,
     not an OSError, and used to escape ``get`` and abort the sweep."""

@@ -6,20 +6,24 @@ for CI.  The PARSEC sweep is shared through the experiments' cache, so the
 whole module costs one sweep.
 """
 
+import json
 import math
 
 import pytest
 
 from repro.config import Design
+from repro.core.placement import PlacementAnalysis
 from repro.experiments import (area_overhead, fig1_static_power,
                                fig3_idle_periods, fig6_placement,
                                fig7_threshold, fig8_static_energy,
                                fig9_overhead, fig10_energy_breakdown,
                                fig11_latency, fig12_execution_time,
                                fig13_wakeup_latency, fig14_load_sweep,
-                               table1_config)
+                               parallel, table1_config)
+from repro.experiments import runner as runner_module
 from repro.experiments.common import (SCALES, build_config, get_scale,
                                       geomean, mean, parsec_sweep)
+from repro.experiments.parallel import ResultCache, SweepRunner
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 SCALE = "smoke"
@@ -83,6 +87,103 @@ class TestFig6:
         assert dists[-1] == pytest.approx(8 / 3)
         assert lats[-1] == pytest.approx(5.0)
         assert "Figure 6" in fig6_placement.report(res)
+
+
+class TestFig6Cache:
+    """The placement curve is a checksummed record in the result cache:
+    a cached run does no search, a ``--no-cache`` one does nothing else."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Counts ``PlacementAnalysis.greedy_selection`` calls."""
+        calls = []
+        search = PlacementAnalysis.greedy_selection
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return search(self, *args, **kwargs)
+        monkeypatch.setattr(PlacementAnalysis, "greedy_selection", counted)
+        return calls
+
+    @pytest.fixture
+    def install(self, monkeypatch, tmp_path):
+        """Installs a runner over an empty cache under ``tmp_path``."""
+        def install(**settings):
+            runner = SweepRunner(cache=ResultCache(tmp_path / "cache"),
+                                 **settings)
+            monkeypatch.setattr(parallel, "_default_runner", runner)
+            return runner
+        return install
+
+    @staticmethod
+    def record(runner):
+        files = list(runner.cache.directory.glob("*.json"))
+        assert len(files) == 1
+        return files[0]
+
+    def test_cached_run_does_no_search(self, searches, install):
+        install()
+        computed = fig6_placement.run()
+        assert len(searches) == 1
+        cached = fig6_placement.run()
+        assert len(searches) == 1
+        # Exact: floats compare with ==, the curve and metrics as tuples.
+        assert cached == computed and cached is not computed
+        assert len(cached.curve) == 17
+        assert all(type(s) is frozenset for s, _, _ in cached.curve)
+        assert type(cached.knee_set) is frozenset
+
+    def test_no_cache_computes_every_time_and_writes_nothing(
+            self, searches, install):
+        runner = install(use_cache=False)
+        assert fig6_placement.run() == fig6_placement.run()
+        assert len(searches) == 2
+        assert not runner.cache.directory.exists()
+
+    @pytest.mark.parametrize("damage", ["tampered", "truncated"])
+    def test_damaged_record_is_quarantined_and_recomputed(
+            self, searches, install, damage):
+        runner = install()
+        computed = fig6_placement.run()
+        path = self.record(runner)
+        if damage == "tampered":  # still valid JSON, checksum left as is
+            data = json.loads(path.read_text())
+            data["analysis"]["curve"][6][1] += 0.5
+            path.write_text(json.dumps(data))
+        else:
+            path.write_text(path.read_text()[:100])
+        assert fig6_placement.run() == computed
+        assert len(searches) == 2
+        assert runner.cache.quarantined == 1
+        assert path.with_suffix(".corrupt").exists()
+        # ... and the recomputed curve was filed again.
+        assert fig6_placement.run() == computed
+        assert len(searches) == 2
+
+    def test_stale_format_is_an_honest_miss(self, searches, install):
+        runner = install()
+        computed = fig6_placement.run()
+        path = self.record(runner)
+        data = json.loads(path.read_text())
+        data["format"] = parallel.CACHE_FORMAT - 1
+        path.write_text(json.dumps(data))
+        assert fig6_placement.run() == computed
+        assert len(searches) == 2
+        assert runner.cache.quarantined == 0
+        assert json.loads(path.read_text())["format"] == parallel.CACHE_FORMAT
+
+    def test_run_all_footer_counts_no_design_point(self, searches, install,
+                                                   monkeypatch):
+        monkeypatch.setattr(runner_module, "EXPERIMENTS",
+                            {"fig6": EXPERIMENTS["fig6"]})
+        install()
+        for _ in ("cold", "served from the cache"):
+            lines = []
+            runner_module.run_all("smoke", SEED, echo=lines.append)
+            assert len(searches) == 1
+            assert lines[2].startswith("[fig6 took ")
+            assert lines[2].endswith("; cache: 0 hits, 0 misses]")
+            assert lines[-1].endswith("; cache: 0 hits, 0 misses]")
 
 
 class TestFig7:
