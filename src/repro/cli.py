@@ -24,12 +24,15 @@ from typing import List, Optional
 
 from .checkpoint import CheckpointSpec
 from .config import Design, NoCConfig, SimConfig
+from .core.ring import build_ring
 from .experiments import parallel
 from .experiments.common import SCALES
 from .experiments.runner import EXPERIMENTS, run_all, run_experiment
+from .faults import FaultPlan, FaultState, LinkFault, RouterFailure
 from .metrics.spec import DEFAULT_INTERVAL, MetricsSpec
 from .noc import activity
 from .noc.backend import BACKENDS
+from .noc.topology import Mesh
 from .stats.report import format_table
 from .trace.spec import DEFAULT_LIMIT, TraceSpec
 from .traffic.parsec import BENCHMARKS
@@ -65,8 +68,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "graph reference ('ref') or the struct-of-"
                              "arrays kernel ('soa'); default: "
                              "REPRO_BACKEND, then 'soa' unless the run "
-                             "traces, injects faults or forces dense "
-                             "scans ('ref')")
+                             "injects faults or forces dense scans "
+                             "('ref'); traced runs stay on 'soa'")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-run wall-clock budget in seconds "
                              "(default: unlimited)")
@@ -146,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one simulation")
     _add_common(p_sim)
+    p_sim.set_defaults(usage_error=p_sim.error)
     p_sim.add_argument("--design", choices=Design.ALL, default=Design.NORD)
     p_sim.add_argument("--traffic", default="uniform",
                        choices=("uniform", "bitcomp", "tornado",
@@ -255,7 +259,6 @@ def _timing_line(result) -> str:
 
 def _fault_plan(args: argparse.Namespace):
     """Build the FaultPlan the simulate flags describe (None if none)."""
-    from .faults import FaultPlan, LinkFault, RouterFailure
     failures = ()
     if args.fail_router is not None:
         failures = (RouterFailure(args.fail_router, args.fail_cycle),)
@@ -284,7 +287,15 @@ def _simulate(args: argparse.Namespace) -> None:
     else:
         spec = parallel.TrafficSpec(kind=args.traffic, rate=args.rate,
                                     seed=args.seed)
-    faults = _fault_plan(args)
+    try:  # the run's own validators: a bad flag is a usage error
+        faults = _fault_plan(args)
+        mesh = Mesh(args.width, args.height)
+        if args.design == Design.NORD:
+            build_ring(mesh)
+        FaultState(faults or FaultPlan(), mesh.num_nodes)
+        spec.build(mesh)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     result, energy = parallel.get_runner().run_one(
         parallel.DesignPoint(cfg=cfg, traffic=spec, faults=faults))
     rows = [

@@ -262,8 +262,7 @@ class DesignPoint:
         # The bufferless datapath has a single implementation.
         if self.network == BUFFERLESS_NETWORK:
             return "ref"
-        return select_kernel(self.backend, fault_plan=self.faults,
-                             trace=self.trace)
+        return select_kernel(self.backend, fault_plan=self.faults)
 
     def cache_key(self) -> str:
         """Content hash identifying this point's result on disk.
@@ -273,9 +272,8 @@ class DesignPoint:
         entry.  ``trace`` is deliberately absent: tracing does not
         change the result, so traced and untraced runs share an entry.
         For the same reason the ``backend`` field is the kernel the
-        *keyed* content selects: a trace or an empty plan, which move a
-        run onto ``ref`` without changing its result, do not move its
-        entry.
+        *keyed* content selects: an empty plan, which moves a run onto
+        ``ref`` without changing its result, does not move its entry.
         """
         faults = None
         if self.faults is not None and not self.faults.is_empty:

@@ -15,10 +15,9 @@ from typing import Optional
 
 #: The two cycle kernels: the object-graph reference (the readable
 #: specification, the differential oracle, and the one kernel with the
-#: trace / fault / dense-scan hook surface) and the
-#: struct-of-arrays kernel (:mod:`repro.noc.soa`), proven
-#: RunResult-identical by tests/test_kernel_identity.py and the
-#: drift CI job.
+#: fault / dense-scan hook surface) and the struct-of-arrays kernel
+#: (:mod:`repro.noc.soa`), proven RunResult- and event-trace-identical
+#: by tests/test_kernel_identity.py and the drift CI job.
 BACKENDS = ("ref", "soa")
 
 
@@ -49,15 +48,15 @@ def _env_flag(name: str) -> bool:
 
 
 def select_kernel(pinned: Optional[str] = None, *, fault_plan=None,
-                  trace=None, skip_inactive: Optional[bool] = None) -> str:
+                  skip_inactive: Optional[bool] = None) -> str:
     """The kernel a run executes on - the one place the rule lives
     (``Network.__new__`` and ``DesignPoint`` both call it): ``soa``
-    unless the run carries a trace, a fault plan or dense scans.
+    unless the run carries a fault plan or dense scans.
 
     ``pinned`` (``backend=`` / ``--backend`` / ``REPRO_BACKEND``) is
     honoured when given.  Unpinned runs get ``soa`` unless they carry
     something only ``ref`` can serve - a fault plan (incl.
-    ``REPRO_EMPTY_FAULTPLAN``), a trace, or dense scans
+    ``REPRO_EMPTY_FAULTPLAN``) or dense scans
     (``skip_inactive=False`` / ``REPRO_NO_SKIP``) - in which case
     they run ``ref`` silently: nothing was requested, so nothing was
     ignored.  A *pinned* ``soa`` carrying one of those also runs
@@ -69,8 +68,6 @@ def select_kernel(pinned: Optional[str] = None, *, fault_plan=None,
         return "ref"
     if fault_plan is not None:
         feature = "fault injection"
-    elif trace is not None:
-        feature = "event tracing"
     elif skip_inactive is False:
         feature = "dense scans (skip_inactive=False)"
     elif skip_inactive is None and _env_flag("REPRO_NO_SKIP"):

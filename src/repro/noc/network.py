@@ -204,7 +204,6 @@ class Network:
                     "requested; drop fast=True or the backend override")
             if select_kernel(kwargs.get("backend"),
                              fault_plan=kwargs.get("fault_plan"),
-                             trace=kwargs.get("trace"),
                              skip_inactive=kwargs.get("skip_inactive")
                              ) == "soa":
                 from .soa import SoANetwork
@@ -229,7 +228,8 @@ class Network:
         #: pure observer: every hook below is a single attribute check
         #: when disabled, and recording never mutates simulation state,
         #: so traced and untraced runs are byte-identical (asserted by
-        #: tests/test_trace_identity.py and the trace-off CI diff).
+        #: tests/test_trace_identity.py and the trace-off CI diff).  Both
+        #: kernels record the same stream (test_backend_identity.py).
         self.trace = trace
         #: Telemetry recorder (:class:`repro.metrics.MetricsRun`), or
         #: None.  Same pure-observer contract as the trace: one ``is

@@ -16,9 +16,9 @@ split run equals a straight one) - proven by
 ``tests/test_fast_mode_identity.py``, ``tests/test_snapshot_restore.py``
 and the ``drift`` CI job.  The metrics sampler runs on this kernel as
 on the reference (the event hooks sit in code both share, plus the one
-in :meth:`SoANetwork._sink_word`).  This kernel never records trace
-events, injects faults or runs dense scans: runs that carry any of
-those execute on the reference kernel.
+in :meth:`SoANetwork._sink_word`), and records the reference's event
+trace (its router-side sites sit here).  It never injects faults or
+runs dense scans: runs that carry either execute on ``ref``.
 
 Layout
 ------
@@ -62,10 +62,12 @@ tables built in ``_build_routers``.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import Design, SimConfig
 from ..powergate.controller import PowerState, Transition
+from ..trace.events import EventKind
 from .arbiter import AllocatorPool, RoundRobinArbiter
 from .buffer import CREDIT_OVERFLOW, CREDIT_UNDERFLOW
 from .flit import Flit, FlitType, Packet
@@ -80,6 +82,8 @@ if (LINK_DELAY, INJECT_DELAY) != (2, 1):
 
 #: VC states (mirrors :class:`repro.noc.buffer.VCState`).
 _IDLE, _ROUTING, _WAITING_VA, _ACTIVE = 0, 1, 2, 3
+
+_link_of = itemgetter(0)  #: a flit mail entry's link id (sort key)
 
 
 def _word_of(flit: Flit) -> int:
@@ -110,21 +114,15 @@ class SoANetwork(Network):
                  fault_plan=None, trace=None, metrics=None,
                  backend: Optional[str] = None,
                  fast: Optional[bool] = None) -> None:
-        for feature, unsupported in (
-                ("fault injection", fault_plan is not None),
-                ("event tracing", trace is not None),
-                ("dense scans", skip_inactive is False)):
-            if unsupported:
-                raise ValueError(
-                    f"the SoA kernel does not support {feature}; "
-                    "Network(...) dispatch selects the reference kernel")
+        if skip_inactive is False:
+            raise ValueError("the SoA kernel does not support dense scans")
         super().__init__(cfg, threshold_policy, skip_inactive=True,
+                         fault_plan=fault_plan, trace=trace,
                          metrics=metrics, backend=backend)
-        if self._faults is not None:
+        if self._faults is not None:  # a plan, or REPRO_EMPTY_FAULTPLAN's
             raise ValueError(
-                "the SoA kernel does not support fault plans "
-                "(REPRO_EMPTY_FAULTPLAN drift runs use the reference "
-                "kernel)")
+                "the SoA kernel does not support fault injection; "
+                "Network(...) dispatch selects the reference kernel")
         #: Per-node neighbor tuples, precomputed for the mailbox tables
         #: and the power-gating incoming-condition check.
         self._nbrs = [tuple(self.mesh.neighbors(n))
@@ -297,6 +295,9 @@ class SoANetwork(Network):
                    now: int) -> None:
         # sink_flit for the packed representation (router eject path);
         # the Flit-based inherited sink_flit still serves the NI bypass.
+        if self.trace is not None:
+            self.trace.record(now, EventKind.SINK, node, -1, -1, pkt.pid,
+                              word >> 2)
         self._last_progress = now
         self._livelock_ref = now
         self._outstanding -= 1
@@ -333,6 +334,9 @@ class SoANetwork(Network):
         word = _word_of(flit)
         dq.append((word, flit.packet))
         self._nbw[node] += 1
+        if self.trace is not None:
+            self.trace.record(self.now, EventKind.BW, node, in_port, v,
+                              flit.packet.pid, flit.index)
         self._active_routers.add(node)
         if self._st[f] == _IDLE:
             if not (word & 1):
@@ -419,6 +423,7 @@ class SoANetwork(Network):
         controllers = self.controllers
         on = PowerState.ON
         wu_now = self._wu_now
+        trace = self.trace
         order = sorted(busy)
         i, n = 0, len(order)
         while i < n:
@@ -448,6 +453,9 @@ class SoANetwork(Network):
                     o = outo[f]
                     if gated[o]:
                         fifo_f[0][1].wakeup_stall_cycles += 1
+                        if trace is not None:
+                            trace.record(now, EventKind.WU_STALL, node, route,
+                                         vcid[f], fifo_f[0][1].pid, 0)
                         # inlined wake_request: a routed non-LOCAL
                         # port always has a live neighbor
                         wu_now.add(up_node[o])
@@ -465,6 +473,9 @@ class SoANetwork(Network):
                 # --- traversal (_traverse, hoisted) ---
                 word, pkt = fifo_f.popleft()
                 nsa[node] += 1
+                if trace is not None:
+                    trace.record(now, EventKind.SA, node, route, outvc[f],
+                                 pkt.pid, word >> 2)
                 fsent[f] += 1
                 if p == LOCAL:
                     self._local_credit_back(node, v)
@@ -586,6 +597,9 @@ class SoANetwork(Network):
                 o = self._outo[f]
                 if self._gated[o]:
                     self._fifo[f][0][1].wakeup_stall_cycles += 1
+                    if self.trace is not None:
+                        self.trace.record(now, EventKind.WU_STALL, node, route,
+                                          vcid[f], self._fifo[f][0][1].pid, 0)
                     self._wu_now.add(self._up_node[o])
                     return
                 if route in self._ports_used[node]:
@@ -623,6 +637,10 @@ class SoANetwork(Network):
                     o = outo[f]
                     if gated[o]:
                         fifo[f][0][1].wakeup_stall_cycles += 1
+                        if self.trace is not None:
+                            self.trace.record(now, EventKind.WU_STALL, node,
+                                              route, vcid[f],
+                                              fifo[f][0][1].pid, 0)
                         wu_now.add(up_node[o])
                         continue
                     if route in ports_used or credit[outc[f]] <= 0:
@@ -687,6 +705,9 @@ class SoANetwork(Network):
         self._nsa[node] += 1
         route = self._route[f]
         out_vc = self._outvc[f]
+        if self.trace is not None:
+            self.trace.record(now, EventKind.SA, node, route, out_vc,
+                              pkt.pid, word >> 2)
         if route != LOCAL:
             c = self._outc[f]
             if self._credit[c] <= 0:
@@ -802,10 +823,11 @@ class SoANetwork(Network):
         """A VA round no two waiters contest: each wins every output VC
         it requests (moving those arbiters' pointers to it, exactly as
         ``AllocatorPool.allocate`` would) and takes its first
-        preference.  The commits write disjoint owners, so waiter order
-        is as good as the reference's grant order."""
+        preference, in the reference's order (by lowest output VC)."""
         base_f = node * self._fpn
         arbiters = self._va_pools[node].arbiters
+        if len(waiting) > 1:
+            waiting.sort(key=lambda w: min(w[1]))
         activated: List[int] = []
         for f, cands in waiting:
             rid = f - base_f
@@ -888,6 +910,9 @@ class SoANetwork(Network):
         self._fsent[f] = 0
         self._owner[o][out_vc] = pkt.pid
         self._nva[node] += 1
+        if self.trace is not None:
+            self.trace.record(self.now, EventKind.VA, node, port, out_vc,
+                              pkt.pid, 0, 1 if is_escape else 0)
         if port != LOCAL:
             routing = self.routing
             if is_escape and not pkt.on_escape:
@@ -968,6 +993,9 @@ class SoANetwork(Network):
                                  or pkt.hops >= hop_cap)
             self._st[f] = _WAITING_VA
             self._vawait[f] = 0
+            if self.trace is not None:
+                self.trace.record(now, EventKind.RC, node, self._inport[f],
+                                  self._vcid[f], pkt.pid, 0)
             if self.early_wakeup:
                 if pkt.on_escape or self._fesc[f]:
                     targets = [self._eport[f]]
@@ -995,10 +1023,12 @@ class SoANetwork(Network):
         occ = self._occ_cnt
         busy = self._busy
         active_routers = self._active_routers
-        # Flits due now: router traversals and NI ring sends of two
-        # cycles ago, aggressive-bypass sends of the last cycle.
+        trace = self.trace
+        # Flits due now (router and NI ring sends of two cycles ago,
+        # aggressive-bypass sends of the last), in link order.
         due = self._flit_due
         if due:
+            due.sort(key=_link_of)
             l_dst = self._l_dst
             l_base = self._l_base
             l_ring = self._l_ring
@@ -1022,6 +1052,10 @@ class SoANetwork(Network):
                         "protocol violated")
                 dq.append((word, pkt))
                 nbw[dst] += 1
+                if trace is not None:
+                    trace.record(now, EventKind.BW, dst,
+                                 OPPOSITE[lid % NUM_PORTS], vc, pkt.pid,
+                                 word >> 2)
                 active_routers.add(dst)
                 if st[f] == _IDLE:
                     if not (word & 1):

@@ -13,19 +13,19 @@ INJ    ``NetworkInterface.            node, vc=allocated VC, flit, port=
        _commit_injection``            output port used, info=0 injection
                                       via the router's LOCAL port, 1 via
                                       the Bypass Outport (ring)
-BW     ``Router.deliver``             buffer write (LT completion into an
-                                      input VC): node, port=in_port, vc,
-                                      flit
-RC     ``Router.stage_rc``            route computed for a head:
-                                      node, port=in_port, vc
-VA     ``Router._commit_va``          VC allocated: node, port=out_port,
-                                      vc=out_vc, info=1 if escape VC
-SA     ``Router._traverse``           switch allocation granted and
-                                      ST+LT launched: node, port=out_port,
-                                      vc=out_vc, flit
-WU_STALL ``Router.stage_sa``          head stalled one cycle in SA waiting
-                                      for a gated neighbor's wakeup
-                                      (conventional PG): node,
+BW     ``Router.deliver``;            buffer write (LT completion into an
+       soa ``_phase_links``,          input VC): node, port=in_port, vc,
+       ``_deliver_flit``              flit
+RC     ``Router.stage_rc``;           route computed for a head:
+       soa ``_rc_node``               node, port=in_port, vc
+VA     ``Router._commit_va``;         VC allocated: node, port=out_port,
+       soa ``_commit_va``             vc=out_vc, info=1 if escape VC
+SA     ``Router._traverse``;          switch allocation granted and
+       soa ``_phase_routers``,        ST+LT launched: node, port=out_port,
+       ``_traverse``                  vc=out_vc, flit
+WU_STALL ``Router.stage_sa``;         head stalled one cycle in SA waiting
+       soa ``_phase_routers``,        for a gated neighbor's wakeup
+       ``_sa_node``                   (conventional PG): node,
                                       port=out_port
 LATCH  ``NetworkInterface.            bypass-latch write (LT completion
        latch_write``                  at an off router's Bypass Inport):
@@ -34,9 +34,9 @@ FWD    ``NetworkInterface.            bypass re-inject through the Bypass
        _commit_forward``              Outport: node, port=ring outport,
                                       vc=out_vc, flit, info=1 when the
                                       aggressive single-cycle bypass fired
-SINK   ``Network.sink_flit``          flit ejected at its destination:
-                                      node, flit, info=1 when ejected
-                                      straight from the bypass latch
+SINK   ``Network.sink_flit``;         flit ejected at its destination:
+       soa ``_sink_word`` (router     node, flit, info=1 when ejected
+       ejects)                        straight from the bypass latch
 PG_OFF ``Network._apply_pg_events``   router gated off: node
 PG_WAKE  (same)                       wakeup started (off->waking): node;
                                       NoRD also reports the threshold
@@ -47,9 +47,9 @@ PG_FAIL  (same)                       hard-fail completed (fault
                                       injection): node
 ====== ============================== ======================================
 
-Unused fields are -1 (``info`` defaults to 0).  ``seq`` is a per-trace
-monotonic sequence number that makes event order total even within one
-cycle, so a trace diff is deterministic.
+"soa" sites are :class:`repro.noc.soa.SoANetwork` methods: both kernels
+record the same stream.  Unused fields are -1 (``info`` defaults to 0);
+``seq`` numbers events, so order is total even within one cycle.
 """
 
 from __future__ import annotations

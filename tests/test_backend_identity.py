@@ -6,9 +6,9 @@ must produce a :class:`RunResult` field-identical to the reference
 kernel.  These tests enforce the contract directly - same config, same
 traffic, same seed, run under both kernels, compared field by field
 (``RunResult.__eq__`` excludes only the host wall-clock and provenance
-fields).  The SoA kernel never traces: a traced run asked to use it
-falls back to the reference kernel and yields the reference's event
-stream, which the digest tests pin.
+fields) - and, with an event trace attached to both legs, the same
+canonical event stream, event for event (a traced run executes on the
+SoA kernel like an untraced one).
 
 Kernel *pinning* (explicit argument > ``REPRO_BACKEND``, with the
 warned fallback for features the SoA kernel does not serve) is covered
@@ -31,6 +31,7 @@ from repro.noc.soa import SoANetwork
 from repro.trace.recorder import EventTrace
 from repro.traffic.synthetic import (hotspot, tornado, transpose,
                                      uniform_random)
+from tests.tracediff import assert_same_events
 
 TRAFFIC_MAKERS = {
     "uniform": uniform_random,
@@ -53,10 +54,7 @@ def run_once(design, backend, kind="uniform", *, rate=0.1, seed=3,
         cfg = cfg.replace(pg=dataclasses.replace(cfg.pg,
                                                  aggressive_bypass=True))
     recorder = EventTrace() if trace else None
-    with warnings.catch_warnings():
-        # a traced soa request warns (once) that it falls back to ref
-        warnings.simplefilter("ignore", RuntimeWarning)
-        net = Network(cfg, backend=backend, trace=recorder)
+    net = Network(cfg, backend=backend, trace=recorder)
     traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
     result = net.run(traffic)
     return net, result, recorder
@@ -74,42 +72,46 @@ def assert_identical(res_ref, res_soa):
     raise AssertionError("backend drift:\n" + "\n".join(diffs))
 
 
+def assert_differential(design, **kwargs):
+    """Run ``ref`` and ``soa``, both traced: field-identical results and
+    the same event stream."""
+    net_ref, res_ref, trace_ref = run_once(design, "ref", trace=True,
+                                           **kwargs)
+    net_soa, res_soa, trace_soa = run_once(design, "soa", trace=True,
+                                           **kwargs)
+    assert type(net_ref) is Network
+    assert isinstance(net_soa, SoANetwork)
+    assert_identical(res_ref, res_soa)
+    assert_same_events(trace_ref.canonical_lines(),
+                       trace_soa.canonical_lines(), f"{design} {kwargs}")
+
+
 class TestRunResultIdentity:
     @pytest.mark.parametrize("design", Design.ALL)
     @pytest.mark.parametrize("kind", sorted(TRAFFIC_MAKERS))
     def test_field_identical_runresults(self, design, kind):
-        net_ref, res_ref, _ = run_once(design, "ref", kind)
-        net_soa, res_soa, _ = run_once(design, "soa", kind)
-        assert type(net_ref) is Network
-        assert isinstance(net_soa, SoANetwork)
-        assert_identical(res_ref, res_soa)
+        assert_differential(design, kind=kind)
 
     @pytest.mark.parametrize("design", Design.ALL)
     def test_speculative_pipeline_identity(self, design):
-        _, res_ref, _ = run_once(design, "ref", speculative=True)
-        _, res_soa, _ = run_once(design, "soa", speculative=True)
-        assert_identical(res_ref, res_soa)
+        assert_differential(design, speculative=True)
 
     def test_aggressive_bypass_identity(self):
-        _, res_ref, _ = run_once(Design.NORD, "ref", aggressive=True)
-        _, res_soa, _ = run_once(Design.NORD, "soa", aggressive=True)
-        assert_identical(res_ref, res_soa)
+        assert_differential(Design.NORD, aggressive=True)
 
     def test_rectangular_mesh_identity(self):
         # NoRD's serpentine bypass ring needs an even number of rows.
-        _, res_ref, _ = run_once(Design.NORD, "ref", width=3, height=4)
-        _, res_soa, _ = run_once(Design.NORD, "soa", width=3, height=4)
-        assert_identical(res_ref, res_soa)
+        assert_differential(Design.NORD, width=3, height=4)
 
     @pytest.mark.parametrize("design", Design.ALL)
     def test_trace_digest_identity(self, design):
-        """Whichever kernel a traced run asks for, it gets the
-        reference kernel and the reference's bit-identical event
-        stream (and the same RunResult as the untraced soa run)."""
+        """An unpinned traced run executes on the soa kernel, records
+        the reference's digest, and returns the untraced run's
+        RunResult (tracing observes; it picks no kernel)."""
         _, _, trace_ref = run_once(design, "ref", trace=True)
-        net_soa, res_traced, trace_soa = run_once(design, "soa",
+        net_soa, res_traced, trace_soa = run_once(design, None,
                                                   trace=True)
-        assert type(net_soa) is Network
+        assert isinstance(net_soa, SoANetwork)
         assert trace_ref.digest() == trace_soa.digest()
         _, res_soa, _ = run_once(design, "soa")
         assert_identical(res_traced, res_soa)

@@ -97,6 +97,25 @@ class TestMain:
                      "--rate", "0.05", "--scale", "smoke"]) == 0
         assert "delivered fraction" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--corrupt-rate", "2", "corrupt_rate must be in [0, 1], got 2.0"),
+        ("--fail-router", "99",
+         "router failure targets node 99 but the mesh has 16 nodes"),
+        ("--rate", "-1", "injection rate must be non-negative"),
+        ("--width", "0", "mesh must be at least 2x2"),
+        ("--height", "3", "serpentine ring needs an even number of rows"),
+    ])
+    def test_simulate_bad_flag_is_a_usage_error(self, capsys, flag, value,
+                                                message):
+        """The run's own validators, asked before it starts: exit 2 and
+        one usage-error line, not a traceback from inside the run."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--scale", "smoke", "--no-cache", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"nord simulate: error: {message}"
+        assert "Traceback" not in err
+
     def test_simulate_inherits_the_runner_observers(self, capsys, tmp_path,
                                                     monkeypatch):
         """``--trace`` / ``--metrics`` reach simulate's point the way
@@ -112,7 +131,7 @@ class TestMain:
         assert f"[trace] 1 run(s) traced; artifacts in {tmp_path}/t/" in out
         assert f"[metrics] 1 run(s) sampled; artifacts in {tmp_path}/m/" \
             in out
-        assert "kernel: ref]" in out  # an observed run, and it did run
+        assert "kernel: soa]" in out  # observers pick no kernel; it ran
         assert len(list((tmp_path / "t").glob("*.digest.json"))) == 1
         assert len(list((tmp_path / "m").glob("*.metrics.jsonl"))) == 1
 

@@ -11,13 +11,16 @@ Four layers of evidence live here:
 * a golden matrix (every design x every traffic kind; three requests -
   ``ref`` pinned, ``soa`` pinned, and the unpinned default),
 * a hypothesis differential over random (design, kind, rate, seed),
+  comparing the two kernels' event traces as well,
 * flit/credit conservation checked directly in the flat lists and the
   mailboxes while a run is in flight, and
 * oracle self-tests: a deliberately broken VA commit, a disjoint VA
   round committing the wrong preference, a clash-free SA round
   skipping its output-pointer writes, a power-gate promotion blind to
   WU edges and an aggressive-bypass send booked a cycle late must each
-  make the differential harness fail, proving the harness has teeth.
+  make the differential harness fail, proving the harness has teeth;
+  flits delivered in mailbox order rather than link order must fail
+  the trace differential while passing the RunResult one.
 
 The file predates the kernel merge (the "fast mode" it names *is* the
 soa kernel now) and keeps its name and test ids only because the tier-1
@@ -34,11 +37,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import Design, small_config
+from repro.faults import FaultPlan
+from repro.noc import soa
 from repro.noc.network import Network, RunProgress
 from repro.noc.soa import SoANetwork
 from repro.noc.topology import NUM_PORTS, OPPOSITE, LOCAL
+from repro.trace.recorder import EventTrace
 from repro.traffic.synthetic import (bit_complement, tornado, transpose,
                                      uniform_random)
+from tests.tracediff import assert_same_events
 
 TRAFFIC_MAKERS = {
     "uniform": uniform_random,
@@ -49,11 +56,12 @@ TRAFFIC_MAKERS = {
 
 
 def run_once(design, kind, *, backend="ref", rate=0.1,
-             seed=3, width=4, height=4, warmup=60, measure=300, drain=None):
-    """One deterministic run."""
+             seed=3, width=4, height=4, warmup=60, measure=300, drain=None,
+             trace=None):
+    """One deterministic run (recording into ``trace`` when given)."""
     cfg = small_config(design, width=width, height=height,
                        warmup=warmup, measure=measure)
-    net = Network(cfg, backend=backend)
+    net = Network(cfg, backend=backend, trace=trace)
     traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
     return net, net.run(traffic, drain=drain)
 
@@ -103,12 +111,16 @@ class TestHypothesisDifferential:
            rate=st.floats(min_value=0.01, max_value=0.3),
            seed=st.integers(min_value=0, max_value=2**16))
     def test_random_point_identity(self, design, kind, rate, seed):
+        trace_ref, trace_soa = EventTrace(), EventTrace()
         _, res_ref = run_once(design, kind, rate=rate, seed=seed,
-                              warmup=40, measure=200)
+                              warmup=40, measure=200, trace=trace_ref)
         _, res_soa = run_once(design, kind, rate=rate, seed=seed,
-                              warmup=40, measure=200, backend="soa")
-        assert_identical(res_ref, res_soa,
-                         f"{design}/{kind} rate={rate} seed={seed}")
+                              warmup=40, measure=200, backend="soa",
+                              trace=trace_soa)
+        label = f"{design}/{kind} rate={rate} seed={seed}"
+        assert_identical(res_ref, res_soa, label)
+        assert_same_events(trace_ref.canonical_lines(),
+                           trace_soa.canonical_lines(), label)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +378,24 @@ class TestOracleSelfTest:
                 run_once(Design.NORD, "uniform", backend=backend)
         assert clamps > 0, "no NoRD gate-off clamped a ring predecessor"
 
+    def test_mailbox_order_delivery_is_caught(self, monkeypatch):
+        """Mutant: the link phase delivers NoRD's due flits in mailbox
+        order (NI-phase ring sends ahead of router sends) instead of
+        link order.  Deliveries on different links commute, so the
+        RunResult differential passes; the bypass-latch writes and
+        buffer writes are recorded out of the reference's order, so
+        the trace differential must fail."""
+        trace_ref, trace_soa = EventTrace(), EventTrace()
+        _, res_ref = run_once(Design.NORD, "uniform", trace=trace_ref)
+        monkeypatch.setattr(soa, "_link_of", lambda entry: 0)
+        _, res_soa = run_once(Design.NORD, "uniform", backend="soa",
+                              trace=trace_soa)
+        assert_identical(res_ref, res_soa, "mailbox-order mutant")
+        with pytest.raises(AssertionError, match="trace drift"):
+            assert_same_events(trace_ref.canonical_lines(),
+                               trace_soa.canonical_lines(),
+                               "mailbox-order mutant")
+
     def test_oracle_passes_without_fault(self):
         """Control arm: the same comparison is clean when nothing is
         seeded (so the failure above is caused by the seeded bug)."""
@@ -405,16 +435,15 @@ class TestDispatch:
         """The fallback warning names the forcing feature and, under
         Python's default filter, fires once per call site - a
         thousand-point sweep must not emit a thousand warnings."""
-        from repro.trace.recorder import EventTrace
         with pytest.warns(RuntimeWarning,
-                          match="does not support event tracing"):
+                          match="does not support fault injection"):
             Network(small_config(Design.NORD), backend="soa",
-                    trace=EventTrace())
+                    fault_plan=FaultPlan())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             for _ in range(100):
                 Network(small_config(Design.NORD), backend="soa",
-                        trace=EventTrace())
+                        fault_plan=FaultPlan())
         assert [str(w.message) for w in caught] == [
-            "the 'soa' kernel does not support event tracing; falling "
+            "the 'soa' kernel does not support fault injection; falling "
             "back to the 'ref' kernel (result-identical)"]

@@ -5,10 +5,12 @@ uniform/tornado/transpose/hotspot on the 4x4 mesh) and diffs them
 against the committed fixtures under ``tests/goldens/``.  Any
 behavioural drift in the router pipeline, the NI bypass datapath or the
 power-gate FSM changes at least one event stream and therefore at least
-one digest.  Traced runs execute on the reference kernel (the SoA
-kernel never traces), so the fixtures pin the specification; the SoA
-kernel is held to it through RunResult identity
-(tests/test_kernel_identity.py).
+one digest.  A traced run executes on the default (SoA) kernel, which
+records the reference kernel's event stream event for event, so the
+fixtures pin both: this test and ``python -m repro.trace.golden
+--check`` use the default kernel, and CI reruns the check with
+``REPRO_BACKEND=ref``; the per-run trace differentials in
+tests/test_backend_identity.py compare the two kernels directly.
 
 Intentional behaviour changes: regenerate with either
 

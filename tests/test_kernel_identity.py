@@ -2,9 +2,10 @@
 does not matter for the result.
 
 ``Network(cfg)`` picks the kernel from what the run carries
-(:func:`repro.noc.network.select_kernel`): ``soa`` unless a trace, a
-fault plan or dense scans need the reference kernel's hook surface (a
-metrics recorder runs on either).  This file pins
+(:func:`repro.noc.network.select_kernel`): ``soa`` unless a fault plan
+or dense scans need the reference kernel's hook surface (an event
+trace and a metrics recorder are observers and run on either).  This
+file pins
 
 * the selection table - every row, unpinned (silent) and with ``soa``
   pinned (one warning), and that ``DesignPoint`` agrees with the
@@ -49,9 +50,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: a point cannot carry the feature, warning pattern).  Every row needs
 #: the reference kernel.
 REF_ROWS = {
-    "trace": (lambda: {"trace": EventTrace()}, {},
-              lambda d: {"trace": TraceSpec(directory=d)},
-              "event tracing"),
     "fault_plan": (
         lambda: {"fault_plan": FaultPlan.single_router_failure(5, 60)}, {},
         lambda d: {"faults": FaultPlan.single_router_failure(5, 60)},
@@ -66,9 +64,9 @@ REF_ROWS = {
     "env_empty_faultplan": (dict, {"REPRO_EMPTY_FAULTPLAN": "1"},
                             lambda d: {}, "REPRO_EMPTY_FAULTPLAN"),
 }
-#: Rows whose feature is an observer (or an inert plan): by the cache
-#: policy they share the plain point's entry although they run ``ref``.
-SHARES_PLAIN_ENTRY = {"trace", "empty_fault_plan"}
+#: Rows whose feature is an inert plan: by the cache policy they share
+#: the plain point's entry although they run ``ref``.
+SHARES_PLAIN_ENTRY = {"empty_fault_plan"}
 
 
 def point(**fields):
@@ -141,6 +139,24 @@ class TestDispatchTable:
         net = SoANetwork(small_config(Design.NORD),
                          metrics=MetricsSpec(directory="x").build())
         assert net.metrics is not None
+
+    def test_trace_is_not_a_selection_input(self, monkeypatch,
+                                            tmp_path):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        with pytest.raises(TypeError):
+            select_kernel(trace=EventTrace())
+        traced = point(trace=TraceSpec(directory=str(tmp_path)))
+        assert traced.resolved_backend() == "soa"
+        assert traced.cache_key() == point().cache_key()
+        from repro.noc.soa import SoANetwork
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing to fall back from
+            for backend in (None, "soa"):
+                net = Network(small_config(Design.NORD), backend=backend,
+                              trace=EventTrace())
+                assert type(net) is SoANetwork and net.trace is not None
+        net = SoANetwork(small_config(Design.NORD), trace=EventTrace())
+        assert net.trace is not None
 
     def test_pinned_ref_is_honoured(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "ref")

@@ -5,9 +5,9 @@ longer grow (escape-only, or past the escape patience), parks on the
 output ports it requests and skips VA until an owner on one of them is
 released (DESIGN.md section 9, "Parked waiters").  The evidence here:
 
-* the reference kernel and the default kernel agree (``RunResult`` and
-  final cycle) on saturated NoRD points, where almost every head waits
-  in VA, and on the points that never park much;
+* the reference kernel and the default kernel agree (``RunResult``,
+  final cycle and event trace) on saturated NoRD points, where almost
+  every head waits in VA, and on the points that never park much;
 * a split run equals a straight one when the snapshot holds parked VCs;
 * a mutation self-test: dropping an unpark site makes that differential
   fail, so it cannot pass vacuously;
@@ -28,6 +28,8 @@ from repro.experiments.common import build_config
 from repro.noc.network import Network, RunProgress
 from repro.noc.soa import SoANetwork
 from repro.noc.topology import NUM_PORTS
+from repro.trace.recorder import EventTrace
+from tests.tracediff import assert_same_events
 
 #: (design, mesh side, uniform rate, seed, prepare hook) at smoke scale.
 NORD_03 = (Design.NORD, 4, 0.3, 1, None)
@@ -47,18 +49,18 @@ def _label(point):
         f"-{prepare}" if prepare else "")
 
 
-def build(point, backend=None):
+def build(point, backend=None, trace=None):
     design, side, rate, seed, prepare = point
     cfg = build_config(design, "smoke", width=side, height=side, seed=seed)
-    net = Network(cfg, backend=backend)
+    net = Network(cfg, backend=backend, trace=trace)
     if prepare is not None:
         parallel.PREPARE_HOOKS[prepare](net)
     return net, parallel.uniform_spec(rate, seed=seed).build(net.mesh)
 
 
-def run(point, backend=None):
+def run(point, backend=None, trace=None):
     """``(RunResult, final cycle)``, or the exception a run raised."""
-    net, traffic = build(point, backend)
+    net, traffic = build(point, backend, trace)
     try:
         return net.run(traffic), net.now
     except Exception as exc:  # a wedged mutant counts as a divergence
@@ -67,14 +69,18 @@ def run(point, backend=None):
 
 @functools.lru_cache(maxsize=None)
 def reference(point):
-    return run(point, "ref")
+    """The reference run, traced: ``(run(...), canonical event lines)``."""
+    trace = EventTrace()
+    return run(point, "ref", trace), trace.canonical_lines()
 
 
 @pytest.mark.parametrize("point", POINTS, ids=_label)
 def test_default_kernel_matches_reference(point):
-    got = run(point)
-    want = reference(point)
+    trace = EventTrace()
+    got = run(point, trace=trace)
+    want, want_events = reference(point)
     assert got == want, f"kernel drift on {_label(point)}"
+    assert_same_events(want_events, trace.canonical_lines(), _label(point))
 
 
 def test_split_with_parked_waiters_equals_straight():
@@ -126,7 +132,7 @@ def _drop_unparks_from(monkeypatch, callers):
 ], ids=["router-tail-0.3", "router-tail-0.4", "router-tail-0.5",
         "local-eject-0.5", "bypass-0.3"])
 def test_dropped_unpark_is_caught(monkeypatch, callers, point):
-    want = reference(point)
+    want, _ = reference(point)
     _drop_unparks_from(monkeypatch, callers)
     assert run(point) != want, (
         "the differential missed a dropped unpark site")

@@ -3,9 +3,9 @@
 The contract: run N cycles straight == run k cycles, ``snapshot()``,
 ``restore()`` (in-process or in a fresh interpreter), run the remaining
 N - k.  The final :class:`RunResult` must be field-identical and a
-traced run must produce an identical event-stream digest (traced runs
-execute on the reference kernel), on both the reference and the
-struct-of-arrays kernel - pinned, and as the unpinned default.
+traced run must produce an identical event-stream digest, on both the
+reference and the struct-of-arrays kernel - pinned, and as the unpinned
+default.
 """
 
 import dataclasses
@@ -126,12 +126,18 @@ def test_split_at_phase_boundaries(k):
 
 def test_trace_digest_survives_snapshot():
     """The event trace rides inside the snapshot: a split traced run
-    yields the same canonical-stream digest as a straight one."""
+    yields the same canonical-stream digest as a straight one, on
+    either kernel (and the kernels agree)."""
     cfg = small_cfg(Design.NORD)
     spec = uniform_spec(0.10, seed=3)
-    _, net_a = run_straight(cfg, spec, trace=EventTrace())
-    _, net_b = run_split(cfg, spec, 200, trace=EventTrace())
-    assert net_a.trace.digest() == net_b.trace.digest()
+    digests = []
+    for backend in ("ref", "soa"):
+        _, net_a = run_straight(cfg, spec, backend, trace=EventTrace())
+        _, net_b = run_split(cfg, spec, 200, backend, trace=EventTrace())
+        assert net_a.backend == net_b.backend == backend
+        assert net_a.trace.digest() == net_b.trace.digest(), backend
+        digests.append(net_a.trace.digest())
+    assert digests[0] == digests[1]
 
 
 def test_metered_soa_split_equals_straight(tmp_path):
