@@ -68,8 +68,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "graph reference ('ref') or the struct-of-"
                              "arrays kernel ('soa'); default: "
                              "REPRO_BACKEND, then 'soa' unless the run "
-                             "injects faults or forces dense scans "
-                             "('ref'); traced runs stay on 'soa'")
+                             "forces dense scans ('ref'); traced and "
+                             "faulted runs stay on 'soa'")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-run wall-clock budget in seconds "
                              "(default: unlimited)")

@@ -221,7 +221,7 @@ class DesignPoint:
     metrics: Optional[MetricsSpec] = None
     #: Pinned simulation kernel: ``"ref"``, ``"soa"`` or ``None`` (=
     #: defer to the runner's ``backend`` (``--backend``), then to
-    #: ``REPRO_BACKEND``, then to what the point carries - see
+    #: ``REPRO_BACKEND``, then to ``soa`` - see
     #: :func:`repro.noc.network.select_kernel`).  The selected kernel
     #: enters :meth:`cache_key` - the two kernels are proven
     #: result-identical, but keying them separately keeps a drifting
@@ -262,7 +262,7 @@ class DesignPoint:
         # The bufferless datapath has a single implementation.
         if self.network == BUFFERLESS_NETWORK:
             return "ref"
-        return select_kernel(self.backend, fault_plan=self.faults)
+        return select_kernel(self.backend)
 
     def cache_key(self) -> str:
         """Content hash identifying this point's result on disk.
@@ -271,9 +271,8 @@ class DesignPoint:
         two are proven behaviourally identical, so they share a cache
         entry.  ``trace`` is deliberately absent: tracing does not
         change the result, so traced and untraced runs share an entry.
-        For the same reason the ``backend`` field is the kernel the
-        *keyed* content selects: an empty plan, which moves a run onto
-        ``ref`` without changing its result, does not move its entry.
+        The ``backend`` field is :meth:`resolved_backend`: no fault
+        plan, trace or metrics recorder moves a point to another kernel.
         """
         faults = None
         if self.faults is not None and not self.faults.is_empty:
@@ -286,8 +285,7 @@ class DesignPoint:
             "prepare": self.prepare,
             "network": self.network,
             "faults": faults,
-            "backend": ("ref" if self.network == BUFFERLESS_NETWORK
-                        else select_kernel(self.backend, fault_plan=faults)),
+            "backend": self.resolved_backend(),
         })
 
 

@@ -35,12 +35,12 @@ Fault models
   sequence number.
 
 Determinism: all randomness comes from one ``random.Random(plan.seed)``
-drawn in simulation phase order, which is identical between the
-quiescence-aware and the dense cycle kernels - so a seeded faulted run
-is byte-reproducible under both (the step-kernel identity tests pin
-this).  An *empty* plan exercises every hook but triggers nothing, and
-is guaranteed to produce byte-identical results to running with no plan
-at all (set ``REPRO_EMPTY_FAULTPLAN=1`` to prove it on any workload).
+drawn in the reference kernel's order (by link id, then send order),
+which every kernel keeps - so a seeded faulted run is byte-reproducible
+on each (the kernel differentials pin this).  An *empty* plan exercises
+every hook but triggers nothing, and is guaranteed to produce
+byte-identical results to running with no plan at all
+(tests/empty_faultplan/sitecustomize.py proves it on any workload).
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ class WakeupFault:
     ignore: bool = False
 
     def __post_init__(self) -> None:
+        if self.node < 0:
+            raise ValueError("wakeup fault needs a node id >= 0")
         if self.delay < 0:
             raise ValueError("wakeup delay must be >= 0")
 
@@ -317,15 +319,15 @@ class FaultState:
     # ------------------------------------------------------------------
     # link-fault application (called from the link-delivery phases)
     # ------------------------------------------------------------------
-    def strike_flits(self, fault: LinkFault, flits, stats) -> None:
-        """Roll the corruption/drop dice for every delivered flit."""
+    def strike_flits(self, fault: LinkFault, packets, stats) -> None:
+        """Roll the corruption/drop dice for each delivered flit's packet."""
         rng = self.rng
-        for flit, _vc in flits:
+        for pkt in packets:
             if fault.corrupt_rate and rng.random() < fault.corrupt_rate:
-                flit.packet.corrupted = True
+                pkt.corrupted = True
                 stats.on_flit_corrupted()
             if fault.drop_rate and rng.random() < fault.drop_rate:
-                flit.packet.corrupted = True
+                pkt.corrupted = True
                 stats.on_flit_dropped()
 
     def filter_credits(self, fault: LinkFault, vcs, stats):

@@ -14,10 +14,10 @@ import warnings
 from typing import Optional
 
 #: The two cycle kernels: the object-graph reference (the readable
-#: specification, the differential oracle, and the one kernel with the
-#: fault / dense-scan hook surface) and the struct-of-arrays kernel
-#: (:mod:`repro.noc.soa`), proven RunResult- and event-trace-identical
-#: by tests/test_kernel_identity.py and the drift CI job.
+#: specification, the differential oracle and the one kernel with dense
+#: scans) and the struct-of-arrays kernel (:mod:`repro.noc.soa`), proven
+#: RunResult- and event-trace-identical, faults included, by
+#: tests/test_kernel_identity.py and the drift CI job.
 BACKENDS = ("ref", "soa")
 
 
@@ -47,34 +47,28 @@ def _env_flag(name: str) -> bool:
         "1", "true", "yes", "on")
 
 
-def select_kernel(pinned: Optional[str] = None, *, fault_plan=None,
+def select_kernel(pinned: Optional[str] = None, *,
                   skip_inactive: Optional[bool] = None) -> str:
     """The kernel a run executes on - the one place the rule lives
-    (``Network.__new__`` and ``DesignPoint`` both call it): ``soa``
-    unless the run carries a fault plan or dense scans.
+    (``Network.__new__`` and ``DesignPoint`` both call it): the pin,
+    else ``soa`` unless the run asks for dense scans.
 
     ``pinned`` (``backend=`` / ``--backend`` / ``REPRO_BACKEND``) is
-    honoured when given.  Unpinned runs get ``soa`` unless they carry
-    something only ``ref`` can serve - a fault plan (incl.
-    ``REPRO_EMPTY_FAULTPLAN``) or dense scans
-    (``skip_inactive=False`` / ``REPRO_NO_SKIP``) - in which case
-    they run ``ref`` silently: nothing was requested, so nothing was
-    ignored.  A *pinned* ``soa`` carrying one of those also runs
-    ``ref`` (result-identical by the kernel-identity contract), with a
-    ``RuntimeWarning`` naming the feature.
+    honoured when given.  Unpinned dense-scan runs
+    (``skip_inactive=False`` / ``REPRO_NO_SKIP``) run ``ref``, which
+    alone serves them, silently: nothing was requested, so nothing was
+    ignored.  A *pinned* ``soa`` with dense scans also runs ``ref``
+    (result-identical by the kernel-identity contract), with a
+    ``RuntimeWarning``.  Fault plans, traces and metrics recorders
+    select nothing: both kernels serve them.
     """
     backend = resolve_backend(pinned)
     if backend == "ref":
         return "ref"
-    if fault_plan is not None:
-        feature = "fault injection"
-    elif skip_inactive is False:
+    if skip_inactive is False:
         feature = "dense scans (skip_inactive=False)"
     elif skip_inactive is None and _env_flag("REPRO_NO_SKIP"):
         feature = "dense scans (REPRO_NO_SKIP)"
-    elif _env_flag("REPRO_EMPTY_FAULTPLAN"):
-        feature = ("the empty-FaultPlan drift harness "
-                   "(REPRO_EMPTY_FAULTPLAN)")
     else:
         return "soa"
     if backend == "soa":

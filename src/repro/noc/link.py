@@ -50,8 +50,7 @@ class DelayLine(Generic[T]):
 class Link:
     """A unidirectional router-to-router link with its credit return path."""
 
-    __slots__ = ("src", "src_port", "dst", "dst_port", "flits", "credits",
-                 "fault")
+    __slots__ = ("src", "src_port", "dst", "dst_port", "flits", "credits")
 
     def __init__(self, src: int, src_port: int, dst: int, dst_port: int,
                  delay: int = 1) -> None:
@@ -63,10 +62,6 @@ class Link:
         self.flits: DelayLine = DelayLine(delay)
         #: carries vc ids upstream as credits
         self.credits: DelayLine = DelayLine(delay)
-        #: Optional :class:`repro.faults.LinkFault` applying to this link;
-        #: None (the default) means the fault hooks in the link-delivery
-        #: phases reduce to a single attribute check.
-        self.fault = None
 
     @property
     def busy(self) -> bool:

@@ -70,7 +70,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from ..config import Design, SimConfig
 from ..core.ring import BypassRing, build_ring
 from ..errors import DeadlockError, LivelockError
-from ..faults import FaultPlan, FaultState
+from ..faults import ALL_LINKS, FaultPlan, FaultState, LinkFault
 from ..powergate.controller import (GateInputs, NoPGController,
                                     PowerGateController, PowerState,
                                     Transition)
@@ -134,7 +134,9 @@ LIVELOCK_LIMIT = 20_000
 #:    into network-owned flat lists; NIs hold their LOCAL-side credits
 #:    and owners as two lists, and the soa kernel builds no router
 #:    objects.
-SNAPSHOT_VERSION = 7
+#: 8: ``Link`` lost its ``fault`` slot; the network holds the link faults
+#:    as one flat ``_link_fault`` list, read by both kernels.
+SNAPSHOT_VERSION = 8
 
 
 @dataclass
@@ -203,7 +205,6 @@ class Network:
                     "fast=True names the 'soa' kernel, but 'ref' was "
                     "requested; drop fast=True or the backend override")
             if select_kernel(kwargs.get("backend"),
-                             fault_plan=kwargs.get("fault_plan"),
                              skip_inactive=kwargs.get("skip_inactive")
                              ) == "soa":
                 from .soa import SoANetwork
@@ -341,19 +342,16 @@ class Network:
         #: before aborting with livelock diagnostics.
         self.livelock_limit = LIVELOCK_LIMIT
         # --- fault injection (repro.faults) ---
-        if fault_plan is None and _env_flag("REPRO_EMPTY_FAULTPLAN"):
-            # An (inert) empty plan exercises every fault hook without
-            # injecting anything, to prove zero behavioural drift
-            # against a plan-less run.
-            fault_plan = FaultPlan()
         self._faults: Optional[FaultState] = None
         if fault_plan is not None:
             self._faults = FaultState(fault_plan, self.mesh.num_nodes)
-            for row in self.links_out:
-                for link in row:
-                    if link is not None:
-                        link.fault = self._faults.link_fault_for(
-                            link.src, link.src_port)
+            for fault in fault_plan.link_faults:
+                where = (fault.src, fault.port)  # half-wildcards are no link
+                if where != (ALL_LINKS, ALL_LINKS) and where not in link_keys:
+                    raise ValueError(f"link fault {where} is no mesh link")
+            for node, port in link_keys:
+                self._link_fault[node * NUM_PORTS + port] = \
+                    self._faults.link_fault_for(node, port)
             for wf in fault_plan.wakeup_faults:
                 ctrl = self.controllers[wf.node]
                 ctrl.wu_ignore = wf.ignore
@@ -376,7 +374,8 @@ class Network:
         entries are never credit-checked: the NI sinks at once.  Per
         node: the output ports an NI bypass move claimed this cycle, and
         the buffer-write, VA-grant and SA-grant counts (every SA grant is
-        one buffer read and one crossbar traversal).
+        one buffer read and one crossbar traversal).  Per link (id ``o``
+        of the port it leaves): its ``LinkFault``, or None.
         """
         n = self.mesh.num_nodes
         v = self.cfg.noc.vcs_per_port
@@ -388,6 +387,7 @@ class Network:
             [None] * v for _ in range(n * NUM_PORTS)]
         self._gated: List[bool] = [False] * (n * NUM_PORTS)
         self._failed: List[bool] = [False] * (n * NUM_PORTS)
+        self._link_fault: List[Optional[LinkFault]] = [None] * (n * NUM_PORTS)
         self._ports_used: List[Set[int]] = [set() for _ in range(n)]
         self._nbw: List[int] = [0] * n
         self._nva: List[int] = [0] * n
@@ -510,9 +510,11 @@ class Network:
         self._livelock_ref = now
         self._outstanding -= 1
         self.stats.on_flit_ejected()
-        if not flit.is_tail:
-            return
-        pkt = flit.packet
+        if flit.is_tail:
+            self._sink_tail(flit.packet, now)
+
+    def _sink_tail(self, pkt: Packet, now: int) -> None:
+        """A tail reached its destination NI (both kernels' sinks)."""
         pkt.ejected_cycle = now
         if self._faults is not None:
             # End-to-end detection at the destination NI: a corrupted
@@ -612,29 +614,17 @@ class Network:
                 flit.packet.failed = True
                 faults.on_packet_killed(self, flit.packet)
 
-    def fault_drop_buffered(self, node: int, in_port: int, vc: int,
-                            flit: Flit, now: int) -> None:
-        """A buffered flit of a failed packet is being discarded: return
-        its credit upstream and drop it from the outstanding count."""
-        self._outstanding -= 1
-        self._last_progress = now
-        self.credit_upstream(node, in_port, vc, now)
-
-    def fault_discard_in_flight(self, node: int, in_port: int, vc: int,
-                                flit: Flit) -> None:
-        """A straggler flit of a failed packet arrived at ``node``:
-        discard it as if it were buffered and immediately drained."""
+    def fault_discard_flit(self, node: int, in_port: int, vc: int,
+                           flit: Flit) -> None:
+        """Discard a failed packet's flit, buffered at or arriving into
+        ``node``'s input VC ``(in_port, vc)``: its credit returns
+        upstream, and a tail releases the upstream VC."""
         now = self.now
         self._outstanding -= 1
         self._last_progress = now
         self.credit_upstream(node, in_port, vc, now)
         if flit.is_tail:
             self.release_upstream_owner(node, in_port, vc)
-
-    def note_packet_killed(self, pkt: Packet) -> None:
-        """A packet was dropped at a hard-failed router (Router SA)."""
-        if self._faults is not None:
-            self._faults.on_packet_killed(self, pkt)
 
     # ------------------------------------------------------------------
     # simulation loop
@@ -784,9 +774,9 @@ class Network:
             link = links_out[node][port]
             base = (node * NUM_PORTS + port) * v_per
             vcs = link.credits.receive(now)
-            if link.fault is not None:
-                vcs = self._faults.filter_credits(link.fault, vcs,
-                                                  self.stats)
+            fault = self._link_fault[node * NUM_PORTS + port]
+            if fault is not None:
+                vcs = self._faults.filter_credits(fault, vcs, self.stats)
             for vc in vcs:
                 c = base + vc
                 if credit[c] >= maxc[c]:
@@ -853,8 +843,10 @@ class Network:
         for key in flit_links.sorted():
             link = self.links_out[key[0]][key[1]]
             arrivals = link.flits.receive(now)
-            if link.fault is not None:
-                self._faults.strike_flits(link.fault, arrivals, self.stats)
+            fault = self._link_fault[key[0] * NUM_PORTS + key[1]]
+            if fault is not None:
+                self._faults.strike_flits(
+                    fault, [flit.packet for flit, _ in arrivals], self.stats)
             for flit, vc in arrivals:
                 self._deliver(link.dst, link.dst_port, vc, flit)
             if link.flits.empty:
@@ -929,19 +921,24 @@ class Network:
         events: List[Tuple[int, str]] = []
         demoted: List[int] = []
         for node in active.sorted():
-            ctrl = self.controllers[node]
-            inputs = self._gate_inputs(node, design)
-            event = ctrl.step(inputs)
-            if event is not None:
-                events.append((node, event))
-            if isinstance(ctrl, NoRDController):
-                ctrl.end_cycle()
-            if self._pg_skippable(node, design):
-                demoted.append(node)
+            self._step_fsm(node, design, events, demoted)
         for node in demoted:
             active.discard(node)
             quiescent[node] = now
         self._apply_pg_events(events, design)
+
+    def _step_fsm(self, node: int, design: str, events: List[Tuple[int, str]],
+                  demoted: List[int]) -> None:
+        """Step ``node``'s controller through the full FSM, noting its
+        transition and whether it may leave the active set."""
+        ctrl = self.controllers[node]
+        event = ctrl.step(self._gate_inputs(node, design))
+        if event is not None:
+            events.append((node, event))
+        if isinstance(ctrl, NoRDController):
+            ctrl.end_cycle()
+        if self._pg_skippable(node, design):
+            demoted.append(node)
 
     def settle_duty_counters(self, upto: Optional[int] = None) -> None:
         """Credit the duty that accrued without a step - each quiescent
@@ -1043,7 +1040,7 @@ class Network:
             # (incl. a local packet mid-injection), but WU is ignored -
             # the fail does not wait for traffic to stop wanting it.
             ni = self.nis[node]
-            empty = self.routers[node].empty
+            empty = self._router_empty(node)
             incoming = (not empty) or self._incoming_condition(node, design) \
                 or (ni.inj_path == "router" and ni.inj_sent > 0)
             return GateInputs(empty=empty, incoming=incoming, wakeup=False)
@@ -1056,7 +1053,7 @@ class Network:
                 wu = node in self._wu_now or self.nis[node].inject_pending
             return GateInputs(empty=True, incoming=False, wakeup=wu)
         # ON: evaluate the gating conditions.
-        empty = self.routers[node].empty
+        empty = self._router_empty(node)
         if not empty:
             return GateInputs(empty=False, incoming=False, wakeup=False)
         incoming = self._incoming_condition(node, design)
@@ -1065,6 +1062,10 @@ class Network:
         else:
             wu = self.nis[node].inject_pending or node in self._wu_now
         return GateInputs(empty=True, incoming=incoming, wakeup=wu)
+
+    def _router_empty(self, node: int) -> bool:
+        """Whether no input VC of ``node`` holds a packet (per kernel)."""
+        return self.routers[node].empty
 
     def _incoming_condition(self, node: int, design: str) -> bool:
         """The IC condition: flits (or credits) are in flight toward this

@@ -117,8 +117,7 @@ class Router:
             # Straggler of a packet already dropped at a hard-failed
             # router: discard it, return the credit, and release the
             # upstream VC on the tail so the wormhole unwinds cleanly.
-            self.network.fault_discard_in_flight(self.node, in_port, vc_id,
-                                                 flit)
+            self.network.fault_discard_flit(self.node, in_port, vc_id, flit)
             return
         vc = self.in_ports[in_port].vcs[vc_id]
         vc.push(flit)
@@ -205,7 +204,7 @@ class Router:
                 last_nominated = p
         if drops is not None:
             for p, vc in drops:
-                self._drop_failed_packet(p, vc, now)
+                self._drop_failed_packet(p, vc)
         if nominees is None:
             return
         if n_nominated == 1:
@@ -228,8 +227,8 @@ class Router:
             vc = nominees[winner_port]
             self._traverse(vc, winner_port, now)
 
-    def _drop_failed_packet(self, in_port: int, vc: VirtualChannel,
-                            now: int) -> None:
+    def _drop_failed_packet(self, in_port: int,
+                            vc: VirtualChannel) -> None:
         """Discard a packet routed toward a hard-failed router.
 
         SA never grants through a failed port and a router only fails at
@@ -243,18 +242,13 @@ class Router:
         # Release the downstream VC this packet was granted (no flit
         # crossed, so the downstream buffer never saw it).
         self._owner[self._o0 + vc.route_port][vc.out_vc] = None
-        saw_tail = False
         while vc.fifo:
-            flit = vc.pop()
-            saw_tail = flit.is_tail
-            self.network.fault_drop_buffered(self.node, in_port, vc.vc_id,
-                                             flit, now)
-        if saw_tail:
-            self.network.release_upstream_owner(self.node, in_port, vc.vc_id)
+            self.network.fault_discard_flit(self.node, in_port, vc.vc_id,
+                                            vc.pop())
         vc.reset_route()
         vc.state = VCState.IDLE
         self.occupied_vcs[in_port].remove(vc.vc_id)
-        self.network.note_packet_killed(pkt)
+        self.network._faults.on_packet_killed(self.network, pkt)
 
     def _traverse(self, vc: VirtualChannel, in_port: int, now: int) -> None:
         """Pop the flit, cross the switch, and launch link traversal."""

@@ -15,10 +15,10 @@ split run equals a straight one) - proven by
 ``tests/test_kernel_identity.py``, ``tests/test_backend_identity.py``,
 ``tests/test_fast_mode_identity.py``, ``tests/test_snapshot_restore.py``
 and the ``drift`` CI job.  The metrics sampler runs on this kernel as
-on the reference (the event hooks sit in code both share, plus the one
-in :meth:`SoANetwork._sink_word`), and records the reference's event
-trace (its router-side sites sit here).  It never injects faults or
-runs dense scans: runs that carry either execute on ``ref``.
+on the reference (its event hooks sit in code both share); the kernel
+records the reference's event trace and injects a fault plan's faults
+at the reference's sites, in its order.  It never runs dense scans:
+those runs execute on ``ref``.
 
 Layout
 ------
@@ -119,10 +119,6 @@ class SoANetwork(Network):
         super().__init__(cfg, threshold_policy, skip_inactive=True,
                          fault_plan=fault_plan, trace=trace,
                          metrics=metrics, backend=backend)
-        if self._faults is not None:  # a plan, or REPRO_EMPTY_FAULTPLAN's
-            raise ValueError(
-                "the SoA kernel does not support fault injection; "
-                "Network(...) dispatch selects the reference kernel")
         #: Per-node neighbor tuples, precomputed for the mailbox tables
         #: and the power-gating incoming-condition check.
         self._nbrs = [tuple(self.mesh.neighbors(n))
@@ -255,10 +251,10 @@ class SoANetwork(Network):
         # PG phase.
         self._inc_seen = -1
         self._inc_nodes: set = set()
-        # Per-(node, dst) route-geometry cache: without fault injection
-        # the minimal-port set and the escape port are pure geometry,
-        # and the live inputs - the awake/usable filter and the misroute
-        # budget - are re-applied per call in _rc_node.
+        # Per-(node, dst) route-geometry cache: the minimal-port set and
+        # the escape port are pure geometry, and the live inputs - the
+        # failed/awake/usable filters and the misroute budget - are
+        # re-applied per call in _rc_node.
         self._rc_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -302,12 +298,8 @@ class SoANetwork(Network):
         self._livelock_ref = now
         self._outstanding -= 1
         self.stats.on_flit_ejected()
-        if not (word & 2):
-            return
-        pkt.ejected_cycle = now
-        self.stats.on_packet_ejected(pkt)
-        if self.metrics is not None:
-            self.metrics.on_packet_ejected(pkt, self.stats)
+        if word & 2:
+            self._sink_tail(pkt, now)
 
     def release_upstream_owner(self, node: int, in_port: int,
                                vc: int) -> None:
@@ -325,6 +317,9 @@ class SoANetwork(Network):
         """Write an arriving flit into its input VC as a word (the link
         phase inlines this for mesh links; injections and the wake-up
         hand-over call it)."""
+        if flit.packet.failed:
+            self.fault_discard_flit(node, in_port, v, flit)
+            return
         f = (node * NUM_PORTS + in_port) * self._V + v
         dq = self._fifo[f]
         if len(dq) >= self._depth:
@@ -370,7 +365,16 @@ class SoANetwork(Network):
         # reference's delay queues deliver now; increments commute).
         credit = self._credit
         maxc = self._maxc
-        for c in self._credit_due:
+        due = self._credit_due
+        if self._faults is not None:
+            # Credit loss, drawn in the reference's order: by link (a
+            # stable sort keeps send order), one draw per lossy credit.
+            v_per, link_fault = self._V, self._link_fault
+            due.sort(key=lambda c: c // v_per)
+            due = [c for c in due if link_fault[c // v_per] is None
+                   or self._faults.filter_credits(link_fault[c // v_per],
+                                                  (c,), self.stats)]
+        for c in due:
             if credit[c] >= maxc[c]:
                 raise RuntimeError(CREDIT_OVERFLOW)
             credit[c] += 1
@@ -452,6 +456,9 @@ class SoANetwork(Network):
                 if route != LOCAL:
                     o = outo[f]
                     if gated[o]:
+                        if self._failed[o]:
+                            self._sa_gated(f, node, now)
+                            continue
                         fifo_f[0][1].wakeup_stall_cycles += 1
                         if trace is not None:
                             trace.record(now, EventKind.WU_STALL, node, route,
@@ -572,8 +579,7 @@ class SoANetwork(Network):
         as a pointer write (``grant_from([x])`` is exactly ``_last =
         x``); only a port with several calls its arbiter.  Entries
         failing only the credit check are dropped - the reference's
-        silent ``continue`` - while gated ports take the wake-up stall
-        path."""
+        silent ``continue`` - while gated ports go to :meth:`_sa_gated`."""
         if extra:
             # extra (freshly ACTIVE VCs, disjoint from cand) arrives in
             # VA-grant order: re-sort it into the port visit order too.
@@ -594,13 +600,8 @@ class SoANetwork(Network):
             f = cand[0]
             route = route_l[f]
             if route != LOCAL:
-                o = self._outo[f]
-                if self._gated[o]:
-                    self._fifo[f][0][1].wakeup_stall_cycles += 1
-                    if self.trace is not None:
-                        self.trace.record(now, EventKind.WU_STALL, node, route,
-                                          vcid[f], self._fifo[f][0][1].pid, 0)
-                    self._wu_now.add(self._up_node[o])
+                if self._gated[self._outo[f]]:
+                    self._sa_gated(f, node, now)
                     return
                 if route in self._ports_used[node]:
                     return
@@ -611,12 +612,9 @@ class SoANetwork(Network):
             self._sa_out[node][route]._last = p
             self._traverse(f, node, now)
             return
-        fifo = self._fifo
         gated = self._gated
         credit = self._credit
         outo, outc = self._outo, self._outc
-        wu_now = self._wu_now
-        up_node = self._up_node
         ports_used = self._ports_used[node]
         v_per = self._V
         base_f = node * self._fpn
@@ -634,14 +632,8 @@ class SoANetwork(Network):
                 idx += 1
                 route = route_l[f]
                 if route != LOCAL:
-                    o = outo[f]
-                    if gated[o]:
-                        fifo[f][0][1].wakeup_stall_cycles += 1
-                        if self.trace is not None:
-                            self.trace.record(now, EventKind.WU_STALL, node,
-                                              route, vcid[f],
-                                              fifo[f][0][1].pid, 0)
-                        wu_now.add(up_node[o])
+                    if gated[outo[f]]:
+                        self._sa_gated(f, node, now)
                         continue
                     if route in ports_used or credit[outc[f]] <= 0:
                         continue
@@ -742,6 +734,32 @@ class SoANetwork(Network):
             self._st[f] = _IDLE
             self._occ_cnt[node] -= 1
             self._busy.discard(f)
+
+    def _sa_gated(self, f: int, node: int, now: int) -> None:
+        """SA at a gated output port (``Router.stage_sa``): the packet
+        stalls and asserts WU, or, if the router behind is hard-failed,
+        is dropped whole (``Router._drop_failed_packet``; no other
+        candidate's eligibility changes, so the drop need not wait)."""
+        o = self._outo[f]
+        fifo_f = self._fifo[f]
+        pkt = fifo_f[0][1]
+        if not self._failed[o]:
+            pkt.wakeup_stall_cycles += 1
+            if self.trace is not None:
+                self.trace.record(now, EventKind.WU_STALL, node,
+                                  self._route[f], self._vcid[f], pkt.pid, 0)
+            # inlined wake_request: a routed port always has a neighbor
+            self._wu_now.add(self._up_node[o])
+            return
+        pkt.failed = True
+        self._owner[o][self._outvc[f]] = None
+        self._unpark(o)
+        while fifo_f:
+            word, _ = fifo_f.popleft()
+            self.fault_discard_flit(node, self._inport[f], self._vcid[f],
+                                    _make_flit(word, pkt))
+        self._reset_route(f, node)
+        self._faults.on_packet_killed(self, pkt)
 
     def _reset_route(self, f: int, node: int) -> None:
         """Reference VirtualChannel.reset_route on flat state.  As at a
@@ -944,6 +962,7 @@ class SoANetwork(Network):
         on = PowerState.ON
         up_node = self._up_node
         base_o = node * NUM_PORTS
+        failed = self._failed if self._faults is not None else None
         ring = self.ring
         if ring is not None:
             cap = self.routing.misroute_cap
@@ -963,6 +982,11 @@ class SoANetwork(Network):
                              mesh.xy_port(node, dst))
                     cache[key] = entry
                 minimal, eport = entry
+                if failed is not None:
+                    # route around hard-failed neighbours, if possible
+                    alive = [p for p in minimal if not failed[base_o + p]]
+                    if alive:
+                        minimal = alive
                 awake = [p for p in minimal
                          if p == LOCAL
                          or controllers[up_node[base_o + p]].state == on]
@@ -1029,6 +1053,8 @@ class SoANetwork(Network):
         due = self._flit_due
         if due:
             due.sort(key=_link_of)
+            if self._faults is not None:
+                due = self._fault_arrivals(due)
             l_dst = self._l_dst
             l_base = self._l_base
             l_ring = self._l_ring
@@ -1102,6 +1128,24 @@ class SoANetwork(Network):
         self._ej_mid = self._ej_box
         self._ej_box = []
 
+    def _fault_arrivals(self, due: List[tuple]) -> List[tuple]:
+        """The reference's link-delivery fault sites on the sorted due
+        list: corrupt/drop draws, then failed packets' stragglers."""
+        link_fault = self._link_fault
+        kept = []
+        for entry in due:
+            lid, word, pkt, vc = entry
+            if link_fault[lid] is not None:
+                self._faults.strike_flits(link_fault[lid], (pkt,),
+                                          self.stats)
+            if pkt.failed:
+                self.fault_discard_flit(
+                    self._l_dst[lid], OPPOSITE[lid % NUM_PORTS], vc,
+                    _make_flit(word, pkt))
+            else:
+                kept.append(entry)
+        return kept
+
     # ------------------------------------------------------------------
     # phase 6: power gating - busy powered-on routers take the
     # two-assignment step the full FSM provably reduces to
@@ -1125,15 +1169,21 @@ class SoANetwork(Network):
         on = PowerState.ON
         off = PowerState.OFF
         waking = PowerState.WAKING
-        # The full FSM step is inlined per state below.  This relies on
-        # two facts: fail-arming and the stuck-wakeup knobs need fault
-        # injection (which this kernel rejects), and NoRD's end_cycle()
-        # is a no-op while the sliding window is all zeros.  The
-        # GateInputs the reference would build are pure reads, so
-        # computing only the fields each branch consults cannot change
-        # any outcome.
+        # The full FSM step is inlined per state below, except for
+        # fail-armed, failed and stuck/slow-wakeup controllers and, under
+        # a router failure, No_PG's: they take the reference step.  This
+        # relies on NoRD's end_cycle() being a no-op while the sliding
+        # window is all zeros.  The GateInputs the reference would build
+        # are pure reads, so computing only the fields each branch
+        # consults cannot change any outcome.
+        faulted = self._faults is not None
         for node in active.sorted():
             ctrl = controllers[node]
+            if faulted and (not ctrl.gateable or ctrl.fail_armed
+                            or ctrl.failed or ctrl.wu_ignore
+                            or ctrl.wu_delay):
+                self._step_fsm(node, design, events, demoted)
+                continue
             st = ctrl.state
             if st == on:
                 ctrl.cycles_on += 1
@@ -1256,6 +1306,9 @@ class SoANetwork(Network):
             nodes.update(l_dst[c // v_per] for c in self._credit_due)
             self._inc_nodes = nodes
         return self._inc_nodes
+
+    def _router_empty(self, node: int) -> bool:
+        return not self._occ_cnt[node]
 
     def _incoming_condition(self, node: int, design: str) -> bool:
         """The reference IC condition, answered from the per-cycle

@@ -8,11 +8,14 @@ traffic, same seed, run under both kernels, compared field by field
 (``RunResult.__eq__`` excludes only the host wall-clock and provenance
 fields) - and, with an event trace attached to both legs, the same
 canonical event stream, event for event (a traced run executes on the
-SoA kernel like an untraced one).
+SoA kernel like an untraced one).  The design x traffic matrix carries a
+fault plan on three of its four traffic kinds, so the fault sites are
+held to the same contract.
 
 Kernel *pinning* (explicit argument > ``REPRO_BACKEND``, with the
-warned fallback for features the SoA kernel does not serve) is covered
-here too, as is the cache-key folding in the experiments runner.  The
+warned fallback for dense scans, which only the reference serves) is
+covered here too, as is the cache-key folding in the experiments
+runner.  The
 full selection table (unpinned runs included) lives in
 tests/test_kernel_identity.py, the home of new kernel-identity tests;
 this file and tests/test_fast_mode_identity.py keep their names only
@@ -26,6 +29,7 @@ import pytest
 
 from repro.config import Design, small_config
 from repro.experiments import parallel
+from repro.faults import FaultPlan, WakeupFault
 from repro.noc.network import BACKENDS, Network, resolve_backend
 from repro.noc.soa import SoANetwork
 from repro.trace.recorder import EventTrace
@@ -40,11 +44,23 @@ TRAFFIC_MAKERS = {
     "hotspot": hotspot,
 }
 
+#: The fault plan each traffic kind of the design x traffic matrix
+#: carries (uniform stays plain): every design meets a router hard-fail,
+#: lossy links with retransmission, and a stuck plus a slow wakeup.
+FAULT_PLANS = {
+    "hotspot": FaultPlan.single_router_failure(5, 60),
+    "tornado": FaultPlan.uniform_link_noise(
+        corrupt_rate=5e-3, drop_rate=2e-3, seed=11, retransmit=True,
+        retransmit_timeout=200),
+    "transpose": FaultPlan(wakeup_faults=(WakeupFault(5, ignore=True),
+                                          WakeupFault(6, delay=20))),
+}
+
 
 def run_once(design, backend, kind="uniform", *, rate=0.1, seed=3,
              width=4, height=4, warmup=100, measure=600,
-             speculative=False, aggressive=False, trace=False):
-    """One deterministic run."""
+             speculative=False, aggressive=False, trace=False, plan=None):
+    """One deterministic run (under fault plan ``plan``, if given)."""
     cfg = small_config(design, width=width, height=height,
                        warmup=warmup, measure=measure)
     if speculative:
@@ -54,7 +70,7 @@ def run_once(design, backend, kind="uniform", *, rate=0.1, seed=3,
         cfg = cfg.replace(pg=dataclasses.replace(cfg.pg,
                                                  aggressive_bypass=True))
     recorder = EventTrace() if trace else None
-    net = Network(cfg, backend=backend, trace=recorder)
+    net = Network(cfg, backend=backend, trace=recorder, fault_plan=plan)
     traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
     result = net.run(traffic)
     return net, result, recorder
@@ -74,7 +90,7 @@ def assert_identical(res_ref, res_soa):
 
 def assert_differential(design, **kwargs):
     """Run ``ref`` and ``soa``, both traced: field-identical results and
-    the same event stream."""
+    the same event stream.  Returns the soa leg's network and result."""
     net_ref, res_ref, trace_ref = run_once(design, "ref", trace=True,
                                            **kwargs)
     net_soa, res_soa, trace_soa = run_once(design, "soa", trace=True,
@@ -84,13 +100,19 @@ def assert_differential(design, **kwargs):
     assert_identical(res_ref, res_soa)
     assert_same_events(trace_ref.canonical_lines(),
                        trace_soa.canonical_lines(), f"{design} {kwargs}")
+    return net_soa, res_soa
 
 
 class TestRunResultIdentity:
     @pytest.mark.parametrize("design", Design.ALL)
     @pytest.mark.parametrize("kind", sorted(TRAFFIC_MAKERS))
     def test_field_identical_runresults(self, design, kind):
-        assert_differential(design, kind=kind)
+        net, result = assert_differential(design, kind=kind,
+                                          plan=FAULT_PLANS.get(kind))
+        if kind == "hotspot":  # the plans fired
+            assert net.controllers[5].failed
+        elif kind == "tornado":
+            assert result.flits_corrupted and result.packets_retransmitted
 
     @pytest.mark.parametrize("design", Design.ALL)
     def test_speculative_pipeline_identity(self, design):
@@ -148,13 +170,6 @@ class TestBackendSelection:
             resolve_backend()
         assert set(BACKENDS) == {"ref", "soa"}
 
-    def test_fault_plan_falls_back_to_reference(self):
-        from repro.faults import FaultPlan
-        with pytest.warns(RuntimeWarning, match="fault injection"):
-            net = Network(small_config(Design.NORD), backend="soa",
-                          fault_plan=FaultPlan())
-        assert type(net) is Network
-
     def test_metered_run_stays_on_soa(self, monkeypatch):
         from repro.metrics.sampler import MetricsRun
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -176,17 +191,6 @@ class TestBackendSelection:
         with pytest.warns(RuntimeWarning, match="REPRO_NO_SKIP"):
             net = Network(small_config(Design.NORD), backend="soa")
         assert type(net) is Network
-
-    def test_empty_faultplan_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EMPTY_FAULTPLAN", "1")
-        with pytest.warns(RuntimeWarning, match="REPRO_EMPTY_FAULTPLAN"):
-            net = Network(small_config(Design.NORD), backend="soa")
-        assert type(net) is Network
-
-    def test_soa_constructed_directly_rejects_faults(self):
-        from repro.faults import FaultPlan
-        with pytest.raises(ValueError, match="fault injection"):
-            SoANetwork(small_config(Design.NORD), fault_plan=FaultPlan())
 
 
 class TestCacheKeys:

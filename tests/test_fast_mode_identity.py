@@ -10,8 +10,8 @@ Four layers of evidence live here:
 
 * a golden matrix (every design x every traffic kind; three requests -
   ``ref`` pinned, ``soa`` pinned, and the unpinned default),
-* a hypothesis differential over random (design, kind, rate, seed),
-  comparing the two kernels' event traces as well,
+* a hypothesis differential over random (design, kind, rate, seed,
+  fault plan), comparing the two kernels' event traces as well,
 * flit/credit conservation checked directly in the flat lists and the
   mailboxes while a run is in flight, and
 * oracle self-tests: a deliberately broken VA commit, a disjoint VA
@@ -20,14 +20,17 @@ Four layers of evidence live here:
   WU edges and an aggressive-bypass send booked a cycle late must each
   make the differential harness fail, proving the harness has teeth;
   flits delivered in mailbox order rather than link order must fail
-  the trace differential while passing the RunResult one.
+  the trace differential while passing the RunResult one.  Three fault
+  mutants - credit loss drawn in mailbox order, an SA that stalls at a
+  failed port instead of dropping, a fail-armed controller taking the
+  inlined power-gate step - must fail the faulted RunResult one.
 
 The file predates the kernel merge (the "fast mode" it names *is* the
 soa kernel now) and keeps its name and test ids only because the tier-1
 floor tracks tests by id; new kernel-identity tests go to
 tests/test_kernel_identity.py.  The ``fast=`` keyword tests at the end
 cover the keyword ``Network`` still accepts (and ignores) for the
-frozen benchmark.
+frozen benchmark, and the dense-scan fallback warning.
 """
 
 import warnings
@@ -37,7 +40,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import Design, small_config
-from repro.faults import FaultPlan
+from repro.errors import SimulationHang
+from repro.faults import FaultPlan, WakeupFault
 from repro.noc import soa
 from repro.noc.network import Network, RunProgress
 from repro.noc.soa import SoANetwork
@@ -57,11 +61,12 @@ TRAFFIC_MAKERS = {
 
 def run_once(design, kind, *, backend="ref", rate=0.1,
              seed=3, width=4, height=4, warmup=60, measure=300, drain=None,
-             trace=None):
-    """One deterministic run (recording into ``trace`` when given)."""
+             trace=None, plan=None):
+    """One deterministic run (recording into ``trace`` and injecting
+    ``plan``'s faults when given)."""
     cfg = small_config(design, width=width, height=height,
                        warmup=warmup, measure=measure)
-    net = Network(cfg, backend=backend, trace=trace)
+    net = Network(cfg, backend=backend, trace=trace, fault_plan=plan)
     traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
     return net, net.run(traffic, drain=drain)
 
@@ -103,21 +108,52 @@ class TestGoldenMatrix:
         assert_identical(res_ref, res_soa, "NoRD saturated")
 
 
+#: Random fault plans on the 4x4 mesh: none, a router hard-fail, noisy
+#: links (credit loss included), or a stuck/slow wakeup.
+_NODE = st.integers(min_value=0, max_value=15)
+_RATE = st.floats(min_value=0.0, max_value=0.02)
+FAULT_PLANS = st.one_of(
+    st.none(),
+    st.builds(FaultPlan.single_router_failure, _NODE,
+              st.integers(min_value=0, max_value=200)),
+    st.builds(FaultPlan.uniform_link_noise, corrupt_rate=_RATE,
+              drop_rate=_RATE, credit_loss_rate=_RATE,
+              seed=st.integers(min_value=0, max_value=99),
+              retransmit=st.booleans(), retransmit_timeout=st.just(100)),
+    st.builds(lambda node, delay, ignore: FaultPlan(wakeup_faults=(
+        WakeupFault(node, delay=delay, ignore=ignore),)),
+        _NODE, st.integers(min_value=0, max_value=40), st.booleans()))
+
+
+def outcome(design, kind, backend, trace, plan, **kwargs):
+    """A run's result, or - when a fault plan's lost credits wedge it -
+    its error (which must be the same on both kernels)."""
+    try:
+        return run_once(design, kind, backend=backend, trace=trace,
+                        plan=plan, **kwargs)[1]
+    except (RuntimeError, SimulationHang) as err:
+        if plan is None:
+            raise
+        return f"{type(err).__name__}: {err}"
+
+
 class TestHypothesisDifferential:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(design=st.sampled_from(Design.ALL),
            kind=st.sampled_from(sorted(TRAFFIC_MAKERS)),
            rate=st.floats(min_value=0.01, max_value=0.3),
-           seed=st.integers(min_value=0, max_value=2**16))
-    def test_random_point_identity(self, design, kind, rate, seed):
+           seed=st.integers(min_value=0, max_value=2**16),
+           plan=FAULT_PLANS)
+    def test_random_point_identity(self, design, kind, rate, seed, plan):
         trace_ref, trace_soa = EventTrace(), EventTrace()
-        _, res_ref = run_once(design, kind, rate=rate, seed=seed,
-                              warmup=40, measure=200, trace=trace_ref)
-        _, res_soa = run_once(design, kind, rate=rate, seed=seed,
-                              warmup=40, measure=200, backend="soa",
-                              trace=trace_soa)
-        label = f"{design}/{kind} rate={rate} seed={seed}"
+        res_ref = outcome(design, kind, "ref", trace_ref, plan, rate=rate,
+                          seed=seed, warmup=40, measure=200)
+        res_soa = outcome(design, kind, "soa", trace_soa, plan, rate=rate,
+                          seed=seed, warmup=40, measure=200)
+        label = f"{design}/{kind} rate={rate} seed={seed} plan={plan}"
+        if isinstance(res_ref, str) or isinstance(res_soa, str):
+            assert res_ref == res_soa, label
         assert_identical(res_ref, res_soa, label)
         assert_same_events(trace_ref.canonical_lines(),
                            trace_soa.canonical_lines(), label)
@@ -396,6 +432,79 @@ class TestOracleSelfTest:
                                trace_soa.canonical_lines(),
                                "mailbox-order mutant")
 
+    def test_credit_loss_in_mailbox_order_is_caught(self, monkeypatch):
+        """Mutant: credit loss is drawn in mailbox (send) order instead
+        of the reference's link order, so other credits are lost."""
+        class MailboxOrder(list):
+            def sort(self, **kwargs):
+                pass  # the mutant: no link sort
+
+        orig = SoANetwork._phase_credits
+
+        def unsorted(self, now):
+            self._credit_due = MailboxOrder(self._credit_due)
+            orig(self, now)
+
+        plan = FaultPlan.uniform_link_noise(credit_loss_rate=0.02, seed=5)
+        _, res_ref = run_once(Design.CONV_PG, "uniform", drain=0, plan=plan)
+        monkeypatch.setattr(SoANetwork, "_phase_credits", unsorted)
+        _, res_soa = run_once(Design.CONV_PG, "uniform", drain=0,
+                              backend="soa", plan=plan)
+        assert res_ref.credits_lost > 0
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, "credit-loss order mutant")
+
+    def test_sa_stalling_at_failed_port_is_caught(self, monkeypatch):
+        """Mutant: SA stalls a packet routed to a hard-failed router (as
+        at a gated one) instead of dropping it."""
+        stalls = 0
+        orig = SoANetwork._sa_gated
+
+        def stall(self, f, node, now):
+            nonlocal stalls
+            failed = self._failed
+            stalls += failed[self._outo[f]]
+            self._failed = [False] * len(failed)  # the mutant: blind
+            try:
+                orig(self, f, node, now)
+            finally:
+                self._failed = failed
+
+        plan = FaultPlan.single_router_failure(5, 60)
+        _, res_ref = run_once(Design.CONV_PG, "uniform", drain=0, plan=plan)
+        monkeypatch.setattr(SoANetwork, "_sa_gated", stall)
+        _, res_soa = run_once(Design.CONV_PG, "uniform", drain=0,
+                              backend="soa", plan=plan)
+        assert stalls > 0, "no packet met the failed port"
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, "failed-port stall mutant")
+
+    def test_fail_armed_inlined_step_is_caught(self, monkeypatch):
+        """Mutant: a fail-armed controller takes the inlined power-gate
+        step (which gates at an idle boundary) instead of the reference
+        FSM (which fails there)."""
+        armed = 0
+        orig = SoANetwork._phase_pg
+
+        def inlined(self, now):
+            nonlocal armed
+            hidden = [c for c in self.controllers if c.fail_armed]
+            armed += len(hidden)
+            for ctrl in hidden:
+                ctrl.fail_armed = False
+            orig(self, now)
+            for ctrl in hidden:
+                ctrl.fail_armed = True
+
+        plan = FaultPlan.single_router_failure(5, 60)
+        _, res_ref = run_once(Design.CONV_PG, "uniform", drain=0, plan=plan)
+        monkeypatch.setattr(SoANetwork, "_phase_pg", inlined)
+        _, res_soa = run_once(Design.CONV_PG, "uniform", drain=0,
+                              backend="soa", plan=plan)
+        assert armed > 0, "no controller was fail-armed"
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, "fail-armed inlined mutant")
+
     def test_oracle_passes_without_fault(self):
         """Control arm: the same comparison is clean when nothing is
         seeded (so the failure above is caused by the seeded bug)."""
@@ -436,14 +545,15 @@ class TestDispatch:
         Python's default filter, fires once per call site - a
         thousand-point sweep must not emit a thousand warnings."""
         with pytest.warns(RuntimeWarning,
-                          match="does not support fault injection"):
+                          match="does not support dense scans"):
             Network(small_config(Design.NORD), backend="soa",
-                    fault_plan=FaultPlan())
+                    skip_inactive=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             for _ in range(100):
                 Network(small_config(Design.NORD), backend="soa",
-                        fault_plan=FaultPlan())
+                        skip_inactive=False)
         assert [str(w.message) for w in caught] == [
-            "the 'soa' kernel does not support fault injection; falling "
-            "back to the 'ref' kernel (result-identical)"]
+            "the 'soa' kernel does not support dense scans "
+            "(skip_inactive=False); falling back to the 'ref' kernel "
+            "(result-identical)"]

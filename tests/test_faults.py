@@ -10,10 +10,14 @@ The contract under test, per design:
 * **link corruption** is detected end to end via sequence numbers, and
   NI retransmission recovers delivery at a latency/overhead cost;
 * all of it is **deterministic**: same plan + seed -> same RunResult,
-  under both cycle kernels.
+  on every cycle kernel (soa, ref, ref's dense scans).
 """
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,12 +27,13 @@ from repro.experiments.common import build_config
 from repro.faults import (ALL_LINKS, FaultPlan, FaultState, LinkFault,
                           RouterFailure, WakeupFault)
 from repro.noc.network import Network
-from repro.noc.topology import NUM_PORTS
+from repro.noc.topology import NUM_PORTS, SOUTH
 from repro.powergate.controller import PowerState
 from repro.traffic.synthetic import uniform_random
 
 FAILED_NODE = 5
 FAIL_CYCLE = 60
+TESTS = Path(__file__).resolve().parent
 
 
 def faulted_run(design, plan, *, rate=0.05, seed=7, scale="smoke",
@@ -74,6 +79,19 @@ class TestFaultPlan:
             FaultState(FaultPlan.single_router_failure(16, 0), 16)
         with pytest.raises(ValueError, match="wakeup fault"):
             FaultState(FaultPlan(wakeup_faults=(WakeupFault(99),)), 16)
+        with pytest.raises(ValueError, match="wakeup fault"):
+            WakeupFault(node=-1, ignore=True)  # would hit node 15
+        # Link faults naming no link of the 4x4 mesh, rejected when the
+        # network is wired: half-wildcards (the wildcard half would be
+        # ignored or match nothing), a node off the mesh, and a port
+        # node 0 has no link on.
+        cfg = build_config(Design.CONV_PG, "smoke")
+        for fault in (LinkFault(src=3, corrupt_rate=.5),
+                      LinkFault(port=2, corrupt_rate=.5),
+                      LinkFault(src=99, port=1, corrupt_rate=.5),
+                      LinkFault(src=0, port=SOUTH, corrupt_rate=.5)):
+            with pytest.raises(ValueError, match="is no mesh link"):
+                Network(cfg, fault_plan=FaultPlan(link_faults=(fault,)))
 
     def test_plan_is_picklable_and_keyable(self):
         plan = FaultPlan.single_router_failure(3, 100, retransmit=True)
@@ -104,11 +122,23 @@ class TestEmptyPlanDrift:
         _, empty = faulted_run(design, FaultPlan())
         assert bare.to_dict() == empty.to_dict()
 
-    def test_env_var_forces_empty_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EMPTY_FAULTPLAN", "1")
-        net = Network(build_config(Design.NORD, "smoke"))
-        assert net._faults is not None
-        assert net._faults.plan.is_empty
+    def test_env_var_forces_empty_plan(self):
+        """The drift harness's empty-plan hook: with
+        tests/empty_faultplan on ``PYTHONPATH`` (which spawned workers
+        inherit), every network carries an empty plan - and stays on
+        the soa kernel."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("REPRO_BACKEND", "REPRO_NO_SKIP")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(TESTS / "empty_faultplan"), str(TESTS.parent / "src")])
+        code = ("from repro.config import Design\n"
+                "from repro.experiments.common import build_config\n"
+                "from repro.noc.network import Network\n"
+                "net = Network(build_config(Design.NORD, 'smoke'))\n"
+                "print(net.backend, net._faults.plan.is_empty)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["soa", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +242,23 @@ class TestLinkFaults:
         assert result.delivered_fraction == 1.0
 
     def test_credit_loss_wedges_and_watchdog_fires_typed(self):
+        """Both kernels wedge on the same lost credits: the same typed
+        error at the same cycle, with the same diagnostics."""
         plan = FaultPlan.uniform_link_noise(credit_loss_rate=0.05, seed=5)
         cfg = build_config(Design.CONV_PG, "smoke", seed=7)
-        net = Network(cfg, fault_plan=plan)
-        net.deadlock_limit = 400
-        with pytest.raises(SimulationHang) as excinfo:
-            net.run(uniform_random(net.mesh, 0.10, seed=7))
-        err = excinfo.value
-        assert isinstance(err, DeadlockError)
-        assert net.stats.credits_lost > 0
-        assert err.stuck_routers  # diagnostics name the wedged routers
+        seen = {}
+        for backend in (None, "ref"):
+            net = Network(cfg, fault_plan=plan, backend=backend)
+            net.deadlock_limit = 400
+            with pytest.raises(SimulationHang) as excinfo:
+                net.run(uniform_random(net.mesh, 0.10, seed=7))
+            err = excinfo.value
+            assert isinstance(err, DeadlockError)
+            assert net.stats.credits_lost > 0
+            assert err.stuck_routers  # diagnostics name the wedged routers
+            seen[net.backend] = (type(err), net.now, str(err),
+                                 err.diagnostics, net.stats.credits_lost)
+        assert seen["soa"] == seen["ref"]
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +306,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("plan", SCENARIOS)
     def test_kernels_agree_under_faults(self, plan):
-        """Skip kernel == dense kernel, byte for byte, with faults live."""
-        _, fast = faulted_run(Design.NORD, plan, skip=True)
-        _, full = faulted_run(Design.NORD, plan, skip=False)
+        """The default kernel (soa) == the dense reference, byte for
+        byte, with faults live."""
+        net_fast, fast = faulted_run(Design.NORD, plan, skip=None)
+        net_full, full = faulted_run(Design.NORD, plan, skip=False)
+        assert (net_fast.backend, net_full.backend) == ("soa", "ref")
         assert fast.to_dict() == full.to_dict()
 
     def test_fault_seed_matters(self):

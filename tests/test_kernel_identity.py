@@ -1,11 +1,10 @@
 """Kernel selection and identity: which kernel a run gets, and that it
 does not matter for the result.
 
-``Network(cfg)`` picks the kernel from what the run carries
-(:func:`repro.noc.network.select_kernel`): ``soa`` unless a fault plan
-or dense scans need the reference kernel's hook surface (an event
-trace and a metrics recorder are observers and run on either).  This
-file pins
+``Network(cfg)`` picks the kernel from the pin and the scan mode
+(:func:`repro.noc.network.select_kernel`): ``soa`` unless dense scans
+need the reference kernel (a fault plan, an event trace and a metrics
+recorder run on either).  This file pins
 
 * the selection table - every row, unpinned (silent) and with ``soa``
   pinned (one warning), and that ``DesignPoint`` agrees with the
@@ -50,23 +49,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: a point cannot carry the feature, warning pattern).  Every row needs
 #: the reference kernel.
 REF_ROWS = {
-    "fault_plan": (
-        lambda: {"fault_plan": FaultPlan.single_router_failure(5, 60)}, {},
-        lambda d: {"faults": FaultPlan.single_router_failure(5, 60)},
-        "fault injection"),
-    "empty_fault_plan": (lambda: {"fault_plan": FaultPlan()}, {},
-                         lambda d: {"faults": FaultPlan()},
-                         "fault injection"),
     "skip_inactive_false": (lambda: {"skip_inactive": False}, {}, None,
                             "dense scans"),
     "env_no_skip": (dict, {"REPRO_NO_SKIP": "1"}, lambda d: {},
                     "dense scans"),
-    "env_empty_faultplan": (dict, {"REPRO_EMPTY_FAULTPLAN": "1"},
-                            lambda d: {}, "REPRO_EMPTY_FAULTPLAN"),
 }
-#: Rows whose feature is an inert plan: by the cache policy they share
-#: the plain point's entry although they run ``ref``.
-SHARES_PLAIN_ENTRY = {"empty_fault_plan"}
 
 
 def point(**fields):
@@ -101,12 +88,8 @@ class TestDispatchTable:
             if fields is not None:
                 carried = point(**fields(str(tmp_path)))
                 assert carried.resolved_backend() == net.backend
-                if row in SHARES_PLAIN_ENTRY:
-                    assert carried.cache_key() == point().cache_key()
-                else:
-                    pinned = dataclasses.replace(carried,
-                                                 backend=net.backend)
-                    assert carried.cache_key() == pinned.cache_key()
+                pinned = dataclasses.replace(carried, backend=net.backend)
+                assert carried.cache_key() == pinned.cache_key()
         assert type(net) is Network and net.backend == "ref"
 
     @pytest.mark.parametrize("row", sorted(REF_ROWS))
@@ -158,6 +141,30 @@ class TestDispatchTable:
         net = SoANetwork(small_config(Design.NORD), trace=EventTrace())
         assert net.trace is not None
 
+    def test_fault_plan_is_not_a_selection_input(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        plan = FaultPlan.single_router_failure(5, 60)
+        with pytest.raises(TypeError):
+            select_kernel(fault_plan=plan)
+        for faults in (plan, FaultPlan()):
+            faulted = point(faults=faults)
+            assert faulted.resolved_backend() == "soa"
+            pinned = dataclasses.replace(faulted, backend="soa")
+            assert faulted.cache_key() == pinned.cache_key()
+        # an empty plan keeps sharing the plain point's entry
+        assert point(faults=FaultPlan()).cache_key() == point().cache_key()
+        assert point(faults=plan).cache_key() != point().cache_key()
+        from repro.noc.soa import SoANetwork
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing to fall back from
+            for backend in (None, "soa"):
+                net = Network(small_config(Design.NORD), backend=backend,
+                              fault_plan=plan)
+                assert type(net) is SoANetwork
+                assert net._faults is not None
+        net = SoANetwork(small_config(Design.NORD), fault_plan=FaultPlan())
+        assert net._faults is not None
+
     def test_pinned_ref_is_honoured(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "ref")
         assert select_kernel() == "ref"
@@ -168,6 +175,7 @@ class TestDispatchTable:
                                                               tmp_path):
         for fields in ({}, {"backend": "ref"},
                        {"faults": FaultPlan()},
+                       {"faults": FaultPlan.single_router_failure(5, 60)},
                        {"trace": TraceSpec(directory=str(tmp_path))},
                        {"metrics": MetricsSpec(directory=str(tmp_path))}):
             p = point(**fields)
@@ -200,6 +208,8 @@ class TestKernelProvenance:
         assert main(args) == 0
         assert "simulated cyc/s; kernel: soa]" in capsys.readouterr().out
         assert main(args + ["--fail-router", "5"]) == 0
+        assert "simulated cyc/s; kernel: soa]" in capsys.readouterr().out
+        assert main(args + ["--backend", "ref"]) == 0
         assert "simulated cyc/s; kernel: ref]" in capsys.readouterr().out
 
     def test_run_all_footer_counts_kernels(self, monkeypatch):
@@ -217,7 +227,8 @@ class TestKernelProvenance:
         stats = parallel.get_runner().stats
         assert {k: int(n) for k, n in counts.items()} == stats.kernels
         assert sum(stats.kernels.values()) == stats.misses
-        assert set(stats.kernels) == {"soa", "ref", "bufferless"}
+        # resilience's faulted points run on soa too
+        assert set(stats.kernels) == {"soa", "bufferless"}
 
 
 class TestProfileOccupancy:

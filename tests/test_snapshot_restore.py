@@ -20,6 +20,7 @@ import pytest
 
 from repro.config import Design, NoCConfig, SimConfig
 from repro.experiments.parallel import tornado_spec, uniform_spec
+from repro.faults import FaultPlan, WakeupFault
 from repro.metrics.sampler import MetricsSpec, export_metrics
 from repro.noc.network import (Network, NetworkSnapshot, RunProgress,
                                SNAPSHOT_VERSION)
@@ -34,15 +35,19 @@ def small_cfg(design=Design.NORD):
                      drain_cycles=500)
 
 
-def run_straight(cfg, spec, backend=None, trace=None, metrics=None):
-    net = Network(cfg, backend=backend, trace=trace, metrics=metrics)
+def run_straight(cfg, spec, backend=None, trace=None, metrics=None,
+                 plan=None):
+    net = Network(cfg, backend=backend, trace=trace, metrics=metrics,
+                  fault_plan=plan)
     result = net.run(spec.build(net.mesh))
     return result, net
 
 
-def run_split(cfg, spec, k, backend=None, trace=None, metrics=None):
+def run_split(cfg, spec, k, backend=None, trace=None, metrics=None,
+              plan=None):
     """Run ``k`` cycles, snapshot, restore from pickled bytes, finish."""
-    net = Network(cfg, backend=backend, trace=trace, metrics=metrics)
+    net = Network(cfg, backend=backend, trace=trace, metrics=metrics,
+                  fault_plan=plan)
     traffic = spec.build(net.mesh)
     progress = RunProgress(cfg.warmup_cycles, cfg.measure_cycles,
                            cfg.drain_cycles)
@@ -85,6 +90,30 @@ def test_split_equals_straight_fast_mode(design):
     got, net = run_split(cfg, spec, 137)
     assert got.to_dict() == want.to_dict()
     assert type(net) is SoANetwork
+
+
+@pytest.mark.parametrize("design", [Design.CONV_PG, Design.NORD])
+def test_faulted_soa_split_equals_straight(design):
+    """The fault state - RNG, failed routers and ports, pending
+    retransmissions, the link-fault table - rides inside a soa
+    snapshot: a faulted run split after the router failure finishes
+    exactly as a straight one (and as the reference)."""
+    plan = FaultPlan(
+        router_failures=FaultPlan.single_router_failure(5, 60)
+        .router_failures,
+        link_faults=FaultPlan.uniform_link_noise(
+            corrupt_rate=5e-3, drop_rate=1e-3).link_faults,
+        wakeup_faults=(WakeupFault(6, delay=20),),
+        seed=11, retransmit=True, retransmit_timeout=150)
+    cfg = small_cfg(design)
+    spec = uniform_spec(0.10, seed=3)
+    want, _ = run_straight(cfg, spec, plan=plan)
+    got, net = run_split(cfg, spec, 200, plan=plan)
+    assert net.backend == "soa" and net._faults.failed_nodes == {5}
+    assert got.to_dict() == want.to_dict()
+    ref, _ = run_straight(cfg, spec, backend="ref", plan=plan)
+    assert ref.to_dict() == want.to_dict()
+    assert want.flits_corrupted > 0
 
 
 @pytest.mark.parametrize("k", [0, 1, 80, 299, 300, 301, 379, 380, 381])

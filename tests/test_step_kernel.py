@@ -53,9 +53,9 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("design", [Design.NORD, Design.CONV_PG])
     def test_faulted_run_env_escape_hatch(self, design, monkeypatch):
-        """REPRO_NO_SKIP=1 vs the default skip kernel, with live faults:
-        the fault RNG draws in phase order, so both kernels must consume
-        it identically."""
+        """REPRO_NO_SKIP=1 (the dense reference) vs the default kernel
+        (soa), with live faults: the fault RNG draws in the reference's
+        order, so both kernels must consume it identically."""
         from repro.faults import FaultPlan
         plan = FaultPlan(
             router_failures=(
@@ -65,13 +65,15 @@ class TestByteIdentity:
                 corrupt_rate=2e-3, seed=11).link_faults,
             seed=11, retransmit=True, retransmit_timeout=200)
 
-        def faulted(design):
+        def faulted(design, backend):
             cfg = build_config(design, "smoke", seed=3)
             net = Network(cfg, fault_plan=plan)
+            assert net.backend == backend
             return net.run(uniform_random(net.mesh, 0.08, seed=3))
-        fast = faulted(design)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        fast = faulted(design, "soa")
         monkeypatch.setenv("REPRO_NO_SKIP", "1")
-        full = faulted(design)
+        full = faulted(design, "ref")
         assert fast.to_dict() == full.to_dict()
         assert (fast.packets_failed or fast.packets_retransmitted
                 or fast.flits_corrupted)  # faults actually fired
