@@ -22,10 +22,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
+
+from .experiments.journal import write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - CheckpointSpec rides on cached points
     from .noc.network import NetworkSnapshot, RunProgress
@@ -86,24 +87,7 @@ def save_checkpoint(path: Path, ckpt: SimCheckpoint) -> None:
     """Atomically persist ``ckpt`` at ``path`` (temp + fsync + rename)."""
     body = pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(body).hexdigest().encode("ascii")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".ckpt.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(digest)
-            fh.write(b"\n")
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(Path(path), MAGIC + digest + b"\n" + body, fsync=True)
 
 
 def load_checkpoint(path: Path, *, key: str,

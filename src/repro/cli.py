@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
-from .checkpoint import CheckpointSpec
 from .config import Design, NoCConfig, SimConfig
-from .core.ring import build_ring
 from .experiments import parallel
 from .experiments.common import SCALES
 from .experiments.runner import EXPERIMENTS, run_all, run_experiment
@@ -52,7 +51,10 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _common() -> argparse.ArgumentParser:
+    """The options every experiment command takes, as a parent parser
+    (built once, shared by every subcommand)."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--scale", choices=sorted(SCALES), default="bench",
                         help="simulation length preset")
     parser.add_argument("--seed", type=int, default=1)
@@ -129,6 +131,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     crash.add_argument("--resume", action="store_true",
                        help="skip points already recorded done in the "
                             "--journal and re-run only the rest")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,18 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="NoRD (MICRO 2012) reproduction harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_all = sub.add_parser("run-all", help="run every paper experiment")
-    _add_common(p_all)
-
+    common = [_common()]
+    sub.add_parser("run-all", help="run every paper experiment",
+                   parents=common)
     sub.add_parser("list", help="list available experiments")
-
     for name, (_, description) in EXPERIMENTS.items():
-        p = sub.add_parser(name, help=description)
-        _add_common(p)
+        sub.add_parser(name, help=description, parents=common)
 
-    p_sim = sub.add_parser("simulate", help="run one simulation")
-    _add_common(p_sim)
+    p_sim = sub.add_parser("simulate", help="run one simulation",
+                           parents=common)
     p_sim.set_defaults(usage_error=p_sim.error)
     p_sim.add_argument("--design", choices=Design.ALL, default=Design.NORD)
     p_sim.add_argument("--traffic", default="uniform",
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _runner(parser: argparse.ArgumentParser,
             args: argparse.Namespace) -> parallel.SweepRunner:
     """The command's settings as one fresh runner: everything the
-    ``_add_common`` flags say, and nothing any earlier command said."""
+    common flags say, and nothing any earlier command said."""
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")
     trace = metrics = checkpoint = None
@@ -191,6 +191,7 @@ def _runner(parser: argparse.ArgumentParser,
         metrics = MetricsSpec(directory=args.metrics_dir,
                               interval=args.metrics_interval)
     if args.checkpoint_interval is not None:
+        from .checkpoint import CheckpointSpec
         checkpoint = CheckpointSpec(directory=args.checkpoint_dir,
                                     interval=args.checkpoint_interval)
     return parallel.SweepRunner(
@@ -205,7 +206,6 @@ def _trace_summary(spec) -> None:
     byte-identity CI diff can filter these (and only these) lines."""
     if spec is None:
         return
-    from pathlib import Path
     directory = Path(spec.directory)
     digests = sorted(directory.glob("*.digest.json"))
     print(f"[trace] {len(digests)} run(s) traced; artifacts in "
@@ -218,7 +218,6 @@ def _metrics_finish(spec, html: bool) -> None:
     byte-identity CI diff can filter these (and only these) lines."""
     if spec is None:
         return
-    from pathlib import Path
     directory = Path(spec.directory)
     if activity.profiling_enabled():
         from .metrics.sampler import export_profile
@@ -291,6 +290,7 @@ def _simulate(args: argparse.Namespace) -> None:
         faults = _fault_plan(args)
         mesh = Mesh(args.width, args.height)
         if args.design == Design.NORD:
+            from .core.ring import build_ring
             build_ring(mesh)
         FaultState(faults or FaultPlan(), mesh.num_nodes)
         spec.build(mesh)

@@ -180,18 +180,11 @@ class SimConfig:
         return dataclasses.replace(self, **kwargs)
 
     def to_dict(self) -> Dict[str, Any]:
-        """A plain nested dict of every configuration field."""
-        return dataclasses.asdict(self)
-
-    def fingerprint(self) -> str:
-        """A stable content hash of the full configuration.
-
-        Two configs hash equal iff every field (including nested
-        NoC/power-gating/routing sub-configs) is equal, independent of
-        process, platform or dict ordering.  Used to key the on-disk
-        result cache (:mod:`repro.experiments.parallel`).
-        """
-        return stable_hash(self.to_dict())
+        """``dataclasses.asdict(self)`` without its recursive deep copy
+        (every field is a scalar or a sub-config of scalars)."""
+        return {**vars(self), "noc": dict(vars(self.noc)),
+                "pg": dict(vars(self.pg)),
+                "routing": dict(vars(self.routing))}
 
     @property
     def escape_vcs(self) -> int:

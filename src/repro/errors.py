@@ -1,13 +1,10 @@
 """Typed simulation errors with machine-readable diagnostics.
 
-The simulator used to abort a wedged run with a bare ``RuntimeError``
-string.  These classes keep the rendered message (every exception still
-*is* a ``RuntimeError``, so existing ``except RuntimeError`` handlers and
-tests keep working) but additionally carry a structured ``diagnostics``
-dict that harness code can inspect - e.g. the parallel sweep runner
-classifies :class:`SimulationHang` for retry/quarantine decisions, and
-the regression tests assert that the diagnostics name the stuck routers
-instead of grepping the prose.
+Every class is a ``RuntimeError`` (``except RuntimeError`` handlers keep
+working) that also carries a structured ``diagnostics`` dict: the sweep
+runner keeps it on a failed point and retries only a
+:class:`SimulationHang`, and tests assert that it names the stuck
+routers instead of grepping the prose.
 
 Diagnostics layout for hangs::
 
@@ -81,6 +78,14 @@ class LivelockError(SimulationHang):
     """
 
     kind = "livelock"
+
+
+class CreditAccountingError(SimulationError):
+    """A NoRD router would gate off while a credit owed to its ring
+    predecessor is lost in flight (a seeded credit fault: a retry
+    replays it).  ``diagnostics``: ``kind`` (``"credit-accounting"``),
+    ``node``, ``predecessor``, ``vc``, ``credit``/``max`` (the
+    predecessor's count and limit), ``credits_lost``, ``cycle``."""
 
 
 class RunTimeout(SimulationError):

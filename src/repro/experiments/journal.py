@@ -1,4 +1,5 @@
-"""Write-ahead sweep journal (crash safety, ISSUE 8).
+"""Write-ahead sweep journal (crash safety), and the sealed record both
+stores keep.
 
 One JSON record per line, appended with an ``fsync`` per record, so the
 journal on disk is always a prefix of the sweep's true history - a
@@ -9,7 +10,7 @@ tolerates a torn final line).  Record shapes::
     {"ev": "queued",  "key": <cache key>, "point": <basename>}
     {"ev": "leased",  "key": ..., "pid": ..., "worker": ...}
     {"ev": "requeued","key": ..., "reason": ...}
-    {"ev": "done",    "key": ..., "result": {...}, "energy": {...},
+    {"ev": "done",    "key": ..., "body": "<canonical JSON>",
                       "sha256": ...}
     {"ev": "failed",  "key": ..., "kind": ..., "message": ...}
     {"ev": "interrupted", "completed": n, "total": N}
@@ -20,13 +21,12 @@ depend on the result cache being enabled or intact.  Keys are the
 points' content-derived cache keys, so resume matches points by what
 they *are*, not by their position in a rebuilt sweep.
 
-The payload is the *outcome record* ``{"result", "energy", "sha256"}``,
-written by :func:`encode_outcome` and read back by
-:func:`decode_outcome`.  The result cache
-(:class:`repro.experiments.parallel.ResultCache`) stores the same three
-fields through the same two functions, so a finished point has one
-encoding and nothing is handed back - from either store - that does
-not verify against its checksum.
+The payload is *sealed* (:func:`seal`): ``body`` is the canonical JSON
+text of :func:`encode_outcome`'s dict and ``sha256`` the digest of its
+bytes.  A result-cache entry (:class:`repro.experiments.parallel.
+ResultCache`) carries the same two fields, and both stores read back
+through :func:`unseal`, so nothing is handed back whose stored bytes do
+not match their checksum.
 """
 
 from __future__ import annotations
@@ -34,52 +34,77 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..power.model import EnergyReport
 from ..stats.collector import RunResult
 
 #: Bump on incompatible record-shape changes; ``--resume`` ignores
-#: journals written by other versions rather than misreading them.
-JOURNAL_FORMAT = 1
+#: journals written by other versions rather than misreading them
+#: (2: ``done`` records carry a sealed ``body``).
+JOURNAL_FORMAT = 2
 
 SweepOutcome = Tuple[RunResult, EnergyReport]
 
 
 # ---------------------------------------------------------------------------
-# the outcome record (shared with the result cache)
+# the sealed record (shared with the result cache)
 # ---------------------------------------------------------------------------
-def _content_checksum(record: Dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON of a record's ``result`` and
-    ``energy``: it commits to exactly the values a reader hands back."""
-    blob = json.dumps({"result": record["result"],
-                       "energy": record["energy"]},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def seal(data: Dict[str, Any]) -> Dict[str, str]:
+    """``data`` as stored: its canonical JSON text and the SHA-256 of
+    that text's bytes."""
+    body = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return {"body": body,
+            "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest()}
+
+
+def unseal(record: Any, decode: Callable[[Dict[str, Any]], Any]) -> Any:
+    """The value ``decode`` maps a sealed record's body to, or None when
+    a field is missing or the body is not the text the checksum was
+    taken over (bit rot, truncation, an edit that still parses)."""
+    try:
+        body = record["body"]
+        if hashlib.sha256(body.encode("utf-8")).hexdigest() \
+                != record["sha256"]:
+            return None
+        return decode(json.loads(body))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+
+
+def write_atomic(path: Path, data: bytes, *, fsync: bool = False) -> None:
+    """Replace ``path`` by ``data`` whole or not at all: a temp file in
+    the same directory, renamed over it (``fsync``: durably)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def encode_outcome(outcome: SweepOutcome) -> Dict[str, Any]:
-    """The JSON-ready record of one finished point."""
+    """The dict a finished point is stored as."""
     result, energy = outcome
-    record = {"result": result.to_dict(), "energy": energy.to_dict()}
-    record["sha256"] = _content_checksum(record)
-    return record
+    return {"result": result.to_dict(), "energy": energy.to_dict()}
 
 
-def decode_outcome(record: Any) -> Optional[SweepOutcome]:
-    """The outcome a stored record carries, or None when it cannot be
-    trusted: not a mapping, a field missing or of the wrong shape, or
-    values that are not the ones the checksum was taken over (bit rot,
-    truncation or an edit that still parses as JSON)."""
-    try:
-        if record["sha256"] != _content_checksum(record):
-            return None
-        return (RunResult.from_dict(record["result"]),
-                EnergyReport.from_dict(record["energy"]))
-    except (KeyError, TypeError, ValueError):
-        return None
+def decode_outcome(data: Dict[str, Any]) -> SweepOutcome:
+    """The outcome :func:`encode_outcome` made ``data`` of."""
+    return (RunResult.from_dict(data["result"]),
+            EnergyReport.from_dict(data["energy"]))
 
 
 class SweepJournal:
@@ -139,8 +164,8 @@ def load_journal(path) -> List[Dict[str, Any]]:
 def completed_outcomes(
         records: List[Dict[str, Any]]) -> Dict[str, SweepOutcome]:
     """Map cache key -> outcome for every ``done`` record that verifies
-    (:func:`decode_outcome`); a point whose record does not is simply
-    not resumed and runs again.
+    (:func:`unseal`); a point whose record does not is simply not
+    resumed and runs again.
 
     Later records win (a re-run of the same point after a code change
     would have a different key, so collisions only happen for genuine
@@ -151,7 +176,7 @@ def completed_outcomes(
         if record.get("ev") != "done":
             continue
         key = record.get("key")
-        outcome = decode_outcome(record)
+        outcome = unseal(record, decode_outcome)
         if outcome is not None and isinstance(key, str):
             out[key] = outcome
     return out

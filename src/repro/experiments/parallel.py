@@ -11,11 +11,10 @@ shared machinery:
   hashed into a stable cache key;
 * :func:`execute_point` - the spawn-safe worker: builds the network,
   runs it, evaluates energy;
-* :class:`ResultCache` - a content-addressed cache under
-  ``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``) keyed by a
-  SHA-256 of (config, traffic spec, prepare hook, network kind, code
-  version), storing JSON-serialized ``(RunResult, EnergyReport)`` pairs
-  (and Figure 6's placement curve, under a key of its own);
+* :class:`ResultCache` - the content-addressed store of finished
+  points (and of Figure 6's placement curve) under ``~/.cache/repro``
+  (override with ``REPRO_CACHE_DIR``), keyed by :meth:`DesignPoint.
+  cache_key`;
 * :class:`SweepRunner` - fans a batch of design points across a pool
   of spawned worker processes that lives as long as the runner
   (:mod:`repro.experiments.supervisor`), checking the cache first and
@@ -42,7 +41,6 @@ import os
 import pickle
 import random
 import signal
-import tempfile
 import threading
 import time
 import warnings
@@ -52,17 +50,15 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from ..checkpoint import (CheckpointSpec, SimCheckpoint, CHECKPOINT_FORMAT,
-                          checkpoint_path, discard_checkpoint,
-                          load_checkpoint, save_checkpoint)
 from ..config import SimConfig, stable_hash
-from ..errors import (DeadlockError, LivelockError, RunTimeout,
-                      SimulationHang, SweepInterrupted)
+from ..errors import (CreditAccountingError, DeadlockError, LivelockError,
+                      RunTimeout, SimulationError, SimulationHang,
+                      SweepInterrupted)
 from ..faults import FaultPlan
 from ..metrics.spec import MetricsSpec
 from .journal import (SweepJournal, SweepOutcome, completed_outcomes,
-                      decode_outcome, encode_outcome, load_journal)
-from .journal import _content_checksum  # noqa: F401 - tests read it here
+                      decode_outcome, encode_outcome, load_journal, seal,
+                      unseal, write_atomic)
 from ..noc.backend import resolve_backend, select_kernel
 from ..power.model import PowerModel
 from ..trace.spec import TraceSpec
@@ -72,6 +68,7 @@ from ..traffic.parsec import PROFILES, make_traffic
 if TYPE_CHECKING:  # pragma: no cover
     # Describing, keying and looking up a point must not load the
     # simulator (DESIGN.md section 2): what runs one imports it there.
+    from ..checkpoint import CheckpointSpec
     from ..noc.network import Network
 
 #: Bump when the cache file layout changes; invalidates old entries.
@@ -82,7 +79,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: 5: cache keys fold in the resolved fast-mode flag (soa fast kernel).
 #: 6: the fast-mode flag left the key (one soa kernel); the backend
 #:    field records :func:`repro.noc.network.select_kernel`'s choice.
-CACHE_FORMAT = 6
+#: 7: sealed entries: the checksum covers the stored ``body`` text.
+CACHE_FORMAT = 7
 
 #: ``DesignPoint.network`` value selecting the bufferless datapath
 #: (Section 6.8 discussion) instead of the standard ``Network``.
@@ -120,9 +118,7 @@ class TrafficSpec:
         return TRAFFIC_KINDS[self.kind](self, mesh)
 
     def to_key(self) -> Dict[str, object]:
-        return {"kind": self.kind, "rate": self.rate,
-                "benchmark": self.benchmark, "seed": self.seed,
-                "hotspots": list(self.hotspots), "fraction": self.fraction}
+        return {**vars(self), "hotspots": list(self.hotspots)}
 
 
 def _synthetic(factory: str, *fields: str):
@@ -320,6 +316,7 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
     a crash or timeout, resuming from it instead of cycle 0.  The file
     is removed on success.
     """
+    from .. import checkpoint as ck
     cfg = point.cfg
     bufferless = point.network == BUFFERLESS_NETWORK
     # The bufferless datapath is not instrumented; runner-wide trace /
@@ -334,8 +331,8 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
         from ..noc.network import Network, RunProgress
         if spec is not None:
             key = point.cache_key()
-            path = checkpoint_path(spec, point_basename(point))
-            ckpt = load_checkpoint(path, key=key, code=code_version())
+            path = ck.checkpoint_path(spec, point_basename(point))
+            ckpt = ck.load_checkpoint(path, key=key, code=code_version())
         if ckpt is not None:
             # The snapshot carries the observers and the effects of the
             # prepare hook, so neither is built or applied again.
@@ -365,8 +362,8 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
             if prog.total_cycles_done - last_saved < spec.interval:
                 return
             last_saved = prog.total_cycles_done
-            save_checkpoint(path, SimCheckpoint(
-                version=CHECKPOINT_FORMAT,
+            ck.save_checkpoint(path, ck.SimCheckpoint(
+                version=ck.CHECKPOINT_FORMAT,
                 key=key,
                 code=code_version(),
                 cycle=n.now,
@@ -386,7 +383,7 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
     if elapsed > 0:
         result.simulated_cycles_per_sec = net.now / elapsed
     if spec is not None:
-        discard_checkpoint(path)
+        ck.discard_checkpoint(path)
     report = PowerModel(cfg).evaluate(result)
     if not bufferless:
         if net.trace is not None:
@@ -503,10 +500,11 @@ def _guarded_execute(point: DesignPoint,
         # the runner's interrupt path (journal flush, resume hint) owns
         # it, so it must not be contained here.
         raise
-    except SimulationHang as exc:
-        return ("hang", str(exc), exc.diagnostics)
     except RunTimeout as exc:
         return ("timeout", str(exc), {})
+    except SimulationError as exc:  # typed: its diagnostics ride along
+        kind = "hang" if isinstance(exc, SimulationHang) else "error"
+        return (kind, str(exc), exc.diagnostics)
     except Exception as exc:  # noqa: BLE001 - contained, reported upstream
         return ("error", f"{type(exc).__name__}: {exc}", {})
     finally:
@@ -533,14 +531,15 @@ class FailedRun:
 
     def to_exception(self) -> Exception:
         """Rebuild the failure as a raisable typed exception."""
-        if self.kind == "hang":
-            cls = {"deadlock": DeadlockError,
-                   "livelock": LivelockError}.get(
-                       self.diagnostics.get("kind"), SimulationHang)
-            return cls(self.message, self.diagnostics)
         if self.kind == "timeout":
             return RunTimeout(self.message)
-        return RuntimeError(self.message)
+        cls = {"deadlock": DeadlockError, "livelock": LivelockError,
+               "credit-accounting": CreditAccountingError}.get(
+                   self.diagnostics.get("kind"),
+                   SimulationHang if self.kind == "hang" else None)
+        if cls is None:
+            return RuntimeError(self.message)
+        return cls(self.message, self.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -584,20 +583,18 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Content-addressed store of checksummed JSON records.
+    """Content-addressed store of sealed JSON records.
 
-    One JSON file per key under the cache directory: ``format``, ``key``
-    and the record a codec makes of the value.  By default the value is
-    a design point's ``(RunResult, EnergyReport)`` pair and the record
-    is :func:`repro.experiments.journal.encode_outcome`'s (``result``,
-    ``energy``, ``sha256`` - what a journal ``done`` record carries
-    too); an analysis that depends only on the code (Figure 6's
-    placement curve) passes its own encode/decode pair.  Writes are
-    atomic (temp file + rename) so concurrent runners can share a cache.
-    A stale-format file reads as a miss (it will simply be overwritten);
-    an *unreadable* file - truncated JSON, wrong value shapes, values
-    that do not match their checksum, a ``key`` that is not the one it
-    is filed under, I/O error - is quarantined: renamed to
+    One JSON file per key: ``format``, ``key`` and the ``body`` /
+    ``sha256`` pair :func:`~repro.experiments.journal.seal` makes of the
+    dict a codec makes of the value (by default a design point's
+    ``(RunResult, EnergyReport)``, the fields a journal ``done`` record
+    carries too; Figure 6's placement curve passes its own codec).
+    Writes are atomic (temp file + rename) so concurrent runners can
+    share a cache.  A stale-format file reads as a miss (it will simply
+    be overwritten); an *unreadable* file - truncated JSON, a body that
+    does not match its checksum or its codec, a ``key`` that is not the
+    one it is filed under, I/O error - is quarantined: renamed to
     ``<key>.corrupt`` (preserved for post-mortem, never re-read) and
     counted in ``self.quarantined``.
     """
@@ -617,9 +614,9 @@ class ResultCache:
 
     def get(self, key: str,
             decode: Callable[[Dict[str, Any]], Any] = decode_outcome) -> Any:
-        """The value filed under ``key``, or None.  ``decode`` turns a
-        stored record into its value, or None when the record cannot be
-        trusted (for outcome records: :func:`decode_outcome`)."""
+        """The value filed under ``key``, or None.  ``decode`` maps the
+        verified body's dict back to its value (for outcome records:
+        :func:`decode_outcome`)."""
         path = self.path_for(key)
         try:
             data = json.loads(path.read_text())
@@ -631,15 +628,11 @@ class ResultCache:
             return self._quarantine(path)
         if data.get("format") != CACHE_FORMAT:
             return None  # stale format: an honest miss, not corruption
-        if data.get("key") != key:
-            # A record copied or restored under another key's name: its
-            # checksum holds, but it answers a different question.
-            return self._quarantine(path)
-        value = decode(data)
-        if value is None:
-            # Parses as JSON but the values are not what was written.
-            return self._quarantine(path)
-        return value
+        # A record filed under another key's name passes its checksum but
+        # answers a different question; a body that is not what was
+        # written fails it.
+        value = unseal(data, decode) if data.get("key") == key else None
+        return self._quarantine(path) if value is None else value
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside so it reads as a miss forever."""
@@ -653,23 +646,15 @@ class ResultCache:
     def put(self, key: str, value: Any,
             encode: Callable[[Any], Dict[str, Any]] = encode_outcome
             ) -> None:
-        """File ``value`` under ``key`` as the record ``encode`` makes of
+        """File ``value`` under ``key`` as the dict ``encode`` makes of
         it (for outcome records: :func:`encode_outcome`)."""
-        payload = {"format": CACHE_FORMAT, "key": key, **encode(value)}
-        directory = self.directory
-        directory.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(blob)
-            os.replace(tmp, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        self.put_sealed(key, seal(encode(value)))
+
+    def put_sealed(self, key: str, sealed: Dict[str, str]) -> None:
+        """File what :func:`~repro.experiments.journal.seal` made."""
+        payload = {"format": CACHE_FORMAT, "key": key, **sealed}
+        write_atomic(self.path_for(key), json.dumps(
+            payload, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed."""
@@ -910,15 +895,19 @@ class SweepRunner:
 
         def point_complete(i: int, tag: GuardedOutcome) -> None:
             """Fires as each point finishes - before any later crash."""
-            if tag[0] == "ok":
-                # Recorded immediately (not at end-of-round) so an
-                # interrupt mid-round still counts and returns it.
-                outcomes[i] = tag[1]
-                if self.use_cache and keys[i] is not None:
-                    self.cache.put(keys[i], tag[1])
-                if self._journal is not None:  # encoding is not free
-                    self._journal.append({"ev": "done", "key": keys[i],
-                                          **encode_outcome(tag[1])})
+            if tag[0] != "ok":
+                return
+            # Recorded immediately (not at end-of-round) so an interrupt
+            # mid-round still counts and returns it.
+            outcomes[i] = tag[1]
+            if not self.use_cache and self._journal is None:
+                return
+            sealed = seal(encode_outcome(tag[1]))  # one encoding, both stores
+            if self.use_cache:
+                self.cache.put_sealed(keys[i], sealed)
+            if self._journal is not None:
+                self._journal.append({"ev": "done", "key": keys[i],
+                                      **sealed})
 
         try:
             # Execute misses in rounds: round 0 is the first attempt,

@@ -69,7 +69,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..config import Design, SimConfig
 from ..core.ring import BypassRing, build_ring
-from ..errors import DeadlockError, LivelockError
+from ..errors import CreditAccountingError, DeadlockError, LivelockError
 from ..faults import ALL_LINKS, FaultPlan, FaultState, LinkFault
 from ..powergate.controller import (GateInputs, NoPGController,
                                     PowerGateController, PowerState,
@@ -1121,8 +1121,14 @@ class Network:
                         continue  # already clamped
                     c = base + vc_id
                     if credit[c] != maxc[c]:
-                        raise RuntimeError(
-                            "gating with unaccounted credits in flight")
+                        diag = {"node": node, "predecessor": pred,
+                                "vc": vc_id, "credit": credit[c],
+                                "max": maxc[c], "cycle": self.now,
+                                "credits_lost": self.stats.credits_lost}
+                        raise CreditAccountingError(
+                            "gating with unaccounted credits in flight ("
+                            + ", ".join(f"{k} {v}" for k, v in diag.items())
+                            + ")", {"kind": "credit-accounting", **diag})
                     maxc[c] = limit
                     if credit[c] > limit:
                         credit[c] = limit

@@ -1,8 +1,9 @@
 """Crash-safety satellites: cache checksums, retry jitter, watchdog.
 
-* the result cache carries a SHA-256 content checksum; an entry whose
-  values were silently altered (bit rot, truncation that still parses)
-  is quarantined as ``<key>.corrupt`` instead of being served;
+* a result-cache entry is a sealed record: a SHA-256 over its stored
+  ``body`` text; an entry whose body or checksum was silently altered
+  (bit rot, truncation that still parses) is quarantined as
+  ``<key>.corrupt`` instead of being served;
 * retry backoff uses *full jitter* with a hard ceiling, so a fleet of
   recovering runners cannot synchronize into a thundering herd;
 * where ``SIGALRM`` cannot fire (non-main thread), ``--timeout`` is
@@ -10,6 +11,7 @@
   being silently dropped.
 """
 
+import hashlib
 import json
 import threading
 import warnings
@@ -18,10 +20,11 @@ import pytest
 
 from repro.config import Design, NoCConfig, SimConfig
 from repro.experiments import parallel
+from repro.experiments.journal import encode_outcome
 from repro.experiments.parallel import (CACHE_FORMAT, DesignPoint,
                                         ResultCache, SweepRunner,
-                                        _content_checksum,
                                         _guarded_execute, uniform_spec)
+from tests.sealed import TAMPER
 
 
 def point(measure=400, drain=600):
@@ -42,8 +45,14 @@ def test_cache_entries_carry_content_checksum(tmp_path):
     assert tag[0] == "ok"
     cache.put(p.cache_key(), tag[1])
     data = json.loads(cache.path_for(p.cache_key()).read_text())
+    assert set(data) == {"format", "key", "body", "sha256"}
     assert data["format"] == CACHE_FORMAT
-    assert data["sha256"] == _content_checksum(data)
+    # The checksum is over the stored bytes, and the body is the
+    # canonical JSON of the codec's dict.
+    assert data["sha256"] == hashlib.sha256(
+        data["body"].encode("utf-8")).hexdigest()
+    assert data["body"] == json.dumps(encode_outcome(tag[1]),
+                                      sort_keys=True, separators=(",", ":"))
     assert cache.get(p.cache_key()) is not None
     assert cache.quarantined == 0
 
@@ -56,7 +65,9 @@ def test_tampered_value_is_quarantined(tmp_path):
     cache.put(p.cache_key(), _guarded_execute(p, None)[1])
     path = cache.path_for(p.cache_key())
     data = json.loads(path.read_text())
-    data["result"]["cycles"] += 1
+    body = json.loads(data["body"])
+    body["result"]["cycles"] += 1
+    data["body"] = json.dumps(body, sort_keys=True, separators=(",", ":"))
     path.write_text(json.dumps(data))
 
     assert cache.get(p.cache_key()) is None
@@ -66,6 +77,22 @@ def test_tampered_value_is_quarantined(tmp_path):
     assert corrupt.exists(), "quarantined entry kept for post-mortem"
     # Quarantine is sticky: the slot reads as a miss from now on.
     assert cache.get(p.cache_key()) is None
+
+
+@pytest.mark.parametrize("edit", sorted(TAMPER))
+def test_edited_envelope_is_quarantined(tmp_path, edit):
+    """One character of the stored body, or of its checksum: still
+    valid JSON, never served."""
+    cache = ResultCache(tmp_path)
+    p = point()
+    cache.put(p.cache_key(), _guarded_execute(p, None)[1])
+    path = cache.path_for(p.cache_key())
+    data = json.loads(path.read_text())
+    TAMPER[edit](data)
+    path.write_text(json.dumps(data))
+    assert cache.get(p.cache_key()) is None
+    assert cache.quarantined == 1
+    assert path.with_suffix(".corrupt").exists()
 
 
 def test_record_under_another_key_is_quarantined(tmp_path):
@@ -125,6 +152,25 @@ def test_stale_format_is_a_miss_not_corruption(tmp_path):
     assert cache.get(p.cache_key()) is None
     assert cache.quarantined == 0
     assert path.exists()  # left in place to be overwritten
+
+
+def test_format_6_entry_is_a_miss_not_corruption(tmp_path):
+    """An entry of the last unsealed format (values inline, checksum over
+    their re-serialisation) is an honest miss, overwritten by the next
+    put."""
+    cache = ResultCache(tmp_path)
+    p = point()
+    outcome = _guarded_execute(p, None)[1]
+    values = encode_outcome(outcome)
+    blob = json.dumps(values, sort_keys=True, separators=(",", ":"))
+    path = cache.path_for(p.cache_key())
+    path.write_text(json.dumps(
+        {"format": 6, "key": p.cache_key(), **values,
+         "sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest()}))
+    assert cache.get(p.cache_key()) is None
+    assert cache.quarantined == 0
+    cache.put(p.cache_key(), outcome)
+    assert cache.get(p.cache_key()) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ for CI.  The PARSEC sweep is shared through the experiments' cache, so the
 whole module costs one sweep.
 """
 
+import dataclasses
 import json
 import math
 
@@ -25,6 +26,7 @@ from repro.experiments.common import (SCALES, build_config, get_scale,
                                       geomean, mean, parsec_sweep)
 from repro.experiments.parallel import ResultCache, SweepRunner
 from repro.experiments.runner import EXPERIMENTS, run_experiment
+from tests.sealed import TAMPER
 
 SCALE = "smoke"
 SEED = 1
@@ -140,18 +142,25 @@ class TestFig6Cache:
         assert len(searches) == 2
         assert not runner.cache.directory.exists()
 
-    @pytest.mark.parametrize("damage", ["tampered", "truncated"])
+    @pytest.mark.parametrize("damage",
+                             ["tampered", "truncated"] + sorted(TAMPER))
     def test_damaged_record_is_quarantined_and_recomputed(
             self, searches, install, damage):
         runner = install()
         computed = fig6_placement.run()
         path = self.record(runner)
+        data = json.loads(path.read_text())
         if damage == "tampered":  # still valid JSON, checksum left as is
-            data = json.loads(path.read_text())
-            data["analysis"]["curve"][6][1] += 0.5
-            path.write_text(json.dumps(data))
-        else:
+            body = json.loads(data["body"])
+            body["curve"][6][1] += 0.5
+            data["body"] = json.dumps(body, sort_keys=True,
+                                      separators=(",", ":"))
+        elif damage in TAMPER:
+            TAMPER[damage](data)
+        if damage == "truncated":
             path.write_text(path.read_text()[:100])
+        else:
+            path.write_text(json.dumps(data))
         assert fig6_placement.run() == computed
         assert len(searches) == 2
         assert runner.cache.quarantined == 1
@@ -184,6 +193,31 @@ class TestFig6Cache:
             assert lines[2].startswith("[fig6 took ")
             assert lines[2].endswith("; cache: 0 hits, 0 misses]")
             assert lines[-1].endswith("; cache: 0 hits, 0 misses]")
+
+
+class TestConfigKeys:
+    def test_to_dict_is_asdict_for_every_experiment_config(
+            self, monkeypatch):
+        """``SimConfig.to_dict`` (what every cache key hashes) builds
+        what ``dataclasses.asdict`` would, for every config the
+        experiments submit: recorded by a runner that answers every
+        point with one real outcome instead of simulating it."""
+        outcome = SweepRunner(use_cache=False).run_one(parallel.DesignPoint(
+            cfg=build_config(Design.NORD, SCALE),
+            traffic=parallel.uniform_spec(0.05)))
+        configs = []
+
+        class Recorder(SweepRunner):
+            def run(self, points):
+                configs.extend(point.cfg for point in points)
+                return [outcome] * len(points)
+        monkeypatch.setattr(parallel, "_default_runner",
+                            Recorder(use_cache=False))
+        for name in EXPERIMENTS:
+            run_experiment(name, SCALE, SEED)
+        assert len(set(configs)) >= 10
+        for cfg in set(configs):
+            assert cfg.to_dict() == dataclasses.asdict(cfg), cfg
 
 
 class TestFig7:

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import Design
-from repro.errors import DeadlockError, SimulationHang
+from repro.errors import CreditAccountingError, DeadlockError, SimulationHang
 from repro.experiments.common import build_config
 from repro.faults import (ALL_LINKS, FaultPlan, FaultState, LinkFault,
                           RouterFailure, WakeupFault)
@@ -259,6 +259,58 @@ class TestLinkFaults:
             seen[net.backend] = (type(err), net.now, str(err),
                                  err.diagnostics, net.stats.credits_lost)
         assert seen["soa"] == seen["ref"]
+
+    #: NoRD loses a credit its ring predecessor is owed, then the owed
+    #: router gates off (cycle 38, after 9 lost credits).
+    NORD_CREDIT_LOSS = dict(design=Design.NORD, seed=1, rate=0.05,
+                            plan=FaultPlan.uniform_link_noise(
+                                credit_loss_rate=0.05, seed=1))
+
+    def test_nord_credit_loss_stops_typed_on_both_kernels(self):
+        """The gate-off clamp meets an unaccounted credit: a typed error
+        naming the router, the predecessor's VC and its count, the same
+        on both kernels."""
+        case = self.NORD_CREDIT_LOSS
+        cfg = build_config(case["design"], "smoke", seed=case["seed"])
+        seen = {}
+        for backend in (None, "ref"):
+            net = Network(cfg, fault_plan=case["plan"], backend=backend)
+            with pytest.raises(CreditAccountingError) as excinfo:
+                net.run(uniform_random(net.mesh, case["rate"],
+                                       seed=case["seed"]))
+            err = excinfo.value
+            assert isinstance(err, RuntimeError)
+            diag = err.diagnostics
+            assert diag["kind"] == "credit-accounting"
+            assert diag["cycle"] == net.now
+            assert diag["credits_lost"] == net.stats.credits_lost > 0
+            assert diag["predecessor"] == net.ring.predecessor[diag["node"]]
+            assert diag["credit"] < diag["max"]
+            seen[net.backend] = (type(err), net.now, str(err), diag)
+        assert seen["soa"] == seen["ref"]
+
+    def test_nord_credit_loss_is_a_recorded_failure(self):
+        """In a partial sweep the point fails once (deterministic: no
+        retry), keeps its diagnostics and rebuilds as the typed error."""
+        from repro.experiments.parallel import (DesignPoint, SweepRunner,
+                                                uniform_spec)
+        case = self.NORD_CREDIT_LOSS
+        point = DesignPoint(
+            cfg=build_config(case["design"], "smoke", seed=case["seed"]),
+            traffic=uniform_spec(case["rate"], seed=case["seed"]),
+            faults=case["plan"])
+        runner = SweepRunner(use_cache=False, partial=True, retries=2,
+                             retry_backoff=0.0)
+        assert runner.run([point]) == [None]
+        failed, = runner.failures
+        assert (failed.kind, failed.attempts) == ("error", 1)
+        assert runner.stats.retried == 0
+        assert failed.diagnostics["kind"] == "credit-accounting"
+        assert failed.diagnostics["cycle"] == 38
+        err = failed.to_exception()
+        assert type(err) is CreditAccountingError
+        assert (str(err), err.diagnostics) == (failed.message,
+                                               failed.diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ SRC = ROOT / "src"
 SIMULATOR = ("repro.noc.network", "repro.noc.soa", "repro.noc.router",
              "repro.noc.ni", "repro.metrics.sampler", "repro.trace.recorder")
 
+#: What only a miss runs: the checkpoint writer (inside a point's run),
+#: the ring builder and Fig. 6's placement search.
+MISS_ONLY = ("repro.checkpoint", "repro.core.ring", "repro.core.placement")
+
 PACKAGES = ("core", "metrics", "noc", "power", "powergate", "routing",
             "stats", "trace", "traffic")
 
@@ -68,17 +72,18 @@ SUBSET = ("import runpy, sys\n"
 def test_cached_run_all_loads_no_simulator_module(tmp_path):
     """A ``--jobs 1`` miss imports the simulator in-process; the same
     command served from the cache it filled prints the same report
-    without importing any of it."""
+    without importing any of it, nor what only a miss runs."""
     argv = (str(ROOT / "bench" / "repro_subset.py"), "fig3,fig6,resilience",
             "run-all", "--scale", "smoke", "--jobs", "1", "--seed", "1")
     fill, loaded = child(SUBSET, *argv, cache=tmp_path)
     assert " 0 hits, " in fill[-1] and " 0 misses" not in fill[-1]
     # (the sampler only ever loads for a run that asks for metrics)
     assert set(SIMULATOR) - {"repro.metrics.sampler"} <= set(loaded)
+    assert set(MISS_ONLY) <= set(loaded)
 
     cached, loaded = child(SUBSET, *argv, cache=tmp_path)
     assert " 0 misses" in cached[-1]
-    assert not set(SIMULATOR) & set(loaded), loaded
+    assert not set(SIMULATOR + MISS_ONLY) & set(loaded), loaded
 
     def report(lines):
         return [line for line in lines if " took " not in line]

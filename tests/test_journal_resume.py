@@ -23,6 +23,7 @@ from repro.experiments.journal import (JOURNAL_FORMAT, SweepJournal,
                                        load_journal)
 from repro.experiments.parallel import (DesignPoint, SweepRunner,
                                         uniform_spec)
+from tests.sealed import TAMPER
 
 
 def points(n=3):
@@ -130,7 +131,8 @@ def test_journaled_sweep_records_lifecycle(tmp_path):
     # done records embed the full payload (resume without the cache).
     for record in records:
         if record["ev"] == "done":
-            assert record["result"] and record["energy"]
+            body = json.loads(record["body"])
+            assert body["result"] and body["energy"]
 
 
 def test_resume_skips_completed_points(tmp_path):
@@ -211,8 +213,11 @@ def test_altered_done_record_is_rerun_not_laundered(tmp_path):
     (want, _), = SweepRunner(jobs=1, use_cache=False,
                              journal_path=journal).run(pts)
 
-    def add_latency(record):
-        record["result"]["total_latency"] += 1000
+    def add_latency(record):  # valid JSON, checksum left as it was
+        body = json.loads(record["body"])
+        body["result"]["total_latency"] += 1000
+        record["body"] = json.dumps(body, sort_keys=True,
+                                    separators=(",", ":"))
 
     _rewrite_done(journal, add_latency)
     cache = ResultCache(tmp_path / "cache")
@@ -231,6 +236,36 @@ def test_altered_done_record_is_rerun_not_laundered(tmp_path):
                      if r["ev"] == "sweep")
     assert [r["ev"] for r in records[last_sweep:]] == \
         ["sweep", "queued", "leased", "done"]
+
+
+@pytest.mark.parametrize("edit", sorted(TAMPER) + ["format-1"])
+def test_untrusted_done_record_reruns_that_point(tmp_path, edit):
+    """One character of a ``done`` record's body or checksum, or a
+    record of the last unsealed journal format: ``--resume`` runs that
+    point again, and only that one."""
+    pts = points(2)
+    journal = tmp_path / "j.jsonl"
+    SweepRunner(jobs=1, use_cache=False, journal_path=journal).run(pts)
+    victim = pts[1].cache_key()
+    lines = []
+    for line in journal.read_text().splitlines():
+        record = json.loads(line)
+        if record["ev"] == "done" and record["key"] == victim:
+            if edit == "format-1":  # values inline, as format 1 wrote them
+                record.update(json.loads(record.pop("body")), format=1)
+            else:
+                TAMPER[edit](record)
+        lines.append(json.dumps(record))
+    journal.write_text("\n".join(lines) + "\n")
+    assert set(completed_outcomes(load_journal(journal))) \
+        == {pts[0].cache_key()}
+    resumed = SweepRunner(jobs=1, use_cache=False, journal_path=journal,
+                          resume=True)
+    resumed.run(pts)
+    assert (resumed.stats.resumed, resumed.stats.executed) == (1, 1)
+    records = load_journal(journal)
+    last_sweep = max(i for i, r in enumerate(records) if r["ev"] == "sweep")
+    assert executed_keys(records[last_sweep:]) == [victim]
 
 
 def test_done_record_without_checksum_is_not_resumed(tmp_path):
@@ -256,7 +291,7 @@ def test_cache_entry_and_done_record_are_one_record(tmp_path):
                 journal_path=journal).run(pts)
     entry = json.loads(cache.path_for(pts[0].cache_key()).read_text())
     done, = [r for r in load_journal(journal) if r["ev"] == "done"]
-    for name in ("result", "energy", "sha256"):
+    for name in ("body", "sha256"):
         assert entry[name] == done[name], name
     assert len(done["sha256"]) == 64
 
