@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..config import Design, NoCConfig, SimConfig
-from .journal import executed_keys, load_journal
+from .journal import encode_outcome, executed_keys, load_journal
 from .parallel import (DesignPoint, ResultCache, SweepRunner, tornado_spec,
                        uniform_spec)
 
@@ -58,9 +58,7 @@ def chaos_points() -> List[DesignPoint]:
 
 def canonical_results(outcomes) -> str:
     """Byte-stable JSON rendering of a sweep's outcomes."""
-    payload = [None if outcome is None
-               else {"result": outcome[0].to_dict(),
-                     "energy": outcome[1].to_dict()}
+    payload = [None if outcome is None else encode_outcome(outcome)
                for outcome in outcomes]
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

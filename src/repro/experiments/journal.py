@@ -26,7 +26,10 @@ text of :func:`encode_outcome`'s dict and ``sha256`` the digest of its
 bytes.  A result-cache entry (:class:`repro.experiments.parallel.
 ResultCache`) carries the same two fields, and both stores read back
 through :func:`unseal`, so nothing is handed back whose stored bytes do
-not match their checksum.
+not match their checksum.  In that body the result's router counters
+are rows and its idle histograms ``[length, count]`` pairs
+(:meth:`repro.stats.collector.RunResult.to_dict`); a row of the wrong
+length does not decode, so its point is not resumed.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ from ..stats.collector import RunResult
 
 #: Bump on incompatible record-shape changes; ``--resume`` ignores
 #: journals written by other versions rather than misreading them
-#: (2: ``done`` records carry a sealed ``body``).
-JOURNAL_FORMAT = 2
+#: (2: ``done`` records carry a sealed ``body``; 3: that body stores
+#: router counters as rows and idle histograms as pairs).
+JOURNAL_FORMAT = 3
 
 SweepOutcome = Tuple[RunResult, EnergyReport]
 

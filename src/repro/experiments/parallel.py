@@ -80,7 +80,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: 6: the fast-mode flag left the key (one soa kernel); the backend
 #:    field records :func:`repro.noc.network.select_kernel`'s choice.
 #: 7: sealed entries: the checksum covers the stored ``body`` text.
-CACHE_FORMAT = 7
+#: 8: the body stores router counters as rows and idle histograms as
+#:    ``[length, count]`` pairs (:meth:`RunResult.to_dict`).
+CACHE_FORMAT = 8
 
 #: ``DesignPoint.network`` value selecting the bufferless datapath
 #: (Section 6.8 discussion) instead of the standard ``Network``.

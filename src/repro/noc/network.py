@@ -1458,7 +1458,8 @@ class Network:
         for node in range(self.mesh.num_nodes):
             ni = self.nis[node]
             c = self.controllers[node]
-            # buffer reads and crossbar traversals are SA grants
+            # RouterActivity's field order, minus idle_cycles; buffer
+            # reads and crossbar traversals are SA grants
             snap["routers"].append((
                 c.cycles_on, c.cycles_off, c.cycles_waking, c.wakeups,
                 c.gate_offs, nbw[node], nsa[node], nsa[node], nva[node],
@@ -1495,15 +1496,9 @@ class Network:
             idle_periods=dict(s.idle_periods),
             censored_idle_periods=dict(s.censored_idle_periods),
         )
-        fields = ("cycles_on", "cycles_off", "cycles_waking", "wakeups",
-                  "gate_offs", "buffer_writes", "buffer_reads",
-                  "xbar_traversals", "va_grants", "sa_grants",
-                  "ni_latch_writes", "ni_bypass_forwards",
-                  "ni_injected_flits", "ni_ejected_flits", "ni_vc_requests")
-        for node in range(self.mesh.num_nodes):
-            deltas = [e - b for b, e in zip(start["routers"][node],
-                                            end["routers"][node])]
-            activity = RouterActivity(**dict(zip(fields, deltas)))
-            activity.idle_cycles = s.idle_cycles[node]
-            result.routers.append(activity)
+        for node, (before, after) in enumerate(zip(start["routers"],
+                                                   end["routers"])):
+            result.routers.append(RouterActivity(
+                *[e - b for b, e in zip(before, after)],
+                s.idle_cycles[node]))
         return result

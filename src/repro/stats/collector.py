@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
@@ -46,13 +47,6 @@ class RouterActivity:
     def off_fraction(self) -> float:
         total = self.total_cycles
         return self.cycles_off / total if total else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RouterActivity":
-        return cls(**data)
 
 
 @dataclass
@@ -167,39 +161,44 @@ class RunResult:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe dict; inverse of :meth:`from_dict`.
 
-        ``idle_periods`` keys become strings (JSON objects only have
-        string keys) and are restored to ints on load.
+        Scalars by name; ``routers`` as rows in :data:`ROUTER_FIELDS`
+        order; the idle histograms as ascending ``[length, count]``
+        pairs (JSON object keys would be strings).
         """
-        data = dataclasses.asdict(self)
-        data["idle_periods"] = {str(k): v
-                                for k, v in self.idle_periods.items()}
-        data["censored_idle_periods"] = {
-            str(k): v for k, v in self.censored_idle_periods.items()}
-        # Host-timing and provenance fields never serialize: cached
-        # results would otherwise differ byte-for-byte between
-        # producing machines (or kernels).
-        for name in _UNSERIALIZED:
-            data.pop(name, None)
+        data = {name: getattr(self, name) for name in _SCALARS}
+        data["routers"] = [list(_router_row(a)) for a in self.routers]
+        data["idle_periods"] = [list(p)
+                                for p in sorted(self.idle_periods.items())]
+        data["censored_idle_periods"] = [
+            list(p) for p in sorted(self.censored_idle_periods.items())]
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
-        data = dict(data)
-        data["routers"] = [RouterActivity.from_dict(r)
-                           for r in data.get("routers", [])]
-        data["idle_periods"] = {int(k): v
-                                for k, v in data.get("idle_periods",
-                                                     {}).items()}
-        data["censored_idle_periods"] = {
-            int(k): v
-            for k, v in data.get("censored_idle_periods", {}).items()}
-        for name in _UNSERIALIZED:
-            data.pop(name, None)
-        return cls(**data)
+        """Raises ``ValueError`` for a router row that is not one value
+        per field: every field has a default, so a short row would
+        otherwise load as zeros."""
+        rows = data["routers"]
+        width = len(ROUTER_FIELDS)
+        if set(map(len, rows)) - {width}:
+            raise ValueError(f"router rows must hold {width} values")
+        return cls(**{
+            **data, "routers": [RouterActivity(*row) for row in rows],
+            "idle_periods": dict(data["idle_periods"]),
+            "censored_idle_periods": dict(data["censored_idle_periods"])})
 
 
-#: ``RunResult`` fields that describe the producing run, not its outcome.
-_UNSERIALIZED = ("wall_clock_s", "simulated_cycles_per_sec", "kernel")
+#: ``RouterActivity``'s fields in declaration order: the order of a
+#: stored router row.
+ROUTER_FIELDS = tuple(f.name for f in dataclasses.fields(RouterActivity))
+_router_row = attrgetter(*ROUTER_FIELDS)
+
+#: ``RunResult``'s scalar fields, stored by name.  Only what equality
+#: compares is stored: host timing and the producing kernel would make
+#: a cached result differ byte for byte between machines (or kernels).
+_SCALARS = tuple(
+    f.name for f in dataclasses.fields(RunResult) if f.compare
+    and f.name not in ("routers", "idle_periods", "censored_idle_periods"))
 
 
 class StatsCollector:

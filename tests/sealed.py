@@ -5,7 +5,15 @@ journal ``done`` record carries the same ``body`` and ``sha256``
 (:func:`repro.experiments.journal.seal`).  Every edit here leaves the
 record valid JSON, so only the checksum over the stored body can catch
 it.  Shared by the cache, journal and Fig. 6 tests.
+
+:data:`RESEALED` edits an outcome record's first router row and seals
+it again, so its checksum is valid: only the decoder's row-length guard
+can catch those.
 """
+
+import json
+
+from repro.experiments.journal import seal
 
 
 def bump_digit(text):
@@ -28,3 +36,17 @@ def _sha256(record):
 
 #: name -> in-place edit of a parsed sealed record.
 TAMPER = {"body": _body, "sha256": _sha256}
+
+
+def _resealed_row(edit):
+    def apply(record):
+        body = json.loads(record["body"])
+        edit(body["result"]["routers"][0])
+        record.update(seal(body))
+    return apply
+
+
+#: name -> in-place edit of a parsed sealed outcome record that leaves
+#: its checksum valid: the first router row one value short or long.
+RESEALED = {"row-short": _resealed_row(lambda row: row.pop()),
+            "row-long": _resealed_row(lambda row: row.append(0))}

@@ -24,7 +24,7 @@ from repro.experiments.journal import encode_outcome
 from repro.experiments.parallel import (CACHE_FORMAT, DesignPoint,
                                         ResultCache, SweepRunner,
                                         _guarded_execute, uniform_spec)
-from tests.sealed import TAMPER
+from tests.sealed import RESEALED, TAMPER
 
 
 def point(measure=400, drain=600):
@@ -79,16 +79,18 @@ def test_tampered_value_is_quarantined(tmp_path):
     assert cache.get(p.cache_key()) is None
 
 
-@pytest.mark.parametrize("edit", sorted(TAMPER))
+@pytest.mark.parametrize("edit", sorted(TAMPER) + sorted(RESEALED))
 def test_edited_envelope_is_quarantined(tmp_path, edit):
     """One character of the stored body, or of its checksum: still
-    valid JSON, never served."""
+    valid JSON, never served.  Nor a router row one value short or
+    long under a valid checksum: a short row would load with its
+    missing counters as zeros."""
     cache = ResultCache(tmp_path)
     p = point()
     cache.put(p.cache_key(), _guarded_execute(p, None)[1])
     path = cache.path_for(p.cache_key())
     data = json.loads(path.read_text())
-    TAMPER[edit](data)
+    {**TAMPER, **RESEALED}[edit](data)
     path.write_text(json.dumps(data))
     assert cache.get(p.cache_key()) is None
     assert cache.quarantined == 1

@@ -23,7 +23,7 @@ from repro.experiments.journal import (JOURNAL_FORMAT, SweepJournal,
                                        load_journal)
 from repro.experiments.parallel import (DesignPoint, SweepRunner,
                                         uniform_spec)
-from tests.sealed import TAMPER
+from tests.sealed import RESEALED, TAMPER
 
 
 def points(n=3):
@@ -238,11 +238,13 @@ def test_altered_done_record_is_rerun_not_laundered(tmp_path):
         ["sweep", "queued", "leased", "done"]
 
 
-@pytest.mark.parametrize("edit", sorted(TAMPER) + ["format-1"])
+@pytest.mark.parametrize("edit",
+                         sorted(TAMPER) + sorted(RESEALED) + ["format-1"])
 def test_untrusted_done_record_reruns_that_point(tmp_path, edit):
-    """One character of a ``done`` record's body or checksum, or a
-    record of the last unsealed journal format: ``--resume`` runs that
-    point again, and only that one."""
+    """One character of a ``done`` record's body or checksum, a router
+    row one value short or long under a valid checksum, or a record of
+    the last unsealed journal format: ``--resume`` runs that point
+    again, and only that one."""
     pts = points(2)
     journal = tmp_path / "j.jsonl"
     SweepRunner(jobs=1, use_cache=False, journal_path=journal).run(pts)
@@ -254,7 +256,7 @@ def test_untrusted_done_record_reruns_that_point(tmp_path, edit):
             if edit == "format-1":  # values inline, as format 1 wrote them
                 record.update(json.loads(record.pop("body")), format=1)
             else:
-                TAMPER[edit](record)
+                {**TAMPER, **RESEALED}[edit](record)
         lines.append(json.dumps(record))
     journal.write_text("\n".join(lines) + "\n")
     assert set(completed_outcomes(load_journal(journal))) \

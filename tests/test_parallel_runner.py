@@ -112,14 +112,32 @@ class TestFingerprints:
 # ---------------------------------------------------------------------------
 class TestSerialization:
     def test_run_result_roundtrip(self):
-        result, energy = execute_point(smoke_points()[0])
-        clone = RunResult.from_dict(
-            json.loads(json.dumps(result.to_dict())))
-        assert clone == result
-        assert clone.idle_periods == result.idle_periods
-        assert all(isinstance(k, int) for k in clone.idle_periods)
-        assert clone.routers and isinstance(clone.routers[0],
-                                            RouterActivity)
+        """A stored result is rows and pairs, and loads back equal: 4x4
+        No_PG and NoRD, 8x8 NoRD, and the bufferless datapath."""
+        points = smoke_points() + [
+            DesignPoint(cfg=build_config(Design.NORD, "smoke", width=8,
+                                         height=8),
+                        traffic=uniform_spec(0.05, seed=1)),
+            DesignPoint(cfg=build_config(Design.NO_PG, "smoke"),
+                        traffic=uniform_spec(0.05, seed=1),
+                        network=parallel.BUFFERLESS_NETWORK)]
+        width = len(dataclasses.fields(RouterActivity))
+        for point in points:
+            result, _ = execute_point(point)
+            encoded = json.loads(json.dumps(result.to_dict()))
+            assert len(encoded["routers"]) == result.num_nodes
+            for row in encoded["routers"]:
+                assert isinstance(row, list) and len(row) == width
+                assert all(type(v) is int for v in row)
+            assert encoded["idle_periods"]
+            for name in ("idle_periods", "censored_idle_periods"):
+                assert all(len(pair) == 2 for pair in encoded[name])
+                lengths = [length for length, _ in encoded[name]]
+                assert lengths == sorted(set(lengths))
+            clone = RunResult.from_dict(encoded)
+            assert clone == result
+            assert all(isinstance(k, int) for k in clone.idle_periods)
+            assert isinstance(clone.routers[0], RouterActivity)
 
     def test_energy_report_roundtrip(self):
         _, energy = execute_point(smoke_points()[0])
