@@ -69,9 +69,8 @@ def _common() -> argparse.ArgumentParser:
                         help="pin the simulation kernel: the object-"
                              "graph reference ('ref') or the struct-of-"
                              "arrays kernel ('soa'); default: "
-                             "REPRO_BACKEND, then 'soa' unless the run "
-                             "forces dense scans ('ref'); traced and "
-                             "faulted runs stay on 'soa'")
+                             "REPRO_BACKEND, then 'soa' (traced and "
+                             "faulted runs too)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-run wall-clock budget in seconds "
                              "(default: unlimited)")

@@ -472,14 +472,20 @@ def _guarded_execute(point: DesignPoint,
     worker batch.  ``SIGALRM`` interrupts runs that exceed ``timeout``
     seconds; where it cannot fire (non-main thread, Windows) a watchdog
     thread enforces the same budget - with a one-time warning - instead
-    of the old behaviour of silently dropping the timeout.
+    of the old behaviour of silently dropping the timeout.  Either way a
+    run that outlives its budget reports ``timeout``, also when the
+    exception was lost: one raised inside a ``gc`` callback, say, is
+    reported as unraisable and dropped, and the run carries on.
     """
     use_alarm = (timeout is not None and hasattr(signal, "SIGALRM")
                  and threading.current_thread() is threading.main_thread())
     old_handler = None
     watchdog = None
+    alarmed = False
     if use_alarm:
         def _on_alarm(signum, frame):
+            nonlocal alarmed
+            alarmed = True
             raise RunTimeout(
                 f"run exceeded the {timeout:g}s wall-clock timeout")
 
@@ -496,7 +502,12 @@ def _guarded_execute(point: DesignPoint,
         watchdog = _Watchdog(threading.get_ident(), timeout)
         watchdog.start()
     try:
-        return ("ok", execute_point(point))
+        outcome = execute_point(point)
+        if alarmed or (watchdog is not None and watchdog._fired):
+            # the budget ran out, but its exception was lost
+            return ("timeout",
+                    f"run exceeded the {timeout:g}s wall-clock timeout", {})
+        return ("ok", outcome)
     except SweepInterrupted:
         # SIGINT/SIGTERM landing mid-run: not a failure of this point -
         # the runner's interrupt path (journal flush, resume hint) owns

@@ -170,8 +170,8 @@ def _discard(worker: _Worker, grace: float) -> None:
 
 
 def _repro_env() -> Dict[str, str]:
-    """The switches workers read at import or run time (``REPRO_BACKEND``,
-    ``REPRO_NO_SKIP``, ...): a pool spawned under one set must not serve
+    """The ``REPRO_*`` switches workers may read at import or run time
+    (``REPRO_BACKEND``, ...): a pool spawned under one set must not serve
     a sweep whose cache keys were computed under another."""
     return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
 

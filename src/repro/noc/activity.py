@@ -1,20 +1,17 @@
-"""Activity tracking for the quiescence-aware cycle kernel.
+"""Activity tracking for the soa kernel's skipping, and ``--profile``.
 
-``Network.step()`` exploits the sparsity the paper is built on (routers
-sit idle 30-70% of the time, Section 3.2): each phase visits only the
-components that can make progress this cycle, tracked in
-:class:`ActiveSet`\\ s that are updated on event edges (flit arrival,
-credit return, traffic injection, power-state change) instead of being
-recomputed by scanning every component every cycle.
+The soa kernel (:mod:`repro.noc.soa`) exploits the sparsity the paper
+is built on (routers sit idle 30-70% of the time, Section 3.2): each
+phase visits only the components that can make progress this cycle,
+tracked in :class:`ActiveSet`\\ s that are updated on event edges (flit
+arrival, latch write, traffic injection, power-state change) instead of
+being recomputed by scanning every component every cycle.
 
 The contract is *exact equivalence*: a component outside its active set
-must be provably a no-op for that phase, so a run with the skip layer
-enabled is byte-identical to one with it disabled (``REPRO_NO_SKIP=1``
-or ``Network(cfg, skip_inactive=False)`` - asserted by
-``tests/test_step_kernel.py`` and the CI smoke-diff job).  "Disabled"
-is not a second set of scans: each phase has one body, over these sets,
-and dense mode puts every component into its set at the top of every
-cycle.
+must be provably a no-op for that phase, so the skipping kernel is
+RunResult-identical to the reference kernel, which scans every
+component every cycle (asserted by tests/test_fast_mode_identity.py,
+tests/test_backend_identity.py and the drift CI job).
 
 This module also carries the ``--profile`` instrumentation: per-phase
 wall-clock accounting plus active-set occupancy counters, aggregated
@@ -33,10 +30,10 @@ PHASES = ("credit", "ni", "router", "link", "pg", "stats")
 class ActiveSet(set):
     """A set of component keys (ints or tuples) with ordered iteration.
 
-    ``sorted()`` yields members in ascending key order - the order a
-    scan over every component would take - so skipping performs the
-    surviving work in the *same relative order* as dense mode and
-    byte-identity does not rest on commutativity arguments.  Plain
+    ``sorted()`` yields members in ascending key order - the order the
+    reference's scan over every component takes - so skipping performs
+    the surviving work in the *same relative order* and byte-identity
+    does not rest on commutativity arguments.  Plain
     iteration is unordered: only for order-insensitive work.
     """
 
@@ -64,7 +61,8 @@ class KernelProfile:
     def __init__(self) -> None:
         self.cycles = 0
         self.seconds: Dict[str, float] = {p: 0.0 for p in PHASES}
-        #: Summed active-set sizes per phase (one sample per cycle).
+        #: Summed visited-component counts per phase (one sample per
+        #: cycle; every component, on the reference kernel).
         self.active: Dict[str, int] = {p: 0 for p in PHASES}
         #: Summed full-scan sizes per phase (the denominator).
         self.capacity: Dict[str, int] = {p: 0 for p in PHASES}

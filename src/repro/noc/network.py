@@ -30,33 +30,17 @@ a gated port (:meth:`Network._reset_vcs_routed_to`), the ring recount
 (:meth:`Network.buffered_vcs`) - a ``Network`` method has one body per
 kernel.
 
-Quiescence-aware kernel
------------------------
+Dense reference kernel
+----------------------
 
-Routers sit idle 30-70% of the time (Section 3.2) - the very sparsity
-power-gating exploits - so by default each phase iterates an *activity set*
-(components that can make progress this cycle) instead of every component:
-
-* routers with occupied input buffers,
-* links/delay-lines with deliveries in flight,
-* NIs with queued or latched flits,
-* PG controllers that are ON/WAKING or have a pending wake stimulus
-  (OFF controllers with no WU edge and - for NoRD - a fully-drained
-  VC-request window are not stepped; their ``cycles_off`` - like the
-  No_PG blanket's ``cycles_on`` - is settled when read, by
-  :meth:`Network.settle_duty_counters`, and when they leave quiescence).
-
-The sets are updated on event edges (flit launch, credit return, traffic
-injection, power transitions), each skipped component is provably a no-op
-for the skipped phase, and active members are visited in ascending key
-order, so skipping changes nothing but the work done.  There is one scan
-body per phase.  The dense mode - ``Network(cfg, skip_inactive=False)`` or
-the ``REPRO_NO_SKIP=1`` environment variable, the oracle the equivalence
-tests and the CI smoke-diff compare against - is "every component is
-active": at the top of each cycle every node, link, line and controller is
-put into its set, whatever the event hooks did or forgot, and the router
-stages scan every VC instead of the occupied ones.  It is a check, not a
-product path, and pays for re-arming and sorting full sets every cycle.
+This class is the reference kernel: every phase scans every link, line,
+NI, router (every VC) and power-gating controller, every cycle.  Routers
+sit idle 30-70% of the time (Section 3.2) - the very sparsity
+power-gating exploits - and the struct-of-arrays kernel
+(:mod:`repro.noc.soa`) skips what is quiescent, through activity sets
+maintained on event edges and settled-on-read duty counters.  None of
+that bookkeeping lives here, so the ``ref``-vs-``soa`` differential
+checks the skipping as well as the datapath.
 :mod:`repro.noc.activity` provides the ``--profile`` instrumentation.
 """
 
@@ -82,11 +66,9 @@ from ..stats.collector import RouterActivity, RunResult, StatsCollector
 from ..trace.events import EventKind
 from ..trace.recorder import EventTrace
 from . import activity
-from .activity import ActiveSet
 # Kernel selection lives in .backend (importable without this module);
 # every name stays importable from here.
-from .backend import (BACKENDS, _env_flag,  # noqa: F401
-                      resolve_backend, select_kernel)
+from .backend import BACKENDS, resolve_backend, select_kernel  # noqa: F401
 from .buffer import CREDIT_OVERFLOW, VCState
 from .flit import Flit, Packet
 from .link import DelayLine, Link
@@ -136,7 +118,10 @@ LIVELOCK_LIMIT = 20_000
 #:    objects.
 #: 8: ``Link`` lost its ``fault`` slot; the network holds the link faults
 #:    as one flat ``_link_fault`` list, read by both kernels.
-SNAPSHOT_VERSION = 8
+#: 9: the reference kernel lost every activity set, its routers their
+#:    occupied-VC lists; the activity sets, the quiescent controllers and
+#:    the NI-phase records are the soa kernel's alone.
+SNAPSHOT_VERSION = 9
 
 
 @dataclass
@@ -204,15 +189,12 @@ class Network:
                 raise ValueError(
                     "fast=True names the 'soa' kernel, but 'ref' was "
                     "requested; drop fast=True or the backend override")
-            if select_kernel(kwargs.get("backend"),
-                             skip_inactive=kwargs.get("skip_inactive")
-                             ) == "soa":
+            if select_kernel(kwargs.get("backend")) == "soa":
                 from .soa import SoANetwork
                 return super().__new__(SoANetwork)
         return super().__new__(cls)
 
     def __init__(self, cfg: SimConfig, threshold_policy=None, *,
-                 skip_inactive: Optional[bool] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  trace: Optional[EventTrace] = None,
                  metrics=None, backend: Optional[str] = None,
@@ -256,28 +238,6 @@ class Network:
                 self.mesh,
                 cfg.routing.resolved_misroute_cap(cfg.noc.width,
                                                   cfg.noc.height))
-        # Activity sets must exist before components that call back into
-        # the network (Router.deliver notes buffer fills immediately).
-        if skip_inactive is None:
-            # REPRO_NO_SKIP requests the dense (non-skipping) scans.
-            skip_inactive = not _env_flag("REPRO_NO_SKIP")
-        self.skip_inactive = bool(skip_inactive)
-        self._active_credit_links: ActiveSet = ActiveSet()  # (node, port)
-        self._active_flit_links: ActiveSet = ActiveSet()    # (node, port)
-        self._active_inject: ActiveSet = ActiveSet()        # node
-        self._active_eject: ActiveSet = ActiveSet()         # node
-        self._active_nis: ActiveSet = ActiveSet()           # node
-        self._active_routers: ActiveSet = ActiveSet()       # node
-        self._pg_active: ActiveSet = ActiveSet()            # node
-        #: Quiescent controllers (never in ``_pg_active`` at the same
-        #: time), each mapped to the last cycle its ``cycles_off`` covers.
-        self._pg_quiescent: Dict[int, int] = {}
-        #: Last cycle the No_PG blanket's ``cycles_on`` cover.
-        self._blanket_settled = 0
-        #: The NIs the last NI phase ran, ascending: with ``_wu_now``,
-        #: every node a power-gating stimulus can reach in a cycle.
-        self._ni_ran: List[int] = []
-        self._ni_marks: Set[int] = set()
         self._profile = (activity.global_profile()
                          if activity.profiling_enabled() else None)
         self._build_ports()
@@ -305,14 +265,12 @@ class Network:
             for port, nbr in self.mesh.neighbors(node):
                 row[port] = Link(node, port, nbr, OPPOSITE[port], LINK_DELAY)
             self.links_out.append(row)
-        link_keys = [(node, port)
-                     for node, row in enumerate(self.links_out)
-                     for port, link in enumerate(row) if link is not None]
+        #: Every link, in ascending (node, port) order: the order the
+        #: credit and link phases visit them.
+        self._links: List[Link] = [link for row in self.links_out
+                                   for link in row if link is not None]
+        link_keys = [(link.src, link.src_port) for link in self._links]
         self._num_links = len(link_keys)
-        #: Dense mode only: every (node keys, link keys) an activity set
-        #: can hold, re-armed at the top of each cycle.
-        self._universe = None if self.skip_inactive else (
-            frozenset(range(self.mesh.num_nodes)), frozenset(link_keys))
         self.inject_lines: List[DelayLine] = [
             DelayLine(INJECT_DELAY) for _ in range(self.mesh.num_nodes)
         ]
@@ -324,7 +282,6 @@ class Network:
             # Every router starts empty: the idle-edge tracker opens a run
             # at cycle 0 (clipped to the measurement window when recorded).
             self.stats.note_idle(node, 0)
-            self._pg_active.add(node)
         #: Last idleness value delivered to the stats collector, per node.
         self._idle_state: List[bool] = [True] * self.mesh.num_nodes
         self.n_link_flits = 0
@@ -445,7 +402,6 @@ class Network:
         self._last_progress = now
         if out_port == LOCAL:
             self.eject_lines[node].send((flit, out_vc), now)
-            self._active_eject.add(node)
             return
         link = self.links_out[node][out_port]
         if link is None:
@@ -454,7 +410,6 @@ class Network:
             link.flits.send((flit, out_vc), now - 1)
         else:
             link.flits.send((flit, out_vc), now)
-        self._active_flit_links.add((node, out_port))
         self.n_link_flits += 1
         if flit.is_head:
             flit.packet.hops += 1
@@ -463,7 +418,6 @@ class Network:
                     now: int) -> None:
         self._last_progress = now
         self.inject_lines[node].send((flit, out_vc), now)
-        self._active_inject.add(node)
 
     def credit_upstream(self, node: int, in_port: int, vc: int,
                         now: int) -> None:
@@ -472,9 +426,7 @@ class Network:
             self._local_credit_back(node, vc)
             return
         upstream = self.mesh.neighbor(node, in_port)
-        link = self.links_out[upstream][OPPOSITE[in_port]]
-        link.credits.send(vc, now)
-        self._active_credit_links.add((upstream, OPPOSITE[in_port]))
+        self.links_out[upstream][OPPOSITE[in_port]].credits.send(vc, now)
 
     def _local_credit_back(self, node: int, vc: int) -> None:
         """A slot of ``node``'s LOCAL input VC ``vc`` was freed: its NI
@@ -541,20 +493,17 @@ class Network:
 
     def note_ni_latched(self, node: int) -> None:
         """Event hook from :meth:`NetworkInterface.latch_write`: the NI
-        holds a bypass-latched flit and must run until it drains."""
-        self._active_nis.add(node)
+        holds a bypass-latched flit.  The reference runs every NI every
+        cycle and needs nothing; the soa kernel activates the NI."""
 
-    def note_router_filled(self, node: int) -> None:
-        """Event hook from :meth:`Router.deliver`: the router's input
-        buffers are no longer empty, so its pipeline (and idle-state
-        tracking) must run."""
-        self._active_routers.add(node)
+    def note_ni_queued(self, node: int) -> None:
+        """A packet was queued at ``node``'s NI (a new packet or a
+        retransmission); the same contract as :meth:`note_ni_latched`."""
 
     def mark_ni_port_used(self, node: int, port: int) -> None:
         """An NI bypass move claimed a physical output port this cycle
         (SA must not double-book it; cleared at the next NI phase)."""
         self._ports_used[node].add(port)
-        self._ni_marks.add(node)
 
     def finish_lingering(self, node: int, vc: int) -> None:
         """A mid-bypass packet finished after wakeup: restore the ring
@@ -652,7 +601,7 @@ class Network:
         if self._outstanding == 0:
             self._livelock_ref = self.now
         self.nis[src].enqueue_packet(pkt)
-        self._active_nis.add(src)
+        self.note_ni_queued(src)
         self._outstanding += length
         self.stats.on_packet_created(pkt)
         return pkt
@@ -688,7 +637,7 @@ class Network:
         if self._outstanding == 0:
             self._livelock_ref = self.now
         self.nis[pkt.src].enqueue_packet(pkt)
-        self._active_nis.add(pkt.src)
+        self.note_ni_queued(pkt.src)
         self._outstanding += pkt.length
 
     def step(self) -> None:
@@ -697,8 +646,6 @@ class Network:
         now = self.now
         if self._faults is not None:
             self._faults.begin_cycle(self, now)
-        if not self.skip_inactive:
-            self._activate_everything()
         if self._profile is not None:
             self._step_profiled(now)
         else:
@@ -712,96 +659,56 @@ class Network:
         if self.metrics is not None:
             self.metrics.on_cycle(self)
 
-    def _activate_everything(self) -> None:
-        """Dense mode: every component is a member of its activity set
-        this cycle, so the scans below visit everything and the result
-        owes nothing to the event hooks that maintain the sets."""
-        nodes, links = self._universe
-        for link_set in (self._active_credit_links,
-                         self._active_flit_links):
-            link_set.update(links)
-        for node_set in (self._active_inject, self._active_eject,
-                         self._active_nis, self._active_routers,
-                         self._pg_active):
-            node_set.update(nodes)
-        self._ni_marks.update(nodes)
-        if self._pg_quiescent:
-            # this cycle's step accrues ``now`` for every controller
-            self.settle_duty_counters(self.now - 1)
-            self._pg_quiescent.clear()
-
     def _step_profiled(self, now: int) -> None:
         """One cycle with per-phase wall-clock + occupancy accounting."""
         prof = self._profile
         prof.cycles += 1
         n = self.mesh.num_nodes
         links = self._num_links
-        # Occupancy is the size of each set at cycle start.
-        credit_busy, line_busy = self._in_flight_counts()
-        ni_busy = len(self._active_nis)
-        router_busy = len(self._active_routers)
-        pg_busy = len(self._pg_active)
-        phases = (
-            ("credit", self._phase_credits, credit_busy, links),
-            ("ni", self._phase_nis, ni_busy, n),
-            ("router", self._phase_routers, router_busy, n),
-            ("link", self._phase_links, line_busy, links + 2 * n),
-            ("pg", self._phase_pg, pg_busy, n),
-            ("stats", self._phase_stats, router_busy, n),
-        )
-        for name, fn, occupied, capacity in phases:
+        phases = (self._phase_credits, self._phase_nis, self._phase_routers,
+                  self._phase_links, self._phase_pg, self._phase_stats)
+        capacity = (links, n, n, links + 2 * n, n, n)
+        for name, fn, occupied, cap in zip(activity.PHASES, phases,
+                                           self._occupancy(capacity),
+                                           capacity):
             t0 = perf_counter()
             fn(now)
-            prof.note_phase(name, perf_counter() - t0, occupied, capacity)
+            prof.note_phase(name, perf_counter() - t0, occupied, cap)
 
-    def _in_flight_counts(self) -> Tuple[int, int]:
-        """(credit links, flit links + inject + eject lines) with
-        deliveries in flight at cycle start - the profile's occupancy
-        numerators for the credit and link phases."""
-        return (len(self._active_credit_links),
-                len(self._active_flit_links) + len(self._active_inject)
-                + len(self._active_eject))
+    def _occupancy(self, capacity: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The profile's numerators: per phase, the components it visits
+        this cycle, counted at cycle start (``capacity`` holds every
+        component it could visit).  The reference visits every one."""
+        return capacity
 
     # ------------------------------------------------------------------
     # phase 2: credit delivery
     # ------------------------------------------------------------------
     def _phase_credits(self, now: int) -> None:
-        active = self._active_credit_links
-        links_out = self.links_out
         credit, maxc, v_per = self._credit, self._maxc, self._V
-        for key in active.sorted():
-            node, port = key
-            link = links_out[node][port]
-            base = (node * NUM_PORTS + port) * v_per
+        for link in self._links:
             vcs = link.credits.receive(now)
-            fault = self._link_fault[node * NUM_PORTS + port]
+            if not vcs:
+                continue
+            o = link.src * NUM_PORTS + link.src_port
+            fault = self._link_fault[o]
             if fault is not None:
                 vcs = self._faults.filter_credits(fault, vcs, self.stats)
             for vc in vcs:
-                c = base + vc
+                c = o * v_per + vc
                 if credit[c] >= maxc[c]:
                     raise RuntimeError(CREDIT_OVERFLOW)
                 credit[c] += 1
-            if link.credits.empty:
-                active.discard(key)
 
     # ------------------------------------------------------------------
-    # phase 3: network interfaces
+    # phase 3: network interfaces (an NI with nothing queued or latched
+    # runs as a no-op)
     # ------------------------------------------------------------------
     def _phase_nis(self, now: int) -> None:
-        if self._ni_marks:
-            for node in self._ni_marks:
-                self._ports_used[node].clear()
-            self._ni_marks.clear()
-        active = self._active_nis
-        self._ni_ran = ran = active.sorted()
-        for node in ran:
-            ni = self.nis[node]
+        for used in self._ports_used:
+            used.clear()
+        for ni in self.nis:
             ni.process(now)
-            if not ni.inject_queue and ni.latches_empty:
-                # No queued or latched flit left: process() is a pure
-                # no-op until inject_packet()/latch_write() re-adds us.
-                active.discard(node)
 
     # ------------------------------------------------------------------
     # phase 4: router pipelines (only powered-on routers).  The canonical
@@ -811,60 +718,40 @@ class Network:
     # arbitration does not push back.
     # ------------------------------------------------------------------
     def _phase_routers(self, now: int) -> None:
-        # Empty routers (all VCs idle) run every stage as a pure no-op,
-        # so only buffer-occupied routers are visited; demotion happens
-        # in the stats phase, after the cycle's deliveries landed.  The
-        # stages additionally scan only the occupied VCs - IDLE VCs fail
-        # every stage's eligibility test, so narrowing the scan cannot
-        # change the outcome (dense mode checks that: it scans all VCs).
         speculative = self.cfg.noc.speculative
-        routers = self.routers
         controllers = self.controllers
         on = PowerState.ON
-        dense = not self.skip_inactive
-        for node in self._active_routers.sorted():
+        for node, router in enumerate(self.routers):
             if controllers[node].state == on:
-                router = routers[node]
-                occ = None if dense else router.occupied_vcs
                 if speculative:
-                    router.stage_rc(now, occ)
-                    router.stage_va(now, occ)
-                    router.stage_sa(now, occ)
+                    router.stage_rc(now)
+                    router.stage_va(now)
+                    router.stage_sa(now)
                 else:
-                    router.stage_sa(now, occ)
-                    router.stage_va(now, occ)
-                    router.stage_rc(now, occ)
+                    router.stage_sa(now)
+                    router.stage_va(now)
+                    router.stage_rc(now)
 
     # ------------------------------------------------------------------
     # phase 5: flit delivery
     # ------------------------------------------------------------------
     def _phase_links(self, now: int) -> None:
-        flit_links = self._active_flit_links
-        for key in flit_links.sorted():
-            link = self.links_out[key[0]][key[1]]
+        for link in self._links:
             arrivals = link.flits.receive(now)
-            fault = self._link_fault[key[0] * NUM_PORTS + key[1]]
+            if not arrivals:
+                continue
+            fault = self._link_fault[link.src * NUM_PORTS + link.src_port]
             if fault is not None:
                 self._faults.strike_flits(
                     fault, [flit.packet for flit, _ in arrivals], self.stats)
             for flit, vc in arrivals:
                 self._deliver(link.dst, link.dst_port, vc, flit)
-            if link.flits.empty:
-                flit_links.discard(key)
-        inject = self._active_inject
-        for node in inject.sorted():
-            line = self.inject_lines[node]
+        for node, line in enumerate(self.inject_lines):
             for flit, vc in line.receive(now):
                 self._deliver_inject(node, vc, flit)
-            if line.empty:
-                inject.discard(node)
-        eject = self._active_eject
-        for node in eject.sorted():
-            line = self.eject_lines[node]
+        for node, line in enumerate(self.eject_lines):
             for flit, vc in line.receive(now):
                 self._deliver_eject(node, vc, flit, now)
-            if line.empty:
-                eject.discard(node)
 
     def _deliver_inject(self, node: int, vc: int, flit: Flit) -> None:
         if not self.router_on(node):
@@ -883,7 +770,7 @@ class Network:
         ni = self.nis[node]
         if (self.ring is not None and in_port == self.ring.inport[node]
                 and (not self.router_on(node) or vc in ni.lingering)):
-            ni.latch_write(vc, flit)  # re-activates the NI via its hook
+            ni.latch_write(vc, flit)
             return
         if not self.router_on(node):
             raise RuntimeError(
@@ -894,93 +781,24 @@ class Network:
     # ------------------------------------------------------------------
     # phase 6: power gating
     # ------------------------------------------------------------------
-    @property
-    def _no_pg_blanket(self) -> bool:
-        """No_PG normally has no per-controller PG work; with router
-        failures injected even No_PG must run the generic phase so a
-        fail-armed controller can reach its clean boundary."""
-        return (self.cfg.design == Design.NO_PG
-                and (self._faults is None
-                     or not self._faults.has_router_failures))
-
     def _phase_pg(self, now: int) -> None:
-        if self._no_pg_blanket:
-            return  # every controller stays ON: cycles_on settle on read
         design = self.cfg.design
-        quiescent = self._pg_quiescent
-        active = self._pg_active
-        if quiescent:
-            # Re-check every skipped controller against this cycle's
-            # stimuli (WU edges, pending injection, the NoRD VC-request
-            # window) - all are set before phase 6 runs.  This sweep also
-            # self-heals after tests force controller states directly.
-            # The rest accrue their gated cycles lazily.
-            for node in [node for node in quiescent
-                         if not self._pg_skippable(node, design)]:
-                self._leave_quiescence(node, now)
         events: List[Tuple[int, str]] = []
-        demoted: List[int] = []
-        for node in active.sorted():
-            self._step_fsm(node, design, events, demoted)
-        for node in demoted:
-            active.discard(node)
-            quiescent[node] = now
+        for node, ctrl in enumerate(self.controllers):
+            event = ctrl.step(self._gate_inputs(node, design))
+            if event is not None:
+                events.append((node, event))
+            if isinstance(ctrl, NoRDController):
+                ctrl.end_cycle()
         self._apply_pg_events(events, design)
 
-    def _step_fsm(self, node: int, design: str, events: List[Tuple[int, str]],
-                  demoted: List[int]) -> None:
-        """Step ``node``'s controller through the full FSM, noting its
-        transition and whether it may leave the active set."""
-        ctrl = self.controllers[node]
-        event = ctrl.step(self._gate_inputs(node, design))
-        if event is not None:
-            events.append((node, event))
-        if isinstance(ctrl, NoRDController):
-            ctrl.end_cycle()
-        if self._pg_skippable(node, design):
-            demoted.append(node)
-
     def settle_duty_counters(self, upto: Optional[int] = None) -> None:
-        """Credit the duty that accrued without a step - each quiescent
-        controller's gated cycles, or the No_PG blanket's powered ones -
-        through cycle ``upto`` (default: the last completed cycle).
-        Call it before reading ``cycles_on`` / ``cycles_off`` /
-        ``cycles_waking`` from outside the PG phase."""
-        if upto is None:
-            upto = self.now
-        controllers = self.controllers
-        if self._no_pg_blanket:
-            gap = upto - self._blanket_settled
-            if gap:
-                for ctrl in controllers:
-                    ctrl.cycles_on += gap
-                self._blanket_settled = upto
-            return
-        quiescent = self._pg_quiescent
-        for node, since in quiescent.items():
-            controllers[node].cycles_off += upto - since
-            quiescent[node] = upto
-
-    def _leave_quiescence(self, node: int, now: int) -> None:
-        """A stimulus reached quiescent ``node`` in cycle ``now``: settle
-        its gated cycles through ``now - 1`` (this cycle's step accrues
-        ``now``) and make it active."""
-        since = self._pg_quiescent.pop(node)
-        self.controllers[node].cycles_off += now - 1 - since
-        self._pg_active.add(node)
-
-    def _pg_skippable(self, node: int, design: str) -> bool:
-        """Whether stepping this controller next cycle is provably a
-        no-op beyond ``cycles_off`` accounting."""
-        ctrl = self.controllers[node]
-        if ctrl.state != PowerState.OFF:
-            return False
-        if design == Design.NORD:
-            # A non-empty sliding window still decays via end_cycle(),
-            # and could cross the wakeup threshold; skip only when fully
-            # drained (at most ``wakeup_window`` extra active cycles).
-            return ctrl.window_requests == 0
-        return node not in self._wu_now and not self.nis[node].inject_pending
+        """Bring ``cycles_on`` / ``cycles_off`` / ``cycles_waking`` up to
+        cycle ``upto`` (default: the last completed cycle); call it
+        before reading them from outside the PG phase.  The reference
+        steps every controller every cycle and has nothing to settle;
+        the soa kernel credits the duty its skipped controllers
+        accrued."""
 
     #: Power-gate FSM transition -> trace event kind.
     _PG_TRACE_KINDS = {
@@ -1044,7 +862,8 @@ class Network:
             incoming = (not empty) or self._incoming_condition(node, design) \
                 or (ni.inj_path == "router" and ni.inj_sent > 0)
             return GateInputs(empty=empty, incoming=incoming, wakeup=False)
-        if ctrl.state == PowerState.WAKING:
+        if ctrl.state == PowerState.WAKING or not ctrl.gateable:
+            # nothing to sample (No_PG's controllers never gate)
             return GateInputs(empty=False, incoming=False, wakeup=False)
         if ctrl.state == PowerState.OFF:
             if design == Design.NORD:
@@ -1213,31 +1032,16 @@ class Network:
     # phase 7: statistics / liveness
     # ------------------------------------------------------------------
     def _phase_stats(self, now: int) -> None:
-        # A router outside the active set is empty (every buffer fill
-        # re-adds it), so only active routers can show an idle-state edge.
-        # This phase is also where empty routers leave the set - after
-        # phase 5's deliveries, so a same-cycle refill keeps them active.
-        active = self._active_routers
-        routers = self.routers
-        if self.stats.measuring:
-            stats = self.stats
-            state = self._idle_state
-            for node in active.sorted():
-                idle = routers[node].empty
-                if idle != state[node]:
-                    state[node] = idle
-                    if idle:
-                        stats.note_idle(node, now)
-                    else:
-                        stats.note_busy(node, now)
+        stats = self.stats
+        state = self._idle_state
+        for node, router in enumerate(self.routers):
+            idle = router.empty
+            if idle != state[node]:
+                state[node] = idle
                 if idle:
-                    active.discard(node)
-        else:
-            for node in active.sorted():
-                if routers[node].empty:
-                    active.discard(node)
-                    self._idle_state[node] = True
-                    self.stats.note_idle(node, now)
+                    stats.note_idle(node, now)
+                else:
+                    stats.note_busy(node, now)
 
     def _check_liveness(self, now: int) -> None:
         """The liveness watchdog: deadlock (nothing moved) and livelock

@@ -16,7 +16,6 @@ controllers.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import SimConfig
@@ -75,14 +74,8 @@ class Router:
         self._sa_in_arb = [RoundRobinArbiter(vcs) for _ in range(NUM_PORTS)]
         self._sa_out_arb = [RoundRobinArbiter(NUM_PORTS)
                             for _ in range(NUM_PORTS)]
-        #: Per input port, ascending ids of the VCs whose state is not
-        #: IDLE - the only VCs a pipeline stage can affect.  The
-        #: quiescence-aware kernel passes these to the stages so a busy
-        #: router only scans the VCs that hold packets; the dense
-        #: reference kernel scans every VC.
-        self.occupied_vcs: List[List[int]] = [[] for _ in range(NUM_PORTS)]
-        self._all_vcs: List[List[int]] = [list(range(vcs))
-                                          for _ in range(NUM_PORTS)]
+        #: Input VCs whose state is not IDLE.
+        self._occupied = 0
 
     # ------------------------------------------------------------------
     # views used by routing functions
@@ -107,9 +100,9 @@ class Router:
 
         Flits only enter a VC through :meth:`deliver`, which leaves IDLE
         on the first flit, so "every VC is IDLE" is exactly "no fifo
-        holds a flit" - tracked incrementally in ``occupied_vcs``.
+        holds a flit" - counted incrementally in ``_occupied``.
         """
-        return not any(self.occupied_vcs)
+        return not self._occupied
 
     def deliver(self, in_port: int, vc_id: int, flit: Flit) -> None:
         """LT completion: write an arriving flit into its input VC."""
@@ -127,28 +120,19 @@ class Router:
             trace.record(self.network.now, EventKind.BW, self.node,
                          port=in_port, vc=vc_id, pid=flit.packet.pid,
                          flit=flit.index)
-        self.network.note_router_filled(self.node)
         if vc.state == VCState.IDLE:
             if not flit.is_head:
                 raise RuntimeError(
                     f"router {self.node}: body flit arrived on idle VC "
                     f"({in_port},{vc_id}): wormhole ordering violated")
             vc.state = VCState.ROUTING
-            insort(self.occupied_vcs[in_port], vc_id)
+            self._occupied += 1
 
     # ------------------------------------------------------------------
     # pipeline stages (invoked by the network each cycle, SA -> VA -> RC)
     # ------------------------------------------------------------------
-    def stage_sa(self, now: int,
-                 occupied: Optional[List[List[int]]] = None) -> None:
-        """Switch allocation + switch traversal launch.
-
-        ``occupied`` narrows the scan to the given per-port VC ids
-        (normally :attr:`occupied_vcs`); skipped VCs are IDLE, which no
-        eligibility test accepts, so the result is identical to the
-        dense default scan.
-        """
-        occ = self._all_vcs if occupied is None else occupied
+    def stage_sa(self, now: int) -> None:
+        """Switch allocation + switch traversal launch."""
         o0 = self._o0
         gated, credit = self._gated, self._credit
         # Input-first: each input port nominates one eligible VC.
@@ -157,12 +141,8 @@ class Router:
         n_nominated = 0
         last_nominated = -1
         for p, port in enumerate(self.in_ports):
-            vids = occ[p]
-            if not vids:
-                continue
             eligible = []
-            for v in vids:
-                vc = port.vcs[v]
+            for vc in port.vcs:
                 if vc.state != VCState.ACTIVE or not vc.fifo:
                     continue
                 route = vc.route_port
@@ -174,7 +154,7 @@ class Router:
                     if self._failed[o]:
                         # Hard-failed neighbor: this wakeup will never
                         # come.  Record the packet as failed and drop it
-                        # (after the scan: dropping mutates occupied_vcs).
+                        # (after the scan).
                         if drops is None:
                             drops = []
                         drops.append((p, vc))
@@ -247,7 +227,7 @@ class Router:
                                             vc.pop())
         vc.reset_route()
         vc.state = VCState.IDLE
-        self.occupied_vcs[in_port].remove(vc.vc_id)
+        self._occupied -= 1
         self.network._faults.on_packet_killed(self.network, pkt)
 
     def _traverse(self, vc: VirtualChannel, in_port: int, now: int) -> None:
@@ -278,12 +258,10 @@ class Router:
                 raise RuntimeError("flits behind a tail in an allocated VC")
             vc.reset_route()
             vc.state = VCState.IDLE
-            self.occupied_vcs[in_port].remove(vc.vc_id)
+            self._occupied -= 1
 
-    def stage_va(self, now: int,
-                 occupied: Optional[List[List[int]]] = None) -> None:
+    def stage_va(self, now: int) -> None:
         """VC allocation for VCs that completed route computation."""
-        occ = self._all_vcs if occupied is None else occupied
         vcs_per_port = self.cfg.noc.vcs_per_port
         escape_vcs = self.cfg.escape_vcs
         # requests is allocated lazily: most cycles no VC is in WAITING_VA.
@@ -292,8 +270,7 @@ class Router:
         prefs: Dict[int, List[Tuple[int, bool, int]]] = {}
         waiting: Dict[int, VirtualChannel] = {}
         for p, port in enumerate(self.in_ports):
-            for v in occ[p]:
-                vc = port.vcs[v]
+            for vc in port.vcs:
                 if vc.state != VCState.WAITING_VA:
                     continue
                 rid = p * vcs_per_port + vc.vc_id
@@ -381,14 +358,11 @@ class Router:
             elif not routing.is_minimal(self.node, port, pkt.dst):
                 pkt.misroutes += 1
 
-    def stage_rc(self, now: int,
-                 occupied: Optional[List[List[int]]] = None) -> None:
+    def stage_rc(self, now: int) -> None:
         """Route computation for newly arrived head flits."""
-        occ = self._all_vcs if occupied is None else occupied
         routing = self.network.routing
         for p, port in enumerate(self.in_ports):
-            for v in occ[p]:
-                vc = port.vcs[v]
+            for vc in port.vcs:
                 if vc.state != VCState.ROUTING:
                     continue
                 head = vc.fifo[0]
@@ -404,7 +378,7 @@ class Router:
                 trace = self.network.trace
                 if trace is not None:
                     trace.record(now, EventKind.RC, self.node, port=p,
-                                 vc=v, pid=pkt.pid, flit=0)
+                                 vc=vc.vc_id, pid=pkt.pid, flit=0)
                 if self.network.early_wakeup:
                     self._early_wakeup(vc, pkt)
 

@@ -1,10 +1,11 @@
 """Struct-of-arrays (SoA) cycle kernel - the kernel untagged runs use.
 
-:class:`repro.noc.network.Network` dispatches here whenever a run
-carries nothing only the reference kernel can serve (see
-:func:`repro.noc.network.select_kernel`); ``backend="soa"`` /
-``--backend soa`` / ``REPRO_BACKEND=soa`` pin it.  The object-graph
-kernel stays the readable specification and the differential oracle.
+:class:`repro.noc.network.Network` dispatches here unless ``ref`` is
+pinned (see :func:`repro.noc.network.select_kernel`); ``backend="soa"``
+/ ``--backend soa`` / ``REPRO_BACKEND=soa`` pin it.  The object-graph
+kernel stays the readable specification and the differential oracle:
+it scans every component every cycle, so the differential checks this
+kernel's skipping as well as its datapath.
 
 Contract
 --------
@@ -17,8 +18,23 @@ split run equals a straight one) - proven by
 and the ``drift`` CI job.  The metrics sampler runs on this kernel as
 on the reference (its event hooks sit in code both share); the kernel
 records the reference's event trace and injects a fault plan's faults
-at the reference's sites, in its order.  It never runs dense scans:
-those runs execute on ``ref``.
+at the reference's sites, in its order.
+
+Activity
+--------
+
+Routers sit idle 30-70% of the time (Section 3.2), and each phase
+visits only the components that can make progress this cycle: routers
+with occupied input buffers (``_active_routers``), NIs with queued or
+latched flits (``_active_nis``) and the power-gating controllers that
+are not quiescent (``_pg_active``); links and lines ride the mailboxes
+described below.  The sets (:class:`~repro.noc.activity.ActiveSet`)
+are kept on event edges (buffer write, latch write, packet queued,
+power transition); a skipped component is provably a no-op for the
+phase it is skipped in, and members are visited in ascending order.  A
+quiescent controller's ``cycles_off`` - like the No_PG blanket's
+``cycles_on`` - is settled when read
+(:meth:`SoANetwork.settle_duty_counters`).
 
 Layout
 ------
@@ -67,7 +83,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import Design, SimConfig
 from ..powergate.controller import PowerState, Transition
+from ..powergate.nord import NoRDController
 from ..trace.events import EventKind
+from .activity import ActiveSet
 from .arbiter import AllocatorPool, RoundRobinArbiter
 from .buffer import CREDIT_OVERFLOW, CREDIT_UNDERFLOW
 from .flit import Flit, FlitType, Packet
@@ -110,15 +128,26 @@ class SoANetwork(Network):
     backend = "soa"
 
     def __init__(self, cfg: SimConfig, threshold_policy=None, *,
-                 skip_inactive: Optional[bool] = None,
                  fault_plan=None, trace=None, metrics=None,
                  backend: Optional[str] = None,
                  fast: Optional[bool] = None) -> None:
-        if skip_inactive is False:
-            raise ValueError("the SoA kernel does not support dense scans")
-        super().__init__(cfg, threshold_policy, skip_inactive=True,
-                         fault_plan=fault_plan, trace=trace,
-                         metrics=metrics, backend=backend)
+        # The activity sets exist before the base constructor runs:
+        # attaching a metrics recorder settles the duty counters.
+        self._active_nis: ActiveSet = ActiveSet()           # node
+        self._active_routers: ActiveSet = ActiveSet()       # node
+        self._pg_active: ActiveSet = ActiveSet(range(cfg.noc.num_nodes))
+        #: Quiescent controllers (never in ``_pg_active`` at the same
+        #: time), each mapped to the last cycle its ``cycles_off`` covers.
+        self._pg_quiescent: Dict[int, int] = {}
+        #: Last cycle the No_PG blanket's ``cycles_on`` cover.
+        self._blanket_settled = 0
+        #: The NIs the last NI phase ran, ascending: with ``_wu_now``,
+        #: every node a power-gating stimulus can reach in a cycle.
+        self._ni_ran: List[int] = []
+        #: Nodes whose NI claimed an output port last NI phase.
+        self._ni_marks: set = set()
+        super().__init__(cfg, threshold_policy, fault_plan=fault_plan,
+                         trace=trace, metrics=metrics, backend=backend)
         #: Per-node neighbor tuples, precomputed for the mailbox tables
         #: and the power-gating incoming-condition check.
         self._nbrs = [tuple(self.mesh.neighbors(n))
@@ -312,6 +341,16 @@ class SoANetwork(Network):
     def owner_released(self, node: int, port: int) -> None:
         self._unpark(node * NUM_PORTS + port)
 
+    def note_ni_latched(self, node: int) -> None:
+        # the NI must run until it drains
+        self._active_nis.add(node)
+
+    note_ni_queued = note_ni_latched
+
+    def mark_ni_port_used(self, node: int, port: int) -> None:
+        self._ports_used[node].add(port)
+        self._ni_marks.add(node)
+
     def _deliver_flit(self, node: int, in_port: int, v: int,
                       flit: Flit) -> None:
         """Write an arriving flit into its input VC as a word (the link
@@ -342,9 +381,17 @@ class SoANetwork(Network):
             self._occ_cnt[node] += 1
             self._busy.add(f)
 
+    def _occupancy(self, capacity: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The components each phase visits: the activity sets, and the
+        links and lines with mail in flight."""
+        credit_busy, line_busy = self._in_flight_counts()
+        router_busy = len(self._active_routers)
+        return (credit_busy, len(self._active_nis), router_busy, line_busy,
+                len(self._pg_active), router_busy)
+
     def _in_flight_counts(self) -> Tuple[int, int]:
-        """The reference's delay-line occupancy at cycle start: the links
-        and lines with entries in the mailboxes (profiled path only;
+        """The links and lines with deliveries in flight at cycle start:
+        those with entries in the mailboxes (profiled path only;
         ``_flit_box``/``_inj_box``/``_ej_box`` are empty between
         cycles)."""
         v_per = self._V
@@ -380,6 +427,24 @@ class SoANetwork(Network):
             credit[c] += 1
         self._credit_due = self._credit_box
         self._credit_box = []
+
+    # ------------------------------------------------------------------
+    # phase 3: network interfaces
+    # ------------------------------------------------------------------
+    def _phase_nis(self, now: int) -> None:
+        if self._ni_marks:
+            for node in self._ni_marks:
+                self._ports_used[node].clear()
+            self._ni_marks.clear()
+        active = self._active_nis
+        self._ni_ran = ran = active.sorted()
+        for node in ran:
+            ni = self.nis[node]
+            ni.process(now)
+            if not ni.inject_queue and ni.latches_empty:
+                # No queued or latched flit left: process() is a pure
+                # no-op until inject_packet()/latch_write() re-adds us.
+                active.discard(node)
 
     # ------------------------------------------------------------------
     # phase 4: router pipelines
@@ -1148,8 +1213,20 @@ class SoANetwork(Network):
 
     # ------------------------------------------------------------------
     # phase 6: power gating - busy powered-on routers take the
-    # two-assignment step the full FSM provably reduces to
+    # two-assignment step the full FSM provably reduces to; OFF
+    # controllers with no WU edge and - for NoRD - a fully-drained
+    # VC-request window are not stepped (quiescent), their ``cycles_off``
+    # - like the No_PG blanket's ``cycles_on`` - settled when read
     # ------------------------------------------------------------------
+    @property
+    def _no_pg_blanket(self) -> bool:
+        """No_PG normally has no per-controller PG work; with router
+        failures injected even No_PG must run the generic phase so a
+        fail-armed controller can reach its clean boundary."""
+        return (self.cfg.design == Design.NO_PG
+                and (self._faults is None
+                     or not self._faults.has_router_failures))
+
     def _phase_pg(self, now: int) -> None:
         if self._no_pg_blanket:
             return  # every controller stays ON: cycles_on settle on read
@@ -1260,10 +1337,65 @@ class SoANetwork(Network):
             quiescent[node] = now
         self._apply_pg_events(events, design)
 
+    def _step_fsm(self, node: int, design: str, events: List[Tuple[int, str]],
+                  demoted: List[int]) -> None:
+        """Step ``node``'s controller through the full FSM, noting its
+        transition and whether it may leave the active set."""
+        ctrl = self.controllers[node]
+        event = ctrl.step(self._gate_inputs(node, design))
+        if event is not None:
+            events.append((node, event))
+        if isinstance(ctrl, NoRDController):
+            ctrl.end_cycle()
+        if self._pg_skippable(node, design):
+            demoted.append(node)
+
+    def settle_duty_counters(self, upto: Optional[int] = None) -> None:
+        """Credit the duty that accrued without a step - each quiescent
+        controller's gated cycles, or the No_PG blanket's powered ones -
+        through cycle ``upto`` (default: the last completed cycle).
+        Call it before reading ``cycles_on`` / ``cycles_off`` /
+        ``cycles_waking`` from outside the PG phase."""
+        if upto is None:
+            upto = self.now
+        controllers = self.controllers
+        if self._no_pg_blanket:
+            gap = upto - self._blanket_settled
+            if gap:
+                for ctrl in controllers:
+                    ctrl.cycles_on += gap
+                self._blanket_settled = upto
+            return
+        quiescent = self._pg_quiescent
+        for node, since in quiescent.items():
+            controllers[node].cycles_off += upto - since
+            quiescent[node] = upto
+
+    def _leave_quiescence(self, node: int, now: int) -> None:
+        """A stimulus reached quiescent ``node`` in cycle ``now``: settle
+        its gated cycles through ``now - 1`` (this cycle's step accrues
+        ``now``) and make it active."""
+        since = self._pg_quiescent.pop(node)
+        self.controllers[node].cycles_off += now - 1 - since
+        self._pg_active.add(node)
+
+    def _pg_skippable(self, node: int, design: str) -> bool:
+        """Whether stepping this controller next cycle is provably a
+        no-op beyond ``cycles_off`` accounting."""
+        ctrl = self.controllers[node]
+        if ctrl.state != PowerState.OFF:
+            return False
+        if design == Design.NORD:
+            # A non-empty sliding window still decays via end_cycle(),
+            # and could cross the wakeup threshold; skip only when fully
+            # drained (at most ``wakeup_window`` extra active cycles).
+            return ctrl.window_requests == 0
+        return node not in self._wu_now and not self.nis[node].inject_pending
+
     def _promote_stimulated(self, now: int, nord: bool) -> None:
-        """The reference's ``_pg_skippable`` sweep over the quiescent
-        controllers, examining only the nodes a stimulus reached this
-        cycle.  Quiescent controllers are OFF (only the PG step changes
+        """The ``_pg_skippable`` test over the quiescent controllers,
+        examining only the nodes a stimulus reached this cycle.
+        Quiescent controllers are OFF (only the PG step changes
         state, and demotion requires OFF).  A conventional one wakes on
         a WU edge (``_wu_now``) or a queued injection, and a queue is
         non-empty only at an NI the NI phase ran (``_ni_ran``); a NoRD
@@ -1390,8 +1522,8 @@ class SoANetwork(Network):
     # ------------------------------------------------------------------
     def _phase_stats(self, now: int) -> None:
         # Per-node edge accounting commutes across nodes and the run
-        # summaries serialize dicts with sort_keys, so the sorted()
-        # snapshot the reference takes is skipped.
+        # summaries serialize dicts with sort_keys, so no sorted()
+        # snapshot is taken.
         active = self._active_routers
         occ = self._occ_cnt
         stats = self.stats

@@ -12,11 +12,9 @@ SoA kernel like an untraced one).  The design x traffic matrix carries a
 fault plan on three of its four traffic kinds, so the fault sites are
 held to the same contract.
 
-Kernel *pinning* (explicit argument > ``REPRO_BACKEND``, with the
-warned fallback for dense scans, which only the reference serves) is
-covered here too, as is the cache-key folding in the experiments
-runner.  The
-full selection table (unpinned runs included) lives in
+Kernel *pinning* (explicit argument > ``REPRO_BACKEND``) is covered
+here too, as is the cache-key folding in the experiments runner.  The
+selection rule (unpinned runs included) lives in
 tests/test_kernel_identity.py, the home of new kernel-identity tests;
 this file and tests/test_fast_mode_identity.py keep their names only
 because the tier-1 floor tracks tests by id.
@@ -181,16 +179,6 @@ class TestBackendSelection:
                              metrics=MetricsRun())
         assert type(unpinned) is type(pinned) is SoANetwork
         assert unpinned.metrics is not None
-
-    def test_dense_scan_falls_back_to_reference(self, monkeypatch):
-        with pytest.warns(RuntimeWarning, match="skip_inactive=False"):
-            net = Network(small_config(Design.NORD), backend="soa",
-                          skip_inactive=False)
-        assert type(net) is Network
-        monkeypatch.setenv("REPRO_NO_SKIP", "1")
-        with pytest.warns(RuntimeWarning, match="REPRO_NO_SKIP"):
-            net = Network(small_config(Design.NORD), backend="soa")
-        assert type(net) is Network
 
 
 class TestCacheKeys:

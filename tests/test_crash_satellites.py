@@ -8,12 +8,16 @@
   recovering runners cannot synchronize into a thundering herd;
 * where ``SIGALRM`` cannot fire (non-main thread), ``--timeout`` is
   enforced by a watchdog thread - with a one-time warning - instead of
-  being silently dropped.
+  being silently dropped;
+* a run whose timeout exception was lost (raised inside a ``gc``
+  callback) still reads ``timeout``.
 """
 
+import gc
 import hashlib
 import json
 import threading
+import time
 import warnings
 
 import pytest
@@ -284,3 +288,52 @@ def test_main_thread_still_uses_sigalrm():
     tag = _guarded_execute(point(measure=300_000, drain=301_000), 0.3)
     assert tag[0] == "timeout"
     assert "watchdog" not in tag[1]
+
+
+def _stub_losing_the_timeout(seconds):
+    """An ``execute_point`` stand-in whose over-budget work runs inside
+    a ``gc`` callback: an exception raised there - the alarm's or the
+    watchdog's - is reported as unraisable and dropped, and the stub
+    returns normally."""
+    def busy(phase, info):
+        if phase == "start":
+            end = time.monotonic() + seconds
+            while time.monotonic() < end:
+                pass
+
+    def stub(_point):
+        gc.callbacks.append(busy)
+        try:
+            gc.collect()
+        finally:
+            gc.callbacks.remove(busy)
+        return "outcome"
+    return stub
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnraisableExceptionWarning")
+def test_timeout_lost_in_a_gc_callback_still_reads_timeout(monkeypatch):
+    monkeypatch.setattr(parallel, "execute_point",
+                        _stub_losing_the_timeout(0.5))
+    tag = _guarded_execute(point(), 0.1)
+    assert tag[0] == "timeout", tag
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnraisableExceptionWarning")
+def test_watchdog_timeout_lost_in_a_gc_callback_still_reads_timeout(
+        monkeypatch):
+    monkeypatch.setattr(parallel, "execute_point",
+                        _stub_losing_the_timeout(0.5))
+    results = []
+
+    def work():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            results.append(_guarded_execute(point(), 0.1))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert results and results[0][0] == "timeout", results

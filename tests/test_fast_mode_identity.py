@@ -23,17 +23,19 @@ Four layers of evidence live here:
   the trace differential while passing the RunResult one.  Three fault
   mutants - credit loss drawn in mailbox order, an SA that stalls at a
   failed port instead of dropping, a fail-armed controller taking the
-  inlined power-gate step - must fail the faulted RunResult one.
+  inlined power-gate step - must fail the faulted RunResult one.  The
+  reference scans every component, so mutants of the skip bookkeeping
+  - an NI latch that does not activate its NI, a buffer write that
+  does not activate its router, a quiescent controller settled one
+  cycle long - must fail it too.
 
 The file predates the kernel merge (the "fast mode" it names *is* the
 soa kernel now) and keeps its name and test ids only because the tier-1
 floor tracks tests by id; new kernel-identity tests go to
 tests/test_kernel_identity.py.  The ``fast=`` keyword tests at the end
 cover the keyword ``Network`` still accepts (and ignores) for the
-frozen benchmark, and the dense-scan fallback warning.
+frozen benchmark.
 """
-
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +45,7 @@ from repro.config import Design, small_config
 from repro.errors import SimulationHang
 from repro.faults import FaultPlan, WakeupFault
 from repro.noc import soa
+from repro.noc.activity import ActiveSet
 from repro.noc.network import Network, RunProgress
 from repro.noc.soa import SoANetwork
 from repro.noc.topology import NUM_PORTS, OPPOSITE, LOCAL
@@ -505,6 +508,67 @@ class TestOracleSelfTest:
         with pytest.raises(AssertionError, match="kernel drift"):
             assert_identical(res_ref, res_soa, "fail-armed inlined mutant")
 
+    @staticmethod
+    def assert_caught(design, kind, label, **kwargs):
+        """The differential fails on the mutated default kernel: its
+        RunResult drifts from the dense reference, or it loses track of
+        flits and wedges."""
+        _, res_ref = run_once(design, kind, **kwargs)
+        try:
+            _, res_soa = run_once(design, kind, backend="soa", **kwargs)
+        except SimulationHang:
+            return
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, label)
+
+    def test_unactivated_latch_is_caught(self, monkeypatch):
+        """Mutant: a bypass-latch write does not put its NI into the
+        activity set, so a gated-off router's NI may not forward."""
+        latched = 0
+
+        def dead_hook(self, node):
+            nonlocal latched
+            latched += 1
+
+        monkeypatch.setattr(SoANetwork, "note_ni_latched", dead_hook)
+        self.assert_caught(Design.NORD, "uniform", "dead latch hook")
+        assert latched > 0, "no flit was latched"
+
+    def test_unactivated_router_is_caught(self, monkeypatch):
+        """Mutant: a buffer write does not put its router into the
+        activity set, so its busy edges go unrecorded."""
+        class NoAdd(ActiveSet):
+            def add(self, node):
+                pass  # the mutant: the activation is dropped
+
+        orig = SoANetwork.__init__
+
+        def init(self, *args, **kwargs):
+            orig(self, *args, **kwargs)
+            self._active_routers = NoAdd()
+
+        monkeypatch.setattr(SoANetwork, "__init__", init)
+        self.assert_caught(Design.NORD, "uniform", "dead router activation")
+
+    def test_leave_quiescence_off_by_one_is_caught(self, monkeypatch):
+        """Mutant: a controller leaving quiescence is credited one
+        ``cycles_off`` too many.  Both kernels shared this method while
+        the reference skipped too, so the differential could not see
+        it; the dense reference steps every controller every cycle."""
+        left = 0
+        orig = SoANetwork._leave_quiescence
+
+        def one_long(self, node, now):
+            nonlocal left
+            left += 1
+            orig(self, node, now)
+            self.controllers[node].cycles_off += 1  # the deliberate bug
+
+        monkeypatch.setattr(SoANetwork, "_leave_quiescence", one_long)
+        self.assert_caught(Design.CONV_PG, "uniform", "one-long settle",
+                           rate=0.03)
+        assert left > 0, "no controller left quiescence"
+
     def test_oracle_passes_without_fault(self):
         """Control arm: the same comparison is clean when nothing is
         seeded (so the failure above is caused by the seeded bug)."""
@@ -514,7 +578,7 @@ class TestOracleSelfTest:
 
 
 # ---------------------------------------------------------------------------
-# the retained ``fast=`` keyword and the pinned-soa fallback warning
+# the retained ``fast=`` keyword
 # ---------------------------------------------------------------------------
 
 class TestDispatch:
@@ -533,27 +597,3 @@ class TestDispatch:
         monkeypatch.setenv("REPRO_BACKEND", "ref")
         with pytest.raises(ValueError, match="names the 'soa' kernel"):
             Network(small_config(Design.NORD), fast=True)
-
-    def test_dense_scan_falls_back_to_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SKIP", "1")
-        with pytest.warns(RuntimeWarning, match="dense scans"):
-            net = Network(small_config(Design.NORD), backend="soa")
-        assert type(net) is Network
-
-    def test_fallback_warning_is_one_time(self):
-        """The fallback warning names the forcing feature and, under
-        Python's default filter, fires once per call site - a
-        thousand-point sweep must not emit a thousand warnings."""
-        with pytest.warns(RuntimeWarning,
-                          match="does not support dense scans"):
-            Network(small_config(Design.NORD), backend="soa",
-                    skip_inactive=False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(100):
-                Network(small_config(Design.NORD), backend="soa",
-                        skip_inactive=False)
-        assert [str(w.message) for w in caught] == [
-            "the 'soa' kernel does not support dense scans "
-            "(skip_inactive=False); falling back to the 'ref' kernel "
-            "(result-identical)"]

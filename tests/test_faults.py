@@ -10,7 +10,7 @@ The contract under test, per design:
 * **link corruption** is detected end to end via sequence numbers, and
   NI retransmission recovers delivery at a latency/overhead cost;
 * all of it is **deterministic**: same plan + seed -> same RunResult,
-  on every cycle kernel (soa, ref, ref's dense scans).
+  on both cycle kernels (soa, and ref's dense scans).
 """
 
 import os
@@ -37,9 +37,9 @@ TESTS = Path(__file__).resolve().parent
 
 
 def faulted_run(design, plan, *, rate=0.05, seed=7, scale="smoke",
-                skip=True, **net_kw):
+                **net_kw):
     cfg = build_config(design, scale, seed=seed)
-    net = Network(cfg, fault_plan=plan, skip_inactive=skip, **net_kw)
+    net = Network(cfg, fault_plan=plan, **net_kw)
     result = net.run(uniform_random(net.mesh, rate, seed=seed))
     return net, result
 
@@ -128,7 +128,7 @@ class TestEmptyPlanDrift:
         inherit), every network carries an empty plan - and stays on
         the soa kernel."""
         env = {k: v for k, v in os.environ.items()
-               if k not in ("REPRO_BACKEND", "REPRO_NO_SKIP")}
+               if k != "REPRO_BACKEND"}
         env["PYTHONPATH"] = os.pathsep.join(
             [str(TESTS / "empty_faultplan"), str(TESTS.parent / "src")])
         code = ("from repro.config import Design\n"
@@ -360,8 +360,8 @@ class TestDeterminism:
     def test_kernels_agree_under_faults(self, plan):
         """The default kernel (soa) == the dense reference, byte for
         byte, with faults live."""
-        net_fast, fast = faulted_run(Design.NORD, plan, skip=None)
-        net_full, full = faulted_run(Design.NORD, plan, skip=False)
+        net_fast, fast = faulted_run(Design.NORD, plan)
+        net_full, full = faulted_run(Design.NORD, plan, backend="ref")
         assert (net_fast.backend, net_full.backend) == ("soa", "ref")
         assert fast.to_dict() == full.to_dict()
 

@@ -1,18 +1,16 @@
 """Kernel selection and identity: which kernel a run gets, and that it
 does not matter for the result.
 
-``Network(cfg)`` picks the kernel from the pin and the scan mode
-(:func:`repro.noc.network.select_kernel`): ``soa`` unless dense scans
-need the reference kernel (a fault plan, an event trace and a metrics
-recorder run on either).  This file pins
+``Network(cfg)`` runs the pinned kernel, else ``soa``
+(:func:`repro.noc.network.select_kernel`; a fault plan, an event trace
+and a metrics recorder run on either).  This file pins
 
-* the selection table - every row, unpinned (silent) and with ``soa``
-  pinned (one warning), and that ``DesignPoint`` agrees with the
-  network it builds;
+* the selection rule, and that ``DesignPoint`` agrees with the network
+  it builds;
 * that the result says which kernel produced it (``RunResult.kernel``,
   the ``simulate`` and ``run-all`` footers);
 * that ``--profile`` describes the kernel that ran: per-phase occupancy
-  under ``soa`` equals the reference's, mailboxes included;
+  under ``soa`` is what its activity sets and mailboxes hold;
 * that a plain ``simulate`` never imports numpy.
 
 The RunResult differentials (design x traffic matrices, hypothesis,
@@ -45,17 +43,6 @@ from repro.traffic.synthetic import uniform_random
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: row -> (Network kwargs, environment, DesignPoint fields or None when
-#: a point cannot carry the feature, warning pattern).  Every row needs
-#: the reference kernel.
-REF_ROWS = {
-    "skip_inactive_false": (lambda: {"skip_inactive": False}, {}, None,
-                            "dense scans"),
-    "env_no_skip": (dict, {"REPRO_NO_SKIP": "1"}, lambda d: {},
-                    "dense scans"),
-}
-
-
 def point(**fields):
     return parallel.DesignPoint(
         cfg=small_config(Design.NORD, warmup=40, measure=200),
@@ -74,41 +61,16 @@ class TestDispatchTable:
         assert point().cache_key() == point(backend="soa").cache_key()
         assert point().cache_key() != point(backend="ref").cache_key()
 
-    @pytest.mark.parametrize("row", sorted(REF_ROWS))
-    def test_unpinned_run_gets_ref_silently(self, row, monkeypatch,
-                                            tmp_path):
-        kwargs, env, fields, _ = REF_ROWS[row]
+    def test_only_the_pin_selects(self, monkeypatch):
+        """There is no scan mode: the reference always scans densely,
+        and nothing but the pin picks it."""
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        with warnings.catch_warnings():
-            # nothing was requested, so nothing was ignored: no warning
-            warnings.simplefilter("error")
-            net = Network(small_config(Design.NORD), **kwargs())
-            if fields is not None:
-                carried = point(**fields(str(tmp_path)))
-                assert carried.resolved_backend() == net.backend
-                pinned = dataclasses.replace(carried, backend=net.backend)
-                assert carried.cache_key() == pinned.cache_key()
-        assert type(net) is Network and net.backend == "ref"
-
-    @pytest.mark.parametrize("row", sorted(REF_ROWS))
-    def test_pinned_soa_warns_once_and_runs_ref(self, row, monkeypatch):
-        kwargs, env, _, pattern = REF_ROWS[row]
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        with pytest.warns(RuntimeWarning, match=pattern) as caught:
-            net = Network(small_config(Design.NORD), backend="soa",
-                          **kwargs())
-        assert len(caught) == 1
-        assert type(net) is Network and net.backend == "ref"
-        with warnings.catch_warnings(record=True) as caught:
-            # Python's default filter: once per call site
-            warnings.simplefilter("default")
-            for _ in range(3):
-                Network(small_config(Design.NORD), backend="soa",
-                        **kwargs())
-        assert len(caught) == 1
+        assert select_kernel() == "soa"
+        assert select_kernel("ref") == "ref"
+        with pytest.raises(TypeError):
+            select_kernel(skip_inactive=False)
+        with pytest.raises(TypeError):
+            Network(small_config(Design.NORD), skip_inactive=False)
 
     def test_metrics_are_not_a_selection_input(self, monkeypatch,
                                                tmp_path):
@@ -232,35 +194,53 @@ class TestKernelProvenance:
 
 
 class TestProfileOccupancy:
-    """``--profile`` must describe the kernel people run: the mailboxes
-    bypass the activity sets the reference's occupancy is read from, so
-    the soa kernel counts mailbox-resident links and lines (profiled
-    path only).  These feed the benchmark's ``noc.occupancy.*``."""
+    """``--profile`` must describe the kernel people run: its occupancy
+    is what the soa kernel's activity sets and mailboxes hold at the
+    start of each cycle - recounted here, cycle by cycle, from the
+    kernel's state.  These feed the benchmark's ``noc.occupancy.*``."""
 
-    def profiled(self, design, backend):
+    @staticmethod
+    def recount(net):
+        """Per phase, the components holding work at cycle start: the
+        links with credits in flight, the NIs, routers and controllers
+        in their sets, and the links and lines with flits in flight."""
+        v_per = net._V
+        credit = {c // v_per for c in net._credit_box + net._credit_due}
+        flits = {e[0] for e in net._flit_mid + net._flit_due}
+        inject = {e[0] for e in net._inj_due}
+        eject = {e[0] for e in net._ej_mid + net._ej_due}
+        routers = len(net._active_routers)
+        return {"credit": len(credit), "ni": len(net._active_nis),
+                "router": routers,
+                "link": len(flits) + len(inject) + len(eject),
+                "pg": len(net._pg_active), "stats": routers}
+
+    @pytest.mark.parametrize("design", Design.ALL)
+    def test_occupancy_equals_reference(self, design, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         activity.enable_profiling(True)
         activity.reset_profile()
+        want = dict.fromkeys(activity.PHASES, 0)
         try:
-            net = Network(small_config(design, warmup=50, measure=300),
-                          backend=backend)
-            result = net.run(uniform_random(net.mesh, 0.15, seed=4))
+            net = Network(small_config(design))
+            traffic = uniform_random(net.mesh, 0.15, seed=4)
+            for _ in range(400):
+                net._inject_arrivals(traffic)
+                for phase, busy in self.recount(net).items():
+                    want[phase] += busy
+                net.step()
         finally:
             activity.enable_profiling(False)
         profile = activity.global_profile()
-        return (net.backend, result, profile.cycles, dict(profile.active),
-                dict(profile.capacity))
-
-    @pytest.mark.parametrize("design", Design.ALL)
-    def test_occupancy_equals_reference(self, design):
-        kernel_r, res_r, cyc_r, active_r, cap_r = self.profiled(design,
-                                                                "ref")
-        kernel_s, res_s, cyc_s, active_s, cap_s = self.profiled(design,
-                                                                None)
-        assert (kernel_r, kernel_s) == ("ref", "soa")  # profiling keeps soa
-        assert res_r == res_s and cyc_r == cyc_s
-        assert cap_r == cap_s
-        assert active_r == active_s
-        assert active_s["credit"] > 0 and active_s["link"] > 0
+        assert net.backend == "soa"  # profiling keeps soa
+        assert profile.cycles == 400
+        assert dict(profile.active) == want
+        n, links = net.mesh.num_nodes, net._num_links
+        every = {"credit": links, "ni": n, "router": n,
+                 "link": links + 2 * n, "pg": n, "stats": n}
+        assert dict(profile.capacity) == {phase: 400 * count
+                                          for phase, count in every.items()}
+        assert want["credit"] > 0 and want["link"] > 0
 
 
 def test_plain_simulate_never_imports_numpy():
