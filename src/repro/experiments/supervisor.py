@@ -103,7 +103,7 @@ def _worker_main(conn) -> None:
     # pays for simulating, never for compiling a kernel.
     from .parallel import _guarded_execute
     from ..metrics import sampler  # noqa: F401
-    from ..noc import bufferless, network, soa  # noqa: F401
+    from ..noc import bufferless, network, ref, soa  # noqa: F401
     from ..traffic import synthetic  # noqa: F401
     # What the imports left behind lives as long as the process; taking
     # it out of the collector's sight makes _between_points() cheap.

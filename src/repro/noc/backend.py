@@ -1,10 +1,11 @@
 """Which cycle kernel a run executes on.
 
-The rule lives apart from the kernels (:mod:`repro.noc.network`,
-:mod:`repro.noc.soa`) because a design point's cache key folds the
-selected kernel in: a fully cached command must be able to ask "which
-kernel would this run on" without importing either.
-:mod:`repro.noc.network` re-exports every name here.
+The rule lives apart from the kernels (:mod:`repro.noc.ref`,
+:mod:`repro.noc.soa`) and their shared core (:mod:`repro.noc.network`)
+because a design point's cache key folds the selected kernel in: a
+fully cached command must be able to ask "which kernel would this run
+on" without importing any of them.  :mod:`repro.noc.network`
+re-exports every name here.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-#: The two cycle kernels: the object-graph reference (the readable
-#: specification and the differential oracle, scanning every component
-#: every cycle) and the struct-of-arrays kernel (:mod:`repro.noc.soa`,
-#: which skips quiescent ones), proven RunResult- and
+#: The two cycle kernels: the object-graph reference (:mod:`repro.noc.ref`,
+#: the readable specification and the differential oracle, scanning
+#: every component every cycle) and the struct-of-arrays kernel
+#: (:mod:`repro.noc.soa`, which skips quiescent ones), proven RunResult- and
 #: event-trace-identical, faults included, by
 #: tests/test_kernel_identity.py and the drift CI job.
 BACKENDS = ("ref", "soa")

@@ -1,4 +1,5 @@
-"""Links: fixed-delay pipelines carrying flits and returning credits.
+"""Links: fixed-delay pipelines carrying flits and returning credits
+(the reference kernel's channels; the soa kernel uses mailboxes).
 
 Flit links model the LT (link traversal) stage: a flit handed to the link at
 cycle ``t`` is delivered to the downstream input buffer (or the NoRD bypass

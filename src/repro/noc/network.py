@@ -1,8 +1,9 @@
-"""The cycle-level network simulator.
+"""The cycle-level network simulator: the core both kernels share.
 
-``Network`` owns every component - mesh, routers, NIs, links, power-gating
-controllers, the Bypass Ring (NoRD) - and advances them one cycle at a time
-in a fixed phase order that mirrors a synchronous design:
+``Network`` owns every component - mesh, NIs, power-gating controllers,
+the Bypass Ring (NoRD), the routers' output-port boundary - and advances
+them one cycle at a time in a fixed phase order that mirrors a
+synchronous design:
 
 1. traffic arrivals are enqueued at the NIs,
 2. credits in flight are delivered upstream,
@@ -22,25 +23,21 @@ Those side effects act on the routers' output-port boundary, which the
 network owns as flat lists (:meth:`Network._build_ports`) that both
 kernels, the NIs and the transition code index directly: credits and
 their limits at ``c = o * V + vc``, VC owners and the gating/failure tags
-at ``o = node * NUM_PORTS + port``, plus per-node counters.  Where
-shared code needs a router's input side - handing latched flits over on
-wake-up (:meth:`Network._deliver_flit`), restarting pipelines routed to
-a gated port (:meth:`Network._reset_vcs_routed_to`), the ring recount
-(:meth:`Network._ring_slots_held`), buffer occupancy
-(:meth:`Network.buffered_vcs`) - a ``Network`` method has one body per
-kernel.
+at ``o = node * NUM_PORTS + port``, plus per-node counters.
 
-Dense reference kernel
-----------------------
+Two sibling kernels
+-------------------
 
-This class is the reference kernel: every phase scans every link, line,
-NI, router (every VC) and power-gating controller, every cycle.  Routers
-sit idle 30-70% of the time (Section 3.2) - the very sparsity
-power-gating exploits - and the struct-of-arrays kernel
-(:mod:`repro.noc.soa`) skips what is quiescent, through activity sets
-maintained on event edges and settled-on-read duty counters.  None of
-that bookkeeping lives here, so the ``ref``-vs-``soa`` differential
-checks the skipping as well as the datapath.
+The input side (VC buffers and pipeline state), the channels that carry
+flits and credits, and phases 2-7 belong to a kernel subclass:
+:class:`repro.noc.ref.RefNetwork`, the dense object-graph reference, or
+:class:`repro.noc.soa.SoANetwork`, the struct-of-arrays kernel untagged
+runs use.  ``Network(cfg, ...)`` builds the one :func:`select_kernel`
+names.  Each kernel defines the methods this class calls but does not
+define - ``_build_datapath``, the ``_phase_*`` methods, the NIs' sends
+and the input-side steps of the transitions (DESIGN.md section 9 lists
+them) - and neither inherits from the other, so the ``ref``-vs-``soa``
+differential compares two independent datapaths.
 :mod:`repro.noc.activity` provides the ``--profile`` instrumentation.
 """
 
@@ -49,7 +46,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import Design, SimConfig
 from ..core.ring import BypassRing, build_ring
@@ -69,11 +66,9 @@ from . import activity
 # Kernel selection lives in .backend (importable without this module);
 # every name stays importable from here.
 from .backend import BACKENDS, resolve_backend, select_kernel  # noqa: F401
-from .buffer import CREDIT_OVERFLOW, VCState
+from .buffer import CREDIT_OVERFLOW
 from .flit import Flit, Packet
-from .link import DelayLine, Link
 from .ni import NetworkInterface
-from .router import Router
 from .topology import LOCAL, NUM_PORTS, OPPOSITE, Mesh
 
 #: ST + LT: cycles between an SA grant (or NI bypass move) and the flit
@@ -121,7 +116,10 @@ LIVELOCK_LIMIT = 20_000
 #: 9: the reference kernel lost every activity set, its routers their
 #:    occupied-VC lists; the activity sets, the quiescent controllers and
 #:    the NI-phase records are the soa kernel's alone.
-SNAPSHOT_VERSION = 9
+#: 10: the reference kernel became ``repro.noc.ref.RefNetwork`` (class
+#:    identity in the pickled blob changed), and the soa kernel lost the
+#:    links and delay lines it built but never used.
+SNAPSHOT_VERSION = 10
 
 
 @dataclass
@@ -159,11 +157,10 @@ class RunProgress:
 class NetworkSnapshot:
     """A self-contained, versioned capture of a mid-run simulation.
 
-    ``blob`` is the pickled ``Network`` object graph (routers, VC
-    buffers, links and their delay lines, NIs, PG controller FSMs, stats
-    collector, activity sets, fault state, trace/metrics observers, the
-    packet-id counter).  Taking the snapshot never mutates simulation
-    state.
+    ``blob`` is the pickled ``Network`` object graph (the kernel's input
+    side and channels, NIs, PG controller FSMs, stats collector, fault
+    state, trace/metrics observers, the packet-id counter).  Taking the
+    snapshot never mutates simulation state.
     """
 
     version: int
@@ -173,16 +170,17 @@ class NetworkSnapshot:
 
 
 class Network:
-    """A complete simulated NoC for one design point."""
+    """A complete simulated NoC for one design point (the shared core;
+    an instance is always one of the two kernel subclasses)."""
 
     #: Canonical name of the kernel implementing this instance
-    #: (:data:`BACKENDS`); the SoA kernel overrides it.
-    backend = "ref"
+    #: (:data:`BACKENDS`), set by each kernel class.
+    backend: str
 
     def __new__(cls, cfg=None, *args, **kwargs):
-        # Kernel dispatch (:func:`select_kernel`).  Only the base class
-        # dispatches - subclasses, the SoA kernel itself and unpickling
-        # (no cfg) construct literally.
+        # Kernel dispatch (:func:`select_kernel`).  Only the core
+        # dispatches - the kernel classes and unpickling (no cfg)
+        # construct literally.
         if cls is Network and cfg is not None:
             if (kwargs.get("fast")
                     and resolve_backend(kwargs.get("backend")) == "ref"):
@@ -190,8 +188,9 @@ class Network:
                     "fast=True names the 'soa' kernel, but 'ref' was "
                     "requested; drop fast=True or the backend override")
             if select_kernel(kwargs.get("backend")) == "soa":
-                from .soa import SoANetwork
-                return super().__new__(SoANetwork)
+                from .soa import SoANetwork as cls
+            else:
+                from .ref import RefNetwork as cls
         return super().__new__(cls)
 
     def __init__(self, cfg: SimConfig, threshold_policy=None, *,
@@ -241,7 +240,6 @@ class Network:
         self._profile = (activity.global_profile()
                          if activity.profiling_enabled() else None)
         self._build_ports()
-        self._build_routers()
         if cfg.design == Design.NORD and threshold_policy is None:
             # Imported lazily: thresholds -> placement -> noc would
             # otherwise form a package import cycle.
@@ -258,25 +256,14 @@ class Network:
             NetworkInterface(node, cfg, self)
             for node in range(self.mesh.num_nodes)
         ]
-        # Links: links_out[node][port] for the four mesh directions.
-        self.links_out: List[List[Optional[Link]]] = []
-        for node in range(self.mesh.num_nodes):
-            row: List[Optional[Link]] = [None] * NUM_PORTS
-            for port, nbr in self.mesh.neighbors(node):
-                row[port] = Link(node, port, nbr, OPPOSITE[port], LINK_DELAY)
-            self.links_out.append(row)
-        #: Every link, in ascending (node, port) order: the order the
-        #: credit and link phases visit them.
-        self._links: List[Link] = [link for row in self.links_out
-                                   for link in row if link is not None]
-        link_keys = [(link.src, link.src_port) for link in self._links]
+        # Every mesh link, as the (node, port) it leaves.
+        link_keys = [(node, port) for node in range(self.mesh.num_nodes)
+                     for port, _ in self.mesh.neighbors(node)]
         self._num_links = len(link_keys)
-        self.inject_lines: List[DelayLine] = [
-            DelayLine(INJECT_DELAY) for _ in range(self.mesh.num_nodes)
-        ]
-        self.eject_lines: List[DelayLine] = [
-            DelayLine(LINK_DELAY) for _ in range(self.mesh.num_nodes)
-        ]
+        # The kernel's input side and channels: after the controllers,
+        # which soa's tables read, and before a metrics recorder
+        # attaches (attaching settles soa's duty counters).
+        self._build_datapath()
         self.stats = StatsCollector(cfg.design, self.mesh.num_nodes)
         for node in range(self.mesh.num_nodes):
             # Every router starts empty: the idle-edge tracker opens a run
@@ -350,10 +337,6 @@ class Network:
         self._nva: List[int] = [0] * n
         self._nsa: List[int] = [0] * n
 
-    def _build_routers(self) -> None:
-        self.routers = [Router(node, self.cfg, self.mesh, self)
-                        for node in range(self.mesh.num_nodes)]
-
     def _make_controller(self, node: int,
                          policy):
         design = self.cfg.design
@@ -373,61 +356,9 @@ class Network:
     def router_on(self, node: int) -> bool:
         return self.controllers[node].state == PowerState.ON
 
-    def neighbor_awake(self, node: int, port: int) -> bool:
-        nbr = self.mesh.neighbor(node, port)
-        if nbr is None:
-            return False
-        return self.router_on(nbr)
-
-    def port_usable(self, node: int, port: int) -> bool:
-        """NoRD reachability: an off router is enterable only through its
-        Bypass Inport (Section 4.2)."""
-        if port == LOCAL:
-            return True
-        nbr = self.mesh.neighbor(node, port)
-        if nbr is None:
-            return False
-        if self.router_on(nbr):
-            return True
-        return (self.ring is not None and self.ring.successor[node] == nbr)
-
     # ------------------------------------------------------------------
-    # datapath services used by routers and NIs
+    # datapath services used by both kernels and the NIs
     # ------------------------------------------------------------------
-    def send_flit(self, node: int, out_port: int, flit: Flit, out_vc: int,
-                  now: int, *, fast: bool = False) -> None:
-        """Launch ST+LT.  ``fast`` shaves one cycle: the aggressive bypass
-        (Section 6.8) connects the Bypass Inport straight to the Bypass
-        Outport when nothing conflicts."""
-        self._last_progress = now
-        if out_port == LOCAL:
-            self.eject_lines[node].send((flit, out_vc), now)
-            return
-        link = self.links_out[node][out_port]
-        if link is None:
-            raise RuntimeError(f"node {node} has no link on port {out_port}")
-        if fast:
-            link.flits.send((flit, out_vc), now - 1)
-        else:
-            link.flits.send((flit, out_vc), now)
-        self.n_link_flits += 1
-        if flit.is_head:
-            flit.packet.hops += 1
-
-    def send_inject(self, node: int, flit: Flit, out_vc: int,
-                    now: int) -> None:
-        self._last_progress = now
-        self.inject_lines[node].send((flit, out_vc), now)
-
-    def credit_upstream(self, node: int, in_port: int, vc: int,
-                        now: int) -> None:
-        """A buffer/latch slot at (node, in_port, vc) was freed."""
-        if in_port == LOCAL:
-            self._local_credit_back(node, vc)
-            return
-        upstream = self.mesh.neighbor(node, in_port)
-        self.links_out[upstream][OPPOSITE[in_port]].credits.send(vc, now)
-
     def _local_credit_back(self, node: int, vc: int) -> None:
         """A slot of ``node``'s LOCAL input VC ``vc`` was freed: its NI
         may inject one more flit there."""
@@ -675,123 +606,9 @@ class Network:
             fn(now)
             prof.note_phase(name, perf_counter() - t0, occupied, cap)
 
-    def _occupancy(self, capacity: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The profile's numerators: per phase, the components it visits
-        this cycle, counted at cycle start (``capacity`` holds every
-        component it could visit).  The reference visits every one."""
-        return capacity
-
     # ------------------------------------------------------------------
-    # phase 2: credit delivery
+    # power gating: what both kernels' PG phases share
     # ------------------------------------------------------------------
-    def _phase_credits(self, now: int) -> None:
-        credit, maxc, v_per = self._credit, self._maxc, self._V
-        for link in self._links:
-            vcs = link.credits.receive(now)
-            if not vcs:
-                continue
-            o = link.src * NUM_PORTS + link.src_port
-            fault = self._link_fault[o]
-            if fault is not None:
-                vcs = self._faults.filter_credits(fault, vcs, self.stats)
-            for vc in vcs:
-                c = o * v_per + vc
-                if credit[c] >= maxc[c]:
-                    raise RuntimeError(CREDIT_OVERFLOW)
-                credit[c] += 1
-
-    # ------------------------------------------------------------------
-    # phase 3: network interfaces (an NI with nothing queued or latched
-    # runs as a no-op)
-    # ------------------------------------------------------------------
-    def _phase_nis(self, now: int) -> None:
-        for used in self._ports_used:
-            used.clear()
-        for ni in self.nis:
-            ni.process(now)
-
-    # ------------------------------------------------------------------
-    # phase 4: router pipelines (only powered-on routers).  The canonical
-    # router evaluates SA -> VA -> RC so a flit advances one stage per
-    # cycle; the speculative 2-stage pipeline (Section 6.8) ripples
-    # RC -> VA -> SA within a cycle, succeeding in one router cycle when
-    # arbitration does not push back.
-    # ------------------------------------------------------------------
-    def _phase_routers(self, now: int) -> None:
-        speculative = self.cfg.noc.speculative
-        controllers = self.controllers
-        on = PowerState.ON
-        for node, router in enumerate(self.routers):
-            if controllers[node].state == on:
-                if speculative:
-                    router.stage_rc(now)
-                    router.stage_va(now)
-                    router.stage_sa(now)
-                else:
-                    router.stage_sa(now)
-                    router.stage_va(now)
-                    router.stage_rc(now)
-
-    # ------------------------------------------------------------------
-    # phase 5: flit delivery
-    # ------------------------------------------------------------------
-    def _phase_links(self, now: int) -> None:
-        for link in self._links:
-            arrivals = link.flits.receive(now)
-            if not arrivals:
-                continue
-            fault = self._link_fault[link.src * NUM_PORTS + link.src_port]
-            if fault is not None:
-                self._faults.strike_flits(
-                    fault, [flit.packet for flit, _ in arrivals], self.stats)
-            for flit, vc in arrivals:
-                self._deliver(link.dst, link.dst_port, vc, flit)
-        for node, line in enumerate(self.inject_lines):
-            for flit, vc in line.receive(now):
-                self._deliver_inject(node, vc, flit)
-        for node, line in enumerate(self.eject_lines):
-            for flit, vc in line.receive(now):
-                self._deliver_eject(node, vc, flit, now)
-
-    def _deliver_inject(self, node: int, vc: int, flit: Flit) -> None:
-        if not self.router_on(node):
-            raise RuntimeError(
-                f"injected flit delivered to off router {node}")
-        self.routers[node].deliver(LOCAL, vc, flit)
-
-    def _deliver_eject(self, node: int, vc: int, flit: Flit,
-                       now: int) -> None:
-        self.nis[node].n_ejected_flits += 1
-        if flit.is_tail:
-            self._owner[node * NUM_PORTS + LOCAL][vc] = None
-        self.sink_flit(node, flit, now, via_bypass=False)
-
-    def _deliver(self, node: int, in_port: int, vc: int, flit: Flit) -> None:
-        ni = self.nis[node]
-        if (self.ring is not None and in_port == self.ring.inport[node]
-                and (not self.router_on(node) or vc in ni.lingering)):
-            ni.latch_write(vc, flit)
-            return
-        if not self.router_on(node):
-            raise RuntimeError(
-                f"flit delivered to off router {node} port {in_port}: "
-                "power-gating handshake violated")
-        self.routers[node].deliver(in_port, vc, flit)
-
-    # ------------------------------------------------------------------
-    # phase 6: power gating
-    # ------------------------------------------------------------------
-    def _phase_pg(self, now: int) -> None:
-        design = self.cfg.design
-        events: List[Tuple[int, str]] = []
-        for node, ctrl in enumerate(self.controllers):
-            event = ctrl.step(self._gate_inputs(node, design))
-            if event is not None:
-                events.append((node, event))
-            if isinstance(ctrl, NoRDController):
-                ctrl.end_cycle()
-        self._apply_pg_events(events, design)
-
     def settle_duty_counters(self, upto: Optional[int] = None) -> None:
         """Bring ``cycles_on`` / ``cycles_off`` / ``cycles_waking`` up to
         cycle ``upto`` (default: the last completed cycle); call it
@@ -882,37 +699,6 @@ class Network:
             wu = self.nis[node].inject_pending or node in self._wu_now
         return GateInputs(empty=True, incoming=incoming, wakeup=wu)
 
-    def _router_empty(self, node: int) -> bool:
-        """Whether no input VC of ``node`` holds a packet (per kernel)."""
-        return self.routers[node].empty
-
-    def _incoming_condition(self, node: int, design: str) -> bool:
-        """The IC condition: flits (or credits) are in flight toward this
-        router, or an upstream packet is committed to stream through it."""
-        if not self.inject_lines[node].empty:
-            return True
-        if not self.eject_lines[node].empty:
-            return True
-        for port, nbr in self.mesh.neighbors(node):
-            link_in = self.links_out[nbr][OPPOSITE[port]]
-            if not link_in.flits.empty or not link_in.credits.empty:
-                return True
-        if design == Design.NORD:
-            ni = self.nis[node]
-            # A packet the NI started injecting through the router must
-            # finish before the router may gate (its LOCAL VC is held, so
-            # this is usually covered by ``empty``; the check closes the
-            # window before the first flit arrives).
-            if ni.inj_path == "router" and ni.inj_sent > 0:
-                return True
-            return False
-        early = design == Design.CONV_PG_OPT
-        for port, nbr in self.mesh.neighbors(node):
-            if self.routers[nbr].has_commitment_to(OPPOSITE[port],
-                                                   early=early):
-                return True
-        return False
-
     # -- conventional transitions ----------------------------------------
     def _on_conv_gate_off(self, node: int) -> None:
         for port, nbr in self.mesh.neighbors(node):
@@ -978,29 +764,6 @@ class Network:
                 self._gated[nbr * NUM_PORTS + OPPOSITE[port]] = False
         ni.reset_pending_ring_allocation()
 
-    def _deliver_flit(self, node: int, in_port: int, vc: int,
-                      flit: Flit) -> None:
-        """Write ``flit`` into input VC ``(in_port, vc)`` of ``node``'s
-        powered-on router (the wake-up hand-over of latched flits)."""
-        self.routers[node].deliver(in_port, vc, flit)
-
-    def _reset_vcs_routed_to(self, node: int, out_port: int) -> None:
-        """Restart from RC every packet at ``node`` headed to
-        ``out_port`` that has not yet sent any flit (Section 4.3: such
-        flits are still entirely in the input channel, so the pipeline
-        restart is safe)."""
-        own = self._owner[node * NUM_PORTS + out_port]
-        for port in self.routers[node].in_ports:
-            for vc in port.vcs:
-                if vc.state == VCState.WAITING_VA:
-                    if (out_port in vc.adaptive_ports
-                            or vc.escape_port == out_port):
-                        vc.reset_route()
-                elif (vc.state == VCState.ACTIVE and vc.route_port == out_port
-                        and vc.flits_sent == 0):
-                    own[vc.out_vc] = None
-                    vc.reset_route()
-
     def _restore_pred_credit(self, node: int, vc: int) -> None:
         """Recompute the ring predecessor's credit counter for ``vc`` from
         ground truth after a bypass/normal hand-over: the buffer depth
@@ -1015,34 +778,9 @@ class Network:
         if value < 0:
             raise RuntimeError("negative credits after power transition")
 
-    def _ring_slots_held(self, node: int, vc: int) -> int:
-        """Flits and credit returns of ``vc`` in flight on the ring link
-        into ``node``, plus its flits buffered at ``node``'s Bypass
-        Inport (per kernel: this one reads the delay lines and the
-        router objects)."""
-        ring = self.ring
-        pred = ring.predecessor[node]
-        link = self.links_out[pred][ring.outport[pred]]
-        return (sum(1 for _, v in link.flits.peek_pending() if v == vc)
-                + sum(1 for v in link.credits.peek_pending() if v == vc)
-                + len(self.routers[node].in_ports[ring.inport[node]]
-                      .vcs[vc].fifo))
-
     # ------------------------------------------------------------------
-    # phase 7: statistics / liveness
+    # liveness
     # ------------------------------------------------------------------
-    def _phase_stats(self, now: int) -> None:
-        stats = self.stats
-        state = self._idle_state
-        for node, router in enumerate(self.routers):
-            idle = router.empty
-            if idle != state[node]:
-                state[node] = idle
-                if idle:
-                    stats.note_idle(node, now)
-                else:
-                    stats.note_busy(node, now)
-
     def _check_liveness(self, now: int) -> None:
         """The liveness watchdog: deadlock (nothing moved) and livelock
         (flits moved but none ejected) both abort with typed, structured
@@ -1088,16 +826,6 @@ class Network:
             "limit": limit,
             "routers": routers,
         }
-
-    def buffered_vcs(self, node: int) -> Iterator[Tuple[int, int, int]]:
-        """``(in_port, vc, flits)`` for every non-empty input VC of
-        ``node``, in port-then-VC order (per kernel: this one walks the
-        router objects).  Hang diagnostics, the telemetry sampler and
-        the occupancy heatmap read buffer occupancy through it."""
-        for port in self.routers[node].in_ports:
-            for vc in port.vcs:
-                if vc.fifo:
-                    yield port.port_id, vc.vc_id, len(vc.fifo)
 
     def _hang_message(self, diag: Dict) -> str:
         """An actionable abort message: where the stuck flits sit and in

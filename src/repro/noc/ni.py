@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
 
 from ..config import Design, SimConfig
 from ..powergate.controller import PowerState
+from ..routing.base import ESCAPE_PATIENCE
 from ..trace.events import EventKind
 from .arbiter import RoundRobinArbiter
 from .buffer import CREDIT_UNDERFLOW
@@ -35,10 +36,6 @@ from .topology import NUM_PORTS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import Network
-
-#: Cycles a head waits for a bypass/injection VC before also requesting
-#: escape VCs (mirrors the router's VA escape patience).
-ESCAPE_PATIENCE = 8
 
 
 class NetworkInterface:

@@ -6,9 +6,10 @@ buffer write).  Each stage takes one cycle; ST+LT are modelled together as
 a 2-cycle link delay after the SA grant, so a head flit needs 5 cycles per
 hop through a powered-on router.
 
-The router is orchestrated by :class:`repro.noc.network.Network`, which
-invokes the stages in reverse order (SA, VA, RC) each cycle so that a flit
-advances at most one stage per cycle.  All power-gating behaviour
+The router belongs to the reference kernel
+(:class:`repro.noc.ref.RefNetwork`), which invokes the stages in reverse
+order (SA, VA, RC) each cycle so that a flit advances at most one stage
+per cycle.  All power-gating behaviour
 (PG/WU/IC handshakes, credit adjustments, pipeline restarts) is driven by
 the network, which has the global view a real design distributes across
 controllers.
@@ -19,6 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import SimConfig
+from ..routing.base import ESCAPE_PATIENCE
 from ..trace.events import EventKind
 from .arbiter import AllocatorPool, RoundRobinArbiter
 from .buffer import CREDIT_UNDERFLOW, InputPort, VCState, VirtualChannel
@@ -27,11 +29,6 @@ from .topology import LOCAL, NUM_PORTS, Mesh
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import Network
-
-#: Cycles a head flit waits in VA before it also starts requesting escape
-#: VCs (Duato's protocol guarantees deadlock freedom because blocked
-#: packets can always fall back to the escape sub-network).
-ESCAPE_PATIENCE = 8
 
 
 class Router:

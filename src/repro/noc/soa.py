@@ -2,10 +2,13 @@
 
 :class:`repro.noc.network.Network` dispatches here unless ``ref`` is
 pinned (see :func:`repro.noc.network.select_kernel`); ``backend="soa"``
-/ ``--backend soa`` / ``REPRO_BACKEND=soa`` pin it.  The object-graph
-kernel stays the readable specification and the differential oracle:
-it scans every component every cycle, so the differential checks this
-kernel's skipping as well as its datapath.
+/ ``--backend soa`` / ``REPRO_BACKEND=soa`` pin it.  This kernel and
+the object-graph reference (:mod:`repro.noc.ref`) are siblings: each
+subclasses the shared core (:mod:`repro.noc.network`) and supplies its
+own input side, channels and phases.  The reference stays the readable
+specification and the differential oracle: it scans every component
+every cycle, so the differential checks this kernel's skipping as well
+as its datapath.
 
 Contract
 --------
@@ -44,7 +47,8 @@ All per-VC router state lives in flat parallel lists indexed by
 objects.  The output-port state is the network's own flat boundary
 (``o = node * NUM_PORTS + port``, credits at ``c = o * V + vc``, see
 :meth:`Network._build_ports`), which this kernel, the reference router,
-the NIs and the shared power-transition code all index directly.
+the NIs and the shared power-transition code all index directly.  There
+are no link objects either: every channel is a mailbox (below).
 Buffered flits are packed as ints, ``word = index << 2 | tail << 1 |
 head``, carried next to their ``Packet`` (the identity of a packet -
 pid, latency timestamps - stays an object; everything per-flit is a
@@ -67,12 +71,13 @@ only stimulated quiescent controllers are re-examined, route
 computation is replayed from a per-(node, dst) geometry cache, and
 every flit and credit send - router traversals and NoRD's NI bypass
 alike - goes through per-cycle mailboxes (see
-:meth:`SoANetwork._init_mailboxes`); the links' delay lines stay empty.
+:meth:`SoANetwork._init_mailboxes`).  Every SA winner traverses at one
+site, in :meth:`SoANetwork._phase_routers`.
 
 A per-VC field is written by the stage entering the state that reads
 it (``_commit_va`` for ACTIVE, ``_rc_node`` for WAITING_VA), so a tail
 resets only the state, occupancy and ``_busy``; per-VC constants are
-tables built in ``_build_routers``.
+tables built in ``_build_datapath``.
 """
 
 from __future__ import annotations
@@ -81,16 +86,16 @@ from collections import deque
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..config import Design, SimConfig
+from ..config import Design
 from ..powergate.controller import PowerState, Transition
 from ..powergate.nord import NoRDController
+from ..routing.base import ESCAPE_PATIENCE
 from ..trace.events import EventKind
 from .activity import ActiveSet
 from .arbiter import AllocatorPool, RoundRobinArbiter
-from .buffer import CREDIT_OVERFLOW, CREDIT_UNDERFLOW
+from .buffer import CREDIT_OVERFLOW
 from .flit import Flit, FlitType, Packet
 from .network import INJECT_DELAY, LINK_DELAY, Network
-from .router import ESCAPE_PATIENCE
 from .topology import LOCAL, NUM_PORTS, OPPOSITE
 
 if (LINK_DELAY, INJECT_DELAY) != (2, 1):
@@ -127,36 +132,10 @@ class SoANetwork(Network):
 
     backend = "soa"
 
-    def __init__(self, cfg: SimConfig, threshold_policy=None, *,
-                 fault_plan=None, trace=None, metrics=None,
-                 backend: Optional[str] = None,
-                 fast: Optional[bool] = None) -> None:
-        # The activity sets exist before the base constructor runs:
-        # attaching a metrics recorder settles the duty counters.
-        self._active_nis: ActiveSet = ActiveSet()           # node
-        self._active_routers: ActiveSet = ActiveSet()       # node
-        self._pg_active: ActiveSet = ActiveSet(range(cfg.noc.num_nodes))
-        #: Quiescent controllers (never in ``_pg_active`` at the same
-        #: time), each mapped to the last cycle its ``cycles_off`` covers.
-        self._pg_quiescent: Dict[int, int] = {}
-        #: Last cycle the No_PG blanket's ``cycles_on`` cover.
-        self._blanket_settled = 0
-        #: The NIs the last NI phase ran, ascending: with ``_wu_now``,
-        #: every node a power-gating stimulus can reach in a cycle.
-        self._ni_ran: List[int] = []
-        #: Nodes whose NI claimed an output port last NI phase.
-        self._ni_marks: set = set()
-        super().__init__(cfg, threshold_policy, fault_plan=fault_plan,
-                         trace=trace, metrics=metrics, backend=backend)
-        #: Per-node neighbor tuples, precomputed for the mailbox tables
-        #: and the power-gating incoming-condition check.
-        self._nbrs = [tuple(self.mesh.neighbors(n))
-                      for n in range(self.mesh.num_nodes)]
-        self._init_mailboxes()
-
-    def _build_routers(self) -> None:
+    def _build_datapath(self) -> None:
         """Allocate the flat per-VC router state (the output-port state
-        is the network's, from :meth:`Network._build_ports`)."""
+        is the network's, from :meth:`Network._build_ports`), the
+        activity sets and the mailboxes."""
         cfg = self.cfg
         mesh = self.mesh
         n = mesh.num_nodes
@@ -196,11 +175,14 @@ class SoANetwork(Network):
                          for _ in range(NUM_PORTS)] for _ in range(n)]
         self._va_pools = [AllocatorPool(NUM_PORTS * v, NUM_PORTS * v)
                           for _ in range(n)]
+        #: Per-node neighbor tuples, precomputed for the mailbox tables
+        #: and the power-gating incoming-condition check.
+        self._nbrs = [tuple(mesh.neighbors(node)) for node in range(n)]
         # upstream node and output port per (node, in_port); -1 if none
         self._up_node = [-1] * no
         up_o = [-1] * no
         for node in range(n):
-            for port, nbr in mesh.neighbors(node):
+            for port, nbr in self._nbrs[node]:
                 self._up_node[node * NUM_PORTS + port] = nbr
                 up_o[node * NUM_PORTS + port] = (nbr * NUM_PORTS
                                                  + OPPOSITE[port])
@@ -211,6 +193,20 @@ class SoANetwork(Network):
         self._upo = [up_o[f // v] for f in range(nf)]
         self._upc = [-1 if up < 0 else up * v + f % v
                      for f, up in enumerate(self._upo)]
+        self._active_nis: ActiveSet = ActiveSet()           # node
+        self._active_routers: ActiveSet = ActiveSet()       # node
+        self._pg_active: ActiveSet = ActiveSet(range(n))
+        #: Quiescent controllers (never in ``_pg_active`` at the same
+        #: time), each mapped to the last cycle its ``cycles_off`` covers.
+        self._pg_quiescent: Dict[int, int] = {}
+        #: Last cycle the No_PG blanket's ``cycles_on`` cover.
+        self._blanket_settled = 0
+        #: The NIs the last NI phase ran, ascending: with ``_wu_now``,
+        #: every node a power-gating stimulus can reach in a cycle.
+        self._ni_ran: List[int] = []
+        #: Nodes whose NI claimed an output port last NI phase.
+        self._ni_marks: set = set()
+        self._init_mailboxes()
 
     def _init_mailboxes(self) -> None:
         """The batched-commit mailboxes, the kernel's one channel kind:
@@ -245,15 +241,13 @@ class SoANetwork(Network):
         #: (deliveries may latch into the NI instead of the router).
         self._l_ring = [False] * (n * NUM_PORTS)
         for node in range(n):
-            for port, _ in self._nbrs[node]:
+            for port, dst in self._nbrs[node]:
                 lid = node * NUM_PORTS + port
-                link = self.links_out[node][port]
-                self._l_dst[lid] = link.dst
-                self._l_base[lid] = (link.dst * NUM_PORTS
-                                     + link.dst_port) * v_per
-                self._l_ring[lid] = (
-                    ring is not None
-                    and link.dst_port == ring.inport[link.dst])
+                dst_port = OPPOSITE[port]
+                self._l_dst[lid] = dst
+                self._l_base[lid] = (dst * NUM_PORTS + dst_port) * v_per
+                self._l_ring[lid] = (ring is not None
+                                     and dst_port == ring.inport[dst])
         # (box, mid, due) rotate through the link phase; credits only
         # need (box, due) because the credit phase precedes the router
         # phase within a cycle.
@@ -383,26 +377,19 @@ class SoANetwork(Network):
 
     def _occupancy(self, capacity: Tuple[int, ...]) -> Tuple[int, ...]:
         """The components each phase visits: the activity sets, and the
-        links and lines with mail in flight."""
-        credit_busy, line_busy = self._in_flight_counts()
-        router_busy = len(self._active_routers)
-        return (credit_busy, len(self._active_nis), router_busy, line_busy,
-                len(self._pg_active), router_busy)
-
-    def _in_flight_counts(self) -> Tuple[int, int]:
-        """The links and lines with deliveries in flight at cycle start:
-        those with entries in the mailboxes (profiled path only;
-        ``_flit_box``/``_inj_box``/``_ej_box`` are empty between
+        links and lines with mail in flight at cycle start
+        (``_flit_box``/``_inj_box``/``_ej_box`` are empty between
         cycles)."""
         v_per = self._V
         credit_links = {c // v_per for c in self._credit_box}
         credit_links.update(c // v_per for c in self._credit_due)
-        flit_links = {e[0] for e in self._flit_mid}
-        flit_links.update(e[0] for e in self._flit_due)
-        inject = {e[0] for e in self._inj_due}
-        eject = {e[0] for e in self._ej_mid}
-        eject.update(e[0] for e in self._ej_due)
-        return len(credit_links), len(flit_links) + len(inject) + len(eject)
+        lines = {e[0] for e in self._flit_mid}
+        lines.update(e[0] for e in self._flit_due)
+        lines = len(lines) + len({e[0] for e in self._inj_due})
+        lines += len({e[0] for e in self._ej_mid + self._ej_due})
+        router_busy = len(self._active_routers)
+        return (len(credit_links), len(self._active_nis), router_busy,
+                lines, len(self._pg_active), router_busy)
 
     # ------------------------------------------------------------------
     # phase 2: credit delivery
@@ -459,7 +446,11 @@ class SoANetwork(Network):
         # sends, delivered in later phases).  Parked VA waiters stay in
         # the walk (an owner released by a later node this cycle unparks
         # them in time, as the reference's live read would see it) but
-        # are not evaluated while parked.
+        # are not evaluated while parked.  A node's stages run in the
+        # reference's order, which the trace records: SA, whose winners
+        # traverse in the loop below (the kernel's one traversal site),
+        # then VA, then RC - or, pipelined, RC -> VA -> SA, then the
+        # traversals.
         busy = self._busy
         if not busy:
             return
@@ -495,6 +486,7 @@ class SoANetwork(Network):
         trace = self.trace
         order = sorted(busy)
         i, n = 0, len(order)
+        va = rc = None  # a node's deferred VA and RC candidates
         while i < n:
             f = order[i]
             node = f // fpn
@@ -511,8 +503,8 @@ class SoANetwork(Network):
             if j == i + 1 and st_l[f] == _ACTIVE:
                 # The dominant round: the node's only busy VC holds an
                 # allocated wormhole.  Inline the single-candidate SA
-                # eligibility chain and the traversal (same reads, same
-                # order as _sa_node + _traverse).
+                # eligibility chain (same reads, same order as
+                # _sa_node).
                 i = j
                 fifo_f = fifo[f]
                 if not fifo_f:
@@ -532,23 +524,78 @@ class SoANetwork(Network):
                         # port always has a live neighbor
                         wu_now.add(up_node[o])
                         continue
-                    if route in ports_used_all[node]:
+                    if route in ports_used_all[node] or credit[outc[f]] <= 0:
                         continue
-                    c = outc[f]
-                    if credit[c] <= 0:
+                sa_in_all[node][inport[f]]._last = vcid[f]
+                sa_out_all[node][route]._last = inport[f]
+                won = (f,)
+            elif j == i + 1:
+                # Single non-ACTIVE flit: dispatch straight to its
+                # stage (and the speculative ripple), skipping the
+                # list build.
+                i = j
+                if st_l[f] == _WAITING_VA:
+                    if parked[f]:
                         continue
-                    credit[c] -= 1
-                p = inport[f]
-                v = vcid[f]
-                sa_in_all[node][p]._last = v
-                sa_out_all[node][route]._last = p
-                # --- traversal (_traverse, hoisted) ---
+                    act = self._va_node(now, node, [f])
+                elif speculative:
+                    act = self._rc_node(now, node, [f])
+                    if act:
+                        act = self._va_node(now, node, act)
+                else:
+                    self._rc_node(now, node, [f])
+                    continue
+                if not (act and speculative):
+                    continue
+                won = self._sa_node(now, node, act, None)
+            else:
+                sa: List[int] = []
+                va = []
+                rc = []
+                for k in range(i, j):
+                    f = order[k]
+                    s = st_l[f]
+                    if s == _ACTIVE:
+                        if fifo[f]:
+                            sa.append(f)
+                    elif s == _WAITING_VA:
+                        if not parked[f]:
+                            va.append(f)
+                    else:
+                        rc.append(f)
+                i = j
+                # Empty stages are pure no-ops in the reference too.
+                if speculative:
+                    # RC -> VA -> SA ripple: merge same-cycle promotions
+                    # into the later stages' candidate lists, as the
+                    # reference's live occupied-VC scan would see them.
+                    if rc:
+                        promoted = self._rc_node(now, node, rc)
+                        if promoted:
+                            va = sorted(va + promoted) if va else promoted
+                    activated = self._va_node(now, node, va) if va else None
+                    va = rc = None  # done: the ripple ran them
+                    won = self._sa_node(now, node, sa, activated)
+                else:
+                    won = self._sa_node(now, node, sa, None) if sa else sa
+            # Traversal: pop the flit word, cross the switch, launch
+            # link traversal (into the mailboxes).  A tail frees the VC
+            # through its state, occupancy and busy entry alone: every
+            # other per-VC field is rewritten by the stage that enters
+            # the state in which it is read (``_commit_va`` for ACTIVE
+            # readers, ``_rc_node`` for WAITING_VA readers).
+            for f in won:
+                fifo_f = fifo[f]
                 word, pkt = fifo_f.popleft()
                 nsa[node] += 1
+                route = route_l[f]
                 if trace is not None:
                     trace.record(now, EventKind.SA, node, route, outvc[f],
                                  pkt.pid, word >> 2)
                 fsent[f] += 1
+                p = inport[f]
+                v = vcid[f]
+                # credit upstream for the freed buffer slot
                 if p == LOCAL:
                     self._local_credit_back(node, v)
                 else:
@@ -556,10 +603,12 @@ class SoANetwork(Network):
                 if route == LOCAL:
                     ej_box.append((node, word, pkt, outvc[f]))
                 else:
-                    flit_box.append((o, word, pkt, outvc[f]))
+                    credit[outc[f]] -= 1  # SA saw it positive
+                    flit_box.append((outo[f], word, pkt, outvc[f]))
                     if word & 1:
                         pkt.hops += 1
                 if word & 2:
+                    # tail: release the upstream VC allocation
                     if p == LOCAL:
                         nis[node].local_owner[v] = None
                     else:
@@ -573,61 +622,12 @@ class SoANetwork(Network):
                     st_l[f] = _IDLE
                     occ[node] -= 1
                     busy.discard(f)
-                continue
-            if j == i + 1:
-                # Single non-ACTIVE flit: dispatch straight to its
-                # stage (and the speculative ripple), skipping the
-                # list build.
-                i = j
-                if st_l[f] == _WAITING_VA:
-                    if parked[f]:
-                        continue
-                    act = self._va_node(now, node, [f])
-                    if act and speculative:
-                        self._sa_node(now, node, act, None)
-                elif speculative:
-                    prom = self._rc_node(now, node, [f])
-                    if prom:
-                        act = self._va_node(now, node, prom)
-                        if act:
-                            self._sa_node(now, node, act, None)
-                else:
-                    self._rc_node(now, node, [f])
-                continue
-            sa: List[int] = []
-            va: List[int] = []
-            rc: List[int] = []
-            for k in range(i, j):
-                f = order[k]
-                s = st_l[f]
-                if s == _ACTIVE:
-                    if fifo[f]:
-                        sa.append(f)
-                elif s == _WAITING_VA:
-                    if not parked[f]:
-                        va.append(f)
-                else:
-                    rc.append(f)
-            i = j
-            # Empty stages are pure no-ops in the reference too.
-            if speculative:
-                # RC -> VA -> SA ripple: merge same-cycle promotions into
-                # the later stages' candidate lists, as the reference's
-                # live occupied-VC scan would see them.
-                if rc:
-                    promoted = self._rc_node(now, node, rc)
-                    if promoted:
-                        va = sorted(va + promoted) if va else promoted
-                activated = self._va_node(now, node, va) if va else None
-                if sa or activated:
-                    self._sa_node(now, node, sa, activated)
-                continue
-            if sa:
-                self._sa_node(now, node, sa, None)
             if va:
                 self._va_node(now, node, va)
+                va = None
             if rc:
                 self._rc_node(now, node, rc)
+                rc = None
         # Traversals only append to these mail lists (the eject box is
         # empty when the phase starts), so progress and the link-flit
         # count settle here.
@@ -637,9 +637,10 @@ class SoANetwork(Network):
             self.n_link_flits += sent
 
     def _sa_node(self, now: int, node: int, cand: List[int],
-                 extra: Optional[List[int]]) -> None:
+                 extra: Optional[List[int]]) -> List[int]:
         """Switch allocation for one node (reference ``stage_sa`` on
-        flat state): the input stage here, the output stage in
+        flat state); returns the winners, which :meth:`_phase_routers`
+        traverses.  The input stage is here, the output stage in
         :meth:`_sa_outputs`.  An input port with one eligible VC commits
         as a pointer write (``grant_from([x])`` is exactly ``_last =
         x``); only a port with several calls its arbiter.  Entries
@@ -653,7 +654,7 @@ class SoANetwork(Network):
             else:
                 cand = extra if len(extra) == 1 else sorted(extra)
         if not cand:
-            return
+            return cand
         route_l = self._route
         inport = self._inport
         vcid = self._vcid
@@ -667,16 +668,15 @@ class SoANetwork(Network):
             if route != LOCAL:
                 if self._gated[self._outo[f]]:
                     self._sa_gated(f, node, now)
-                    return
+                    return []
                 if route in self._ports_used[node]:
-                    return
+                    return []
                 if self._credit[self._outc[f]] <= 0:
-                    return
+                    return []
             p = inport[f]
             self._sa_in[node][p]._last = vcid[f]
             self._sa_out[node][route]._last = p
-            self._traverse(f, node, now)
-            return
+            return cand
         gated = self._gated
         credit = self._credit
         outo, outc = self._outo, self._outc
@@ -719,22 +719,23 @@ class SoANetwork(Network):
         if len(noms) == 1:
             f = noms[0]
             self._sa_out[node][route_l[f]]._last = inport[f]
-            self._traverse(f, node, now)
-        elif noms:
-            self._sa_outputs(node, noms, now)
+            return noms
+        return self._sa_outputs(node, noms, now) if noms else noms
 
-    def _sa_outputs(self, node: int, noms: List[int], now: int) -> None:
+    def _sa_outputs(self, node: int, noms: List[int],
+                    now: int) -> List[int]:
         """SA output stage for two or more nominees (one per input
-        port, port-ascending).  Outputs are visited in ascending order,
-        as the reference does; an output one port wants - every output,
-        in a clash-free round - commits as a pointer write, and only an
-        output several ports want builds a request list and calls its
-        arbiter."""
+        port, port-ascending); returns the winners, output-ascending.
+        Outputs are visited in ascending order, as the reference does;
+        an output one port wants - every output, in a clash-free round
+        - commits as a pointer write, and only an output several ports
+        want builds a request list and calls its arbiter."""
         route_l = self._route
         inport = self._inport
         sa_out = self._sa_out[node]
         # stable, so an output's requesters stay in input-port order
         noms.sort(key=route_l.__getitem__)
+        won: List[int] = []
         k, n = 0, len(noms)
         while k < n:
             f = noms[k]
@@ -747,58 +748,9 @@ class SoANetwork(Network):
             else:
                 ports = [inport[g] for g in noms[k:hi]]
                 f = noms[k + ports.index(sa_out[route].grant_from(ports))]
-            self._traverse(f, node, now)
+            won.append(f)
             k = hi
-
-    def _traverse(self, f: int, node: int, now: int) -> None:
-        """Pop the flit word, cross the switch, launch link traversal
-        (into the mailboxes).  A tail frees the VC through its state,
-        occupancy and busy entry alone: every other per-VC field is
-        rewritten by the stage that enters the state in which it is
-        read (``_commit_va`` for ACTIVE readers, ``_rc_node`` for
-        WAITING_VA readers)."""
-        fifo_f = self._fifo[f]
-        word, pkt = fifo_f.popleft()
-        self._nsa[node] += 1
-        route = self._route[f]
-        out_vc = self._outvc[f]
-        if self.trace is not None:
-            self.trace.record(now, EventKind.SA, node, route, out_vc,
-                              pkt.pid, word >> 2)
-        if route != LOCAL:
-            c = self._outc[f]
-            if self._credit[c] <= 0:
-                raise RuntimeError(CREDIT_UNDERFLOW)
-            self._credit[c] -= 1
-        self._fsent[f] += 1
-        in_port = self._inport[f]
-        v = self._vcid[f]
-        # credit upstream for the freed buffer slot
-        if in_port == LOCAL:
-            self._local_credit_back(node, v)
-        else:
-            self._credit_box.append(self._upc[f])
-        # launch ST + LT (progress is noted at the end of the phase)
-        if route == LOCAL:
-            self._ej_box.append((node, word, pkt, out_vc))
-        else:
-            self._flit_box.append((self._outo[f], word, pkt, out_vc))
-            if word & 1:
-                pkt.hops += 1
-        if word & 2:
-            # tail: free this VC and release the upstream VC allocation
-            if in_port == LOCAL:
-                self.nis[node].local_owner[v] = None
-            else:
-                o = self._upo[f]
-                self._owner[o][v] = None
-                if self._park_on[o]:
-                    self._unpark(o)
-            if fifo_f:
-                raise RuntimeError("flits behind a tail in an allocated VC")
-            self._st[f] = _IDLE
-            self._occ_cnt[node] -= 1
-            self._busy.discard(f)
+        return won
 
     def _sa_gated(self, f: int, node: int, now: int) -> None:
         """SA at a gated output port (``Router.stage_sa``): the packet
@@ -1098,7 +1050,7 @@ class SoANetwork(Network):
         return promoted
 
     # ------------------------------------------------------------------
-    # phase 5: flit delivery with the delay-line pops and the buffer
+    # phase 5: flit delivery, the due mail drained with the buffer
     # writes inlined (one loop, no per-word call chain)
     # ------------------------------------------------------------------
     def _phase_links(self, now: int) -> None:

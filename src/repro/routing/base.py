@@ -20,6 +20,12 @@ from typing import List, Optional, Protocol, Sequence
 from ..noc.flit import Packet
 from ..noc.topology import LOCAL, Mesh
 
+#: Cycles a head waits in VA (or an NI waits for a bypass/injection VC)
+#: before it also requests escape VCs: Duato's protocol guarantees
+#: deadlock freedom because blocked packets can always fall back to the
+#: escape sub-network.
+ESCAPE_PATIENCE = 8
+
 
 @dataclass
 class RouteChoice:

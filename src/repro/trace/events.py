@@ -21,8 +21,8 @@ RC     ``Router.stage_rc``;           route computed for a head:
 VA     ``Router._commit_va``;         VC allocated: node, port=out_port,
        soa ``_commit_va``             vc=out_vc, info=1 if escape VC
 SA     ``Router._traverse``;          switch allocation granted and
-       soa ``_phase_routers``,        ST+LT launched: node, port=out_port,
-       ``_traverse``                  vc=out_vc, flit
+       soa ``_phase_routers``         ST+LT launched: node, port=out_port,
+                                      vc=out_vc, flit
 WU_STALL ``Router.stage_sa``;         head stalled one cycle in SA waiting
        soa ``_phase_routers``,        for a gated neighbor's wakeup
        ``_sa_node``                   (conventional PG): node,

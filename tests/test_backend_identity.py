@@ -15,12 +15,12 @@ held to the same contract.
 Kernel *pinning* (explicit argument > ``REPRO_BACKEND``) is covered
 here too, as is the cache-key folding in the experiments runner.  The
 selection rule (unpinned runs included) lives in
-tests/test_kernel_identity.py, the home of new kernel-identity tests;
-this file and tests/test_fast_mode_identity.py keep their names only
-because the tier-1 floor tracks tests by id.
+tests/test_kernel_identity.py, the home of new kernel-identity tests
+and of the differential helpers used here; this file and
+tests/test_fast_mode_identity.py keep their names so that their test
+ids stay stable.
 """
 
-import dataclasses
 import warnings
 
 import pytest
@@ -29,22 +29,16 @@ from repro.config import Design, small_config
 from repro.experiments import parallel
 from repro.faults import FaultPlan, WakeupFault
 from repro.noc.network import BACKENDS, Network, resolve_backend
+from repro.noc.ref import RefNetwork
 from repro.noc.soa import SoANetwork
 from repro.trace.recorder import EventTrace
-from repro.traffic.synthetic import (hotspot, tornado, transpose,
-                                     uniform_random)
+from tests.test_kernel_identity import assert_identical, run_once
 from tests.tracediff import assert_same_events
 
-TRAFFIC_MAKERS = {
-    "uniform": uniform_random,
-    "tornado": tornado,
-    "transpose": transpose,
-    "hotspot": hotspot,
-}
-
-#: The fault plan each traffic kind of the design x traffic matrix
+#: The design x traffic matrix's traffic kinds, and the fault plan each
 #: carries (uniform stays plain): every design meets a router hard-fail,
 #: lossy links with retransmission, and a stuck plus a slow wakeup.
+KINDS = ("hotspot", "tornado", "transpose", "uniform")
 FAULT_PLANS = {
     "hotspot": FaultPlan.single_router_failure(5, 60),
     "tornado": FaultPlan.uniform_link_noise(
@@ -53,47 +47,24 @@ FAULT_PLANS = {
     "transpose": FaultPlan(wakeup_faults=(WakeupFault(5, ignore=True),
                                           WakeupFault(6, delay=20))),
 }
+#: This file's runs are longer than the helper's default.
+LONG = dict(warmup=100, measure=600)
 
 
-def run_once(design, backend, kind="uniform", *, rate=0.1, seed=3,
-             width=4, height=4, warmup=100, measure=600,
-             speculative=False, aggressive=False, trace=False, plan=None):
-    """One deterministic run (under fault plan ``plan``, if given)."""
-    cfg = small_config(design, width=width, height=height,
-                       warmup=warmup, measure=measure)
-    if speculative:
-        cfg = cfg.replace(noc=dataclasses.replace(cfg.noc,
-                                                  speculative=True))
-    if aggressive:
-        cfg = cfg.replace(pg=dataclasses.replace(cfg.pg,
-                                                 aggressive_bypass=True))
-    recorder = EventTrace() if trace else None
-    net = Network(cfg, backend=backend, trace=recorder, fault_plan=plan)
-    traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
-    result = net.run(traffic)
-    return net, result, recorder
-
-
-def assert_identical(res_ref, res_soa):
-    """Field-by-field comparison with a readable failure message."""
-    if res_ref == res_soa:
-        return
-    diffs = []
-    for fld in res_ref.__dataclass_fields__:
-        a, b = getattr(res_ref, fld), getattr(res_soa, fld)
-        if a != b:
-            diffs.append(f"{fld}: ref={a!r} soa={b!r}")
-    raise AssertionError("backend drift:\n" + "\n".join(diffs))
+def traced_run(design, backend, **kwargs):
+    """A ``LONG`` run recorded into a fresh trace: (net, result, trace)."""
+    trace = EventTrace()
+    net, result = run_once(design, backend=backend, trace=trace,
+                           **LONG, **kwargs)
+    return net, result, trace
 
 
 def assert_differential(design, **kwargs):
     """Run ``ref`` and ``soa``, both traced: field-identical results and
     the same event stream.  Returns the soa leg's network and result."""
-    net_ref, res_ref, trace_ref = run_once(design, "ref", trace=True,
-                                           **kwargs)
-    net_soa, res_soa, trace_soa = run_once(design, "soa", trace=True,
-                                           **kwargs)
-    assert type(net_ref) is Network
+    net_ref, res_ref, trace_ref = traced_run(design, "ref", **kwargs)
+    net_soa, res_soa, trace_soa = traced_run(design, "soa", **kwargs)
+    assert type(net_ref) is RefNetwork
     assert isinstance(net_soa, SoANetwork)
     assert_identical(res_ref, res_soa)
     assert_same_events(trace_ref.canonical_lines(),
@@ -103,7 +74,7 @@ def assert_differential(design, **kwargs):
 
 class TestRunResultIdentity:
     @pytest.mark.parametrize("design", Design.ALL)
-    @pytest.mark.parametrize("kind", sorted(TRAFFIC_MAKERS))
+    @pytest.mark.parametrize("kind", KINDS)
     def test_field_identical_runresults(self, design, kind):
         net, result = assert_differential(design, kind=kind,
                                           plan=FAULT_PLANS.get(kind))
@@ -128,12 +99,11 @@ class TestRunResultIdentity:
         """An unpinned traced run executes on the soa kernel, records
         the reference's digest, and returns the untraced run's
         RunResult (tracing observes; it picks no kernel)."""
-        _, _, trace_ref = run_once(design, "ref", trace=True)
-        net_soa, res_traced, trace_soa = run_once(design, None,
-                                                  trace=True)
+        _, _, trace_ref = traced_run(design, "ref")
+        net_soa, res_traced, trace_soa = traced_run(design, None)
         assert isinstance(net_soa, SoANetwork)
         assert trace_ref.digest() == trace_soa.digest()
-        _, res_soa, _ = run_once(design, "soa")
+        _, res_soa = run_once(design, backend="soa", **LONG)
         assert_identical(res_traced, res_soa)
 
 
@@ -151,7 +121,7 @@ class TestBackendSelection:
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "soa")
         net = Network(small_config(Design.NORD), backend="ref")
-        assert type(net) is Network
+        assert type(net) is RefNetwork
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simulation backend"):

@@ -84,6 +84,11 @@ def _net(design, backend):
     return Network(small_config(design), backend=backend)
 
 
+def _ring_credit_base(net, node):
+    """Flat index of the first credit of ``node``'s ring output port."""
+    return (node * NUM_PORTS + net.ring.outport[node]) * net._V
+
+
 def _run_until(net, traffic, done, limit=60):
     for _ in range(limit):
         net._inject_arrivals(traffic)
@@ -93,19 +98,29 @@ def _run_until(net, traffic, done, limit=60):
     raise AssertionError("condition never reached")
 
 
-def _active_traversal(net):
+def _ni_with_flit(net):
+    """A NoRD node's NI and a head flit bound two hops down the ring."""
+    node = net.ring.order[0]
+    flit = Packet(node, net.ring.order[2], 1, 0).make_flits()[0]
+    return net.nis[node], flit
+
+
+def _starved_active_vc(backend):
     """Step a 5-flit packet 0 -> 3 until router 0 holds it ACTIVE toward
-    a mesh port with flits buffered; returns a thunk that runs that
-    kernel's router traversal on it, and the credit index it takes."""
+    a mesh port with a flit buffered, and empty that port's credit for
+    the packet's VC.  Returns the network and the VC: ``(in_port,
+    VirtualChannel)`` on ref, the flat VC id on soa."""
+    net = _net(Design.NO_PG, backend)
     traffic = ScriptedTraffic([(1, 0, 3, 5)], 16)
-    if isinstance(net, SoANetwork):
+    if backend == "soa":
         def ready():
             return [f for f in range(net._fpn)
-                    if net._st[f] == 3 and net._fifo[f]
+                    if net._st[f] == VCState.ACTIVE and net._fifo[f]
                     and net._route[f] != LOCAL]
         _run_until(net, traffic, ready)
         f = ready()[0]
-        return (lambda: net._traverse(f, 0, net.now)), net._outc[f]
+        net._credit[net._outc[f]] = 0
+        return net, f
     router = net.routers[0]
 
     def ready():
@@ -114,16 +129,8 @@ def _active_traversal(net):
                 and vc.fifo and vc.route_port != LOCAL]
     _run_until(net, traffic, ready)
     p, vc = ready()[0]
-    return ((lambda: router._traverse(vc, p, net.now)),
-            vc.route_port * net._V + vc.out_vc)
-
-
-def _ni_with_flit(net):
-    """A NoRD node's NI, a head flit bound two hops down the ring, and
-    the flat index of the NI's first ring-port credit."""
-    node = net.ring.order[0]
-    flit = Packet(node, net.ring.order[2], 1, 0).make_flits()[0]
-    return net.nis[node], flit
+    net._credit[vc.route_port * net._V + vc.out_vc] = 0
+    return net, (p, vc)
 
 
 class TestCreditCounter:
@@ -162,15 +169,24 @@ class TestCreditCounter:
             assert seen[-1] == full, backend
 
     def test_underflow_raises(self):
-        """The router traversal, the NI ring forward and ring inject and
-        the NI LOCAL inject all refuse to take a credit that is not
-        there."""
+        """The reference router traversal, the NI ring forward and ring
+        inject and the NI LOCAL inject all refuse to take a credit that
+        is not there."""
         for backend in KERNELS:
             for site, run in _underflow_sites(backend):
                 with pytest.raises(RuntimeError, match=(
                         "^credit underflow: flow control violated$")):
                     run()
                     pytest.fail(f"{backend} {site} took a missing credit")
+
+    def test_soa_sa_skips_a_missing_credit(self):
+        """soa's SA does not pick a VC whose credit is gone, so the
+        router phase leaves its flit buffered and the counter at 0."""
+        net, f = _starved_active_vc("soa")
+        buffered = len(net._fifo[f])
+        net._phase_routers(net.now)
+        assert len(net._fifo[f]) == buffered
+        assert net._credit[net._outc[f]] == 0
 
     def test_overflow_raises(self):
         """The credit phase and the LOCAL-side return both refuse to
@@ -278,64 +294,14 @@ class TestOutputPort:
             assert not any(net._failed)
 
 
-KERNELS = ("ref", "soa")
-
-
-def _net(design, backend):
-    return Network(small_config(design), backend=backend)
-
-
-def _ring_credit_base(net, node):
-    """Flat index of the first credit of ``node``'s ring output port."""
-    return (node * NUM_PORTS + net.ring.outport[node]) * net._V
-
-
-def _run_until(net, traffic, done, limit=60):
-    for _ in range(limit):
-        net._inject_arrivals(traffic)
-        net.step()
-        if done():
-            return
-    raise AssertionError("condition never reached")
-
-
-def _ni_with_flit(net):
-    """A NoRD node's NI and a head flit bound two hops down the ring."""
-    node = net.ring.order[0]
-    flit = Packet(node, net.ring.order[2], 1, 0).make_flits()[0]
-    return net.nis[node], flit
-
-
-def _traversal_site(backend):
-    """Step a 5-flit packet 0 -> 3 until router 0 holds it ACTIVE toward
-    a mesh port with a flit buffered, empty that port's credit for the
-    packet's VC, and return the kernel's traversal of that VC."""
-    net = _net(Design.NO_PG, backend)
-    traffic = ScriptedTraffic([(1, 0, 3, 5)], 16)
-    if backend == "soa":
-        def ready():
-            return [f for f in range(net._fpn)
-                    if net._st[f] == VCState.ACTIVE and net._fifo[f]
-                    and net._route[f] != LOCAL]
-        _run_until(net, traffic, ready)
-        f = ready()[0]
-        net._credit[net._outc[f]] = 0
-        return lambda: net._traverse(f, 0, net.now)
-    router = net.routers[0]
-
-    def ready():
-        return [(p, vc) for p, port in enumerate(router.in_ports)
-                for vc in port.vcs if vc.state == VCState.ACTIVE
-                and vc.fifo and vc.route_port != LOCAL]
-    _run_until(net, traffic, ready)
-    p, vc = ready()[0]
-    net._credit[vc.route_port * net._V + vc.out_vc] = 0
-    return lambda: router._traverse(vc, p, net.now)
-
-
 def _underflow_sites(backend):
-    """(site, thunk) pairs, each thunk taking a credit that is at 0."""
-    yield "router traversal", _traversal_site(backend)
+    """(site, thunk) pairs, each thunk taking a credit that is at 0.
+    soa has no router-traversal site: its one traversal runs only SA's
+    winners (``TestCreditCounter.test_soa_sa_skips_a_missing_credit``)."""
+    if backend == "ref":
+        net, (p, vc) = _starved_active_vc(backend)
+        yield "router traversal", (
+            lambda: net.routers[0]._traverse(vc, p, net.now))
     net = _net(Design.NORD, backend)
     ni, flit = _ni_with_flit(net)
     ni.latch_write(2, flit)

@@ -32,7 +32,8 @@ Four layers of evidence live here:
 The file predates the kernel merge (the "fast mode" it names *is* the
 soa kernel now) and keeps its name and test ids only because the tier-1
 floor tracks tests by id; new kernel-identity tests go to
-tests/test_kernel_identity.py.  The ``fast=`` keyword tests at the end
+tests/test_kernel_identity.py, whose differential helpers this file
+uses.  The ``fast=`` keyword tests at the end
 cover the keyword ``Network`` still accepts (and ignores) for the
 frozen benchmark.
 """
@@ -47,55 +48,29 @@ from repro.faults import FaultPlan, WakeupFault
 from repro.noc import soa
 from repro.noc.activity import ActiveSet
 from repro.noc.network import Network, RunProgress
+from repro.noc.ref import RefNetwork
 from repro.noc.soa import SoANetwork
 from repro.noc.topology import NUM_PORTS, OPPOSITE, LOCAL
 from repro.trace.recorder import EventTrace
-from repro.traffic.synthetic import (bit_complement, tornado, transpose,
-                                     uniform_random)
+from repro.traffic.synthetic import uniform_random
+from tests.test_kernel_identity import assert_identical, run_once
 from tests.tracediff import assert_same_events
 
-TRAFFIC_MAKERS = {
-    "uniform": uniform_random,
-    "tornado": tornado,
-    "transpose": transpose,
-    "bitcomp": bit_complement,
-}
-
-
-def run_once(design, kind, *, backend="ref", rate=0.1,
-             seed=3, width=4, height=4, warmup=60, measure=300, drain=None,
-             trace=None, plan=None):
-    """One deterministic run (recording into ``trace`` and injecting
-    ``plan``'s faults when given)."""
-    cfg = small_config(design, width=width, height=height,
-                       warmup=warmup, measure=measure)
-    net = Network(cfg, backend=backend, trace=trace, fault_plan=plan)
-    traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
-    return net, net.run(traffic, drain=drain)
-
-
-def assert_identical(res_a, res_b, label):
-    if res_a == res_b:
-        return
-    diffs = []
-    for fld in res_a.__dataclass_fields__:
-        a, b = getattr(res_a, fld), getattr(res_b, fld)
-        if a != b:
-            diffs.append(f"{fld}: {a!r} != {b!r}")
-    raise AssertionError(f"kernel drift ({label}):\n" + "\n".join(diffs))
+#: The golden matrix's traffic kinds.
+KINDS = ("bitcomp", "tornado", "transpose", "uniform")
 
 
 class TestGoldenMatrix:
     """ref == soa == the unpinned default, for every design x kind."""
 
     @pytest.mark.parametrize("design", Design.ALL)
-    @pytest.mark.parametrize("kind", sorted(TRAFFIC_MAKERS))
+    @pytest.mark.parametrize("kind", KINDS)
     def test_three_kernels_agree(self, design, kind):
         # Three *requests*: the third is what an untagged run gets.
         net_ref, res_ref = run_once(design, kind, backend="ref")
         net_soa, res_soa = run_once(design, kind, backend="soa")
         net_dflt, res_dflt = run_once(design, kind, backend=None)
-        assert type(net_ref) is Network
+        assert type(net_ref) is RefNetwork
         assert type(net_soa) is SoANetwork
         assert type(net_dflt) is SoANetwork
         assert_identical(res_ref, res_soa, f"{design}/{kind} soa")
@@ -115,7 +90,7 @@ class TestGoldenMatrix:
 #: links (credit loss included), or a stuck/slow wakeup.
 _NODE = st.integers(min_value=0, max_value=15)
 _RATE = st.floats(min_value=0.0, max_value=0.02)
-FAULT_PLANS = st.one_of(
+RANDOM_PLANS = st.one_of(
     st.none(),
     st.builds(FaultPlan.single_router_failure, _NODE,
               st.integers(min_value=0, max_value=200)),
@@ -144,10 +119,10 @@ class TestHypothesisDifferential:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(design=st.sampled_from(Design.ALL),
-           kind=st.sampled_from(sorted(TRAFFIC_MAKERS)),
+           kind=st.sampled_from(KINDS),
            rate=st.floats(min_value=0.01, max_value=0.3),
            seed=st.integers(min_value=0, max_value=2**16),
-           plan=FAULT_PLANS)
+           plan=RANDOM_PLANS)
     def test_random_point_identity(self, design, kind, rate, seed, plan):
         trace_ref, trace_soa = EventTrace(), EventTrace()
         res_ref = outcome(design, kind, "ref", trace_ref, plan, rate=rate,
@@ -170,14 +145,6 @@ def _flits_in_flight(net):
     """Every flit between NI injection and NI ejection, including the
     mailboxes."""
     total = sum(len(dq) for dq in net._fifo)
-    for row in net.links_out:
-        for link in row:
-            if link is not None:
-                total += len(link.flits._queue)
-    for line in net.inject_lines:
-        total += len(line._queue)
-    for line in net.eject_lines:
-        total += len(line._queue)
     total += (len(net._flit_box) + len(net._flit_mid)
               + len(net._flit_due))
     total += len(net._inj_box) + len(net._inj_due)
@@ -189,11 +156,11 @@ def _flits_in_flight(net):
 
 def _check_credit_books(net, design):
     """The flow-control invariant, per (output port, vc): credits held
-    upstream + flits in flight (queue or mail) + credit returns in
-    flight (queue or mail) + flits buffered (or latched) downstream
-    add up to the buffer depth."""
+    upstream + flits in flight (mail) + credit returns in flight (mail)
+    + flits buffered (or latched) downstream add up to the buffer
+    depth."""
     v_per = net._V
-    ring = getattr(net, "ring", None)
+    ring = net.ring
     for node in range(net.mesh.num_nodes):
         for port in range(NUM_PORTS):
             if port == LOCAL:
@@ -203,7 +170,6 @@ def _check_credit_books(net, design):
             if down < 0:
                 continue
             in_port = OPPOSITE[port]
-            link = net.links_out[node][port]
             is_ring_in = (design == Design.NORD
                           and ring.inport[down] == in_port)
             for vc in range(v_per):
@@ -211,28 +177,22 @@ def _check_credit_books(net, design):
                 held = net._credit[c]
                 assert 0 <= held <= net._maxc[c], (
                     f"credit counter {c} out of range: {held}")
-                flits_q = sum(1 for _, (w, pk, v2) in link.flits._queue
-                              if v2 == vc)
-                flits_m = sum(1 for box in (net._flit_box, net._flit_mid,
-                                            net._flit_due)
-                              for e in box if e[0] == o and e[3] == vc)
-                creds_q = sum(1 for _, v2 in link.credits._queue
-                              if v2 == vc)
-                creds_m = sum(1 for box in (net._credit_box,
-                                            net._credit_due)
-                              for cc in box if cc == c)
+                flits = sum(1 for box in (net._flit_box, net._flit_mid,
+                                          net._flit_due)
+                            for e in box if e[0] == o and e[3] == vc)
+                creds = sum(1 for box in (net._credit_box,
+                                          net._credit_due)
+                            for cc in box if cc == c)
                 buffered = len(net._fifo[(down * NUM_PORTS + in_port)
                                          * v_per + vc])
                 latched = (len(net.nis[down].latch[vc])
                            if is_ring_in else 0)
-                total = (held + flits_q + flits_m + creds_q + creds_m
-                         + buffered + latched)
+                total = held + flits + creds + buffered + latched
                 assert total == net._maxc[c], (
                     f"credit conservation broken on link {node}->"
                     f"{down} port {port} vc {vc}: held={held} "
-                    f"flits={flits_q}+{flits_m} creds={creds_q}+"
-                    f"{creds_m} buf={buffered} latch={latched} "
-                    f"!= {net._maxc[c]}")
+                    f"flits={flits} creds={creds} buf={buffered} "
+                    f"latch={latched} != {net._maxc[c]}")
 
 
 class TestConservation:
@@ -319,9 +279,10 @@ class TestOracleSelfTest:
             rounds += 1
             sa_out = self._sa_out[node]
             kept = [(r, sa_out[r]._last) for r in routes]
-            orig(self, node, noms, now)
+            won = orig(self, node, noms, now)
             for r, last in kept:
                 sa_out[r]._last = last
+            return won
 
         _, res_ref = run_once(Design.NO_PG, "uniform", rate=0.3)
         monkeypatch.setattr(SoANetwork, "_sa_outputs", no_pointer_write)
@@ -541,13 +502,13 @@ class TestOracleSelfTest:
             def add(self, node):
                 pass  # the mutant: the activation is dropped
 
-        orig = SoANetwork.__init__
+        orig = SoANetwork._build_datapath
 
-        def init(self, *args, **kwargs):
-            orig(self, *args, **kwargs)
+        def build(self):
+            orig(self)
             self._active_routers = NoAdd()
 
-        monkeypatch.setattr(SoANetwork, "__init__", init)
+        monkeypatch.setattr(SoANetwork, "_build_datapath", build)
         self.assert_caught(Design.NORD, "uniform", "dead router activation")
 
     def test_leave_quiescence_off_by_one_is_caught(self, monkeypatch):

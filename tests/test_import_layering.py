@@ -18,10 +18,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
+#: What only a run pinned to the reference kernel imports: the kernel,
+#: its router objects and its links.
+REF_ONLY = ("repro.noc.ref", "repro.noc.router", "repro.noc.link")
+
 #: What a cache hit must never import: the kernels and everything only
 #: they need.
-SIMULATOR = ("repro.noc.network", "repro.noc.soa", "repro.noc.router",
-             "repro.noc.ni", "repro.metrics.sampler", "repro.trace.recorder")
+SIMULATOR = ("repro.noc.network", "repro.noc.soa", "repro.noc.ni",
+             "repro.metrics.sampler", "repro.trace.recorder") + REF_ONLY
 
 #: What only a miss runs: the checkpoint writer (inside a point's run),
 #: the ring builder and Fig. 6's placement search.
@@ -77,8 +81,10 @@ def test_cached_run_all_loads_no_simulator_module(tmp_path):
             "run-all", "--scale", "smoke", "--jobs", "1", "--seed", "1")
     fill, loaded = child(SUBSET, *argv, cache=tmp_path)
     assert " 0 hits, " in fill[-1] and " 0 misses" not in fill[-1]
-    # (the sampler only ever loads for a run that asks for metrics)
-    assert set(SIMULATOR) - {"repro.metrics.sampler"} <= set(loaded)
+    # (the sampler only ever loads for a run that asks for metrics, the
+    # reference kernel only for a pinned run)
+    assert (set(SIMULATOR) - {"repro.metrics.sampler"} - set(REF_ONLY)
+            <= set(loaded))
     assert set(MISS_ONLY) <= set(loaded)
 
     cached, loaded = child(SUBSET, *argv, cache=tmp_path)
@@ -89,6 +95,26 @@ def test_cached_run_all_loads_no_simulator_module(tmp_path):
         return [line for line in lines if " took " not in line]
     assert report(cached) == report(fill)
     assert sum(line.startswith("### ") for line in cached) == 3
+
+
+def test_default_network_loads_no_reference_module():
+    """The default kernel imports nothing of the reference's: building
+    an unpinned network and running it leaves the ``ref`` kernel, its
+    router objects and its links unloaded; a pinned one loads them."""
+    script = ("import json, sys\n"
+              "from repro.config import Design, small_config\n"
+              "from repro.noc.network import Network\n"
+              "from repro.traffic.synthetic import uniform_random\n"
+              "net = Network(small_config(Design.NORD),\n"
+              "              backend=sys.argv[1] or None)\n"
+              "net.run(uniform_random(net.mesh, 0.1, seed=1), warmup=10,\n"
+              "        measure=50, drain=50)\n"
+              "print(json.dumps([type(net).__name__, sorted(\n"
+              "    m for m in sys.modules if m in %r)]))" % (REF_ONLY,))
+    _, (kernel, loaded) = child(script, "")
+    assert (kernel, loaded) == ("SoANetwork", [])
+    _, (kernel, loaded) = child(script, "ref")
+    assert (kernel, loaded) == ("RefNetwork", sorted(REF_ONLY))
 
 
 def test_code_version_covers_files_that_were_never_imported():

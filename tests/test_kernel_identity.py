@@ -7,20 +7,26 @@ and a metrics recorder run on either).  This file pins
 
 * the selection rule, and that ``DesignPoint`` agrees with the network
   it builds;
+* the layout: ``RefNetwork`` and ``SoANetwork`` are sibling subclasses
+  of the core, share only the kernel interface the core declares, and a
+  ``soa`` network builds none of the reference's objects;
 * that the result says which kernel produced it (``RunResult.kernel``,
   the ``simulate`` and ``run-all`` footers);
 * that ``--profile`` describes the kernel that ran: per-phase occupancy
   under ``soa`` is what its activity sets and mailboxes hold;
 * that a plain ``simulate`` never imports numpy.
 
-The RunResult differentials (design x traffic matrices, hypothesis,
-conservation, the mutation self-test) live in
-tests/test_backend_identity.py and tests/test_fast_mode_identity.py,
-which keep their pre-merge names because the tier-1 floor tracks tests
-by id; snapshot split-equals-straight on both kernels is in
-tests/test_snapshot_restore.py.  New kernel-identity tests go here.
+It also holds the one set of differential helpers (``TRAFFIC_MAKERS``,
+``run_once``, ``assert_identical``).  The RunResult differentials
+(design x traffic matrices, hypothesis, conservation, the mutation
+self-test) that use them live in tests/test_backend_identity.py and
+tests/test_fast_mode_identity.py, which keep their names so that their
+test ids stay stable; snapshot split-equals-straight on both kernels is
+in tests/test_snapshot_restore.py.  New kernel-identity
+tests go here.
 """
 
+import ast
 import dataclasses
 import os
 import subprocess
@@ -37,16 +43,111 @@ from repro.faults import FaultPlan
 from repro.metrics.sampler import MetricsSpec
 from repro.noc import activity
 from repro.noc.network import Network, select_kernel
+from repro.noc.ref import RefNetwork
+from repro.noc.soa import SoANetwork
 from repro.stats.collector import RunResult
 from repro.trace.recorder import EventTrace, TraceSpec
-from repro.traffic.synthetic import uniform_random
+from repro.traffic.synthetic import (bit_complement, hotspot, tornado,
+                                     transpose, uniform_random)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Synthetic traffic by name, for every differential.
+TRAFFIC_MAKERS = {
+    "uniform": uniform_random,
+    "tornado": tornado,
+    "transpose": transpose,
+    "hotspot": hotspot,
+    "bitcomp": bit_complement,
+}
+
+
+def run_once(design, kind="uniform", backend="ref", *, rate=0.1, seed=3,
+             width=4, height=4, warmup=60, measure=300, drain=None,
+             speculative=False, aggressive=False, trace=None, plan=None):
+    """One deterministic run on ``backend`` (None: the unpinned
+    default), recording into ``trace`` and injecting ``plan``'s faults
+    when given; returns the network and its RunResult."""
+    cfg = small_config(design, width=width, height=height,
+                       warmup=warmup, measure=measure)
+    if speculative:
+        cfg = cfg.replace(noc=dataclasses.replace(cfg.noc,
+                                                  speculative=True))
+    if aggressive:
+        cfg = cfg.replace(pg=dataclasses.replace(cfg.pg,
+                                                 aggressive_bypass=True))
+    net = Network(cfg, backend=backend, trace=trace, fault_plan=plan)
+    traffic = TRAFFIC_MAKERS[kind](net.mesh, rate, seed=seed)
+    return net, net.run(traffic, drain=drain)
+
+
+def assert_identical(res_a, res_b, label=""):
+    """Field-by-field comparison with a readable failure message."""
+    if res_a == res_b:
+        return
+    diffs = []
+    for fld in res_a.__dataclass_fields__:
+        a, b = getattr(res_a, fld), getattr(res_b, fld)
+        if a != b:
+            diffs.append(f"{fld}: {a!r} != {b!r}")
+    raise AssertionError(f"kernel drift ({label}):\n" + "\n".join(diffs))
+
 
 def point(**fields):
     return parallel.DesignPoint(
         cfg=small_config(Design.NORD, warmup=40, measure=200),
         traffic=parallel.uniform_spec(0.1), **fields)
+
+
+def _methods(path, cls_name):
+    """The names ``def``-ined in class ``cls_name`` of source ``path``."""
+    tree = ast.parse(path.read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == cls_name)
+    return {node.name for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+class TestKernelLayout:
+    """One core, two sibling kernels (DESIGN.md section 3)."""
+
+    #: What each kernel supplies and the core calls: the datapath
+    #: constructor, the six phases and the profile's occupancy, the sends
+    #: the NIs make, and the input-side reads and writes of the shared
+    #: power transitions and diagnostics.
+    INTERFACE = {
+        "_build_datapath", "_occupancy", "_phase_credits", "_phase_nis",
+        "_phase_routers", "_phase_links", "_phase_pg", "_phase_stats",
+        "send_flit", "send_inject", "credit_upstream", "_deliver_flit",
+        "_reset_vcs_routed_to", "_ring_slots_held", "_router_empty",
+        "_incoming_condition", "buffered_vcs",
+    }
+
+    def test_kernels_share_only_the_interface(self):
+        """Every method name both kernel classes define is one of the
+        kernel interface, which the core declares and leaves to them:
+        neither kernel inherits, overrides or repeats the other's
+        code."""
+        noc = SRC / "repro" / "noc"
+        ref = _methods(noc / "ref.py", "RefNetwork")
+        soa = _methods(noc / "soa.py", "SoANetwork")
+        assert ref & soa == self.INTERFACE
+        assert not self.INTERFACE & _methods(noc / "network.py", "Network")
+        assert RefNetwork not in SoANetwork.__mro__
+        assert SoANetwork not in RefNetwork.__mro__
+        assert RefNetwork.__bases__ == SoANetwork.__bases__ == (Network,)
+        assert (RefNetwork.backend, SoANetwork.backend) == ("ref", "soa")
+
+    def test_soa_builds_none_of_the_reference_objects(self):
+        for design in Design.ALL:
+            net = Network(small_config(design))
+            assert type(net) is SoANetwork
+            for name in ("routers", "links_out", "_links", "inject_lines",
+                         "eject_lines"):
+                assert not hasattr(net, name), (design, name)
+        ref = Network(small_config(Design.NORD), backend="ref")
+        assert type(ref) is RefNetwork
+        assert len(ref._links) == ref._num_links == 48
 
 
 class TestDispatchTable:
@@ -80,7 +181,6 @@ class TestDispatchTable:
         metered = point(metrics=MetricsSpec(directory=str(tmp_path)))
         assert metered.resolved_backend() == "soa"
         assert metered.cache_key() == point().cache_key()
-        from repro.noc.soa import SoANetwork
         net = SoANetwork(small_config(Design.NORD),
                          metrics=MetricsSpec(directory="x").build())
         assert net.metrics is not None
@@ -93,7 +193,6 @@ class TestDispatchTable:
         traced = point(trace=TraceSpec(directory=str(tmp_path)))
         assert traced.resolved_backend() == "soa"
         assert traced.cache_key() == point().cache_key()
-        from repro.noc.soa import SoANetwork
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # nothing to fall back from
             for backend in (None, "soa"):
@@ -116,7 +215,6 @@ class TestDispatchTable:
         # an empty plan keeps sharing the plain point's entry
         assert point(faults=FaultPlan()).cache_key() == point().cache_key()
         assert point(faults=plan).cache_key() != point().cache_key()
-        from repro.noc.soa import SoANetwork
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # nothing to fall back from
             for backend in (None, "soa"):
@@ -130,7 +228,7 @@ class TestDispatchTable:
     def test_pinned_ref_is_honoured(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "ref")
         assert select_kernel() == "ref"
-        assert type(Network(small_config(Design.NORD))) is Network
+        assert type(Network(small_config(Design.NORD))) is RefNetwork
         assert point().resolved_backend() == "ref"
 
     def test_execute_point_runs_the_kernel_the_point_resolves(self,

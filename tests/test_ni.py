@@ -53,7 +53,7 @@ class TestInjectionPaths:
         for _ in range(5):
             net.step()
         # no flit may have entered the router's LOCAL port
-        assert net.inject_lines[src].empty
+        assert net._nbw[src] == 0 and not net._inj_due
         assert net.nis[src].n_injected_flits == 1
 
     def test_mid_packet_path_is_sticky(self):

@@ -105,9 +105,9 @@ def test_split_with_parked_waiters_equals_straight():
 # ---------------------------------------------------------------------------
 
 #: Unpark sites by the function that calls ``_unpark``: the router's
-#: tail traversal (inline and out of line), the LOCAL eject tail, and
+#: tail traversal (its one site), the LOCAL eject tail, and
 #: the NI bypass eject/forward release.
-ROUTER_TAIL = ("_phase_routers", "_traverse")
+ROUTER_TAIL = ("_phase_routers",)
 LOCAL_EJECT = ("_phase_links",)
 BYPASS = ("release_upstream_owner",)
 

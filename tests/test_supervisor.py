@@ -320,7 +320,7 @@ def test_ready_worker_has_the_simulator_loaded():
     finally:
         proc.kill()
         proc.join()
-    for name in ("repro.noc.network", "repro.noc.soa",
+    for name in ("repro.noc.network", "repro.noc.soa", "repro.noc.ref",
                  "repro.noc.bufferless", "repro.traffic.synthetic",
                  "repro.traffic.parsec", "repro.metrics.sampler",
                  "repro.trace.recorder"):
