@@ -28,13 +28,16 @@ from typing import Any, Dict, Optional, Tuple
 
 
 class Design:
-    """Enumerates the four designs compared in the paper (Section 5.1)."""
+    """The four designs compared in the paper (Section 5.1) and the
+    Section 6.8 bufferless baseline (:mod:`repro.noc.bufferless`)."""
 
     NO_PG = "No_PG"
     CONV_PG = "Conv_PG"
     CONV_PG_OPT = "Conv_PG_OPT"
     NORD = "NoRD"
+    BUFFERLESS = "Bufferless"
 
+    #: The paper's four designs (every figure sweeps these).
     ALL = (NO_PG, CONV_PG, CONV_PG_OPT, NORD)
 
     #: Designs that power-gate routers at all.
@@ -170,7 +173,7 @@ class SimConfig:
     drain_cycles: int = 20_000
 
     def __post_init__(self) -> None:
-        if self.design not in Design.ALL:
+        if self.design not in Design.ALL + (Design.BUFFERLESS,):
             raise ValueError(f"unknown design {self.design!r}")
         if self.noc.vcs_per_port < 2:
             raise ValueError("need at least 2 VCs (adaptive + escape)")

@@ -43,24 +43,18 @@ class BufferlessResult:
 
 def run(scale: str = "bench", seed: int = 1) -> BufferlessResult:
     s = get_scale(scale)
-    labels = (("No_PG", Design.NO_PG), ("Bufferless", None),
-              ("NoRD", Design.NORD))
-    design_points = []
-    for _, design in labels:
-        cfg = SimConfig(design=design or Design.NO_PG, noc=NoCConfig(),
-                        warmup_cycles=s.warmup, measure_cycles=s.measure,
-                        drain_cycles=s.drain, seed=seed)
-        design_points.append(parallel.DesignPoint(
-            cfg=cfg,
-            traffic=parallel.uniform_spec(RATE, seed=seed),
-            network=(parallel.BUFFERLESS_NETWORK if design is None
-                     else parallel.STANDARD_NETWORK),
-        ))
+    designs = (Design.NO_PG, Design.BUFFERLESS, Design.NORD)
+    design_points = [parallel.DesignPoint(
+        cfg=SimConfig(design=design, noc=NoCConfig(),
+                      warmup_cycles=s.warmup, measure_cycles=s.measure,
+                      drain_cycles=s.drain, seed=seed),
+        traffic=parallel.uniform_spec(RATE, seed=seed))
+        for design in designs]
     rows: List[BufferlessRow] = []
-    for (label, _), (result, energy) in zip(labels,
-                                            parallel.submit(design_points)):
+    for design, (result, energy) in zip(designs,
+                                        parallel.submit(design_points)):
         rows.append(BufferlessRow(
-            label=label,
+            label=design,
             latency=result.avg_packet_latency,
             hops=result.avg_hops,
             static_vs_nopg=(energy.router_static_j /

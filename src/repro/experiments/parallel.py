@@ -9,8 +9,9 @@ shared machinery:
   descriptions of one simulation run.  Unlike the closure-based traffic
   factories they replace, a spec can cross a process boundary and be
   hashed into a stable cache key;
-* :func:`execute_point` - the spawn-safe worker: builds the network,
-  runs it, evaluates energy;
+* :func:`execute_point` - the spawn-safe worker: builds the network
+  its design names (the bufferless one included), runs it, evaluates
+  energy;
 * :class:`ResultCache` - the content-addressed store of finished
   points (and of Figure 6's placement curve) under ``~/.cache/repro``
   (override with ``REPRO_CACHE_DIR``), keyed by :meth:`DesignPoint.
@@ -50,7 +51,7 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from ..config import SimConfig, stable_hash
+from ..config import Design, SimConfig, stable_hash
 from ..errors import (CreditAccountingError, DeadlockError, LivelockError,
                       RunTimeout, SimulationError, SimulationHang,
                       SweepInterrupted)
@@ -82,12 +83,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: 7: sealed entries: the checksum covers the stored ``body`` text.
 #: 8: the body stores router counters as rows and idle histograms as
 #:    ``[length, count]`` pairs (:meth:`RunResult.to_dict`).
-CACHE_FORMAT = 8
-
-#: ``DesignPoint.network`` value selecting the bufferless datapath
-#: (Section 6.8 discussion) instead of the standard ``Network``.
-BUFFERLESS_NETWORK = "bufferless"
-STANDARD_NETWORK = "standard"
+#: 9: the key lost ``network``: the bufferless datapath is selected by
+#:    ``cfg.design`` (``Design.BUFFERLESS``).
+CACHE_FORMAT = 9
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +191,17 @@ def _force_all_off(net: Network) -> None:
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """One independent simulation: config + traffic (+ optional hook)."""
+    """One independent simulation: config + traffic (+ optional hook).
+
+    ``cfg.design`` selects the datapath: one of the paper's four designs
+    on the buffered network, or ``Design.BUFFERLESS`` for the Section
+    6.8 deflection network, which takes no fault plan and no metrics
+    sampler (it has no power-gate controllers or NIs)."""
 
     cfg: SimConfig
     traffic: TrafficSpec
     #: Name of a :data:`PREPARE_HOOKS` entry run on the fresh network.
     prepare: Optional[str] = None
-    #: ``standard`` or ``bufferless``.
-    network: str = STANDARD_NETWORK
     #: Optional fault-injection plan (see :mod:`repro.faults`).
     faults: Optional[FaultPlan] = None
     #: The four fields below are the ones a :class:`SweepRunner` fills
@@ -236,11 +237,10 @@ class DesignPoint:
         if self.prepare is not None and self.prepare not in PREPARE_HOOKS:
             raise ValueError(f"unknown prepare hook {self.prepare!r}; "
                              f"known: {sorted(PREPARE_HOOKS)}")
-        if self.network not in (STANDARD_NETWORK, BUFFERLESS_NETWORK):
-            raise ValueError(f"unknown network kind {self.network!r}")
-        if self.faults is not None and self.network == BUFFERLESS_NETWORK:
-            raise ValueError(
-                "fault injection is not supported on the bufferless network")
+        if self.cfg.design == Design.BUFFERLESS and (
+                self.faults is not None or self.metrics is not None):
+            raise ValueError("fault injection and metrics sampling are "
+                             "not supported on the bufferless network")
         if self.backend is not None:
             resolve_backend(self.backend)  # raises on unknown names
 
@@ -256,10 +256,8 @@ class DesignPoint:
     def resolved_backend(self) -> str:
         """The kernel this point will actually run on (``ref``/``soa``):
         exactly what ``Network(...)`` dispatches to in
-        :func:`execute_point`."""
-        # The bufferless datapath has a single implementation.
-        if self.network == BUFFERLESS_NETWORK:
-            return "ref"
+        :func:`execute_point` (the bufferless datapath, which has one
+        implementation, keys on it all the same)."""
         return select_kernel(self.backend)
 
     def cache_key(self) -> str:
@@ -281,7 +279,6 @@ class DesignPoint:
             "config": self.cfg.to_dict(),
             "traffic": self.traffic.to_key(),
             "prepare": self.prepare,
-            "network": self.network,
             "faults": faults,
             "backend": self.resolved_backend(),
         })
@@ -319,39 +316,31 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
     is removed on success.
     """
     from .. import checkpoint as ck
+    from ..noc.network import Network, RunProgress
     cfg = point.cfg
-    bufferless = point.network == BUFFERLESS_NETWORK
-    # The bufferless datapath is not instrumented; runner-wide trace /
-    # metrics / checkpoint requests do not apply to it.
-    spec = None if bufferless else point.checkpoint
-    ckpt = progress = on_cycle = None
+    spec = point.checkpoint
+    ckpt = on_cycle = None
     prior_wall = 0.0
-    if bufferless:
-        from ..noc.bufferless import BufferlessNetwork
-        net = BufferlessNetwork(cfg)
+    if spec is not None:
+        key = point.cache_key()
+        path = ck.checkpoint_path(spec, point_basename(point))
+        ckpt = ck.load_checkpoint(path, key=key, code=code_version())
+    if ckpt is not None:
+        # The snapshot carries the observers and the effects of the
+        # prepare hook, so neither is built or applied again.
+        net = Network.restore(ckpt.snapshot)
+        traffic = pickle.loads(ckpt.traffic_blob)
+        progress, prior_wall = ckpt.progress, ckpt.wall_clock_s
     else:
-        from ..noc.network import Network, RunProgress
-        if spec is not None:
-            key = point.cache_key()
-            path = ck.checkpoint_path(spec, point_basename(point))
-            ckpt = ck.load_checkpoint(path, key=key, code=code_version())
-        if ckpt is not None:
-            # The snapshot carries the observers and the effects of the
-            # prepare hook, so neither is built or applied again.
-            net = Network.restore(ckpt.snapshot)
-            traffic = pickle.loads(ckpt.traffic_blob)
-            progress, prior_wall = ckpt.progress, ckpt.wall_clock_s
-        else:
-            trace = metrics = None
-            if point.trace is not None:
-                trace = point.trace.build()
-            if point.metrics is not None:
-                metrics = point.metrics.build()
-            net = Network(cfg, fault_plan=point.faults, trace=trace,
-                          metrics=metrics, backend=point.backend)
-            progress = RunProgress(cfg.warmup_cycles, cfg.measure_cycles,
-                                   cfg.drain_cycles)
-    if ckpt is None:
+        trace = metrics = None
+        if point.trace is not None:
+            trace = point.trace.build()
+        if point.metrics is not None:
+            metrics = point.metrics.build()
+        net = Network(cfg, fault_plan=point.faults, trace=trace,
+                      metrics=metrics, backend=point.backend)
+        progress = RunProgress(cfg.warmup_cycles, cfg.measure_cycles,
+                               cfg.drain_cycles)
         if point.prepare is not None:
             PREPARE_HOOKS[point.prepare](net)
         traffic = point.traffic.build(net.mesh)
@@ -376,10 +365,7 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
                                           protocol=pickle.HIGHEST_PROTOCOL),
             ))
 
-    if bufferless:  # the one datapath without a resumable run_segment
-        result = net.run(traffic)
-    else:
-        result = net.run_segment(traffic, progress, on_cycle=on_cycle)
+    result = net.run_segment(traffic, progress, on_cycle=on_cycle)
     elapsed = prior_wall + (time.perf_counter() - t0)
     result.wall_clock_s = elapsed
     if elapsed > 0:
@@ -387,16 +373,15 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
     if spec is not None:
         ck.discard_checkpoint(path)
     report = PowerModel(cfg).evaluate(result)
-    if not bufferless:
-        if net.trace is not None:
-            from ..trace.recorder import export_trace
-            export_trace(net.trace, point.trace,
-                         point_basename(point, point.trace))
-        if net.metrics is not None:
-            from ..metrics.sampler import export_metrics
-            export_metrics(net.metrics, point.metrics,
-                           point_basename(point, point.metrics), net,
-                           traffic=point.traffic.to_key())
+    if net.trace is not None:
+        from ..trace.recorder import export_trace
+        export_trace(net.trace, point.trace,
+                     point_basename(point, point.trace))
+    if net.metrics is not None:
+        from ..metrics.sampler import export_metrics
+        export_metrics(net.metrics, point.metrics,
+                       point_basename(point, point.metrics), net,
+                       traffic=point.traffic.to_key())
     return result, report
 
 
@@ -850,14 +835,7 @@ class SweepRunner:
 
     def run(self,
             points: Sequence[DesignPoint]) -> List[Optional[SweepOutcome]]:
-        points = list(points)
-        inherited = {name: getattr(self, name) for name in INHERITED
-                     if getattr(self, name) is not None}
-        if inherited:
-            points = [replace(p, **{name: value
-                                    for name, value in inherited.items()
-                                    if getattr(p, name) is None})
-                      for p in points]
+        points = [self._inherit(p) for p in points]
         outcomes: List[Optional[SweepOutcome]] = [None] * len(points)
         journaling = self.journal_path is not None
         # Journal records and resume matching go by content key, so keys
@@ -990,6 +968,20 @@ class SweepRunner:
             self.failures.append(failed)
             self.stats.failures += 1
         return outcomes
+
+    def _inherit(self, point: DesignPoint) -> DesignPoint:
+        """``point`` with the :data:`INHERITED` settings it leaves
+        ``None`` filled in from this runner's - but no metrics on a
+        bufferless point, which has nothing the sampler reads."""
+        fill = {name: getattr(self, name) for name in INHERITED
+                if getattr(point, name) is None
+                and getattr(self, name) is not None}
+        if "metrics" in fill and point.cfg.design == Design.BUFFERLESS:
+            del fill["metrics"]
+            print(f"[metrics] {point_basename(point)} not sampled: the "
+                  f"bufferless network has no power-gate controllers or "
+                  f"NIs")
+        return replace(point, **fill) if fill else point
 
     # -- journal / signal plumbing ------------------------------------------
     def _journal_append(self, record: Dict[str, Any]) -> None:

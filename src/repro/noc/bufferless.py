@@ -4,8 +4,8 @@ The paper discusses bufferless routing (CHIPPER-style [6]) as a
 complementary approach: it eliminates the input buffers - the largest
 static-power contributor (55%, Figure 1(b)) - but the remaining 45% of
 router static power stays on, and deflections add hops.  This module
-implements a self-contained synchronous deflection network so that claim
-can be measured rather than asserted:
+implements a synchronous deflection network so that claim can be
+measured rather than asserted:
 
 * no buffers and no virtual channels: every flit in the network moves every
   cycle;
@@ -19,20 +19,26 @@ can be measured rather than asserted:
   the destination (the packet completes when all flits arrived), which is
   the reassembly cost the paper alludes to.
 
-The network produces a :class:`repro.stats.collector.RunResult` whose
-router counters contain *no buffer events*, so the standard power model
-prices it correctly (crossbar + links + the non-buffer static power).
+``Network(cfg)`` builds it for ``Design.BUFFERLESS``, and it runs,
+pauses, checkpoints and traces (``NEW`` per packet, ``SINK`` per flit)
+on the buffered network's run protocol (:class:`~repro.noc.network.
+Datapath`).  Its router counters contain *no buffer events*, so the
+standard power model prices it correctly (crossbar + links + the
+non-buffer static power).  With no power-gate controllers or NIs, it
+takes no fault plan and no metrics sampler.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
-from ..config import SimConfig
-from ..stats.collector import RouterActivity, RunResult, StatsCollector
+from ..config import Design, SimConfig
+from ..stats.collector import StatsCollector
+from ..trace.recorder import EventTrace
 from .flit import Flit, Packet
-from .topology import EAST, LOCAL, NORTH, NUM_PORTS, OPPOSITE, SOUTH, WEST, Mesh
+from .network import Datapath
+from .topology import EAST, NORTH, NUM_PORTS, OPPOSITE, SOUTH, WEST, Mesh
 
 DIRECTIONS = (EAST, WEST, NORTH, SOUTH)
 
@@ -41,25 +47,37 @@ class _Worm:
     """One independently-routed flit in flight (CHIPPER routes flit-sized
     worms; we keep the paper's packet statistics by reassembling)."""
 
-    __slots__ = ("flit", "birth", "hops", "deflections")
+    __slots__ = ("flit", "birth")
 
     def __init__(self, flit: Flit, birth: int) -> None:
         self.flit = flit
         self.birth = birth
-        self.hops = 0
-        self.deflections = 0
 
     @property
     def dst(self) -> int:
         return self.flit.dst
 
 
-class BufferlessNetwork:
+class BufferlessNetwork(Datapath):
     """Synchronous deflection network over the same mesh/traffic interfaces
     as :class:`repro.noc.network.Network` (a subset: no power gating)."""
 
-    def __init__(self, cfg: SimConfig) -> None:
+    backend = "bufferless"
+
+    def __init__(self, cfg: SimConfig, threshold_policy=None, *,
+                 fault_plan=None, trace: Optional[EventTrace] = None,
+                 metrics=None, backend: Optional[str] = None,
+                 fast: Optional[bool] = None) -> None:
+        """``Network``'s arguments; one implementation and no power
+        gating, so ``threshold_policy``, ``backend`` and ``fast`` are
+        ignored."""
+        if fault_plan is not None or metrics is not None:
+            raise ValueError(
+                "the bufferless network has no power-gate controllers or "
+                "NIs: it takes no fault plan and no metrics sampler")
         self.cfg = cfg
+        self.trace = trace
+        self.metrics = None
         self.mesh = Mesh(cfg.noc.width, cfg.noc.height)
         self.now = 0
         self._next_pid = 0
@@ -72,19 +90,19 @@ class BufferlessNetwork:
         ]
         #: reassembly: pid -> number of flits still missing.
         self._missing: Dict[int, int] = {}
-        self.stats = StatsCollector("Bufferless", self.mesh.num_nodes)
+        self.stats = StatsCollector(Design.BUFFERLESS, self.mesh.num_nodes)
         # counters for the power model
         self.n_xbar = [0] * self.mesh.num_nodes
         self.n_eject = [0] * self.mesh.num_nodes
-        self.n_inject = [0] * self.mesh.num_nodes
         self.n_link_flits = 0
         self.n_deflections = 0
         self._outstanding = 0
 
     # ------------------------------------------------------------------
     def inject_packet(self, src: int, dst: int, length: int) -> Packet:
-        pkt = Packet(src, dst, length, self.now, pid=self._next_pid)
-        self._next_pid += 1
+        pkt = Packet(src, dst, length, self.now, pid=self._take_pid())
+        if self.trace is not None:
+            self._trace_new(pkt)
         for flit in pkt.make_flits():
             self.inject_queues[src].append(_Worm(flit, self.now))
         self._missing[pkt.pid] = length
@@ -128,7 +146,6 @@ class BufferlessNetwork:
                     ejected = True
                 else:
                     remaining.append(worm)
-                    self.n_inject[node] += 1
             # 3. port allocation: oldest flit picks first (guarantees the
             #    network-oldest flit always takes a productive port).
             remaining.sort(key=lambda w: w.birth)
@@ -146,10 +163,8 @@ class BufferlessNetwork:
                             "more flits than output links: deflection "
                             "invariant violated")
                     port = min(free)  # deflected
-                    worm.deflections += 1
                     self.n_deflections += 1
                 free.discard(port)
-                worm.hops += 1
                 if worm.flit.is_head:
                     worm.flit.packet.hops += 1
                 self.n_xbar[node] += 1
@@ -165,6 +180,8 @@ class BufferlessNetwork:
 
     def _sink(self, node: int, worm: _Worm) -> None:
         pkt = worm.flit.packet
+        if self.trace is not None:
+            self._trace_sink(node, worm.flit, self.now)
         self.n_eject[node] += 1
         self._outstanding -= 1
         self.stats.on_flit_ejected()
@@ -174,60 +191,15 @@ class BufferlessNetwork:
             pkt.ejected_cycle = self.now
             self.stats.on_packet_ejected(pkt)
 
-    @property
-    def outstanding_flits(self) -> int:
-        return self._outstanding
+    def _draining(self) -> bool:
+        return self._outstanding > 0
 
-    # ------------------------------------------------------------------
-    def run(self, traffic, *, warmup: Optional[int] = None,
-            measure: Optional[int] = None,
-            drain: Optional[int] = None) -> RunResult:
-        cfg = self.cfg
-        warmup = cfg.warmup_cycles if warmup is None else warmup
-        measure = cfg.measure_cycles if measure is None else measure
-        drain = cfg.drain_cycles if drain is None else drain
-        for _ in range(warmup):
-            self._arrivals(traffic)
-            self.step()
-        self.stats.start_measurement(self.now)
-        start = (list(self.n_xbar), list(self.n_eject), self.n_link_flits)
-        for _ in range(measure):
-            self._arrivals(traffic)
-            self.step()
-        end = (list(self.n_xbar), list(self.n_eject), self.n_link_flits)
-        self.stats.stop_measurement(self.now)
-        drained = 0
-        while self._outstanding > 0 and drained < drain:
-            self.step()
-            drained += 1
-        return self._result(measure, start, end)
-
-    def _arrivals(self, traffic) -> None:
-        for src, dst, length in traffic.arrivals(self.now):
-            self.inject_packet(src, dst, length)
-
-    def _result(self, cycles: int, start, end) -> RunResult:
-        s = self.stats
-        result = RunResult(
-            kernel="bufferless", design="Bufferless", cycles=cycles,
-            num_nodes=self.mesh.num_nodes,
-            packets_created=s.packets_created,
-            packets_measured=s.packets_measured,
-            packets_ejected=s.packets_ejected,
-            total_latency=s.total_latency,
-            total_hops=s.total_hops,
-            flits_ejected=s.flits_ejected,
-            link_flits=end[2] - start[2],
-            idle_periods=dict(s.idle_periods),
-            censored_idle_periods=dict(s.censored_idle_periods),
-        )
-        for node in range(self.mesh.num_nodes):
-            activity = RouterActivity(
-                cycles_on=cycles,
-                xbar_traversals=end[0][node] - start[0][node],
-                sa_grants=end[0][node] - start[0][node],
-                ni_ejected_flits=end[1][node] - start[1][node],
-            )
-            activity.idle_cycles = s.idle_cycles[node]
-            result.routers.append(activity)
-        return result
+    def _snapshot_counters(self) -> Dict:
+        # RouterActivity's field order, minus idle_cycles: always on, no
+        # buffers, VCs or NI bypass, and every crossbar traversal is one
+        # SA grant
+        return {"link_flits": self.n_link_flits,
+                "routers": [(self.now, 0, 0, 0, 0, 0, 0, xbar, 0, xbar,
+                             0, 0, 0, eject, 0)
+                            for xbar, eject in zip(self.n_xbar,
+                                                   self.n_eject)]}

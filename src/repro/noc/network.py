@@ -39,6 +39,9 @@ and the input-side steps of the transitions (DESIGN.md section 9 lists
 them) - and neither inherits from the other, so the ``ref``-vs-``soa``
 differential compares two independent datapaths.
 :mod:`repro.noc.activity` provides the ``--profile`` instrumentation.
+The run protocol (:class:`Datapath`) is shared with the Section 6.8
+deflection network, which ``Network(cfg)`` builds for
+``Design.BUFFERLESS`` (:mod:`repro.noc.bufferless`).
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ class RunProgress:
     Picklable alongside a :class:`NetworkSnapshot` so a checkpointed run
     resumes mid-phase.  ``done`` counts completed cycles of the *current*
     phase; the phase-boundary side effects (``start_measurement``, the
-    counter snapshots) fire when :meth:`Network.run_segment` observes the
+    counter snapshots) fire when :meth:`Datapath.run_segment` observes the
     phase is complete, so they run exactly once whether or not the run
     paused at that boundary.
     """
@@ -169,19 +172,194 @@ class NetworkSnapshot:
     blob: bytes
 
 
-class Network:
+class Datapath:
+    """The run protocol every simulated network shares: warmup,
+    measure and drain, pause and resume, snapshots, the run's result.
+
+    A datapath holds ``cfg``, ``mesh``, ``now``, ``stats``, ``trace``
+    and ``metrics`` and supplies ``step()``, ``inject_packet``,
+    ``_snapshot_counters()`` (:class:`RouterActivity` rows of its
+    cumulative counters) and ``_draining()`` (work still outstanding).
+    """
+
+    #: Canonical name of the implementation: a kernel of
+    #: :data:`BACKENDS`, or ``"bufferless"``.
+    backend: str
+
+    def _take_pid(self) -> int:
+        pid = self._next_pid
+        self._next_pid = pid + 1
+        return pid
+
+    # The trace hooks every datapath records (callers check self.trace).
+    def _trace_new(self, pkt: Packet) -> None:
+        self.trace.record(self.now, EventKind.NEW, pkt.src, port=pkt.dst,
+                          pid=pkt.pid, info=pkt.length)
+
+    def _trace_sink(self, node: int, flit: Flit, now: int,
+                    via_bypass: bool = False) -> None:
+        self.trace.record(now, EventKind.SINK, node, pid=flit.packet.pid,
+                          flit=flit.index, info=1 if via_bypass else 0)
+
+    @property
+    def outstanding_flits(self) -> int:
+        return self._outstanding
+
+    # ------------------------------------------------------------------
+    # high-level run driver
+    # ------------------------------------------------------------------
+    def run(self, traffic, *, warmup: Optional[int] = None,
+            measure: Optional[int] = None,
+            drain: Optional[int] = None) -> RunResult:
+        """Run warmup + measurement (+ drain) with the given traffic source.
+
+        ``traffic`` must provide ``arrivals(cycle) -> iterable of
+        (src, dst, length)`` tuples (see :mod:`repro.traffic.base`).
+        """
+        cfg = self.cfg
+        warmup = cfg.warmup_cycles if warmup is None else warmup
+        measure = cfg.measure_cycles if measure is None else measure
+        drain = cfg.drain_cycles if drain is None else drain
+        result = self.run_segment(traffic, RunProgress(warmup, measure,
+                                                       drain))
+        assert result is not None  # no max_cycles -> runs to completion
+        return result
+
+    def run_segment(self, traffic, progress: RunProgress, *,
+                    max_cycles: Optional[int] = None,
+                    on_cycle=None) -> Optional[RunResult]:
+        """Advance the warmup/measure/drain phase machine.
+
+        Executes at most ``max_cycles`` simulation cycles (unbounded when
+        None) and returns the :class:`RunResult` once the run completes,
+        or None when paused with ``progress`` updated in place - call
+        again (with the same traffic source, or a restored snapshot of
+        it) to continue.  ``on_cycle(net, progress)`` fires after every
+        executed cycle, at a phase-consistent boundary - the periodic
+        checkpoint hook.  With ``max_cycles=None`` and ``on_cycle=None``
+        this performs exactly the operations of the pre-resumable run
+        loop, in the same order.
+        """
+        budget = max_cycles
+        while True:
+            phase = progress.phase
+            if phase == "warmup":
+                if progress.done >= progress.warmup:
+                    self.stats.start_measurement(self.now)
+                    progress.snapshot_start = self._snapshot_counters()
+                    progress.phase = "measure"
+                    progress.done = 0
+                    continue
+            elif phase == "measure":
+                if progress.done >= progress.measure:
+                    progress.snapshot_end = self._snapshot_counters()
+                    self.stats.stop_measurement(self.now)
+                    progress.phase = "drain"
+                    progress.done = 0
+                    continue
+            elif phase == "drain":
+                if not (progress.done < progress.drain
+                        and self._draining()):
+                    progress.phase = "done"
+                    continue
+            else:  # done
+                return self._build_result(progress.measure,
+                                          progress.snapshot_start,
+                                          progress.snapshot_end)
+            if budget is not None:
+                if budget <= 0:
+                    return None
+                budget -= 1
+            if phase != "drain":
+                self._inject_arrivals(traffic)
+            self.step()
+            progress.done += 1
+            if on_cycle is not None:
+                on_cycle(self, progress)
+
+    def _inject_arrivals(self, traffic) -> None:
+        for src, dst, length in traffic.arrivals(self.now):
+            self.inject_packet(src, dst, length)
+
+    def _build_result(self, measure_cycles: int, start: Dict,
+                      end: Dict) -> RunResult:
+        s = self.stats
+        result = RunResult(
+            kernel=self.backend,
+            design=s.design,
+            cycles=measure_cycles,
+            num_nodes=self.mesh.num_nodes,
+            packets_created=s.packets_created,
+            packets_measured=s.packets_measured,
+            packets_ejected=s.packets_ejected,
+            total_latency=s.total_latency,
+            total_hops=s.total_hops,
+            total_misroutes=s.total_misroutes,
+            total_bypass_hops=s.total_bypass_hops,
+            total_wakeup_stalls=s.total_wakeup_stalls,
+            flits_ejected=s.flits_ejected,
+            link_flits=end["link_flits"] - start["link_flits"],
+            packets_failed=s.packets_failed,
+            packets_corrupted=s.packets_corrupted,
+            packets_duplicate=s.packets_duplicate,
+            packets_retransmitted=s.packets_retransmitted,
+            flits_corrupted=s.flits_corrupted,
+            flits_dropped=s.flits_dropped,
+            credits_lost=s.credits_lost,
+            idle_periods=dict(s.idle_periods),
+            censored_idle_periods=dict(s.censored_idle_periods),
+        )
+        for node, (before, after) in enumerate(zip(start["routers"],
+                                                   end["routers"])):
+            result.routers.append(RouterActivity(
+                *[e - b for b, e in zip(before, after)],
+                s.idle_cycles[node]))
+        return result
+
+    # ------------------------------------------------------------------
+    # snapshot / restore (crash safety)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> NetworkSnapshot:
+        """Capture the complete simulation state as a picklable value.
+
+        The capture is a deep copy (via pickle): continuing to step this
+        network does not mutate the snapshot, and restoring - in this
+        process or another - yields an independent network that replays
+        the remaining cycles byte-identically (the differential oracle in
+        tests/test_snapshot_restore.py).
+        """
+        return NetworkSnapshot(
+            version=SNAPSHOT_VERSION,
+            backend=self.backend,
+            cycle=self.now,
+            blob=pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+
+    @staticmethod
+    def restore(snap: NetworkSnapshot) -> "Datapath":
+        """Rebuild a network from :meth:`snapshot`; pids assigned after
+        the restore continue the original's sequence."""
+        if snap.version != SNAPSHOT_VERSION:
+            raise ValueError(
+                f"snapshot version {snap.version} is incompatible with "
+                f"this build (expected {SNAPSHOT_VERSION})")
+        return pickle.loads(snap.blob)
+
+
+class Network(Datapath):
     """A complete simulated NoC for one design point (the shared core;
     an instance is always one of the two kernel subclasses)."""
 
-    #: Canonical name of the kernel implementing this instance
-    #: (:data:`BACKENDS`), set by each kernel class.
-    backend: str
-
     def __new__(cls, cfg=None, *args, **kwargs):
-        # Kernel dispatch (:func:`select_kernel`).  Only the core
-        # dispatches - the kernel classes and unpickling (no cfg)
-        # construct literally.
+        # Dispatch by design, then by kernel (:func:`select_kernel`).
+        # Only the core dispatches - the datapath classes and unpickling
+        # (no cfg) construct literally.
         if cls is Network and cfg is not None:
+            if cfg.design == Design.BUFFERLESS:
+                # A sibling datapath, not a kernel of this core: returned
+                # built, so Python runs no Network.__init__ on it.
+                from .bufferless import BufferlessNetwork
+                return BufferlessNetwork(cfg, *args, **kwargs)
             if (kwargs.get("fast")
                     and resolve_backend(kwargs.get("backend")) == "ref"):
                 raise ValueError(
@@ -386,9 +564,7 @@ class Network:
     def sink_flit(self, node: int, flit: Flit, now: int, *,
                   via_bypass: bool) -> None:
         if self.trace is not None:
-            self.trace.record(now, EventKind.SINK, node,
-                              pid=flit.packet.pid, flit=flit.index,
-                              info=1 if via_bypass else 0)
+            self._trace_sink(node, flit, now, via_bypass)
         self._last_progress = now
         self._livelock_ref = now
         self._outstanding -= 1
@@ -509,18 +685,12 @@ class Network:
     # ------------------------------------------------------------------
     # simulation loop
     # ------------------------------------------------------------------
-    def _take_pid(self) -> int:
-        pid = self._next_pid
-        self._next_pid = pid + 1
-        return pid
-
     def inject_packet(self, src: int, dst: int, length: int,
                       klass: int = 0) -> Packet:
         pkt = Packet(src, dst, length, self.now, klass,
                      pid=self._take_pid())
         if self.trace is not None:
-            self.trace.record(self.now, EventKind.NEW, src, port=dst,
-                              pid=pkt.pid, info=length)
+            self._trace_new(pkt)
         if self._faults is not None and not self._faults.admit_packet(self,
                                                                       pkt):
             # Unreachable endpoint under a conventional design: record the
@@ -555,8 +725,7 @@ class Network:
         pkt.seq = orig.seq
         pkt.retry = orig.retry + 1
         if self.trace is not None:
-            self.trace.record(self.now, EventKind.NEW, pkt.src,
-                              port=pkt.dst, pid=pkt.pid, info=pkt.length)
+            self._trace_new(pkt)
         self.stats.on_packet_retransmitted(pkt)
         if (not self.nord_bypass_available and faults.failed_nodes
                 and (pkt.src in faults.failed_nodes
@@ -855,86 +1024,12 @@ class Network:
             f"mesh/scale to bisect, or raise Network.deadlock_limit if the "
             f"workload legitimately stalls this long.")
 
-    @property
-    def outstanding_flits(self) -> int:
-        return self._outstanding
-
-    # ------------------------------------------------------------------
-    # high-level run driver
-    # ------------------------------------------------------------------
-    def run(self, traffic, *, warmup: Optional[int] = None,
-            measure: Optional[int] = None,
-            drain: Optional[int] = None) -> RunResult:
-        """Run warmup + measurement (+ drain) with the given traffic source.
-
-        ``traffic`` must provide ``arrivals(cycle) -> iterable of
-        (src, dst, length)`` tuples (see :mod:`repro.traffic.base`).
-        """
-        cfg = self.cfg
-        warmup = cfg.warmup_cycles if warmup is None else warmup
-        measure = cfg.measure_cycles if measure is None else measure
-        drain = cfg.drain_cycles if drain is None else drain
-        result = self.run_segment(traffic, RunProgress(warmup, measure,
-                                                       drain))
-        assert result is not None  # no max_cycles -> runs to completion
-        return result
-
-    def run_segment(self, traffic, progress: RunProgress, *,
-                    max_cycles: Optional[int] = None,
-                    on_cycle=None) -> Optional[RunResult]:
-        """Advance the warmup/measure/drain phase machine.
-
-        Executes at most ``max_cycles`` simulation cycles (unbounded when
-        None) and returns the :class:`RunResult` once the run completes,
-        or None when paused with ``progress`` updated in place - call
-        again (with the same traffic source, or a restored snapshot of
-        it) to continue.  ``on_cycle(net, progress)`` fires after every
-        executed cycle, at a phase-consistent boundary - the periodic
-        checkpoint hook.  With ``max_cycles=None`` and ``on_cycle=None``
-        this performs exactly the operations of the pre-resumable run
-        loop, in the same order.
-        """
-        budget = max_cycles
-        while True:
-            phase = progress.phase
-            if phase == "warmup":
-                if progress.done >= progress.warmup:
-                    self.stats.start_measurement(self.now)
-                    progress.snapshot_start = self._snapshot_counters()
-                    progress.phase = "measure"
-                    progress.done = 0
-                    continue
-            elif phase == "measure":
-                if progress.done >= progress.measure:
-                    progress.snapshot_end = self._snapshot_counters()
-                    self.stats.stop_measurement(self.now)
-                    progress.phase = "drain"
-                    progress.done = 0
-                    continue
-            elif phase == "drain":
-                # With retransmission enabled the drain also waits for
-                # pending delivery confirmations, so timed-out packets get
-                # their bounded retries before the run ends.
-                if not (progress.done < progress.drain
-                        and (self._outstanding > 0
-                             or (self._faults is not None
-                                 and self._faults.busy))):
-                    progress.phase = "done"
-                    continue
-            else:  # done
-                return self._build_result(progress.measure,
-                                          progress.snapshot_start,
-                                          progress.snapshot_end)
-            if budget is not None:
-                if budget <= 0:
-                    return None
-                budget -= 1
-            if phase != "drain":
-                self._inject_arrivals(traffic)
-            self.step()
-            progress.done += 1
-            if on_cycle is not None:
-                on_cycle(self, progress)
+    def _draining(self) -> bool:
+        # With retransmission enabled the drain also waits for pending
+        # delivery confirmations, so timed-out packets get their bounded
+        # retries before the run ends.
+        return self._outstanding > 0 or (self._faults is not None
+                                         and self._faults.busy)
 
     # ------------------------------------------------------------------
     # snapshot / restore (crash safety)
@@ -953,36 +1048,6 @@ class Network:
         self._profile = (activity.global_profile()
                          if activity.profiling_enabled() else None)
 
-    def snapshot(self) -> NetworkSnapshot:
-        """Capture the complete simulation state as a picklable value.
-
-        The capture is a deep copy (via pickle): continuing to step this
-        network does not mutate the snapshot, and restoring - in this
-        process or another - yields an independent network that replays
-        the remaining cycles byte-identically (the differential oracle in
-        tests/test_snapshot_restore.py).
-        """
-        return NetworkSnapshot(
-            version=SNAPSHOT_VERSION,
-            backend=self.backend,
-            cycle=self.now,
-            blob=pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    @staticmethod
-    def restore(snap: NetworkSnapshot) -> "Network":
-        """Rebuild a network from :meth:`snapshot`; pids assigned after
-        the restore continue the original's sequence."""
-        if snap.version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"snapshot version {snap.version} is incompatible with "
-                f"this build (expected {SNAPSHOT_VERSION})")
-        return pickle.loads(snap.blob)
-
-    def _inject_arrivals(self, traffic) -> None:
-        for src, dst, length in traffic.arrivals(self.now):
-            self.inject_packet(src, dst, length)
-
     def _snapshot_counters(self) -> Dict:
         self.settle_duty_counters()
         snap: Dict = {"link_flits": self.n_link_flits, "routers": []}
@@ -999,38 +1064,3 @@ class Network:
                 ni.n_injected_flits, ni.n_ejected_flits, ni.n_vc_requests,
             ))
         return snap
-
-    def _build_result(self, measure_cycles: int, start: Dict,
-                      end: Dict) -> RunResult:
-        s = self.stats
-        result = RunResult(
-            kernel=self.backend,
-            design=self.cfg.design,
-            cycles=measure_cycles,
-            num_nodes=self.mesh.num_nodes,
-            packets_created=s.packets_created,
-            packets_measured=s.packets_measured,
-            packets_ejected=s.packets_ejected,
-            total_latency=s.total_latency,
-            total_hops=s.total_hops,
-            total_misroutes=s.total_misroutes,
-            total_bypass_hops=s.total_bypass_hops,
-            total_wakeup_stalls=s.total_wakeup_stalls,
-            flits_ejected=s.flits_ejected,
-            link_flits=end["link_flits"] - start["link_flits"],
-            packets_failed=s.packets_failed,
-            packets_corrupted=s.packets_corrupted,
-            packets_duplicate=s.packets_duplicate,
-            packets_retransmitted=s.packets_retransmitted,
-            flits_corrupted=s.flits_corrupted,
-            flits_dropped=s.flits_dropped,
-            credits_lost=s.credits_lost,
-            idle_periods=dict(s.idle_periods),
-            censored_idle_periods=dict(s.censored_idle_periods),
-        )
-        for node, (before, after) in enumerate(zip(start["routers"],
-                                                   end["routers"])):
-            result.routers.append(RouterActivity(
-                *[e - b for b, e in zip(before, after)],
-                s.idle_cycles[node]))
-        return result

@@ -388,8 +388,10 @@ class SoANetwork(Network):
         lines = len(lines) + len({e[0] for e in self._inj_due})
         lines += len({e[0] for e in self._ej_mid + self._ej_due})
         router_busy = len(self._active_routers)
+        # Under the No_PG blanket the PG phase visits no controller.
+        pg_busy = 0 if self._no_pg_blanket else len(self._pg_active)
         return (len(credit_links), len(self._active_nis), router_busy,
-                lines, len(self._pg_active), router_busy)
+                lines, pg_busy, router_busy)
 
     # ------------------------------------------------------------------
     # phase 2: credit delivery

@@ -26,13 +26,6 @@ from ..stats.collector import RunResult
 from . import technology as tech_mod
 from .technology import TechNode
 
-#: Design label produced by :class:`repro.noc.bufferless.BufferlessNetwork`;
-#: its routers have no input buffers, so the buffer share of static power
-#: (Figure 1(b): 55%) disappears while the other 45% remains - the paper's
-#: Section 6.8 argument for why power-gating stays relevant.
-BUFFERLESS = "Bufferless"
-
-
 @dataclass
 class EnergyReport:
     """Energy totals over the measurement window, in joules."""
@@ -109,7 +102,11 @@ class PowerModel:
         dyn = tech.router_dyn_j_per_flit
         db = tech_mod.DYNAMIC_BREAKDOWN
         gated_design = result.design in Design.GATED
-        bufferless = result.design == BUFFERLESS
+        # Bufferless routers have no input buffers, so the buffer share
+        # of static power (Figure 1(b): 55%) disappears while the other
+        # 45% remains - the paper's Section 6.8 argument for why
+        # power-gating stays relevant.
+        bufferless = result.design == Design.BUFFERLESS
         static_scale = (1.0 - tech_mod.STATIC_BREAKDOWN["buffer"]
                         if bufferless else 1.0)
         for r in result.routers:

@@ -21,6 +21,7 @@ tests/test_fast_mode_identity.py keep their names so that their test
 ids stay stable.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -173,13 +174,18 @@ class TestCacheKeys:
         with pytest.raises(ValueError):
             self._point("bogus")
 
-    def test_bufferless_always_resolves_ref(self, monkeypatch):
+    def test_bufferless_resolves_like_any_point(self, monkeypatch):
+        """The bufferless datapath has one implementation, but its point
+        keys on the selected kernel like every other: no special case."""
         monkeypatch.setenv("REPRO_BACKEND", "soa")
         point = parallel.DesignPoint(
-            cfg=small_config(Design.NORD),
-            traffic=parallel.uniform_spec(0.1),
-            network=parallel.BUFFERLESS_NETWORK)
-        assert point.resolved_backend() == "ref"
+            cfg=small_config(Design.BUFFERLESS),
+            traffic=parallel.uniform_spec(0.1))
+        assert point.resolved_backend() == "soa"
+        pinned = dataclasses.replace(point, backend="ref")
+        assert pinned.resolved_backend() == "ref"
+        result, _ = parallel.execute_point(pinned)
+        assert result.kernel == "bufferless"
 
     def test_execute_point_honors_backend(self):
         res_soa, _ = parallel.execute_point(self._point("soa"))

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from repro.config import Design, NoCConfig, SimConfig, small_config
 from repro.experiments import discussion_bufferless
 from repro.noc.bufferless import BufferlessNetwork
-from repro.power.model import BUFFERLESS, PowerModel
+from repro.noc.network import Network
+from repro.power.model import PowerModel
+from repro.trace.events import EventKind
+from repro.trace.recorder import EventTrace
 from repro.traffic.base import ScriptedTraffic
 from repro.traffic.synthetic import uniform_random
 
@@ -68,13 +71,49 @@ class TestBasics:
         assert net.outstanding_flits == 0
 
 
+class TestRunProtocol:
+    """The datapath the core's run protocol drives, selected by design."""
+
+    def test_selected_by_design(self):
+        net = Network(small_config(Design.BUFFERLESS), backend="ref")
+        assert type(net) is BufferlessNetwork
+        assert net.backend == "bufferless"
+
+    def test_rejects_fault_plan_and_metrics(self):
+        from repro.faults import FaultPlan
+        from repro.metrics.sampler import MetricsRun
+        cfg = small_config(Design.BUFFERLESS)
+        for extra in ({"fault_plan": FaultPlan()},
+                      {"metrics": MetricsRun()}):
+            with pytest.raises(ValueError, match="bufferless"):
+                Network(cfg, **extra)
+
+    def test_trace_records_new_per_packet_and_sink_per_flit(self):
+        cfg = small_config(Design.BUFFERLESS, warmup=100, measure=400)
+
+        def run(trace):
+            net = Network(cfg, trace=trace)
+            return net, net.run(uniform_random(net.mesh, 0.1, seed=2))
+
+        _, plain = run(None)
+        net, traced = run(EventTrace())
+        assert traced == plain
+        events = net.trace.events()
+        new = [e for e in events if e.kind == EventKind.NEW]
+        sinks = [(e.pid, e.flit) for e in events if e.kind == EventKind.SINK]
+        assert len(new) == net._next_pid > 0
+        assert sorted(sinks) == [(e.pid, i) for e in new
+                                 for i in range(e.info)]
+        assert len(events) == len(new) + len(sinks)
+
+
 class TestPowerPricing:
     def test_static_is_45_percent_of_buffered_router(self):
         cfg = small_config()
         net = BufferlessNetwork(cfg)
         res = net.run(uniform_random(net.mesh, 0.05, seed=1),
                       warmup=100, measure=500, drain=2000)
-        assert res.design == BUFFERLESS
+        assert res.design == Design.BUFFERLESS
         report = PowerModel(cfg).evaluate(res)
         assert report.router_static_j / report.router_static_nopg_j == \
             pytest.approx(0.45, abs=0.01)

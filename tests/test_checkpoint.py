@@ -175,3 +175,32 @@ def test_resume_accumulates_wall_clock(tmp_path):
     # The reported wall clock covers the lost attempt too (>= the
     # timeout that killed it), not just the resumed leg.
     assert result.wall_clock_s >= 0.2
+
+
+def test_bufferless_checkpoints_like_any_point(tmp_path, monkeypatch):
+    """The bufferless datapath checkpoints through the shared run
+    protocol: every 50 cycles it writes a checkpoint, success removes
+    it, and a run resumed from one an earlier attempt left behind
+    reproduces the plain run's result."""
+    import repro.checkpoint as ck
+    point = small_point(tmp_path, interval=50, measure=600, drain=1_000)
+    point = dataclasses.replace(
+        point, cfg=point.cfg.replace(design=Design.BUFFERLESS))
+    path = checkpoint_path(point.checkpoint, point_basename(point))
+    plain = execute_point(dataclasses.replace(point, checkpoint=None))
+    assert plain[0].kernel == "bufferless"
+    saved = []
+
+    def spy(where, ckpt):
+        saved.append(ckpt.cycle)
+        save_checkpoint(where, ckpt)
+
+    monkeypatch.setattr(ck, "save_checkpoint", spy)
+    checked = execute_point(point)
+    assert saved[:2] == [50, 100] and not path.exists()
+    assert checked[0].to_dict() == plain[0].to_dict()
+    save_checkpoint(path, make_checkpoint(point))  # a lost attempt's
+    resumed = execute_point(point)
+    assert resumed[0].wall_clock_s >= 1.5  # it did resume from it
+    assert resumed[0].to_dict() == plain[0].to_dict()
+    assert not path.exists()

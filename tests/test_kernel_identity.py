@@ -301,7 +301,9 @@ class TestProfileOccupancy:
     def recount(net):
         """Per phase, the components holding work at cycle start: the
         links with credits in flight, the NIs, routers and controllers
-        in their sets, and the links and lines with flits in flight."""
+        in their sets (none under the No_PG blanket, whose PG phase
+        visits no controller), and the links and lines with flits in
+        flight."""
         v_per = net._V
         credit = {c // v_per for c in net._credit_box + net._credit_due}
         flits = {e[0] for e in net._flit_mid + net._flit_due}
@@ -311,7 +313,8 @@ class TestProfileOccupancy:
         return {"credit": len(credit), "ni": len(net._active_nis),
                 "router": routers,
                 "link": len(flits) + len(inject) + len(eject),
-                "pg": len(net._pg_active), "stats": routers}
+                "pg": 0 if net._no_pg_blanket else len(net._pg_active),
+                "stats": routers}
 
     @pytest.mark.parametrize("design", Design.ALL)
     def test_occupancy_equals_reference(self, design, monkeypatch):
@@ -339,6 +342,8 @@ class TestProfileOccupancy:
         assert dict(profile.capacity) == {phase: 400 * count
                                           for phase, count in every.items()}
         assert want["credit"] > 0 and want["link"] > 0
+        # the No_PG blanket steps no controller
+        assert (want["pg"] == 0) == (design == Design.NO_PG)
 
 
 def test_plain_simulate_never_imports_numpy():

@@ -18,7 +18,7 @@ from repro.experiments.parallel import (DesignPoint, ResultCache,
                                         SweepRunner, TrafficSpec,
                                         bitcomp_spec, code_version,
                                         execute_point, parsec_spec,
-                                        uniform_spec)
+                                        point_basename, uniform_spec)
 from repro.power.model import EnergyReport
 from repro.stats.collector import RouterActivity, RunResult
 
@@ -72,11 +72,6 @@ class TestDesignPoint:
             DesignPoint(cfg=SimConfig(), traffic=uniform_spec(0.1),
                         prepare="definitely_not_registered")
 
-    def test_rejects_unknown_network(self):
-        with pytest.raises(ValueError, match="unknown network"):
-            DesignPoint(cfg=SimConfig(), traffic=uniform_spec(0.1),
-                        network="quantum")
-
     def test_cache_key_stable_and_sensitive(self):
         p = smoke_points()[0]
         assert p.cache_key() == p.cache_key()
@@ -85,7 +80,8 @@ class TestDesignPoint:
             dataclasses.replace(p, cfg=p.cfg.replace(seed=2)),
             dataclasses.replace(p, traffic=uniform_spec(0.06)),
             dataclasses.replace(p, prepare="force_all_off"),
-            dataclasses.replace(p, network=parallel.BUFFERLESS_NETWORK),
+            dataclasses.replace(
+                p, cfg=p.cfg.replace(design=Design.BUFFERLESS)),
         ]
         keys = {p.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == len(variants) + 1
@@ -118,9 +114,8 @@ class TestSerialization:
             DesignPoint(cfg=build_config(Design.NORD, "smoke", width=8,
                                          height=8),
                         traffic=uniform_spec(0.05, seed=1)),
-            DesignPoint(cfg=build_config(Design.NO_PG, "smoke"),
-                        traffic=uniform_spec(0.05, seed=1),
-                        network=parallel.BUFFERLESS_NETWORK)]
+            DesignPoint(cfg=build_config(Design.BUFFERLESS, "smoke"),
+                        traffic=uniform_spec(0.05, seed=1))]
         width = len(dataclasses.fields(RouterActivity))
         for point in points:
             result, _ = execute_point(point)
@@ -253,13 +248,12 @@ class TestSweepRunner:
         assert old.supervisor is None
 
     def test_bufferless_network_kind(self, tmp_path):
-        point = DesignPoint(cfg=build_config(Design.NO_PG, "smoke"),
-                            traffic=uniform_spec(0.05),
-                            network=parallel.BUFFERLESS_NETWORK)
+        point = DesignPoint(cfg=build_config(Design.BUFFERLESS, "smoke"),
+                            traffic=uniform_spec(0.05))
         result, energy = SweepRunner(
             jobs=1, cache=ResultCache(tmp_path)).run_one(point)
-        assert result.design == "Bufferless"
-        assert energy.design == "Bufferless"
+        assert result.design == energy.design == "Bufferless"
+        assert result.kernel == "bufferless"
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +294,32 @@ class TestInheritedSettings:
                 == 1
 
 
+    def test_bufferless_point_left_unsampled_by_name(self, tmp_path,
+                                                     capsys):
+        """The sampler reads power-gate controllers and NIs: runner-wide
+        metrics skip the bufferless point with a ``[metrics]`` line
+        naming it, and sample the others.  A trace reaches it."""
+        from repro.metrics.spec import MetricsSpec
+        from repro.trace.spec import TraceSpec
+        plain, = smoke_points((Design.NO_PG,))
+        deflect, = smoke_points((Design.BUFFERLESS,))
+        SweepRunner(use_cache=False,
+                    metrics=MetricsSpec(str(tmp_path / "m")),
+                    trace=TraceSpec(str(tmp_path / "t"))).run(
+            [plain, deflect])
+        out = capsys.readouterr().out
+        assert out == (f"[metrics] {point_basename(deflect)} not sampled: "
+                       f"the bufferless network has no power-gate "
+                       f"controllers or NIs\n")
+        assert [p.name for p in (tmp_path / "m").glob("*.jsonl")] == [
+            point_basename(plain) + ".metrics.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "t").glob("*.digest.json")) \
+            == sorted(point_basename(p) + ".digest.json"
+                      for p in (plain, deflect))
+        with pytest.raises(ValueError, match="bufferless"):
+            dataclasses.replace(deflect, metrics=MetricsSpec(str(tmp_path)))
+
+
 class TestFaultPoints:
     def test_fault_plan_perturbs_cache_key(self):
         from repro.faults import FaultPlan
@@ -335,9 +355,8 @@ class TestFaultPoints:
     def test_bufferless_rejects_faults(self):
         from repro.faults import FaultPlan
         with pytest.raises(ValueError, match="bufferless"):
-            DesignPoint(cfg=build_config(Design.NO_PG, "smoke"),
+            DesignPoint(cfg=build_config(Design.BUFFERLESS, "smoke"),
                         traffic=uniform_spec(0.05),
-                        network=parallel.BUFFERLESS_NETWORK,
                         faults=FaultPlan.single_router_failure(0, 1))
 
 

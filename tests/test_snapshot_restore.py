@@ -77,19 +77,22 @@ def test_split_equals_straight_all_designs(design, backend):
 # The three ``*fast*`` tests below keep their pre-merge ids (the former
 # fast mode *is* the soa kernel now); they cover the *unpinned* dispatch,
 # i.e. the kernel an untagged run gets.
-@pytest.mark.parametrize("design", Design.ALL)
+@pytest.mark.parametrize("design", Design.ALL + (Design.BUFFERLESS,))
 def test_split_equals_straight_fast_mode(design):
     """The mailboxes (credit/flit/inject/eject batches) are pickled
     state: a mid-run split must carry the in-flight mail across the
     process boundary, and the restored network must keep its class
-    identity."""
+    identity.  The bufferless datapath, which the design selects, runs
+    on the same protocol with its wires in flight."""
+    from repro.noc.bufferless import BufferlessNetwork
     from repro.noc.soa import SoANetwork
     cfg = small_cfg(design)
     spec = uniform_spec(0.10, seed=3)
     want, _ = run_straight(cfg, spec)
     got, net = run_split(cfg, spec, 137)
     assert got.to_dict() == want.to_dict()
-    assert type(net) is SoANetwork
+    assert type(net) is (BufferlessNetwork if design == Design.BUFFERLESS
+                         else SoANetwork)
 
 
 @pytest.mark.parametrize("design", [Design.CONV_PG, Design.NORD])
