@@ -14,11 +14,10 @@ Usage::
 
     python examples/power_timeline.py [benchmark] [cycles]
 
-The metrics artifacts and ``report.html`` land in ``REPRO_EXAMPLE_OUT``
-(default: ``./power_timeline_metrics``).
+The metrics artifacts and ``report.html`` land in
+``./power_timeline_metrics``.
 """
 
-import os
 import sys
 from pathlib import Path
 
@@ -27,7 +26,6 @@ from repro.experiments.common import example_scale
 from repro.metrics import MetricsSpec, export_metrics
 from repro.metrics.report import write_report
 from repro.noc.network import Network
-from repro.stats.visualize import power_state_map, ring_map
 from repro.traffic.parsec import BENCHMARKS, make_traffic
 
 #: Dominant-state character per sampling window (majority of cycles).
@@ -84,8 +82,7 @@ def main() -> None:
     if benchmark not in BENCHMARKS:
         raise SystemExit(f"unknown benchmark; choose from {list(BENCHMARKS)}")
     interval = max(1, cycles // 110)
-    outdir = Path(os.environ.get("REPRO_EXAMPLE_OUT",
-                                 "power_timeline_metrics"))
+    outdir = Path("power_timeline_metrics")
     outdir.mkdir(parents=True, exist_ok=True)
 
     for design in (Design.CONV_PG, Design.NORD):
@@ -97,10 +94,6 @@ def main() -> None:
         offs = metrics.timeline.mean_node_off_fraction()
         print(f"mean off fraction: {sum(offs) / len(offs):.2f}")
         print(f"total wakeups: {sum(c.wakeups for c in net.controllers)}")
-        if design == Design.NORD:
-            print("\nfinal power-state map / bypass ring:")
-            print(power_state_map(net))
-            print(ring_map(net))
 
     report = write_report(outdir, title=f"power timeline: {benchmark}")
     print(f"\nmetrics artifacts in {outdir}/; HTML report: {report}")

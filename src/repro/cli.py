@@ -68,9 +68,8 @@ def _common() -> argparse.ArgumentParser:
                         default=None,
                         help="pin the simulation kernel: the object-"
                              "graph reference ('ref') or the struct-of-"
-                             "arrays kernel ('soa'); default: "
-                             "REPRO_BACKEND, then 'soa' (traced and "
-                             "faulted runs too)")
+                             "arrays kernel ('soa'); default: 'soa' "
+                             "(traced and faulted runs too)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-run wall-clock budget in seconds "
                              "(default: unlimited)")

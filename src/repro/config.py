@@ -6,16 +6,18 @@ parameters stated in the text:
 * 4x4 / 8x8 mesh, 4-stage router pipeline at 3 GHz plus one link-traversal
   cycle,
 * 4 virtual channels per port, 5-flit input buffers, 128-bit links,
-* 12-cycle router wakeup latency (4 ns at 3 GHz), 3 cycles hideable via the
-  early-wakeup technique,
+* 12-cycle router wakeup latency (4 ns at 3 GHz), of which Conv_PG_OPT's
+  early wakeup hides the cycles between route computation and switch
+  allocation (the paper's 3; structure of the pipeline, not a setting),
 * breakeven time (BET) of 10 cycles,
 * NoRD wakeup metric: VC requests at the local NI over a 10-cycle window,
   with asymmetric thresholds (1 for performance-centric routers, 3 for
   power-centric routers),
 * misroute cap of 4 hops before a packet is forced onto escape resources.
 
-Everything is an explicit dataclass so that experiments are reproducible and
-self-describing.
+Everything an experiment varies is an explicit dataclass field so that
+experiments are reproducible and self-describing; what no caller varies
+is a module constant below.
 """
 
 from __future__ import annotations
@@ -25,6 +27,19 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
+
+#: Router pipeline depth excluding link traversal (RC, VA, SA, ST; one
+#: link-traversal cycle follows), Table 1's "4-stage".
+ROUTER_PIPELINE_STAGES = 4
+#: Router clock frequency in Hz (Table 1: 3 GHz).
+FREQUENCY_HZ = 3.0e9
+#: Escape VCs of NoRD's ring escape: VC 0 before the dateline, VC 1 from
+#: the crossing hop on, which breaks the unidirectional ring's cyclic
+#: dependence (Section 4.2; :mod:`repro.routing.ring_escape`).
+NORD_ESCAPE_VCS = 2
+#: Escape VCs of the conventional designs' XY escape: Duato's protocol
+#: needs one, VC 0 (:mod:`repro.routing.adaptive`).
+XY_ESCAPE_VCS = 1
 
 
 class Design:
@@ -59,12 +74,6 @@ class NoCConfig:
     buffer_depth: int = 5
     #: Link bandwidth in bits per cycle.
     link_bits: int = 128
-    #: Router clock frequency in Hz (3 GHz).
-    frequency_hz: float = 3.0e9
-    #: Router pipeline depth excluding link traversal (RC, VA, SA, ST).
-    pipeline_stages: int = 4
-    #: Extra cycles for link traversal + buffer write.
-    link_stages: int = 1
     #: Speculative 2-stage pipeline (Section 6.8 discussion): look-ahead
     #: routing + speculative switch allocation collapse RC/VA/SA into one
     #: cycle when uncontended, making a hop 2 cycles + LT instead of 4 + LT.
@@ -77,7 +86,7 @@ class NoCConfig:
 
     @property
     def cycle_time_s(self) -> float:
-        return 1.0 / self.frequency_hz
+        return 1.0 / FREQUENCY_HZ
 
     def node_xy(self, node: int) -> Tuple[int, int]:
         """Return the (x, y) mesh coordinate of ``node``."""
@@ -94,8 +103,6 @@ class PowerGateConfig:
 
     #: Full wakeup latency in cycles (4 ns at 3 GHz, Section 5.1).
     wakeup_latency: int = 12
-    #: Cycles of wakeup latency hidden by early wakeup (Conv_PG_OPT only).
-    early_wakeup_hide: int = 3
     #: Breakeven time in cycles (Section 2.2, ~10 cycles).
     breakeven_time: int = 10
     #: Cycles a router must stay empty before Conv_PG_OPT gates it off
@@ -143,12 +150,6 @@ class RoutingConfig:
         if self.misroute_cap is not None:
             return int(self.misroute_cap)
         return max(4, (width + height) // 2)
-    #: Number of escape VCs for NoRD's ring escape (two VCs with a dateline
-    #: break the unidirectional ring's cyclic dependence, Section 4.2).
-    nord_escape_vcs: int = 2
-    #: Number of escape VCs for the conventional designs (XY escape needs
-    #: only one, Duato's protocol).
-    conv_escape_vcs: int = 1
     #: Consecutive cycles a local NI injection may be starved by bypass
     #: traffic before it is granted priority (Section 4.2).
     ni_starvation_limit: int = 8
@@ -193,8 +194,8 @@ class SimConfig:
     def escape_vcs(self) -> int:
         """Number of escape VCs for this design's routing function."""
         if self.design == Design.NORD:
-            return self.routing.nord_escape_vcs
-        return self.routing.conv_escape_vcs
+            return NORD_ESCAPE_VCS
+        return XY_ESCAPE_VCS
 
     @property
     def adaptive_vcs(self) -> int:

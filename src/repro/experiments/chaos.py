@@ -85,8 +85,8 @@ def scenario_worker_kill(workdir: Path, baseline: str) -> Optional[str]:
             killed["pid"] = record["pid"]
             os.kill(record["pid"], signal.SIGKILL)
 
-    with PoolSupervisor(2, None, on_event=on_event) as supervisor:
-        tagged = supervisor.run(chaos_points())
+    with PoolSupervisor(2) as supervisor:
+        tagged = supervisor.run(chaos_points(), on_event=on_event)
     if not killed:
         return "worker-kill: chaos hook never fired"
     if supervisor.workers_lost < 1:

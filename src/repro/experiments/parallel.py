@@ -220,11 +220,10 @@ class DesignPoint:
     metrics: Optional[MetricsSpec] = None
     #: Pinned simulation kernel: ``"ref"``, ``"soa"`` or ``None`` (=
     #: defer to the runner's ``backend`` (``--backend``), then to
-    #: ``REPRO_BACKEND``, then to ``soa`` - see
-    #: :func:`repro.noc.network.select_kernel`).  The selected kernel
-    #: enters :meth:`cache_key` - the two kernels are proven
-    #: result-identical, but keying them separately keeps a drifting
-    #: kernel from silently poisoning the shared cache.
+    #: ``soa`` - see :func:`repro.noc.network.select_kernel`).  The
+    #: selected kernel enters :meth:`cache_key` - the two kernels are
+    #: proven result-identical, but keying them separately keeps a
+    #: drifting kernel from silently poisoning the shared cache.
     backend: Optional[str] = None
     #: Optional periodic checkpointing (:mod:`repro.checkpoint`).
     #: Excluded from :meth:`cache_key` - a checkpointed run's result is
@@ -396,6 +395,13 @@ GuardedOutcome = Tuple[Any, ...]
 #: schedule only for genuinely racy externals, but the issue-driving
 #: cases are worker crashes and wall-clock timeouts on loaded hosts.
 RETRYABLE_KINDS = frozenset({"hang", "timeout", "crash"})
+#: Retry rounds back off with *full jitter*: round ``n`` sleeps a
+#: uniform ``[0, min(RETRY_BACKOFF * 2**(n-1), RETRY_BACKOFF_MAX)]``
+#: seconds, so concurrent runners recovering from the same incident do
+#: not stampede in lockstep and a high attempt count cannot sleep for
+#: hours.
+RETRY_BACKOFF = 1.0
+RETRY_BACKOFF_MAX = 30.0
 
 
 class _WatchdogTimeout(RunTimeout):
@@ -744,11 +750,8 @@ class SweepRunner:
       outer ``2 * timeout + 30`` guard on the parent side in case the
       worker itself is wedged below the Python level;
     * ``retries`` - how many extra attempts a *retryable* failure
-      (hang, timeout, worker crash) gets.  Retry rounds back off with
-      *full jitter*: a uniform sleep in ``[0, min(retry_backoff *
-      2**(attempt-1), retry_backoff_max)]`` seconds, so concurrent
-      runners recovering from the same incident do not stampede in
-      lockstep and a high attempt count cannot sleep for hours;
+      (hang, timeout, worker crash) gets, each retry round after a
+      jittered backoff (:data:`RETRY_BACKOFF`);
     * ``partial`` - when ``True``, points that exhaust their attempts
       yield ``None`` in the result list and a :class:`FailedRun` in
       ``self.failures`` instead of aborting the whole sweep.
@@ -774,8 +777,6 @@ class SweepRunner:
     def __init__(self, jobs: int = 1, use_cache: bool = True,
                  cache: Optional[ResultCache] = None,
                  timeout: Optional[float] = None, retries: int = 0,
-                 retry_backoff: float = 1.0,
-                 retry_backoff_max: float = 30.0,
                  partial: bool = False,
                  trace: Optional[TraceSpec] = None,
                  metrics: Optional[MetricsSpec] = None,
@@ -789,8 +790,6 @@ class SweepRunner:
             raise ValueError("timeout must be positive (or None)")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if retry_backoff_max < 0:
-            raise ValueError("retry_backoff_max must be >= 0")
         if backend is not None:
             resolve_backend(backend)  # raises on unknown names
         self.jobs = jobs
@@ -798,8 +797,6 @@ class SweepRunner:
         self.cache = cache if cache is not None else ResultCache()
         self.timeout = timeout
         self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_max = retry_backoff_max
         self.partial = partial
         self.trace = trace
         self.metrics = metrics
@@ -912,8 +909,8 @@ class SweepRunner:
                     # Full jitter, capped: sleeping the deterministic
                     # maximum synchronizes every recovering runner onto
                     # the same retry instant.
-                    delay = min(self.retry_backoff * (2 ** (attempt - 1)),
-                                self.retry_backoff_max)
+                    delay = min(RETRY_BACKOFF * (2 ** (attempt - 1)),
+                                RETRY_BACKOFF_MAX)
                     if delay > 0:
                         time.sleep(random.uniform(0.0, delay))
                     self.stats.retried += len(pending)

@@ -21,7 +21,7 @@ holding the queue's lock and starves every other worker).
   as a straggler tail.
 * A dead worker (SIGKILL, OOM, segfault) is seen at once through its
   sentinel and forfeits its lease - the lost point goes back to the
-  head of the line (bounded by ``max_requeues``) and a replacement is
+  head of the line (bounded by :data:`MAX_REQUEUES`) and a replacement is
   spawned; every *other* point is untouched.
 * A wedged worker - lease older than the outer guard, or heartbeats
   gone silent while the process still shows alive - is killed and
@@ -60,6 +60,10 @@ HEARTBEAT_STALE = 60.0
 #: How long ``close()`` lets idle workers exit on their own before it
 #: kills them.
 SHUTDOWN_GRACE = 5.0
+#: How often one point may be lost to a dying worker before it is
+#: reported as a crash instead of re-enqueued (guards against a
+#: "poison" point that reliably kills its host).
+MAX_REQUEUES = 2
 
 
 def _between_points() -> None:
@@ -169,36 +173,19 @@ def _discard(worker: _Worker, grace: float) -> None:
     worker.proc.close()
 
 
-def _repro_env() -> Dict[str, str]:
-    """The ``REPRO_*`` switches workers may read at import or run time
-    (``REPRO_BACKEND``, ...): a pool spawned under one set must not serve
-    a sweep whose cache keys were computed under another."""
-    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-
-
 class PoolSupervisor:
     """Run batches of design points under supervised worker processes.
 
-    ``workers``, ``timeout`` and ``max_requeues`` are plain attributes,
-    read at the start of each :meth:`run`; ``timeout`` travels with each
-    task, so changing it between runs needs no new pool.
+    ``workers`` and ``timeout`` are plain attributes, read at the start
+    of each :meth:`run`; ``timeout`` travels with each task, so changing
+    it between runs needs no new pool.
     """
 
-    def __init__(self, workers: int, timeout: Optional[float] = None, *,
-                 max_requeues: int = 2,
-                 on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
-                 on_done: Optional[Callable[[int, Tuple], None]] = None
-                 ) -> None:
+    def __init__(self, workers: int, timeout: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.workers = workers
         self.timeout = timeout
-        #: How often one point may be lost to a dying worker before it
-        #: is reported as a crash instead of re-enqueued (guards against
-        #: a "poison" point that reliably kills its host).
-        self.max_requeues = max_requeues
-        self._on_event = on_event
-        self._on_done = on_done
         #: Observability: every spawn/lease/requeue/worker-loss event of
         #: the most recent :meth:`run`.
         self.events: List[Dict[str, Any]] = []
@@ -207,7 +194,6 @@ class PoolSupervisor:
         self.spawned = 0
         self.workers_lost = 0
         self._pool: Dict[int, _Worker] = {}
-        self._env: Dict[str, str] = {}
         #: Bumped per run and echoed in every ``done``: a point index
         #: means something only within the run that assigned it.
         self._generation = 0
@@ -233,13 +219,12 @@ class PoolSupervisor:
             on_done: Optional[Callable[[int, Tuple], None]] = None
             ) -> List[Tuple]:
         """Execute ``points``; returns their tagged outcomes in
-        submission order.  ``on_event``/``on_done`` override the
-        constructor's for this run only."""
+        submission order.  ``on_event`` sees every spawn/lease/requeue/
+        worker-loss record as it happens, ``on_done`` every completion
+        (point index, tagged outcome)."""
         n = len(points)
         if n == 0:
             return []
-        on_event = on_event or self._on_event
-        on_done = on_done or self._on_done
         self.events = events = []
         self._generation += 1
         generation = self._generation
@@ -340,7 +325,7 @@ class PoolSupervisor:
             futile_deaths = 0
             if outcomes[index] is not None:
                 return  # lease expiry settled it before killing the host
-            if requeues[index] >= self.max_requeues:
+            if requeues[index] >= MAX_REQUEUES:
                 settle(index, ("crash",
                                f"point lost {requeues[index] + 1} times "
                                f"({why}); giving up", {}))
@@ -352,10 +337,6 @@ class PoolSupervisor:
 
         clean = False
         try:
-            env = _repro_env()
-            if env != self._env:
-                self.close()
-                self._env = env
             now = time.monotonic()
             for worker in list(pool.values()):
                 worker.last_beat = now  # nobody listened between runs

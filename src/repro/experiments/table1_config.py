@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..config import SimConfig
+from ..config import FREQUENCY_HZ, ROUTER_PIPELINE_STAGES, SimConfig
 from ..stats.report import format_table
 
 PAPER_ROWS: Tuple[Tuple[str, str], ...] = (
@@ -43,8 +43,8 @@ def run(scale: str = "bench", seed: int = 1) -> Table1Result:
         "Cache block size": "5-flit long packets (64B / 128b links)",
         "Coherence protocol": "request/reply traffic model",
         "Network topology": f"{cfg.noc.width}x{cfg.noc.height} and 8x8 mesh",
-        "Router": f"{cfg.noc.pipeline_stages}-stage, "
-                  f"{cfg.noc.frequency_hz / 1e9:.0f}GHz",
+        "Router": f"{ROUTER_PIPELINE_STAGES}-stage, "
+                  f"{FREQUENCY_HZ / 1e9:.0f}GHz",
         "Virtual channel": f"{cfg.noc.vcs_per_port} per port",
         "Input buffer": f"{cfg.noc.buffer_depth}-flit depth",
         "Link bandwidth": f"{cfg.noc.link_bits} bits/cycle",

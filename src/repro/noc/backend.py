@@ -10,7 +10,6 @@ re-exports every name here.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 #: The two cycle kernels: the object-graph reference (:mod:`repro.noc.ref`,
@@ -22,19 +21,13 @@ from typing import Optional
 BACKENDS = ("ref", "soa")
 
 
-def resolve_backend(explicit: Optional[str] = None) -> Optional[str]:
-    """The *pinned* kernel, canonically named: explicit argument >
-    ``REPRO_BACKEND`` > ``None`` (nothing pinned - :func:`select_kernel`
-    picks ``soa``).  Raises ``ValueError`` on unknown
-    names."""
-    name = explicit
-    if name is None:
-        name = os.environ.get("REPRO_BACKEND", "").strip()
-        if not name:
-            return None
-    name = str(name).strip().lower()
-    if name == "reference":
-        name = "ref"
+def resolve_backend(pinned: Optional[str] = None) -> Optional[str]:
+    """The *pinned* kernel, canonically named, or ``None`` when nothing
+    was pinned (:func:`select_kernel` then picks ``soa``).  Raises
+    ``ValueError`` on unknown names."""
+    if pinned is None:
+        return None
+    name = str(pinned).strip().lower()
     if name not in BACKENDS:
         raise ValueError(
             f"unknown simulation backend {name!r}; known: "
@@ -45,7 +38,7 @@ def resolve_backend(explicit: Optional[str] = None) -> Optional[str]:
 def select_kernel(pinned: Optional[str] = None) -> str:
     """The kernel a run executes on - the one place the rule lives
     (``Network.__new__`` and ``DesignPoint`` both call it): the pin
-    (``backend=`` / ``--backend`` / ``REPRO_BACKEND``), else ``soa``.
+    (``backend=`` / ``--backend``), else ``soa``.
     Fault plans, traces and metrics recorders select nothing: both
     kernels serve them."""
     return resolve_backend(pinned) or "soa"

@@ -2,7 +2,7 @@
 
 :class:`repro.noc.network.Network` dispatches here unless ``ref`` is
 pinned (see :func:`repro.noc.network.select_kernel`); ``backend="soa"``
-/ ``--backend soa`` / ``REPRO_BACKEND=soa`` pin it.  This kernel and
+/ ``--backend soa`` pin it.  This kernel and
 the object-graph reference (:mod:`repro.noc.ref`) are siblings: each
 subclasses the shared core (:mod:`repro.noc.network`) and supplies its
 own input side, channels and phases.  The reference stays the readable

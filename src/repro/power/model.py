@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..config import Design, SimConfig
+from ..config import FREQUENCY_HZ, Design, SimConfig
 from ..stats.collector import RunResult
 from . import technology as tech_mod
 from .technology import TechNode
@@ -155,8 +155,7 @@ def static_power_share(feature_nm: int, vdd: float,
     for calibration.
     """
     tech = tech_mod.get_tech(feature_nm, vdd)
-    freq = 3.0e9
-    p_dyn = flits_per_router_cycle * freq * tech.router_dyn_j_per_flit
+    p_dyn = flits_per_router_cycle * FREQUENCY_HZ * tech.router_dyn_j_per_flit
     p_static = tech.router_static_w
     return p_static / (p_static + p_dyn)
 

@@ -1,26 +1,15 @@
-"""Dimension-order (XY) routing.
+"""Dimension-order (XY) routing, the escape mechanism of the
+conventional designs.
 
-Used both as the escape mechanism of the conventional designs and as a
-standalone deterministic routing function (useful in tests and ablations).
 Packets fully traverse the X dimension before turning into Y, which is
 provably deadlock-free on a mesh.
 """
 
 from __future__ import annotations
 
-from ..noc.flit import Packet
 from ..noc.topology import Mesh
-from .base import RouteChoice, RouterView, RoutingFunction
 
 
 def xy_port(mesh: Mesh, node: int, dst: int) -> int:
     """The XY output port from ``node`` toward ``dst`` (LOCAL when equal)."""
     return mesh.xy_port(node, dst)
-
-
-class XYRouting(RoutingFunction):
-    """Pure deterministic XY routing (no adaptivity)."""
-
-    def route(self, router: RouterView, packet: Packet) -> RouteChoice:
-        port = xy_port(self.mesh, router.node, packet.dst)
-        return RouteChoice(adaptive_ports=[port], escape_port=port)

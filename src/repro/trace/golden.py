@@ -14,6 +14,7 @@ Usage::
 
     python -m repro.trace.golden --check            # diff against fixtures
     python -m repro.trace.golden --check --jobs 4   # same digests, parallel
+    python -m repro.trace.golden --check --backend ref  # reference kernel
     python -m repro.trace.golden --update           # regenerate fixtures
 
 (or ``pytest tests/test_goldens.py [--update-goldens]``).
@@ -31,10 +32,11 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import Design, small_config
 from ..experiments.parallel import DesignPoint, SweepRunner, TrafficSpec
+from ..noc.backend import BACKENDS
 from .recorder import TraceSpec
 
 #: Where fixtures live (``tests/goldens/`` at the repo root).
@@ -74,11 +76,14 @@ def build_points(directory: Path) -> List[Tuple[str, DesignPoint]]:
     return out
 
 
-def compute_digests(jobs: int = 1) -> Dict[str, Dict[str, object]]:
-    """Run all scenarios and return ``name -> digest``."""
+def compute_digests(jobs: int = 1, backend: Optional[str] = None
+                    ) -> Dict[str, Dict[str, object]]:
+    """Run all scenarios (on the ``backend`` kernel, if pinned) and
+    return ``name -> digest``."""
     with tempfile.TemporaryDirectory(prefix="repro-goldens-") as tmp:
         named = build_points(Path(tmp))
-        with SweepRunner(jobs=jobs, use_cache=False) as runner:
+        with SweepRunner(jobs=jobs, use_cache=False,
+                         backend=backend) as runner:
             runner.run([point for _, point in named])
         digests = {}
         for name, _ in named:
@@ -87,28 +92,27 @@ def compute_digests(jobs: int = 1) -> Dict[str, Dict[str, object]]:
         return digests
 
 
-def fixture_path(name: str, directory: Path = GOLDEN_DIR) -> Path:
-    return Path(directory) / f"{name}.json"
+def fixture_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.json"
 
 
-def update(jobs: int = 1, directory: Path = GOLDEN_DIR) -> List[str]:
+def update(jobs: int = 1, backend: Optional[str] = None) -> List[str]:
     """Regenerate every fixture; returns the scenario names written."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    digests = compute_digests(jobs=jobs)
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    digests = compute_digests(jobs=jobs, backend=backend)
     for name, digest in sorted(digests.items()):
-        fixture_path(name, directory).write_text(
+        fixture_path(name).write_text(
             json.dumps(digest, sort_keys=True, indent=1) + "\n")
     return sorted(digests)
 
 
-def check(jobs: int = 1, directory: Path = GOLDEN_DIR) -> List[str]:
+def check(jobs: int = 1, backend: Optional[str] = None) -> List[str]:
     """Diff fresh digests against the fixtures; returns mismatch lines
-    (empty = clean)."""
-    digests = compute_digests(jobs=jobs)
+    (empty = clean).  Both kernels must match the same fixtures."""
+    digests = compute_digests(jobs=jobs, backend=backend)
     problems: List[str] = []
     for name in sorted(digests):
-        path = fixture_path(name, directory)
+        path = fixture_path(name)
         if not path.is_file():
             problems.append(f"{name}: missing fixture {path} "
                             "(run --update)")
@@ -135,15 +139,16 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (digests are identical "
                              "for any N)")
-    parser.add_argument("--dir", default=str(GOLDEN_DIR), metavar="DIR",
-                        help="fixture directory (default: tests/goldens)")
+    parser.add_argument("--backend", choices=BACKENDS, default=None,
+                        help="pin the kernel the scenarios run on "
+                             "(default: 'soa'; digests are identical on "
+                             "both)")
     args = parser.parse_args(argv)
-    directory = Path(args.dir)
     if args.update:
-        names = update(jobs=args.jobs, directory=directory)
-        print(f"updated {len(names)} golden digests in {directory}/")
+        names = update(jobs=args.jobs, backend=args.backend)
+        print(f"updated {len(names)} golden digests in {GOLDEN_DIR}/")
         return 0
-    problems = check(jobs=args.jobs, directory=directory)
+    problems = check(jobs=args.jobs, backend=args.backend)
     if problems:
         print(f"golden-trace check FAILED ({len(problems)} mismatches):")
         for line in problems:

@@ -12,8 +12,8 @@ SoA kernel like an untraced one).  The design x traffic matrix carries a
 fault plan on three of its four traffic kinds, so the fault sites are
 held to the same contract.
 
-Kernel *pinning* (explicit argument > ``REPRO_BACKEND``) is covered
-here too, as is the cache-key folding in the experiments runner.  The
+Kernel *pinning* (the ``backend=`` argument) is covered here too, as
+is the cache-key folding in the experiments runner.  The
 selection rule (unpinned runs included) lives in
 tests/test_kernel_identity.py, the home of new kernel-identity tests
 and of the differential helpers used here; this file and
@@ -114,34 +114,21 @@ class TestBackendSelection:
         assert isinstance(net, SoANetwork)
         assert net.backend == "soa"
 
-    def test_env_var_selects_soa(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "soa")
-        net = Network(small_config(Design.NORD))
-        assert isinstance(net, SoANetwork)
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "soa")
-        net = Network(small_config(Design.NORD), backend="ref")
-        assert type(net) is RefNetwork
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simulation backend"):
             Network(small_config(Design.NORD), backend="bogus")
         with pytest.raises(ValueError, match="unknown simulation backend"):
             resolve_backend("bogus")
 
-    def test_resolve_backend_normalizes(self, monkeypatch):
+    def test_resolve_backend_normalizes(self):
         assert resolve_backend() is None  # nothing pinned
-        assert resolve_backend("reference") == "ref"
         assert resolve_backend(" SOA ") == "soa"
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
         with pytest.raises(ValueError):
-            resolve_backend()
+            resolve_backend("reference")  # no aliases
         assert set(BACKENDS) == {"ref", "soa"}
 
-    def test_metered_run_stays_on_soa(self, monkeypatch):
+    def test_metered_run_stays_on_soa(self):
         from repro.metrics.sampler import MetricsRun
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # nothing to fall back from
             unpinned = Network(small_config(Design.NORD),
@@ -163,21 +150,13 @@ class TestCacheKeys:
         assert self._point("ref").cache_key() != \
             self._point("soa").cache_key()
 
-    def test_default_backend_follows_env(self, monkeypatch):
-        default_key = self._point().cache_key()
-        assert default_key == self._point("soa").cache_key()
-        monkeypatch.setenv("REPRO_BACKEND", "ref")
-        assert self._point().cache_key() == \
-            self._point("ref").cache_key()
-
     def test_unknown_backend_rejected_at_point_construction(self):
         with pytest.raises(ValueError):
             self._point("bogus")
 
-    def test_bufferless_resolves_like_any_point(self, monkeypatch):
+    def test_bufferless_resolves_like_any_point(self):
         """The bufferless datapath has one implementation, but its point
         keys on the selected kernel like every other: no special case."""
-        monkeypatch.setenv("REPRO_BACKEND", "soa")
         point = parallel.DesignPoint(
             cfg=small_config(Design.BUFFERLESS),
             traffic=parallel.uniform_spec(0.1))

@@ -148,7 +148,6 @@ class TestCommandsShareNothing:
     def isolated(self, monkeypatch, tmp_path):
         monkeypatch.setattr(parallel, "_default_runner", None)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         yield
         activity.enable_profiling(False)
         activity.reset_profile()

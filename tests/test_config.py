@@ -1,10 +1,14 @@
 """Configuration defaults (Table 1) and validation."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
-from repro.config import (Design, NoCConfig, PowerGateConfig, RoutingConfig,
+import repro
+from repro.config import (FREQUENCY_HZ, ROUTER_PIPELINE_STAGES, Design,
+                          NoCConfig, PowerGateConfig, RoutingConfig,
                           SimConfig, small_config)
 
 
@@ -38,12 +42,11 @@ class TestNoCConfigTable1:
         assert NoCConfig().link_bits == 128
 
     def test_3ghz_router(self):
-        noc = NoCConfig()
-        assert noc.frequency_hz == pytest.approx(3.0e9)
-        assert noc.cycle_time_s == pytest.approx(1 / 3.0e9)
+        assert FREQUENCY_HZ == pytest.approx(3.0e9)
+        assert NoCConfig().cycle_time_s == pytest.approx(1 / 3.0e9)
 
     def test_four_stage_pipeline(self):
-        assert NoCConfig().pipeline_stages == 4
+        assert ROUTER_PIPELINE_STAGES == 4
 
     def test_node_xy_roundtrip(self):
         noc = NoCConfig(width=5, height=3)
@@ -108,3 +111,36 @@ class TestSimConfig:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SimConfig().seed = 5
+
+
+class TestEveryFieldIsRead:
+    """A config field is a setting only if the simulator reads it: a
+    field nothing reads still changes every cache key and silently
+    accepts values that do nothing.  What no run varies belongs in a
+    module constant of :mod:`repro.config`."""
+
+    #: Defining a field, or printing it in Table 1, is not reading it.
+    NOT_READERS = ("config.py", "experiments/table1_config.py")
+
+    @staticmethod
+    def attributes_read(package: Path, skip) -> set:
+        names = set()
+        for path in package.rglob("*.py"):
+            if path.relative_to(package).as_posix() in skip:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+        return names
+
+    def test_every_config_field_is_read(self):
+        read = self.attributes_read(Path(repro.__file__).parent,
+                                    self.NOT_READERS)
+        unread = [f"{cls.__name__}.{f.name}"
+                  for cls in (NoCConfig, PowerGateConfig, RoutingConfig,
+                              SimConfig)
+                  for f in dataclasses.fields(cls) if f.name not in read]
+        assert unread == [], (
+            f"config fields read nowhere in src/repro: {unread}; delete "
+            "them or make them module constants")

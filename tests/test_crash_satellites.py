@@ -199,19 +199,15 @@ def test_backoff_full_jitter_and_ceiling(monkeypatch):
     monkeypatch.setattr(parallel, "_guarded_execute",
                         lambda p, t: ("timeout", "synthetic", {}))
 
-    runner = SweepRunner(jobs=1, use_cache=False, retries=4, partial=True,
-                         retry_backoff=2.0, retry_backoff_max=5.0)
+    monkeypatch.setattr(parallel, "RETRY_BACKOFF", 2.0)
+    monkeypatch.setattr(parallel, "RETRY_BACKOFF_MAX", 5.0)
+    runner = SweepRunner(jobs=1, use_cache=False, retries=4, partial=True)
     outcomes = runner.run([point()])
     assert outcomes == [None]
     # Rounds 1..4: 2, 4, then capped at 5, 5.
     assert uniform_args == [(0.0, 2.0), (0.0, 4.0), (0.0, 5.0),
                             (0.0, 5.0)]
     assert sleeps == [2.0, 4.0, 5.0, 5.0]
-
-
-def test_backoff_max_validation():
-    with pytest.raises(ValueError):
-        SweepRunner(retry_backoff_max=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,10 @@ def test_example_runs_at_smoke_scale(example, tmp_path):
     env["PYTHONPATH"] = str(REPO / "src")
     env["REPRO_EXAMPLE_SCALE"] = "smoke"
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
-    env["REPRO_EXAMPLE_OUT"] = str(tmp_path / "artifacts")
     proc = subprocess.run(
         [sys.executable, str(example)] + ARGS.get(example.name, []),
         capture_output=True, text=True, timeout=600, env=env,
-        cwd=str(REPO))
+        cwd=str(tmp_path))  # whatever an example writes lands here
     assert proc.returncode == 0, (
         f"{example.name} failed:\n--- stdout ---\n{proc.stdout}"
         f"\n--- stderr ---\n{proc.stderr}")
@@ -49,11 +48,12 @@ def test_example_runs_at_smoke_scale(example, tmp_path):
         # The timeline example must emit a self-contained HTML report
         # built from its metrics artifacts (examples-smoke CI checks
         # the same file).
-        report = tmp_path / "artifacts" / "report.html"
+        artifacts = tmp_path / "power_timeline_metrics"
+        report = artifacts / "report.html"
         assert report.is_file(), "power_timeline.py emitted no report"
         text = report.read_text()
         assert "<svg" in text and "</html>" in text
-        jsonl = list((tmp_path / "artifacts").glob("*.metrics.jsonl"))
+        jsonl = list(artifacts.glob("*.metrics.jsonl"))
         assert len(jsonl) == 2, "expected one artifact per design"
 
 

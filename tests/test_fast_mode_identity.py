@@ -553,8 +553,3 @@ class TestDispatch:
     def test_explicit_ref_backend_rejected(self):
         with pytest.raises(ValueError, match="names the 'soa' kernel"):
             Network(small_config(Design.NORD), backend="ref", fast=True)
-
-    def test_env_ref_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "ref")
-        with pytest.raises(ValueError, match="names the 'soa' kernel"):
-            Network(small_config(Design.NORD), fast=True)

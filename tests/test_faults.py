@@ -127,8 +127,7 @@ class TestEmptyPlanDrift:
         tests/empty_faultplan on ``PYTHONPATH`` (which spawned workers
         inherit), every network carries an empty plan - and stays on
         the soa kernel."""
-        env = {k: v for k, v in os.environ.items()
-               if k != "REPRO_BACKEND"}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(TESTS / "empty_faultplan"), str(TESTS.parent / "src")])
         code = ("from repro.config import Design\n"
@@ -299,8 +298,7 @@ class TestLinkFaults:
             cfg=build_config(case["design"], "smoke", seed=case["seed"]),
             traffic=uniform_spec(case["rate"], seed=case["seed"]),
             faults=case["plan"])
-        runner = SweepRunner(use_cache=False, partial=True, retries=2,
-                             retry_backoff=0.0)
+        runner = SweepRunner(use_cache=False, partial=True, retries=2)
         assert runner.run([point]) == [None]
         failed, = runner.failures
         assert (failed.kind, failed.attempts) == ("error", 1)

@@ -9,7 +9,7 @@ one digest.  A traced run executes on the default (SoA) kernel, which
 records the reference kernel's event stream event for event, so the
 fixtures pin both: this test and ``python -m repro.trace.golden
 --check`` use the default kernel, and CI reruns the check with
-``REPRO_BACKEND=ref``; the per-run trace differentials in
+``--backend ref``; the per-run trace differentials in
 tests/test_backend_identity.py compare the two kernels directly.
 
 Intentional behaviour changes: regenerate with either

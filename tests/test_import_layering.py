@@ -39,7 +39,6 @@ def child(script, *argv, cache=None):
     """Run ``script`` in a fresh interpreter; returns (stdout lines before
     the report, the JSON report it printed last)."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("REPRO_BACKEND", None)
     if cache is not None:
         env["REPRO_CACHE_DIR"] = str(cache)
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,

@@ -151,8 +151,7 @@ class TestKernelLayout:
 
 
 class TestDispatchTable:
-    def test_plain_run_selects_soa(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_plain_run_selects_soa(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             unpinned = Network(small_config(Design.NORD))
@@ -162,10 +161,9 @@ class TestDispatchTable:
         assert point().cache_key() == point(backend="soa").cache_key()
         assert point().cache_key() != point(backend="ref").cache_key()
 
-    def test_only_the_pin_selects(self, monkeypatch):
+    def test_only_the_pin_selects(self):
         """There is no scan mode: the reference always scans densely,
         and nothing but the pin picks it."""
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert select_kernel() == "soa"
         assert select_kernel("ref") == "ref"
         with pytest.raises(TypeError):
@@ -173,9 +171,7 @@ class TestDispatchTable:
         with pytest.raises(TypeError):
             Network(small_config(Design.NORD), skip_inactive=False)
 
-    def test_metrics_are_not_a_selection_input(self, monkeypatch,
-                                               tmp_path):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_metrics_are_not_a_selection_input(self, tmp_path):
         with pytest.raises(TypeError):
             select_kernel(metrics=MetricsSpec(directory="x").build())
         metered = point(metrics=MetricsSpec(directory=str(tmp_path)))
@@ -185,9 +181,7 @@ class TestDispatchTable:
                          metrics=MetricsSpec(directory="x").build())
         assert net.metrics is not None
 
-    def test_trace_is_not_a_selection_input(self, monkeypatch,
-                                            tmp_path):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_trace_is_not_a_selection_input(self, tmp_path):
         with pytest.raises(TypeError):
             select_kernel(trace=EventTrace())
         traced = point(trace=TraceSpec(directory=str(tmp_path)))
@@ -202,8 +196,7 @@ class TestDispatchTable:
         net = SoANetwork(small_config(Design.NORD), trace=EventTrace())
         assert net.trace is not None
 
-    def test_fault_plan_is_not_a_selection_input(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_fault_plan_is_not_a_selection_input(self):
         plan = FaultPlan.single_router_failure(5, 60)
         with pytest.raises(TypeError):
             select_kernel(fault_plan=plan)
@@ -225,14 +218,13 @@ class TestDispatchTable:
         net = SoANetwork(small_config(Design.NORD), fault_plan=FaultPlan())
         assert net._faults is not None
 
-    def test_pinned_ref_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "ref")
-        assert select_kernel() == "ref"
-        assert type(Network(small_config(Design.NORD))) is RefNetwork
-        assert point().resolved_backend() == "ref"
+    def test_pinned_ref_is_honoured(self):
+        assert select_kernel("ref") == "ref"
+        assert type(Network(small_config(Design.NORD), backend="ref")) \
+            is RefNetwork
+        assert point(backend="ref").resolved_backend() == "ref"
 
-    def test_execute_point_runs_the_kernel_the_point_resolves(self,
-                                                              tmp_path):
+    def test_execute_point_runs_the_kernel_the_point_resolves(self, tmp_path):
         for fields in ({}, {"backend": "ref"},
                        {"faults": FaultPlan()},
                        {"faults": FaultPlan.single_router_failure(5, 60)},
@@ -248,7 +240,6 @@ class TestKernelProvenance:
     def fresh_default_runner(self, monkeypatch):
         # simulate / run-all reconfigure the process-wide runner
         monkeypatch.setattr(parallel, "_default_runner", None)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
     def run(self, backend):
         net = Network(small_config(Design.NORD, warmup=40, measure=200),
@@ -317,8 +308,7 @@ class TestProfileOccupancy:
                 "stats": routers}
 
     @pytest.mark.parametrize("design", Design.ALL)
-    def test_occupancy_equals_reference(self, design, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_occupancy_equals_reference(self, design):
         activity.enable_profiling(True)
         activity.reset_profile()
         want = dict.fromkeys(activity.PHASES, 0)
@@ -354,7 +344,6 @@ def test_plain_simulate_never_imports_numpy():
             "assert 'repro.noc.soa' in sys.modules\n"
             "sys.exit(3 if 'numpy' in sys.modules else 0)\n")
     env = dict(os.environ)
-    env.pop("REPRO_BACKEND", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", code], env=env,

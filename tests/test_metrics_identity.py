@@ -41,12 +41,10 @@ def test_instrumented_equals_plain(design, tmp_path):
 
 
 @pytest.mark.parametrize("design", Design.ALL)
-def test_artifacts_do_not_depend_on_the_kernel(design, tmp_path,
-                                               monkeypatch):
+def test_artifacts_do_not_depend_on_the_kernel(design, tmp_path):
     """The sampler runs on either kernel and reads the same counters
     from both: a metered point writes the same bytes on ``ref`` and on
     the kernel an untagged run gets."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     written = {}
     for backend, kernel in (("ref", "ref"), (None, "soa")):
         directory = tmp_path / kernel

@@ -263,9 +263,7 @@ class TestInheritedSettings:
     """``INHERITED``: runner settings that ride on the points."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_runner_backend_is_the_point_pinned(self, tmp_path, monkeypatch,
-                                                jobs):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_runner_backend_is_the_point_pinned(self, tmp_path, jobs):
         points = smoke_points()
         pinned = [dataclasses.replace(p, backend="ref") for p in points]
         assert pinned[0].cache_key() != points[0].cache_key()
@@ -278,9 +276,8 @@ class TestInheritedSettings:
         # ... and nothing was written to the environment to get there.
         assert "REPRO_BACKEND" not in os.environ
 
-    def test_a_points_own_setting_wins(self, tmp_path, monkeypatch):
+    def test_a_points_own_setting_wins(self, tmp_path):
         from repro.trace.spec import TraceSpec
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         own, plain = smoke_points()
         outcomes = SweepRunner(use_cache=False, backend="ref").run(
             [dataclasses.replace(own, backend="soa"), plain])
@@ -454,9 +451,11 @@ class TestResilientRunner:
         assert isinstance(err, DeadlockError)
         assert err.stuck_routers  # diagnostics crossed the guard intact
 
-    def test_hang_is_retried_then_recorded_in_partial_mode(self, tmp_path):
+    def test_hang_is_retried_then_recorded_in_partial_mode(self, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.0)
         runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path),
-                             retries=2, retry_backoff=0.0, partial=True)
+                             retries=2, partial=True)
         good = smoke_points(designs=(Design.NORD,))[0]
         outcomes = runner.run([wedged_point(), good])
         assert outcomes[0] is None
@@ -510,8 +509,9 @@ class TestResilientRunner:
             calls["n"] += 1
             return ("error", "ValueError: bad config", {})
         monkeypatch.setattr(parallel, "_guarded_execute", boom)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.0)
         runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path),
-                             retries=5, retry_backoff=0.0, partial=True)
+                             retries=5, partial=True)
         outcomes = runner.run(smoke_points(designs=(Design.NO_PG,)))
         assert outcomes == [None]
         assert calls["n"] == 1
@@ -565,18 +565,6 @@ class TestPoolLifetime:
             # The same two workers served both sweeps.
             assert self.leased_pids(runner) <= pids
             assert runner.stats.workers_spawned == 2
-
-    def test_pool_is_recycled_when_repro_env_changes(self, monkeypatch):
-        """Workers read ``REPRO_BACKEND`` & co. from the environment they
-        were spawned under, the parent keys the cache under the current
-        one: a pool must not outlive a change."""
-        points = smoke_points()
-        with SweepRunner(jobs=2, use_cache=False) as runner:
-            assert {r.kernel for r, _ in runner.run(points)} == {"soa"}
-            monkeypatch.setenv("REPRO_BACKEND", "ref")
-            assert {r.kernel for r, _ in runner.run(points)} == {"ref"}
-            assert runner.stats.workers_spawned == 4
-            assert runner.stats.workers_lost == 0
 
     def test_jobs_change_between_sweeps_resizes_the_pool(self):
         with SweepRunner(jobs=2, use_cache=False) as runner:

@@ -55,7 +55,7 @@ class TestByteIdentity:
         assert fast.to_dict() == full.to_dict()
 
     @pytest.mark.parametrize("design", [Design.NORD, Design.CONV_PG])
-    def test_faulted_run_env_escape_hatch(self, design, monkeypatch):
+    def test_faulted_run_env_escape_hatch(self, design):
         """The dense reference (pinned; the name is from when an
         environment switch selected it) vs the default kernel (soa),
         with live faults: the fault RNG draws in the reference's order,
@@ -74,7 +74,6 @@ class TestByteIdentity:
             net = Network(cfg, fault_plan=plan, backend=backend)
             assert net.backend == (backend or "soa")
             return net.run(uniform_random(net.mesh, 0.08, seed=3))
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         fast = faulted(design, None)
         full = faulted(design, "ref")
         assert fast.to_dict() == full.to_dict()

@@ -3,7 +3,7 @@
 A SIGKILLed worker must cost exactly the point it was leasing - which
 is re-enqueued and completes - while every other point is untouched and
 the final outcomes are byte-identical to a serial run.  A point that
-repeatedly kills its host is given up on after ``max_requeues``.
+repeatedly kills its host is given up on after ``MAX_REQUEUES``.
 """
 
 import json
@@ -73,8 +73,8 @@ def test_sigkilled_worker_loses_only_its_point():
             killed["pid"] = record["pid"]
             os.kill(record["pid"], signal.SIGKILL)
 
-    supervisor = PoolSupervisor(2, None, on_event=on_event)
-    got = supervisor.run(pts)
+    supervisor = PoolSupervisor(2)
+    got = supervisor.run(pts, on_event=on_event)
     assert killed, "chaos hook never fired"
     assert supervisor.workers_lost >= 1
     requeued = [e for e in supervisor.events if e["ev"] == "requeued"]
@@ -84,9 +84,11 @@ def test_sigkilled_worker_loses_only_its_point():
         canonical([t[1] for t in want])
 
 
-def test_poison_point_settles_as_crash_after_max_requeues():
+def test_poison_point_settles_as_crash_after_max_requeues(monkeypatch):
     """A point whose host is killed on every lease is abandoned after
-    ``max_requeues`` losses; the other points still complete."""
+    ``MAX_REQUEUES`` losses; the other points still complete."""
+    from repro.experiments import supervisor as supervisor_mod
+    monkeypatch.setattr(supervisor_mod, "MAX_REQUEUES", 1)
     pts = points(2)
     want = serial(pts)
 
@@ -94,9 +96,8 @@ def test_poison_point_settles_as_crash_after_max_requeues():
         if record["ev"] == "leased" and record["index"] == 0:
             os.kill(record["pid"], signal.SIGKILL)
 
-    supervisor = PoolSupervisor(2, None, max_requeues=1,
-                                on_event=on_event)
-    got = supervisor.run(pts)
+    supervisor = PoolSupervisor(2)
+    got = supervisor.run(pts, on_event=on_event)
     assert got[0][0] == "crash"
     assert "giving up" in got[0][1]
     assert got[1][0] == "ok"
@@ -108,9 +109,8 @@ def test_poison_point_settles_as_crash_after_max_requeues():
 def test_on_done_fires_per_point_in_completion_order():
     pts = points(3)
     done = []
-    supervisor = PoolSupervisor(2, None,
-                                on_done=lambda i, tag: done.append(i))
-    got = supervisor.run(pts)
+    supervisor = PoolSupervisor(2)
+    got = supervisor.run(pts, on_done=lambda i, tag: done.append(i))
     assert sorted(done) == list(range(3))
     assert all(tag[0] == "ok" for tag in got)
 
@@ -224,9 +224,9 @@ def test_aborted_run_takes_the_pool_along():
     def on_done(index, tag):
         raise KeyboardInterrupt
 
-    supervisor = PoolSupervisor(2, on_done=on_done)
+    supervisor = PoolSupervisor(2)
     with pytest.raises(KeyboardInterrupt):
-        supervisor.run(points(4, measure=300))
+        supervisor.run(points(4, measure=300), on_done=on_done)
     assert multiprocessing.active_children() == []
 
 
@@ -334,8 +334,8 @@ def test_workers_that_never_come_up_trip_the_breaker():
         if record["ev"] == "spawned":
             os.kill(record["pid"], signal.SIGKILL)
 
-    with PoolSupervisor(2, on_event=on_event) as supervisor:
-        got = supervisor.run(points(3, measure=300))
+    with PoolSupervisor(2) as supervisor:
+        got = supervisor.run(points(3, measure=300), on_event=on_event)
     assert [tag[0] for tag in got] == ["error"] * 3
     assert "worker pool unusable" in got[0][1]
     assert 4 <= supervisor.workers_lost <= supervisor.spawned <= 6
@@ -352,8 +352,8 @@ def test_frozen_worker_is_killed_and_its_point_requeued(monkeypatch):
             os.kill(record["pid"], signal.SIGSTOP)
 
     pts = points(3, measure=300)
-    with PoolSupervisor(2, on_event=on_event) as supervisor:
-        got = supervisor.run(pts)
+    with PoolSupervisor(2) as supervisor:
+        got = supervisor.run(pts, on_event=on_event)
     assert canonical([t[1] for t in got]) == \
         canonical([t[1] for t in serial(pts)])
     lost = [e for e in supervisor.events if e["ev"] == "worker-lost"]
