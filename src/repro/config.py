@@ -26,7 +26,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 #: Router pipeline depth excluding link traversal (RC, VA, SA, ST; one
 #: link-traversal cycle follows), Table 1's "4-stage".
@@ -87,14 +87,6 @@ class NoCConfig:
     @property
     def cycle_time_s(self) -> float:
         return 1.0 / FREQUENCY_HZ
-
-    def node_xy(self, node: int) -> Tuple[int, int]:
-        """Return the (x, y) mesh coordinate of ``node``."""
-        return node % self.width, node // self.width
-
-    def xy_node(self, x: int, y: int) -> int:
-        """Return the node id at mesh coordinate ``(x, y)``."""
-        return y * self.width + x
 
 
 @dataclass(frozen=True)
@@ -196,10 +188,6 @@ class SimConfig:
         if self.design == Design.NORD:
             return NORD_ESCAPE_VCS
         return XY_ESCAPE_VCS
-
-    @property
-    def adaptive_vcs(self) -> int:
-        return self.noc.vcs_per_port - self.escape_vcs
 
 
 def stable_hash(payload: Any) -> str:

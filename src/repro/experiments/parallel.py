@@ -44,7 +44,6 @@ import random
 import signal
 import threading
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -305,7 +304,8 @@ def point_basename(point: DesignPoint, spec=None) -> str:
     return "_".join(parts)
 
 
-def execute_point(point: DesignPoint) -> SweepOutcome:
+def execute_point(point: DesignPoint,
+                  timeout: Optional[float] = None) -> SweepOutcome:
     """Run one design point end to end (spawn-safe worker function).
 
     With ``point.checkpoint`` the run saves a checkpoint every
@@ -313,9 +313,15 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
     the same point (same cache key and code fingerprint) left behind by
     a crash or timeout, resuming from it instead of cycle 0.  The file
     is removed on success.
+
+    With ``timeout`` (seconds) the run raises :class:`RunTimeout` at the
+    first cycle boundary past its wall-clock deadline, after saving the
+    checkpoint due there.  Without a checkpoint or a timeout the run
+    loop gets no per-cycle hook at all.
     """
     from .. import checkpoint as ck
     from ..noc.network import Network, RunProgress
+    deadline = None if timeout is None else time.perf_counter() + timeout
     cfg = point.cfg
     spec = point.checkpoint
     ckpt = on_cycle = None
@@ -344,25 +350,27 @@ def execute_point(point: DesignPoint) -> SweepOutcome:
             PREPARE_HOOKS[point.prepare](net)
         traffic = point.traffic.build(net.mesh)
     t0 = time.perf_counter()
-    if spec is not None:
+    if spec is not None or deadline is not None:
         last_saved = progress.total_cycles_done
 
         def on_cycle(n: Network, prog: RunProgress) -> None:
             nonlocal last_saved
-            if prog.total_cycles_done - last_saved < spec.interval:
-                return
-            last_saved = prog.total_cycles_done
-            ck.save_checkpoint(path, ck.SimCheckpoint(
-                version=ck.CHECKPOINT_FORMAT,
-                key=key,
-                code=code_version(),
-                cycle=n.now,
-                wall_clock_s=prior_wall + (time.perf_counter() - t0),
-                snapshot=n.snapshot(),
-                progress=prog,
-                traffic_blob=pickle.dumps(traffic,
-                                          protocol=pickle.HIGHEST_PROTOCOL),
-            ))
+            if spec is not None \
+                    and prog.total_cycles_done - last_saved >= spec.interval:
+                last_saved = prog.total_cycles_done
+                ck.save_checkpoint(path, ck.SimCheckpoint(
+                    version=ck.CHECKPOINT_FORMAT,
+                    key=key,
+                    code=code_version(),
+                    cycle=n.now,
+                    wall_clock_s=prior_wall + (time.perf_counter() - t0),
+                    snapshot=n.snapshot(),
+                    progress=prog,
+                    traffic_blob=pickle.dumps(
+                        traffic, protocol=pickle.HIGHEST_PROTOCOL),
+                ))
+            if deadline is not None and time.perf_counter() > deadline:
+                raise RunTimeout(_overran(timeout))
 
     result = net.run_segment(traffic, progress, on_cycle=on_cycle)
     elapsed = prior_wall + (time.perf_counter() - t0)
@@ -404,100 +412,26 @@ RETRY_BACKOFF = 1.0
 RETRY_BACKOFF_MAX = 30.0
 
 
-class _WatchdogTimeout(RunTimeout):
-    """Raised asynchronously by the watchdog thread; needs a no-arg
-    constructor because ``PyThreadState_SetAsyncExc`` instantiates the
-    class at the raise point."""
-
-    def __init__(self, message: str = "run exceeded the wall-clock "
-                 "timeout (watchdog)", diagnostics=None) -> None:
-        super().__init__(message, diagnostics)
-
-
-class _Watchdog:
-    """Thread-based timeout for contexts where ``SIGALRM`` cannot fire
-    (non-main thread, platforms without it).  Injects
-    :class:`_WatchdogTimeout` into the guarded thread via
-    ``PyThreadState_SetAsyncExc``; the exception lands at the next
-    bytecode boundary - fine for the pure-Python simulation loop."""
-
-    def __init__(self, target_tid: int, timeout: float) -> None:
-        self._tid = target_tid
-        self._timeout = timeout
-        self._cancel = threading.Event()
-        self._fired = False
-        self._thread = threading.Thread(target=self._main, daemon=True)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def _main(self) -> None:
-        if self._cancel.wait(self._timeout):
-            return
-        import ctypes
-        self._fired = True
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(self._tid), ctypes.py_object(_WatchdogTimeout))
-
-    def cancel(self) -> None:
-        self._cancel.set()
-        self._thread.join()
-        if self._fired:
-            # The run may have finished between the injection and this
-            # cancel; clear any still-pending async exception so it
-            # cannot pop at an arbitrary later point in the thread.
-            import ctypes
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                ctypes.c_ulong(self._tid), None)
-
-
-_watchdog_warned = False
+def _overran(timeout: float) -> str:
+    return f"run exceeded the {timeout:g}s wall-clock timeout"
 
 
 def _guarded_execute(point: DesignPoint,
                      timeout: Optional[float]) -> GuardedOutcome:
-    """Run ``execute_point`` under a wall-clock alarm, catching failures.
+    """Run ``execute_point`` under a wall-clock budget, catching failures.
 
-    Runs in the worker process (or in-process for ``jobs=1``).  Returns
-    a tagged tuple instead of raising so one bad run cannot poison a
-    worker batch.  ``SIGALRM`` interrupts runs that exceed ``timeout``
-    seconds; where it cannot fire (non-main thread, Windows) a watchdog
-    thread enforces the same budget - with a one-time warning - instead
-    of the old behaviour of silently dropping the timeout.  Either way a
-    run that outlives its budget reports ``timeout``, also when the
-    exception was lost: one raised inside a ``gc`` callback, say, is
-    reported as unraisable and dropped, and the run carries on.
+    Runs in the worker process (or in-process for ``jobs=1``, on any
+    thread).  Returns a tagged tuple instead of raising so one bad run
+    cannot poison a worker batch.  ``execute_point`` checks the deadline
+    between cycles; an attempt that returns but still overran its
+    budget outside the cycle loop (building the network, pricing, a slow
+    ``gc`` callback) reads ``timeout`` as well.
     """
-    use_alarm = (timeout is not None and hasattr(signal, "SIGALRM")
-                 and threading.current_thread() is threading.main_thread())
-    old_handler = None
-    watchdog = None
-    alarmed = False
-    if use_alarm:
-        def _on_alarm(signum, frame):
-            nonlocal alarmed
-            alarmed = True
-            raise RunTimeout(
-                f"run exceeded the {timeout:g}s wall-clock timeout")
-
-        old_handler = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-    elif timeout is not None:
-        global _watchdog_warned
-        if not _watchdog_warned:
-            _watchdog_warned = True
-            warnings.warn(
-                "SIGALRM is unavailable here (non-main thread or "
-                "unsupported platform); enforcing --timeout with a "
-                "watchdog thread instead", RuntimeWarning, stacklevel=2)
-        watchdog = _Watchdog(threading.get_ident(), timeout)
-        watchdog.start()
+    start = time.perf_counter()
     try:
-        outcome = execute_point(point)
-        if alarmed or (watchdog is not None and watchdog._fired):
-            # the budget ran out, but its exception was lost
-            return ("timeout",
-                    f"run exceeded the {timeout:g}s wall-clock timeout", {})
+        outcome = execute_point(point, timeout=timeout)
+        if timeout is not None and time.perf_counter() - start > timeout:
+            return ("timeout", _overran(timeout), {})
         return ("ok", outcome)
     except SweepInterrupted:
         # SIGINT/SIGTERM landing mid-run: not a failure of this point -
@@ -511,12 +445,6 @@ def _guarded_execute(point: DesignPoint,
         return (kind, str(exc), exc.diagnostics)
     except Exception as exc:  # noqa: BLE001 - contained, reported upstream
         return ("error", f"{type(exc).__name__}: {exc}", {})
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old_handler)
-        if watchdog is not None:
-            watchdog.cancel()
 
 
 @dataclass
@@ -746,9 +674,10 @@ class SweepRunner:
     Resilience knobs:
 
     * ``timeout`` - per-run wall-clock budget in seconds (``None`` =
-      unlimited).  Enforced inside the worker via ``SIGALRM``, with an
-      outer ``2 * timeout + 30`` guard on the parent side in case the
-      worker itself is wedged below the Python level;
+      unlimited).  ``execute_point`` checks the deadline between
+      cycles, on any thread; a pool adds an outer ``2 * timeout + 30``
+      lease guard on the parent side in case a worker is wedged inside
+      a cycle or below the Python level;
     * ``retries`` - how many extra attempts a *retryable* failure
       (hang, timeout, worker crash) gets, each retry round after a
       jittered backoff (:data:`RETRY_BACKOFF`);

@@ -230,8 +230,9 @@ class PoolSupervisor:
         generation = self._generation
         pool = self._pool
         timeout = self.timeout
-        # Lease expiry mirrors the old outer guard: generous, so a slow
-        # worker is judged by its own in-run alarm first.
+        # Lease expiry is generous, so a slow worker is judged by its
+        # own between-cycle deadline first; the lease catches a worker
+        # wedged inside one cycle, which that deadline cannot see.
         guard = None if timeout is None else 2 * timeout + 30
         outcomes: List[Optional[Tuple]] = [None] * n
         requeues = [0] * n
@@ -372,7 +373,7 @@ class PoolSupervisor:
                 for worker in list(pool.values()):
                     if guard is not None and worker.lease is not None \
                             and now - worker.since > guard:
-                        # Below even the in-run alarm's reach: kill the
+                        # Beyond the in-run deadline's reach: kill the
                         # host and report the point as timed out so the
                         # runner's retry policy applies.
                         settle(worker.lease, (

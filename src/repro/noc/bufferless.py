@@ -91,6 +91,10 @@ class BufferlessNetwork(Datapath):
         #: reassembly: pid -> number of flits still missing.
         self._missing: Dict[int, int] = {}
         self.stats = StatsCollector(Design.BUFFERLESS, self.mesh.num_nodes)
+        for node in range(self.mesh.num_nodes):
+            self.stats.note_idle(node, 0)
+        #: Last idleness value delivered to the stats collector, per node.
+        self._idle_state: List[bool] = [True] * self.mesh.num_nodes
         # counters for the power model
         self.n_xbar = [0] * self.mesh.num_nodes
         self.n_eject = [0] * self.mesh.num_nodes
@@ -172,11 +176,17 @@ class BufferlessNetwork(Datapath):
                 nbr = mesh.neighbor(node, port)
                 nxt[nbr][OPPOSITE[port]] = worm
         self._incoming = nxt
-        if self.stats.measuring:
-            for node in range(mesh.num_nodes):
-                idle = (all(w is None for w in self._incoming[node])
-                        and not self.inject_queues[node])
-                self.stats.on_cycle_idle_state(node, idle)
+        stats = self.stats
+        state = self._idle_state
+        queues = self.inject_queues
+        for node in range(mesh.num_nodes):
+            idle = not (queues[node] or any(nxt[node]))
+            if idle != state[node]:
+                state[node] = idle
+                if idle:
+                    stats.note_idle(node, self.now)
+                else:
+                    stats.note_busy(node, self.now)
 
     def _sink(self, node: int, worm: _Worm) -> None:
         pkt = worm.flit.packet

@@ -122,7 +122,10 @@ LIVELOCK_LIMIT = 20_000
 #: 10: the reference kernel became ``repro.noc.ref.RefNetwork`` (class
 #:    identity in the pickled blob changed), and the soa kernel lost the
 #:    links and delay lines it built but never used.
-SNAPSHOT_VERSION = 10
+#: 11: the stats collector lost its per-cycle idle runs (``_idle_run``);
+#:    the bufferless network feeds idleness edges from its own
+#:    ``_idle_state`` list, as the kernels do.
+SNAPSHOT_VERSION = 11
 
 
 @dataclass

@@ -227,12 +227,8 @@ class StatsCollector:
         self.flits_corrupted = 0
         self.flits_dropped = 0
         self.credits_lost = 0
-        # Idle tracking.  Two producer APIs feed the same histograms:
-        # the edge API (note_idle/note_busy, used by the buffered
-        # Network's cycle kernel) and the legacy per-cycle API
-        # (on_cycle_idle_state, used by the bufferless baseline).  A
-        # collector instance only ever sees one of them.
-        self._idle_run = [0] * num_nodes
+        # Idle tracking, fed by the datapath's idleness edges
+        # (note_idle/note_busy).
         self._idle_begin: List[Optional[int]] = [None] * num_nodes
         self.idle_periods: Dict[int, int] = {}
         #: Window-truncated idle runs: length-so-far -> count.
@@ -253,12 +249,7 @@ class StatsCollector:
             # not enter the completed-period histogram (it would record
             # e.g. an always-idle router as one window-length period and
             # bias short_fraction downward).
-            run = self._idle_run[node]  # legacy per-cycle producer
-            if run > 0:
-                self._idle_run[node] = 0
-                self.censored_idle_periods[run] = \
-                    self.censored_idle_periods.get(run, 0) + 1
-            begin = self._idle_begin[node]  # edge producer
+            begin = self._idle_begin[node]
             if begin is not None and self.measure_start is not None:
                 start = max(begin, self.measure_start + 1)
                 run = now - start + 1
@@ -343,19 +334,3 @@ class StatsCollector:
         if run > 0:
             self.idle_periods[run] = self.idle_periods.get(run, 0) + 1
             self.idle_cycles[node] += run
-
-    def on_cycle_idle_state(self, node: int, idle: bool) -> None:
-        """Track idle-period lengths (only within the measurement window)."""
-        if not self.measuring:
-            return
-        if idle:
-            self._idle_run[node] += 1
-            self.idle_cycles[node] += 1
-        else:
-            self._flush_idle(node)
-
-    def _flush_idle(self, node: int) -> None:
-        run = self._idle_run[node]
-        if run > 0:
-            self.idle_periods[run] = self.idle_periods.get(run, 0) + 1
-            self._idle_run[node] = 0

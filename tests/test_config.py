@@ -48,12 +48,6 @@ class TestNoCConfigTable1:
     def test_four_stage_pipeline(self):
         assert ROUTER_PIPELINE_STAGES == 4
 
-    def test_node_xy_roundtrip(self):
-        noc = NoCConfig(width=5, height=3)
-        for node in range(noc.num_nodes):
-            x, y = noc.node_xy(node)
-            assert noc.xy_node(x, y) == node
-
 
 class TestPowerGateConfig:
     def test_wakeup_latency_12_cycles(self):
@@ -96,11 +90,6 @@ class TestSimConfig:
         assert SimConfig(design=Design.NORD).escape_vcs == 2
         assert SimConfig(design=Design.CONV_PG).escape_vcs == 1
         assert SimConfig(design=Design.NO_PG).escape_vcs == 1
-
-    def test_adaptive_vcs_complement(self):
-        for design in Design.ALL:
-            cfg = SimConfig(design=design)
-            assert cfg.adaptive_vcs + cfg.escape_vcs == cfg.noc.vcs_per_port
 
     def test_small_config_scales_down(self):
         cfg = small_config(Design.NORD, warmup=100, measure=500)

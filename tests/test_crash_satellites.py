@@ -1,4 +1,4 @@
-"""Crash-safety satellites: cache checksums, retry jitter, watchdog.
+"""Crash-safety satellites: cache checksums, retry jitter, run budget.
 
 * a result-cache entry is a sealed record: a SHA-256 over its stored
   ``body`` text; an entry whose body or checksum was silently altered
@@ -6,11 +6,11 @@
   ``<key>.corrupt`` instead of being served;
 * retry backoff uses *full jitter* with a hard ceiling, so a fleet of
   recovering runners cannot synchronize into a thundering herd;
-* where ``SIGALRM`` cannot fire (non-main thread), ``--timeout`` is
-  enforced by a watchdog thread - with a one-time warning - instead of
-  being silently dropped;
-* a run whose timeout exception was lost (raised inside a ``gc``
-  callback) still reads ``timeout``.
+* ``--timeout`` is one deadline checked between cycles, so it holds
+  off the main thread as on it, without a warning, and a run that
+  finishes inside its budget is untouched;
+* a run that overran its budget outside the cycle loop (inside a ``gc``
+  callback, say) still reads ``timeout``.
 """
 
 import gc
@@ -211,12 +211,11 @@ def test_backoff_full_jitter_and_ceiling(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# portable timeout: watchdog fallback off the main thread
+# the run budget: one deadline, checked between cycles, on any thread
 # ---------------------------------------------------------------------------
 def test_watchdog_enforces_timeout_off_main_thread():
-    """SIGALRM cannot fire outside the main thread; the watchdog must
-    still stop an over-budget run and report it as a timeout."""
-    parallel._watchdog_warned = False
+    """Off the main thread the deadline still stops an over-budget run
+    and reports it as a timeout, and nothing warns about the thread."""
     results = []
     caught = []
 
@@ -231,36 +230,16 @@ def test_watchdog_enforces_timeout_off_main_thread():
     thread = threading.Thread(target=work)
     thread.start()
     thread.join(timeout=120)
-    assert not thread.is_alive(), "watchdog never stopped the run"
+    assert not thread.is_alive(), "the deadline never stopped the run"
     tag = results[0]
     assert tag[0] == "timeout"
-    assert "watchdog" in tag[1]
-    assert any(issubclass(w.category, RuntimeWarning)
-               and "SIGALRM" in str(w.message) for w in caught)
-
-
-def test_watchdog_warns_only_once():
-    parallel._watchdog_warned = False
-    seen_counts = []
-
-    def run_once():
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            _guarded_execute(point(measure=50, drain=100), 30.0)
-            seen_counts.append(sum(
-                1 for w in seen if issubclass(w.category, RuntimeWarning)
-                and "SIGALRM" in str(w.message)))
-
-    for _ in range(2):
-        thread = threading.Thread(target=run_once)
-        thread.start()
-        thread.join(timeout=60)
-    assert seen_counts == [1, 0]
+    assert "0.3s wall-clock timeout" in tag[1]
+    assert caught == []
 
 
 def test_fast_run_unharmed_by_watchdog():
-    """A run that finishes inside the budget returns normally and the
-    cancelled watchdog leaves no pending async exception behind."""
+    """A run that finishes inside the budget returns normally and
+    leaves nothing pending behind in its thread."""
     results = []
 
     def work():
@@ -280,16 +259,10 @@ def test_fast_run_unharmed_by_watchdog():
     assert results[1] == sum(range(200_000))
 
 
-def test_main_thread_still_uses_sigalrm():
-    tag = _guarded_execute(point(measure=300_000, drain=301_000), 0.3)
-    assert tag[0] == "timeout"
-    assert "watchdog" not in tag[1]
-
-
 def _stub_losing_the_timeout(seconds):
     """An ``execute_point`` stand-in whose over-budget work runs inside
-    a ``gc`` callback: an exception raised there - the alarm's or the
-    watchdog's - is reported as unraisable and dropped, and the stub
+    a ``gc`` callback, outside any cycle loop (an exception raised
+    there would be reported as unraisable and dropped); the stub
     returns normally."""
     def busy(phase, info):
         if phase == "start":
@@ -297,7 +270,7 @@ def _stub_losing_the_timeout(seconds):
             while time.monotonic() < end:
                 pass
 
-    def stub(_point):
+    def stub(_point, timeout=None):
         gc.callbacks.append(busy)
         try:
             gc.collect()
@@ -307,8 +280,6 @@ def _stub_losing_the_timeout(seconds):
     return stub
 
 
-@pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnraisableExceptionWarning")
 def test_timeout_lost_in_a_gc_callback_still_reads_timeout(monkeypatch):
     monkeypatch.setattr(parallel, "execute_point",
                         _stub_losing_the_timeout(0.5))
@@ -316,8 +287,6 @@ def test_timeout_lost_in_a_gc_callback_still_reads_timeout(monkeypatch):
     assert tag[0] == "timeout", tag
 
 
-@pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnraisableExceptionWarning")
 def test_watchdog_timeout_lost_in_a_gc_callback_still_reads_timeout(
         monkeypatch):
     monkeypatch.setattr(parallel, "execute_point",
@@ -325,9 +294,7 @@ def test_watchdog_timeout_lost_in_a_gc_callback_still_reads_timeout(
     results = []
 
     def work():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            results.append(_guarded_execute(point(), 0.1))
+        results.append(_guarded_execute(point(), 0.1))
 
     thread = threading.Thread(target=work)
     thread.start()

@@ -190,12 +190,14 @@ class TestResultCache:
 # ---------------------------------------------------------------------------
 class TestDeterminism:
     def test_serial_and_parallel_identical(self, tmp_path):
-        """--jobs 1 and --jobs 4 produce identical RunResults."""
+        """--jobs 1, --jobs 4 and a generous --timeout (the deadline
+        checked every cycle) produce identical RunResults."""
         points = smoke_points(designs=(Design.CONV_PG, Design.NORD))
         serial = SweepRunner(jobs=1, use_cache=False).run(points)
         parallel_out = SweepRunner(jobs=4, use_cache=False).run(points)
-        for a, b in zip(serial, parallel_out):
-            assert result_blob(a) == result_blob(b)
+        timed = SweepRunner(jobs=1, use_cache=False, timeout=600).run(points)
+        for a, b, c in zip(serial, parallel_out, timed):
+            assert result_blob(a) == result_blob(b) == result_blob(c)
 
     def test_cache_hit_equals_cache_miss(self, tmp_path):
         points = smoke_points(designs=(Design.CONV_PG_OPT,))

@@ -71,12 +71,23 @@ class TestStatsCollector:
         assert col.packets_measured == 1
         assert col.total_latency == 100
 
+    @staticmethod
+    def feed(col, node, pattern):
+        # Drive the edge API the way a datapath does: the router starts
+        # empty at cycle 0, and pattern[i] is its idleness after cycle
+        # i + 1; only changes are reported.
+        col.note_idle(node, 0)
+        state = True
+        for cycle, idle in enumerate(pattern, 1):
+            if idle != state:
+                state = idle
+                (col.note_idle if idle else col.note_busy)(node, cycle)
+
     def test_idle_period_tracking(self):
         col = StatsCollector("No_PG", 1)
         col.start_measurement(0)
         pattern = [True] * 3 + [False] + [True] * 7 + [False, False]
-        for idle in pattern:
-            col.on_cycle_idle_state(0, idle)
+        self.feed(col, 0, pattern)
         col.stop_measurement(len(pattern))
         assert col.idle_periods == {3: 1, 7: 1}
         assert col.idle_cycles[0] == 10
@@ -86,16 +97,14 @@ class TestStatsCollector:
         # length is unknown, so it must not be recorded as completed.
         col = StatsCollector("No_PG", 1)
         col.start_measurement(0)
-        for _ in range(5):
-            col.on_cycle_idle_state(0, True)
+        self.feed(col, 0, [True] * 5)
         col.stop_measurement(5)
         assert col.idle_periods == {}
         assert col.censored_idle_periods == {5: 1}
         assert col.idle_cycles[0] == 5
 
     def test_edge_api_matches_per_cycle_api(self):
-        # note_idle/note_busy (the cycle kernel's producer) must yield the
-        # same histogram as the legacy per-cycle scan for the same trace:
+        # The edges of test_idle_period_tracking's pattern, written out:
         # idle at cycles 1-3, busy at 4, idle 5-11, busy 12-13.
         col = StatsCollector("No_PG", 1)
         col.note_idle(0, 0)
