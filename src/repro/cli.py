@@ -150,8 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(usage_error=p_sim.error)
     p_sim.add_argument("--design", choices=Design.ALL, default=Design.NORD)
     p_sim.add_argument("--traffic", default="uniform",
-                       choices=("uniform", "bitcomp", "tornado",
-                                "transpose", "hotspot") + BENCHMARKS)
+                       choices=tuple(k for k in parallel.TRAFFIC_KINDS
+                                     if k not in ("parsec", "null"))
+                       + BENCHMARKS)
     p_sim.add_argument("--rate", type=float, default=0.1,
                        help="flits/node/cycle (synthetic traffic only)")
     p_sim.add_argument("--width", type=int, default=4)

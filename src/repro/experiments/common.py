@@ -117,16 +117,6 @@ def parsec_sweep(scale: str = "bench", seed: int = 1, *, width: int = 4,
     return sweep
 
 
-def geomean(values: Iterable[float]) -> float:
-    vals = [v for v in values]
-    if not vals:
-        return float("nan")
-    product = 1.0
-    for v in vals:
-        product *= v
-    return product ** (1.0 / len(vals))
-
-
 def mean(values: Iterable[float]) -> float:
     vals = list(values)
     return sum(vals) / len(vals) if vals else float("nan")

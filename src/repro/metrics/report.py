@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .sampler import NET_SERIES
+from .sampler import NET_SERIES, off_fraction_by_node
 
 #: Timeline series shown per run, with their fixed categorical slots
 #: (identity follows the series, never its rank).
@@ -113,15 +113,7 @@ class RunSeries:
         return " · ".join(parts)
 
     def mean_off_by_node(self) -> List[float]:
-        total = sum(self.windows)
-        if not total or not self.node_off:
-            return []
-        n = len(self.node_off[0])
-        sums = [0] * n
-        for row in self.node_off:
-            for i, v in enumerate(row):
-                sums[i] += v
-        return [s / total for s in sums]
+        return off_fraction_by_node(self.windows, self.node_off)
 
 
 def load_run(path: Path) -> RunSeries:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..noc.topology import NUM_PORTS
 from ..powergate.controller import PowerState
@@ -175,15 +175,18 @@ class TimelineSampler:
 
     def mean_node_off_fraction(self) -> List[float]:
         """Per-node OFF duty over all recorded windows (heatmap input)."""
-        if not self.windows:
-            return []
-        total = sum(self.windows)
-        n = len(self.node_off[0])
-        sums = [0] * n
-        for row in self.node_off:
-            for i, v in enumerate(row):
-                sums[i] += v
-        return [round(s / total, 6) for s in sums]
+        return [round(f, 6)
+                for f in off_fraction_by_node(self.windows, self.node_off)]
+
+
+def off_fraction_by_node(windows: Sequence[int],
+                         node_off: Sequence[Sequence[int]]) -> List[float]:
+    """Each node's OFF cycles over the cycles ``windows`` cover; empty
+    when nothing was sampled."""
+    total = sum(windows)
+    if not total or not node_off:
+        return []
+    return [sum(column) / total for column in zip(*node_off)]
 
 
 def _wakeup_pressure(net) -> float:

@@ -18,8 +18,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 EAST, WEST, NORTH, SOUTH, LOCAL = 0, 1, 2, 3, 4
 NUM_PORTS = 5
 
-PORT_NAMES = ("E", "W", "N", "S", "L")
-
 #: The input-port direction a flit arrives on after leaving through a given
 #: output-port direction (E->W, W->E, N->S, S->N).
 OPPOSITE = {EAST: WEST, WEST: EAST, NORTH: SOUTH, SOUTH: NORTH}

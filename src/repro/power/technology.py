@@ -84,7 +84,7 @@ def _register(node: TechNode) -> TechNode:
 # 65nm: dyn=200pJ -> P_dyn=0.180W, share 17.9% @1.2V -> static 0.0392W
 # 45nm: dyn=130pJ -> P_dyn=0.117W, share 35.4% @1.1V -> static 0.0641W
 # 32nm: dyn= 90pJ -> P_dyn=0.081W, share 47.7% @1.0V -> static 0.0739W
-TECH_65NM = _register(TechNode(
+_register(TechNode(
     feature_nm=65, nominal_vdd=1.2,
     router_static_w=0.0392, router_dyn_j_per_flit=200e-12,
     link_dyn_j_per_flit=60e-12, link_static_w=0.016,
@@ -94,7 +94,7 @@ TECH_45NM = _register(TechNode(
     router_static_w=0.0641, router_dyn_j_per_flit=130e-12,
     link_dyn_j_per_flit=40e-12, link_static_w=0.020,
 ))
-TECH_32NM = _register(TechNode(
+_register(TechNode(
     feature_nm=32, nominal_vdd=1.0,
     router_static_w=0.0739, router_dyn_j_per_flit=90e-12,
     link_dyn_j_per_flit=28e-12, link_static_w=0.024,

@@ -4,6 +4,6 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "collector": ("RouterActivity", "RunResult", "StatsCollector"),
-    "idle": ("IdlePeriodStats", "histogram_buckets"),
-    "report": ("format_series", "format_table", "normalized", "percent"),
+    "idle": ("IdlePeriodStats",),
+    "report": ("format_table", "percent"),
 })

@@ -14,7 +14,7 @@ summary statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -82,19 +82,3 @@ class IdlePeriodStats:
             return 0.0
         return self.total_idle_cycles / self.num_periods
 
-
-def histogram_buckets(histogram: Dict[int, int],
-                      edges: Tuple[int, ...] = (5, 10, 20, 50, 100)
-                      ) -> List[Tuple[str, int]]:
-    """Bucket an idle-period histogram for human-readable reports."""
-    buckets: List[Tuple[str, int]] = []
-    previous = 0
-    for edge in edges:
-        label = f"{previous + 1}-{edge}"
-        count = sum(c for length, c in histogram.items()
-                    if previous < length <= edge)
-        buckets.append((label, count))
-        previous = edge
-    count = sum(c for length, c in histogram.items() if length > previous)
-    buckets.append((f">{previous}", count))
-    return buckets

@@ -42,17 +42,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]],
     return "\n".join(lines)
 
 
-def format_series(name: str, xs: Sequence[Cell], ys: Sequence[Cell],
-                  xlabel: str = "x", ylabel: str = "y") -> str:
-    """Render one figure series as aligned x/y columns."""
-    rows = list(zip(xs, ys))
-    return format_table((xlabel, ylabel), rows, title=name)
-
-
 def percent(value: float) -> str:
     return f"{100.0 * value:.1f}%"
 
-
-def normalized(value: float, base: float) -> float:
-    """value / base, guarding against a zero base."""
-    return value / base if base else float("nan")

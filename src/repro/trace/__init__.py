@@ -30,5 +30,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
                   "decompose_trace", "summarize"),
     "events": ("EVENT_NAMES", "EventKind", "TraceEvent"),
     "spec": ("DEFAULT_LIMIT", "TraceSpec"),
-    "recorder": ("EventTrace", "export_trace", "trace_digest"),
+    "recorder": ("EventTrace", "export_trace"),
 })

@@ -80,8 +80,6 @@ class LatencyDecomposition:
 
 #: Head-flit arrival kinds (an LT completion somewhere).
 _ARRIVALS = (EventKind.BW, EventKind.LATCH)
-#: Head-flit launch kinds (an ST start somewhere).
-_LAUNCHES = (EventKind.INJ, EventKind.SA, EventKind.FWD)
 
 
 def decompose_packet(events: List[TraceEvent]) -> Optional[

@@ -93,17 +93,16 @@ EVENT_NAMES: Dict[int, str] = {
     EventKind.PG_FAIL: "PG_FAIL",
 }
 
-#: Kinds attached to a packet (``pid >= 0``).
-PACKET_KINDS = frozenset({
-    EventKind.NEW, EventKind.INJ, EventKind.BW, EventKind.RC, EventKind.VA,
-    EventKind.SA, EventKind.WU_STALL, EventKind.LATCH, EventKind.FWD,
-    EventKind.SINK,
-})
-
 #: Power-gate FSM transition kinds (``pid`` is -1).
 PG_KINDS = frozenset({
     EventKind.PG_OFF, EventKind.PG_WAKE, EventKind.PG_ON, EventKind.PG_FAIL,
 })
+
+#: NoRD's NI bypass datapath: latching and forwarding a flit.
+BYPASS_KINDS = frozenset({EventKind.LATCH, EventKind.FWD})
+
+#: A packet's life at the network interfaces: created, injected, sunk.
+NI_KINDS = frozenset({EventKind.NEW, EventKind.INJ, EventKind.SINK})
 
 
 class TraceEvent:

@@ -30,9 +30,10 @@ import hashlib
 import json
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List
 
-from .events import EVENT_NAMES, EventKind, TraceEvent
+from .events import (BYPASS_KINDS, EVENT_NAMES, NI_KINDS, PG_KINDS,
+                     EventKind, TraceEvent)
 from .spec import DEFAULT_LIMIT, TraceSpec
 
 
@@ -183,23 +184,13 @@ class EventTrace:
         }
 
 
-def trace_digest(events: Iterable[TraceEvent]) -> Dict[str, object]:
-    """Digest an event iterable (convenience for tests on raw lists)."""
-    trace = EventTrace(limit=DEFAULT_LIMIT)
-    for e in events:
-        trace.record(e.cycle, e.kind, e.node, e.port, e.vc, e.pid,
-                     e.flit, e.info)
-    return trace.digest()
-
-
 def _track_for(kind: int) -> str:
     """Perfetto track (thread) name grouping related event kinds."""
-    if kind in (EventKind.PG_OFF, EventKind.PG_WAKE, EventKind.PG_ON,
-                EventKind.PG_FAIL):
+    if kind in PG_KINDS:
         return "power-gate"
-    if kind in (EventKind.LATCH, EventKind.FWD):
+    if kind in BYPASS_KINDS:
         return "bypass"
-    if kind in (EventKind.NEW, EventKind.INJ, EventKind.SINK):
+    if kind in NI_KINDS:
         return "ni"
     return "pipeline"
 

@@ -1,4 +1,4 @@
-"""Workload generation: synthetic patterns, PARSEC-like models, traces."""
+"""Workload generation: synthetic patterns and PARSEC-like models."""
 
 from .._lazy import lazy_exports
 
@@ -7,9 +7,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
              "ScriptedTraffic", "TrafficGenerator"),
     "parsec": ("BENCHMARKS", "MEMORY_LATENCY", "PROFILES",
                "BenchmarkProfile", "ParsecTraffic", "make_traffic"),
-    "synthetic": ("SyntheticTraffic", "bit_complement",
-                  "bit_complement_pattern", "hotspot_pattern", "tornado",
-                  "tornado_pattern", "transpose_pattern", "uniform_pattern",
+    "synthetic": ("SyntheticTraffic", "bit_complement", "tornado",
                   "uniform_random"),
-    "trace": ("TraceRecorder", "TraceReplay", "load_trace", "save_trace"),
 })

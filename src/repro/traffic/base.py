@@ -53,7 +53,8 @@ class NullTraffic(TrafficGenerator):
 class ScriptedTraffic(TrafficGenerator):
     """Replays an explicit list of (cycle, src, dst, length) events.
 
-    Deterministic; used heavily by unit tests.
+    Deterministic; used heavily by unit tests.  The arrivals any other
+    generator produced, listed in this form, replay bit for bit.
     """
 
     def __init__(self, events: Iterable[Tuple[int, int, int, int]],

@@ -129,28 +129,6 @@ class HotspotPattern:
         return self.uniform(src)
 
 
-def uniform_pattern(num_nodes: int, rng) -> Callable[[int], int]:
-    """Uniform random destinations (excluding the source)."""
-    return UniformPattern(num_nodes, rng)
-
-
-def bit_complement_pattern(mesh: Mesh) -> Callable[[int], int]:
-    return BitComplementPattern(mesh)
-
-
-def transpose_pattern(mesh: Mesh) -> Callable[[int], int]:
-    return TransposePattern(mesh)
-
-
-def tornado_pattern(mesh: Mesh) -> Callable[[int], int]:
-    return TornadoPattern(mesh)
-
-
-def hotspot_pattern(num_nodes: int, hotspots: List[int], fraction: float,
-                    rng) -> Callable[[int], int]:
-    return HotspotPattern(num_nodes, hotspots, fraction, rng)
-
-
 def uniform_random(mesh: Mesh, rate: float, seed: int = 1) -> SyntheticTraffic:
     """Uniform-random traffic at ``rate`` flits/node/cycle."""
     gen = SyntheticTraffic(mesh.num_nodes, rate, IdentityPattern(), seed)

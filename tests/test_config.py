@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,91 @@ class TestEveryFieldIsRead:
         assert unread == [], (
             f"config fields read nowhere in src/repro: {unread}; delete "
             "them or make them module constants")
+
+
+class TestEveryPublicNameHasACaller:
+    """A public module-level name in ``src/repro`` is there because a
+    program uses it.  A name that only tests call is code the package
+    carries for the tests' sake, and one nothing calls is dead: either
+    way it goes, unless :attr:`TEST_ONLY` says why a test needs it in
+    ``src/``."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    #: Where a load of the name, or an import of it, counts as a call.
+    #: Package ``__init__`` files are scanned too (they call
+    #: ``lazy_exports``), but their export tables are strings.
+    CALLER_DIRS = ("src/repro", "bench", "examples", "benchmarks")
+    #: Documents whose mention of a name promises it to users.
+    CALLER_DOCS = ("README.md", ".github/workflows/ci.yml")
+    #: Names only tests call, each with why it stays in ``src/``.
+    TEST_ONLY = {
+        "ScriptedTraffic": "the one scripted arrival source the network "
+                           "tests drive runs with",
+        "floyd_warshall": "the dense all-pairs oracle core/placement.py's "
+                          "docstring names for its BFS/Dijkstra distances",
+    }
+
+    @staticmethod
+    def bound_names(stmt) -> list:
+        """The names a top-level statement defines."""
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            return [stmt.name]
+        if isinstance(stmt, ast.Assign):
+            return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        if isinstance(stmt, ast.AnnAssign) and \
+                isinstance(stmt.target, ast.Name):
+            return [stmt.target.id]
+        return []
+
+    @staticmethod
+    def used_names(stmt) -> set:
+        """Every name a statement loads, reads as an attribute or
+        imports."""
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+        return names
+
+    def scan(self):
+        """``(public name -> defining module, names called)``; a name's
+        use inside its own definition is not a call."""
+        defined, called = {}, set()
+        for directory in self.CALLER_DIRS:
+            for path in sorted((self.ROOT / directory).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                module = path.relative_to(self.ROOT).as_posix()
+                for stmt in tree.body:
+                    own = self.bound_names(stmt)
+                    called |= self.used_names(stmt) - set(own)
+                    if directory == "src/repro" and \
+                            path.name != "__init__.py":
+                        for name in own:
+                            if not name.startswith("_") and name != "main":
+                                defined.setdefault(name, module)
+        docs = "\n".join((self.ROOT / doc).read_text()
+                         for doc in self.CALLER_DOCS)
+        called |= {name for name in defined
+                   if re.search(rf"\b{re.escape(name)}\b", docs)}
+        return defined, called
+
+    def test_every_public_name_has_a_caller(self):
+        defined, called = self.scan()
+        uncalled = sorted(f"{module}:{name}"
+                          for name, module in defined.items()
+                          if name not in called
+                          and name not in self.TEST_ONLY)
+        assert uncalled == [], (
+            "public names nothing in src/, bench/, examples/, benchmarks/, "
+            f"README.md or CI calls: {uncalled}; delete them or, for a "
+            "test oracle or fixture, give the reason in TEST_ONLY")
+        stale = sorted(name for name in self.TEST_ONLY
+                       if name not in defined or name in called)
+        assert stale == [], (
+            f"TEST_ONLY entries that are gone or have a caller now: {stale}")

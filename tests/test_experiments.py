@@ -23,7 +23,7 @@ from repro.experiments import (area_overhead, fig1_static_power,
                                parallel, table1_config)
 from repro.experiments import runner as runner_module
 from repro.experiments.common import (SCALES, build_config, get_scale,
-                                      geomean, mean, parsec_sweep)
+                                      mean, parsec_sweep)
 from repro.experiments.parallel import ResultCache, SweepRunner
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from tests.sealed import TAMPER
@@ -54,7 +54,6 @@ class TestCommon:
 
     def test_helpers(self):
         assert mean([1, 2, 3]) == 2
-        assert geomean([1, 4]) == pytest.approx(2.0)
         assert math.isnan(mean([]))
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.noc.flit import Packet
 from repro.stats.collector import RouterActivity, RunResult, StatsCollector
-from repro.stats.idle import IdlePeriodStats, histogram_buckets
-from repro.stats.report import format_series, format_table, normalized, percent
+from repro.stats.idle import IdlePeriodStats
+from repro.stats.report import format_table, percent
 
 
 class TestStatsCollector:
@@ -189,12 +189,6 @@ class TestIdlePeriodStats:
         assert stats.gateable_fraction == 0.0
         assert stats.mean_length == 0.0
 
-    def test_buckets(self):
-        buckets = histogram_buckets({3: 2, 7: 1, 15: 1, 200: 1},
-                                    edges=(5, 10, 100))
-        assert buckets == [("1-5", 2), ("6-10", 1), ("11-100", 1),
-                           (">100", 1)]
-
 
 class TestReport:
     def test_format_table_aligns(self):
@@ -206,14 +200,5 @@ class TestReport:
         assert set(lines[3].replace(" ", "")) == {"-"}
         assert "2.500" in lines[4]
 
-    def test_format_series(self):
-        text = format_series("s", [1, 2], [3.0, 4.0], "x", "y")
-        assert "x" in text and "y" in text
-
     def test_percent(self):
         assert percent(0.123) == "12.3%"
-
-    def test_normalized_guards_zero(self):
-        import math
-        assert normalized(5, 2) == 2.5
-        assert math.isnan(normalized(5, 0))

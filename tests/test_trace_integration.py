@@ -3,8 +3,8 @@ produce identical results across designs and runs."""
 
 from repro.config import Design, small_config
 from repro.noc.network import Network
+from repro.traffic.base import ScriptedTraffic
 from repro.traffic.synthetic import uniform_random
-from repro.traffic.trace import TraceRecorder, TraceReplay
 
 
 def summarize(res):
@@ -12,37 +12,33 @@ def summarize(res):
             res.flits_ejected, res.total_wakeups)
 
 
+def recorded(gen, cfg):
+    """The arrivals a run of ``cfg`` draws from ``gen``, as events."""
+    return [(c, s, d, l)
+            for c in range(cfg.warmup_cycles + cfg.measure_cycles)
+            for s, d, l in gen.arrivals(c)]
+
+
 class TestTraceWithNetwork:
     def test_replay_reproduces_run_exactly(self):
         cfg = small_config(Design.NORD, warmup=100, measure=800)
         net1 = Network(cfg)
-        rec = TraceRecorder(uniform_random(net1.mesh, 0.1, seed=9))
-        res1 = net1.run(rec)
+        res1 = net1.run(uniform_random(net1.mesh, 0.1, seed=9))
+        events = recorded(uniform_random(net1.mesh, 0.1, seed=9), cfg)
 
         net2 = Network(cfg)
-        res2 = net2.run(TraceReplay(rec.events, 16))
+        res2 = net2.run(ScriptedTraffic(events, 16))
         assert summarize(res1) == summarize(res2)
 
     def test_same_trace_across_designs_same_packets(self):
         """Replaying one trace through every design delivers the same
         packet population (latencies differ, delivery must not)."""
-        base = Network(small_config(Design.NO_PG, warmup=50, measure=500))
-        rec = TraceRecorder(uniform_random(base.mesh, 0.08, seed=12))
-        base_res = base.run(rec)
+        cfg = small_config(Design.NO_PG, warmup=50, measure=500)
+        base = Network(cfg)
+        base_res = base.run(uniform_random(base.mesh, 0.08, seed=12))
+        events = recorded(uniform_random(base.mesh, 0.08, seed=12), cfg)
         for design in (Design.CONV_PG, Design.CONV_PG_OPT, Design.NORD):
             net = Network(small_config(design, warmup=50, measure=500))
-            res = net.run(TraceReplay(rec.events, 16))
+            res = net.run(ScriptedTraffic(events, 16))
             assert res.packets_measured == base_res.packets_measured, design
             assert net.outstanding_flits == 0, design
-
-    def test_trace_file_roundtrip_through_network(self, tmp_path):
-        from repro.traffic.trace import load_trace, save_trace
-        cfg = small_config(Design.CONV_PG, warmup=50, measure=400)
-        net1 = Network(cfg)
-        rec = TraceRecorder(uniform_random(net1.mesh, 0.1, seed=3))
-        res1 = net1.run(rec)
-        path = tmp_path / "run.trace"
-        save_trace(rec.events, path)
-        net2 = Network(cfg)
-        res2 = net2.run(TraceReplay(load_trace(path), 16))
-        assert summarize(res1) == summarize(res2)

@@ -1,4 +1,4 @@
-"""Traffic generators: synthetic patterns, PARSEC models, traces."""
+"""Traffic generators: synthetic patterns, PARSEC models, replay."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +10,9 @@ from repro.traffic.base import (LONG_PACKET_FLITS, SHORT_PACKET_FLITS,
                                 TrafficGenerator)
 from repro.traffic.parsec import (BENCHMARKS, MEMORY_LATENCY, PROFILES,
                                   ParsecTraffic, make_traffic)
-from repro.traffic.synthetic import (SyntheticTraffic, bit_complement,
-                                     bit_complement_pattern, hotspot_pattern,
-                                     transpose_pattern, uniform_random)
-from repro.traffic.trace import (TraceRecorder, TraceReplay, load_trace,
-                                 save_trace)
+from repro.traffic.synthetic import (BitComplementPattern, HotspotPattern,
+                                     SyntheticTraffic, TransposePattern,
+                                     bit_complement, uniform_random)
 
 
 def drain_rate(gen, cycles=6000):
@@ -70,38 +68,38 @@ class TestSyntheticRates:
 class TestPatterns:
     def test_bit_complement(self):
         mesh = Mesh(4, 4)
-        pattern = bit_complement_pattern(mesh)
+        pattern = BitComplementPattern(mesh)
         assert pattern(0) == 15
         assert pattern(5) == 10
         assert pattern(15) == 0
 
     def test_bit_complement_is_involution(self):
         mesh = Mesh(8, 8)
-        pattern = bit_complement_pattern(mesh)
+        pattern = BitComplementPattern(mesh)
         for node in range(64):
             assert pattern(pattern(node)) == node
 
     def test_transpose(self):
         mesh = Mesh(4, 4)
-        pattern = transpose_pattern(mesh)
+        pattern = TransposePattern(mesh)
         assert pattern(1) == 4   # (1,0) -> (0,1)
         assert pattern(5) == 5   # diagonal fixed point
 
     def test_transpose_requires_square(self):
         with pytest.raises(ValueError):
-            transpose_pattern(Mesh(4, 2))
+            TransposePattern(Mesh(4, 2))
 
     def test_hotspot_concentrates_traffic(self):
         import random
         rng = random.Random(1)
-        pattern = hotspot_pattern(16, [0], 0.9, rng)
+        pattern = HotspotPattern(16, [0], 0.9, rng)
         hits = sum(1 for _ in range(1000) if pattern(5) == 0)
         assert hits > 800
 
     def test_hotspot_fraction_validation(self):
         import random
         with pytest.raises(ValueError):
-            hotspot_pattern(16, [0], 1.5, random.Random(1))
+            HotspotPattern(16, [0], 1.5, random.Random(1))
 
 
 class TestParsec:
@@ -219,28 +217,9 @@ class TestArrivalStreams:
 class TestTraces:
     def test_record_replay_identical(self):
         gen = uniform_random(Mesh(4, 4), 0.2, seed=6)
-        rec = TraceRecorder(gen)
-        original = [list(rec.arrivals(c)) for c in range(200)]
-        replay = TraceReplay(rec.events, 16)
+        original = [list(gen.arrivals(c)) for c in range(200)]
+        replay = ScriptedTraffic([(c, s, d, l)
+                                  for c, arrivals in enumerate(original)
+                                  for s, d, l in arrivals], 16)
         replayed = [list(replay.arrivals(c)) for c in range(200)]
         assert original == replayed
-
-    def test_save_load_roundtrip(self, tmp_path):
-        gen = uniform_random(Mesh(4, 4), 0.3, seed=7)
-        rec = TraceRecorder(gen)
-        for c in range(100):
-            list(rec.arrivals(c))
-        path = tmp_path / "trace.txt"
-        save_trace(rec.events, path)
-        assert load_trace(path) == rec.events
-
-    def test_load_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 2 3\n")
-        with pytest.raises(ValueError, match="malformed"):
-            load_trace(path)
-
-    def test_load_skips_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("# header\n\n5 0 1 1\n")
-        assert load_trace(path) == [(5, 0, 1, 1)]
