@@ -23,18 +23,15 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .config import Design, NoCConfig, SimConfig
-from .experiments import parallel
-from .experiments.common import SCALES
+# Only what building the parser needs: each command imports what it runs
+# (DESIGN.md section 2, "Import layering").
+from .config import SCALES, Design, NoCConfig, SimConfig
 from .experiments.runner import EXPERIMENTS, run_all, run_experiment
-from .faults import FaultPlan, FaultState, LinkFault, RouterFailure
 from .metrics.spec import DEFAULT_INTERVAL, MetricsSpec
-from .noc import activity
 from .noc.backend import BACKENDS
-from .noc.topology import Mesh
-from .stats.report import format_table
 from .trace.spec import DEFAULT_LIMIT, TraceSpec
 from .traffic.parsec import BENCHMARKS
+from .traffic.spec import TRAFFIC_KINDS, TrafficSpec
 
 
 def _positive_int(text: str) -> int:
@@ -150,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(usage_error=p_sim.error)
     p_sim.add_argument("--design", choices=Design.ALL, default=Design.NORD)
     p_sim.add_argument("--traffic", default="uniform",
-                       choices=tuple(k for k in parallel.TRAFFIC_KINDS
+                       choices=tuple(k for k in TRAFFIC_KINDS
                                      if k not in ("parsec", "null"))
                        + BENCHMARKS)
     p_sim.add_argument("--rate", type=float, default=0.1,
@@ -176,10 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _runner(parser: argparse.ArgumentParser,
-            args: argparse.Namespace) -> parallel.SweepRunner:
-    """The command's settings as one fresh runner: everything the
-    common flags say, and nothing any earlier command said."""
+def _runner(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """The command's settings as one fresh ``SweepRunner``: everything
+    the common flags say, and nothing any earlier command said."""
+    from .experiments import parallel
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")
     trace = metrics = checkpoint = None
@@ -217,6 +214,7 @@ def _metrics_finish(spec, html: bool) -> None:
     byte-identity CI diff can filter these (and only these) lines."""
     if spec is None:
         return
+    from .noc import activity
     directory = Path(spec.directory)
     if activity.profiling_enabled():
         from .metrics.sampler import export_profile
@@ -257,6 +255,7 @@ def _timing_line(result) -> str:
 
 def _fault_plan(args: argparse.Namespace):
     """Build the FaultPlan the simulate flags describe (None if none)."""
+    from .faults import FaultPlan, LinkFault, RouterFailure
     failures = ()
     if args.fail_router is not None:
         failures = (RouterFailure(args.fail_router, args.fail_cycle),)
@@ -271,6 +270,10 @@ def _fault_plan(args: argparse.Namespace):
 
 
 def _simulate(args: argparse.Namespace) -> None:
+    from .experiments import parallel
+    from .faults import FaultPlan, FaultState
+    from .noc.topology import Mesh
+    from .stats.report import format_table
     scale = SCALES[args.scale]
     cfg = SimConfig(
         design=args.design,
@@ -283,8 +286,7 @@ def _simulate(args: argparse.Namespace) -> None:
     if args.traffic in BENCHMARKS:
         spec = parallel.parsec_spec(args.traffic, seed=args.seed)
     else:
-        spec = parallel.TrafficSpec(kind=args.traffic, rate=args.rate,
-                                    seed=args.seed)
+        spec = TrafficSpec(kind=args.traffic, rate=args.rate, seed=args.seed)
     try:  # the run's own validators: a bad flag is a usage error
         faults = _fault_plan(args)
         mesh = Mesh(args.width, args.height)
@@ -336,6 +338,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Everything a command's flags set takes effect here, whole: the
     # runner (every point the command submits - simulate's one included
     # - inherits its observers and kernel pin) and the profile switch.
+    from .experiments import parallel
+    from .noc import activity
     runner = parallel.install(_runner(parser, args))
     activity.enable_profiling(args.profile)
     activity.reset_profile()

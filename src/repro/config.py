@@ -42,6 +42,23 @@ NORD_ESCAPE_VCS = 2
 XY_ESCAPE_VCS = 1
 
 
+@dataclass(frozen=True)
+class Scale:
+    """A ``--scale`` preset: the cycles of each run phase."""
+
+    name: str
+    warmup: int
+    measure: int
+    drain: int
+
+
+SCALES: Dict[str, Scale] = {
+    "smoke": Scale("smoke", 200, 1_000, 3_000),
+    "bench": Scale("bench", 500, 4_000, 8_000),
+    "full": Scale("full", 10_000, 100_000, 20_000),
+}
+
+
 class Design:
     """The four designs compared in the paper (Section 5.1) and the
     Section 6.8 bufferless baseline (:mod:`repro.noc.bufferless`)."""

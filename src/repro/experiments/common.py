@@ -1,6 +1,6 @@
 """Shared infrastructure for the per-figure experiments.
 
-Every experiment supports three scales:
+Every experiment supports three scales (:data:`repro.config.SCALES`):
 
 * ``smoke`` - a few hundred cycles, for unit tests;
 * ``bench`` - a few thousand cycles, the default for the benchmark
@@ -16,29 +16,13 @@ command share one sweep.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
-from ..config import Design, NoCConfig, SimConfig
+from ..config import SCALES, Design, NoCConfig, Scale, SimConfig
 from ..power.model import EnergyReport
 from ..stats.collector import RunResult
 from ..traffic.parsec import BENCHMARKS
 from . import parallel
-
-
-@dataclass(frozen=True)
-class Scale:
-    name: str
-    warmup: int
-    measure: int
-    drain: int
-
-
-SCALES: Dict[str, Scale] = {
-    "smoke": Scale("smoke", 200, 1_000, 3_000),
-    "bench": Scale("bench", 500, 4_000, 8_000),
-    "full": Scale("full", 10_000, 100_000, 20_000),
-}
 
 
 def get_scale(scale: str) -> Scale:

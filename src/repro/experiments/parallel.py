@@ -5,10 +5,10 @@ Every paper figure is a sweep over *independent* design points (a
 embarrassingly parallel by construction.  This module provides the
 shared machinery:
 
-* :class:`TrafficSpec` / :class:`DesignPoint` - declarative, picklable
-  descriptions of one simulation run.  Unlike the closure-based traffic
-  factories they replace, a spec can cross a process boundary and be
-  hashed into a stable cache key;
+* :class:`DesignPoint` (traffic: :class:`repro.traffic.spec.TrafficSpec`)
+  - declarative, picklable descriptions of one simulation run.  Unlike
+  the closure-based traffic factories they replace, a spec can cross a
+  process boundary and be hashed into a stable cache key;
 * :func:`execute_point` - the spawn-safe worker: builds the network
   its design names (the bufferless one included), runs it, evaluates
   energy;
@@ -62,8 +62,8 @@ from .journal import (SweepJournal, SweepOutcome, completed_outcomes,
 from ..noc.backend import resolve_backend, select_kernel
 from ..power.model import PowerModel
 from ..trace.spec import TraceSpec
-from ..traffic.base import NullTraffic, TrafficGenerator
-from ..traffic.parsec import PROFILES, make_traffic
+from ..traffic.parsec import PROFILES
+from ..traffic.spec import TrafficSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     # Describing, keying and looking up a point must not load the
@@ -90,63 +90,6 @@ CACHE_FORMAT = 9
 # ---------------------------------------------------------------------------
 # declarative design points
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class TrafficSpec:
-    """Picklable description of a traffic generator.
-
-    ``kind`` is a key of :data:`TRAFFIC_KINDS` (checked on
-    construction, so a typo fails where it is written rather than as a
-    contained worker error); ``rate`` applies to the synthetic kinds,
-    ``benchmark`` to ``parsec``.  ``hotspots`` and ``fraction`` apply
-    only to ``hotspot`` (empty ``hotspots`` = the mesh-center default).
-    """
-
-    kind: str
-    rate: float = 0.0
-    benchmark: str = ""
-    seed: int = 1
-    hotspots: Tuple[int, ...] = ()
-    fraction: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.kind not in TRAFFIC_KINDS:
-            raise ValueError(f"unknown traffic kind {self.kind!r}; "
-                             f"known: {sorted(TRAFFIC_KINDS)}")
-
-    def build(self, mesh) -> TrafficGenerator:
-        return TRAFFIC_KINDS[self.kind](self, mesh)
-
-    def to_key(self) -> Dict[str, object]:
-        return {**vars(self), "hotspots": list(self.hotspots)}
-
-
-def _synthetic(factory: str, *fields: str):
-    """Builder for a :mod:`repro.traffic.synthetic` pattern, passing the
-    named spec fields on (imported when a point runs, not when it is
-    described)."""
-    def build(spec: TrafficSpec, mesh) -> TrafficGenerator:
-        from ..traffic import synthetic
-        return getattr(synthetic, factory)(
-            mesh, spec.rate, seed=spec.seed,
-            **{name: getattr(spec, name) for name in fields})
-    return build
-
-
-#: ``TrafficSpec.kind`` -> what builds its generator on a mesh: the one
-#: table :meth:`TrafficSpec.build` dispatches on and the constructor
-#: validates against.
-TRAFFIC_KINDS = {
-    "uniform": _synthetic("uniform_random"),
-    "bitcomp": _synthetic("bit_complement"),
-    "tornado": _synthetic("tornado"),
-    "transpose": _synthetic("transpose"),
-    "hotspot": _synthetic("hotspot", "hotspots", "fraction"),
-    "parsec": lambda spec, mesh: make_traffic(mesh, spec.benchmark,
-                                              seed=spec.seed),
-    "null": lambda spec, mesh: NullTraffic(mesh.num_nodes),
-}
-
-
 def uniform_spec(rate: float, seed: int = 1) -> TrafficSpec:
     return TrafficSpec(kind="uniform", rate=rate, seed=seed)
 

@@ -8,38 +8,31 @@ figure of the paper in sequence; individual experiments are available as
 from __future__ import annotations
 
 import time
+from importlib import import_module
 from typing import Callable, Dict, Tuple
 
-from . import parallel
-from . import (area_overhead, discussion_bufferless,
-               discussion_optimizations, fig1_static_power,
-               fig3_idle_periods, fig6_placement, fig7_threshold,
-               fig8_static_energy, fig9_overhead, fig10_energy_breakdown,
-               fig11_latency, fig12_execution_time, fig13_wakeup_latency,
-               fig14_load_sweep, fig15_load_sweep64, resilience_sweep,
-               table1_config)
-
-#: name -> (module, description).  Each module exposes run()/report().
-EXPERIMENTS: Dict[str, Tuple[object, str]] = {
-    "table1": (table1_config, "Table 1: simulator configuration"),
-    "fig1": (fig1_static_power, "Figure 1: router static power"),
-    "fig3": (fig3_idle_periods, "Figure 3: idle-period fragmentation"),
-    "fig6": (fig6_placement, "Figure 6: powered-on router placement"),
-    "fig7": (fig7_threshold, "Figure 7: wakeup threshold calibration"),
-    "fig8": (fig8_static_energy, "Figure 8: static energy"),
-    "fig9": (fig9_overhead, "Figure 9: power-gating overhead"),
-    "fig10": (fig10_energy_breakdown, "Figure 10: NoC energy breakdown"),
-    "fig11": (fig11_latency, "Figure 11: average packet latency"),
-    "fig12": (fig12_execution_time, "Figure 12: execution time"),
-    "fig13": (fig13_wakeup_latency, "Figure 13: hiding wakeup latency"),
-    "fig14": (fig14_load_sweep, "Figure 14: 16-node load sweep"),
-    "fig15": (fig15_load_sweep64, "Figure 15: 64-node load sweeps"),
-    "area": (area_overhead, "Section 6.8: area overhead"),
-    "discussion": (discussion_optimizations,
+#: name -> (module, description).  Each module exposes run()/report()
+#: and is imported when it runs (``list`` and ``--help`` load none).
+EXPERIMENTS: Dict[str, Tuple[str, str]] = {
+    "table1": ("table1_config", "Table 1: simulator configuration"),
+    "fig1": ("fig1_static_power", "Figure 1: router static power"),
+    "fig3": ("fig3_idle_periods", "Figure 3: idle-period fragmentation"),
+    "fig6": ("fig6_placement", "Figure 6: powered-on router placement"),
+    "fig7": ("fig7_threshold", "Figure 7: wakeup threshold calibration"),
+    "fig8": ("fig8_static_energy", "Figure 8: static energy"),
+    "fig9": ("fig9_overhead", "Figure 9: power-gating overhead"),
+    "fig10": ("fig10_energy_breakdown", "Figure 10: NoC energy breakdown"),
+    "fig11": ("fig11_latency", "Figure 11: average packet latency"),
+    "fig12": ("fig12_execution_time", "Figure 12: execution time"),
+    "fig13": ("fig13_wakeup_latency", "Figure 13: hiding wakeup latency"),
+    "fig14": ("fig14_load_sweep", "Figure 14: 16-node load sweep"),
+    "fig15": ("fig15_load_sweep64", "Figure 15: 64-node load sweeps"),
+    "area": ("area_overhead", "Section 6.8: area overhead"),
+    "discussion": ("discussion_optimizations",
                    "Section 6.8: pipeline/bypass optimizations"),
-    "bufferless": (discussion_bufferless,
+    "bufferless": ("discussion_bufferless",
                    "Section 6.8: bufferless routing vs power-gating"),
-    "resilience": (resilience_sweep,
+    "resilience": ("resilience_sweep",
                    "Resilience: fault injection across designs"),
 }
 
@@ -47,10 +40,11 @@ EXPERIMENTS: Dict[str, Tuple[object, str]] = {
 def run_experiment(name: str, scale: str = "bench", seed: int = 1) -> str:
     """Run one experiment by name and return its formatted report."""
     try:
-        module, _ = EXPERIMENTS[name]
+        module_name, _ = EXPERIMENTS[name]
     except KeyError:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"known: {list(EXPERIMENTS)}") from None
+    module = import_module(f"{__package__}.{module_name}")
     result = module.run(scale=scale, seed=seed)
     return module.report(result)
 
@@ -67,10 +61,11 @@ def run_all(scale: str = "bench", seed: int = 1, *,
     additionally reports quarantined (corrupt) cache entries and, in
     partial mode, runs that failed every attempt.
     """
+    from . import parallel
     runner = parallel.get_runner()
     total_start = time.perf_counter()
     with runner:  # one worker pool for all experiments, released here
-        for name, (module, description) in EXPERIMENTS.items():
+        for name, (_, description) in EXPERIMENTS.items():
             start = time.perf_counter()
             hits0, misses0 = runner.stats.snapshot()
             cyc0, secs0 = runner.stats.sim_cycles, runner.stats.sim_seconds

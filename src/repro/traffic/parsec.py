@@ -26,11 +26,13 @@ substitution and why it preserves the phenomena under study.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-from ..noc.topology import Mesh
 from .base import (LONG_PACKET_FLITS, SHORT_PACKET_FLITS, Arrival,
                    TrafficGenerator)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..noc.topology import Mesh
 
 #: Memory access latency in cycles (Table 1).
 MEMORY_LATENCY = 128

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import argparse
 import os
 
 import pytest
@@ -60,6 +61,35 @@ class TestParser:
         assert args.fail_cycle == 100
         assert args.corrupt_rate == 0.002
         assert args.retransmit is True
+
+
+    def test_choices_and_defaults_are_read_from_their_source(self):
+        """The parser copies no list: a scale, traffic kind, benchmark
+        or kernel added where it is defined is a choice of every command
+        that takes the option, and the observers' defaults are theirs."""
+        from repro.config import SCALES
+        from repro.experiments.runner import EXPERIMENTS
+        from repro.metrics.spec import DEFAULT_INTERVAL
+        from repro.noc.backend import BACKENDS
+        from repro.trace.spec import DEFAULT_LIMIT
+        from repro.traffic.parsec import BENCHMARKS
+        from repro.traffic.spec import TRAFFIC_KINDS
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert set(commands) == {"run-all", "list", "simulate",
+                                 *EXPERIMENTS}
+        for name, parser in commands.items():
+            if name == "list":
+                continue
+            options = parser._option_string_actions
+            assert options["--scale"].choices == sorted(SCALES)
+            assert tuple(options["--backend"].choices) == BACKENDS
+            assert options["--trace-limit"].default == DEFAULT_LIMIT
+            assert options["--metrics-interval"].default == DEFAULT_INTERVAL
+        traffic = commands["simulate"]._option_string_actions["--traffic"]
+        assert traffic.choices == tuple(
+            kind for kind in TRAFFIC_KINDS
+            if kind not in ("parsec", "null")) + BENCHMARKS
 
 
 class TestMain:

@@ -157,6 +157,10 @@ class TestEveryPublicNameHasACaller:
         "floyd_warshall": "the dense all-pairs oracle core/placement.py's "
                           "docstring names for its BFS/Dijkstra distances",
     }
+    #: Registries that reach a function by its name as a string: the
+    #: string argument of a call ``key("name", ...)`` is a use of the
+    #: function ``name`` of the value's module, and must name one.
+    BY_STRING = {"_synthetic": "src/repro/traffic/synthetic.py"}
 
     @staticmethod
     def bound_names(stmt) -> list:
@@ -186,14 +190,26 @@ class TestEveryPublicNameHasACaller:
                 names.update(node.name.split("."))
         return names
 
+    def by_string(self, tree) -> set:
+        """``(module, name)`` for each function a :attr:`BY_STRING`
+        registry call in ``tree`` names."""
+        return {(self.BY_STRING[node.func.id], node.args[0].value)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in self.BY_STRING
+                and node.args and isinstance(node.args[0], ast.Constant)}
+
     def scan(self):
-        """``(public name -> defining module, names called)``; a name's
-        use inside its own definition is not a call."""
-        defined, called = {}, set()
+        """``(public name -> defining module, names called, (module,
+        name) named by string)``; a name's use inside its own definition
+        is not a call."""
+        defined, called, named = {}, set(), set()
         for directory in self.CALLER_DIRS:
             for path in sorted((self.ROOT / directory).rglob("*.py")):
                 tree = ast.parse(path.read_text())
                 module = path.relative_to(self.ROOT).as_posix()
+                named |= self.by_string(tree)
                 for stmt in tree.body:
                     own = self.bound_names(stmt)
                     called |= self.used_names(stmt) - set(own)
@@ -206,10 +222,19 @@ class TestEveryPublicNameHasACaller:
                          for doc in self.CALLER_DOCS)
         called |= {name for name in defined
                    if re.search(rf"\b{re.escape(name)}\b", docs)}
-        return defined, called
+        return defined, called | {name for _, name in named}, named
 
     def test_every_public_name_has_a_caller(self):
-        defined, called = self.scan()
+        defined, called, named = self.scan()
+        functions = {
+            module: {stmt.name for stmt in ast.parse(
+                (self.ROOT / module).read_text()).body
+                if isinstance(stmt, ast.FunctionDef)}
+            for module in self.BY_STRING.values()}
+        unknown = sorted(f"{module}:{name}" for module, name in named
+                         if name not in functions[module])
+        assert unknown == [], (
+            f"registry strings that name no function: {unknown}")
         uncalled = sorted(f"{module}:{name}"
                           for name, module in defined.items()
                           if name not in called

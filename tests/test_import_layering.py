@@ -54,12 +54,55 @@ LOADED = ("import json, sys; "
           "if m == 'repro' or m.startswith('repro.'))))")
 
 
+#: What building the parser must not load: the sweep harness and the
+#: store behind it, the fault types, the power model and the result
+#: type (every ``repro.experiments`` module but ``runner`` is checked
+#: on top of these).
+HARNESS = ("repro.experiments.parallel", "repro.experiments.journal",
+           "repro.faults", "repro.stats.collector")
+
+
+def harness_loaded(loaded):
+    """The modules of ``loaded`` that ``list`` and ``--help`` must not
+    import."""
+    return sorted(m for m in loaded
+                  if m in SIMULATOR + HARNESS or m.startswith("repro.power")
+                  or (m.startswith("repro.experiments.")
+                      and m != "repro.experiments.runner"))
+
+
 def test_list_loads_no_simulator_module():
+    """``list`` and ``--help`` import what building the parser needs:
+    no experiment but the runner's table, no harness, no simulator."""
     lines, loaded = child("import repro.cli\n"
                           "assert repro.cli.main(['list']) == 0\n" + LOADED)
     assert any(line.startswith("fig6 ") for line in lines)
-    assert "repro.experiments.parallel" in loaded
-    assert not set(SIMULATOR) & set(loaded)
+    assert harness_loaded(loaded) == [], loaded
+    lines, loaded = child("import repro.cli\n"
+                          "try:\n"
+                          "    repro.cli.main(['--help'])\n"
+                          "except SystemExit as exc:\n"
+                          "    assert not exc.code, exc.code\n" + LOADED)
+    assert lines[0].startswith("usage: nord ")
+    assert harness_loaded(loaded) == [], loaded
+
+
+def test_cached_figure_loads_no_other_figure(tmp_path):
+    """A single-figure command served from the cache imports its own
+    chain and no other figure's module, and reports what the run that
+    filled the cache reported."""
+    from repro.experiments.runner import EXPERIMENTS
+    script = ("import repro.cli\n"
+              "assert repro.cli.main(['fig14', '--scale', 'smoke']) == 0\n"
+              + LOADED)
+    cold, _ = child(script, cache=tmp_path)
+    cached, loaded = child(script, cache=tmp_path)
+    assert cached == cold
+    figures = {f"repro.experiments.{module}"
+               for module, _ in EXPERIMENTS.values()}
+    assert sorted(figures & set(loaded)) == [
+        "repro.experiments.fig14_load_sweep"]
+    assert not set(SIMULATOR + MISS_ONLY) & set(loaded), loaded
 
 
 #: bench/repro_subset.py as the benchmark starts it, then the report.

@@ -21,6 +21,7 @@ from repro.experiments.parallel import (DesignPoint, ResultCache,
                                         point_basename, uniform_spec)
 from repro.power.model import EnergyReport
 from repro.stats.collector import RouterActivity, RunResult
+from repro.traffic.spec import TRAFFIC_KINDS
 
 
 def smoke_points(designs=(Design.NO_PG, Design.NORD), rate=0.05, seed=1):
@@ -57,7 +58,7 @@ class TestTrafficSpec:
         """Not after a worker round trip, as a contained ``error``."""
         with pytest.raises(ValueError, match="unknown traffic kind"):
             TrafficSpec(kind="unifrom", rate=0.1)
-        for kind in parallel.TRAFFIC_KINDS:  # the table build() reads
+        for kind in TRAFFIC_KINDS:  # the table build() reads
             assert TrafficSpec(kind=kind).kind == kind
 
     def test_specs_are_picklable(self):

@@ -192,7 +192,7 @@ STREAM_DIGESTS = {
 
 class TestArrivalStreams:
     def test_digest_table_covers_every_source(self):
-        from repro.experiments.parallel import TRAFFIC_KINDS
+        from repro.traffic.spec import TRAFFIC_KINDS
         kinds = {kind for kind, _, _ in STREAM_DIGESTS}
         assert kinds == set(TRAFFIC_KINDS)
         benchmarks = {b for kind, b, _ in STREAM_DIGESTS if kind == "parsec"}
@@ -203,7 +203,7 @@ class TestArrivalStreams:
     @pytest.mark.parametrize("kind,workload,seed", sorted(STREAM_DIGESTS))
     def test_stream_is_pinned(self, kind, workload, seed):
         import hashlib
-        from repro.experiments.parallel import TrafficSpec
+        from repro.traffic.spec import TrafficSpec
         spec = (TrafficSpec(kind=kind, benchmark=workload, seed=seed)
                 if kind == "parsec"
                 else TrafficSpec(kind=kind, rate=0.1, seed=seed))
