@@ -55,9 +55,8 @@ from ..config import Design, SimConfig
 from ..core.ring import BypassRing, build_ring
 from ..errors import CreditAccountingError, DeadlockError, LivelockError
 from ..faults import ALL_LINKS, FaultPlan, FaultState, LinkFault
-from ..powergate.controller import (GateInputs, NoPGController,
-                                    PowerGateController, PowerState,
-                                    Transition)
+from ..powergate.controller import (NoPGController, PowerGateController,
+                                    PowerState, Transition)
 from ..powergate.conventional import ConvPGController, ConvPGOptController
 from ..powergate.nord import NoRDController
 from ..routing.adaptive import AdaptiveXYEscape
@@ -839,37 +838,18 @@ class Network(Datapath):
                 self._on_fail_complete(node)
         self._wu_now.clear()
 
-    def _gate_inputs(self, node: int, design: str) -> GateInputs:
-        ctrl = self.controllers[node]
-        if ctrl.fail_armed and ctrl.state == PowerState.ON:
-            # A fail-armed router dies at the first clean flit boundary:
-            # the datapath must be empty and nothing committed toward it
-            # (incl. a local packet mid-injection), but WU is ignored -
-            # the fail does not wait for traffic to stop wanting it.
-            ni = self.nis[node]
-            empty = self._router_empty(node)
-            incoming = (not empty) or self._incoming_condition(node, design) \
-                or (ni.inj_path == "router" and ni.inj_sent > 0)
-            return GateInputs(empty=empty, incoming=incoming, wakeup=False)
-        if ctrl.state == PowerState.WAKING or not ctrl.gateable:
-            # nothing to sample (No_PG's controllers never gate)
-            return GateInputs(empty=False, incoming=False, wakeup=False)
-        if ctrl.state == PowerState.OFF:
-            if design == Design.NORD:
-                wu = ctrl.wakeup_wanted
-            else:
-                wu = node in self._wu_now or self.nis[node].inject_pending
-            return GateInputs(empty=True, incoming=False, wakeup=wu)
-        # ON: evaluate the gating conditions.
-        empty = self._router_empty(node)
-        if not empty:
-            return GateInputs(empty=False, incoming=False, wakeup=False)
-        incoming = self._incoming_condition(node, design)
-        if design == Design.NORD:
-            wu = ctrl.wakeup_wanted
-        else:
-            wu = self.nis[node].inject_pending or node in self._wu_now
-        return GateInputs(empty=True, incoming=incoming, wakeup=wu)
+    # -- what the controllers sample (PowerGateController.step) ----------
+    def wakeup_requested(self, node: int) -> bool:
+        """Conventional WU: a neighbour's stalled SA request (or, early,
+        its route computation) raised it this cycle, or the node's NI
+        has a packet to inject."""
+        return node in self._wu_now or self.nis[node].inject_pending
+
+    def injecting_through_router(self, node: int) -> bool:
+        """The NI started injecting a packet through the router and has
+        not finished (its LOCAL VC is held)."""
+        ni = self.nis[node]
+        return ni.inj_path == "router" and ni.inj_sent > 0
 
     # -- conventional transitions ----------------------------------------
     def _on_conv_gate_off(self, node: int) -> None:

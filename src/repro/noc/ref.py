@@ -16,7 +16,6 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..config import Design
 from ..powergate.controller import PowerState
-from ..powergate.nord import NoRDController
 from .buffer import CREDIT_OVERFLOW, VCState
 from .flit import Flit
 from .link import DelayLine, Link
@@ -220,20 +219,15 @@ class RefNetwork(Network):
     # phase 6: power gating
     # ------------------------------------------------------------------
     def _phase_pg(self, now: int) -> None:
-        design = self.cfg.design
         events: List[Tuple[int, str]] = []
+        routers = self.routers
         for node, ctrl in enumerate(self.controllers):
-            event = ctrl.step(self._gate_inputs(node, design))
+            event = ctrl.step(not routers[node].empty, self)
             if event is not None:
                 events.append((node, event))
-            if isinstance(ctrl, NoRDController):
-                ctrl.end_cycle()
-        self._apply_pg_events(events, design)
+        self._apply_pg_events(events, self.cfg.design)
 
-    def _router_empty(self, node: int) -> bool:
-        return self.routers[node].empty
-
-    def _incoming_condition(self, node: int, design: str) -> bool:
+    def incoming_condition(self, node: int) -> bool:
         """The IC condition: flits (or credits) are in flight toward this
         router, or an upstream packet is committed to stream through it."""
         if not self.inject_lines[node].empty:
@@ -244,15 +238,13 @@ class RefNetwork(Network):
             link_in = self.links_out[nbr][OPPOSITE[port]]
             if not link_in.flits.empty or not link_in.credits.empty:
                 return True
+        design = self.cfg.design
         if design == Design.NORD:
-            ni = self.nis[node]
             # A packet the NI started injecting through the router must
             # finish before the router may gate (its LOCAL VC is held, so
-            # this is usually covered by ``empty``; the check closes the
-            # window before the first flit arrives).
-            if ni.inj_path == "router" and ni.inj_sent > 0:
-                return True
-            return False
+            # this is usually covered by the occupancy; the check closes
+            # the window before the first flit arrives).
+            return self.injecting_through_router(node)
         early = design == Design.CONV_PG_OPT
         for port, nbr in self.mesh.neighbors(node):
             if self.routers[nbr].has_commitment_to(OPPOSITE[port],

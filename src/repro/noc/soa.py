@@ -34,9 +34,10 @@ are not quiescent (``_pg_active``); links and lines ride the mailboxes
 described below.  The sets (:class:`~repro.noc.activity.ActiveSet`)
 are kept on event edges (buffer write, latch write, packet queued,
 power transition); a skipped component is provably a no-op for the
-phase it is skipped in, and members are visited in ascending order.  A
-quiescent controller's ``cycles_off`` - like the No_PG blanket's
-``cycles_on`` - is settled when read
+phase it is skipped in (for a controller, its own
+``idle_step_is_noop`` says so), and members are visited in ascending
+order.  A quiescent controller's ``cycles_off`` - like the No_PG
+blanket's ``cycles_on`` - is settled when read
 (:meth:`SoANetwork.settle_duty_counters`).
 
 Layout
@@ -66,11 +67,12 @@ clash-free round), a VA round whose request lists are pairwise
 disjoint (always, for a lone waiter).  Only a contested arbiter runs
 ``grant_from``, and only a clashing VA round builds the ``fpn``-long
 request table for ``AllocatorPool.allocate``, in the reference visit
-order.  Busy powered-on routers take a two-assignment power-gate step,
-only stimulated quiescent controllers are re-examined, route
-computation is replayed from a per-(node, dst) geometry cache, and
-every flit and credit send - router traversals and NoRD's NI bypass
-alike - goes through per-cycle mailboxes (see
+order.  The power-gate phase steps the shared controller FSM for
+every controller that is not quiescent and re-examines only the
+quiescent ones a stimulus reached, route computation is replayed from
+a per-(node, dst) geometry cache, and every flit and credit send -
+router traversals and NoRD's NI bypass alike - goes through per-cycle
+mailboxes (see
 :meth:`SoANetwork._init_mailboxes`).  Every SA winner traverses at one
 site, in :meth:`SoANetwork._phase_routers`.
 
@@ -87,8 +89,7 @@ from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import Design
-from ..powergate.controller import PowerState, Transition
-from ..powergate.nord import NoRDController
+from ..powergate.controller import PowerState
 from ..routing.base import ESCAPE_PATIENCE
 from ..trace.events import EventKind
 from .activity import ActiveSet
@@ -267,9 +268,6 @@ class SoANetwork(Network):
         self._ej_box: List[tuple] = []
         self._ej_mid: List[tuple] = []
         self._ej_due: List[tuple] = []
-        # min_idle_before_gate is a config constant per controller.
-        self._min_idle = [max(1, c.min_idle_before_gate)
-                          for c in self.controllers]
         # Lazy per-cycle set of nodes with incoming activity, for the
         # PG phase.
         self._inc_seen = -1
@@ -1166,17 +1164,16 @@ class SoANetwork(Network):
         return kept
 
     # ------------------------------------------------------------------
-    # phase 6: power gating - busy powered-on routers take the
-    # two-assignment step the full FSM provably reduces to; OFF
-    # controllers with no WU edge and - for NoRD - a fully-drained
-    # VC-request window are not stepped (quiescent), their ``cycles_off``
-    # - like the No_PG blanket's ``cycles_on`` - settled when read
+    # phase 6: power gating - the shared controller step for the active
+    # controllers; one whose idle step is a no-op leaves the active set
+    # (quiescent), its ``cycles_off`` - like the No_PG blanket's
+    # ``cycles_on`` - settled when read
     # ------------------------------------------------------------------
     @property
     def _no_pg_blanket(self) -> bool:
         """No_PG normally has no per-controller PG work; with router
-        failures injected even No_PG must run the generic phase so a
-        fail-armed controller can reach its clean boundary."""
+        failures injected even No_PG must step its controllers so a
+        fail-armed one can reach its clean boundary."""
         return (self.cfg.design == Design.NO_PG
                 and (self._faults is None
                      or not self._faults.has_router_failures))
@@ -1184,125 +1181,28 @@ class SoANetwork(Network):
     def _phase_pg(self, now: int) -> None:
         if self._no_pg_blanket:
             return  # every controller stays ON: cycles_on settle on read
-        design = self.cfg.design
         quiescent = self._pg_quiescent
         active = self._pg_active
-        nord = design == Design.NORD
-        controllers = self.controllers
-        nis = self.nis
-        wu_now = self._wu_now
         if quiescent:
-            self._promote_stimulated(now, nord)
-        events: List[tuple] = []
-        demoted: List[int] = []
+            self._promote_stimulated(now)
+        controllers = self.controllers
         occ = self._occ_cnt
-        min_idle = self._min_idle
-        on = PowerState.ON
         off = PowerState.OFF
-        waking = PowerState.WAKING
-        # The full FSM step is inlined per state below, except for
-        # fail-armed, failed and stuck/slow-wakeup controllers and, under
-        # a router failure, No_PG's: they take the reference step.  This
-        # relies on NoRD's end_cycle() being a no-op while the sliding
-        # window is all zeros.  The GateInputs the reference would build
-        # are pure reads, so computing only the fields each branch
-        # consults cannot change any outcome.
-        faulted = self._faults is not None
+        events: List[Tuple[int, str]] = []
+        demoted: List[int] = []
         for node in active.sorted():
             ctrl = controllers[node]
-            if faulted and (not ctrl.gateable or ctrl.fail_armed
-                            or ctrl.failed or ctrl.wu_ignore
-                            or ctrl.wu_delay):
-                self._step_fsm(node, design, events, demoted)
-                continue
-            st = ctrl.state
-            if st == on:
-                ctrl.cycles_on += 1
-                if occ[node]:
-                    # ON with buffered flits: never gates, never
-                    # demotes.
-                    ctrl._idle_run = 0
-                    if nord and (ctrl._window_sum or ctrl._current):
-                        ctrl.end_cycle()
-                    continue
-                idle = ctrl._idle_run + 1
-                ctrl._idle_run = idle
-                if idle >= min_idle[node]:
-                    if nord:
-                        wakeup = ctrl.wakeup_wanted
-                    else:
-                        wakeup = (nis[node].inject_pending
-                                  or node in wu_now)
-                    if not wakeup and not self._incoming_condition(
-                            node, design):
-                        ctrl.state = off
-                        ctrl.gate_offs += 1
-                        ctrl._idle_run = 0
-                        events.append((node, Transition.GATED_OFF))
-                        if nord:
-                            if ctrl._window_sum or ctrl._current:
-                                ctrl.end_cycle()
-                            if ctrl.window_requests == 0:
-                                demoted.append(node)
-                        else:
-                            # wakeup was False, which is exactly the
-                            # conventional skippability condition.
-                            demoted.append(node)
-                        continue
-                if nord and (ctrl._window_sum or ctrl._current):
-                    ctrl.end_cycle()
-                continue
-            if st == waking:
-                ctrl.cycles_waking += 1
-                ctrl._wake_left -= 1
-                if ctrl._wake_left <= 0:
-                    ctrl.state = on
-                    ctrl._idle_run = 0
-                    events.append((node, Transition.WOKE))
-                if nord and (ctrl._window_sum or ctrl._current):
-                    ctrl.end_cycle()
-                continue
-            # OFF (a quiescence-ineligible controller: wakeup demand or
-            # a draining NoRD window keeps it in the active set).
-            ctrl.cycles_off += 1
-            if nord:
-                wakeup = ctrl.wakeup_wanted
-            else:
-                wakeup = node in wu_now or nis[node].inject_pending
-            ctrl._wu_held = 0
-            if wakeup:
-                ctrl.state = waking
-                ctrl._wake_left = ctrl.pg.wakeup_latency
-                ctrl.wakeups += 1
-                events.append((node, Transition.WAKE_STARTED))
-                if nord and (ctrl._window_sum or ctrl._current):
-                    ctrl.end_cycle()
-                continue
-            if nord:
-                if ctrl._window_sum or ctrl._current:
-                    ctrl.end_cycle()
-                if ctrl.window_requests == 0:
-                    demoted.append(node)
-            else:
-                # Not woken this cycle == conventionally skippable.
+            event = ctrl.step(occ[node], self)
+            if event is not None:
+                events.append((node, event))
+            # (the predicate holds only OFF: the state test spares the
+            # call for the powered-on majority)
+            if ctrl.state == off and ctrl.idle_step_is_noop():
                 demoted.append(node)
         for node in demoted:
             active.discard(node)
             quiescent[node] = now
-        self._apply_pg_events(events, design)
-
-    def _step_fsm(self, node: int, design: str, events: List[Tuple[int, str]],
-                  demoted: List[int]) -> None:
-        """Step ``node``'s controller through the full FSM, noting its
-        transition and whether it may leave the active set."""
-        ctrl = self.controllers[node]
-        event = ctrl.step(self._gate_inputs(node, design))
-        if event is not None:
-            events.append((node, event))
-        if isinstance(ctrl, NoRDController):
-            ctrl.end_cycle()
-        if self._pg_skippable(node, design):
-            demoted.append(node)
+        self._apply_pg_events(events, self.cfg.design)
 
     def settle_duty_counters(self, upto: Optional[int] = None) -> None:
         """Credit the duty that accrued without a step - each quiescent
@@ -1333,44 +1233,23 @@ class SoANetwork(Network):
         self.controllers[node].cycles_off += now - 1 - since
         self._pg_active.add(node)
 
-    def _pg_skippable(self, node: int, design: str) -> bool:
-        """Whether stepping this controller next cycle is provably a
-        no-op beyond ``cycles_off`` accounting."""
-        ctrl = self.controllers[node]
-        if ctrl.state != PowerState.OFF:
-            return False
-        if design == Design.NORD:
-            # A non-empty sliding window still decays via end_cycle(),
-            # and could cross the wakeup threshold; skip only when fully
-            # drained (at most ``wakeup_window`` extra active cycles).
-            return ctrl.window_requests == 0
-        return node not in self._wu_now and not self.nis[node].inject_pending
-
-    def _promote_stimulated(self, now: int, nord: bool) -> None:
-        """The ``_pg_skippable`` test over the quiescent controllers,
-        examining only the nodes a stimulus reached this cycle.
-        Quiescent controllers are OFF (only the PG step changes
-        state, and demotion requires OFF).  A conventional one wakes on
-        a WU edge (``_wu_now``) or a queued injection, and a queue is
-        non-empty only at an NI the NI phase ran (``_ni_ran``); a NoRD
-        one on a non-empty VC-request window, which only its own NI's
-        phase can fill (``end_cycle`` runs only for active
-        controllers)."""
+    def _promote_stimulated(self, now: int) -> None:
+        """Re-examine the quiescent controllers a stimulus reached this
+        cycle, and make active each one whose idle step stopped being a
+        no-op or whose WU is asserted.  Quiescent controllers are OFF,
+        and while one is quiescent only two things reach it: a WU edge
+        (``_wu_now``) and its own NI - a conventional WU from a queued
+        injection, a NoRD VC request filling the window - and an NI
+        acts only in an NI phase that ran it (``_ni_ran``)."""
         quiescent = self._pg_quiescent
-        if nord:
-            controllers = self.controllers
-            for node in self._ni_ran:
-                if node in quiescent and (controllers[node]._window_sum
-                                          or controllers[node]._current):
-                    self._leave_quiescence(node, now)
-            return
-        for node in self._wu_now:
-            if node in quiescent:
-                self._leave_quiescence(node, now)
-        nis = self.nis
-        for node in self._ni_ran:
-            if node in quiescent and nis[node].inject_pending:
-                self._leave_quiescence(node, now)
+        controllers = self.controllers
+        for stimulated in (self._wu_now, self._ni_ran):
+            for node in stimulated:
+                if node in quiescent:
+                    ctrl = controllers[node]
+                    if (not ctrl.idle_step_is_noop()
+                            or ctrl.wakeup_asserted(self)):
+                        self._leave_quiescence(node, now)
 
     def _incoming_nodes(self, now: int) -> set:
         """Per-cycle set of nodes with incoming activity, for the PG
@@ -1393,19 +1272,16 @@ class SoANetwork(Network):
             self._inc_nodes = nodes
         return self._inc_nodes
 
-    def _router_empty(self, node: int) -> bool:
-        return not self._occ_cnt[node]
-
-    def _incoming_condition(self, node: int, design: str) -> bool:
+    def incoming_condition(self, node: int) -> bool:
         """The reference IC condition, answered from the per-cycle
         incoming-node set plus the design-specific parts (a neighbor
         with an empty datapath - occupancy 0 - cannot hold a
         commitment)."""
         if node in self._incoming_nodes(self.now):
             return True
+        design = self.cfg.design
         if design == Design.NORD:
-            ni = self.nis[node]
-            return ni.inj_path == "router" and ni.inj_sent > 0
+            return self.injecting_through_router(node)
         early = design == Design.CONV_PG_OPT
         occ = self._occ_cnt
         for port, nbr in self._nbrs[node]:

@@ -3,8 +3,8 @@
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "controller": ("GateInputs", "NoPGController", "PowerGateController",
-                   "PowerState", "Transition"),
+    "controller": ("NoPGController", "PowerGateController", "PowerState",
+                   "Transition"),
     "conventional": ("ConvPGController", "ConvPGOptController"),
     "nord": ("NoRDController",),
 })

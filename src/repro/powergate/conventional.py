@@ -25,13 +25,13 @@ from .controller import PowerGateController
 class ConvPGController(PowerGateController):
     """Aggressive conventional power-gating (Conv_PG)."""
 
+    gateable = True
     min_idle_before_gate = 0
     #: WU is asserted only by SA-stage requests (no lead).
     early_wakeup = False
 
-    @property
-    def gateable(self) -> bool:
-        return True
+    def wakeup_asserted(self, net) -> bool:
+        return net.wakeup_requested(self.node)
 
 
 class ConvPGOptController(ConvPGController):

@@ -25,6 +25,8 @@ from .controller import PowerGateController
 class NoRDController(PowerGateController):
     """Power-gating controller driven by the NI VC-request metric."""
 
+    gateable = True
+
     def __init__(self, node: int, pg: PowerGateConfig, threshold: int,
                  *, performance_centric: bool = False) -> None:
         super().__init__(node, pg)
@@ -43,17 +45,11 @@ class NoRDController(PowerGateController):
         self.count_all_requests = False
         self.window = pg.wakeup_window
         self._counts: Deque[int] = deque([0] * self.window, maxlen=self.window)
-        self._current = 0
-        self._window_sum = 0
         #: Set True to pin the router off regardless of the metric
         #: (used by the Figure 7 threshold-calibration experiment).
         self.force_off = False
         #: Total VC requests observed (statistics).
         self.total_vc_requests = 0
-
-    @property
-    def gateable(self) -> bool:
-        return True
 
     def note_vc_request(self, attempted: int = 1, stalled: int = 0) -> None:
         """Record VC request(s) made at the local NI this cycle."""
@@ -62,7 +58,9 @@ class NoRDController(PowerGateController):
         self.total_vc_requests += attempted
 
     def end_cycle(self) -> None:
-        """Rotate the sliding window at the end of each cycle."""
+        """Rotate the sliding window at the end of each cycle (``step``
+        does, unless the window is all zeros and rotating is a
+        no-op)."""
         self._window_sum += self._current - self._counts[0]
         self._counts.append(self._current)
         self._current = 0
@@ -72,8 +70,8 @@ class NoRDController(PowerGateController):
         """VC requests observed in the current window (incl. this cycle)."""
         return self._window_sum + self._current
 
-    @property
-    def wakeup_wanted(self) -> bool:
-        if self.force_off or self.failed or self.fail_armed:
-            return False
-        return self.window_requests >= self.threshold
+    def wakeup_asserted(self, net) -> bool:
+        """WU from the local metric alone: the window reached the
+        threshold (never while the router is pinned off)."""
+        return (not self.force_off
+                and self._window_sum + self._current >= self.threshold)

@@ -20,14 +20,18 @@ Four layers of evidence live here:
   WU edges and an aggressive-bypass send booked a cycle late must each
   make the differential harness fail, proving the harness has teeth;
   flits delivered in mailbox order rather than link order must fail
-  the trace differential while passing the RunResult one.  Three fault
+  the trace differential while passing the RunResult one.  Four fault
   mutants - credit loss drawn in mailbox order, an SA that stalls at a
-  failed port instead of dropping, a fail-armed controller taking the
-  inlined power-gate step - must fail the faulted RunResult one.  The
-  reference scans every component, so mutants of the skip bookkeeping
-  - an NI latch that does not activate its NI, a buffer write that
-  does not activate its router, a quiescent controller settled one
-  cycle long - must fail it too.
+  failed port instead of dropping, a fail-armed controller demoted as
+  if quiescent, a NoRD controller counted quiescent while it holds WU
+  cycles toward a slow wakeup - must fail the faulted RunResult one.
+  Both kernels step the one power-gate FSM, so a mutant of the step
+  would change both sides alike; these mutants change what only soa
+  does, deciding which controllers to skip.  The reference scans
+  every component, so mutants of the skip bookkeeping - an NI latch
+  that does not activate its NI, a buffer write that does not
+  activate its router, a quiescent controller settled one cycle long
+  - must fail it too.
 
 The file predates the kernel merge (the "fast mode" it names *is* the
 soa kernel now) and keeps its name and test ids only because the tier-1
@@ -39,7 +43,7 @@ frozen benchmark.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import Design, small_config
@@ -51,6 +55,8 @@ from repro.noc.network import Network, RunProgress
 from repro.noc.ref import RefNetwork
 from repro.noc.soa import SoANetwork
 from repro.noc.topology import NUM_PORTS, OPPOSITE, LOCAL
+from repro.powergate.controller import PowerState
+from repro.powergate.nord import NoRDController
 from repro.trace.recorder import EventTrace
 from repro.traffic.synthetic import uniform_random
 from tests.test_kernel_identity import assert_identical, run_once
@@ -103,6 +109,12 @@ RANDOM_PLANS = st.one_of(
         _NODE, st.integers(min_value=0, max_value=40), st.booleans()))
 
 
+def slow_wakeup(node, delay):
+    """A plan whose only fault: ``node`` honours WU only once it has
+    been asserted for more than ``delay`` cycles in a row."""
+    return FaultPlan(wakeup_faults=(WakeupFault(node, delay=delay),))
+
+
 def outcome(design, kind, backend, trace, plan, **kwargs):
     """A run's result, or - when a fault plan's lost credits wedge it -
     its error (which must be the same on both kernels)."""
@@ -123,6 +135,17 @@ class TestHypothesisDifferential:
            rate=st.floats(min_value=0.01, max_value=0.3),
            seed=st.integers(min_value=0, max_value=2**16),
            plan=RANDOM_PLANS)
+    # NoRD slow-wakeup points where a controller once left soa's
+    # active set holding WU cycles (``_wu_held``) that the reference's
+    # next idle step resets, so the kernels disagreed.
+    @example(design=Design.NORD, kind="bitcomp", rate=0.23830167501694166,
+             seed=268, plan=slow_wakeup(13, 14))
+    @example(design=Design.NORD, kind="bitcomp", rate=0.05856638913073688,
+             seed=33451, plan=slow_wakeup(5, 18))
+    @example(design=Design.NORD, kind="tornado", rate=0.0849420416469938,
+             seed=33221, plan=slow_wakeup(6, 39))
+    @example(design=Design.NORD, kind="uniform", rate=0.031226091461381077,
+             seed=19310, plan=slow_wakeup(4, 22))
     def test_random_point_identity(self, design, kind, rate, seed, plan):
         trace_ref, trace_soa = EventTrace(), EventTrace()
         res_ref = outcome(design, kind, "ref", trace_ref, plan, rate=rate,
@@ -299,14 +322,14 @@ class TestOracleSelfTest:
         ignored = 0
         orig = SoANetwork._promote_stimulated
 
-        def no_wu_edges(self, now, nord):
+        def no_wu_edges(self, now):
             nonlocal ignored
             ignored += sum(1 for node in self._wu_now
                            if node in self._pg_quiescent
                            and not self.nis[node].inject_pending)
             wu_now, self._wu_now = self._wu_now, set()
             try:
-                orig(self, now, nord)
+                orig(self, now)
             finally:
                 self._wu_now = wu_now
 
@@ -443,31 +466,56 @@ class TestOracleSelfTest:
         with pytest.raises(AssertionError, match="kernel drift"):
             assert_identical(res_ref, res_soa, "failed-port stall mutant")
 
-    def test_fail_armed_inlined_step_is_caught(self, monkeypatch):
-        """Mutant: a fail-armed controller takes the inlined power-gate
-        step (which gates at an idle boundary) instead of the reference
-        FSM (which fails there)."""
+    def test_fail_armed_demotion_is_caught(self, monkeypatch):
+        """Mutant: the PG phase demotes a fail-armed controller as if it
+        were quiescent, though its idle step is never a no-op (it fails
+        at the first clean flit boundary)."""
         armed = 0
         orig = SoANetwork._phase_pg
 
-        def inlined(self, now):
+        def demote_armed(self, now):
             nonlocal armed
-            hidden = [c for c in self.controllers if c.fail_armed]
-            armed += len(hidden)
-            for ctrl in hidden:
-                ctrl.fail_armed = False
             orig(self, now)
-            for ctrl in hidden:
-                ctrl.fail_armed = True
+            for node in self._pg_active.sorted():
+                if self.controllers[node].fail_armed:
+                    armed += 1
+                    self._pg_active.discard(node)
+                    self._pg_quiescent[node] = now
 
         plan = FaultPlan.single_router_failure(5, 60)
         _, res_ref = run_once(Design.CONV_PG, "uniform", drain=0, plan=plan)
-        monkeypatch.setattr(SoANetwork, "_phase_pg", inlined)
+        monkeypatch.setattr(SoANetwork, "_phase_pg", demote_armed)
         _, res_soa = run_once(Design.CONV_PG, "uniform", drain=0,
                               backend="soa", plan=plan)
         assert armed > 0, "no controller was fail-armed"
         with pytest.raises(AssertionError, match="kernel drift"):
-            assert_identical(res_ref, res_soa, "fail-armed inlined mutant")
+            assert_identical(res_ref, res_soa, "fail-armed demotion mutant")
+
+    def test_demotion_ignoring_held_wu_is_caught(self, monkeypatch):
+        """Mutant: a gated-off NoRD controller counts as quiescent once
+        its VC-request window is empty, though it holds WU cycles toward
+        a slow wakeup (``_wu_held``) that the reference's next idle step
+        resets - the rule the soa kernel demoted and promoted by before
+        the controller declared ``idle_step_is_noop``.  Only soa asks
+        the predicate; the reference steps every controller."""
+        held = 0
+
+        def ignore_held(self):
+            nonlocal held
+            if self.state == PowerState.OFF and not self.window_requests:
+                held += bool(self._wu_held)
+                return True
+            return False
+
+        point = dict(rate=0.23830167501694166, seed=268, warmup=40,
+                     measure=200, plan=slow_wakeup(13, 14))
+        _, res_ref = run_once(Design.NORD, "bitcomp", **point)
+        monkeypatch.setattr(NoRDController, "idle_step_is_noop", ignore_held)
+        _, res_soa = run_once(Design.NORD, "bitcomp", backend="soa",
+                              **point)
+        assert held > 0, "no controller held WU cycles on an empty window"
+        with pytest.raises(AssertionError, match="kernel drift"):
+            assert_identical(res_ref, res_soa, "held-WU demotion mutant")
 
     @staticmethod
     def assert_caught(design, kind, label, **kwargs):

@@ -113,14 +113,15 @@ class TestKernelLayout:
 
     #: What each kernel supplies and the core calls: the datapath
     #: constructor, the six phases and the profile's occupancy, the sends
-    #: the NIs make, and the input-side reads and writes of the shared
-    #: power transitions and diagnostics.
+    #: the NIs make, the input-side reads and writes of the shared
+    #: power transitions and diagnostics, and the IC condition the
+    #: power-gate controllers sample.
     INTERFACE = {
         "_build_datapath", "_occupancy", "_phase_credits", "_phase_nis",
         "_phase_routers", "_phase_links", "_phase_pg", "_phase_stats",
         "send_flit", "send_inject", "credit_upstream", "_deliver_flit",
-        "_reset_vcs_routed_to", "_ring_slots_held", "_router_empty",
-        "_incoming_condition", "buffered_vcs",
+        "_reset_vcs_routed_to", "_ring_slots_held", "incoming_condition",
+        "buffered_vcs",
     }
 
     def test_kernels_share_only_the_interface(self):

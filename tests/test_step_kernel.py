@@ -89,7 +89,7 @@ class TestActivityInvariants:
     def assert_inactive_is_quiescent(self, net):
         for node in range(net.mesh.num_nodes):
             if node not in net._active_routers:
-                assert net._router_empty(node)
+                assert not net._occ_cnt[node]
             if node not in net._active_nis:
                 ni = net.nis[node]
                 assert not ni.inject_queue and ni.latches_empty
