@@ -28,9 +28,10 @@ def lazy_exports(namespace: Dict[str, Any],
                  ) -> Tuple[List[str], Callable[[str], Any],
                             Callable[[], List[str]]]:
     """The ``__all__``, ``__getattr__`` and ``__dir__`` of the package
-    whose ``globals()`` is ``namespace``; ``exports`` maps each submodule
-    to the names the package re-exports from it."""
-    package = namespace["__name__"]
+    (or module) whose ``globals()`` is ``namespace``; ``exports`` maps
+    each submodule of the package (the module's sibling) to the names
+    re-exported from it."""
+    package, parent = namespace["__name__"], namespace["__package__"]
     home = {name: submodule
             for submodule, names in exports.items() for name in names}
 
@@ -40,7 +41,7 @@ def lazy_exports(namespace: Dict[str, Any],
         except KeyError:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}") from None
-        value = getattr(import_module(f"{package}.{submodule}"), name)
+        value = getattr(import_module(f"{parent}.{submodule}"), name)
         namespace[name] = value  # found directly from now on
         return value
 

@@ -23,8 +23,6 @@ is a module constant below.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -215,6 +213,8 @@ def stable_hash(payload: Any) -> str:
     so hashing never fails, at the cost of the fallback not being
     guaranteed stable across Python versions.
     """
+    import hashlib  # OpenSSL: only what keys or seals a point loads it
+    import json
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=repr)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

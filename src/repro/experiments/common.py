@@ -16,13 +16,15 @@ command share one sweep.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from ..config import SCALES, Design, NoCConfig, Scale, SimConfig
-from ..power.model import EnergyReport
 from ..stats.collector import RunResult
 from ..traffic.parsec import BENCHMARKS
 from . import parallel
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..power.model import EnergyReport
 
 
 def get_scale(scale: str) -> Scale:
@@ -62,7 +64,7 @@ def build_config(design: str, scale: str = "bench", *, width: int = 4,
 # ---------------------------------------------------------------------------
 # cached PARSEC sweep shared by the Figure 8-12 experiments
 # ---------------------------------------------------------------------------
-ParsecSweep = Dict[str, Dict[str, Tuple[RunResult, EnergyReport]]]
+ParsecSweep = Dict[str, Dict[str, Tuple[RunResult, "EnergyReport"]]]
 
 
 def parsec_sweep(scale: str = "bench", seed: int = 1, *, width: int = 4,

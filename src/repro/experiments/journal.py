@@ -34,7 +34,6 @@ length does not decode, so its point is not resumed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -60,6 +59,7 @@ SweepOutcome = Tuple[RunResult, EnergyReport]
 def seal(data: Dict[str, Any]) -> Dict[str, str]:
     """``data`` as stored: its canonical JSON text and the SHA-256 of
     that text's bytes."""
+    import hashlib  # OpenSSL: only what seals or checks a record loads it
     body = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return {"body": body,
             "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest()}
@@ -69,6 +69,7 @@ def unseal(record: Any, decode: Callable[[Dict[str, Any]], Any]) -> Any:
     """The value ``decode`` maps a sealed record's body to, or None when
     a field is missing or the body is not the text the checksum was
     taken over (bit rot, truncation, an edit that still parses)."""
+    import hashlib
     try:
         body = record["body"]
         if hashlib.sha256(body.encode("utf-8")).hexdigest() \

@@ -36,13 +36,9 @@ deserializes to a value equal to what a fresh run would compute.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import pickle
 import random
-import signal
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -50,26 +46,29 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
+from .._lazy import lazy_exports
 from ..config import Design, SimConfig, stable_hash
 from ..errors import (CreditAccountingError, DeadlockError, LivelockError,
                       RunTimeout, SimulationError, SimulationHang,
                       SweepInterrupted)
-from ..faults import FaultPlan
-from ..metrics.spec import MetricsSpec
-from .journal import (SweepJournal, SweepOutcome, completed_outcomes,
-                      decode_outcome, encode_outcome, load_journal, seal,
-                      unseal, write_atomic)
 from ..noc.backend import resolve_backend, select_kernel
-from ..power.model import PowerModel
-from ..trace.spec import TraceSpec
 from ..traffic.parsec import PROFILES
 from ..traffic.spec import TrafficSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     # Describing, keying and looking up a point must not load the
-    # simulator (DESIGN.md section 2): what runs one imports it there.
+    # simulator, nor running one the store (DESIGN.md section 2).
     from ..checkpoint import CheckpointSpec
+    from ..faults import FaultPlan
+    from ..metrics.spec import MetricsSpec
     from ..noc.network import Network
+    from ..trace.spec import TraceSpec
+    from .journal import SweepOutcome
+
+# The store's names, re-exported from the journal on first access.
+_, __getattr__, __dir__ = lazy_exports(globals(), {"journal": (
+    "SweepJournal", "SweepOutcome", "completed_outcomes", "decode_outcome",
+    "encode_outcome", "load_journal", "seal", "unseal", "write_atomic")})
 
 #: Bump when the cache file layout changes; invalidates old entries.
 #: 2: design points gained a ``faults`` field (fault-injection plans).
@@ -262,8 +261,10 @@ def execute_point(point: DesignPoint,
     checkpoint due there.  Without a checkpoint or a timeout the run
     loop gets no per-cycle hook at all.
     """
+    import pickle
     from .. import checkpoint as ck
     from ..noc.network import Network, RunProgress
+    from ..power.model import PowerModel
     deadline = None if timeout is None else time.perf_counter() + timeout
     cfg = point.cfg
     spec = point.checkpoint
@@ -432,6 +433,7 @@ def code_version() -> str:
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
+        import hashlib
         import repro
         pkg = Path(repro.__file__).parent
         digest = hashlib.sha256()
@@ -488,10 +490,11 @@ class ResultCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str,
-            decode: Callable[[Dict[str, Any]], Any] = decode_outcome) -> Any:
+            decode: Optional[Callable[[Dict[str, Any]], Any]] = None) -> Any:
         """The value filed under ``key``, or None.  ``decode`` maps the
-        verified body's dict back to its value (for outcome records:
-        :func:`decode_outcome`)."""
+        verified body's dict back to its value (by default, an outcome
+        record's: :func:`~repro.experiments.journal.decode_outcome`)."""
+        from .journal import decode_outcome, unseal
         path = self.path_for(key)
         try:
             data = json.loads(path.read_text())
@@ -506,7 +509,8 @@ class ResultCache:
         # A record filed under another key's name passes its checksum but
         # answers a different question; a body that is not what was
         # written fails it.
-        value = unseal(data, decode) if data.get("key") == key else None
+        value = unseal(data, decode or decode_outcome) \
+            if data.get("key") == key else None
         return self._quarantine(path) if value is None else value
 
     def _quarantine(self, path: Path) -> None:
@@ -519,14 +523,17 @@ class ResultCache:
         return None
 
     def put(self, key: str, value: Any,
-            encode: Callable[[Any], Dict[str, Any]] = encode_outcome
+            encode: Optional[Callable[[Any], Dict[str, Any]]] = None
             ) -> None:
         """File ``value`` under ``key`` as the dict ``encode`` makes of
-        it (for outcome records: :func:`encode_outcome`)."""
-        self.put_sealed(key, seal(encode(value)))
+        it (by default, an outcome record's:
+        :func:`~repro.experiments.journal.encode_outcome`)."""
+        from .journal import encode_outcome, seal
+        self.put_sealed(key, seal((encode or encode_outcome)(value)))
 
     def put_sealed(self, key: str, sealed: Dict[str, str]) -> None:
         """File what :func:`~repro.experiments.journal.seal` made."""
+        from .journal import write_atomic
         payload = {"format": CACHE_FORMAT, "key": key, **sealed}
         write_atomic(self.path_for(key), json.dumps(
             payload, sort_keys=True, separators=(",", ":")).encode("utf-8"))
@@ -704,6 +711,8 @@ class SweepRunner:
 
     def run(self,
             points: Sequence[DesignPoint]) -> List[Optional[SweepOutcome]]:
+        from .journal import (SweepJournal, completed_outcomes,
+                              encode_outcome, load_journal, seal)
         points = [self._inherit(p) for p in points]
         outcomes: List[Optional[SweepOutcome]] = [None] * len(points)
         journaling = self.journal_path is not None
@@ -862,6 +871,8 @@ class SweepRunner:
         gracefully (raise :class:`SweepInterrupted` at the next safe
         bytecode boundary) and a second one to hard-exit.  Only possible
         from the main thread; elsewhere the default handling stands."""
+        import signal
+        import threading
         if threading.current_thread() is not threading.main_thread():
             return {}
         fired = {"flag": False}
@@ -884,6 +895,7 @@ class SweepRunner:
 
     @staticmethod
     def _restore_signal_handlers(old: Dict[int, Any]) -> None:
+        import signal
         for signum, handler in old.items():
             try:
                 signal.signal(signum, handler)

@@ -106,8 +106,11 @@ def _worker_main(conn) -> None:
     # not), so every module a point can execute in is named: a lease
     # pays for simulating, never for compiling a kernel.
     from .parallel import _guarded_execute
+    from .. import checkpoint, faults  # noqa: F401
     from ..metrics import sampler  # noqa: F401
     from ..noc import bufferless, network, ref, soa  # noqa: F401
+    from ..power import model  # noqa: F401
+    from ..trace import recorder  # noqa: F401
     from ..traffic import synthetic  # noqa: F401
     # What the imports left behind lives as long as the process; taking
     # it out of the collector's sight makes _between_points() cheap.

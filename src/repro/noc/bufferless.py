@@ -31,14 +31,16 @@ takes no fault plan and no metrics sampler.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from ..config import Design, SimConfig
 from ..stats.collector import StatsCollector
-from ..trace.recorder import EventTrace
 from .flit import Flit, Packet
 from .network import Datapath
 from .topology import EAST, NORTH, NUM_PORTS, OPPOSITE, SOUTH, WEST, Mesh
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..trace.recorder import EventTrace
 
 DIRECTIONS = (EAST, WEST, NORTH, SOUTH)
 

@@ -46,15 +46,13 @@ deflection network, which ``Network(cfg)`` builds for
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..config import Design, SimConfig
 from ..core.ring import BypassRing, build_ring
 from ..errors import CreditAccountingError, DeadlockError, LivelockError
-from ..faults import ALL_LINKS, FaultPlan, FaultState, LinkFault
 from ..powergate.controller import (NoPGController, PowerGateController,
                                     PowerState, Transition)
 from ..powergate.conventional import ConvPGController, ConvPGOptController
@@ -63,7 +61,6 @@ from ..routing.adaptive import AdaptiveXYEscape
 from ..routing.ring_escape import NoRDRouting
 from ..stats.collector import RouterActivity, RunResult, StatsCollector
 from ..trace.events import EventKind
-from ..trace.recorder import EventTrace
 from . import activity
 # Kernel selection lives in .backend (importable without this module);
 # every name stays importable from here.
@@ -72,6 +69,10 @@ from .buffer import CREDIT_OVERFLOW
 from .flit import Flit, Packet
 from .ni import NetworkInterface
 from .topology import LOCAL, NUM_PORTS, OPPOSITE, Mesh
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only when a run asks
+    from ..faults import FaultPlan, FaultState, LinkFault
+    from ..trace.recorder import EventTrace
 
 #: ST + LT: cycles between an SA grant (or NI bypass move) and the flit
 #: being written into the downstream buffer/latch.
@@ -330,6 +331,7 @@ class Datapath:
         the remaining cycles byte-identically (the differential oracle in
         tests/test_snapshot_restore.py).
         """
+        import pickle
         return NetworkSnapshot(
             version=SNAPSHOT_VERSION,
             backend=self.backend,
@@ -345,6 +347,7 @@ class Datapath:
             raise ValueError(
                 f"snapshot version {snap.version} is incompatible with "
                 f"this build (expected {SNAPSHOT_VERSION})")
+        import pickle
         return pickle.loads(snap.blob)
 
 
@@ -468,6 +471,7 @@ class Network(Datapath):
         # --- fault injection (repro.faults) ---
         self._faults: Optional[FaultState] = None
         if fault_plan is not None:
+            from ..faults import ALL_LINKS, FaultState
             self._faults = FaultState(fault_plan, self.mesh.num_nodes)
             for fault in fault_plan.link_faults:
                 where = (fault.src, fault.port)  # half-wildcards are no link

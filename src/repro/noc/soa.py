@@ -954,7 +954,8 @@ class SoANetwork(Network):
                 pkt.on_escape = True
             if is_escape:
                 routing.note_escape_hop(node, pkt)
-            elif not routing.is_minimal(node, port, pkt.dst):
+            elif port not in self._rc_cache[
+                    node * self.mesh.num_nodes + pkt.dst][0]:
                 pkt.misroutes += 1
 
     def _rc_node(self, now: int, node: int, cand: List[int]) -> List[int]:
@@ -1066,10 +1067,14 @@ class SoANetwork(Network):
         active_routers = self._active_routers
         trace = self.trace
         # Flits due now (router and NI ring sends of two cycles ago,
-        # aggressive-bypass sends of the last), in link order.
+        # aggressive-bypass sends of the last).  Deliveries on different
+        # links touch disjoint VCs and latches, and one link's are in
+        # send order either way, so only an observer of the order - a
+        # trace's BW events, a fault plan's draws - needs link order.
         due = self._flit_due
         if due:
-            due.sort(key=_link_of)
+            if trace is not None or self._faults is not None:
+                due.sort(key=_link_of)
             if self._faults is not None:
                 due = self._fault_arrivals(due)
             l_dst = self._l_dst

@@ -26,7 +26,6 @@ dropped before the retained window.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
 from pathlib import Path
@@ -173,6 +172,7 @@ class EventTrace:
         the per-kind counts make the nature of a diff legible before
         anyone opens the full JSONL.
         """
+        import hashlib  # OpenSSL: only a digest of a trace loads it
         blob = "\n".join(self.canonical_lines()).encode()
         return {
             "events": len(self._ring),

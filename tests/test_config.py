@@ -156,6 +156,10 @@ class TestEveryPublicNameHasACaller:
                            "tests drive runs with",
         "floyd_warshall": "the dense all-pairs oracle core/placement.py's "
                           "docstring names for its BFS/Dijkstra distances",
+        "WakeupFault": "the value type of FaultPlan.wakeup_faults, which "
+                       "the network applies; the kernel-identity suites "
+                       "and tests/slow_wakeup_sweep.py build them, no flag "
+                       "or experiment does",
     }
     #: Registries that reach a function by its name as a string: the
     #: string argument of a call ``key("name", ...)`` is a use of the
@@ -176,11 +180,34 @@ class TestEveryPublicNameHasACaller:
         return []
 
     @staticmethod
-    def used_names(stmt) -> set:
-        """Every name a statement loads, reads as an attribute or
-        imports."""
-        names = set()
+    def annotations(stmt) -> set:
+        """The ids of the nodes of ``stmt`` that only type-check: its
+        annotations and its ``if TYPE_CHECKING:`` blocks."""
+        roots = []
         for node in ast.walk(stmt):
+            if isinstance(node, ast.arg):
+                roots.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                roots.append(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                roots.append(node.annotation)
+            elif isinstance(node, ast.If) and \
+                    isinstance(node.test, ast.Name) and \
+                    node.test.id == "TYPE_CHECKING":
+                roots.extend(node.body)
+        return {id(n) for root in roots if root is not None
+                for n in ast.walk(root)}
+
+    @classmethod
+    def used_names(cls, stmt) -> tuple:
+        """The names a statement loads, reads as an attribute or
+        imports: those outside :meth:`annotations`, then those inside.
+        A name only annotations mention is called by nothing, unless it
+        is a type alias (:meth:`is_alias`)."""
+        typed = cls.annotations(stmt)
+        used, annotated = set(), set()
+        for node in ast.walk(stmt):
+            names = annotated if id(node) in typed else used
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and \
@@ -188,7 +215,14 @@ class TestEveryPublicNameHasACaller:
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.update(node.name.split("."))
-        return names
+        return used, annotated
+
+    @staticmethod
+    def is_alias(stmt) -> bool:
+        """A type alias (``Cell = Union[str, int]``): a name for
+        annotations, so a use in one is its call."""
+        return isinstance(stmt, ast.Assign) and \
+            isinstance(stmt.value, ast.Subscript)
 
     def by_string(self, tree) -> set:
         """``(module, name)`` for each function a :attr:`BY_STRING`
@@ -205,6 +239,7 @@ class TestEveryPublicNameHasACaller:
         name) named by string)``; a name's use inside its own definition
         is not a call."""
         defined, called, named = {}, set(), set()
+        aliases, annotated = set(), set()
         for directory in self.CALLER_DIRS:
             for path in sorted((self.ROOT / directory).rglob("*.py")):
                 tree = ast.parse(path.read_text())
@@ -212,7 +247,11 @@ class TestEveryPublicNameHasACaller:
                 named |= self.by_string(tree)
                 for stmt in tree.body:
                     own = self.bound_names(stmt)
-                    called |= self.used_names(stmt) - set(own)
+                    used, typed = self.used_names(stmt)
+                    called |= used - set(own)
+                    annotated |= typed
+                    if self.is_alias(stmt):
+                        aliases.update(own)
                     if directory == "src/repro" and \
                             path.name != "__init__.py":
                         for name in own:
@@ -222,6 +261,7 @@ class TestEveryPublicNameHasACaller:
                          for doc in self.CALLER_DOCS)
         called |= {name for name in defined
                    if re.search(rf"\b{re.escape(name)}\b", docs)}
+        called |= aliases & annotated
         return defined, called | {name for _, name in named}, named
 
     def test_every_public_name_has_a_caller(self):

@@ -123,10 +123,10 @@ def test_cached_run_all_loads_no_simulator_module(tmp_path):
             "run-all", "--scale", "smoke", "--jobs", "1", "--seed", "1")
     fill, loaded = child(SUBSET, *argv, cache=tmp_path)
     assert " 0 hits, " in fill[-1] and " 0 misses" not in fill[-1]
-    # (the sampler only ever loads for a run that asks for metrics, the
-    # reference kernel only for a pinned run)
-    assert (set(SIMULATOR) - {"repro.metrics.sampler"} - set(REF_ONLY)
-            <= set(loaded))
+    # (the sampler and the recorder only ever load for a run that asks
+    # for metrics or a trace, the reference kernel only for a pinned run)
+    assert (set(SIMULATOR) - {"repro.metrics.sampler", "repro.trace.recorder"}
+            - set(REF_ONLY) <= set(loaded))
     assert set(MISS_ONLY) <= set(loaded)
 
     cached, loaded = child(SUBSET, *argv, cache=tmp_path)
@@ -157,6 +157,44 @@ def test_default_network_loads_no_reference_module():
     assert (kernel, loaded) == ("SoANetwork", [])
     _, (kernel, loaded) = child(script, "ref")
     assert (kernel, loaded) == ("RefNetwork", sorted(REF_ONLY))
+
+
+#: What building and running a network loads only when the run asks for
+#: it: OpenSSL (cache keys and sealed records hash), the store and the
+#: harness, the fault machinery, the power model, the observers and the
+#: checkpoint writer.
+NOT_ON_RUN = ("hashlib", "_hashlib", "repro.experiments.journal",
+              "repro.experiments.supervisor", "repro.faults",
+              "repro.trace.recorder", "repro.trace.spec", "repro.checkpoint")
+
+
+def test_network_run_loads_only_the_simulator():
+    """The reverse half of the layering: a fault-free, unobserved run of
+    every design on the default kernel - what the kernel benchmarks,
+    ``examples/`` and any in-process user do - loads none of
+    :data:`NOT_ON_RUN`, nor ``repro.power`` or ``repro.metrics``."""
+    script = ("import json, sys\n"
+              "from repro.config import Design, small_config\n"
+              "from repro.experiments import parallel\n"
+              "from repro.noc.network import Network\n"
+              "kernels = []\n"
+              "for design in Design.ALL + (Design.BUFFERLESS,):\n"
+              "    net = Network(small_config(design))\n"
+              "    net.run(parallel.uniform_spec(0.1, seed=1).build(net.mesh),\n"
+              "            warmup=10, measure=50, drain=50)\n"
+              "    kernels.append(type(net).__name__)\n"
+              "loaded = [m for m in sys.modules if m in %r\n"
+              "          or m.split('.')[:2] in (['repro', 'power'],\n"
+              "                                  ['repro', 'metrics'])]\n"
+              "from repro.experiments import journal\n"
+              "print(json.dumps([kernels, sorted(loaded),\n"
+              "                  parallel.seal is journal.seal]))" % (NOT_ON_RUN,))
+    _, (kernels, loaded, reexported) = child(script)
+    assert kernels == ["SoANetwork"] * 4 + ["BufferlessNetwork"]
+    assert loaded == [], (
+        f"a plain network run loaded {loaded}: import them where the run "
+        "that needs them asks for them (DESIGN.md section 2)")
+    assert reexported  # the store's names still resolve on parallel
 
 
 def test_code_version_covers_files_that_were_never_imported():
