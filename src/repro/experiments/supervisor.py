@@ -36,13 +36,12 @@ holding the queue's lock and starves every other worker).
 Determinism: outcomes are keyed by submission index, so the returned
 list is in submission order regardless of scheduling, and each point's
 result is independent of which worker ran it and of what that worker
-ran before (points share no state; the worker collects the finished
-network before taking the next one).
+ran before (points share no state; a finished point's network holds no
+reference cycle, so it is freed as soon as its outcome is sent).
 """
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import threading
@@ -64,16 +63,6 @@ SHUTDOWN_GRACE = 5.0
 #: reported as a crash instead of re-enqueued (guards against a
 #: "poison" point that reliably kills its host).
 MAX_REQUEUES = 2
-
-
-def _between_points() -> None:
-    """Worker clean-up after each point.
-
-    Every finished ``Network`` is a reference cycle; a worker that
-    outlives its sweep would otherwise carry each one until a gen-2
-    pass happens by, and its peak RSS with them.
-    """
-    gc.collect()
 
 
 def _worker_main(conn) -> None:
@@ -112,10 +101,6 @@ def _worker_main(conn) -> None:
     from ..power import model  # noqa: F401
     from ..trace import recorder  # noqa: F401
     from ..traffic import synthetic  # noqa: F401
-    # What the imports left behind lives as long as the process; taking
-    # it out of the collector's sight makes _between_points() cheap.
-    gc.collect()
-    gc.freeze()
     send(("ready",))
     while True:
         try:
@@ -126,7 +111,6 @@ def _worker_main(conn) -> None:
             return
         generation, index, point, timeout = task
         send(("done", generation, index, _guarded_execute(point, timeout)))
-        _between_points()
 
 
 class _Worker:

@@ -1,7 +1,8 @@
 """Virtual-channel input buffers of the reference router.
 
 Each router input port has ``vcs_per_port`` virtual channels; each VC is a
-FIFO of ``buffer_depth`` flits with a small state machine driving the
+FIFO of at most ``buffer_depth`` flits (a plain list: at a few entries,
+popping the front is cheap) with a small state machine driving the
 pipeline:
 
 * ``IDLE``      - empty, no packet allocated,
@@ -19,8 +20,7 @@ and every site that takes or returns a credit raises
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from .flit import Flit
 
@@ -45,7 +45,7 @@ class VirtualChannel:
     def __init__(self, vc_id: int, depth: int) -> None:
         self.vc_id = vc_id
         self.depth = depth
-        self.fifo: Deque[Flit] = deque()
+        self.fifo: List[Flit] = []
         self.state = VCState.IDLE
         #: Output port chosen by route computation (valid in WAITING_VA+).
         self.route_port: Optional[int] = None
@@ -82,7 +82,7 @@ class VirtualChannel:
         self.fifo.append(flit)
 
     def pop(self) -> Flit:
-        return self.fifo.popleft()
+        return self.fifo.pop(0)
 
     def reset_route(self) -> None:
         """Drop routing/allocation state and restart from RC.

@@ -125,7 +125,10 @@ LIVELOCK_LIMIT = 20_000
 #: 11: the stats collector lost its per-cycle idle runs (``_idle_run``);
 #:    the bufferless network feeds idleness edges from its own
 #:    ``_idle_state`` list, as the kernels do.
-SNAPSHOT_VERSION = 11
+#: 12: NIs and reference routers hold no network (the kernel passes
+#:    itself to them), and the bounded queues - VC buffers on both
+#:    kernels, the NI bypass latches - are lists, not deques.
+SNAPSHOT_VERSION = 12
 
 
 @dataclass
@@ -918,7 +921,7 @@ class Network(Datapath):
             if not (nbr == ring.predecessor[node]
                     and OPPOSITE[port] == ring.outport[nbr]):
                 self._gated[nbr * NUM_PORTS + OPPOSITE[port]] = False
-        ni.reset_pending_ring_allocation()
+        ni.reset_pending_ring_allocation(self)
 
     def _restore_pred_credit(self, node: int, vc: int) -> None:
         """Recompute the ring predecessor's credit counter for ``vc`` from

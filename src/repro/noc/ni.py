@@ -39,12 +39,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class NetworkInterface:
-    """One node's NI: injection + ejection + NoRD bypass forwarding."""
+    """One node's NI: injection + ejection + NoRD bypass forwarding.
+
+    The NI keeps no reference to its network: the kernel passes itself
+    (``net``) to every entry point that reaches beyond the NI, so a
+    dropped network is freed by reference counting alone.
+    """
 
     def __init__(self, node: int, cfg: SimConfig, network: "Network") -> None:
         self.node = node
         self.cfg = cfg
-        self.network = network
         vcs = cfg.noc.vcs_per_port
         self._vcs = vcs
         self._escape_vcs = cfg.escape_vcs
@@ -64,7 +68,9 @@ class NetworkInterface:
         #: Per-VC bypass buffering (``bypass_depth`` flits): the NI bypass
         #: latch, the NI forwarding stage and the router's non-gated output
         #: buffer (Figure 4(b)(c) - each bypass pipeline stage holds a flit).
-        self.latch: List[Deque[Flit]] = [deque() for _ in range(vcs)]
+        #: A bounded queue, so a plain list (``latch_write`` checks the
+        #: bound); the unbounded ``inject_queue`` stays a deque.
+        self.latch: List[List[Flit]] = [[] for _ in range(vcs)]
         self._latch_depth = cfg.pg.bypass_depth
         #: Flits held over all latch VCs (``latch_write`` / ``latch_pop``
         #: are the only ways in and out).
@@ -110,7 +116,7 @@ class NetworkInterface:
         for flit in packet.make_flits():
             self.inject_queue.append(flit)
 
-    def latch_write(self, vc_id: int, flit: Flit) -> None:
+    def latch_write(self, net: "Network", vc_id: int, flit: Flit) -> None:
         """Stage 1 of the bypass: LT delivers into the bypass latch."""
         if len(self.latch[vc_id]) >= self._latch_depth:
             raise RuntimeError(
@@ -118,17 +124,17 @@ class NetworkInterface:
         self.latch[vc_id].append(flit)
         self._latched += 1
         self.n_latch_writes += 1
-        trace = self.network.trace
+        trace = net.trace
         if trace is not None:
-            trace.record(self.network.now, EventKind.LATCH, self.node,
+            trace.record(net.now, EventKind.LATCH, self.node,
                          vc=vc_id, pid=flit.packet.pid, flit=flit.index)
-        self.network.note_ni_latched(self.node)
+        net.note_ni_latched(self.node)
 
     def latch_pop(self, vc_id: int) -> Flit:
         """Take the oldest flit of latch ``vc_id``: bypass ejection,
         forwarding and the wake-up hand-over all leave through here."""
         self._latched -= 1
-        return self.latch[vc_id].popleft()
+        return self.latch[vc_id].pop(0)
 
     @property
     def latches_empty(self) -> bool:
@@ -141,22 +147,22 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     # per-cycle processing
     # ------------------------------------------------------------------
-    def process(self, now: int) -> None:
+    def process(self, net: "Network", now: int) -> None:
         design = self.cfg.design
         if design == Design.NORD:
             if self._latched:  # an arbiter round with no request is a no-op
-                self._process_eject_bypass(now)
-            self._process_out_path(now)
+                self._process_eject_bypass(net, now)
+            self._process_out_path(net, now)
         else:
             # Conventional designs: the NI can only inject when the router
             # is powered on (the disconnection problem, Section 3.4).
             if self._ctrl.state == PowerState.ON:
-                self._try_inject_router(now, commit=True)
+                self._try_inject_router(net, now, commit=True)
             else:
                 self.inj_wait = 0
 
     # -- bypass ejection ------------------------------------------------
-    def _process_eject_bypass(self, now: int) -> None:
+    def _process_eject_bypass(self, net: "Network", now: int) -> None:
         """Sink at most one latch flit destined to the local node."""
         latch = self.latch
         candidates = [v for v in range(self._vcs)
@@ -165,20 +171,19 @@ class NetworkInterface:
         if choice is None:
             return
         flit = self.latch_pop(choice)
-        self.network.credit_upstream(self.node, self._ring_in, choice, now)
+        net.credit_upstream(self.node, self._ring_in, choice, now)
         if flit.is_tail:
-            self.network.release_upstream_owner(self.node, self._ring_in,
-                                                choice)
+            net.release_upstream_owner(self.node, self._ring_in, choice)
             self.eject_mid.discard(choice)
             if choice in self.lingering:
-                self.network.finish_lingering(self.node, choice)
+                net.finish_lingering(self.node, choice)
         elif flit.is_head:
             self.eject_mid.add(choice)
         self.n_ejected_flits += 1
-        self.network.sink_flit(self.node, flit, now, via_bypass=True)
+        net.sink_flit(self.node, flit, now, via_bypass=True)
 
     # -- shared output path (forwarding + injection) ---------------------
-    def _process_out_path(self, now: int) -> None:
+    def _process_out_path(self, net: "Network", now: int) -> None:
         # NoRD only: the bypass carries traffic while the router is OFF
         # or still WAKING (Section 4.3).
         router_on = self._ctrl.state == PowerState.ON
@@ -198,7 +203,7 @@ class NetworkInterface:
             if not (bypassing or v in self.lingering):
                 continue
             wanting += 1
-            plan = self._plan_forward(v, flit)
+            plan = self._plan_forward(net, v, flit)
             if plan is not None:
                 movable.append(v)
                 moves[v] = plan
@@ -206,9 +211,9 @@ class NetworkInterface:
         if self.inject_queue:
             wanting += 1
             if self.inj_path == "router" or (self.inj_path is None and router_on):
-                inj_plan = self._try_inject_router(now, commit=False)
+                inj_plan = self._try_inject_router(net, now, commit=False)
             elif self.inj_path == "ring" or (self.inj_path is None and bypassing):
-                inj_plan = self._plan_inject_ring()
+                inj_plan = self._plan_inject_ring(net)
             if inj_plan is not None:
                 movable.append(self._vcs)
                 moves[self._vcs] = inj_plan
@@ -235,7 +240,7 @@ class NetworkInterface:
         else:
             choice = self._out_arb.grant_from(movable)
         if choice == self._vcs:
-            self._commit_injection(moves[choice], now)
+            self._commit_injection(net, moves[choice], now)
             self.inj_starve = 0
         else:
             # Aggressive bypass (Section 6.8): with no local injection and
@@ -243,7 +248,7 @@ class NetworkInterface:
             # to the Bypass Outport and the hop completes one cycle sooner.
             fast = (self.cfg.pg.aggressive_bypass
                     and not self.inject_queue and len(movable) == 1)
-            self._commit_forward(choice, moves[choice], now, fast=fast)
+            self._commit_forward(net, choice, moves[choice], now, fast=fast)
             if self.inject_queue:
                 self.inj_starve += 1
                 self.inj_wait += 1
@@ -251,7 +256,8 @@ class NetworkInterface:
     # -- forwarding plans -------------------------------------------------
     # Every plan, forward or injection, is one shape:
     # ``(path, out_vc, newly_allocated, went_escape)``.
-    def _plan_forward(self, vc_id: int, flit: Flit) -> Optional[tuple]:
+    def _plan_forward(self, net: "Network", vc_id: int,
+                      flit: Flit) -> Optional[tuple]:
         """Check whether latch flit ``vc_id`` can move this cycle; the
         plan (path ``"ring"``) or None."""
         credit, c0 = self._credit, self._ring_c
@@ -264,20 +270,20 @@ class NetworkInterface:
         owner = self._ring_owner
         pkt = flit.packet
         wait = self.bypass_wait.get(vc_id, 0)
-        force = pkt.on_escape or self.network.routing.must_escape(pkt)
+        force = pkt.on_escape or net.routing.must_escape(pkt)
         if not force:
             for v in range(self._escape_vcs, self._vcs):
                 if owner[v] is None and credit[c0 + v] > 0:
                     return ("ring", v, True, False)
         if force or wait >= ESCAPE_PATIENCE:
-            ev = self.network.routing.escape_vc_for_hop(self.node, pkt)
+            ev = net.routing.escape_vc_for_hop(self.node, pkt)
             if owner[ev] is None and credit[c0 + ev] > 0:
                 return ("ring", ev, True, True)
         self.bypass_wait[vc_id] = wait + 1
         return None
 
-    def _commit_forward(self, vc_id: int, plan: tuple, now: int, *,
-                        fast: bool = False) -> None:
+    def _commit_forward(self, net: "Network", vc_id: int, plan: tuple,
+                        now: int, *, fast: bool = False) -> None:
         _, out_vc, newly_allocated, went_escape = plan
         flit = self.latch_pop(vc_id)
         ring_port = self._ring_out
@@ -289,7 +295,7 @@ class NetworkInterface:
             if went_escape:
                 pkt.on_escape = True
             if went_escape or pkt.on_escape:
-                self.network.routing.note_escape_hop(self.node, pkt)
+                net.routing.note_escape_hop(self.node, pkt)
             # A hop out of an off router's bypass is forced (no routing
             # decision is made), so it does not burn the misroute budget;
             # misroutes are only counted at powered-on routers
@@ -301,29 +307,28 @@ class NetworkInterface:
             raise RuntimeError(CREDIT_UNDERFLOW)
         self._credit[c] -= 1
         # Free the latch slot: return the credit to the ring predecessor.
-        self.network.credit_upstream(self.node, self._ring_in, vc_id, now)
+        net.credit_upstream(self.node, self._ring_in, vc_id, now)
         if flit.is_tail:
-            self.network.release_upstream_owner(self.node, self._ring_in,
-                                                vc_id)
+            net.release_upstream_owner(self.node, self._ring_in, vc_id)
             del self.bypass_alloc[vc_id]
             if vc_id in self.lingering:
-                self.network.finish_lingering(self.node, vc_id)
+                net.finish_lingering(self.node, vc_id)
         self.n_bypass_forwards += 1
-        trace = self.network.trace
+        trace = net.trace
         if trace is not None:
             trace.record(now, EventKind.FWD, self.node, port=ring_port,
                          vc=out_vc, pid=pkt.pid, flit=flit.index,
                          info=1 if fast else 0)
-        metrics = self.network.metrics
+        metrics = net.metrics
         if metrics is not None:
             metrics.on_bypass_forward(self.node)
         if self._ctrl.state == PowerState.ON:
-            self.network.mark_ni_port_used(self.node, ring_port)
-        self.network.send_flit(self.node, ring_port, flit, out_vc, now,
-                               fast=fast)
+            net.mark_ni_port_used(self.node, ring_port)
+        net.send_flit(self.node, ring_port, flit, out_vc, now, fast=fast)
 
     # -- injection plans ----------------------------------------------------
-    def _try_inject_router(self, now: int, *, commit: bool) -> Optional[tuple]:
+    def _try_inject_router(self, net: "Network", now: int, *,
+                           commit: bool) -> Optional[tuple]:
         """Plan (and optionally commit) injecting into the router's LOCAL
         input port.  Returns the plan when movable and ``commit`` is False.
         """
@@ -349,10 +354,10 @@ class NetworkInterface:
                 return None
             plan = ("router", out_vc, True, False)
         if commit:
-            self._commit_injection(plan, now)
+            self._commit_injection(net, plan, now)
         return plan
 
-    def _plan_inject_ring(self) -> Optional[tuple]:
+    def _plan_inject_ring(self, net: "Network") -> Optional[tuple]:
         """Plan injecting via the Bypass Outport (router off)."""
         flit = self.inject_queue[0]
         credit, c0 = self._credit, self._ring_c
@@ -365,19 +370,20 @@ class NetworkInterface:
             raise RuntimeError("mid-packet flit without injection path")
         owner = self._ring_owner
         pkt = flit.packet
-        force = pkt.on_escape or self.network.routing.must_escape(pkt)
+        force = pkt.on_escape or net.routing.must_escape(pkt)
         if not force:
             for v in range(self._escape_vcs, self._vcs):
                 if owner[v] is None and credit[c0 + v] > 0:
                     return ("ring", v, True, False)
         if force or self.inj_wait >= ESCAPE_PATIENCE:
-            ev = self.network.routing.escape_vc_for_hop(self.node, pkt)
+            ev = net.routing.escape_vc_for_hop(self.node, pkt)
             if owner[ev] is None and credit[c0 + ev] > 0:
                 return ("ring", ev, True, True)
         self.inj_wait += 1
         return None
 
-    def _commit_injection(self, plan: tuple, now: int) -> None:
+    def _commit_injection(self, net: "Network", plan: tuple,
+                          now: int) -> None:
         path, out_vc, newly_allocated, went_escape = plan
         flit = self.inject_queue.popleft()
         pkt = flit.packet
@@ -393,7 +399,7 @@ class NetworkInterface:
             if self.local_credit[out_vc] <= 0:
                 raise RuntimeError(CREDIT_UNDERFLOW)
             self.local_credit[out_vc] -= 1
-            self.network.send_inject(self.node, flit, out_vc, now)
+            net.send_inject(self.node, flit, out_vc, now)
         else:
             ring_port = self._ring_out
             if newly_allocated:
@@ -401,24 +407,24 @@ class NetworkInterface:
                 if went_escape:
                     pkt.on_escape = True
                 if went_escape or pkt.on_escape:
-                    self.network.routing.note_escape_hop(self.node, pkt)
-                elif not self.network.routing.is_minimal(
-                        self.node, ring_port, pkt.dst):
+                    net.routing.note_escape_hop(self.node, pkt)
+                elif not net.routing.is_minimal(self.node, ring_port,
+                                                pkt.dst):
                     pkt.misroutes += 1
             c = self._ring_c + out_vc
             if self._credit[c] <= 0:
                 raise RuntimeError(CREDIT_UNDERFLOW)
             self._credit[c] -= 1
             if self._ctrl.state == PowerState.ON:
-                self.network.mark_ni_port_used(self.node, ring_port)
-            self.network.send_flit(self.node, ring_port, flit, out_vc, now)
-        trace = self.network.trace
+                net.mark_ni_port_used(self.node, ring_port)
+            net.send_flit(self.node, ring_port, flit, out_vc, now)
+        trace = net.trace
         if trace is not None:
             trace.record(now, EventKind.INJ, self.node,
                          port=-1 if path == "router" else ring_port,
                          vc=out_vc, pid=pkt.pid, flit=flit.index,
                          info=0 if path == "router" else 1)
-        metrics = self.network.metrics
+        metrics = net.metrics
         if metrics is not None:
             metrics.on_inject(self.node, path)
         self.inj_sent += 1
@@ -441,11 +447,11 @@ class NetworkInterface:
             self.inj_out_vc = None
             self.inj_wait = 0
 
-    def reset_pending_ring_allocation(self) -> None:
+    def reset_pending_ring_allocation(self, net: "Network") -> None:
         """Symmetric reset when the router wakes before the head went out."""
         if self.inj_path == "ring" and self.inj_sent == 0:
             self._ring_owner[self.inj_out_vc] = None
-            self.network.owner_released(self.node, self._ring_out)
+            net.owner_released(self.node, self._ring_out)
             self.inj_path = None
             self.inj_out_vc = None
             self.inj_wait = 0

@@ -51,27 +51,6 @@ class RefNetwork(Network):
         ]
 
     # ------------------------------------------------------------------
-    # views used by the routing functions (through Router)
-    # ------------------------------------------------------------------
-    def neighbor_awake(self, node: int, port: int) -> bool:
-        nbr = self.mesh.neighbor(node, port)
-        if nbr is None:
-            return False
-        return self.router_on(nbr)
-
-    def port_usable(self, node: int, port: int) -> bool:
-        """NoRD reachability: an off router is enterable only through its
-        Bypass Inport (Section 4.2)."""
-        if port == LOCAL:
-            return True
-        nbr = self.mesh.neighbor(node, port)
-        if nbr is None:
-            return False
-        if self.router_on(nbr):
-            return True
-        return (self.ring is not None and self.ring.successor[node] == nbr)
-
-    # ------------------------------------------------------------------
     # datapath services used by routers and NIs
     # ------------------------------------------------------------------
     def send_flit(self, node: int, out_port: int, flit: Flit, out_vc: int,
@@ -139,7 +118,7 @@ class RefNetwork(Network):
         for used in self._ports_used:
             used.clear()
         for ni in self.nis:
-            ni.process(now)
+            ni.process(self, now)
 
     # ------------------------------------------------------------------
     # phase 4: router pipelines (only powered-on routers).  The canonical
@@ -155,13 +134,13 @@ class RefNetwork(Network):
         for node, router in enumerate(self.routers):
             if controllers[node].state == on:
                 if speculative:
-                    router.stage_rc(now)
-                    router.stage_va(now)
-                    router.stage_sa(now)
+                    router.stage_rc(self, now)
+                    router.stage_va(self, now)
+                    router.stage_sa(self, now)
                 else:
-                    router.stage_sa(now)
-                    router.stage_va(now)
-                    router.stage_rc(now)
+                    router.stage_sa(self, now)
+                    router.stage_va(self, now)
+                    router.stage_rc(self, now)
 
     # ------------------------------------------------------------------
     # phase 5: flit delivery
@@ -188,7 +167,7 @@ class RefNetwork(Network):
         if not self.router_on(node):
             raise RuntimeError(
                 f"injected flit delivered to off router {node}")
-        self.routers[node].deliver(LOCAL, vc, flit)
+        self.routers[node].deliver(self, LOCAL, vc, flit)
 
     def _deliver_eject(self, node: int, vc: int, flit: Flit,
                        now: int) -> None:
@@ -201,19 +180,19 @@ class RefNetwork(Network):
         ni = self.nis[node]
         if (self.ring is not None and in_port == self.ring.inport[node]
                 and (not self.router_on(node) or vc in ni.lingering)):
-            ni.latch_write(vc, flit)
+            ni.latch_write(self, vc, flit)
             return
         if not self.router_on(node):
             raise RuntimeError(
                 f"flit delivered to off router {node} port {in_port}: "
                 "power-gating handshake violated")
-        self.routers[node].deliver(in_port, vc, flit)
+        self.routers[node].deliver(self, in_port, vc, flit)
 
     def _deliver_flit(self, node: int, in_port: int, vc: int,
                       flit: Flit) -> None:
         """Write ``flit`` into input VC ``(in_port, vc)`` of ``node``'s
         powered-on router (the wake-up hand-over of latched flits)."""
-        self.routers[node].deliver(in_port, vc, flit)
+        self.routers[node].deliver(self, in_port, vc, flit)
 
     # ------------------------------------------------------------------
     # phase 6: power gating

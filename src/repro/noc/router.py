@@ -9,7 +9,8 @@ hop through a powered-on router.
 The router belongs to the reference kernel
 (:class:`repro.noc.ref.RefNetwork`), which invokes the stages in reverse
 order (SA, VA, RC) each cycle so that a flit advances at most one stage
-per cycle.  All power-gating behaviour
+per cycle, passing itself (``net``) to every stage: a router keeps no
+reference to its network.  All power-gating behaviour
 (PG/WU/IC handshakes, credit adjustments, pipeline restarts) is driven by
 the network, which has the global view a real design distributes across
 controllers.
@@ -20,6 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import SimConfig
+from ..powergate.controller import PowerState
 from ..routing.base import ESCAPE_PATIENCE
 from ..trace.events import EventKind
 from .arbiter import AllocatorPool, RoundRobinArbiter
@@ -46,7 +48,10 @@ class Router:
         self.node = node
         self.cfg = cfg
         self.mesh = mesh
-        self.network = network
+        # What the routing function's view reads: the power states and
+        # the Bypass Ring (NoRD) - not the network itself.
+        self._controllers = network.controllers
+        self._ring = network.ring
         vcs = cfg.noc.vcs_per_port
         depth = cfg.noc.buffer_depth
         self.in_ports: List[InputPort] = [
@@ -78,11 +83,18 @@ class Router:
     # views used by routing functions
     # ------------------------------------------------------------------
     def port_usable(self, port: int) -> bool:
-        """NoRD usability: awake neighbor, or the neighbor's Bypass Inport."""
-        return self.network.port_usable(self.node, port)
+        """NoRD reachability: an awake neighbor, or an off one entered
+        through its Bypass Inport (Section 4.2)."""
+        if port == LOCAL or self.neighbor_awake(port):
+            return True
+        node, ring = self.node, self._ring
+        return (ring is not None
+                and ring.successor[node] == self.mesh.neighbor(node, port))
 
     def neighbor_awake(self, port: int) -> bool:
-        return self.network.neighbor_awake(self.node, port)
+        nbr = self.mesh.neighbor(self.node, port)
+        return (nbr is not None
+                and self._controllers[nbr].state == PowerState.ON)
 
     def port_failed(self, port: int) -> bool:
         """Whether the downstream router on ``port`` is hard-failed."""
@@ -101,20 +113,21 @@ class Router:
         """
         return not self._occupied
 
-    def deliver(self, in_port: int, vc_id: int, flit: Flit) -> None:
+    def deliver(self, net: "Network", in_port: int, vc_id: int,
+                flit: Flit) -> None:
         """LT completion: write an arriving flit into its input VC."""
         if flit.packet.failed:
             # Straggler of a packet already dropped at a hard-failed
             # router: discard it, return the credit, and release the
             # upstream VC on the tail so the wormhole unwinds cleanly.
-            self.network.fault_discard_flit(self.node, in_port, vc_id, flit)
+            net.fault_discard_flit(self.node, in_port, vc_id, flit)
             return
         vc = self.in_ports[in_port].vcs[vc_id]
         vc.push(flit)
         self._nbw[self.node] += 1
-        trace = self.network.trace
+        trace = net.trace
         if trace is not None:
-            trace.record(self.network.now, EventKind.BW, self.node,
+            trace.record(net.now, EventKind.BW, self.node,
                          port=in_port, vc=vc_id, pid=flit.packet.pid,
                          flit=flit.index)
         if vc.state == VCState.IDLE:
@@ -128,7 +141,7 @@ class Router:
     # ------------------------------------------------------------------
     # pipeline stages (invoked by the network each cycle, SA -> VA -> RC)
     # ------------------------------------------------------------------
-    def stage_sa(self, now: int) -> None:
+    def stage_sa(self, net: "Network", now: int) -> None:
         """Switch allocation + switch traversal launch."""
         o0 = self._o0
         gated, credit = self._gated, self._credit
@@ -160,12 +173,12 @@ class Router:
                     # stalled request asserts WU toward the sleeping router.
                     pkt = vc.fifo[0].packet
                     pkt.wakeup_stall_cycles += 1
-                    trace = self.network.trace
+                    trace = net.trace
                     if trace is not None:
                         trace.record(now, EventKind.WU_STALL, self.node,
                                      port=route, vc=vc.vc_id, pid=pkt.pid,
                                      flit=0)
-                    self.network.wake_request(self.node, route)
+                    net.wake_request(self.node, route)
                     continue
                 if route in self._ports_used:
                     continue  # physical port taken by lingering bypass
@@ -181,7 +194,7 @@ class Router:
                 last_nominated = p
         if drops is not None:
             for p, vc in drops:
-                self._drop_failed_packet(p, vc)
+                self._drop_failed_packet(net, p, vc)
         if nominees is None:
             return
         if n_nominated == 1:
@@ -189,7 +202,7 @@ class Router:
             # arbitration unopposed (the grant still rotates priority).
             vc = nominees[last_nominated]
             self._sa_out_arb[vc.route_port].grant_from([last_nominated])
-            self._traverse(vc, last_nominated, now)
+            self._traverse(net, vc, last_nominated, now)
             return
         # Output arbitration among nominated input ports.
         by_output: List[List[int]] = [[] for _ in range(NUM_PORTS)]
@@ -202,9 +215,9 @@ class Router:
                 continue
             winner_port = self._sa_out_arb[out_port].grant_from(reqs)
             vc = nominees[winner_port]
-            self._traverse(vc, winner_port, now)
+            self._traverse(net, vc, winner_port, now)
 
-    def _drop_failed_packet(self, in_port: int,
+    def _drop_failed_packet(self, net: "Network", in_port: int,
                             vc: VirtualChannel) -> None:
         """Discard a packet routed toward a hard-failed router.
 
@@ -220,21 +233,21 @@ class Router:
         # crossed, so the downstream buffer never saw it).
         self._owner[self._o0 + vc.route_port][vc.out_vc] = None
         while vc.fifo:
-            self.network.fault_discard_flit(self.node, in_port, vc.vc_id,
-                                            vc.pop())
+            net.fault_discard_flit(self.node, in_port, vc.vc_id, vc.pop())
         vc.reset_route()
         vc.state = VCState.IDLE
         self._occupied -= 1
-        self.network._faults.on_packet_killed(self.network, pkt)
+        net._faults.on_packet_killed(net, pkt)
 
-    def _traverse(self, vc: VirtualChannel, in_port: int, now: int) -> None:
+    def _traverse(self, net: "Network", vc: VirtualChannel, in_port: int,
+                  now: int) -> None:
         """Pop the flit, cross the switch, and launch link traversal."""
         flit = vc.pop()
         # every SA grant is one buffer read and one crossbar traversal
         self._nsa[self.node] += 1
         out_port = vc.route_port
         out_vc = vc.out_vc
-        trace = self.network.trace
+        trace = net.trace
         if trace is not None:
             trace.record(now, EventKind.SA, self.node, port=out_port,
                          vc=out_vc, pid=flit.packet.pid, flit=flit.index)
@@ -245,19 +258,19 @@ class Router:
             self._credit[c] -= 1
         vc.flits_sent += 1
         # Return a credit for the freed buffer slot to the upstream hop.
-        self.network.credit_upstream(self.node, in_port, vc.vc_id, now)
-        self.network.send_flit(self.node, out_port, flit, out_vc, now)
+        net.credit_upstream(self.node, in_port, vc.vc_id, now)
+        net.send_flit(self.node, out_port, flit, out_vc, now)
         if flit.is_tail:
             # The packet has fully left this router: free the input VC and
             # tell the upstream hop its VC here is reusable.
-            self.network.release_upstream_owner(self.node, in_port, vc.vc_id)
+            net.release_upstream_owner(self.node, in_port, vc.vc_id)
             if vc.fifo:
                 raise RuntimeError("flits behind a tail in an allocated VC")
             vc.reset_route()
             vc.state = VCState.IDLE
             self._occupied -= 1
 
-    def stage_va(self, now: int) -> None:
+    def stage_va(self, net: "Network", now: int) -> None:
         """VC allocation for VCs that completed route computation."""
         vcs_per_port = self.cfg.noc.vcs_per_port
         escape_vcs = self.cfg.escape_vcs
@@ -271,7 +284,8 @@ class Router:
                 if vc.state != VCState.WAITING_VA:
                     continue
                 rid = p * vcs_per_port + vc.vc_id
-                cands = self._va_candidates(vc, escape_vcs, vcs_per_port)
+                cands = self._va_candidates(net, vc, escape_vcs,
+                                            vcs_per_port)
                 if not cands:
                     vc.va_wait += 1
                     continue
@@ -294,13 +308,14 @@ class Router:
             vc = waiting[rid]
             for res, is_escape, port in prefs[rid]:
                 if res in resources:
-                    self._commit_va(vc, res, is_escape, port)
+                    self._commit_va(net, vc, res, is_escape, port)
                     break
         for rid, vc in waiting.items():
             if vc.state == VCState.WAITING_VA:
                 vc.va_wait += 1
 
-    def _va_candidates(self, vc: VirtualChannel, escape_vcs: int,
+    def _va_candidates(self, net: "Network", vc: VirtualChannel,
+                       escape_vcs: int,
                        vcs_per_port: int) -> List[Tuple[int, bool, int]]:
         """Build the (resource, is_escape, port) request list for one VC."""
         pkt = vc.fifo[0].packet
@@ -324,13 +339,13 @@ class Router:
                             cands.append((port * vcs_per_port + v, True, port))
                             break
                 else:
-                    ev = self.network.routing.escape_vc_for_hop(self.node, pkt)
+                    ev = net.routing.escape_vc_for_hop(self.node, pkt)
                     if own[ev] is None:
                         cands.append((port * vcs_per_port + ev, True, port))
         return cands
 
-    def _commit_va(self, vc: VirtualChannel, resource: int, is_escape: bool,
-                   port: int) -> None:
+    def _commit_va(self, net: "Network", vc: VirtualChannel, resource: int,
+                   is_escape: bool, port: int) -> None:
         vcs_per_port = self.cfg.noc.vcs_per_port
         out_vc = resource % vcs_per_port
         pkt = vc.fifo[0].packet
@@ -341,13 +356,13 @@ class Router:
         vc.flits_sent = 0
         self._owner[self._o0 + port][out_vc] = pkt.pid
         self._nva[self.node] += 1
-        trace = self.network.trace
+        trace = net.trace
         if trace is not None:
-            trace.record(self.network.now, EventKind.VA, self.node,
+            trace.record(net.now, EventKind.VA, self.node,
                          port=port, vc=out_vc, pid=pkt.pid, flit=0,
                          info=1 if is_escape else 0)
         if port != LOCAL:
-            routing = self.network.routing
+            routing = net.routing
             if is_escape and not pkt.on_escape:
                 pkt.on_escape = True
             if is_escape:
@@ -355,9 +370,9 @@ class Router:
             elif not routing.is_minimal(self.node, port, pkt.dst):
                 pkt.misroutes += 1
 
-    def stage_rc(self, now: int) -> None:
+    def stage_rc(self, net: "Network", now: int) -> None:
         """Route computation for newly arrived head flits."""
-        routing = self.network.routing
+        routing = net.routing
         for p, port in enumerate(self.in_ports):
             for vc in port.vcs:
                 if vc.state != VCState.ROUTING:
@@ -372,14 +387,15 @@ class Router:
                 vc.force_escape = choice.force_escape
                 vc.state = VCState.WAITING_VA
                 vc.va_wait = 0
-                trace = self.network.trace
+                trace = net.trace
                 if trace is not None:
                     trace.record(now, EventKind.RC, self.node, port=p,
                                  vc=vc.vc_id, pid=pkt.pid, flit=0)
-                if self.network.early_wakeup:
-                    self._early_wakeup(vc, pkt)
+                if net.early_wakeup:
+                    self._early_wakeup(net, vc, pkt)
 
-    def _early_wakeup(self, vc: VirtualChannel, pkt) -> None:
+    def _early_wakeup(self, net: "Network", vc: VirtualChannel,
+                      pkt) -> None:
         """Conv_PG_OPT: assert WU as soon as the output port is computed."""
         if pkt.on_escape or vc.force_escape:
             targets = [vc.escape_port]
@@ -388,7 +404,7 @@ class Router:
         for port in targets:
             if (port is not None and port != LOCAL
                     and self._gated[self._o0 + port]):
-                self.network.wake_request(self.node, port)
+                net.wake_request(self.node, port)
 
     # ------------------------------------------------------------------
     # power-gating support

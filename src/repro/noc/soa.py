@@ -53,8 +53,11 @@ are no link objects either: every channel is a mailbox (below).
 Buffered flits are packed as ints, ``word = index << 2 | tail << 1 |
 head``, carried next to their ``Packet`` (the identity of a packet -
 pid, latency timestamps - stays an object; everything per-flit is a
-machine word).  Network interfaces, power-gate controllers, traffic and
-stats are reused unchanged.
+machine word), in one plain list per VC: a buffer holds at most
+``buffer_depth`` entries, so popping its front is cheap and an empty
+one costs a list header.  Network interfaces, power-gate controllers,
+traffic and stats are reused unchanged; none of them stores the kernel,
+which passes itself to the NIs' entry points.
 
 Commit paths
 ------------
@@ -84,7 +87,6 @@ tables built in ``_build_datapath``.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -150,7 +152,8 @@ class SoANetwork(Network):
         self._busy: set = set()
         # -- per-VC state -------------------------------------------------
         self._st: List[int] = [_IDLE] * nf
-        self._fifo: List[deque] = [deque() for _ in range(nf)]
+        #: per-VC buffered (word, packet) pairs, at most ``_depth``
+        self._fifo: List[List[tuple]] = [[] for _ in range(nf)]
         self._route: List[Optional[int]] = [None] * nf
         self._outvc: List[Optional[int]] = [None] * nf
         #: flat output port and credit counter granted by VA
@@ -352,13 +355,13 @@ class SoANetwork(Network):
             self.fault_discard_flit(node, in_port, v, flit)
             return
         f = (node * NUM_PORTS + in_port) * self._V + v
-        dq = self._fifo[f]
-        if len(dq) >= self._depth:
+        buf = self._fifo[f]
+        if len(buf) >= self._depth:
             raise OverflowError(
                 f"VC {v} overflow (depth {self._depth}): credit "
                 "protocol violated")
         word = _word_of(flit)
-        dq.append((word, flit.packet))
+        buf.append((word, flit.packet))
         self._nbw[node] += 1
         if self.trace is not None:
             self.trace.record(self.now, EventKind.BW, node, in_port, v,
@@ -427,7 +430,7 @@ class SoANetwork(Network):
         self._ni_ran = ran = active.sorted()
         for node in ran:
             ni = self.nis[node]
-            ni.process(now)
+            ni.process(self, now)
             if not ni.inject_queue and ni.latches_empty:
                 # No queued or latched flit left: process() is a pure
                 # no-op until inject_packet()/latch_write() re-adds us.
@@ -586,7 +589,7 @@ class SoANetwork(Network):
             # readers, ``_rc_node`` for WAITING_VA readers).
             for f in won:
                 fifo_f = fifo[f]
-                word, pkt = fifo_f.popleft()
+                word, pkt = fifo_f.pop(0)
                 nsa[node] += 1
                 route = route_l[f]
                 if trace is not None:
@@ -772,7 +775,7 @@ class SoANetwork(Network):
         self._owner[o][self._outvc[f]] = None
         self._unpark(o)
         while fifo_f:
-            word, _ = fifo_f.popleft()
+            word, _ = fifo_f.pop(0)
             self.fault_discard_flit(node, self._inport[f], self._vcid[f],
                                     _make_flit(word, pkt))
         self._reset_route(f, node)
@@ -1085,7 +1088,7 @@ class SoANetwork(Network):
                 router_on = controllers[dst].state == on
                 if l_ring[lid] and (not router_on
                                     or vc in nis[dst].lingering):
-                    nis[dst].latch_write(vc, _make_flit(word, pkt))
+                    nis[dst].latch_write(self, vc, _make_flit(word, pkt))
                     continue
                 if not router_on:
                     raise RuntimeError(
@@ -1093,12 +1096,12 @@ class SoANetwork(Network):
                         f"{OPPOSITE[lid % NUM_PORTS]}: power-gating "
                         "handshake violated")
                 f = l_base[lid] + vc
-                dq = fifo[f]
-                if len(dq) >= depth:
+                buf = fifo[f]
+                if len(buf) >= depth:
                     raise OverflowError(
                         f"VC {vc} overflow (depth {depth}): credit "
                         "protocol violated")
-                dq.append((word, pkt))
+                buf.append((word, pkt))
                 nbw[dst] += 1
                 if trace is not None:
                     trace.record(now, EventKind.BW, dst,

@@ -244,10 +244,10 @@ class TestOutputPort:
             ni, flit = _ni_with_flit(net)
             ni.inject_queue.append(flit)
             first = net.cfg.escape_vcs
-            assert ni._plan_inject_ring() == ("ring", first, True, False)
+            assert ni._plan_inject_ring(net) == ("ring", first, True, False)
             net._owner[ni.node * NUM_PORTS + ni._ring_out][first] = 77
-            assert ni._plan_inject_ring() == ("ring", first + 1, True,
-                                              False)
+            assert ni._plan_inject_ring(net) == ("ring", first + 1, True,
+                                                 False)
 
     def test_idle_tracks_ownership(self):
         """VA writes the packet id as owner of the granted VC; the tail
@@ -301,13 +301,13 @@ def _underflow_sites(backend):
     if backend == "ref":
         net, (p, vc) = _starved_active_vc(backend)
         yield "router traversal", (
-            lambda: net.routers[0]._traverse(vc, p, net.now))
+            lambda: net.routers[0]._traverse(net, vc, p, net.now))
     net = _net(Design.NORD, backend)
     ni, flit = _ni_with_flit(net)
-    ni.latch_write(2, flit)
+    ni.latch_write(net, 2, flit)
     net._credit[ni._ring_c + 2] = 0
     yield "NI ring forward", lambda: ni._commit_forward(
-        2, ("ring", 2, True, False), net.now)
+        net, 2, ("ring", 2, True, False), net.now)
     for path, vc in (("ring", 3), ("router", 1)):
         net = _net(Design.NORD, backend)
         ni, flit = _ni_with_flit(net)
@@ -317,5 +317,5 @@ def _underflow_sites(backend):
         else:
             ni.local_credit[vc] = 0
         yield f"NI {path} inject", (
-            lambda ni=ni, vc=vc, path=path, now=net.now:
-            ni._commit_injection((path, vc, True, False), now))
+            lambda net=net, ni=ni, vc=vc, path=path, now=net.now:
+            ni._commit_injection(net, (path, vc, True, False), now))

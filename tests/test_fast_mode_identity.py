@@ -11,7 +11,9 @@ Four layers of evidence live here:
 * a golden matrix (every design x every traffic kind; three requests -
   ``ref`` pinned, ``soa`` pinned, and the unpinned default),
 * a hypothesis differential over random (design, kind, rate, seed,
-  fault plan), comparing the two kernels' event traces as well,
+  fault plan), comparing the two kernels' event traces as well, and
+  one that draws only wakeup-fault plans on the gating designs, so
+  slow and stuck wakeups are reached by strategy, not by chance,
 * flit/credit conservation checked directly in the flat lists and the
   mailboxes while a run is in flight, and
 * oracle self-tests: a deliberately broken VA commit, a disjoint VA
@@ -109,6 +111,16 @@ RANDOM_PLANS = st.one_of(
         _NODE, st.integers(min_value=0, max_value=40), st.booleans()))
 
 
+#: Wakeup-fault plans only: one to three faulty nodes, each honouring WU
+#: only once it has been asserted for more than 1-40 cycles, or never.
+WAKEUP_PLANS = st.lists(
+    st.builds(WakeupFault, _NODE,
+              delay=st.integers(min_value=1, max_value=40),
+              ignore=st.booleans()),
+    min_size=1, max_size=3, unique_by=lambda fault: fault.node,
+).map(lambda faults: FaultPlan(wakeup_faults=tuple(faults)))
+
+
 def slow_wakeup(node, delay):
     """A plan whose only fault: ``node`` honours WU only once it has
     been asserted for more than ``delay`` cycles in a row."""
@@ -147,6 +159,28 @@ class TestHypothesisDifferential:
     @example(design=Design.NORD, kind="uniform", rate=0.031226091461381077,
              seed=19310, plan=slow_wakeup(4, 22))
     def test_random_point_identity(self, design, kind, rate, seed, plan):
+        self.assert_kernels_agree(design, kind, rate, seed, plan)
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(design=st.sampled_from((Design.NORD, Design.CONV_PG,
+                                   Design.CONV_PG_OPT)),
+           kind=st.sampled_from(KINDS),
+           rate=st.floats(min_value=0.01, max_value=0.3),
+           seed=st.integers(min_value=0, max_value=2**16),
+           plan=WAKEUP_PLANS)
+    # The point the ``wide`` profile found for a soa kernel that demotes
+    # a controller holding WU cycles (total_wakeup_stalls 100 != 99).
+    @example(design=Design.CONV_PG_OPT, kind="bitcomp", rate=0.2734375,
+             seed=0, plan=slow_wakeup(0, 1))
+    def test_random_wakeup_fault_identity(self, design, kind, rate, seed,
+                                          plan):
+        """Slow and stuck wakeups, drawn on purpose: the designs that
+        gate, every draw a wakeup-fault plan."""
+        self.assert_kernels_agree(design, kind, rate, seed, plan)
+
+    @staticmethod
+    def assert_kernels_agree(design, kind, rate, seed, plan):
         trace_ref, trace_soa = EventTrace(), EventTrace()
         res_ref = outcome(design, kind, "ref", trace_ref, plan, rate=rate,
                           seed=seed, warmup=40, measure=200)

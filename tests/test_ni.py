@@ -26,10 +26,10 @@ class TestLatch:
         depth = net.cfg.pg.bypass_depth
         flits = Packet(0, 9, depth + 1, 0).make_flits()
         for f in flits[:depth]:
-            ni.latch_write(2, f)
+            ni.latch_write(net, 2, f)
         assert not ni.latches_empty
         with pytest.raises(RuntimeError, match="overflow"):
-            ni.latch_write(2, flits[depth])
+            ni.latch_write(net, 2, flits[depth])
 
     def test_latches_empty_initially(self):
         net = nord_net()

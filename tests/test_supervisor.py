@@ -256,26 +256,30 @@ def test_parsec_work_estimate_uses_the_profile_rate():
     assert point.work_estimate == 16 * PROFILES["canneal"].rate * 1_000
 
 
-def test_between_points_cleanup_collects_the_finished_network():
-    """A worker now outlives its sweep, and every finished ``Network``
-    is a reference cycle: without the clean-up each one would sit in the
-    worker until a gen-2 collection happened by."""
+def test_worker_frees_the_finished_network_without_the_collector(
+        monkeypatch):
+    """A worker outlives its sweep, so whatever a point leaves behind
+    piles up in it.  A finished ``Network`` holds no reference cycle:
+    with the cyclic collector off, the point's network is gone as soon
+    as the worker's ``_guarded_execute`` returns."""
     import gc
-    from repro.experiments.supervisor import _between_points
     from repro.noc.network import Network
     point = points(1, measure=300)[0]
+    built = []
+    real_init = Network.__init__
 
-    def networks_of_the_point():
-        return [o for o in gc.get_objects()
-                if isinstance(o, Network) and o.cfg is point.cfg]
+    def counting_init(self, cfg, *args, **kwargs):
+        built.append(cfg)
+        real_init(self, cfg, *args, **kwargs)
 
+    monkeypatch.setattr(Network, "__init__", counting_init)
     gc.collect()
-    gc.disable()  # or an automatic pass may do the clean-up's job
+    gc.disable()  # or an automatic pass may free what refcounting did not
     try:
         assert _guarded_execute(point, None)[0] == "ok"
-        assert len(networks_of_the_point()) == 1  # SoANetwork is-a Network
-        _between_points()
-        assert networks_of_the_point() == []
+        assert built == [point.cfg]  # the point did build its network
+        assert not [o for o in gc.get_objects()
+                    if isinstance(o, Network) and o.cfg is point.cfg]
     finally:
         gc.enable()
 
