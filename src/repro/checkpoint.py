@@ -12,9 +12,11 @@ File format: ``MAGIC`` line, one hex SHA-256 line over the body, then
 the pickled :class:`SimCheckpoint`.  Writes go through a temp file +
 ``fsync`` + atomic rename, so the file on disk is always either the
 previous complete checkpoint or the new one - never a torn mix.  Any
-validation failure on load (bad magic, checksum mismatch, version or
-code-fingerprint drift, wrong design point) reads as "no checkpoint":
-the run restarts from cycle 0, which is always correct, just slower.
+validation failure on load (bad magic, checksum mismatch, another
+design point's key) reads as "no checkpoint": the run restarts from
+cycle 0, which is always correct, just slower.  The key is the point's
+cache key, which hashes the code fingerprint, so a checkpoint older
+code wrote never resumes.
 """
 
 from __future__ import annotations
@@ -31,11 +33,8 @@ from .experiments.journal import write_atomic
 if TYPE_CHECKING:  # pragma: no cover - CheckpointSpec rides on cached points
     from .noc.network import NetworkSnapshot, RunProgress
 
-#: Bump on any incompatible change to :class:`SimCheckpoint` or the
-#: on-disk framing; old files then read as absent rather than wrong.
-CHECKPOINT_FORMAT = 1
-
-MAGIC = b"repro-checkpoint/1\n"
+#: The file-type tag every checkpoint file starts with.
+MAGIC = b"repro-checkpoint\n"
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,11 @@ class CheckpointSpec:
 class SimCheckpoint:
     """Everything needed to resume one design-point run mid-flight."""
 
-    version: int
     #: The design point's cache key - a resumed run must be the *same*
-    #: point, not merely one writing to the same path.
+    #: point, run by the same code (the key hashes
+    #: :func:`repro.experiments.parallel.code_version`), not merely one
+    #: writing to the same path.
     key: str
-    #: :func:`repro.experiments.parallel.code_version` at save time; a
-    #: checkpoint from different code never resumes (results are only
-    #: reproducible for the exact code that produced them).
-    code: str
     cycle: int
     #: Wall-clock seconds consumed before this checkpoint (across every
     #: earlier attempt), so the final result reports honest totals.
@@ -90,8 +86,7 @@ def save_checkpoint(path: Path, ckpt: SimCheckpoint) -> None:
     write_atomic(Path(path), MAGIC + digest + b"\n" + body, fsync=True)
 
 
-def load_checkpoint(path: Path, *, key: str,
-                    code: str) -> Optional[SimCheckpoint]:
+def load_checkpoint(path: Path, *, key: str) -> Optional[SimCheckpoint]:
     """Read and validate a checkpoint; None when absent or unusable."""
     try:
         raw = Path(path).read_bytes()
@@ -110,10 +105,7 @@ def load_checkpoint(path: Path, *, key: str,
         ckpt = pickle.loads(body)
     except Exception:  # noqa: BLE001 - any corruption reads as absent
         return None
-    if not isinstance(ckpt, SimCheckpoint):
-        return None
-    if (ckpt.version != CHECKPOINT_FORMAT or ckpt.key != key
-            or ckpt.code != code):
+    if not isinstance(ckpt, SimCheckpoint) or ckpt.key != key:
         return None
     return ckpt
 

@@ -28,7 +28,6 @@ either way, which is why this agrees bit for bit with the dense
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..noc.topology import Mesh
@@ -232,18 +231,6 @@ class PlacementAnalysis:
     def knee_set(self, size: int = 6) -> FrozenSet[int]:
         """The greedy set of ``size`` performance-centric routers."""
         return self.greedy_selection()[size][0]
-
-    def exhaustive_best(self, size: int) -> Tuple[FrozenSet[int], float, float]:
-        """Exhaustively search the best set of ``size`` routers.
-
-        Exponential; intended for small meshes / small sizes in tests.
-        """
-        best: Optional[FrozenSet[int]] = None
-        for combo in itertools.combinations(range(self.mesh.num_nodes), size):
-            trial = frozenset(combo)
-            if best is None or self._better(trial, best):
-                best = trial
-        return (best, *self.metrics(best))
 
 
 def central_routers(mesh: Mesh, size: int) -> FrozenSet[int]:

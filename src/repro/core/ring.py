@@ -18,7 +18,7 @@ Two constructions are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..noc.topology import Mesh, OPPOSITE
 
@@ -66,11 +66,6 @@ class BypassRing:
         ring's cyclic channel dependence (Section 4.2).
         """
         return self.order[-1]
-
-    def ring_distance(self, a: int, b: int) -> int:
-        """Hops from ``a`` to ``b`` travelling along the ring direction."""
-        n = len(self.order)
-        return (self.position[b] - self.position[a]) % n
 
     def crosses_dateline(self, node: int) -> bool:
         """True if the ring hop out of ``node`` crosses the dateline."""

@@ -57,11 +57,6 @@ class SimulationHang(SimulationError):
     #: ``"deadlock"`` or ``"livelock"`` (mirrors ``diagnostics["kind"]``).
     kind = "hang"
 
-    @property
-    def stuck_routers(self):
-        """Node ids of the routers holding stuck flits."""
-        return [entry["node"] for entry in self.diagnostics.get("routers", [])]
-
 
 class DeadlockError(SimulationHang):
     """No flit moved for ``deadlock_limit`` cycles with flits outstanding."""

@@ -11,9 +11,9 @@ knee the paper uses to pick its six performance-centric routers
 {4, 5, 6, 7, 13, 14}.
 
 The answer depends only on the mesh and the code, so it is kept in the
-result cache like a simulated point: a sealed record keyed by the cache
-format, :func:`~repro.experiments.parallel.code_version`, the analysis
-name and the mesh size.  It follows the installed runner's
+result cache like a simulated point: a sealed record keyed by
+:func:`~repro.experiments.parallel.code_version`, the analysis name and
+the mesh size.  It follows the installed runner's
 ``use_cache`` and is not a design point: it never counts as a cache hit
 or miss.  Only a miss searches, so only a miss loads the ring builder
 and the placement search.
@@ -45,8 +45,7 @@ def run(scale: str = "bench", seed: int = 1, *, width: int = 4,
     runner = parallel.get_runner()
     if not runner.use_cache:
         return _analyse(width, height)
-    key = stable_hash({"format": parallel.CACHE_FORMAT,
-                       "code": parallel.code_version(),
+    key = stable_hash({"code": parallel.code_version(),
                        "analysis": "fig6_placement",
                        "width": width, "height": height})
     res = runner.cache.get(key, decode=_decode)

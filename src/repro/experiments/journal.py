@@ -19,7 +19,9 @@ tolerates a torn final line).  Record shapes::
 reconstruct completed points from the journal alone - it does not
 depend on the result cache being enabled or intact.  Keys are the
 points' content-derived cache keys, so resume matches points by what
-they *are*, not by their position in a rebuilt sweep.
+they *are*, not by their position in a rebuilt sweep; and since every
+key hashes :func:`repro.experiments.parallel.code_version`, a record
+older code wrote matches no point of this code's sweep.
 
 The payload is *sealed* (:func:`seal`): ``body`` is the canonical JSON
 text of :func:`encode_outcome`'s dict and ``sha256`` the digest of its
@@ -43,12 +45,6 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from ..power.model import EnergyReport
 from ..stats.collector import RunResult
-
-#: Bump on incompatible record-shape changes; ``--resume`` ignores
-#: journals written by other versions rather than misreading them
-#: (2: ``done`` records carry a sealed ``body``; 3: that body stores
-#: router counters as rows and idle histograms as pairs).
-JOURNAL_FORMAT = 3
 
 SweepOutcome = Tuple[RunResult, EnergyReport]
 
@@ -121,7 +117,7 @@ class SweepJournal:
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, record: Dict[str, Any]) -> None:
-        record = {"format": JOURNAL_FORMAT, "ts": time.time(), **record}
+        record = {"ts": time.time(), **record}
         self._fh.write(json.dumps(record, sort_keys=True,
                                   separators=(",", ":")) + "\n")
         self._fh.flush()
@@ -160,8 +156,7 @@ def load_journal(path) -> List[Dict[str, Any]]:
             raise ValueError(
                 f"{path}:{pos + 1}: corrupt journal record (not at the "
                 f"tail - refusing to resume from a damaged journal)")
-        if isinstance(record, dict) \
-                and record.get("format") == JOURNAL_FORMAT:
+        if isinstance(record, dict):
             records.append(record)
     return records
 

@@ -70,21 +70,6 @@ _, __getattr__, __dir__ = lazy_exports(globals(), {"journal": (
     "SweepJournal", "SweepOutcome", "completed_outcomes", "decode_outcome",
     "encode_outcome", "load_journal", "seal", "unseal", "write_atomic")})
 
-#: Bump when the cache file layout changes; invalidates old entries.
-#: 2: design points gained a ``faults`` field (fault-injection plans).
-#: 3: cache keys fold in the resolved simulation backend (ref vs soa)
-#:    and ``TrafficSpec`` gained hotspot parameters.
-#: 4: entries carry a SHA-256 content checksum, verified on read.
-#: 5: cache keys fold in the resolved fast-mode flag (soa fast kernel).
-#: 6: the fast-mode flag left the key (one soa kernel); the backend
-#:    field records :func:`repro.noc.network.select_kernel`'s choice.
-#: 7: sealed entries: the checksum covers the stored ``body`` text.
-#: 8: the body stores router counters as rows and idle histograms as
-#:    ``[length, count]`` pairs (:meth:`RunResult.to_dict`).
-#: 9: the key lost ``network``: the bufferless datapath is selected by
-#:    ``cfg.design`` (``Design.BUFFERLESS``).
-CACHE_FORMAT = 9
-
 
 # ---------------------------------------------------------------------------
 # declarative design points
@@ -214,7 +199,6 @@ class DesignPoint:
         if self.faults is not None and not self.faults.is_empty:
             faults = self.faults.to_key()
         return stable_hash({
-            "format": CACHE_FORMAT,
             "code": code_version(),
             "config": self.cfg.to_dict(),
             "traffic": self.traffic.to_key(),
@@ -252,7 +236,7 @@ def execute_point(point: DesignPoint,
 
     With ``point.checkpoint`` the run saves a checkpoint every
     ``interval`` cycles and first looks for one an earlier attempt of
-    the same point (same cache key and code fingerprint) left behind by
+    the same point (same cache key, so same code) left behind by
     a crash or timeout, resuming from it instead of cycle 0.  The file
     is removed on success.
 
@@ -273,7 +257,7 @@ def execute_point(point: DesignPoint,
     if spec is not None:
         key = point.cache_key()
         path = ck.checkpoint_path(spec, point_basename(point))
-        ckpt = ck.load_checkpoint(path, key=key, code=code_version())
+        ckpt = ck.load_checkpoint(path, key=key)
     if ckpt is not None:
         # The snapshot carries the observers and the effects of the
         # prepare hook, so neither is built or applied again.
@@ -303,9 +287,7 @@ def execute_point(point: DesignPoint,
                     and prog.total_cycles_done - last_saved >= spec.interval:
                 last_saved = prog.total_cycles_done
                 ck.save_checkpoint(path, ck.SimCheckpoint(
-                    version=ck.CHECKPOINT_FORMAT,
                     key=key,
-                    code=code_version(),
                     cycle=n.now,
                     wall_clock_s=prior_wall + (time.perf_counter() - t0),
                     snapshot=n.snapshot(),
@@ -401,10 +383,6 @@ class FailedRun:
     diagnostics: Dict[str, Any] = field(default_factory=dict)
     attempts: int = 1
 
-    @property
-    def retryable(self) -> bool:
-        return self.kind in RETRYABLE_KINDS
-
     def to_exception(self) -> Exception:
         """Rebuild the failure as a raisable typed exception."""
         if self.kind == "timeout":
@@ -428,7 +406,11 @@ def code_version() -> str:
     """SHA-256 over every ``.py`` source file of the ``repro`` package.
 
     Any code change invalidates all cached results - simulator results
-    are only reproducible for the exact code that produced them.
+    are only reproducible for the exact code that produced them.  It is
+    the stores' one staleness rule: every key a stored record is looked
+    up by (a cache entry, Figure 6's curve, a journal ``done`` record, a
+    checkpoint) hashes it, and ``repro`` holds no file but ``.py``
+    ones, so no record written by other code is ever read back.
     Computed once per process and memoized.
     """
     global _CODE_VERSION
@@ -462,14 +444,14 @@ def default_cache_dir() -> Path:
 class ResultCache:
     """Content-addressed store of sealed JSON records.
 
-    One JSON file per key: ``format``, ``key`` and the ``body`` /
-    ``sha256`` pair :func:`~repro.experiments.journal.seal` makes of the
-    dict a codec makes of the value (by default a design point's
-    ``(RunResult, EnergyReport)``, the fields a journal ``done`` record
-    carries too; Figure 6's placement curve passes its own codec).
-    Writes are atomic (temp file + rename) so concurrent runners can
-    share a cache.  A stale-format file reads as a miss (it will simply
-    be overwritten); an *unreadable* file - truncated JSON, a body that
+    One JSON file per key: ``key`` and the ``body`` / ``sha256`` pair
+    :func:`~repro.experiments.journal.seal` makes of the dict a codec
+    makes of the value (by default a design point's ``(RunResult,
+    EnergyReport)``, the fields a journal ``done`` record carries too;
+    Figure 6's placement curve passes its own codec).  Writes are atomic
+    (temp file + rename) so concurrent runners can share a cache.  Every
+    key hashes :func:`code_version`, so an entry older code wrote is
+    never looked up; an *unreadable* file - truncated JSON, a body that
     does not match its checksum or its codec, a ``key`` that is not the
     one it is filed under, I/O error - is quarantined: renamed to
     ``<key>.corrupt`` (preserved for post-mortem, never re-read) and
@@ -504,8 +486,6 @@ class ResultCache:
             return self._quarantine(path)
         if not isinstance(data, dict):
             return self._quarantine(path)
-        if data.get("format") != CACHE_FORMAT:
-            return None  # stale format: an honest miss, not corruption
         # A record filed under another key's name passes its checksum but
         # answers a different question; a body that is not what was
         # written fails it.
@@ -534,7 +514,7 @@ class ResultCache:
     def put_sealed(self, key: str, sealed: Dict[str, str]) -> None:
         """File what :func:`~repro.experiments.journal.seal` made."""
         from .journal import write_atomic
-        payload = {"format": CACHE_FORMAT, "key": key, **sealed}
+        payload = {"key": key, **sealed}
         write_atomic(self.path_for(key), json.dumps(
             payload, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 

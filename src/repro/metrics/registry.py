@@ -148,10 +148,6 @@ class MetricsRegistry:
         return inst
 
     # -- views ------------------------------------------------------------
-    def instruments(self) -> List[Instrument]:
-        """All instruments, in creation order."""
-        return list(self._instruments.values())
-
     def to_dict(self) -> Dict[str, dict]:
         """JSON-friendly snapshot keyed by instrument kind."""
         out: Dict[str, dict] = {"counters": {}, "gauges": {},

@@ -71,9 +71,6 @@ class VirtualChannel:
     def full(self) -> bool:
         return len(self.fifo) >= self.depth
 
-    def front(self) -> Optional[Flit]:
-        return self.fifo[0] if self.fifo else None
-
     def push(self, flit: Flit) -> None:
         if self.full:
             raise OverflowError(

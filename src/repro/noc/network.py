@@ -89,48 +89,6 @@ DEADLOCK_LIMIT = 5_000
 LIVELOCK_LIMIT = 20_000
 
 
-#: Snapshot wire-format version.  Bump whenever the pickled ``Network``
-#: object graph or the fields below change incompatibly; ``restore``
-#: rejects snapshots from any other version so a stale checkpoint can
-#: never silently resume against new semantics.
-#: 2: the two SoA kernel classes became one (class identity in the
-#:    pickled blob changed).
-#: 3: the packet-id counter moved from the process into the network
-#:    (the blob carries it; ``next_packet_id`` left the snapshot).
-#: 4: ``ActiveSet`` became a ``set`` subclass, ``Flit`` gained
-#:    ``is_head``/``is_tail`` slots, NIs carry their latched-flit count
-#:    and ring/controller references, and the soa kernel its parked VA
-#:    waiters.
-#: 5: the ref ``VirtualChannel`` lost ``stalled_for_wakeup``; the soa
-#:    kernel lost ``_stalled``/``_cred_base`` and gained its per-VC
-#:    constant tables and granted output port/credit counter.
-#: 6: quiescent controllers map to the cycle their ``cycles_off`` is
-#:    settled through (duty counters are settled on read), the network
-#:    records the NIs each NI phase ran, and the soa kernel's NI-phase
-#:    ring sends and bypass credits ride its mailboxes, not the links'
-#:    delay lines.
-#: 7: the output-port boundary (credits, VC owners, gating/failure tags,
-#:    NI-claimed ports, event counters) moved from per-router objects
-#:    into network-owned flat lists; NIs hold their LOCAL-side credits
-#:    and owners as two lists, and the soa kernel builds no router
-#:    objects.
-#: 8: ``Link`` lost its ``fault`` slot; the network holds the link faults
-#:    as one flat ``_link_fault`` list, read by both kernels.
-#: 9: the reference kernel lost every activity set, its routers their
-#:    occupied-VC lists; the activity sets, the quiescent controllers and
-#:    the NI-phase records are the soa kernel's alone.
-#: 10: the reference kernel became ``repro.noc.ref.RefNetwork`` (class
-#:    identity in the pickled blob changed), and the soa kernel lost the
-#:    links and delay lines it built but never used.
-#: 11: the stats collector lost its per-cycle idle runs (``_idle_run``);
-#:    the bufferless network feeds idleness edges from its own
-#:    ``_idle_state`` list, as the kernels do.
-#: 12: NIs and reference routers hold no network (the kernel passes
-#:    itself to them), and the bounded queues - VC buffers on both
-#:    kernels, the NI bypass latches - are lists, not deques.
-SNAPSHOT_VERSION = 12
-
-
 @dataclass
 class RunProgress:
     """Where a run is inside the warmup/measure/drain phase machine.
@@ -164,7 +122,7 @@ class RunProgress:
 
 @dataclass
 class NetworkSnapshot:
-    """A self-contained, versioned capture of a mid-run simulation.
+    """A self-contained capture of a mid-run simulation.
 
     ``blob`` is the pickled ``Network`` object graph (the kernel's input
     side and channels, NIs, PG controller FSMs, stats collector, fault
@@ -172,9 +130,6 @@ class NetworkSnapshot:
     snapshot never mutates simulation state.
     """
 
-    version: int
-    backend: str
-    cycle: int
     blob: bytes
 
 
@@ -336,20 +291,17 @@ class Datapath:
         """
         import pickle
         return NetworkSnapshot(
-            version=SNAPSHOT_VERSION,
-            backend=self.backend,
-            cycle=self.now,
-            blob=pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL),
-        )
+            pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL))
 
     @staticmethod
     def restore(snap: NetworkSnapshot) -> "Datapath":
         """Rebuild a network from :meth:`snapshot`; pids assigned after
-        the restore continue the original's sequence."""
-        if snap.version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"snapshot version {snap.version} is incompatible with "
-                f"this build (expected {SNAPSHOT_VERSION})")
+        the restore continue the original's sequence.
+
+        A snapshot carries no version of its own: one reaches here only
+        from the same process, or inside a checkpoint whose key
+        (:func:`repro.checkpoint.load_checkpoint`) hashes the code
+        fingerprint, so it was always taken by this code."""
         import pickle
         return pickle.loads(snap.blob)
 

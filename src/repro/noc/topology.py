@@ -117,7 +117,9 @@ class Mesh:
 
     def xy_port(self, node: int, dst: int) -> int:
         """The XY (dimension-order) output port from ``node`` toward
-        ``dst``, ``LOCAL`` when equal.  Cached per pair."""
+        ``dst``, ``LOCAL`` when equal: X fully before Y, which is
+        deadlock-free on a mesh - the escape route of the conventional
+        designs.  Cached per pair."""
         key = node * self.num_nodes + dst
         port = self._xyp_cache.get(key)
         if port is not None:
@@ -136,17 +138,6 @@ class Mesh:
             port = LOCAL
         self._xyp_cache[key] = port
         return port
-
-    def average_distance(self) -> float:
-        """Average Manhattan distance over all ordered node pairs."""
-        total = 0
-        count = 0
-        for a in range(self.num_nodes):
-            for b in range(self.num_nodes):
-                if a != b:
-                    total += self.hop_distance(a, b)
-                    count += 1
-        return total / count
 
     def corners(self) -> List[int]:
         """The four corner nodes (memory-controller placement, Table 1)."""

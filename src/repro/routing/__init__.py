@@ -6,5 +6,4 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "base": ("RouteChoice", "RoutingFunction"),
     "adaptive": ("AdaptiveXYEscape",),
     "ring_escape": ("NoRDRouting",),
-    "xy": ("xy_port",),
 })

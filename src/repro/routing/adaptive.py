@@ -12,9 +12,7 @@ conventional-PG baseline includes.
 from __future__ import annotations
 
 from ..noc.flit import Packet
-from ..noc.topology import Mesh
 from .base import RouteChoice, RouterView, RoutingFunction
-from .xy import xy_port
 
 
 class AdaptiveXYEscape(RoutingFunction):
@@ -34,5 +32,5 @@ class AdaptiveXYEscape(RoutingFunction):
         adaptive = awake if awake else list(minimal)
         return RouteChoice(
             adaptive_ports=adaptive,
-            escape_port=xy_port(self.mesh, node, packet.dst),
+            escape_port=self.mesh.xy_port(node, packet.dst),
         )

@@ -67,16 +67,6 @@ class LatencyDecomposition:
         """The end-to-end latency the components must sum to."""
         return self.ejected - self.created
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "pid": self.pid, "src": self.src, "dst": self.dst,
-            "length": self.length, "created": self.created,
-            "ejected": self.ejected, "queueing": self.queueing,
-            "pipeline": self.pipeline, "wakeup": self.wakeup,
-            "bypass": self.bypass, "link": self.link,
-            "serialization": self.serialization,
-        }
-
 
 #: Head-flit arrival kinds (an LT completion somewhere).
 _ARRIVALS = (EventKind.BW, EventKind.LATCH)

@@ -77,10 +77,6 @@ class EventTrace:
         """Retained events in record order."""
         return list(self._ring)
 
-    def packet_events(self, pid: int) -> List[TraceEvent]:
-        """Retained events of one packet, in record order."""
-        return [e for e in self._ring if e.pid == pid]
-
     def pid_map(self) -> Dict[int, int]:
         """Raw pid -> dense normalized pid, by first appearance."""
         mapping: Dict[int, int] = {}

@@ -9,7 +9,7 @@ long packets have 5 flits - unless a generator says otherwise.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Tuple
 
 Arrival = Tuple[int, int, int]  # (src, dst, length_in_flits)
 
@@ -28,12 +28,6 @@ class TrafficGenerator:
 
     def arrivals(self, cycle: int) -> Iterable[Arrival]:
         raise NotImplementedError
-
-    def packet_length(self) -> int:
-        """Uniformly choose between short (1) and long (5 flit) packets."""
-        if self.rng.random() < 0.5:
-            return SHORT_PACKET_FLITS
-        return LONG_PACKET_FLITS
 
     @property
     def mean_packet_length(self) -> float:

@@ -162,7 +162,7 @@ class ParsecTraffic(TrafficGenerator):
         others = self.num_nodes - 1
         # Per node, in this order: step the ON/OFF burst state, draw
         # whether an ON node sends, then the packet's kind, destination
-        # and (node-to-node packets) its length (packet_length, inlined).
+        # and (node-to-node packets) its length, short or long evenly.
         for src in range(self.num_nodes):
             if on[src]:
                 if rand() < p_end:

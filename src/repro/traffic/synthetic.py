@@ -42,7 +42,7 @@ class SyntheticTraffic(TrafficGenerator):
             if rand() < prob:
                 dst = pattern(src)
                 if dst != src:
-                    # packet_length, inlined
+                    # short or long, evenly (Section 5.2)
                     out.append((src, dst, SHORT_PACKET_FLITS if rand() < 0.5
                                 else LONG_PACKET_FLITS))
         return out

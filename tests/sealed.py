@@ -1,7 +1,7 @@
 """Edits of a stored sealed record that a reader must not trust.
 
-A result-cache entry is ``{"format", "key", "body", "sha256"}`` and a
-journal ``done`` record carries the same ``body`` and ``sha256``
+A result-cache entry is ``{"key", "body", "sha256"}`` and a journal
+``done`` record carries the same ``body`` and ``sha256``
 (:func:`repro.experiments.journal.seal`).  Every edit here leaves the
 record valid JSON, so only the checksum over the stored body can catch
 it.  Shared by the cache, journal and Fig. 6 tests.

@@ -22,7 +22,6 @@ class TestVirtualChannel:
         vc = VirtualChannel(0, 5)
         assert vc.state == VCState.IDLE
         assert vc.empty and not vc.full
-        assert vc.front() is None
 
     def test_push_pop_fifo_order(self):
         vc = VirtualChannel(0, 5)

@@ -1,7 +1,8 @@
 """Periodic run checkpointing: persistence, validation, resume.
 
-Covers the on-disk format (atomic write, checksum, version/key/code
-guards - every validation failure reads as "no checkpoint"), the
+Covers the on-disk format (atomic write, checksum, the key guard - the
+key hashes the code too; every validation failure reads as "no
+checkpoint"), the
 ``execute_point`` integration (a timed-out attempt resumes from its
 checkpoint and still matches an uninterrupted run; success removes the
 file), and the zero-overhead contract when checkpointing is off.
@@ -12,14 +13,14 @@ import pickle
 
 import pytest
 
-from repro.checkpoint import (CHECKPOINT_FORMAT, CheckpointSpec, MAGIC,
-                              SimCheckpoint, checkpoint_path,
-                              discard_checkpoint, load_checkpoint,
-                              save_checkpoint)
+from repro.checkpoint import (CheckpointSpec, MAGIC, SimCheckpoint,
+                              checkpoint_path, discard_checkpoint,
+                              load_checkpoint, save_checkpoint)
 from repro.config import Design, NoCConfig, SimConfig
+from repro.experiments import parallel
 from repro.experiments.parallel import (DesignPoint, _guarded_execute,
-                                        code_version, execute_point,
-                                        point_basename, uniform_spec)
+                                        execute_point, point_basename,
+                                        uniform_spec)
 from repro.noc.network import Network, RunProgress
 
 
@@ -41,8 +42,7 @@ def make_checkpoint(point, cycles=150):
                            point.cfg.drain_cycles)
     assert net.run_segment(traffic, progress, max_cycles=cycles) is None
     return SimCheckpoint(
-        version=CHECKPOINT_FORMAT, key=point.cache_key(),
-        code=code_version(), cycle=net.now, wall_clock_s=1.5,
+        key=point.cache_key(), cycle=net.now, wall_clock_s=1.5,
         snapshot=net.snapshot(), progress=progress,
         traffic_blob=pickle.dumps(traffic))
 
@@ -60,8 +60,7 @@ def test_save_load_roundtrip(tmp_path):
     ckpt = make_checkpoint(point)
     path = checkpoint_path(point.checkpoint, point_basename(point))
     save_checkpoint(path, ckpt)
-    loaded = load_checkpoint(path, key=point.cache_key(),
-                             code=code_version())
+    loaded = load_checkpoint(path, key=point.cache_key())
     assert loaded is not None
     assert loaded.cycle == ckpt.cycle
     assert loaded.key == ckpt.key
@@ -73,8 +72,7 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_missing_file_loads_as_none(tmp_path):
-    assert load_checkpoint(tmp_path / "absent.ckpt", key="k",
-                           code="c") is None
+    assert load_checkpoint(tmp_path / "absent.ckpt", key="k") is None
 
 
 @pytest.mark.parametrize("mangle", [
@@ -88,24 +86,20 @@ def test_damaged_file_loads_as_none(tmp_path, mangle):
     path = checkpoint_path(point.checkpoint, point_basename(point))
     save_checkpoint(path, make_checkpoint(point))
     path.write_bytes(mangle(path.read_bytes()))
-    assert load_checkpoint(path, key=point.cache_key(),
-                           code=code_version()) is None
+    assert load_checkpoint(path, key=point.cache_key()) is None
 
 
-def test_version_key_and_code_guards(tmp_path):
+def test_version_key_and_code_guards(tmp_path, monkeypatch):
+    """Another point's checkpoint never resumes, nor one that other
+    code (another version of ``repro``) saved: the point's key hashes
+    the code fingerprint."""
     point = small_point(tmp_path)
-    ckpt = make_checkpoint(point)
     path = checkpoint_path(point.checkpoint, point_basename(point))
-    key, code = point.cache_key(), code_version()
-
-    save_checkpoint(path, dataclasses.replace(
-        ckpt, version=CHECKPOINT_FORMAT + 1))
-    assert load_checkpoint(path, key=key, code=code) is None
-    save_checkpoint(path, ckpt)
-    assert load_checkpoint(path, key="someone-elses-point",
-                           code=code) is None
-    assert load_checkpoint(path, key=key, code="other-build") is None
-    assert load_checkpoint(path, key=key, code=code) is not None
+    save_checkpoint(path, make_checkpoint(point))
+    assert load_checkpoint(path, key="someone-elses-point") is None
+    assert load_checkpoint(path, key=point.cache_key()) is not None
+    monkeypatch.setattr(parallel, "_CODE_VERSION", "other-build")
+    assert load_checkpoint(path, key=point.cache_key()) is None
 
 
 def test_discard_is_idempotent(tmp_path):
@@ -156,8 +150,7 @@ def test_timeout_then_resume_matches_uninterrupted(tmp_path):
     assert tag[0] == "timeout"
     path = checkpoint_path(point.checkpoint, point_basename(point))
     assert path.exists(), "timed-out attempt left no checkpoint behind"
-    ckpt = load_checkpoint(path, key=point.cache_key(),
-                           code=code_version())
+    ckpt = load_checkpoint(path, key=point.cache_key())
     assert ckpt is not None and ckpt.cycle > 0
 
     got = execute_point(point)  # resumes, then finishes

@@ -150,7 +150,8 @@ class TestEveryPublicNameHasACaller:
     CALLER_DIRS = ("src/repro", "bench", "examples", "benchmarks")
     #: Documents whose mention of a name promises it to users.
     CALLER_DOCS = ("README.md", ".github/workflows/ci.yml")
-    #: Names only tests call, each with why it stays in ``src/``.
+    #: Names only tests call (``Class.member`` for a method or
+    #: property), each with why it stays in ``src/``.
     TEST_ONLY = {
         "ScriptedTraffic": "the one scripted arrival source the network "
                            "tests drive runs with",
@@ -160,6 +161,12 @@ class TestEveryPublicNameHasACaller:
                        "the network applies; the kernel-identity suites "
                        "and tests/slow_wakeup_sweep.py build them, no flag "
                        "or experiment does",
+        "RoundRobinArbiter.grant": "the dense specification "
+                                   "tests/test_arbiter.py holds grant_from, "
+                                   "which every allocator calls, to",
+        "Mesh.hop_distance": "the Manhattan distance the routing, ring, "
+                             "placement and property tests hold minimal "
+                             "paths to",
     }
     #: Registries that reach a function by its name as a string: the
     #: string argument of a call ``key("name", ...)`` is a use of the
@@ -234,33 +241,42 @@ class TestEveryPublicNameHasACaller:
                 and node.func.id in self.BY_STRING
                 and node.args and isinstance(node.args[0], ast.Constant)}
 
+    def modules(self):
+        """``(caller directory, module path, parsed tree)`` for every
+        file of :attr:`CALLER_DIRS`."""
+        for directory in self.CALLER_DIRS:
+            for path in sorted((self.ROOT / directory).rglob("*.py")):
+                yield (directory, path.relative_to(self.ROOT).as_posix(),
+                       ast.parse(path.read_text()))
+
+    def in_docs(self, names) -> set:
+        """The ``names`` that :attr:`CALLER_DOCS` mention."""
+        docs = "\n".join((self.ROOT / doc).read_text()
+                         for doc in self.CALLER_DOCS)
+        return {name for name in names
+                if re.search(rf"\b{re.escape(name)}\b", docs)}
+
     def scan(self):
         """``(public name -> defining module, names called, (module,
         name) named by string)``; a name's use inside its own definition
         is not a call."""
         defined, called, named = {}, set(), set()
         aliases, annotated = set(), set()
-        for directory in self.CALLER_DIRS:
-            for path in sorted((self.ROOT / directory).rglob("*.py")):
-                tree = ast.parse(path.read_text())
-                module = path.relative_to(self.ROOT).as_posix()
-                named |= self.by_string(tree)
-                for stmt in tree.body:
-                    own = self.bound_names(stmt)
-                    used, typed = self.used_names(stmt)
-                    called |= used - set(own)
-                    annotated |= typed
-                    if self.is_alias(stmt):
-                        aliases.update(own)
-                    if directory == "src/repro" and \
-                            path.name != "__init__.py":
-                        for name in own:
-                            if not name.startswith("_") and name != "main":
-                                defined.setdefault(name, module)
-        docs = "\n".join((self.ROOT / doc).read_text()
-                         for doc in self.CALLER_DOCS)
-        called |= {name for name in defined
-                   if re.search(rf"\b{re.escape(name)}\b", docs)}
+        for directory, module, tree in self.modules():
+            named |= self.by_string(tree)
+            for stmt in tree.body:
+                own = self.bound_names(stmt)
+                used, typed = self.used_names(stmt)
+                called |= used - set(own)
+                annotated |= typed
+                if self.is_alias(stmt):
+                    aliases.update(own)
+                if directory == "src/repro" and \
+                        not module.endswith("/__init__.py"):
+                    for name in own:
+                        if not name.startswith("_") and name != "main":
+                            defined.setdefault(name, module)
+        called |= self.in_docs(defined)
         called |= aliases & annotated
         return defined, called | {name for _, name in named}, named
 
@@ -283,7 +299,49 @@ class TestEveryPublicNameHasACaller:
             "public names nothing in src/, bench/, examples/, benchmarks/, "
             f"README.md or CI calls: {uncalled}; delete them or, for a "
             "test oracle or fixture, give the reason in TEST_ONLY")
-        stale = sorted(name for name in self.TEST_ONLY
-                       if name not in defined or name in called)
+        stale = sorted(name for name in self.TEST_ONLY if "." not in name
+                       and (name not in defined or name in called))
         assert stale == [], (
             f"TEST_ONLY entries that are gone or have a caller now: {stale}")
+
+    def scan_members(self):
+        """``(Class.member -> defining module, member names called)`` for
+        the public non-dunder methods and properties of the classes in
+        ``src/repro``; a member's use inside its own body is not a
+        call."""
+        defined, called = {}, set()
+        for directory, module, tree in self.modules():
+            for stmt in tree.body:
+                body = stmt.body if isinstance(stmt, ast.ClassDef) \
+                    else [stmt]
+                for node in body:
+                    own = set(self.bound_names(node))
+                    called |= self.used_names(node)[0] - own
+                    if directory == "src/repro" and \
+                            isinstance(stmt, ast.ClassDef) and \
+                            isinstance(node, ast.FunctionDef) and \
+                            not node.name.startswith("_"):
+                        defined.setdefault(f"{stmt.name}.{node.name}",
+                                           module)
+        called |= self.in_docs({member.split(".")[1] for member in defined})
+        return defined, called
+
+    def test_every_public_member_has_a_caller(self):
+        """The same rule for the methods and properties of a class: a
+        load of ``.name`` anywhere in the callers is a call of every
+        member of that name (no type inference)."""
+        defined, called = self.scan_members()
+        uncalled = sorted(f"{module}:{member}"
+                          for member, module in defined.items()
+                          if member.split(".")[1] not in called
+                          and member not in self.TEST_ONLY)
+        assert uncalled == [], (
+            "public methods and properties nothing in src/, bench/, "
+            f"examples/, benchmarks/, README.md or CI calls: {uncalled}; "
+            "delete them or, for a test oracle, give the reason in "
+            "TEST_ONLY")
+        stale = sorted(member for member in self.TEST_ONLY if "." in member
+                       and (member not in defined
+                            or member.split(".")[1] in called))
+        assert stale == [], (
+            f"TEST_ONLY members that are gone or have a caller now: {stale}")

@@ -25,9 +25,9 @@ import pytest
 from repro.config import Design, NoCConfig, SimConfig
 from repro.experiments import parallel
 from repro.experiments.journal import encode_outcome
-from repro.experiments.parallel import (CACHE_FORMAT, DesignPoint,
-                                        ResultCache, SweepRunner,
-                                        _guarded_execute, uniform_spec)
+from repro.experiments.parallel import (DesignPoint, ResultCache,
+                                        SweepRunner, _guarded_execute,
+                                        uniform_spec)
 from tests.sealed import RESEALED, TAMPER
 
 
@@ -49,8 +49,7 @@ def test_cache_entries_carry_content_checksum(tmp_path):
     assert tag[0] == "ok"
     cache.put(p.cache_key(), tag[1])
     data = json.loads(cache.path_for(p.cache_key()).read_text())
-    assert set(data) == {"format", "key", "body", "sha256"}
-    assert data["format"] == CACHE_FORMAT
+    assert set(data) == {"key", "body", "sha256"}
     # The checksum is over the stored bytes, and the body is the
     # canonical JSON of the codec's dict.
     assert data["sha256"] == hashlib.sha256(
@@ -145,38 +144,6 @@ def test_missing_checksum_is_quarantined(tmp_path):
     path.write_text(json.dumps(data))
     assert cache.get(p.cache_key()) is None
     assert cache.quarantined == 1
-
-
-def test_stale_format_is_a_miss_not_corruption(tmp_path):
-    cache = ResultCache(tmp_path)
-    p = point()
-    cache.put(p.cache_key(), _guarded_execute(p, None)[1])
-    path = cache.path_for(p.cache_key())
-    data = json.loads(path.read_text())
-    data["format"] = CACHE_FORMAT - 1
-    path.write_text(json.dumps(data))
-    assert cache.get(p.cache_key()) is None
-    assert cache.quarantined == 0
-    assert path.exists()  # left in place to be overwritten
-
-
-def test_format_6_entry_is_a_miss_not_corruption(tmp_path):
-    """An entry of the last unsealed format (values inline, checksum over
-    their re-serialisation) is an honest miss, overwritten by the next
-    put."""
-    cache = ResultCache(tmp_path)
-    p = point()
-    outcome = _guarded_execute(p, None)[1]
-    values = encode_outcome(outcome)
-    blob = json.dumps(values, sort_keys=True, separators=(",", ":"))
-    path = cache.path_for(p.cache_key())
-    path.write_text(json.dumps(
-        {"format": 6, "key": p.cache_key(), **values,
-         "sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest()}))
-    assert cache.get(p.cache_key()) is None
-    assert cache.quarantined == 0
-    cache.put(p.cache_key(), outcome)
-    assert cache.get(p.cache_key()) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,8 @@ class TestTypedErrors:
         assert diag["design"] == Design.NO_PG
         assert diag["outstanding_flits"] == 1
         assert diag["limit"] == 150
-        assert err.stuck_routers == [0]  # injected at 0, starved in SA
+        # Injected at 0, starved in SA.
+        assert [entry["node"] for entry in diag["routers"]] == [0]
         entry = diag["routers"][0]
         assert entry["node"] == 0
         assert entry["state"] == "ON"

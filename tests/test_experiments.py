@@ -168,18 +168,6 @@ class TestFig6Cache:
         assert fig6_placement.run() == computed
         assert len(searches) == 2
 
-    def test_stale_format_is_an_honest_miss(self, searches, install):
-        runner = install()
-        computed = fig6_placement.run()
-        path = self.record(runner)
-        data = json.loads(path.read_text())
-        data["format"] = parallel.CACHE_FORMAT - 1
-        path.write_text(json.dumps(data))
-        assert fig6_placement.run() == computed
-        assert len(searches) == 2
-        assert runner.cache.quarantined == 0
-        assert json.loads(path.read_text())["format"] == parallel.CACHE_FORMAT
-
     def test_run_all_footer_counts_no_design_point(self, searches, install,
                                                    monkeypatch):
         monkeypatch.setattr(runner_module, "EXPERIMENTS",

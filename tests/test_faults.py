@@ -254,7 +254,7 @@ class TestLinkFaults:
             err = excinfo.value
             assert isinstance(err, DeadlockError)
             assert net.stats.credits_lost > 0
-            assert err.stuck_routers  # diagnostics name the wedged routers
+            assert err.diagnostics["routers"]  # names the wedged routers
             seen[net.backend] = (type(err), net.now, str(err),
                                  err.diagnostics, net.stats.credits_lost)
         assert seen["soa"] == seen["ref"]

@@ -18,9 +18,8 @@ import pytest
 from repro.config import Design, NoCConfig, SimConfig
 from repro.errors import SweepInterrupted
 from repro.experiments import parallel
-from repro.experiments.journal import (JOURNAL_FORMAT, SweepJournal,
-                                       completed_outcomes, executed_keys,
-                                       load_journal)
+from repro.experiments.journal import (SweepJournal, completed_outcomes,
+                                       executed_keys, load_journal)
 from repro.experiments.parallel import (DesignPoint, SweepRunner,
                                         uniform_spec)
 from tests.sealed import RESEALED, TAMPER
@@ -46,8 +45,8 @@ def test_append_load_roundtrip(tmp_path):
         journal.append({"ev": "done", "key": "k1"})
     records = load_journal(path)
     assert [r["ev"] for r in records] == ["sweep", "done"]
-    assert all(r["format"] == JOURNAL_FORMAT for r in records)
-    assert all("ts" in r for r in records)
+    assert [set(r) for r in records] == [{"ev", "total", "ts"},
+                                         {"ev", "key", "ts"}]
 
 
 def test_load_missing_file_is_empty():
@@ -79,23 +78,13 @@ def test_mid_file_damage_refuses_to_load(tmp_path):
         load_journal(path)
 
 
-def test_foreign_format_records_are_ignored(tmp_path):
-    path = tmp_path / "j.jsonl"
-    path.write_text(
-        json.dumps({"format": JOURNAL_FORMAT + 1, "ev": "done",
-                    "key": "old"}) + "\n"
-        + json.dumps({"format": JOURNAL_FORMAT, "ev": "done",
-                      "key": "new", "result": {}, "energy": {}}) + "\n")
-    assert [r["key"] for r in load_journal(path)] == ["new"]
-
-
 def test_completed_outcomes_skips_unusable_payloads(tmp_path):
     runner = SweepRunner(jobs=1, use_cache=False,
                          journal_path=tmp_path / "j.jsonl")
     (result, energy), = runner.run(points(1))
     records = load_journal(tmp_path / "j.jsonl")
-    records.append({"format": JOURNAL_FORMAT, "ev": "done",
-                    "key": "bad", "result": "not a dict", "energy": {}})
+    records.append({"ev": "done", "key": "bad", "result": "not a dict",
+                    "energy": {}})
     outcomes = completed_outcomes(records)
     assert set(outcomes) == {points(1)[0].cache_key()}
     got_result, got_energy = next(iter(outcomes.values()))

@@ -14,8 +14,8 @@ import pytest
 from repro.config import Design, SimConfig, stable_hash
 from repro.experiments import parallel
 from repro.experiments.common import build_config
-from repro.experiments.parallel import (DesignPoint, ResultCache,
-                                        SweepRunner, TrafficSpec,
+from repro.experiments.parallel import (RETRYABLE_KINDS, DesignPoint,
+                                        ResultCache, SweepRunner, TrafficSpec,
                                         bitcomp_spec, code_version,
                                         execute_point, parsec_spec,
                                         point_basename, uniform_spec)
@@ -163,12 +163,6 @@ class TestResultCache:
         cache.path_for("bad").parent.mkdir(parents=True, exist_ok=True)
         cache.path_for("bad").write_text("{not json")
         assert cache.get("bad") is None
-
-    def test_stale_format_reads_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        cache.path_for("old").write_text(json.dumps({"format": -1}))
-        assert cache.get("old") is None
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -368,34 +362,23 @@ class TestQuarantine:
         cache = ResultCache(tmp_path)
         path = cache.path_for("broken")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('{"format":')
+        path.write_text('{"key":')
         assert cache.get("broken") is None
         assert cache.quarantined == 1
         assert not path.exists()
         corrupt = path.with_suffix(".corrupt")
         assert corrupt.exists()
-        assert corrupt.read_text() == '{"format":'  # kept for post-mortem
+        assert corrupt.read_text() == '{"key":'  # kept for post-mortem
 
     def test_wrong_shape_is_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.directory.mkdir(parents=True, exist_ok=True)
         cache.path_for("shape").write_text(json.dumps(
-            {"format": parallel.CACHE_FORMAT, "result": {"nope": 1},
-             "energy": {}}))
+            {"key": "shape", "result": {"nope": 1}, "energy": {}}))
         cache.path_for("list").write_text(json.dumps([1, 2, 3]))
         assert cache.get("shape") is None
         assert cache.get("list") is None
         assert cache.quarantined == 2
-
-    def test_stale_format_is_not_quarantined(self, tmp_path):
-        """Old-format entries are honest misses, not corruption: put()
-        overwrites them in place."""
-        cache = ResultCache(tmp_path)
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        cache.path_for("old").write_text(json.dumps({"format": -1}))
-        assert cache.get("old") is None
-        assert cache.quarantined == 0
-        assert cache.path_for("old").exists()
 
     def test_missing_file_is_not_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -452,7 +435,7 @@ class TestResilientRunner:
             runner.run([wedged_point()])
         err = excinfo.value
         assert isinstance(err, DeadlockError)
-        assert err.stuck_routers  # diagnostics crossed the guard intact
+        assert err.diagnostics["routers"]  # crossed the guard intact
 
     def test_hang_is_retried_then_recorded_in_partial_mode(self, tmp_path,
                                                            monkeypatch):
@@ -466,7 +449,7 @@ class TestResilientRunner:
         assert runner.stats.retried == 2
         assert runner.stats.failures == 1
         failed = runner.failures[0]
-        assert failed.kind == "hang" and failed.retryable
+        assert failed.kind == "hang" and failed.kind in RETRYABLE_KINDS
         assert failed.attempts == 3
         assert failed.diagnostics["kind"] == "deadlock"
 
@@ -520,7 +503,7 @@ class TestResilientRunner:
         assert calls["n"] == 1
         assert runner.stats.retried == 0
         assert runner.failures[0].kind == "error"
-        assert not runner.failures[0].retryable
+        assert runner.failures[0].kind not in RETRYABLE_KINDS
 
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):

@@ -202,7 +202,7 @@ class TestAgainstFullEvaluation:
 class TestMetrics:
     def test_all_on_metrics(self, analysis, mesh4):
         dist, per_hop = analysis.metrics(range(16))
-        assert dist == pytest.approx(mesh4.average_distance())
+        assert dist == pytest.approx(8 / 3)  # the 4x4 mesh's mean distance
         assert per_hop == pytest.approx(ON_HOP_COST)
 
     def test_all_off_metrics(self, analysis):
@@ -248,11 +248,12 @@ class TestGreedySelection:
         assert curve[6][1] <= paper_dist + 1e-9
 
     def test_exhaustive_best_small(self, mesh4, ring4):
+        """The greedy first router is the best single one: an exhaustive
+        search over all 16 finds no shorter average distance."""
         analysis = PlacementAnalysis(mesh4, ring4)
-        best_set, dist, _ = analysis.exhaustive_best(1)
+        best_dist = min(analysis.metrics([node])[0] for node in range(16))
         greedy = analysis.greedy_selection(refine=False)
-        assert dist <= greedy[1][1] + 1e-9
-        assert len(best_set) == 1
+        assert greedy[1][1] == pytest.approx(best_dist)
 
 
 class TestDefaults:

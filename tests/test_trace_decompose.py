@@ -46,9 +46,9 @@ class TestExactSumProperty:
         for p in pkts:
             d = decomps[p.pid]
             assert d.latency == p.latency
-            assert d.total == p.latency, (design, p.pid, d.as_dict())
+            assert d.total == p.latency, (design, d)
             for name in COMPONENTS:
-                assert getattr(d, name) >= 0, (design, p.pid, d.as_dict())
+                assert getattr(d, name) >= 0, (design, d)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=5, deadline=None,
@@ -77,7 +77,7 @@ class TestKnownShapes:
                                 num_nodes=net.mesh.num_nodes),
                 warmup=0, measure=400, drain=500)
         assert len(pkts) == 1
-        return decompose_packet(trace.packet_events(pkts[0].pid)), pkts[0]
+        return decompose_trace(trace)[pkts[0].pid], pkts[0]
 
     def test_no_pg_has_no_wakeup_or_bypass(self):
         d, pkt = self.run_single(Design.NO_PG)
@@ -109,7 +109,7 @@ class TestKnownShapes:
         net.run(ScriptedTraffic([(10, 0, 1, 5)],
                                 num_nodes=net.mesh.num_nodes),
                 warmup=0, measure=300, drain=400)
-        d = decompose_packet(trace.packet_events(pkts[0].pid))
+        d = decompose_trace(trace)[pkts[0].pid]
         assert d.length == 5
         assert d.serialization == 4  # one cycle per flit behind the head
         assert d.total == pkts[0].latency

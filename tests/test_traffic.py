@@ -39,7 +39,8 @@ class TestBase:
 
     def test_packet_lengths_bimodal(self):
         gen = SyntheticTraffic(16, 0.1, lambda s: 0, seed=1)
-        lengths = {gen.packet_length() for _ in range(200)}
+        lengths = {length for cycle in range(200)
+                   for _, _, length in gen.arrivals(cycle)}
         assert lengths == {SHORT_PACKET_FLITS, LONG_PACKET_FLITS}
         assert gen.mean_packet_length == 3.0
 
